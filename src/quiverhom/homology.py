@@ -517,7 +517,7 @@ def _preimage_under_projection(comp: ExtComputation, m: int, gen_index: int) -> 
     ker, quo, incl, proj = comp._data(m)
     target = np.zeros(quo.rank, dtype=np.int64)
     target[gen_index] = 1
-    sol = ambient_coords_solve(ker.factors, proj, target, comp.y.modulus)
+    sol = ambient_coords_solve(quo.factors, proj, target, comp.y.modulus)
     assert sol is not None
     return ker.reduce(sol)
 

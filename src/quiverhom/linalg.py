@@ -10,6 +10,7 @@ kernel extraction correct over a ring with zero divisors.
 
 from __future__ import annotations
 
+import functools
 from math import gcd
 from typing import List, Optional, Tuple
 
@@ -58,15 +59,55 @@ def _as_matrix(a, n: int) -> np.ndarray:
     return np.mod(m, n)
 
 
-_GCD_TABLES: dict = {}
+# Inputs of at most this many cells (all matrices together) are memoized.
+# Only small systems repeat in practice; large ones would make a bounded
+# cache hold megabytes per entry for almost no hits.
+_MEMO_MAX_CELLS = 64
 
 
-def _gcd_table(n: int) -> np.ndarray:
-    tab = _GCD_TABLES.get(n)
-    if tab is None:
-        tab = np.array([gcd(v, n) for v in range(n)], dtype=np.int64)
-        _GCD_TABLES[n] = tab
-    return tab
+def _memoized(kernel):
+    """Memoize `kernel(*matrices, n)` on small inputs.
+
+    The key is n, the shape of each matrix after reduction mod n, and their
+    entries as one bytes object (the shapes tell where each matrix ends),
+    kept flat because per-entry object overhead dominates the cache's
+    memory.  The LRU cache holds 4096 entries.  Inputs over
+    `_MEMO_MAX_CELLS` cells call the kernel directly.  Returned arrays are
+    read-only on both paths, since cached ones are shared by every caller,
+    and list members of the result are copied on each call.
+    """
+
+    @functools.lru_cache(maxsize=4096)
+    def cached(n, *key):
+        *dims, data = key
+        flat = np.frombuffer(data, dtype=np.int64)
+        mats, at = [], 0
+        for r, c in zip(dims[::2], dims[1::2]):
+            mats.append(flat[at : at + r * c].reshape(r, c))
+            at += r * c
+        return _frozen(kernel(*mats, n))
+
+    @functools.wraps(kernel)
+    def memoized(*args):
+        *mats, n = args
+        mats = [_as_matrix(m, n) for m in mats]
+        if sum(m.size for m in mats) > _MEMO_MAX_CELLS:
+            out = _frozen(kernel(*mats, n))
+        else:
+            out = cached(n, *(d for m in mats for d in m.shape), b"".join(m.tobytes() for m in mats))
+        return None if out is None else tuple(list(x) if isinstance(x, list) else x for x in out)
+
+    memoized.cache_info = cached.cache_info
+    memoized.cache_clear = cached.cache_clear
+    return memoized
+
+
+def _frozen(result):
+    if result is not None:
+        for x in result:
+            if isinstance(x, np.ndarray):
+                x.setflags(write=False)
+    return result
 
 
 def _echelon(rows: np.ndarray, n: int) -> Tuple[np.ndarray, List[int]]:
@@ -79,7 +120,6 @@ def _echelon(rows: np.ndarray, n: int) -> Tuple[np.ndarray, List[int]]:
     """
     w = rows.copy()
     m, k = w.shape
-    gtab = _gcd_table(n)
     r = 0
     pivots: List[int] = []
     for j in range(k):
@@ -91,7 +131,7 @@ def _echelon(rows: np.ndarray, n: int) -> Tuple[np.ndarray, List[int]]:
             continue
         # pivot with minimal gcd(., n), then minimal value, for stability
         vals = col[nz]
-        keys = gtab[vals] * (n + 1) + vals
+        keys = np.gcd(vals, n) * (n + 1) + vals
         best = int(nz[int(np.argmin(keys))]) + r
         if best != r:
             w[[r, best]] = w[[best, r]]
@@ -175,6 +215,7 @@ def _pivot_index(rows: np.ndarray) -> List[Tuple[int, int, int]]:
     return out
 
 
+@_memoized
 def solve_left(a, b, n: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Solve Y @ a == b (mod n) for each row of b.
 
@@ -230,17 +271,6 @@ def solve_right(a, b, n: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         return None
     y, kern = out
     return y.T % n, kern.T % n
-
-
-def right_kernel(a, n: int) -> np.ndarray:
-    """Basis columns for {x : a x == 0 (mod n)}."""
-    return left_kernel(_as_matrix(a, n).T, n).T
-
-
-def howell_solve(a, b, n: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """All X with a @ X == b (mod n): a particular solution per column of b
-    plus canonical kernel generators, or None when inconsistent."""
-    return solve_right(a, b, n)
 
 
 class _Tracked:
@@ -315,6 +345,7 @@ class _Tracked:
         self.vinv[p] = (self.vinv[p] + q.dot(self.vinv[idx])) % n
 
 
+@_memoized
 def diagonalize(a, n: int):
     """Two-sided reduction over Z/n: returns (d, U, Uinv, V, Vinv) with
     U a V == diag(d) mod n, the d_i divisors of n in a divisibility chain
@@ -325,8 +356,6 @@ def diagonalize(a, n: int):
     t = _Tracked(a, n)
     r = min(m, k)
 
-    gtab = _gcd_table(n)
-
     def clear_at(p):
         # choose the pivot once: entry with minimal gcd(., n), then smallest value
         sub = t.d[p:, p:]
@@ -334,7 +363,7 @@ def diagonalize(a, n: int):
         if nz.size == 0:
             return False
         vals = sub[nz[:, 0], nz[:, 1]]
-        keys = gtab[vals] * (n + 1) + vals
+        keys = np.gcd(vals, n) * (n + 1) + vals
         order = np.lexsort((nz[:, 1], nz[:, 0], keys))
         bi, bj = int(nz[order[0], 0]) + p, int(nz[order[0], 1]) + p
         if bi != p:

@@ -49,7 +49,11 @@ class Modulus:
 
     @cached_property
     def divisors(self) -> Tuple[int, ...]:
-        return tuple(d for d in range(1, self.n + 1) if self.n % d == 0)
+        """All divisors of n in ascending order."""
+        out = [1]
+        for p, e in self.prime_factors.items():
+            out = [d * p**k for d in out for k in range(e + 1)]
+        return tuple(sorted(out))
 
     def __str__(self):
         return f"Z/{self.n}"

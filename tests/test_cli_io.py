@@ -147,3 +147,9 @@ def test_cli_verify_config_file(tmp_path, capsys):
     code = main(["verify", "rootedness", "--config", path, "--json"])
     out = capsys.readouterr().out
     assert code == 0 and len(out.strip().splitlines()) == 3
+
+
+def test_cli_verify_ext_engine_lifts_ext_generators(capsys):
+    # trial ext_engine[1] of this seed lifts an Ext generator through a
+    # projection whose target has fewer invariant factors than its source
+    assert main(["verify", "ext_engine", "--seed", "3003", "--trials", "2"]) == 0

@@ -8,7 +8,6 @@ from quiverhom.linalg import (
     diagonalize,
     howell_form,
     left_kernel,
-    right_kernel,
     solve_left,
     solve_right,
     unit_multiplier,
@@ -137,7 +136,7 @@ def test_inconsistent_detected(n):
 def test_kernels_left_right():
     n = 8
     a = np.array([[2, 4], [0, 2]], dtype=np.int64)
-    kr = right_kernel(a, n)
+    kr = solve_right(a, np.zeros((2, 0), dtype=np.int64), n)[1]
     for col in kr.T:
         assert not (a.dot(col) % n).any()
     kl = left_kernel(a, n)
@@ -169,14 +168,67 @@ def test_diagonalize_random(n):
             assert n % di == 0
 
 
-def test_howell_solve_alias():
-    from quiverhom.linalg import howell_solve
-
-    out = howell_solve([[2]], [[0]], 4)
-    assert out is not None and out[0][0, 0] == 0
-    assert howell_solve([[2]], [[1]], 4) is None
-
-
 def test_diagonalize_chain_includes_lcm_case():
     d, *_ = diagonalize([[2, 0], [0, 3]], 6)
     assert d == [1, 6]
+
+
+def _same_result(x, y):
+    if x is None or y is None:
+        return x is None and y is None
+    return len(x) == len(y) and all(
+        np.array_equal(u, v) if isinstance(u, np.ndarray) else u == v for u, v in zip(x, y)
+    )
+
+
+def _memo_inputs():
+    rng = random.Random(23)
+    for _ in range(60):
+        n = rng.randrange(2, 13)
+        m, k = rng.randrange(0, 4), rng.randrange(0, 5)
+        a = rand_mat(rng, m, k, n)
+        b = rand_mat(rng, rng.randrange(0, 3), k, n)
+        yield n, a, b
+
+
+def test_memo_matches_uncached_kernel():
+    for n, a, b in _memo_inputs():
+        for kernel, args in ((solve_left, (a, b, n)), (diagonalize, (a, n))):
+            first = kernel(*args)
+            cached = kernel(*args)
+            assert kernel.cache_info().hits >= 1
+            kernel.cache_clear()
+            fresh = kernel(*args)
+            assert _same_result(cached, first)
+            assert _same_result(cached, fresh)
+            assert _same_result(cached, kernel.__wrapped__(*args))
+
+
+def test_memo_results_are_read_only():
+    n, a = 12, np.array([[2, 4, 6], [3, 0, 9]], dtype=np.int64)
+    for args in ((a, a[:1], n), (a, a[:1] + 1, n), (a, n), (np.ones((9, 9), dtype=np.int64), n)):
+        kernel = solve_left if len(args) == 3 else diagonalize
+        for _ in range(2):  # first call fills the cache, second hits it
+            out = kernel(*args)
+            if out is None:
+                continue
+            for x in out:
+                if isinstance(x, np.ndarray):
+                    with pytest.raises(ValueError):
+                        x[...] = 0
+    d1, d2 = diagonalize(a, n)[0], diagonalize(a, n)[0]
+    d1.append(0)
+    assert d2 == diagonalize(a, n)[0] != d1
+
+
+def test_memo_skips_inputs_over_64_cells():
+    rng = random.Random(3)
+    for kernel, args in (
+        (solve_left, (rand_mat(rng, 8, 8, 6), rand_mat(rng, 1, 8, 6), 6)),
+        (diagonalize, (rand_mat(rng, 5, 13, 6), 6)),
+    ):
+        before = kernel.cache_info()
+        kernel(*args)
+        after = kernel.cache_info()
+        assert after.currsize == before.currsize
+        assert (after.hits, after.misses) == (before.hits, before.misses)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -375,3 +376,11 @@ def test_double_dual_for_all_modules_up_to_4096():
                 assert iso.codomain.factors == m.factors
                 checked += 1
         assert checked >= 20
+
+
+def test_divisors_match_brute_force():
+    for n in range(2, 501):
+        assert Modulus(n).divisors == tuple(d for d in range(1, n + 1) if n % d == 0)
+    start = time.perf_counter()
+    assert Modulus(2**31 - 1).divisors == (1, 2**31 - 1)
+    assert time.perf_counter() - start < 1.0
