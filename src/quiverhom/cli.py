@@ -190,6 +190,9 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     trials = args.trials
+    if trials is not None and trials < 1:
+        print(f"error: --trials must be at least 1, got {trials}", file=sys.stderr)
+        return 2
     if args.suite == "all":
         reports = run_all(cfg, trials)
     else:

@@ -25,7 +25,6 @@ from .rep import (
     double_dual_rep_iso,
     dual_rep,
     dual_rep_morphism,
-    image_rep,
     kernel_rep,
     psi,
     single_vertex_rep,
@@ -42,10 +41,12 @@ from .znmod import (
     cyclic,
     ext_module,
     free_mod,
+    image_order,
     is_epi,
     is_injective_module,
     is_mono,
     kernel_of_hom,
+    kernel_order,
     quotient_with_projection,
     section_of,
 )
@@ -317,11 +318,9 @@ def _verify_resolution(res: ProjResolution):
     for d in res.diffs:
         comp = prev.compose(d)
         assert comp.is_zero, "minimized complex is not a complex"
-        ker, _ = kernel_rep(prev)
-        img, _ = image_rep(d)
-        for v in ker.quiver.vertices:
-            assert (
-                ker.vertex_modules[v].cardinality == img.vertex_modules[v].cardinality
+        for v in d.source.quiver.vertices:
+            assert kernel_order(prev.components[v]) == image_order(
+                d.components[v]
             ), "minimized complex lost exactness"
         prev = d
 
@@ -705,11 +704,10 @@ class RepComplex:
         return [k for k in degs if k + 1 in self.diffs and k in self.diffs]
 
     def is_exact_at(self, k: int) -> bool:
-        img, _ = image_rep(self.diffs[k + 1])
-        ker, _ = kernel_rep(self.diffs[k])
+        inc, out = self.diffs[k + 1], self.diffs[k]
         return all(
-            img.vertex_modules[v].cardinality == ker.vertex_modules[v].cardinality
-            for v in img.quiver.vertices
+            image_order(inc.components[v]) == kernel_order(out.components[v])
+            for v in out.source.quiver.vertices
         )
 
     def interior_exact(self) -> bool:
@@ -891,14 +889,6 @@ def _hom_exactness_against_family(cx: RepComplex) -> bool:
             )
             induced[k] = ModHom(src.group, tgt.group, mat)
         for k in cx.interior_degrees():
-            img, _ = _mod_image(induced[k + 1])
-            ker, _ = kernel_of_hom(induced[k])
-            if img.cardinality != ker.cardinality:
+            if image_order(induced[k + 1]) != kernel_order(induced[k]):
                 return False
     return True
-
-
-def _mod_image(h: ModHom):
-    from .znmod import image_of_hom
-
-    return image_of_hom(h)

@@ -1,18 +1,19 @@
 """Exact matrix arithmetic over Z/N: Howell normal form, linear solvers,
-and two-sided diagonalization.
+two-sided diagonalization, and the order of a quotient by a column span.
 
 Everything in this file works on numpy int64 arrays whose entries live in
-[0, N).  The Howell form is the canonical echelon form for row modules over
-Z/N: unlike a plain echelon form it spans *all* row-module elements whose
-leading coordinates vanish, which is what makes greedy back-substitution and
-kernel extraction correct over a ring with zero divisors.
+[0, N), except `quotient_order`, which computes in Python ints.  The Howell
+form is the canonical echelon form for row modules over Z/N: unlike a plain
+echelon form it spans *all* row-module elements whose leading coordinates
+vanish, which is what makes greedy back-substitution and kernel extraction
+correct over a ring with zero divisors.
 """
 
 from __future__ import annotations
 
 import functools
 from math import gcd
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -261,16 +262,51 @@ def left_kernel(a, n: int) -> np.ndarray:
 
 
 def solve_right(a, b, n: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Solve a @ X == b (mod n) columnwise; returns (X, K) with kernel columns."""
-    a = _as_matrix(a, n)
-    b = _as_matrix(b, n)
-    if b.shape[0] != a.shape[0]:
+    """Solve a @ X == b (mod n) columnwise; returns (X, K) with kernel columns.
+
+    `solve_left` reduces its inputs mod n and returns reduced, read-only
+    arrays, so the transposes are all the work done here.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if b.shape[:1] != a.shape[:1]:
         raise ValueError(f"shape mismatch: a is {a.shape}, b is {b.shape}")
     out = solve_left(a.T, b.T, n)
     if out is None:
         return None
     y, kern = out
-    return y.T % n, kern.T % n
+    return y.T, kern.T
+
+
+def quotient_order(a, orders: Sequence[int], n: int) -> int:
+    """|(Z/m_1 + ... + Z/m_r) / column span of a|, each m_i dividing n.
+
+    Over Z, the columns of a and the m_i*e_i span a lattice L containing
+    nZ^r, and its index in Z^r is the product of the pivots of a column
+    echelon form.  Row by row, every column is folded by a unimodular gcd
+    step into a pivot column that starts as m_i*e_i and leaves that row
+    with a zero.  Since nZ^r lies in L, entries are reduced mod n at every
+    step; the arithmetic is in Python ints, without transforms or a cache.
+    """
+    r = len(orders)
+    cols = [[x % n for x in c] for c in np.asarray(a, dtype=np.int64).T.tolist()]
+    order = 1
+    for i, m in enumerate(orders):
+        piv = [0] * r
+        piv[i] = m
+        rest = []
+        for c in cols:
+            if c[i]:
+                g, s, t = xgcd(piv[i], c[i])
+                u, v = c[i] // g, piv[i] // g
+                pairs = list(zip(piv, c))
+                piv = [(s * x + t * y) % n for x, y in pairs]
+                c = [(u * x - v * y) % n for x, y in pairs]
+            if any(c):
+                rest.append(c)
+        order *= piv[i]
+        cols = rest
+    return order
 
 
 class _Tracked:

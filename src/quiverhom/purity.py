@@ -37,7 +37,6 @@ from .znmod import (
     identity_hom,
     is_mono,
     is_pure_module_ses,
-    kernel_of_hom,
     retraction_of,
     section_of,
 )
@@ -181,9 +180,7 @@ def _witness_test_object(ses: RepSES, desc: dict) -> Representation:
 def _tensor_left_exact(s: Representation, ses: RepSES) -> bool:
     pres_x = TensorPresentation(s, ses.x)
     pres_y = TensorPresentation(s, ses.y)
-    induced = tensor_induced_right(pres_x, pres_y, ses.f)
-    ker, _ = kernel_of_hom(induced)
-    return ker.cardinality == 1
+    return is_mono(tensor_induced_right(pres_x, pres_y, ses.f))
 
 
 def _cheap_definitional_witness(ses: RepSES) -> Optional[dict]:

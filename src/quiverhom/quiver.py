@@ -85,12 +85,6 @@ def trivial_path(v: VertexId) -> Path:
     return Path(v, v, ())
 
 
-def prepend_arrow(arrow: Arrow, p: Path) -> Path:
-    if arrow.tgt != p.source:
-        raise ValueError("arrow does not compose with path")
-    return Path(arrow.src, p.target, (arrow,) + p.arrows)
-
-
 def out_arrows(q: Quiver, v: VertexId) -> List[Arrow]:
     q.check_vertex(v)
     return [a for a in q.arrows if a.src == v]

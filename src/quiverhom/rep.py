@@ -290,11 +290,6 @@ def direct_sum_reps(reps: Sequence[Representation]):
     return total, injections, projections
 
 
-def product_reps(reps: Sequence[Representation]):
-    """Finite products and coproducts coincide; kept for reading clarity."""
-    return direct_sum_reps(reps)
-
-
 def _subrep_from_vertex_subgroups(x: Representation, incl_data: Dict[VertexId, Tuple[FinMod, ModHom]]):
     """Build the subrepresentation with the given vertexwise inclusions; the
     subgroups must be closed under the arrow maps."""

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import diagonalize, solve_right, xgcd
+from .linalg import diagonalize, quotient_order, solve_right, xgcd
 
 
 @dataclass(frozen=True)
@@ -171,11 +171,11 @@ class ModHom:
             raise ValueError("modulus mismatch between domain and codomain")
         m = np.asarray(matrix, dtype=np.int64).reshape(codomain.rank, domain.rank)
         if codomain.rank:
-            m = np.mod(m, _factor_arrays(codomain.factors)[:, None])
-        if domain.rank and codomain.rank:
-            bad = (m * _factor_arrays(domain.factors)[None, :]) % _factor_arrays(
-                codomain.factors
-            )[:, None]
+            cod_col, scales = _hom_tables(domain.factors, codomain.factors)
+            m = np.mod(m, cod_col)
+            # m_ji * d_i == 0 mod e_j iff the entry is a multiple of the
+            # generator e_j / gcd(d_i, e_j) of its entry group
+            bad = m % scales
             if bad.any():
                 j, i = np.argwhere(bad).tolist()[0]
                 raise ValueError(
@@ -258,6 +258,16 @@ def hom_entry_scales(dom: Sequence[int], cod: Sequence[int]) -> np.ndarray:
     for j, e in enumerate(cod):
         for i, d in enumerate(dom):
             out[j, i] = e // gcd(d, e)
+    return out
+
+
+@lru_cache(maxsize=1024)
+def _hom_tables(dom: Tuple[int, ...], cod: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
+    """The codomain factors as a column and `hom_entry_scales`, shared per
+    factor pair by every `ModHom` construction; read-only."""
+    out = (_factor_arrays(cod)[:, None], hom_entry_scales(dom, cod))
+    for x in out:
+        x.flags.writeable = False
     return out
 
 
@@ -541,14 +551,27 @@ def cokernel_of_hom(f: ModHom):
     return quo, ModHom(f.codomain, quo, proj), sect
 
 
+def cokernel_order(f: ModHom) -> int:
+    """|coker f|, without presenting the cokernel."""
+    return quotient_order(f.matrix, f.codomain.factors, f.modulus.n)
+
+
+def image_order(f: ModHom) -> int:
+    """|im f| = |cod f| / |coker f|."""
+    return f.codomain.cardinality // cokernel_order(f)
+
+
+def kernel_order(f: ModHom) -> int:
+    """|ker f| = |dom f| / |im f|."""
+    return f.domain.cardinality // image_order(f)
+
+
 def is_mono(f: ModHom) -> bool:
-    gens = kernel_gens_of_matrix(f.matrix, f.domain.factors, f.codomain.factors, f.modulus)
-    return all(not g.any() for g in gens)
+    return image_order(f) == f.domain.cardinality
 
 
 def is_epi(f: ModHom) -> bool:
-    img, _ = image_of_hom(f)
-    return img.cardinality == f.codomain.cardinality
+    return cokernel_order(f) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -840,9 +863,7 @@ class ModComplex:
     def is_exact_at(self, k: int) -> bool:
         if k + 1 not in self.diffs or k not in self.diffs:
             raise ValueError(f"degree {k} is not interior to the window")
-        ker, _ = kernel_of_hom(self.diffs[k])
-        img, _ = image_of_hom(self.diffs[k + 1])
-        if ker.cardinality != img.cardinality:
+        if kernel_order(self.diffs[k]) != image_order(self.diffs[k + 1]):
             return False
         return self.diffs[k].compose(self.diffs[k + 1]).is_zero
 
@@ -897,5 +918,4 @@ def verify_gi_certificate(m: FinMod, cx: ModComplex, witness: ModHom) -> bool:
     if not cx.diffs[0].compose(witness).is_zero:
         return False
     ker, _ = kernel_of_hom(cx.diffs[0])
-    img, _ = image_of_hom(witness)
-    return ker.cardinality == img.cardinality and ker.factors == m.factors
+    return ker.cardinality == image_order(witness) and ker.factors == m.factors

@@ -153,3 +153,23 @@ def test_cli_verify_ext_engine_lifts_ext_generators(capsys):
     # trial ext_engine[1] of this seed lifts an Ext generator through a
     # projection whose target has fewer invariant factors than its source
     assert main(["verify", "ext_engine", "--seed", "3003", "--trials", "2"]) == 0
+
+
+def test_cli_verify_rejects_nonpositive_trials(capsys):
+    assert main(["verify", "classification", "--trials", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_cli_verify_rejects_modulus_below_two(capsys):
+    assert main(["verify", "classification", "--modulus-list", "1", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("moduli", [[], ["four"], [None]])
+def test_cli_verify_rejects_bad_moduli_config(tmp_path, capsys, moduli):
+    path = write(tmp_path, "config.json", {"moduli": moduli, "trials": 1})
+    assert main(["verify", "classification", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
