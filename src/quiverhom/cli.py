@@ -27,7 +27,16 @@ from .classify import (
     classify_projective,
     classify_strongly_fp_injective,
 )
-from .harness import SUITES, Config, TrialReport, run_all, run_suite, nonpure_fixture_ses
+from .harness import (
+    NONPURE_FIXTURE_MODULI,
+    SUITES,
+    Config,
+    TrialReport,
+    is_vertexwise_split,
+    nonpure_fixture_ses,
+    run_all,
+    run_suite,
+)
 from .homology import ext as ext_group
 from .homology import rep_digest
 from .io import FormatError, load_json, quiver_from_dict, rep_from_dict, reps_file_from_dict, ses_from_dict
@@ -208,14 +217,14 @@ def cmd_fixture(args) -> int:
         print(f"error: unknown fixture {args.name!r}", file=sys.stderr)
         return 2
     records = []
-    for n in (4, 2, 9):
+    for n in NONPURE_FIXTURE_MODULI:
         ses = nonpure_fixture_ses(Modulus(n))
         verdict = is_pure_rep_ses(ses)
         records.append(
             {
                 "modulus": n,
                 "exact": True,
-                "vertexwise_split": True,
+                "vertexwise_split": is_vertexwise_split(ses),
                 "pure": verdict.pure,
                 "witness": verdict.witness,
             }
@@ -226,7 +235,7 @@ def cmd_fixture(args) -> int:
     else:
         rows = [["modulus", "pure"]] + [[str(r["modulus"]), str(r["pure"])] for r in records]
         _print_table(rows)
-    return 1 if any(r["pure"] for r in records) else 0
+    return 1 if any(r["pure"] or not r["vertexwise_split"] for r in records) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,17 +7,24 @@ preservation, product closure, the non-pure fixture, the totally-acyclic
 collapse, cotorsion-pair orthogonality sampling, the restriction and
 tensor-hom adjunctions, and the Ext engine against its enumeration oracle.
 
-Every trial derives its own seed from (master seed, suite id, trial index),
-so single trials replay independently, and reports are byte-identical for a
-fixed configuration.
+Each suite is a trial body ``_<name>(config, rng, t)`` that returns its
+verdicts plus ``_instance`` and ``_ok``.  ``SUITES`` maps every suite name to
+the report groups it emits, each a (report suite name, body, fixed trial
+count or None) triple, and ``run_suite`` runs each group through
+``_run_trials``.
+
+Every trial derives its own seed from (master seed, report suite name, trial
+index), so single trials replay independently, and reports are
+byte-identical for a fixed configuration.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -54,6 +61,7 @@ from .rep import (
 )
 from .purity import (
     definitional_purity_check,
+    is_pure_mono_rep,
     is_pure_rep_ses,
     rep_retraction,
 )
@@ -109,24 +117,30 @@ class Config:
     suites: Tuple[str, ...] = ()  # empty means all
 
     def validate(self):
-        if not self.moduli or not all(isinstance(m, int) and m >= 2 for m in self.moduli):
-            raise ValueError(f"moduli must be a nonempty list of integers >= 2, got {list(self.moduli)}")
+        if (
+            not isinstance(self.moduli, (list, tuple))
+            or not self.moduli
+            or not all(isinstance(m, int) and m >= 2 for m in self.moduli)
+        ):
+            raise ValueError(f"moduli must be a nonempty list of integers >= 2, got {self.moduli!r}")
         if self.max_vertices < 1 or self.max_arrows < 0 or self.max_module_cardinality < 2:
             raise ValueError("caps must be positive")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if not isinstance(self.suites, (list, tuple)) or not all(isinstance(s, str) and s in SUITES for s in self.suites):
+            raise ValueError(f"suites must be a list of names from {', '.join(SUITES)}, got {self.suites!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "Config":
-        cfg = cls(
-            moduli=tuple(d.get("moduli", (2, 3, 4, 8, 9))),
-            max_vertices=int(d.get("max_vertices", 6)),
-            max_arrows=int(d.get("max_arrows", 8)),
-            max_module_cardinality=int(d.get("max_module_cardinality", 4096)),
-            trials=int(d.get("trials", 200)),
-            master_seed=int(d.get("master_seed", 0)),
-            suites=tuple(d.get("suites", ())),
-        )
+        if not isinstance(d, dict):
+            raise ValueError(f"a config must be a JSON object, got {type(d).__name__}")
+        values = {f.name: d.get(f.name, getattr(cls, f.name)) for f in fields(cls)}
+        for name, value in values.items():
+            if name in ("moduli", "suites"):
+                values[name] = tuple(value) if isinstance(value, list) else value
+            elif type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        cfg = cls(**values)
         cfg.validate()
         return cfg
 
@@ -290,6 +304,10 @@ def random_gorenstein_rep(rng: random.Random, q: Quiver, modulus: Modulus, confi
     return direct_sum_reps(pieces)[0]
 
 
+# the moduli n of the fixture trials, with I = Z/n
+NONPURE_FIXTURE_MODULI = (4, 2, 9)
+
+
 def nonpure_fixture_ses(modulus: Modulus) -> RepSES:
     """The two-vertex fixture 0 -> s_2(I) -> e^2(I) -> e^1(I) -> 0 with
     I = Z/n: exact, vertexwise split, and not pure."""
@@ -299,6 +317,11 @@ def nonpure_fixture_ses(modulus: Modulus) -> RepSES:
     _, f = copresentation_embedding(x, embeds)
     _, proj = cokernel_rep(f)
     return RepSES(f, proj)
+
+
+def is_vertexwise_split(ses: RepSES) -> bool:
+    """Whether the module sequence at every vertex of `ses` splits."""
+    return all(mod_is_split(ses.vertex_ses(v)) is not None for v in ses.x.quiver.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -327,147 +350,134 @@ def _pick_modulus(rng: random.Random, config: Config) -> Modulus:
     return Modulus(rng.choice(list(config.moduli)))
 
 
-def suite_rootedness(config: Config, trials: Optional[int] = None) -> List[TrialReport]:
+def _modulus_and_small_quiver(rng: random.Random, config: Config) -> Tuple[Modulus, Quiver]:
+    """A configured modulus and a right rooted quiver of at most 3 vertices
+    and 3 arrows, drawn in that order."""
+    return _pick_modulus(rng, config), random_quiver(rng, config, right_rooted=True, max_vertices=3, max_arrows=3)
+
+
+def _rootedness(config: Config, rng: random.Random, t: int) -> Dict[str, object]:
     """Rootedness fixpoint vs independent cycle detection, stage bounds, and
     the loop-quiver fixture."""
-
-    def body(rng: random.Random, t: int):
-        if t == 0:
-            lq = loop_quiver()
-            rooted = is_right_rooted(lq)
-            return {"_instance": "loop-fixture", "loop_not_right_rooted": not rooted, "_ok": not rooted}
-        q = random_quiver(rng, config, max_vertices=8)
-        rooted = is_right_rooted(q)
-        acyclic = not has_directed_cycle(q)
-        rs = root_sequence(q)
-        ascending = all(a <= b for a, b in zip(rs.stages, rs.stages[1:]))
-        bounded = rs.fixpoint_index <= len(q.vertices)
-        no_escape = True
-        for k in range(1, len(rs.stages)):
-            for a in q.arrows:
-                if a.src in rs.stages[k] and a.tgt not in rs.stages[k - 1]:
-                    no_escape = False
-        ok = (rooted == acyclic) and ascending and bounded and no_escape
-        return {
-            "_instance": f"quiver-{len(q.vertices)}v-{len(q.arrows)}a",
-            "rooted_equals_acyclic": rooted == acyclic,
-            "ascending": ascending,
-            "fixpoint_bounded": bounded,
-            "no_arrow_escapes_stage": no_escape,
-            "_ok": ok,
-        }
-
-    return _run_trials("rootedness", config, trials or config.trials, body)
+    if t == 0:
+        lq = loop_quiver()
+        rooted = is_right_rooted(lq)
+        return {"_instance": "loop-fixture", "loop_not_right_rooted": not rooted, "_ok": not rooted}
+    q = random_quiver(rng, config, max_vertices=8)
+    rooted = is_right_rooted(q)
+    acyclic = not has_directed_cycle(q)
+    rs = root_sequence(q)
+    ascending = all(a <= b for a, b in zip(rs.stages, rs.stages[1:]))
+    bounded = rs.fixpoint_index <= len(q.vertices)
+    no_escape = True
+    for k in range(1, len(rs.stages)):
+        for a in q.arrows:
+            if a.src in rs.stages[k] and a.tgt not in rs.stages[k - 1]:
+                no_escape = False
+    ok = (rooted == acyclic) and ascending and bounded and no_escape
+    return {
+        "_instance": f"quiver-{len(q.vertices)}v-{len(q.arrows)}a",
+        "rooted_equals_acyclic": rooted == acyclic,
+        "ascending": ascending,
+        "fixpoint_bounded": bounded,
+        "no_arrow_escapes_stage": no_escape,
+        "_ok": ok,
+    }
 
 
-def suite_purity_bridge(config: Config, trials: Optional[int] = None) -> List[TrialReport]:
+def _purity_bridge(config: Config, rng: random.Random, t: int) -> Dict[str, object]:
     """Dual-splitting purity vs the definitional tensor check vs splitness of
     the dual sequence, plus the non-pure fixture."""
-
-    def body(rng: random.Random, t: int):
-        if t < 3:
-            modulus = Modulus((4, 2, 9)[t])
-            ses = nonpure_fixture_ses(modulus)
-            verdict = is_pure_rep_ses(ses)
-            defin, _, _ = definitional_purity_check(ses, budget=2, seed=rng.randrange(2**30))
-            vertex_split = all(
-                mod_is_split(ses.vertex_ses(v)) is not None for v in ses.x.quiver.vertices
-            )
-            ok = (not verdict.pure) and (not defin) and vertex_split and verdict.replay(ses)
-            return {
-                "_instance": f"nonpure-fixture-Z{modulus.n}",
-                "exact": True,
-                "vertexwise_split": vertex_split,
-                "pure": verdict.pure,
-                "definitional": defin,
-                "_ok": ok,
-            }
-        modulus = _pick_modulus(rng, config)
-        q = random_quiver(rng, config, right_rooted=True, max_vertices=4, max_arrows=4)
-        x = random_representation(rng, q, modulus, config)
-        ses = random_rep_ses(rng, x)
+    if t < len(NONPURE_FIXTURE_MODULI):
+        modulus = Modulus(NONPURE_FIXTURE_MODULI[t])
+        ses = nonpure_fixture_ses(modulus)
         verdict = is_pure_rep_ses(ses)
         defin, _, _ = definitional_purity_check(ses, budget=2, seed=rng.randrange(2**30))
-        dual_split = rep_retraction(dual_rep_ses(ses).f) is not None
-        ok = verdict.pure == defin == dual_split and verdict.replay(ses)
+        vertex_split = is_vertexwise_split(ses)
+        ok = (not verdict.pure) and (not defin) and vertex_split and verdict.replay(ses)
         return {
-            "_instance": rep_digest(x),
+            "_instance": f"nonpure-fixture-Z{modulus.n}",
+            "exact": True,
+            "vertexwise_split": vertex_split,
             "pure": verdict.pure,
             "definitional": defin,
-            "dual_split": dual_split,
             "_ok": ok,
         }
+    modulus = _pick_modulus(rng, config)
+    q = random_quiver(rng, config, right_rooted=True, max_vertices=4, max_arrows=4)
+    x = random_representation(rng, q, modulus, config)
+    ses = random_rep_ses(rng, x)
+    verdict = is_pure_rep_ses(ses)
+    defin, _, _ = definitional_purity_check(ses, budget=2, seed=rng.randrange(2**30))
+    dual_split = rep_retraction(dual_rep_ses(ses).f) is not None
+    ok = verdict.pure == defin == dual_split and verdict.replay(ses)
+    return {
+        "_instance": rep_digest(x),
+        "pure": verdict.pure,
+        "definitional": defin,
+        "dual_split": dual_split,
+        "_ok": ok,
+    }
 
-    return _run_trials("purity_bridge", config, trials or config.trials, body)
 
-
-def suite_classification(config: Config, trials: Optional[int] = None) -> List[TrialReport]:
+def _classification(config: Config, rng: random.Random, t: int) -> Dict[str, object]:
     """Injective classification vs the simple-object Ext oracle; strongly
     fp-injective vs the definitional coresolution; the noetherian collapse."""
-
-    def body(rng: random.Random, t: int):
-        modulus = _pick_modulus(rng, config)
-        q = random_quiver(rng, config, right_rooted=True, max_vertices=3, max_arrows=3)
-        if rng.random() < 0.3:
-            x = random_injective_rep(rng, q, modulus, config)
-        else:
-            x = random_representation(rng, q, modulus, config)
-        inj = classify_injective(x, with_oracle=True)
-        sfp = classify_strongly_fp_injective(x, with_oracle=True)
-        fp = classify_fp_injective(x)
-        ok = (
-            inj.oracle == inj.verdict
-            and sfp.oracle == sfp.verdict
-            and inj.verdict == sfp.verdict == fp.verdict
-        )
-        return {
-            "_instance": rep_digest(x),
-            "injective": inj.verdict,
-            "injective_oracle": inj.oracle,
-            "sfp": sfp.verdict,
-            "sfp_definitional": sfp.oracle,
-            "fp": fp.verdict,
-            "_ok": ok,
-        }
-
-    return _run_trials("classification", config, trials or config.trials, body)
+    modulus, q = _modulus_and_small_quiver(rng, config)
+    if rng.random() < 0.3:
+        x = random_injective_rep(rng, q, modulus, config)
+    else:
+        x = random_representation(rng, q, modulus, config)
+    inj = classify_injective(x, with_oracle=True)
+    sfp = classify_strongly_fp_injective(x, with_oracle=True)
+    fp = classify_fp_injective(x)
+    ok = (
+        inj.oracle == inj.verdict
+        and sfp.oracle == sfp.verdict
+        and inj.verdict == sfp.verdict == fp.verdict
+    )
+    return {
+        "_instance": rep_digest(x),
+        "injective": inj.verdict,
+        "injective_oracle": inj.oracle,
+        "sfp": sfp.verdict,
+        "sfp_definitional": sfp.oracle,
+        "fp": fp.verdict,
+        "_ok": ok,
+    }
 
 
-def suite_gorenstein(config: Config, trials: Optional[int] = None) -> List[TrialReport]:
+def _gorenstein(config: Config, rng: random.Random, t: int) -> Dict[str, object]:
     """The Gorenstein characterization: classifier vs psi-class membership vs
     existence of a totally acyclic complex; over Z/n the verdict also equals
     surjectivity of every canonical map."""
-
-    def body(rng: random.Random, t: int):
-        modulus = Modulus(rng.choice([4, 9]))
-        q = random_quiver(rng, config, right_rooted=True, max_vertices=3, max_arrows=3)
-        if t == 0:
-            q = a2()
-            modulus = Modulus(4)
-            m2 = cyclic(modulus, 2)
-            x = Representation(q, modulus, {1: m2, 2: m2}, {"a": identity_hom(m2)})
-        elif rng.random() < 0.45:
-            x = random_gorenstein_rep(rng, q, modulus, config)
-        else:
-            x = random_representation(rng, q, modulus, config)
-        full = t % 10 == 0
-        cv = classify_gorenstein_sfp(x, with_oracle=True, oracle_verify="full" if full else "structural")
-        psi_member = membership_psi_class(x, lambda m: verify_gi_certificate(m, *gi_module_certificate(m)))
-        psi_epi = all(is_epi(psi(x, v)) for v in q.vertices)
-        ok = cv.verdict == cv.oracle == psi_member == psi_epi
-        if t == 0:
-            ok = ok and cv.verdict and not classify_injective(x).verdict
-        return {
-            "_instance": rep_digest(x),
-            "gorenstein": cv.verdict,
-            "totally_acyclic_found": cv.oracle,
-            "psi_class_membership": psi_member,
-            "psi_all_epi": psi_epi,
-            "full_hom_verification": full,
-            "_ok": ok,
-        }
-
-    return _run_trials("gorenstein", config, trials or config.trials, body)
+    modulus = Modulus(rng.choice([4, 9]))
+    q = random_quiver(rng, config, right_rooted=True, max_vertices=3, max_arrows=3)
+    if t == 0:
+        q = a2()
+        modulus = Modulus(4)
+        m2 = cyclic(modulus, 2)
+        x = Representation(q, modulus, {1: m2, 2: m2}, {"a": identity_hom(m2)})
+    elif rng.random() < 0.45:
+        x = random_gorenstein_rep(rng, q, modulus, config)
+    else:
+        x = random_representation(rng, q, modulus, config)
+    full = t % 10 == 0
+    cv = classify_gorenstein_sfp(x, with_oracle=True, oracle_verify="full" if full else "structural")
+    psi_member = membership_psi_class(x, lambda m: verify_gi_certificate(m, *gi_module_certificate(m)))
+    psi_epi = all(is_epi(psi(x, v)) for v in q.vertices)
+    ok = cv.verdict == cv.oracle == psi_member == psi_epi
+    if t == 0:
+        ok = ok and cv.verdict and not classify_injective(x).verdict
+    return {
+        "_instance": rep_digest(x),
+        "gorenstein": cv.verdict,
+        "totally_acyclic_found": cv.oracle,
+        "psi_class_membership": psi_member,
+        "psi_all_epi": psi_epi,
+        "full_hom_verification": full,
+        "_ok": ok,
+    }
 
 
 def _twisted_sum_ses(rng: random.Random, j1: Representation, j2: Representation) -> RepSES:
@@ -487,145 +497,119 @@ def _twisted_sum_ses(rng: random.Random, j1: Representation, j2: Representation)
     return RepSES(f, g)
 
 
-def suite_closure(config: Config, trials: Optional[int] = None) -> List[TrialReport]:
+def _closure(config: Config, rng: random.Random, t: int) -> Dict[str, object]:
     """Closure of the strongly fp-injective class under extensions, finite
     sums, summands, cokernels of monos, and pure-kernel extraction."""
-
-    def body(rng: random.Random, t: int):
-        modulus = _pick_modulus(rng, config)
-        q = random_quiver(rng, config, right_rooted=True, max_vertices=3, max_arrows=3)
-        j1 = random_injective_rep(rng, q, modulus, config)
-        j2 = random_injective_rep(rng, q, modulus, config)
-        ses = _twisted_sum_ses(rng, j1, j2)
-        verdicts = {}
-        # extension of two strongly fp-injectives
-        verdicts["extension"] = classify_strongly_fp_injective(ses.y).verdict
-        # direct sum and summands
-        total = ses.y
-        if classify_strongly_fp_injective(total).verdict:
-            verdicts["summands"] = (
-                classify_strongly_fp_injective(j1).verdict and classify_strongly_fp_injective(j2).verdict
-            )
-        else:
-            verdicts["summands"] = False
-        # cokernel of the twisted mono between strongly fp-injectives
-        coker, _ = cokernel_rep(ses.f)
-        verdicts["cokernel_of_mono"] = classify_strongly_fp_injective(coker).verdict
-        # pure sequence with middle and right strongly fp-injective: the
-        # kernel is as well
-        purity = is_pure_rep_ses(ses)
-        verdicts["pure_kernel"] = purity.pure and classify_strongly_fp_injective(ses.x).verdict
-        ok = all(verdicts.values())
-        verdicts["_ok"] = ok
-        verdicts["_instance"] = rep_digest(total)
-        return verdicts
-
-    return _run_trials("closure", config, trials or config.trials, body)
+    modulus, q = _modulus_and_small_quiver(rng, config)
+    j1 = random_injective_rep(rng, q, modulus, config)
+    j2 = random_injective_rep(rng, q, modulus, config)
+    ses = _twisted_sum_ses(rng, j1, j2)
+    verdicts = {}
+    # extension of two strongly fp-injectives
+    verdicts["extension"] = classify_strongly_fp_injective(ses.y).verdict
+    # direct sum and summands
+    total = ses.y
+    if classify_strongly_fp_injective(total).verdict:
+        verdicts["summands"] = (
+            classify_strongly_fp_injective(j1).verdict and classify_strongly_fp_injective(j2).verdict
+        )
+    else:
+        verdicts["summands"] = False
+    # cokernel of the twisted mono between strongly fp-injectives
+    coker, _ = cokernel_rep(ses.f)
+    verdicts["cokernel_of_mono"] = classify_strongly_fp_injective(coker).verdict
+    # pure sequence with middle and right strongly fp-injective: the
+    # kernel is as well
+    purity = is_pure_rep_ses(ses)
+    verdicts["pure_kernel"] = purity.pure and classify_strongly_fp_injective(ses.x).verdict
+    ok = all(verdicts.values())
+    verdicts["_ok"] = ok
+    verdicts["_instance"] = rep_digest(total)
+    return verdicts
 
 
-def closure_negative_control(config: Config) -> TrialReport:
+def _closure_negative_control(config: Config, rng: random.Random, t: int) -> Dict[str, object]:
     """Feed a non strongly fp-injective input through the extension check;
     the violation must be detected."""
     modulus = Modulus(4)
-    q = a2()
-    bad = stalk(q, modulus, 2, cyclic(modulus, 4))
+    bad = stalk(a2(), modulus, 2, cyclic(modulus, 4))
     detected = not classify_strongly_fp_injective(bad).verdict
-    return TrialReport(
-        "closure_negative_control",
-        0,
-        derive_seed(config.master_seed, "closure_negative_control", 0),
-        rep_digest(bad),
-        {"corrupt_input_detected": detected},
-        detected,
-    )
+    return {"_instance": rep_digest(bad), "corrupt_input_detected": detected, "_ok": detected}
 
 
-def suite_stability(config: Config, trials: Optional[int] = None) -> List[TrialReport]:
+def _stability(config: Config, rng: random.Random, t: int) -> Dict[str, object]:
     """Pure coresolutions by strongly fp-injective objects certify the class
     both ways; the fp-injective substitution has no finite witness and is
     logged as skipped."""
-
-    def body(rng: random.Random, t: int):
-        if t == 0:
-            return {
-                "_instance": "fp-injective-substitution",
-                "skipped": "no finite witness",
-                "_ok": True,
-            }
-        modulus = _pick_modulus(rng, config)
-        q = random_quiver(rng, config, right_rooted=True, max_vertices=3, max_arrows=3)
-        if rng.random() < 0.6:
-            x = random_injective_rep(rng, q, modulus, config)
-        else:
-            x = random_representation(rng, q, modulus, config)
-        is_sfp = classify_strongly_fp_injective(x).verdict
-        j = random_injective_rep(rng, q, modulus, config)
-        total, injs, projs = direct_sum_reps([x, j])
-        # pure (split) embedding x -> x + j with strongly fp-injective steps
-        step0 = RepSES(injs[0], projs[1])
-        step_pure = is_pure_rep_ses(step0).pure
-        t0_sfp = classify_strongly_fp_injective(total).verdict
-        if is_sfp:
-            # forward: a pure coresolution by sfp objects exists and certifies x
-            ok = step_pure and t0_sfp and classify_strongly_fp_injective(projs[1].target).verdict
-        else:
-            # converse: no pure embedding into a strongly fp-injective target
-            # exists among the searched candidates
-            candidates = [random_injective_rep(rng, q, modulus, config) for _ in range(2)]
-            found = False
-            for cand in candidates:
-                homs = HomGroupRep(x, cand)
-                if homs.cardinality > 512:
-                    continue
-                for h in homs.elements():
-                    if h.is_monomorphism:
-                        from .purity import is_pure_mono_rep
-
-                        if is_pure_mono_rep(h)[0]:
-                            found = True
-                            break
-                if found:
-                    break
-            ok = not found
+    if t == 0:
         return {
-            "_instance": rep_digest(x),
-            "x_sfp": is_sfp,
-            "step_pure": step_pure,
-            "_ok": ok,
+            "_instance": "fp-injective-substitution",
+            "skipped": "no finite witness",
+            "_ok": True,
         }
+    modulus, q = _modulus_and_small_quiver(rng, config)
+    if rng.random() < 0.6:
+        x = random_injective_rep(rng, q, modulus, config)
+    else:
+        x = random_representation(rng, q, modulus, config)
+    is_sfp = classify_strongly_fp_injective(x).verdict
+    j = random_injective_rep(rng, q, modulus, config)
+    total, injs, projs = direct_sum_reps([x, j])
+    # pure (split) embedding x -> x + j with strongly fp-injective steps
+    step0 = RepSES(injs[0], projs[1])
+    step_pure = is_pure_rep_ses(step0).pure
+    t0_sfp = classify_strongly_fp_injective(total).verdict
+    if is_sfp:
+        # forward: a pure coresolution by sfp objects exists and certifies x
+        ok = step_pure and t0_sfp and classify_strongly_fp_injective(projs[1].target).verdict
+    else:
+        # converse: no pure embedding into a strongly fp-injective target
+        # exists among the searched candidates
+        candidates = [random_injective_rep(rng, q, modulus, config) for _ in range(2)]
+        found = False
+        for cand in candidates:
+            homs = HomGroupRep(x, cand)
+            if homs.cardinality > 512:
+                continue
+            for h in homs.elements():
+                if h.is_monomorphism and is_pure_mono_rep(h)[0]:
+                    found = True
+                    break
+            if found:
+                break
+        ok = not found
+    return {
+        "_instance": rep_digest(x),
+        "x_sfp": is_sfp,
+        "step_pure": step_pure,
+        "_ok": ok,
+    }
 
-    return _run_trials("stability", config, trials or config.trials, body)
 
-
-def suite_products(config: Config, trials: Optional[int] = None) -> List[TrialReport]:
+def _products(config: Config, rng: random.Random, t: int) -> Dict[str, object]:
     """Finite products of strongly fp-injective (respectively Gorenstein)
     representations stay in the class; the empty product is the zero
     representation."""
-
-    def body(rng: random.Random, t: int):
-        modulus = _pick_modulus(rng, config)
-        q = random_quiver(rng, config, right_rooted=True, max_vertices=3, max_arrows=3)
-        if t == 0:
-            z = zero_rep(q, modulus)
-            ok = classify_strongly_fp_injective(z).verdict and classify_gorenstein_sfp(z).verdict
-            return {"_instance": "zero-rep", "empty_product_in_class": ok, "_ok": ok}
-        j1 = random_injective_rep(rng, q, modulus, config)
-        j2 = random_injective_rep(rng, q, modulus, config)
-        prod = direct_sum_reps([j1, j2])[0]
-        sfp_closed = classify_strongly_fp_injective(prod).verdict
-        g1 = random_gorenstein_rep(rng, q, modulus, config)
-        g2 = random_gorenstein_rep(rng, q, modulus, config)
-        gprod = direct_sum_reps([g1, g2])[0]
-        g_closed = classify_gorenstein_sfp(gprod).verdict
-        ok = sfp_closed and g_closed
-        return {
-            "_instance": rep_digest(prod),
-            "sfp_product_closed": sfp_closed,
-            "gorenstein_product_closed": g_closed,
-            "_ok": ok,
-        }
-
-    return _run_trials("products", config, trials or config.trials, body)
+    modulus, q = _modulus_and_small_quiver(rng, config)
+    if t == 0:
+        z = zero_rep(q, modulus)
+        ok = classify_strongly_fp_injective(z).verdict and classify_gorenstein_sfp(z).verdict
+        return {"_instance": "zero-rep", "empty_product_in_class": ok, "_ok": ok}
+    j1 = random_injective_rep(rng, q, modulus, config)
+    j2 = random_injective_rep(rng, q, modulus, config)
+    prod = direct_sum_reps([j1, j2])[0]
+    sfp_closed = classify_strongly_fp_injective(prod).verdict
+    g1 = random_gorenstein_rep(rng, q, modulus, config)
+    g2 = random_gorenstein_rep(rng, q, modulus, config)
+    gprod = direct_sum_reps([g1, g2])[0]
+    g_closed = classify_gorenstein_sfp(gprod).verdict
+    ok = sfp_closed and g_closed
+    return {
+        "_instance": rep_digest(prod),
+        "sfp_product_closed": sfp_closed,
+        "gorenstein_product_closed": g_closed,
+        "_ok": ok,
+    }
 
 
 def _random_subquiver(rng: random.Random, q: Quiver) -> Quiver:
@@ -636,181 +620,146 @@ def _random_subquiver(rng: random.Random, q: Quiver) -> Quiver:
     return Quiver(tuple(verts), tuple(arrows))
 
 
-def suite_right_adjoint(config: Config, trials: Optional[int] = None) -> List[TrialReport]:
+def _right_adjoint(config: Config, rng: random.Random, t: int) -> Dict[str, object]:
     """The right adjoint of restriction preserves strong fp-injectivity."""
-
-    def body(rng: random.Random, t: int):
-        modulus = _pick_modulus(rng, config)
-        q = random_quiver(rng, config, right_rooted=True, max_vertices=3, max_arrows=3)
-        if t == 0:
-            v = rng.choice(q.vertices)
-            m = random_injective_finmod(rng, modulus, config)
-            e = e_rho(q, modulus, v, m)
-            ok = classify_strongly_fp_injective(e).verdict
-            return {"_instance": f"single-vertex-{v}", "e_v_of_injective_sfp": ok, "_ok": ok}
-        if t == 1:
-            x = random_representation(rng, q, modulus, config)
-            full = right_adjoint(q, q, x)
-            ok = restrict(q, full) == x
-            return {"_instance": rep_digest(x), "full_subquiver_consistency": ok, "_ok": ok}
-        if t == 2:
-            z = zero_rep(q, modulus)
-            qsub = _random_subquiver(rng, q)
-            e = right_adjoint(q, qsub, restrict(qsub, z))
-            ok = e.is_zero
-            return {"_instance": "zero-rep", "zero_preserved": ok, "_ok": ok}
-        qsub = _random_subquiver(rng, q)
-        x = random_injective_rep(rng, qsub, modulus, config)
-        assert classify_strongly_fp_injective(x).verdict
-        e = right_adjoint(q, qsub, x)
+    modulus, q = _modulus_and_small_quiver(rng, config)
+    if t == 0:
+        v = rng.choice(q.vertices)
+        m = random_injective_finmod(rng, modulus, config)
+        e = e_rho(q, modulus, v, m)
         ok = classify_strongly_fp_injective(e).verdict
-        return {"_instance": rep_digest(e), "right_adjoint_preserves_sfp": ok, "_ok": ok}
+        return {"_instance": f"single-vertex-{v}", "e_v_of_injective_sfp": ok, "_ok": ok}
+    if t == 1:
+        x = random_representation(rng, q, modulus, config)
+        full = right_adjoint(q, q, x)
+        ok = restrict(q, full) == x
+        return {"_instance": rep_digest(x), "full_subquiver_consistency": ok, "_ok": ok}
+    if t == 2:
+        z = zero_rep(q, modulus)
+        qsub = _random_subquiver(rng, q)
+        e = right_adjoint(q, qsub, restrict(qsub, z))
+        ok = e.is_zero
+        return {"_instance": "zero-rep", "zero_preserved": ok, "_ok": ok}
+    qsub = _random_subquiver(rng, q)
+    x = random_injective_rep(rng, qsub, modulus, config)
+    assert classify_strongly_fp_injective(x).verdict
+    e = right_adjoint(q, qsub, x)
+    ok = classify_strongly_fp_injective(e).verdict
+    return {"_instance": rep_digest(e), "right_adjoint_preserves_sfp": ok, "_ok": ok}
 
-    return _run_trials("right_adjoint", config, trials or config.trials, body)
 
-
-def suite_nonpure_fixture(config: Config, trials: Optional[int] = None) -> List[TrialReport]:
+def _nonpure_fixture(config: Config, rng: random.Random, t: int) -> Dict[str, object]:
     """The fixture sequence for I = Z/4, Z/2, Z/9: exact, vertexwise split,
     not pure, with the dual sequence of the displayed non-split shape."""
-
-    reports = []
-    for t, n in enumerate((4, 2, 9)):
-        seed = derive_seed(config.master_seed, "nonpure_fixture", t)
-        modulus = Modulus(n)
-        ses = nonpure_fixture_ses(modulus)
-        from .znmod import is_split as mod_is_split
-
-        vertex_split = all(mod_is_split(ses.vertex_ses(v)) is not None for v in (1, 2))
-        verdict = is_pure_rep_ses(ses)
-        dual = dual_rep_ses(ses)
-        zplus = dual.f.source
-        shape_ok = (
-            zplus.vertex_modules[1].factors == (n,)
-            and zplus.vertex_modules[2].is_zero
-            and dual.f.target.vertex_modules[1].factors == (n,)
-            and dual.f.target.vertex_modules[2].factors == (n,)
-        )
-        dual_not_split = rep_retraction(dual.f) is None
-        ok = vertex_split and not verdict.pure and shape_ok and dual_not_split
-        reports.append(
-            TrialReport(
-                "nonpure_fixture",
-                t,
-                seed,
-                f"xi-Z{n}",
-                {
-                    "exact": True,
-                    "vertexwise_split": vertex_split,
-                    "pure": verdict.pure,
-                    "dual_shape_matches": shape_ok,
-                    "dual_not_split": dual_not_split,
-                },
-                ok,
-            )
-        )
-    return reports
+    n = NONPURE_FIXTURE_MODULI[t]
+    ses = nonpure_fixture_ses(Modulus(n))
+    vertex_split = is_vertexwise_split(ses)
+    verdict = is_pure_rep_ses(ses)
+    dual = dual_rep_ses(ses)
+    zplus = dual.f.source
+    shape_ok = (
+        zplus.vertex_modules[1].factors == (n,)
+        and zplus.vertex_modules[2].is_zero
+        and dual.f.target.vertex_modules[1].factors == (n,)
+        and dual.f.target.vertex_modules[2].factors == (n,)
+    )
+    dual_not_split = rep_retraction(dual.f) is None
+    return {
+        "_instance": f"xi-Z{n}",
+        "exact": True,
+        "vertexwise_split": vertex_split,
+        "pure": verdict.pure,
+        "dual_shape_matches": shape_ok,
+        "dual_not_split": dual_not_split,
+        "_ok": vertex_split and not verdict.pure and shape_ok and dual_not_split,
+    }
 
 
-def suite_totally_acyclic(config: Config, trials: Optional[int] = None) -> List[TrialReport]:
+def _totally_acyclic(config: Config, rng: random.Random, t: int) -> Dict[str, object]:
     """A strongly fp-injective representation with a pure acyclic left
     injective resolution is injective: around injective objects the left
     steps are pure; around Gorenstein-not-injective ones left purity fails."""
-
-    def body(rng: random.Random, t: int):
-        modulus = _pick_modulus(rng, config)
-        q = random_quiver(rng, config, right_rooted=True, max_vertices=3, max_arrows=3)
-        if t == 0:
-            z = zero_rep(q, modulus)
-            cert, err = totally_acyclic_injective_complex(z, depth=1)
-            ok = cert is not None
-            return {"_instance": "zero-rep", "zero_certificate": ok, "_ok": ok}
-        if rng.random() < 0.5:
-            x = random_injective_rep(rng, q, modulus, config)
-            if not classify_injective(x).verdict:
-                return {"_instance": rep_digest(x), "generator_failed": True, "_ok": False}
-            cert, err = totally_acyclic_injective_complex(x, depth=1)
-            if cert is None:
-                return {"_instance": rep_digest(x), "certificate": False, "_ok": False}
-            left_pure = all(is_pure_rep_ses(s).pure for s in cert.left_steps)
-            ok = left_pure and classify_injective(x).verdict
-            return {"_instance": rep_digest(x), "left_steps_pure": left_pure, "injective": True, "_ok": ok}
-        x = random_gorenstein_rep(rng, q, modulus, config)
-        if classify_injective(x).verdict:
-            return {"_instance": rep_digest(x), "skipped": "instance is injective", "_ok": True}
+    modulus, q = _modulus_and_small_quiver(rng, config)
+    if t == 0:
+        z = zero_rep(q, modulus)
+        cert, err = totally_acyclic_injective_complex(z, depth=1)
+        ok = cert is not None
+        return {"_instance": "zero-rep", "zero_certificate": ok, "_ok": ok}
+    if rng.random() < 0.5:
+        x = random_injective_rep(rng, q, modulus, config)
+        if not classify_injective(x).verdict:
+            return {"_instance": rep_digest(x), "generator_failed": True, "_ok": False}
         cert, err = totally_acyclic_injective_complex(x, depth=1)
         if cert is None:
             return {"_instance": rep_digest(x), "certificate": False, "_ok": False}
         left_pure = all(is_pure_rep_ses(s).pure for s in cert.left_steps)
-        ok = not left_pure
-        return {
-            "_instance": rep_digest(x),
-            "left_purity_fails_for_noninjective": not left_pure,
-            "_ok": ok,
-        }
+        ok = left_pure and classify_injective(x).verdict
+        return {"_instance": rep_digest(x), "left_steps_pure": left_pure, "injective": True, "_ok": ok}
+    x = random_gorenstein_rep(rng, q, modulus, config)
+    if classify_injective(x).verdict:
+        return {"_instance": rep_digest(x), "skipped": "instance is injective", "_ok": True}
+    cert, err = totally_acyclic_injective_complex(x, depth=1)
+    if cert is None:
+        return {"_instance": rep_digest(x), "certificate": False, "_ok": False}
+    left_pure = all(is_pure_rep_ses(s).pure for s in cert.left_steps)
+    ok = not left_pure
+    return {
+        "_instance": rep_digest(x),
+        "left_purity_fails_for_noninjective": not left_pure,
+        "_ok": ok,
+    }
 
-    return _run_trials("totally_acyclic", config, trials or config.trials, body)
 
-
-def suite_collapse(config: Config, trials: Optional[int] = None) -> List[TrialReport]:
+def _collapse(config: Config, rng: random.Random, t: int) -> Dict[str, object]:
     """The noetherian collapse: fp-injective = strongly fp-injective =
     injective, and Ding injective = Gorenstein strongly fp-injective."""
-
-    def body(rng: random.Random, t: int):
-        modulus = _pick_modulus(rng, config)
-        q = random_quiver(rng, config, right_rooted=True, max_vertices=3, max_arrows=3)
-        if t == 0:
-            # negative control: a corrupted Gorenstein certificate is flagged
-            m = cyclic(Modulus(4), 2)
-            cx, wit = gi_module_certificate(m)
-            tampered = ModHom(cx.components[1], cx.components[0], (cx.diffs[1].matrix + 1) % 4)
-            cx.diffs[1] = tampered
-            detected = not verify_gi_certificate(m, cx, wit)
-            return {"_instance": "corrupted-certificate", "corruption_detected": detected, "_ok": detected}
-        x = (
-            random_injective_rep(rng, q, modulus, config)
-            if rng.random() < 0.3
-            else random_representation(rng, q, modulus, config)
-        )
-        inj = classify_injective(x).verdict
-        fp = classify_fp_injective(x).verdict
-        sfp = classify_strongly_fp_injective(x).verdict
-        ding = classify_ding_injective(x, depth=1).verdict
-        gor = classify_gorenstein_sfp(x).verdict
-        ok = (inj == fp == sfp) and (ding == gor)
-        return {
-            "_instance": rep_digest(x),
-            "injective": inj,
-            "fp_injective": fp,
-            "strongly_fp_injective": sfp,
-            "ding": ding,
-            "gorenstein": gor,
-            "_ok": ok,
-        }
-
-    return _run_trials("collapse", config, trials or config.trials, body)
+    modulus, q = _modulus_and_small_quiver(rng, config)
+    if t == 0:
+        # negative control: a corrupted Gorenstein certificate is flagged
+        m = cyclic(Modulus(4), 2)
+        cx, wit = gi_module_certificate(m)
+        tampered = ModHom(cx.components[1], cx.components[0], (cx.diffs[1].matrix + 1) % 4)
+        cx.diffs[1] = tampered
+        detected = not verify_gi_certificate(m, cx, wit)
+        return {"_instance": "corrupted-certificate", "corruption_detected": detected, "_ok": detected}
+    x = (
+        random_injective_rep(rng, q, modulus, config)
+        if rng.random() < 0.3
+        else random_representation(rng, q, modulus, config)
+    )
+    inj = classify_injective(x).verdict
+    fp = classify_fp_injective(x).verdict
+    sfp = classify_strongly_fp_injective(x).verdict
+    ding = classify_ding_injective(x, depth=1).verdict
+    gor = classify_gorenstein_sfp(x).verdict
+    ok = (inj == fp == sfp) and (ding == gor)
+    return {
+        "_instance": rep_digest(x),
+        "injective": inj,
+        "fp_injective": fp,
+        "strongly_fp_injective": sfp,
+        "ding": ding,
+        "gorenstein": gor,
+        "_ok": ok,
+    }
 
 
-def suite_adjunction(config: Config, trials: Optional[int] = None) -> List[TrialReport]:
+def _adjunction(config: Config, rng: random.Random, t: int) -> Dict[str, object]:
     """The restriction adjunction and the tensor-hom adjunction."""
-
-    def body(rng: random.Random, t: int):
-        modulus = _pick_modulus(rng, config)
-        q = random_quiver(rng, config, right_rooted=True, max_vertices=3, max_arrows=3)
-        x = random_representation(rng, q, modulus, config)
-        qsub = _random_subquiver(rng, q)
-        y = random_representation(rng, qsub, modulus, config)
-        ok1, info1 = restriction_adjunction_check(q, qsub, x, y)
-        yop = random_representation(rng, opposite(q), modulus, config)
-        ok2, info2 = adjunction_check(yop, x, naturality_samples=3, seed=rng.randrange(2**30))
-        ok = ok1 and ok2
-        return {
-            "_instance": rep_digest(x),
-            "restriction_adjunction": ok1,
-            "tensor_hom_adjunction": ok2,
-            "_ok": ok,
-        }
-
-    return _run_trials("adjunction", config, trials or config.trials, body)
+    modulus, q = _modulus_and_small_quiver(rng, config)
+    x = random_representation(rng, q, modulus, config)
+    qsub = _random_subquiver(rng, q)
+    y = random_representation(rng, qsub, modulus, config)
+    ok1, info1 = restriction_adjunction_check(q, qsub, x, y)
+    yop = random_representation(rng, opposite(q), modulus, config)
+    ok2, info2 = adjunction_check(yop, x, naturality_samples=3, seed=rng.randrange(2**30))
+    ok = ok1 and ok2
+    return {
+        "_instance": rep_digest(x),
+        "restriction_adjunction": ok1,
+        "tensor_hom_adjunction": ok2,
+        "_ok": ok,
+    }
 
 
 def _les_consistency(t_obj: Representation, ses: RepSES) -> bool:
@@ -847,138 +796,124 @@ def _les_consistency(t_obj: Representation, ses: RepSES) -> bool:
     return even == odd
 
 
-def suite_ext_engine(config: Config, trials: Optional[int] = None) -> List[TrialReport]:
+def _ext_engine(config: Config, rng: random.Random, t: int) -> Dict[str, object]:
     """Ext vs the extension-enumeration oracle on small instances, Ext^0
     against Hom, dimension shifting, and long-exact-sequence consistency."""
-
-    def body(rng: random.Random, t: int):
-        modulus = Modulus(2)
-        q = a2()
-        if t == 0:
-            s1 = stalk(q, modulus, 1, cyclic(modulus, 2))
-            s2 = stalk(q, modulus, 2, cyclic(modulus, 2))
-            ok = (
-                ext(s1, s2, 1).value.factors == (2,)
-                and ext(s2, s1, 1).value.is_zero
-                and ext1_extension_count(s1, s2) == 2
-                and ext1_extension_count(s2, s1) == 1
-            )
-            return {"_instance": "a2-stalks", "named_values": ok, "_ok": ok}
-        modulus = _pick_modulus(rng, config)
-        q = random_quiver(rng, config, right_rooted=True, max_vertices=2, max_arrows=2)
-        x = random_representation(rng, q, modulus, config, max_rank=1)
-        y = random_representation(rng, q, modulus, config, max_rank=1)
-        verdicts: Dict[str, object] = {"_instance": f"{rep_digest(x)}-{rep_digest(y)}"}
-        ext0 = ext(x, y, 0).value
-        hom = hom_reps(x, y)[0]
-        verdicts["ext0_is_hom"] = ext0.factors == hom.factors
-        ok = bool(verdicts["ext0_is_hom"])
-        if x.total_cardinality * y.total_cardinality <= 256:
-            cnt = ext1_extension_count(x, y, cap=2048)
-            if cnt is not None:
-                verdicts["oracle_agrees"] = cnt == ext(x, y, 1).value.cardinality
-                ok = ok and bool(verdicts["oracle_agrees"])
-        # dimension shifting
-        res = projective_resolution(x, 4)
-        if res.syzygies:
-            omega = res.syzygies[0]
-            verdicts["dimension_shift"] = ext(x, y, 2).value.factors == ext(omega, y, 1).value.factors
-            ok = ok and bool(verdicts["dimension_shift"])
-        # long exact sequence spot check on a subsample
-        if t % 5 == 1:
-            ses = random_rep_ses(rng, y)
-            t_obj = stalk(q, modulus, rng.choice(q.vertices), cyclic(modulus, rng.choice([d for d in modulus.divisors if d > 1])))
-            verdicts["les_consistent"] = _les_consistency(t_obj, ses)
-            ok = ok and bool(verdicts["les_consistent"])
-        verdicts["_ok"] = ok
-        return verdicts
-
-    return _run_trials("ext_engine", config, trials or config.trials, body)
+    modulus = Modulus(2)
+    q = a2()
+    if t == 0:
+        s1 = stalk(q, modulus, 1, cyclic(modulus, 2))
+        s2 = stalk(q, modulus, 2, cyclic(modulus, 2))
+        ok = (
+            ext(s1, s2, 1).value.factors == (2,)
+            and ext(s2, s1, 1).value.is_zero
+            and ext1_extension_count(s1, s2) == 2
+            and ext1_extension_count(s2, s1) == 1
+        )
+        return {"_instance": "a2-stalks", "named_values": ok, "_ok": ok}
+    modulus = _pick_modulus(rng, config)
+    q = random_quiver(rng, config, right_rooted=True, max_vertices=2, max_arrows=2)
+    x = random_representation(rng, q, modulus, config, max_rank=1)
+    y = random_representation(rng, q, modulus, config, max_rank=1)
+    verdicts: Dict[str, object] = {"_instance": f"{rep_digest(x)}-{rep_digest(y)}"}
+    ext0 = ext(x, y, 0).value
+    hom = hom_reps(x, y)[0]
+    verdicts["ext0_is_hom"] = ext0.factors == hom.factors
+    ok = bool(verdicts["ext0_is_hom"])
+    if x.total_cardinality * y.total_cardinality <= 256:
+        cnt = ext1_extension_count(x, y, cap=2048)
+        if cnt is not None:
+            verdicts["oracle_agrees"] = cnt == ext(x, y, 1).value.cardinality
+            ok = ok and bool(verdicts["oracle_agrees"])
+    # dimension shifting
+    res = projective_resolution(x, 4)
+    if res.syzygies:
+        omega = res.syzygies[0]
+        verdicts["dimension_shift"] = ext(x, y, 2).value.factors == ext(omega, y, 1).value.factors
+        ok = ok and bool(verdicts["dimension_shift"])
+    # long exact sequence spot check on a subsample
+    if t % 5 == 1:
+        ses = random_rep_ses(rng, y)
+        t_obj = stalk(q, modulus, rng.choice(q.vertices), cyclic(modulus, rng.choice([d for d in modulus.divisors if d > 1])))
+        verdicts["les_consistent"] = _les_consistency(t_obj, ses)
+        ok = ok and bool(verdicts["les_consistent"])
+    verdicts["_ok"] = ok
+    return verdicts
 
 
-def suite_orthogonality(config: Config, trials: Optional[int] = None) -> List[TrialReport]:
+def _orthogonality(config: Config, rng: random.Random, t: int) -> Dict[str, object]:
     """Ext-orthogonality sampling for the two lifted cotorsion pairs, with a
     sensitivity control."""
+    modulus, q = _modulus_and_small_quiver(rng, config)
+    if t == 0:
+        bad_j = stalk(a2(), Modulus(2), 2, cyclic(Modulus(2), 2))
+        witness = find_orthogonality_violation(bad_j, simple_stalks(a2(), Modulus(2)))
+        ok = witness is not None
+        return {"_instance": "corrupted-J", "violation_found": ok, "_ok": ok}
 
-    def body(rng: random.Random, t: int):
-        modulus = _pick_modulus(rng, config)
-        q = random_quiver(rng, config, right_rooted=True, max_vertices=3, max_arrows=3)
-        if t == 0:
-            bad_j = stalk(a2(), Modulus(2), 2, cyclic(Modulus(2), 2))
-            witness = find_orthogonality_violation(bad_j, simple_stalks(a2(), Modulus(2)))
-            ok = witness is not None
-            return {"_instance": "corrupted-J", "violation_found": ok, "_ok": ok}
+    def left(r):
+        k = random_representation(r, q, modulus, config)
+        valid = all(
+            ext_module(k.vertex_modules[v], m, 1).is_zero
+            for v in q.vertices
+            for m in [FinMod(modulus, (modulus.n,))]
+        )
+        return k, {"valid": valid}
 
-        def left(r):
-            k = random_representation(r, q, modulus, config)
-            valid = all(
-                ext_module(k.vertex_modules[v], m, 1).is_zero
-                for v in q.vertices
-                for m in [FinMod(modulus, (modulus.n,))]
-            )
-            return k, {"valid": valid}
+    def right(r):
+        j = random_injective_rep(r, q, modulus, config)
+        return j, {"valid": classify_strongly_fp_injective(j).verdict}
 
-        def right(r):
-            j = random_injective_rep(r, q, modulus, config)
-            return j, {"valid": classify_strongly_fp_injective(j).verdict}
+    report = ext_orthogonality_sample(left, right, trials=3, seed=rng.randrange(2**30))
+    # the wider pair: arbitrary psi-epi targets against projective-component sources
+    def left_w(r):
+        k = random_representation(r, q, modulus, config)
+        mods = {v: random_injective_finmod(r, modulus, config) for v in q.vertices}
+        maps = {a.id: random_hom(r, mods[a.src], mods[a.tgt]) for a in q.arrows}
+        kk = Representation(q, modulus, mods, maps)
+        valid = all(is_injective_module(kk.vertex_modules[v])[0] for v in q.vertices)
+        return kk, {"valid": valid}
 
-        report = ext_orthogonality_sample(left, right, trials=3, seed=rng.randrange(2**30))
-        # the wider pair: arbitrary psi-epi targets against projective-component sources
-        def left_w(r):
-            k = random_representation(r, q, modulus, config)
-            mods = {v: random_injective_finmod(r, modulus, config) for v in q.vertices}
-            maps = {a.id: random_hom(r, mods[a.src], mods[a.tgt]) for a in q.arrows}
-            kk = Representation(q, modulus, mods, maps)
-            valid = all(is_injective_module(kk.vertex_modules[v])[0] for v in q.vertices)
-            return kk, {"valid": valid}
+    def right_w(r):
+        j = random_gorenstein_rep(r, q, modulus, config)
+        return j, {"valid": classify_gorenstein_sfp(j).verdict}
 
-        def right_w(r):
-            j = random_gorenstein_rep(r, q, modulus, config)
-            return j, {"valid": classify_gorenstein_sfp(j).verdict}
-
-        report2 = ext_orthogonality_sample(left_w, right_w, trials=2, seed=rng.randrange(2**30))
-        ok = report["all_orthogonal"] and report2["all_orthogonal"]
-        return {
-            "_instance": f"orthogonality-{modulus.n}",
-            "weak_fp_projective_vs_sfp": report["all_orthogonal"],
-            "w_class_vs_gorenstein": report2["all_orthogonal"],
-            "_ok": ok,
-        }
-
-    return _run_trials("orthogonality", config, trials or config.trials, body)
+    report2 = ext_orthogonality_sample(left_w, right_w, trials=2, seed=rng.randrange(2**30))
+    ok = report["all_orthogonal"] and report2["all_orthogonal"]
+    return {
+        "_instance": f"orthogonality-{modulus.n}",
+        "weak_fp_projective_vs_sfp": report["all_orthogonal"],
+        "w_class_vs_gorenstein": report2["all_orthogonal"],
+        "_ok": ok,
+    }
 
 
-SUITES: Dict[str, Callable[[Config, Optional[int]], List[TrialReport]]] = {
-    "rootedness": suite_rootedness,
-    "purity_bridge": suite_purity_bridge,
-    "classification": suite_classification,
-    "gorenstein": suite_gorenstein,
-    "closure": suite_closure,
-    "stability": suite_stability,
-    "products": suite_products,
-    "right_adjoint": suite_right_adjoint,
-    "nonpure_fixture": suite_nonpure_fixture,
-    "totally_acyclic": suite_totally_acyclic,
-    "collapse": suite_collapse,
-    "adjunction": suite_adjunction,
-    "ext_engine": suite_ext_engine,
-    "orthogonality": suite_orthogonality,
+TrialBody = Callable[[Config, random.Random, int], Dict[str, object]]
+
+# suite name -> the report groups it emits, in order: (report suite name,
+# trial body, fixed trial count or None for the requested count)
+SUITES: Dict[str, Tuple[Tuple[str, TrialBody, Optional[int]], ...]] = {
+    "rootedness": (("rootedness", _rootedness, None),),
+    "purity_bridge": (("purity_bridge", _purity_bridge, None),),
+    "classification": (("classification", _classification, None),),
+    "gorenstein": (("gorenstein", _gorenstein, None),),
+    "closure": (("closure", _closure, None), ("closure_negative_control", _closure_negative_control, 1)),
+    "stability": (("stability", _stability, None),),
+    "products": (("products", _products, None),),
+    "right_adjoint": (("right_adjoint", _right_adjoint, None),),
+    "nonpure_fixture": (("nonpure_fixture", _nonpure_fixture, len(NONPURE_FIXTURE_MODULI)),),
+    "totally_acyclic": (("totally_acyclic", _totally_acyclic, None),),
+    "collapse": (("collapse", _collapse, None),),
+    "adjunction": (("adjunction", _adjunction, None),),
+    "ext_engine": (("ext_engine", _ext_engine, None),),
+    "orthogonality": (("orthogonality", _orthogonality, None),),
 }
-
-# per-suite default trial counts for `verify`; property suites run the full
-# configured count, fixtures run their fixed instances
-FIXED_TRIAL_SUITES = {"nonpure_fixture": 3}
 
 
 def run_suite(name: str, config: Config, trials: Optional[int] = None) -> List[TrialReport]:
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}")
-    if name in FIXED_TRIAL_SUITES:
-        reports = SUITES[name](config, FIXED_TRIAL_SUITES[name])
-    else:
-        reports = SUITES[name](config, trials)
-    if name == "closure":
-        reports.append(closure_negative_control(config))
+    reports: List[TrialReport] = []
+    for part, body, fixed in SUITES[name]:
+        reports.extend(_run_trials(part, config, fixed or trials or config.trials, functools.partial(body, config)))
     return reports
 
 

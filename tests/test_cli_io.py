@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -137,6 +138,14 @@ def test_cli_verify_suite_and_determinism(capsys):
         assert rec["pass"] is True
 
 
+def test_cli_verify_all_output_is_pinned(capsys):
+    # the sha256 of these reports as first recorded; any change to seeds,
+    # trial order or report bytes shows here
+    assert main(["verify", "all", "--seed", "42", "--trials", "2", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == "1858f2ffecba1ce8bcfaf7cee88b604c48ffeb15bb97354e07ea27de07a3e908"
+
+
 def test_cli_verify_unknown_suite(capsys):
     assert main(["verify", "bogus", "--trials", "1"]) == 2
 
@@ -167,9 +176,21 @@ def test_cli_verify_rejects_modulus_below_two(capsys):
     assert captured.out == "" and captured.err.startswith("error:")
 
 
-@pytest.mark.parametrize("moduli", [[], ["four"], [None]])
-def test_cli_verify_rejects_bad_moduli_config(tmp_path, capsys, moduli):
-    path = write(tmp_path, "config.json", {"moduli": moduli, "trials": 1})
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"moduli": [], "trials": 1},
+        {"moduli": ["four"], "trials": 1},
+        {"moduli": [None], "trials": 1},
+        {"trials": None},
+        [{"trials": 1}],
+        {"suites": ["nope"], "trials": 1},
+        {"suites": "rootedness", "trials": 1},
+    ],
+    ids=["moduli0", "moduli1", "moduli2", "trials_null", "top_level_list", "unknown_suite", "suites_string"],
+)
+def test_cli_verify_rejects_bad_moduli_config(tmp_path, capsys, config):
+    path = write(tmp_path, "config.json", config)
     assert main(["verify", "classification", "--config", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")

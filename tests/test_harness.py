@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from quiverhom import harness
 from quiverhom.harness import (
     Config,
     TrialReport,
@@ -124,8 +125,22 @@ def test_unknown_suite():
         run_suite("nope", Config(), 1)
 
 
-def test_all_suites_one_trial():
+def test_all_suites_one_trial(monkeypatch):
+    # wrap _run_trials the way the benchmark's per-trial timer does: every
+    # trial, fixtures and negative controls included, must pass through it
+    calls = []
+    run_trials = harness._run_trials
+
+    def counting_run_trials(suite, config, trials, body):
+        def counted(rng, t):
+            calls.append((suite, t))
+            return body(rng, t)
+
+        return run_trials(suite, config, trials, counted)
+
+    monkeypatch.setattr(harness, "_run_trials", counting_run_trials)
     cfg = Config(master_seed=1)
     reports = run_all(cfg, trials=2)
     assert all(r.ok for r in reports), [r.verdicts for r in reports if not r.ok]
     assert {r.suite for r in reports} >= set(SUITES)
+    assert calls == [(r.suite, r.trial) for r in reports]
