@@ -6,14 +6,18 @@ Everything in this file works on numpy int64 arrays whose entries live in
 form is the canonical echelon form for row modules over Z/N: unlike a plain
 echelon form it spans *all* row-module elements whose leading coordinates
 vanish, which is what makes greedy back-substitution and kernel extraction
-correct over a ring with zero divisors.
+correct over a ring with zero divisors.  It is built in one pass over the
+columns: as each pivot row is fixed, its annihilator multiple (N/d)*row,
+zero in the pivot column, joins the rows still to be reduced, so the later
+columns absorb it and no second pass is needed.  `diagonalize` reduces on
+both sides but returns only the row transform and its inverse.
 """
 
 from __future__ import annotations
 
 import functools
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -111,109 +115,54 @@ def _frozen(result):
     return result
 
 
-def _echelon(rows: np.ndarray, n: int) -> Tuple[np.ndarray, List[int]]:
-    """Row echelon via unimodular 2x2 gcd transforms; returns (rows, pivot cols).
-
-    Rows that are exact multiples of the pivot are cleared in one vectorized
-    sweep; the occasional non-multiple is folded in with a gcd transform,
-    which strictly decreases the pivot value, so at most log2(n) sweeps run
-    per column.
-    """
-    w = rows.copy()
-    m, k = w.shape
-    r = 0
-    pivots: List[int] = []
-    for j in range(k):
-        if r >= m:
-            break
-        col = w[r:, j]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        # pivot with minimal gcd(., n), then minimal value, for stability
-        vals = col[nz]
-        keys = np.gcd(vals, n) * (n + 1) + vals
-        best = int(nz[int(np.argmin(keys))]) + r
-        if best != r:
-            w[[r, best]] = w[[best, r]]
-        while True:
-            piv = int(w[r, j])
-            below = w[r + 1 :, j]
-            nzb = np.nonzero(below)[0]
-            if nzb.size == 0:
-                break
-            divisible = nzb[below[nzb] % piv == 0]
-            if divisible.size:
-                idx = divisible + r + 1
-                q = w[idx, j] // piv
-                w[idx] = (w[idx] - q[:, None] * w[r]) % n
-            rest = np.nonzero(w[r + 1 :, j])[0]
-            if rest.size == 0:
-                break
-            i = int(rest[0]) + r + 1
-            a, b = int(w[r, j]), int(w[i, j])
-            g, s, t = xgcd(a, b)
-            new_r = (s * w[r] + t * w[i]) % n
-            new_i = ((-(b // g)) * w[r] + (a // g) * w[i]) % n
-            w[r], w[i] = new_r, new_i
-        if w[r, j] != 0:
-            pivots.append(j)
-            r += 1
-    return w[:r], pivots
-
-
 def howell_form(a, n: int) -> np.ndarray:
     """Canonical Howell normal form of the row module of `a` over Z/n.
 
     Pivot entries divide n, entries above each pivot are reduced modulo the
     pivot, zero rows are dropped, and rows are ordered by pivot column.  Two
     matrices have equal Howell forms iff they span the same row module.
+
+    One pass over the columns (Storjohann, *Algorithms for Matrix Canonical
+    Forms*, ch. 4).  The working rows span every element of the module that
+    vanishes before column j.  A pivot row is scaled so its entry d divides
+    n, and the working rows are reduced against it, with a unimodular gcd
+    step for each entry d does not divide (each step strictly shrinks d), so
+    one row is left with a nonzero entry in column j.  That row becomes a
+    Howell row, reduces the rows above it, and is replaced among the working
+    rows by its annihilator multiple (n/d)*row, zero in column j.  The
+    working rows then span every element that vanishes up to column j.
     """
     w = _as_matrix(a, n)
-    rows, _ = _echelon(w, n)
-    # saturate: at the fixpoint every weak multiple of a pivot row reduces to
-    # zero against the rows below it, which is exactly the Howell condition
-    for _ in range(w.shape[1] + 8):
-        extra = []
-        for i in range(rows.shape[0]):
-            j = int(np.argmax(rows[i] != 0))
-            d = int(rows[i, j])
-            c = n // gcd(n, d)
-            if c % n == 0:
-                continue
-            cand = (c * rows[i]) % n
-            if cand.any():
-                extra.append(cand)
-        if not extra:
-            break
-        merged = np.vstack([rows, np.array(extra, dtype=np.int64)])
-        new_rows, _ = _echelon(merged, n)
-        if new_rows.shape == rows.shape and np.array_equal(new_rows, rows):
-            break
-        rows = new_rows
-    else:
-        raise RuntimeError("howell saturation did not converge")
-    # normalize pivots to divisors of n and reduce entries above pivots
-    for i in range(rows.shape[0]):
-        j = int(np.argmax(rows[i] != 0))
-        u = unit_multiplier(int(rows[i, j]), n)
-        rows[i] = (u * rows[i]) % n
-    for i in range(rows.shape[0]):
-        if i == 0:
+    k = w.shape[1]
+    h = np.zeros((k, k), dtype=np.int64)
+    r = 0
+    for j in range(k):
+        nz = np.flatnonzero(w[:, j])
+        if not nz.size:
             continue
-        j = int(np.argmax(rows[i] != 0))
-        d = int(rows[i, j])
-        q = rows[:i, j] // d
-        rows[:i] = (rows[:i] - q[:, None] * rows[i]) % n
-    return rows
-
-
-def _pivot_index(rows: np.ndarray) -> List[Tuple[int, int, int]]:
-    out = []
-    for i in range(rows.shape[0]):
-        j = int(np.argmax(rows[i] != 0))
-        out.append((i, j, int(rows[i, j])))
-    return out
+        # the entry with the least gcd(., n) needs the fewest gcd steps
+        p = int(nz[np.argmin(np.gcd(w[nz, j], n))])
+        w[p] = (unit_multiplier(int(w[p, j]), n) * w[p]) % n
+        rest = nz[nz != p]  # the other rows nonzero in column j
+        while rest.size:
+            d = int(w[p, j])
+            q, rem = np.divmod(w[rest, j], d)
+            w[rest] = (w[rest] - q[:, None] * w[p]) % n
+            odd = np.flatnonzero(rem)
+            if not odd.size:
+                break
+            i, b = int(rest[odd[0]]), int(rem[odd[0]])
+            g, s, t = xgcd(d, b)
+            w[p], w[i] = (s * w[p] + t * w[i]) % n, ((d // g) * w[i] - (b // g) * w[p]) % n
+            rest = rest[odd[1:]]
+        d = int(w[p, j])
+        h[r] = w[p]
+        above = np.flatnonzero(h[:r, j] >= d)
+        if above.size:
+            h[above] = (h[above] - (h[above, j] // d)[:, None] * h[r]) % n
+        w[p] = ((n // d) * h[r]) % n
+        r += 1
+    return h[:r]
 
 
 @_memoized
@@ -228,37 +177,31 @@ def solve_left(a, b, n: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     m, k = a.shape
     if b.shape[1] != k:
         raise ValueError(f"shape mismatch: a is {a.shape}, b is {b.shape}")
-    aug = np.hstack([a, np.eye(m, dtype=np.int64)])
-    h = howell_form(aug, n)
-    span_rows = h[[j < k for _, j, _ in _pivot_index(h)]] if h.shape[0] else h
-    kern_rows = h[[j >= k for _, j, _ in _pivot_index(h)]] if h.shape[0] else h
-    kernel = kern_rows[:, k:] if kern_rows.shape[0] else np.zeros((0, m), dtype=np.int64)
+    h = howell_form(np.hstack([a, np.eye(m, dtype=np.int64)]), n)
+    # rows are ordered by pivot column, so the rows pivoting in a come first
+    pivots = []
+    for i, row in enumerate(h):
+        j = int(np.argmax(row != 0))
+        if j >= k:
+            break
+        pivots.append((i, j, int(row[j])))
+    # copied, since a view would keep all of h alive in the memo
+    kernel = h[len(pivots) :, k:].copy()
     sols = np.zeros((b.shape[0], m), dtype=np.int64)
     for t in range(b.shape[0]):
-        target = np.hstack([b[t], np.zeros(m, dtype=np.int64)])
-        res = target.copy()
-        y = np.zeros(m, dtype=np.int64)
-        for i, j, d in _pivot_index(span_rows):
+        # the last m entries of res track -y, so y @ a == b once res[:k] is zero
+        res = np.hstack([b[t], np.zeros(m, dtype=np.int64)])
+        for i, j, d in pivots:
             v = int(res[j])
-            if j >= k or v == 0:
+            if v == 0:
                 continue
             if v % d != 0:
                 return None
-            q = v // d
-            res = (res - q * span_rows[i]) % n
-            y = (y - q * span_rows[i, k:]) % n
+            res = (res - (v // d) * h[i]) % n
         if res[:k].any():
             return None
-        sols[t] = (-y) % n
-    return sols % n, kernel
-
-
-def left_kernel(a, n: int) -> np.ndarray:
-    """Basis rows for {y : y a == 0 (mod n)}."""
-    a = _as_matrix(a, n)
-    out = solve_left(a, np.zeros((0, a.shape[1]), dtype=np.int64), n)
-    assert out is not None
-    return out[1]
+        sols[t] = (-res[k:]) % n
+    return sols, kernel
 
 
 def solve_right(a, b, n: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -310,16 +253,17 @@ def quotient_order(a, orders: Sequence[int], n: int) -> int:
 
 
 class _Tracked:
-    """Matrix with row/column transforms tracked alongside their inverses."""
+    """Matrix with its row transforms tracked alongside their inverses.
+
+    Column transforms act on the matrix alone: no caller reads them.
+    """
 
     def __init__(self, a: np.ndarray, n: int):
         self.n = n
         self.d = a.copy()
-        m, k = a.shape
+        m = a.shape[0]
         self.u = np.eye(m, dtype=np.int64)
         self.uinv = np.eye(m, dtype=np.int64)
-        self.v = np.eye(k, dtype=np.int64)
-        self.vinv = np.eye(k, dtype=np.int64)
 
     def row_swap(self, i, j):
         self.d[[i, j]] = self.d[[j, i]]
@@ -328,8 +272,6 @@ class _Tracked:
 
     def col_swap(self, i, j):
         self.d[:, [i, j]] = self.d[:, [j, i]]
-        self.v[:, [i, j]] = self.v[:, [j, i]]
-        self.vinv[[i, j]] = self.vinv[[j, i]]
 
     def row_combine(self, i, j, s, t, p, q):
         """rows (i,j) <- (s*ri + t*rj, p*ri + q*rj); [[s,t],[p,q]] unimodular."""
@@ -347,17 +289,11 @@ class _Tracked:
         self.uinv[:, j] = (dinv * (-t * ci + s * cj)) % n
 
     def col_combine(self, i, j, s, t, p, q):
-        n = self.n
-        det = (s * q - t * p) % n
-        _, dinv, _ = xgcd(det, n)
-        dinv %= n
-        for mat in (self.d, self.v):
-            ci, cj = mat[:, i].copy(), mat[:, j].copy()
-            mat[:, i] = (s * ci + t * cj) % n
-            mat[:, j] = (p * ci + q * cj) % n
-        ri, rj = self.vinv[i].copy(), self.vinv[j].copy()
-        self.vinv[i] = (dinv * (q * ri - p * rj)) % n
-        self.vinv[j] = (dinv * (-t * ri + s * rj)) % n
+        """cols (i,j) <- (s*ci + t*cj, p*ci + q*cj); [[s,t],[p,q]] unimodular."""
+        d, n = self.d, self.n
+        ci, cj = d[:, i].copy(), d[:, j].copy()
+        d[:, i] = (s * ci + t * cj) % n
+        d[:, j] = (p * ci + q * cj) % n
 
     def row_scale(self, i, u):
         n = self.n
@@ -375,17 +311,16 @@ class _Tracked:
 
     def cols_axpy(self, idx: np.ndarray, q: np.ndarray, p: int):
         """cols[idx] -= q * col[p], batched."""
-        n = self.n
-        for mat in (self.d, self.v):
-            mat[:, idx] = (mat[:, idx] - q[None, :] * mat[:, [p]]) % n
-        self.vinv[p] = (self.vinv[p] + q.dot(self.vinv[idx])) % n
+        d = self.d
+        d[:, idx] = (d[:, idx] - q[None, :] * d[:, [p]]) % self.n
 
 
 @_memoized
 def diagonalize(a, n: int):
-    """Two-sided reduction over Z/n: returns (d, U, Uinv, V, Vinv) with
-    U a V == diag(d) mod n, the d_i divisors of n in a divisibility chain
-    (trailing entries may equal n, representing zero diagonal entries).
+    """Two-sided reduction over Z/n: returns (d, U, Uinv) with U a V ==
+    diag(d) mod n for some invertible V, which is not computed, the d_i
+    divisors of n in a divisibility chain (trailing entries may equal n,
+    representing zero diagonal entries).
     """
     a = _as_matrix(a, n)
     m, k = a.shape
@@ -482,4 +417,4 @@ def diagonalize(a, n: int):
     diag = [gcd(int(t.d[p, p]), n) if p < rank else n for p in range(m)]
     # diagonal entries equal to n act as zero; fold them into the tail
     chain = [d if d != 0 else n for d in diag]
-    return chain, t.u % n, t.uinv % n, t.v % n, t.vinv % n
+    return chain, t.u % n, t.uinv % n

@@ -432,7 +432,7 @@ def present(relations, modulus: Modulus, generators: Optional[int] = None):
     g = rel.shape[0]
     if g == 0:
         return zero_mod(modulus), np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0), dtype=np.int64)
-    d, u, uinv, _, _ = diagonalize(rel, n)
+    d, u, uinv = diagonalize(rel, n)
     keep = [i for i, di in enumerate(d) if di > 1]
     factors = tuple(int(d[i]) for i in keep)
     mod = FinMod(modulus, factors)
