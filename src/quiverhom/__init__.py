@@ -50,7 +50,6 @@ from .purity import (
     is_pure_mono_rep,
     is_pure_rep_ses,
     is_split_rep_ses,
-    split_diagram_retraction,
 )
 from .homology import (
     ext,

@@ -8,10 +8,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
+from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .linalg import xgcd
 from .quiver import Path, Quiver, VertexId, has_directed_cycle, out_arrows, paths_between
 from .rep import (
     HomGroupRep,
@@ -35,12 +37,14 @@ from .rep import (
 )
 from .znmod import (
     FinMod,
+    HomSystem,
     ModHom,
     Modulus,
     ambient_coords_solve,
-    cyclic,
     ext_module,
     free_mod,
+    hom_entry_orders,
+    hom_entry_scales,
     image_order,
     is_epi,
     is_injective_module,
@@ -48,6 +52,7 @@ from .znmod import (
     kernel_of_hom,
     kernel_order,
     quotient_with_projection,
+    retraction_of,
     section_of,
 )
 
@@ -203,9 +208,6 @@ def _scalar_of_block(block: RepMorphism, v: VertexId) -> int:
 
 
 def _minimize_resolution(res: ProjResolution, length: int) -> ProjResolution:
-    from .linalg import xgcd
-    from math import gcd as _gcd
-
     q, modulus = res.x.quiver, res.x.modulus
     n = modulus.n
     terms = [_SummandTerm(q, modulus, res.summand_vertices(k)) for k in range(length)]
@@ -270,15 +272,13 @@ def _retarget_aug(aug: RepMorphism, term: _SummandTerm) -> RepMorphism:
 
 
 def _find_unit_block(d: RepMorphism, src: _SummandTerm, tgt: _SummandTerm, n: int):
-    from math import gcd as _gcd
-
     for j, vj in enumerate(src.vertices):
         for i, vi in enumerate(tgt.vertices):
             if vi != vj:
                 continue
             block = tgt.projs[i].compose(d).compose(src.injs[j])
             s = _scalar_of_block(block, vi)
-            if s and _gcd(s, n) == 1:
+            if s and gcd(s, n) == 1:
                 return j, i, s
     return None
 
@@ -546,8 +546,6 @@ def _chains_of_cardinality(modulus: Modulus, card: int) -> List[Tuple[int, ...]]
 
 
 def _enumerate_module_homs(dom: FinMod, cod: FinMod, cap: int):
-    from .znmod import hom_entry_orders, hom_entry_scales
-
     orders = hom_entry_orders(dom.factors, cod.factors)
     scales = hom_entry_scales(dom.factors, cod.factors)
     total = int(np.prod(orders)) if orders.size else 1
@@ -625,8 +623,6 @@ def ext1_extension_count(x: Representation, y: Representation, cap: int = 4096) 
 
 
 def _module_inverse(h: ModHom) -> ModHom:
-    from .znmod import retraction_of
-
     inv = retraction_of(h)
     assert inv is not None
     return inv
@@ -762,8 +758,6 @@ def _left_injective_step(w: Representation):
 
     Returns (total, pi, ker, incl)."""
     q, modulus = w.quiver, w.modulus
-    from .znmod import HomSystem
-
     kernels = {v: kernel_of_hom(psi(w, v)) for v in q.vertices}
     covers = {v: free_mod(modulus, kernels[v][0].rank) for v in q.vertices}
     singles = {v: RightAdjointRep(q, Quiver((v,), ()), single_vertex_rep(q, modulus, v, covers[v])) for v in q.vertices}
@@ -785,7 +779,7 @@ def _left_injective_step(w: Representation):
         out = sysm.solve()
         if out is None:
             raise LeftResolutionFailure(wv, "no lift against the canonical product map")
-        part = ModHom(total.vertex_modules[wv], w.vertex_modules[wv], out[0][0])
+        part = ModHom(total.vertex_modules[wv], w.vertex_modules[wv], sysm.assignment(out[0])[0])
         # force the solution to vanish on the kernel-cover factor, then add the
         # cover of ker psi so that the component is surjective
         single = singles[wv]

@@ -12,12 +12,14 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .homology import projective_generator
 from .quiver import Quiver, has_directed_cycle, opposite
 from .rep import (
     RepMorphism,
     RepSES,
     Representation,
     TensorPresentation,
+    dual_rep,
     dual_rep_morphism,
     dual_rep_ses,
     stalk,
@@ -27,18 +29,14 @@ from .znmod import (
     FinMod,
     HomSystem,
     ModHom,
-    ModSES,
     Modulus,
     canonical_chain,
     cyclic,
     hom_entry_orders,
     hom_entry_scales,
-    hom_group,
     identity_hom,
     is_mono,
     is_pure_module_ses,
-    retraction_of,
-    section_of,
 )
 
 
@@ -71,64 +69,43 @@ class PurityVerdict:
         return False
 
 
-def rep_retraction(f: RepMorphism) -> Optional[RepMorphism]:
-    """A natural r with r o f = id on the source, if one exists."""
-    x, y = f.source, f.target
-    sysm = HomSystem(x.modulus)
-    vars_ = {v: sysm.add_hom_unknown(y.vertex_modules[v].factors, x.vertex_modules[v].factors) for v in x.quiver.vertices}
-    for v in x.quiver.vertices:
-        xr = x.vertex_modules[v].rank
-        sysm.add_matrix_equation(
-            [(vars_[v], np.eye(xr, dtype=np.int64), f.components[v].matrix, 1)],
-            np.eye(xr, dtype=np.int64),
-            x.vertex_modules[v].factors,
-        )
-    for a in x.quiver.arrows:
-        i, j = a.src, a.tgt
-        rhs = np.zeros((x.vertex_modules[j].rank, y.vertex_modules[i].rank), dtype=np.int64)
+def _natural_one_sided_inverse(h: RepMorphism, left: bool) -> Optional[RepMorphism]:
+    """A natural u: T -> S with u o h = id (left) or h o u = id, for h: S -> T."""
+    src, tgt = h.source, h.target
+    q = src.quiver
+    sysm = HomSystem(src.modulus)
+    var = {v: sysm.add_hom_unknown(tgt.vertex_modules[v].factors, src.vertex_modules[v].factors) for v in q.vertices}
+    for v in q.vertices:
+        side = (src if left else tgt).vertex_modules[v]
+        eye = np.eye(side.rank, dtype=np.int64)
+        hv = h.components[v].matrix
+        sysm.add_matrix_equation([(var[v], eye, hv, 1) if left else (var[v], hv, eye, 1)], eye, side.factors)
+    for a in q.arrows:
+        sj, ti = src.vertex_modules[a.tgt], tgt.vertex_modules[a.src]
         sysm.add_matrix_equation(
             [
-                (vars_[i], x.map(a.id).matrix, np.eye(y.vertex_modules[i].rank, dtype=np.int64), 1),
-                (vars_[j], np.eye(x.vertex_modules[j].rank, dtype=np.int64), y.map(a.id).matrix, -1),
+                (var[a.src], src.map(a.id).matrix, np.eye(ti.rank, dtype=np.int64), 1),
+                (var[a.tgt], np.eye(sj.rank, dtype=np.int64), tgt.map(a.id).matrix, -1),
             ],
-            rhs,
-            x.vertex_modules[j].factors,
+            np.zeros((sj.rank, ti.rank), dtype=np.int64),
+            sj.factors,
         )
     out = sysm.solve()
     if out is None:
         return None
-    comps = {v: ModHom(y.vertex_modules[v], x.vertex_modules[v], out[0][t]) for t, v in enumerate(x.quiver.vertices)}
-    return RepMorphism(y, x, comps)
+    mats = sysm.assignment(out[0])
+    comps = {v: ModHom(tgt.vertex_modules[v], src.vertex_modules[v], m) for v, m in zip(q.vertices, mats)}
+    return RepMorphism(tgt, src, comps)
+
+
+def rep_retraction(f: RepMorphism) -> Optional[RepMorphism]:
+    """A natural r with r o f = id on the source, if one exists."""
+    return _natural_one_sided_inverse(f, left=True)
 
 
 def rep_section(g: RepMorphism) -> Optional[RepMorphism]:
     """A natural s with g o s = id on the target, if one exists."""
-    y, z = g.source, g.target
-    sysm = HomSystem(y.modulus)
-    vars_ = {v: sysm.add_hom_unknown(z.vertex_modules[v].factors, y.vertex_modules[v].factors) for v in y.quiver.vertices}
-    for v in y.quiver.vertices:
-        zr = z.vertex_modules[v].rank
-        sysm.add_matrix_equation(
-            [(vars_[v], g.components[v].matrix, np.eye(zr, dtype=np.int64), 1)],
-            np.eye(zr, dtype=np.int64),
-            z.vertex_modules[v].factors,
-        )
-    for a in y.quiver.arrows:
-        i, j = a.src, a.tgt
-        rhs = np.zeros((y.vertex_modules[j].rank, z.vertex_modules[i].rank), dtype=np.int64)
-        sysm.add_matrix_equation(
-            [
-                (vars_[i], y.map(a.id).matrix, np.eye(z.vertex_modules[i].rank, dtype=np.int64), 1),
-                (vars_[j], np.eye(y.vertex_modules[j].rank, dtype=np.int64), z.map(a.id).matrix, -1),
-            ],
-            rhs,
-            y.vertex_modules[j].factors,
-        )
-    out = sysm.solve()
-    if out is None:
-        return None
-    comps = {v: ModHom(z.vertex_modules[v], y.vertex_modules[v], out[0][t]) for t, v in enumerate(y.quiver.vertices)}
-    return RepMorphism(z, y, comps)
+    return _natural_one_sided_inverse(g, left=False)
 
 
 def is_split_rep_ses(ses: RepSES) -> Optional[RepMorphism]:
@@ -171,8 +148,6 @@ def _witness_test_object(ses: RepSES, desc: dict) -> Representation:
     if desc.get("shape") == "stalk":
         return stalk(opposite(q), modulus, desc["vertex"], cyclic(modulus, desc["order"]))
     if desc.get("shape") == "dual-of-sub":
-        from .rep import dual_rep
-
         return dual_rep(ses.x)
     raise ValueError(f"unknown witness descriptor {desc!r}")
 
@@ -184,8 +159,6 @@ def _tensor_left_exact(s: Representation, ses: RepSES) -> bool:
 
 
 def _cheap_definitional_witness(ses: RepSES) -> Optional[dict]:
-    from .rep import dual_rep
-
     tests = list(_stalk_test_objects(ses.f.source.quiver, ses.f.source.modulus))
     tests.append(({"kind": "test-object", "shape": "dual-of-sub"}, dual_rep(ses.x)))
     for desc, s in tests:
@@ -224,14 +197,10 @@ def definitional_purity_check(ses: RepSES, budget: int = 5, seed: int = 0) -> Tu
     Hom(dual X, dual Y) onto Hom(dual X, dual X), which produces a splitting
     of the dual sequence.  Returns (verdict, tested-object count, witness)."""
     q, modulus = ses.f.source.quiver, ses.f.source.modulus
-    from .rep import dual_rep
-
     tests = list(_stalk_test_objects(q, modulus))
     tests.append(({"kind": "test-object", "shape": "dual-of-sub"}, dual_rep(ses.x)))
     qop = opposite(q)
     if not has_directed_cycle(qop):
-        from .homology import projective_generator
-
         for v in qop.vertices:
             tests.append(({"kind": "test-object", "shape": "projective", "vertex": v}, projective_generator(qop, modulus, v)))
     rng = random.Random(seed)
@@ -261,70 +230,3 @@ def is_pure_epi_rep(g: RepMorphism) -> Tuple[bool, Optional[RepMorphism]]:
     gd = dual_rep_morphism(g)
     ret = rep_retraction(gd)
     return ret is not None, ret
-
-
-def split_diagram_retraction(
-    top: ModSES,
-    bottom: ModSES,
-    f: ModHom,
-    g: ModHom,
-    h: ModHom,
-    r: ModHom,
-) -> Tuple[Optional[ModHom], dict]:
-    """Given a commutative ladder between two split short exact sequences
-    with a retraction r of the top mono, h injective, and every map from the
-    top-right corner extending over h, produce s with s o nu = id and
-    s o g = f o r.
-
-    Follows the matrix proof: express g as an upper-triangular block matrix
-    in the split decompositions and cancel the corner with an extension
-    along h."""
-    mu, p = top.f, top.g
-    nu, pp = bottom.f, bottom.g
-    report: dict = {}
-    if g.compose(mu) != nu.compose(f):
-        return None, {"hypothesis": "left square does not commute"}
-    if h.compose(p) != pp.compose(g):
-        return None, {"hypothesis": "right square does not commute"}
-    if r.compose(mu) != identity_hom(mu.domain):
-        return None, {"hypothesis": "r is not a retraction of the top mono"}
-    if not is_mono(h):
-        return None, {"hypothesis": "h is not injective"}
-    q0 = section_of(p)
-    if q0 is None:
-        return None, {"hypothesis": "top row does not split"}
-    # section with r o q = 0, so that (mu, q) realizes the split decomposition
-    q = q0 - mu.compose(r).compose(q0)
-    u = retraction_of(nu)
-    if u is None:
-        return None, {"hypothesis": "bottom row does not split"}
-    # hypothesis: every hom Z -> L extends over h
-    _, basis = hom_group(p.codomain, nu.domain)
-    for e in basis:
-        if _extend_over(e, h) is None:
-            return None, {"hypothesis": "extension property fails", "map": e.matrix.tolist()}
-    k = u.compose(g).compose(q)
-    alpha = _extend_over(k, h)
-    assert alpha is not None
-    s = u - alpha.compose(pp)
-    if s.compose(nu) != identity_hom(nu.domain):
-        return None, {"hypothesis": "internal: s nu != id"}
-    if s.compose(g) != f.compose(r):
-        return None, {"hypothesis": "internal: s g != f r"}
-    report["verified"] = ["s o nu = id", "s o g = f o r"]
-    return s, report
-
-
-def _extend_over(k: ModHom, h: ModHom) -> Optional[ModHom]:
-    """alpha with alpha o h = k, for h a monomorphism."""
-    sysm = HomSystem(k.modulus)
-    var = sysm.add_hom_unknown(h.codomain.factors, k.codomain.factors)
-    sysm.add_matrix_equation(
-        [(var, np.eye(k.codomain.rank, dtype=np.int64), h.matrix, 1)],
-        k.matrix,
-        k.codomain.factors,
-    )
-    out = sysm.solve()
-    if out is None:
-        return None
-    return ModHom(h.codomain, k.codomain, out[0][0])

@@ -7,6 +7,7 @@ and the tensor product with its defining adjunction.
 from __future__ import annotations
 
 import itertools
+from math import gcd
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -26,10 +27,11 @@ from .znmod import (
     FinMod,
     HomSystem,
     ModHom,
+    ModSES,
     Modulus,
     ambient_coords_solve,
     direct_sum_with_maps,
-    hom_entry_scales,
+    double_dual_iso,
     identity_hom,
     image_of_hom,
     is_epi,
@@ -219,8 +221,6 @@ class RepSES:
         return self.g.target
 
     def vertex_ses(self, v: VertexId):
-        from .znmod import ModSES
-
         return ModSES(self.f.components[v], self.g.components[v])
 
 
@@ -382,60 +382,45 @@ class HomGroupRep:
         self.y = y
         q, modulus = x.quiver, x.modulus
         sysm = HomSystem(modulus)
-        self._vars = {v: sysm.add_hom_unknown(x.vertex_modules[v].factors, y.vertex_modules[v].factors) for v in q.vertices}
+        var = {v: sysm.add_hom_unknown(x.vertex_modules[v].factors, y.vertex_modules[v].factors) for v in q.vertices}
         for a in q.arrows:
             xi, yj = x.vertex_modules[a.src], y.vertex_modules[a.tgt]
             rhs = np.zeros((yj.rank, xi.rank), dtype=np.int64)
             sysm.add_matrix_equation(
                 [
-                    (self._vars[a.src], y.map(a.id).matrix, np.eye(xi.rank, dtype=np.int64), 1),
-                    (self._vars[a.tgt], np.eye(yj.rank, dtype=np.int64), x.map(a.id).matrix, -1),
+                    (var[a.src], y.map(a.id).matrix, np.eye(xi.rank, dtype=np.int64), 1),
+                    (var[a.tgt], np.eye(yj.rank, dtype=np.int64), x.map(a.id).matrix, -1),
                 ],
                 rhs,
                 yj.factors,
             )
-        data = sysm.flat_solution_data()
-        assert data is not None
-        self._orders, _, kernel_gens = data
-        self.group, self._incl = subgroup_present(self._orders, kernel_gens, modulus)
+        out = sysm.solve()
+        assert out is not None
+        self.group, self._incl = subgroup_present(sysm.orders, out[1], modulus)
         self._sysm = sysm
         self.basis = [self._morphism_from_flat(self._incl[:, k]) for k in range(self.group.rank)]
 
     def _morphism_from_flat(self, flat: np.ndarray) -> RepMorphism:
-        mats = self._sysm._assignment(np.asarray(flat, dtype=np.int64))
-        comps = {}
-        for v, var in self._vars.items():
-            comps[v] = ModHom(self.x.vertex_modules[v], self.y.vertex_modules[v], mats[var])
+        mats = self._sysm.assignment(flat)
+        comps = {
+            v: ModHom(self.x.vertex_modules[v], self.y.vertex_modules[v], mat)
+            for v, mat in zip(self.x.quiver.vertices, mats)
+        }
         return RepMorphism(self.x, self.y, comps)
-
-    def _flat_of(self, f: RepMorphism) -> np.ndarray:
-        flat = np.zeros(len(self._orders), dtype=np.int64)
-        for v, var in self._vars.items():
-            dom_f = self.x.vertex_modules[v].factors
-            cod_f = self.y.vertex_modules[v].factors
-            scales = hom_entry_scales(dom_f, cod_f)
-            idx = self._sysm.vars[var][2]
-            ent = f.components[v].matrix
-            t_vals = np.zeros_like(ent)
-            for j in range(len(cod_f)):
-                for i in range(len(dom_f)):
-                    t_vals[j, i] = int(ent[j, i]) // int(scales[j, i])
-            flat[idx.start : idx.stop] = t_vals.reshape(-1)
-        return flat
 
     def coords(self, f: RepMorphism) -> np.ndarray:
         """Coordinates of a morphism in the canonical hom group."""
-        sol = ambient_coords_solve(self._orders, self._incl, self._flat_of(f), self.x.modulus)
+        flat = self._sysm.flat_of([f.components[v].matrix for v in self.x.quiver.vertices])
+        sol = ambient_coords_solve(self._sysm.orders, self._incl, flat, self.x.modulus)
         if sol is None:
             raise ValueError("morphism does not lie in the hom group (bug)")
         return self.group.reduce(sol)
 
     def from_coords(self, coords) -> RepMorphism:
+        orders = self._sysm.orders
         c = self.group.reduce(coords)
-        flat = self._incl.dot(c) % self.x.modulus.n if self.group.rank else np.zeros(len(self._orders), dtype=np.int64)
-        if len(self._orders):
-            flat = flat % np.array(self._orders, dtype=np.int64)
-        return self._morphism_from_flat(flat)
+        flat = self._incl.dot(c) % self.x.modulus.n if self.group.rank else np.zeros(len(orders), dtype=np.int64)
+        return self._morphism_from_flat(flat % orders)
 
     @property
     def cardinality(self) -> int:
@@ -625,8 +610,6 @@ def dual_rep_ses(s: RepSES) -> RepSES:
 
 
 def double_dual_rep_iso(x: Representation) -> RepMorphism:
-    from .znmod import double_dual_iso
-
     return RepMorphism(x, dual_rep(dual_rep(x)), {v: double_dual_iso(x.vertex_modules[v]) for v in x.quiver.vertices})
 
 
@@ -647,15 +630,13 @@ class TensorPresentation:
         modulus = x.modulus
         self.positions: Dict[Tuple, int] = {}
         self.orders: List[int] = []
-        from math import gcd as _gcd
-
         for v in x.quiver.vertices:
             cf = y.vertex_modules[v].factors
             df = x.vertex_modules[v].factors
             for s, c in enumerate(cf):
                 for t, d in enumerate(df):
                     self.positions[(v, s, t)] = len(self.orders)
-                    self.orders.append(_gcd(c, d))
+                    self.orders.append(gcd(c, d))
         relations = []
         qop = opposite(x.quiver)
         flip = {a.id: a_op.id for a, a_op in zip(x.quiver.arrows, qop.arrows)}

@@ -276,85 +276,68 @@ def _hom_tables(dom: Tuple[int, ...], cod: Tuple[int, ...]) -> Tuple[np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-class CongruenceSystem:
-    """Linear system over Z/n with unknown x_t ranging over Z/m_t and each
-    equation holding modulo some divisor r of n.
+def solve_congruences(
+    a, b, row_moduli: Sequence[int], orders: Sequence[int], modulus: Modulus
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Solve a @ x == b with row k read mod r_k and unknown x_t in Z/m_t.
 
-    Equations are rescaled by n/r into Z/n and solved by Howell reduction;
-    well-definedness (coeff * m_t == 0 mod r) is enforced so that mod-n
-    solutions project onto exactly the mixed-modulus solutions.
+    Every r_k and m_t divides n.  A coefficient is well defined when
+    c * m_t == 0 mod r, i.e. when c is a multiple of r / gcd(m_t, r), which
+    is how it is tested, so no product is formed.  Each row is reduced mod
+    its r and rescaled by n/r into Z/n; one Howell solve there projects onto
+    exactly the mixed-modulus solutions.  Returns (particular, kernel
+    generators as the rows of a matrix) reduced mod the orders, or None
+    when inconsistent.
     """
-
-    def __init__(self, modulus: Modulus):
-        self.modulus = modulus
-        self.orders: List[int] = []
-        self._rows: List[np.ndarray] = []
-        self._rhs: List[int] = []
-
-    def add_unknowns(self, orders: Sequence[int]) -> range:
-        start = len(self.orders)
-        for m in orders:
-            if m < 1 or self.modulus.n % m != 0:
-                raise ValueError(f"unknown order {m} must divide {self.modulus.n}")
-            self.orders.append(int(m))
-        return range(start, len(self.orders))
-
-    def add_equation(self, coeffs: Dict[int, int], rhs: int, eq_modulus: int):
-        n = self.modulus.n
-        if eq_modulus < 1 or n % eq_modulus != 0:
-            raise ValueError(f"equation modulus {eq_modulus} must divide {n}")
-        scale = n // eq_modulus
-        row = np.zeros(len(self.orders), dtype=np.int64)
-        for t, c in coeffs.items():
-            c = int(c) % eq_modulus
-            if (c * self.orders[t]) % eq_modulus != 0:
-                raise ValueError(
-                    f"coefficient {c} for unknown of order {self.orders[t]} is not "
-                    f"well defined mod {eq_modulus}"
-                )
-            row[t] = (c * scale) % n
-        self._rows.append(row)
-        self._rhs.append((int(rhs) % eq_modulus) * scale % n)
-
-    def solve(self) -> Optional[Tuple[np.ndarray, List[np.ndarray]]]:
-        """Returns (particular, kernel generators) reduced mod the unknown
-        orders, or None when inconsistent."""
-        n = self.modulus.n
-        t = len(self.orders)
-        if self._rows:
-            a = np.vstack([r if r.shape[0] == t else np.pad(r, (0, t - r.shape[0])) for r in self._rows])
-            b = np.array(self._rhs, dtype=np.int64).reshape(-1, 1)
-        else:
-            a = np.zeros((0, t), dtype=np.int64)
-            b = np.zeros((0, 1), dtype=np.int64)
-        out = solve_right(a, b, n)
-        if out is None:
-            return None
-        part, kern = out
-        om = np.array(self.orders, dtype=np.int64) if t else np.zeros(0, dtype=np.int64)
-        reduce = lambda v: np.mod(v, om) if t else v
-        gens = [reduce(kern[:, i]) for i in range(kern.shape[1])]
-        return reduce(part[:, 0]), gens
+    n = modulus.n
+    om = np.array(orders, dtype=np.int64).reshape(-1)
+    r = np.array(row_moduli, dtype=np.int64).reshape(-1, 1)
+    for what, vals in (("unknown order", om), ("equation modulus", r)):
+        for m in vals.ravel().tolist():
+            if m < 1 or n % m:
+                raise ValueError(f"{what} {m} must divide {n}")
+    a = np.asarray(a, dtype=np.int64).reshape(r.size, om.size) % r
+    bad = a % (r // np.gcd(om, r))
+    if np.count_nonzero(bad):
+        k, t = np.argwhere(bad)[0]
+        raise ValueError(
+            f"coefficient {a[k, t]} for unknown of order {om[t]} is not well defined mod {r[k, 0]}"
+        )
+    scale = n // r
+    b = np.asarray(b, dtype=np.int64).reshape(r.size, 1)
+    out = solve_right(a * scale, b % r * scale, n)
+    if out is None:
+        return None
+    part, kern = out
+    return part[:, 0] % om, kern.T % om
 
 
 class HomSystem:
     """Linear system whose unknowns are homs between given modules.
 
-    Each unknown hom is parameterized entrywise by its generator multiples;
-    equations are sums of terms L @ U @ R with known matrices L, R.
+    Each unknown hom U is parameterized entrywise by its generator
+    multiples, U[j, i] = t_ji * scales[j, i] with t_ji in Z/gcd(d_i, e_j);
+    `orders` lists those entry orders for all unknowns, one flat vector.
+    Equations are sums of terms sign * L @ U @ R with known L, R, added
+    row-major in call order.  Register every unknown before the first
+    equation.
     """
 
     def __init__(self, modulus: Modulus):
         self.modulus = modulus
-        self.system = CongruenceSystem(modulus)
-        self.vars: List[Tuple[Tuple[int, ...], Tuple[int, ...], range, np.ndarray]] = []
+        self.orders = np.zeros(0, dtype=np.int64)
+        # per unknown: its slice of the flat vector, entry scales, codomain column
+        self._vars: List[Tuple[slice, np.ndarray, np.ndarray]] = []
+        self._blocks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     def add_hom_unknown(self, dom_factors: Sequence[int], cod_factors: Sequence[int]) -> int:
-        orders = hom_entry_orders(dom_factors, cod_factors)
-        scales = hom_entry_scales(dom_factors, cod_factors)
-        idx = self.system.add_unknowns([int(v) for v in orders.reshape(-1)])
-        self.vars.append((tuple(dom_factors), tuple(cod_factors), idx, scales))
-        return len(self.vars) - 1
+        if self._blocks:
+            raise ValueError("unknowns must be registered before the first equation")
+        cod_col, scales = _hom_tables(tuple(dom_factors), tuple(cod_factors))
+        start = len(self.orders)
+        self.orders = np.concatenate([self.orders, (cod_col // scales).reshape(-1)])
+        self._vars.append((slice(start, len(self.orders)), scales, cod_col))
+        return len(self._vars) - 1
 
     def add_matrix_equation(
         self,
@@ -367,48 +350,38 @@ class HomSystem:
             return
         rhs = np.asarray(rhs, dtype=np.int64)
         n_rows, n_cols = rhs.shape
-        coeff_blocks = []
+        moduli = np.repeat(np.array(row_factors, dtype=np.int64), n_cols)[:, None]
+        block = np.zeros((n_rows * n_cols, len(self.orders)), dtype=np.int64)
         for var, left, right, sign in terms:
-            dom_f, cod_f, idx, scales = self.vars[var]
-            left = np.asarray(left, dtype=np.int64).reshape(n_rows, len(cod_f))
-            right = np.asarray(right, dtype=np.int64).reshape(len(dom_f), n_cols)
+            cols, scales, _ = self._vars[var]
+            left = np.asarray(left, dtype=np.int64).reshape(n_rows, scales.shape[0])
+            right = np.asarray(right, dtype=np.int64).reshape(scales.shape[1], n_cols)
             # E[a, b, j, i] = sign * L[a, j] * scales[j, i] * R[i, b]
-            block = np.einsum("aj,ji,ib->abji", left, scales, right) * sign
-            coeff_blocks.append((idx, block.reshape(n_rows, n_cols, scales.size)))
-        for a in range(n_rows):
-            r = int(row_factors[a])
-            for b in range(n_cols):
-                coeffs: Dict[int, int] = {}
-                for idx, block in coeff_blocks:
-                    for t_local, c in enumerate(block[a, b]):
-                        c = int(c) % r
-                        if c:
-                            t_global = idx[t_local]
-                            coeffs[t_global] = (coeffs.get(t_global, 0) + c) % r
-                self.system.add_equation(coeffs, int(rhs[a, b]), r)
+            e = np.einsum("aj,ji,ib->abji", left, scales, right) * sign
+            block[:, cols] += e.reshape(n_rows * n_cols, scales.size) % moduli
+        self._blocks.append((block, rhs.reshape(-1), moduli[:, 0]))
 
-    def _assignment(self, flat: np.ndarray) -> List[np.ndarray]:
-        out = []
-        for dom_f, cod_f, idx, scales in self.vars:
-            t_vals = flat[idx.start : idx.stop].reshape(len(cod_f), len(dom_f))
-            out.append((t_vals * scales) % (np.array(cod_f, dtype=np.int64)[:, None] if cod_f else 1))
-        return out
+    def solve(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """`solve_congruences` on the flat unknowns: (particular, kernel
+        generators as rows), or None."""
+        if self._blocks:
+            a, b, r = (np.concatenate(parts) for parts in zip(*self._blocks))
+        else:
+            a, b, r = np.zeros((0, len(self.orders)), dtype=np.int64), (), ()
+        return solve_congruences(a, b, r, self.orders, self.modulus)
 
-    def solve(self) -> Optional[Tuple[List[np.ndarray], List[List[np.ndarray]]]]:
-        """Returns (particular matrices, kernel basis of matrix tuples) or None."""
-        out = self.system.solve()
-        if out is None:
-            return None
-        part, gens = out
-        return self._assignment(part), [self._assignment(g) for g in gens]
+    def assignment(self, flat) -> List[np.ndarray]:
+        """The matrix of each unknown hom at a flat vector."""
+        flat = np.asarray(flat, dtype=np.int64)
+        return [(flat[cols].reshape(scales.shape) * scales) % cod_col for cols, scales, cod_col in self._vars]
 
-    def flat_solution_data(self):
-        """Raw solver view: (orders, particular, kernel gens) on t-coordinates."""
-        out = self.system.solve()
-        if out is None:
-            return None
-        part, gens = out
-        return tuple(self.system.orders), part, gens
+    def flat_of(self, matrices: Sequence[np.ndarray]) -> np.ndarray:
+        """Inverse of `assignment` on well-defined hom matrices: every entry
+        is a multiple of its generator, so the division is exact."""
+        flat = np.zeros(len(self.orders), dtype=np.int64)
+        for m, (cols, scales, _) in zip(matrices, self._vars):
+            flat[cols] = (np.asarray(m, dtype=np.int64) // scales).reshape(-1)
+        return flat
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +445,9 @@ def subgroup_present(ambient_orders: Sequence[int], gens: Sequence[np.ndarray], 
     if r == 0:
         return zero_mod(modulus), np.zeros((len(amb), 0), dtype=np.int64)
     gmat = np.array([np.asarray(g, dtype=np.int64).reshape(len(amb)) for g in gens], dtype=np.int64).T
-    sys = CongruenceSystem(modulus)
-    sys.add_unknowns([modulus.n] * r)
-    for c, m in enumerate(amb):
-        sys.add_equation({t: int(gmat[c, t]) for t in range(r)}, 0, m)
-    out = sys.solve()
+    out = solve_congruences(gmat, np.zeros(len(amb), dtype=np.int64), amb, [modulus.n] * r, modulus)
     assert out is not None
-    _, kernel = out
-    rel = np.array(kernel, dtype=np.int64).T if kernel else np.zeros((r, 0), dtype=np.int64)
+    rel = out[1].T
     sub, _, sect = present(rel, modulus, generators=r)
     incl = gmat.dot(sect) % modulus.n if sub.rank else np.zeros((len(amb), 0), dtype=np.int64)
     if amb:
@@ -491,14 +459,7 @@ def ambient_coords_solve(
     ambient_orders: Sequence[int], incl: np.ndarray, target: np.ndarray, modulus: Modulus
 ) -> Optional[np.ndarray]:
     """Solve incl @ c == target in prod Z/m_c for c over the column module."""
-    amb = list(ambient_orders)
-    r = incl.shape[1]
-    sys = CongruenceSystem(modulus)
-    sys.add_unknowns([modulus.n] * r)
-    t = np.asarray(target, dtype=np.int64).reshape(len(amb))
-    for c, m in enumerate(amb):
-        sys.add_equation({k: int(incl[c, k]) for k in range(r)}, int(t[c]), m)
-    out = sys.solve()
+    out = solve_congruences(incl, target, ambient_orders, [modulus.n] * incl.shape[1], modulus)
     return None if out is None else out[0]
 
 
@@ -523,20 +484,12 @@ def quotient_with_projection(ambient_orders: Sequence[int], gens: Sequence[np.nd
     return quo, proj, sect
 
 
-def kernel_gens_of_matrix(matrix: np.ndarray, dom_factors, cod_factors, modulus: Modulus) -> List[np.ndarray]:
-    sys = CongruenceSystem(modulus)
-    sys.add_unknowns(list(dom_factors))
-    for j, e in enumerate(cod_factors):
-        sys.add_equation({i: int(matrix[j, i]) for i in range(len(dom_factors))}, 0, e)
-    out = sys.solve()
-    assert out is not None
-    return out[1]
-
-
 def kernel_of_hom(f: ModHom):
     """(K, incl) with K the kernel of f and incl its inclusion into dom(f)."""
-    gens = kernel_gens_of_matrix(f.matrix, f.domain.factors, f.codomain.factors, f.modulus)
-    return subgroup_with_inclusion(f.domain, gens)
+    zero = np.zeros(f.codomain.rank, dtype=np.int64)
+    out = solve_congruences(f.matrix, zero, f.codomain.factors, f.domain.factors, f.modulus)
+    assert out is not None
+    return subgroup_with_inclusion(f.domain, out[1])
 
 
 def image_of_hom(f: ModHom):
@@ -725,7 +678,7 @@ def sfp_ext_oracle(m: FinMod) -> bool:
     for d in m.modulus.divisors:
         if d == 1:
             continue
-        f = cyclic(m.modulus, d) if d > 1 else zero_mod(m.modulus)
+        f = cyclic(m.modulus, d)
         for i in (1, 2):
             if not ext_module(f, m, i).is_zero:
                 return False
@@ -765,32 +718,25 @@ class ModSES:
         return self.f.modulus
 
 
+def _one_sided_inverse(h: ModHom, left: bool) -> Optional[ModHom]:
+    """u: cod(h) -> dom(h) with u o h == id (left) or h o u == id, if any."""
+    side = h.domain if left else h.codomain
+    eye = np.eye(side.rank, dtype=np.int64)
+    sysm = HomSystem(h.modulus)
+    var = sysm.add_hom_unknown(h.codomain.factors, h.domain.factors)
+    sysm.add_matrix_equation([(var, eye, h.matrix, 1) if left else (var, h.matrix, eye, 1)], eye, side.factors)
+    out = sysm.solve()
+    return None if out is None else ModHom(h.codomain, h.domain, sysm.assignment(out[0])[0])
+
+
 def retraction_of(f: ModHom) -> Optional[ModHom]:
     """r with r o f == id on dom(f), if one exists."""
-    sysm = HomSystem(f.modulus)
-    var = sysm.add_hom_unknown(f.codomain.factors, f.domain.factors)
-    rhs = np.eye(f.domain.rank, dtype=np.int64)
-    sysm.add_matrix_equation(
-        [(var, np.eye(f.domain.rank, dtype=np.int64), f.matrix, 1)], rhs, f.domain.factors
-    )
-    out = sysm.solve()
-    if out is None:
-        return None
-    return ModHom(f.codomain, f.domain, out[0][0])
+    return _one_sided_inverse(f, left=True)
 
 
 def section_of(g: ModHom) -> Optional[ModHom]:
     """s with g o s == id on cod(g), if one exists."""
-    sysm = HomSystem(g.modulus)
-    var = sysm.add_hom_unknown(g.codomain.factors, g.domain.factors)
-    rhs = np.eye(g.codomain.rank, dtype=np.int64)
-    sysm.add_matrix_equation(
-        [(var, g.matrix, np.eye(g.codomain.rank, dtype=np.int64), 1)], rhs, g.codomain.factors
-    )
-    out = sysm.solve()
-    if out is None:
-        return None
-    return ModHom(g.codomain, g.domain, out[0][0])
+    return _one_sided_inverse(g, left=False)
 
 
 def is_split(s: ModSES) -> Optional[ModHom]:
@@ -805,21 +751,17 @@ def is_pure_module_ses(s: ModSES) -> Tuple[bool, Optional[int]]:
     cyclics, so these test objects suffice.  Returns a failing divisor as
     witness when impure.
     """
-    n = s.modulus.n
     m, c = s.g.domain, s.g.codomain
+    mf = np.array(m.factors, dtype=np.int64)
+    # a lift x of y along g with d x == 0
+    rows = c.factors + m.factors
     for d in s.modulus.divisors:
         if d == 1:
             continue
+        a = np.vstack([s.g.matrix, np.diag(d % mf)])
         for _, y in _torsion_generators(c, d):
-            sysm = CongruenceSystem(s.modulus)
-            sysm.add_unknowns(list(m.factors))
-            for j, e in enumerate(c.factors):
-                sysm.add_equation(
-                    {i: int(s.g.matrix[j, i]) for i in range(m.rank)}, int(y[j]), e
-                )
-            for i, mf in enumerate(m.factors):
-                sysm.add_equation({i: d % mf}, 0, mf)
-            if sysm.solve() is None:
+            b = np.concatenate([y, np.zeros(m.rank, dtype=np.int64)])
+            if solve_congruences(a, b, rows, m.factors, s.modulus) is None:
                 return False, d
     return True, None
 

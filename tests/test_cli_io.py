@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -144,6 +145,26 @@ def test_cli_verify_all_output_is_pinned(capsys):
     assert main(["verify", "all", "--seed", "42", "--trials", "2", "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == "1858f2ffecba1ce8bcfaf7cee88b604c48ffeb15bb97354e07ea27de07a3e908"
+
+
+LARGE_REPS = pathlib.Path(__file__).parent / "data" / "large_reps"
+LARGE_REPS_ARGS = {
+    "classify": ["--oracle", "--json"],
+    "purity": ["--json"],
+    "ext": ["--x", "x", "--y", "y", "--n", "1", "--json"],
+}
+
+
+def test_cli_large_reps_output_is_pinned(capsys):
+    # the first eight `large_reps` benchmark inputs of seed 42 (bench/gen.py),
+    # named item<k>-<command>.json, each run through its command
+    paths = sorted(LARGE_REPS.glob("item*.json"))
+    assert len(paths) == 8
+    for path in paths:
+        command = path.stem.split("-")[1]
+        assert main([command, str(path), *LARGE_REPS_ARGS[command]]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == "438b8513a0947eb06fa12ea6c4f40fb9df214cceaf05b94b65f58806383023b1"
 
 
 def test_cli_verify_unknown_suite(capsys):

@@ -22,18 +22,13 @@ from quiverhom.purity import (
     is_pure_rep_ses,
     is_split_rep_ses,
     rep_retraction,
-    split_diagram_retraction,
 )
 from quiverhom.homology import injective_coresolution
 from quiverhom.znmod import (
     ModHom,
-    ModSES,
     Modulus,
     cyclic,
-    direct_sum_with_maps,
     identity_hom,
-    zero_hom,
-    zero_mod,
 )
 
 Z2 = Modulus(2)
@@ -178,62 +173,3 @@ def test_purity_criteria_agree_on_random():
         assert verdict.pure == (is_split_rep_ses(ses) is not None)
         agree += 1
     assert agree == 25
-
-
-def _split_ladder(modulus):
-    # rows 0 -> X -> X + Z -> Z -> 0 and 0 -> L -> L + N -> N -> 0
-    x = cyclic(modulus, 2)
-    z = cyclic(modulus, 2)
-    l = cyclic(modulus, 4)
-    n = cyclic(modulus, 4)
-    top_total, top_injs, top_projs = direct_sum_with_maps([x, z], modulus)
-    bot_total, bot_injs, bot_projs = direct_sum_with_maps([l, n], modulus)
-    top = ModSES(top_injs[0], top_projs[1])
-    bottom = ModSES(bot_injs[0], bot_projs[1])
-    return x, z, l, n, top, bottom, top_injs, top_projs, bot_injs, bot_projs
-
-
-def test_split_diagram_retraction_injective_target():
-    x, z, l, n, top, bottom, ti, tp, bi, bp = _split_ladder(Z4)
-    f = ModHom(x, l, [[2]])
-    h = ModHom(z, n, [[2]])  # mono Z/2 -> Z/4
-    k = ModHom(z, l, [[0]])
-    g = bi[0].compose(f).compose(tp[0]) + bi[0].compose(k).compose(tp[1]) + bi[1].compose(h).compose(tp[1])
-    r = tp[0]
-    s, report = split_diagram_retraction(top, bottom, f, g, h, r)
-    assert s is not None, report
-    assert s.compose(bottom.f) == identity_hom(l)
-    assert s.compose(g) == f.compose(r)
-
-
-def test_split_diagram_retraction_extension_failure_reported():
-    # L = Z/2, Z = Z/2 --x2--> N = Z/4: the identity Z -> L cannot extend
-    modulus = Z4
-    x = cyclic(modulus, 2)
-    z = cyclic(modulus, 2)
-    l = cyclic(modulus, 2)
-    n = cyclic(modulus, 4)
-    top_total, ti, tp = direct_sum_with_maps([x, z], modulus)
-    bot_total, bi, bp = direct_sum_with_maps([l, n], modulus)
-    top = ModSES(ti[0], tp[1])
-    bottom = ModSES(bi[0], bp[1])
-    f = identity_hom(x) if x == l else ModHom(x, l, [[1]])
-    h = ModHom(z, n, [[2]])
-    g = bi[0].compose(f).compose(tp[0]) + bi[1].compose(h).compose(tp[1])
-    s, report = split_diagram_retraction(top, bottom, f, g, h, tp[0])
-    assert s is None
-    assert report["hypothesis"] == "extension property fails"
-
-
-def test_split_diagram_retraction_zero_corner():
-    # Z = N = 0: s is determined and the identities hold
-    modulus = Z4
-    x = cyclic(modulus, 2)
-    l = cyclic(modulus, 4)
-    z = zero_mod(modulus)
-    top = ModSES(identity_hom(x), zero_hom(x, z))
-    bottom = ModSES(identity_hom(l), zero_hom(l, z))
-    f = ModHom(x, l, [[2]])
-    s, report = split_diagram_retraction(top, bottom, f, f, zero_hom(z, z), identity_hom(x))
-    assert s is not None
-    assert s.compose(bottom.f) == identity_hom(l)

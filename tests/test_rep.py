@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from quiverhom.quiver import Quiver, a2, kronecker, make_quiver, opposite
+from quiverhom.quiver import Quiver, a2, kronecker, loop_quiver, make_quiver, opposite
 from quiverhom.rep import (
     HomGroupRep,
     RepMorphism,
@@ -42,6 +43,8 @@ from quiverhom.znmod import (
     ModHom,
     Modulus,
     cyclic,
+    hom_entry_orders,
+    hom_entry_scales,
     identity_hom,
     is_epi,
     is_mono,
@@ -321,3 +324,61 @@ def test_tensor_right_exact_random():
         ker_g, _ = kernel_of_hom(sg)
         assert img_f.cardinality == ker_g.cardinality  # exact at the middle
         assert not sg.compose(sf).matrix.any()
+
+
+def _hom_matrices(dom, cod):
+    """Every well-defined matrix dom -> cod, stacked as (count, r, s)."""
+    orders = hom_entry_orders(dom.factors, cod.factors).reshape(-1)
+    scales = hom_entry_scales(dom.factors, cod.factors).reshape(-1)
+    coeffs = np.array(list(itertools.product(*[range(o) for o in orders])), dtype=np.int64)
+    return (coeffs.reshape(len(coeffs), len(orders)) * scales).reshape(len(coeffs), cod.rank, dom.rank)
+
+
+def _natural_transformations(x, y):
+    """Every natural x -> y, by enumerating all tuples of vertex homs."""
+    q = x.quiver
+    mats = [_hom_matrices(x.vertex_modules[v], y.vertex_modules[v]) for v in q.vertices]
+    grids = np.meshgrid(*[np.arange(len(m)) for m in mats], indexing="ij")
+    picks = [g.reshape(-1) for g in grids]
+    ok = np.ones(len(picks[0]), dtype=bool)
+    pos = {v: t for t, v in enumerate(q.vertices)}
+    for a in q.arrows:
+        e = np.array(y.vertex_modules[a.tgt].factors, dtype=np.int64).reshape(1, -1, 1)
+        src = mats[pos[a.src]][picks[pos[a.src]]]
+        tgt = mats[pos[a.tgt]][picks[pos[a.tgt]]]
+        lhs = np.einsum("jk,nki->nji", y.map(a.id).matrix, src)
+        rhs = np.einsum("njk,ki->nji", tgt, x.map(a.id).matrix)
+        ok &= ((lhs - rhs) % e == 0).reshape(len(ok), -1).all(axis=1)
+    return [
+        RepMorphism(x, y, {v: ModHom(x.vertex_modules[v], y.vertex_modules[v], mats[t][picks[t][k]]) for v, t in pos.items()})
+        for k in np.flatnonzero(ok)
+    ]
+
+
+@pytest.mark.parametrize("quiver", [loop_quiver, kronecker], ids=["loop", "parallel"])
+def test_hom_group_matches_enumeration_with_loops_and_parallel_arrows(quiver):
+    # two terms of one arrow equation land on the same unknown for a loop,
+    # and two equations share both unknowns for parallel arrows
+    from quiverhom.harness import Config, random_representation
+
+    rng = random.Random(7)
+    cfg = Config()
+    q = quiver()
+    seen = 0
+    while seen < 20:
+        modulus = Modulus(rng.randint(2, 12))
+        x = random_representation(rng, q, modulus, cfg)
+        y = random_representation(rng, q, modulus, cfg)
+        if any(r.vertex_modules[v].is_zero for r in (x, y) for v in q.vertices):
+            continue
+        total = 1
+        for v in q.vertices:
+            total *= int(hom_entry_orders(x.vertex_modules[v].factors, y.vertex_modules[v].factors).prod())
+        if total > 2000:
+            continue
+        seen += 1
+        naturals = _natural_transformations(x, y)
+        grp = HomGroupRep(x, y)
+        assert grp.cardinality == len(naturals)
+        for f in naturals:
+            assert grp.from_coords(grp.coords(f)) == f

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 
@@ -6,7 +7,6 @@ import numpy as np
 import pytest
 
 from quiverhom.znmod import (
-    CongruenceSystem,
     FinMod,
     ModHom,
     ModSES,
@@ -40,6 +40,7 @@ from quiverhom.znmod import (
     retraction_of,
     section_of,
     sfp_ext_oracle,
+    solve_congruences,
     subgroup_with_inclusion,
     verify_gi_certificate,
     zero_hom,
@@ -330,11 +331,77 @@ def test_kernel_image_cokernel():
     assert not proj.compose(f).matrix.any()
 
 
-def test_congruence_system_well_definedness_guard():
-    sysm = CongruenceSystem(Z4)
-    sysm.add_unknowns([2])
-    with pytest.raises(ValueError):
-        sysm.add_equation({0: 1}, 0, 4)  # 1 * 2 != 0 mod 4
+def test_solve_congruences_well_definedness_guard():
+    with pytest.raises(ValueError, match="not well defined mod 4"):
+        solve_congruences([[1]], [0], [4], [2], Z4)  # 1 * 2 != 0 mod 4
+
+
+def test_solve_congruences_guard_matches_product_rule():
+    # every 1x1 system over n <= 36: accepted iff (c * m) % r == 0
+    for n in range(2, 37):
+        modulus = Modulus(n)
+        for m in modulus.divisors:
+            for r in modulus.divisors:
+                for c in range(-r, r):
+                    if (c * m) % r == 0:
+                        solve_congruences([[c]], [0], [r], [m], modulus)
+                    else:
+                        with pytest.raises(ValueError):
+                            solve_congruences([[c]], [0], [r], [m], modulus)
+
+
+def _span(gens, orders):
+    """The subgroup of prod Z/m_t generated by gens, as a set of tuples."""
+    om = np.array(orders, dtype=np.int64)
+    seen = {tuple([0] * len(orders))}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for v in frontier:
+            for g in gens:
+                w = tuple(((np.array(v, dtype=np.int64) + g) % om).tolist())
+                if w not in seen:
+                    seen.add(w)
+                    new.append(w)
+        frontier = new
+    return seen
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_solve_congruences_matches_enumeration(n):
+    rng = random.Random(n)
+    modulus = Modulus(n)
+    divs = modulus.divisors
+    seen_none = seen_some = 0
+    for _ in range(60):
+        t, k = rng.randint(0, 3), rng.randint(0, 3)
+        orders = [rng.choice(divs) for _ in range(t)]
+        rows = [rng.choice(divs) for _ in range(k)]
+        # well defined: each coefficient a multiple of r / gcd(m, r), not reduced
+        a = np.array(
+            [[r // math.gcd(m, r) * rng.randrange(-n, 2 * n) for m in orders] for r in rows], dtype=np.int64
+        ).reshape(k, t)
+        xs = list(itertools.product(*[range(m) for m in orders]))
+        xs = np.array(xs, dtype=np.int64).reshape(len(xs), t)
+        if rng.random() < 0.5:
+            b = a.dot(xs[rng.randrange(len(xs))])
+        else:
+            b = np.array([rng.randrange(n) for _ in rows], dtype=np.int64)
+        r = np.array(rows, dtype=np.int64)
+        solutions = {tuple(x) for x in xs[((xs.dot(a.T) - b) % r == 0).all(axis=1)].tolist()}
+        homogeneous = {tuple(x) for x in xs[(xs.dot(a.T) % r == 0).all(axis=1)].tolist()}
+        out = solve_congruences(a, b, rows, orders, modulus)
+        if not solutions:
+            assert out is None
+            seen_none += 1
+            continue
+        seen_some += 1
+        part, gens = out
+        assert tuple(part.tolist()) in solutions
+        for g in gens:
+            assert tuple(g.tolist()) in homogeneous
+        assert _span(gens, orders) == homogeneous
+    assert seen_none and seen_some
 
 
 def test_pure_mono_epi_module_maps():
