@@ -8,12 +8,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .linalg import xgcd
 from .quiver import Path, Quiver, VertexId, has_directed_cycle, out_arrows, paths_between
 from .rep import (
     HomGroupRep,
@@ -31,9 +29,6 @@ from .rep import (
     psi,
     single_vertex_rep,
     stalk,
-    zero_hom,
-    zero_morphism,
-    zero_rep,
 )
 from .znmod import (
     FinMod,
@@ -111,27 +106,41 @@ def yoneda_morphism(p_v: Representation, v: VertexId, x: Representation, element
 
 def projective_cover_onto(x: Representation) -> Tuple[Representation, RepMorphism]:
     """An epi from a finite direct sum of the P_v onto x (one copy of P_v per
-    canonical generator of x(v)); not minimal."""
+    canonical generator of x(v)); not minimal.
+
+    Written down from path tables.  At w the cover is free on the triples
+    (v, i, p), with i a canonical generator of x(v) and p a path from v to w,
+    ordered by v, then i, then p in `paths_between` order.  Arrow maps extend
+    paths, block by block, and (v, i, p) maps to column i of x.along(p).
+    """
     q, modulus = x.quiver, x.modulus
-    pieces: List[Representation] = []
-    morphs: List[RepMorphism] = []
-    for v in q.vertices:
-        p_v = projective_generator(q, modulus, v)
-        for i in range(x.vertex_modules[v].rank):
-            e = np.zeros(x.vertex_modules[v].rank, dtype=np.int64)
-            e[i] = 1
-            pieces.append(p_v)
-            morphs.append(yoneda_morphism(p_v, v, x, e))
-    if not pieces:
-        z = zero_rep(q, modulus)
-        return z, zero_morphism(z, x)
-    total, injs, projs = direct_sum_reps(pieces)
+    ranks = {v: x.vertex_modules[v].rank for v in q.vertices}
+    paths = {(v, w): paths_between(q, v, w) for v in q.vertices for w in q.vertices}
+    mods = {w: free_mod(modulus, sum(ranks[v] * len(paths[v, w]) for v in q.vertices)) for w in q.vertices}
+    maps = {}
+    for a in q.arrows:
+        mat = np.zeros((mods[a.tgt].rank, mods[a.src].rank), dtype=np.int64)
+        row = col = 0
+        for v in q.vertices:
+            src, tgt = paths[v, a.src], paths[v, a.tgt]
+            index = {p.arrows: t for t, p in enumerate(tgt)}
+            extended = np.array([index[p.arrows + (a,)] for p in src], dtype=np.int64)
+            for _ in range(ranks[v]):
+                mat[row + extended, col + np.arange(len(src))] = 1
+                row, col = row + len(tgt), col + len(src)
+        maps[a.id] = ModHom(mods[a.src], mods[a.tgt], mat)
+    total = Representation(q, modulus, mods, maps)
     comps = {}
     for w in q.vertices:
-        h = zero_hom(total.vertex_modules[w], x.vertex_modules[w])
-        for t, m in enumerate(morphs):
-            h = h + m.components[w].compose(projs[t].components[w])
-        comps[w] = h
+        xw = x.vertex_modules[w]
+        blocks = [np.zeros((xw.rank, 0), dtype=np.int64)]
+        for v in q.vertices:
+            if ranks[v] and paths[v, w]:
+                # along[:, i, t] is column i of x along the t-th path, so the
+                # reshape orders the columns by generator, then by path
+                along = np.stack([x.along(p).matrix for p in paths[v, w]], axis=2)
+                blocks.append(along.reshape(xw.rank, ranks[v] * len(paths[v, w])))
+        comps[w] = ModHom(mods[w], xw, np.hstack(blocks))
     return total, RepMorphism(total, x, comps)
 
 
@@ -154,21 +163,13 @@ class ProjResolution:
             self.diffs.append(incl.compose(epi))
             self.syzygies.append(syz)
 
-    def summand_vertices(self, k: int) -> List[VertexId]:
-        """Recover the P_v-summand list of a term from its construction: one
-        copy of P_v per canonical generator of the covered representation."""
-        covered = self.x if k == 0 else self.syzygies[k - 1]
-        return [v for v in covered.quiver.vertices for _ in range(covered.vertex_modules[v].rank)]
-
 
 _RES_CACHE: Dict[Tuple, ProjResolution] = {}
 
 
-def projective_resolution(x: Representation, length: int, minimize: bool = False) -> ProjResolution:
+def projective_resolution(x: Representation, length: int) -> ProjResolution:
     """Projective resolution with at least `length` terms; cached by the
-    structural digest of x.  With minimize=True, contractible summands are
-    stripped by Gaussian elimination of unit blocks (the result is smaller,
-    not cached, and re-verified for exactness)."""
+    structural digest of x."""
     if has_directed_cycle(x.quiver):
         raise ValueError("projective resolutions need an acyclic quiver")
     key = (rep_digest(x),)
@@ -178,162 +179,7 @@ def projective_resolution(x: Representation, length: int, minimize: bool = False
         res = ProjResolution(x, [cover], [], epi, [])
         _RES_CACHE[key] = res
     res.extend_to(length)
-    if minimize:
-        return _minimize_resolution(res, length)
     return res
-
-
-class _SummandTerm:
-    """A resolution term as an explicit direct sum of projective generators."""
-
-    def __init__(self, q: Quiver, modulus: Modulus, vertices: List[VertexId]):
-        self.vertices = list(vertices)
-        self.pieces = [projective_generator(q, modulus, v) for v in vertices]
-        if self.pieces:
-            self.rep, self.injs, self.projs = direct_sum_reps(self.pieces)
-        else:
-            self.rep = zero_rep(q, modulus)
-            self.injs, self.projs = [], []
-
-    def drop(self, index: int) -> "_SummandTerm":
-        kept = [v for t, v in enumerate(self.vertices) if t != index]
-        return _SummandTerm(self.rep.quiver, self.rep.modulus, kept)
-
-
-def _scalar_of_block(block: RepMorphism, v: VertexId) -> int:
-    """A morphism between two copies of P_v over an acyclic quiver is a
-    scalar: the coefficient on the trivial-path generator."""
-    mat = block.components[v].matrix
-    return int(mat[0, 0]) if mat.size else 0
-
-
-def _minimize_resolution(res: ProjResolution, length: int) -> ProjResolution:
-    q, modulus = res.x.quiver, res.x.modulus
-    n = modulus.n
-    terms = [_SummandTerm(q, modulus, res.summand_vertices(k)) for k in range(length)]
-    maps: List[RepMorphism] = [_retarget(res.diffs[k], terms[k + 1], terms[k]) for k in range(length - 1)]
-    aug = _retarget_aug(res.augmentation, terms[0])
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(maps)):
-            d = maps[k]
-            src, tgt = terms[k + 1], terms[k]
-            pair = _find_unit_block(d, src, tgt, n)
-            if pair is None:
-                continue
-            j0, i0, scalar = pair
-            _, inv, _ = xgcd(scalar, n)
-            src2, tgt2 = src.drop(j0), tgt.drop(i0)
-            # Gaussian elimination: d' = eps - gamma inv delta on the
-            # complementary summands; neighbouring maps restrict
-            comps = {}
-            for w in q.vertices:
-                acc = zero_hom(src2.rep.vertex_modules[w], tgt2.rep.vertex_modules[w])
-                for inew, iold in enumerate([t for t in range(len(tgt.vertices)) if t != i0]):
-                    row = tgt.projs[iold]
-                    gamma = row.compose(d).compose(src.injs[j0])
-                    for jnew, jold in enumerate([t for t in range(len(src.vertices)) if t != j0]):
-                        col = src.injs[jold]
-                        eps = row.compose(d).compose(col)
-                        delta = tgt.projs[i0].compose(d).compose(col)
-                        block = eps.components[w] - (
-                            gamma.components[w].compose(
-                                ModHom(
-                                    delta.components[w].codomain,
-                                    gamma.components[w].domain,
-                                    (inv % n) * np.eye(gamma.components[w].domain.rank, dtype=np.int64),
-                                )
-                            ).compose(delta.components[w])
-                        )
-                        acc = acc + tgt2.injs[inew].components[w].compose(block).compose(src2.projs[jnew].components[w])
-                comps[w] = acc
-            maps[k] = RepMorphism(src2.rep, tgt2.rep, comps)
-            if k + 1 < len(maps):
-                maps[k + 1] = _compose_proj(src2, src, j0, maps[k + 1])
-            if k == 0:
-                aug = _restrict_cols(aug, tgt2, tgt, i0)
-            else:
-                maps[k - 1] = _restrict_cols(maps[k - 1], tgt2, tgt, i0)
-            terms[k + 1], terms[k] = src2, tgt2
-            changed = True
-            break
-    out = ProjResolution(res.x, [t.rep for t in terms], maps, aug, [])
-    _verify_resolution(out)
-    return out
-
-
-def _retarget(d: RepMorphism, src: _SummandTerm, tgt: _SummandTerm) -> RepMorphism:
-    return RepMorphism(src.rep, tgt.rep, d.components)
-
-
-def _retarget_aug(aug: RepMorphism, term: _SummandTerm) -> RepMorphism:
-    return RepMorphism(term.rep, aug.target, aug.components)
-
-
-def _find_unit_block(d: RepMorphism, src: _SummandTerm, tgt: _SummandTerm, n: int):
-    for j, vj in enumerate(src.vertices):
-        for i, vi in enumerate(tgt.vertices):
-            if vi != vj:
-                continue
-            block = tgt.projs[i].compose(d).compose(src.injs[j])
-            s = _scalar_of_block(block, vi)
-            if s and gcd(s, n) == 1:
-                return j, i, s
-    return None
-
-
-def _compose_proj(new_term: _SummandTerm, old_term: _SummandTerm, dropped: int, up: RepMorphism) -> RepMorphism:
-    """Restrict the incoming differential to the surviving summands of its
-    target (the determined component is discarded, per the elimination
-    lemma)."""
-    kept = [t for t in range(len(old_term.vertices)) if t != dropped]
-    comps = {}
-    for w in up.source.quiver.vertices:
-        acc = zero_hom(up.source.vertex_modules[w], new_term.rep.vertex_modules[w])
-        for tnew, told in enumerate(kept):
-            acc = acc + new_term.injs[tnew].components[w].compose(
-                old_term.projs[told].components[w]
-            ).compose(up.components[w])
-        comps[w] = acc
-    return RepMorphism(up.source, new_term.rep, comps)
-
-
-def _restrict_cols(down: RepMorphism, new_term: _SummandTerm, old_term: _SummandTerm, dropped: int) -> RepMorphism:
-    kept = [t for t in range(len(old_term.vertices)) if t != dropped]
-    comps = {}
-    for w in down.source.quiver.vertices:
-        acc = zero_hom(new_term.rep.vertex_modules[w], down.target.vertex_modules[w])
-        for tnew, told in enumerate(kept):
-            acc = acc + down.components[w].compose(
-                old_term.injs[told].components[w]
-            ).compose(new_term.projs[tnew].components[w])
-        comps[w] = acc
-    return RepMorphism(new_term.rep, down.target, comps)
-
-
-def _verify_resolution(res: ProjResolution):
-    assert res.augmentation.is_epimorphism, "minimized augmentation lost surjectivity"
-    prev = res.augmentation
-    for d in res.diffs:
-        comp = prev.compose(d)
-        assert comp.is_zero, "minimized complex is not a complex"
-        for v in d.source.quiver.vertices:
-            assert kernel_order(prev.components[v]) == image_order(
-                d.components[v]
-            ), "minimized complex lost exactness"
-        prev = d
-
-
-def minimized_injective_coresolution(x: Representation, length: int):
-    """Minimal injective coresolution by dualizing a minimized projective
-    resolution of the dual: terms are duals of projectives (injective), and
-    the augmentation runs through the double-dual identification."""
-    res = projective_resolution(dual_rep(x), length, minimize=True)
-    terms = [dual_rep(p) for p in res.terms]
-    diffs = [dual_rep_morphism(d) for d in res.diffs]
-    aug = dual_rep_morphism(res.augmentation).compose(double_dual_rep_iso(x))
-    return terms, diffs, aug
 
 
 # ---------------------------------------------------------------------------
@@ -442,28 +288,20 @@ class ExtComputation:
         self.deltas: List[ModHom] = []
         for k in range(max_degree + 1):
             src, tgt = self.homs[k], self.homs[k + 1]
-            cols = [tgt.coords(g.compose(resolution.diffs[k])) for g in src.basis]
-            mat = (
-                np.array(cols, dtype=np.int64).T
-                if cols and tgt.group.rank
-                else np.zeros((tgt.group.rank, src.group.rank), dtype=np.int64)
-            )
+            mat = tgt.coord_matrix([g.compose(resolution.diffs[k]) for g in src.basis])
             self.deltas.append(ModHom(src.group, tgt.group, mat))
         self._ext_data: Dict[int, Tuple[FinMod, FinMod, ModHom, np.ndarray]] = {}
 
     def _data(self, m: int):
         if m not in self._ext_data:
             ker, incl = kernel_of_hom(self.deltas[m])
-            if m == 0:
-                im_gens: List[np.ndarray] = []
-            else:
+            im_gens: List[np.ndarray] = []
+            if m and self.deltas[m - 1].domain.rank:
+                # every image generator solved against incl at once
                 prev = self.deltas[m - 1]
-                im_gens = []
-                for c in range(prev.domain.rank):
-                    vec = prev.matrix[:, c]
-                    coords = ambient_coords_solve(incl.codomain.factors, incl.matrix, vec, self.y.modulus)
-                    assert coords is not None, "image does not lie in the kernel (bug)"
-                    im_gens.append(ker.reduce(coords))
+                coords = ambient_coords_solve(incl.codomain.factors, incl.matrix, prev.matrix, self.y.modulus)
+                assert coords is not None, "image does not lie in the kernel (bug)"
+                im_gens = [ker.reduce(coords[:, c]) for c in range(prev.domain.rank)]
             quo, proj, _ = quotient_with_projection(ker.factors, im_gens, self.y.modulus)
             self._ext_data[m] = (ker, quo, incl, proj)
         return self._ext_data[m]
@@ -875,13 +713,7 @@ def _hom_exactness_against_family(cx: RepComplex) -> bool:
         induced: Dict[int, ModHom] = {}
         for k in cx.diffs:
             src, tgt = homs[k], homs[k - 1]
-            cols = [tgt.coords(cx.diffs[k].compose(g)) for g in src.basis]
-            mat = (
-                np.array(cols, dtype=np.int64).T
-                if cols and tgt.group.rank
-                else np.zeros((tgt.group.rank, src.group.rank), dtype=np.int64)
-            )
-            induced[k] = ModHom(src.group, tgt.group, mat)
+            induced[k] = ModHom(src.group, tgt.group, tgt.coord_matrix([cx.diffs[k].compose(g) for g in src.basis]))
         for k in cx.interior_degrees():
             if image_order(induced[k + 1]) != kernel_order(induced[k]):
                 return False

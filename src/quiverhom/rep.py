@@ -299,13 +299,13 @@ def _subrep_from_vertex_subgroups(x: Representation, incl_data: Dict[VertexId, T
     for a in q.arrows:
         sub_s, incl_s = incl_data[a.src]
         sub_t, incl_t = incl_data[a.tgt]
-        cols = np.zeros((sub_t.rank, sub_s.rank), dtype=np.int64)
-        for c in range(sub_s.rank):
-            y = x.map(a.id)(incl_s.matrix[:, c])
-            sol = ambient_coords_solve(incl_t.codomain.factors, incl_t.matrix, y, modulus)
-            if sol is None:
+        cols = np.zeros((sub_t.rank, 0), dtype=np.int64)
+        if sub_s.rank:
+            # the images of all generators of sub_s, solved as one system
+            images = x.map(a.id).compose(incl_s).matrix
+            cols = ambient_coords_solve(incl_t.codomain.factors, incl_t.matrix, images, modulus)
+            if cols is None:
                 raise ValueError(f"subgroups not closed under arrow {a.id}")
-            cols[:, c] = sol
         maps[a.id] = ModHom(sub_s, sub_t, cols)
     sub = Representation(q, modulus, mods, maps)
     incl = RepMorphism(sub, x, {v: incl_data[v][1] for v in q.vertices})
@@ -410,11 +410,20 @@ class HomGroupRep:
 
     def coords(self, f: RepMorphism) -> np.ndarray:
         """Coordinates of a morphism in the canonical hom group."""
-        flat = self._sysm.flat_of([f.components[v].matrix for v in self.x.quiver.vertices])
+        return self.coord_matrix([f])[:, 0]
+
+    def coord_matrix(self, fs: Sequence[RepMorphism]) -> np.ndarray:
+        """The coordinates of each morphism as one column, all solved against
+        the inclusion of the hom group at once."""
+        if not fs:
+            return np.zeros((self.group.rank, 0), dtype=np.int64)
+        vs = self.x.quiver.vertices
+        flats = [self._sysm.flat_of([f.components[v].matrix for v in vs]) for f in fs]
+        flat = np.array(flats, dtype=np.int64).reshape(len(fs), len(self._sysm.orders)).T
         sol = ambient_coords_solve(self._sysm.orders, self._incl, flat, self.x.modulus)
         if sol is None:
             raise ValueError("morphism does not lie in the hom group (bug)")
-        return self.group.reduce(sol)
+        return sol % np.array(self.group.factors, dtype=np.int64).reshape(-1, 1)
 
     def from_coords(self, coords) -> RepMorphism:
         orders = self._sysm.orders
@@ -782,12 +791,7 @@ def restriction_adjunction_check(q: Quiver, qsub: Quiver, x: Representation, y: 
     # the transpose is a group hom; injectivity on basis coordinates plus
     # equal cardinalities makes it a bijection
     if lhs.group.rank:
-        cols = [rhs.coords(adj.transpose(x, h)) for h in lhs.basis]
-        phi = ModHom(
-            lhs.group,
-            rhs.group,
-            np.array(cols, dtype=np.int64).T if rhs.group.rank else np.zeros((0, lhs.group.rank), dtype=np.int64),
-        )
+        phi = ModHom(lhs.group, rhs.group, rhs.coord_matrix([adj.transpose(x, h) for h in lhs.basis]))
         if not is_mono(phi):
             return False, {"reason": "transpose not injective"}
     return True, {"cardinality": lhs.cardinality}

@@ -281,13 +281,16 @@ def solve_congruences(
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Solve a @ x == b with row k read mod r_k and unknown x_t in Z/m_t.
 
-    Every r_k and m_t divides n.  A coefficient is well defined when
-    c * m_t == 0 mod r, i.e. when c is a multiple of r / gcd(m_t, r), which
-    is how it is tested, so no product is formed.  Each row is reduced mod
-    its r and rescaled by n/r into Z/n; one Howell solve there projects onto
-    exactly the mixed-modulus solutions.  Returns (particular, kernel
-    generators as the rows of a matrix) reduced mod the orders, or None
-    when inconsistent.
+    b is one right-hand side (a vector) or several (the columns of a
+    matrix); the particular solution has the same shape, one column per
+    column of b, each the solution a one-column call returns.  Every r_k
+    and m_t divides n.  A coefficient is well defined when c * m_t == 0
+    mod r, i.e. when c is a multiple of r / gcd(m_t, r), which is how it
+    is tested, so no product is formed.  Each row is reduced mod its r and
+    rescaled by n/r into Z/n; one Howell solve there projects onto exactly
+    the mixed-modulus solutions.  Returns (particular, kernel generators as
+    the rows of a matrix) reduced mod the orders, or None when some column
+    of b is inconsistent.
     """
     n = modulus.n
     om = np.array(orders, dtype=np.int64).reshape(-1)
@@ -304,12 +307,14 @@ def solve_congruences(
             f"coefficient {a[k, t]} for unknown of order {om[t]} is not well defined mod {r[k, 0]}"
         )
     scale = n // r
-    b = np.asarray(b, dtype=np.int64).reshape(r.size, 1)
-    out = solve_right(a * scale, b % r * scale, n)
+    b = np.asarray(b, dtype=np.int64)
+    rhs = b.reshape(r.size, 1) if b.ndim == 1 else b
+    out = solve_right(a * scale, rhs % r * scale, n)
     if out is None:
         return None
     part, kern = out
-    return part[:, 0] % om, kern.T % om
+    part = part % om[:, None]
+    return (part[:, 0] if b.ndim == 1 else part), kern.T % om
 
 
 class HomSystem:
@@ -458,7 +463,8 @@ def subgroup_present(ambient_orders: Sequence[int], gens: Sequence[np.ndarray], 
 def ambient_coords_solve(
     ambient_orders: Sequence[int], incl: np.ndarray, target: np.ndarray, modulus: Modulus
 ) -> Optional[np.ndarray]:
-    """Solve incl @ c == target in prod Z/m_c for c over the column module."""
+    """Solve incl @ c == target in prod Z/m_c for c over the column module;
+    a matrix target gives one column of c per column, solved in one pass."""
     out = solve_congruences(incl, target, ambient_orders, [modulus.n] * incl.shape[1], modulus)
     return None if out is None else out[0]
 
@@ -759,10 +765,12 @@ def is_pure_module_ses(s: ModSES) -> Tuple[bool, Optional[int]]:
         if d == 1:
             continue
         a = np.vstack([s.g.matrix, np.diag(d % mf)])
-        for _, y in _torsion_generators(c, d):
-            b = np.concatenate([y, np.zeros(m.rank, dtype=np.int64)])
-            if solve_congruences(a, b, rows, m.factors, s.modulus) is None:
-                return False, d
+        ys = [y for _, y in _torsion_generators(c, d)]
+        if not ys:
+            continue
+        b = np.vstack([np.column_stack(ys), np.zeros((m.rank, len(ys)), dtype=np.int64)])
+        if solve_congruences(a, b, rows, m.factors, s.modulus) is None:
+            return False, d
     return True, None
 
 

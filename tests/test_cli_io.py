@@ -167,6 +167,15 @@ def test_cli_large_reps_output_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == "438b8513a0947eb06fa12ea6c4f40fb9df214cceaf05b94b65f58806383023b1"
 
 
+def test_cli_ext_degree2_output_is_pinned(capsys):
+    # Ext^2 resolves one step further than `large_reps` does: item0001's
+    # degree-2 cocycles have 11 nonzero image generators, item0005's none
+    for name in ("item0001-ext.json", "item0005-ext.json"):
+        assert main(["ext", str(LARGE_REPS / name), "--x", "x", "--y", "y", "--n", "2", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == "3fe28bdfebe8bf107f7a529401034a75ef42f9f39b99ceea9e4a8c5ea5ce229e"
+
+
 def test_cli_verify_unknown_suite(capsys):
     assert main(["verify", "bogus", "--trials", "1"]) == 2
 

@@ -3,15 +3,17 @@ import random
 import numpy as np
 import pytest
 
-from quiverhom.quiver import Quiver, a2, make_quiver
+from quiverhom.quiver import Quiver, a2, kronecker, make_quiver
 from quiverhom.rep import (
     HomGroupRep,
+    RepMorphism,
     Representation,
     direct_sum_reps,
     hom_reps,
     identity_morphism,
     psi,
     stalk,
+    zero_morphism,
     zero_rep,
 )
 from quiverhom.homology import (
@@ -21,6 +23,7 @@ from quiverhom.homology import (
     ext_induced_second,
     injective_coresolution,
     injective_hull,
+    projective_cover_onto,
     projective_generator,
     projective_resolution,
     rep_digest,
@@ -29,7 +32,7 @@ from quiverhom.homology import (
     totally_acyclic_injective_complex,
     yoneda_morphism,
 )
-from quiverhom.znmod import FinMod, ModHom, Modulus, cyclic, identity_hom, zero_mod
+from quiverhom.znmod import FinMod, ModHom, Modulus, cyclic, identity_hom, zero_hom, zero_mod
 
 Z2 = Modulus(2)
 Z4 = Modulus(4)
@@ -68,6 +71,72 @@ def test_yoneda_hom_identification():
                     yoneda_morphism(p_v, v, x, elt).components[w].matrix.tobytes() for w in q.vertices
                 ))
             assert len(seen) == grp.cardinality
+
+
+def reference_projective_cover_onto(x):
+    """The cover as a direct sum of one P_v per canonical generator of x(v),
+    mapped onto x by the Yoneda morphism of that generator."""
+    q, modulus = x.quiver, x.modulus
+    pieces, morphs = [], []
+    for v in q.vertices:
+        p_v = projective_generator(q, modulus, v)
+        for i in range(x.vertex_modules[v].rank):
+            e = np.zeros(x.vertex_modules[v].rank, dtype=np.int64)
+            e[i] = 1
+            pieces.append(p_v)
+            morphs.append(yoneda_morphism(p_v, v, x, e))
+    if not pieces:
+        z = zero_rep(q, modulus)
+        return z, zero_morphism(z, x)
+    total, _, projs = direct_sum_reps(pieces)
+    comps = {}
+    for w in q.vertices:
+        h = zero_hom(total.vertex_modules[w], x.vertex_modules[w])
+        for t, m in enumerate(morphs):
+            h = h + m.components[w].compose(projs[t].components[w])
+        comps[w] = h
+    return total, RepMorphism(total, x, comps)
+
+
+def _cover_bytes(total, epi):
+    q = total.quiver
+    return (
+        [total.vertex_modules[w].factors for w in q.vertices],
+        [(m.matrix.shape, m.matrix.tobytes()) for m in (total.map(a.id) for a in q.arrows)],
+        [(c.matrix.shape, c.matrix.tobytes()) for c in (epi.components[w] for w in q.vertices)],
+    )
+
+
+def _cover_cases():
+    from quiverhom.harness import Config, random_gorenstein_rep, random_injective_rep, random_quiver, random_representation
+
+    cfg = Config()
+    rng = random.Random(8)
+    for n in (2, 4, 6, 9, 12, 36):
+        modulus = Modulus(n)
+        for _ in range(12):
+            q = random_quiver(rng, cfg, acyclic=True, max_vertices=4, max_arrows=5)
+            yield random_representation(rng, q, modulus, cfg)
+            yield random_gorenstein_rep(rng, q, modulus, cfg)
+            yield random_injective_rep(rng, q, modulus, cfg)
+        # parallel arrows, a zero vertex module, and stalks
+        kq = kronecker()
+        yield random_representation(rng, kq, modulus, cfg)
+        m = cyclic(modulus, n)
+        yield Representation(kq, modulus, {1: m, 2: zero_mod(modulus)}, {"a": zero_hom(m, zero_mod(modulus)), "b": zero_hom(m, zero_mod(modulus))})
+        yield zero_rep(kq, modulus)
+        for v in kq.vertices:
+            yield stalk(kq, modulus, v, FinMod(modulus, (n, n)))
+
+
+def test_projective_cover_matches_direct_sum_of_yoneda_maps():
+    checked = 0
+    for x in _cover_cases():
+        new = projective_cover_onto(x)
+        assert _cover_bytes(*new) == _cover_bytes(*reference_projective_cover_onto(x))
+        assert new[1].is_epimorphism
+        checked += 1
+    assert checked >= 150
 
 
 def test_projective_resolution_of_source_stalk():
@@ -220,51 +289,6 @@ def test_totally_acyclic_left_steps_are_ses():
     x = Representation(q, Z4, {1: m2, 2: m2}, {"a": identity_hom(m2)})
     cert, _ = totally_acyclic_injective_complex(x, depth=1)
     assert cert is not None and len(cert.left_steps) == 2
-
-
-def test_minimized_resolution_of_projective_is_trivial():
-    # for projective X the minimized resolution collapses to 0 -> X -> X -> 0
-    q = a2()
-    p1 = projective_generator(q, Z2, 1)
-    res = projective_resolution(p1, 3, minimize=True)
-    assert res.terms[0].vertex_modules[1].cardinality == 2
-    assert res.terms[0].vertex_modules[2].cardinality == 2
-    for t in res.terms[1:]:
-        assert t.is_zero
-    assert res.augmentation.is_epimorphism and res.augmentation.is_monomorphism
-
-
-def test_minimized_resolution_matches_ext():
-    # minimization must not change Ext values
-    from quiverhom.homology import ExtComputation
-
-    q = a2()
-    s1 = stalk(q, Z4, 1, cyclic(Z4, 2))
-    s2 = stalk(q, Z4, 2, cyclic(Z4, 2))
-    res_min = projective_resolution(s1, 4, minimize=True)
-    comp = ExtComputation(res_min, s2, 2)
-    plain = ext(s1, s2, 1).value
-    assert comp.ext(1).factors == plain.factors
-    # minimized terms are no larger than the plain ones
-    plain_res = projective_resolution(s1, 4)
-    for a, b in zip(res_min.terms, plain_res.terms):
-        assert a.total_cardinality <= b.total_cardinality
-
-
-def test_minimized_injective_coresolution():
-    from quiverhom.homology import minimized_injective_coresolution
-
-    q = a2()
-    # an injective representation has the length-zero minimal coresolution
-    m = cyclic(Z4, 4)
-    from quiverhom.rep import Representation
-    from quiverhom.znmod import identity_hom
-
-    inj = Representation(q, Z4, {1: m, 2: m}, {"a": identity_hom(m)})
-    terms, diffs, aug = minimized_injective_coresolution(inj, 3)
-    assert aug.is_monomorphism and aug.is_epimorphism
-    for t in terms[1:]:
-        assert t.is_zero
 
 
 def test_test_family_members_are_injective():

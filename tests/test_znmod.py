@@ -404,6 +404,45 @@ def test_solve_congruences_matches_enumeration(n):
     assert seen_none and seen_some
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_solve_congruences_columns_match_one_column_calls(n):
+    rng = random.Random(100 + n)
+    modulus = Modulus(n)
+    divs = modulus.divisors
+    seen = {"no rows": 0, "no unknowns": 0, "no columns": 0, "consistent": 0, "inconsistent": 0}
+    for _ in range(60):
+        t, k, cols = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
+        orders = [rng.choice(divs) for _ in range(t)]
+        rows = [rng.choice(divs) for _ in range(k)]
+        a = np.array(
+            [[r // math.gcd(m, r) * rng.randrange(-n, 2 * n) for m in orders] for r in rows], dtype=np.int64
+        ).reshape(k, t)
+        # each column is either in the image of a or random
+        b = np.zeros((k, cols), dtype=np.int64)
+        for c in range(cols):
+            if rng.random() < 0.6:
+                b[:, c] = a.dot([rng.randrange(m) for m in orders])
+            else:
+                b[:, c] = [rng.randrange(n) for _ in rows]
+        singles = [solve_congruences(a, b[:, c], rows, orders, modulus) for c in range(cols)]
+        out = solve_congruences(a, b, rows, orders, modulus)
+        seen["no rows"] += k == 0
+        seen["no unknowns"] += t == 0
+        seen["no columns"] += cols == 0
+        if any(s is None for s in singles):
+            assert out is None
+            seen["inconsistent"] += 1
+            continue
+        seen["consistent"] += 1
+        part, kern = out
+        assert part.shape == (t, cols)
+        for c, (single_part, single_kern) in enumerate(singles):
+            assert np.array_equal(part[:, c], single_part)
+            assert np.array_equal(kern, single_kern)
+        assert np.array_equal(kern, solve_congruences(a, np.zeros(k, dtype=np.int64), rows, orders, modulus)[1])
+    assert all(seen.values()), seen
+
+
 def test_pure_mono_epi_module_maps():
     f = ModHom(cyclic(Z4, 2), cyclic(Z4, 4), [[2]])
     assert is_mono(f) and not is_pure_mono_module(f)
