@@ -3,8 +3,8 @@
 right adjoint of restriction."""
 
 from quiverhom import Modulus, Representation, cyclic, hom_reps, psi, phi, restrict, right_adjoint, stalk
-from quiverhom.quiver import Quiver, a2
-from quiverhom.rep import psi_data, single_vertex_rep
+from quiverhom.quiver import a2
+from quiverhom.rep import coinduced, psi_data
 from quiverhom.znmod import ModHom, kernel_of_hom
 
 Z4 = Modulus(4)
@@ -29,11 +29,9 @@ grp, basis = hom_reps(x, x)
 print("End(X) =", grp)
 
 # the right adjoint of restriction: e^1(M) = (M -> 0), e^2(M) = (M --id--> M)
-one = Quiver((1,), ())
-e1 = right_adjoint(q, one, single_vertex_rep(q, Z4, 1, m))
+e1 = coinduced(q, Z4, 1, m).rep
 print("e^1(Z/4):", e1)
-two = Quiver((2,), ())
-e2 = right_adjoint(q, two, single_vertex_rep(q, Z4, 2, m))
+e2 = coinduced(q, Z4, 2, m).rep
 print("e^2(Z/4):", e2, "| arrow map:", e2.map("a").matrix.tolist())
 
 # restricting the right adjoint along the full subquiver recovers the input

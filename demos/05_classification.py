@@ -13,8 +13,8 @@ from quiverhom import (
     definitional_sfp_check,
     stalk,
 )
-from quiverhom.quiver import Quiver, a2
-from quiverhom.rep import right_adjoint, single_vertex_rep
+from quiverhom.quiver import a2
+from quiverhom.rep import coinduced
 from quiverhom.znmod import ModHom, identity_hom
 
 Z4 = Modulus(4)
@@ -30,8 +30,8 @@ def show(name, x):
 
 
 m = cyclic(Z4, 4)
-show("e^1(Z/4) = (Z/4->0)", right_adjoint(q, Quiver((1,), ()), single_vertex_rep(q, Z4, 1, m)))
-show("e^2(Z/4) = (Z/4=Z/4)", right_adjoint(q, Quiver((2,), ()), single_vertex_rep(q, Z4, 2, m)))
+show("e^1(Z/4) = (Z/4->0)", coinduced(q, Z4, 1, m).rep)
+show("e^2(Z/4) = (Z/4=Z/4)", coinduced(q, Z4, 2, m).rep)
 show("s_2(Z/4) = (0->Z/4)", stalk(q, Z4, 2, m))
 m2 = cyclic(Z4, 2)
 show("(Z/2 --id--> Z/2)", Representation(q, Z4, {1: m2, 2: m2}, {"a": identity_hom(m2)}))

@@ -46,7 +46,6 @@ from .rep import (
 )
 from .purity import (
     definitional_purity_check,
-    is_pure_epi_rep,
     is_pure_mono_rep,
     is_pure_rep_ses,
     is_split_rep_ses,
@@ -54,7 +53,6 @@ from .purity import (
 from .homology import (
     ext,
     ext1_extension_count,
-    injective_coresolution,
     projective_generator,
     projective_resolution,
     totally_acyclic_injective_complex,
@@ -68,7 +66,6 @@ from .classify import (
     classify_strongly_fp_injective,
     definitional_sfp_check,
     membership_psi_class,
-    membership_rep_class,
 )
 from .harness import Config, TrialReport, run_all, run_suite
 

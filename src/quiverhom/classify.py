@@ -12,10 +12,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .quiver import Quiver, VertexId, has_directed_cycle, is_right_rooted, is_left_rooted
 from .homology import (
+    canonical_injective_embedding,
     ext,
     rep_digest,
     totally_acyclic_injective_complex,
-    _canonical_injective_embedding,
 )
 from .purity import is_pure_rep_ses
 from .rep import (
@@ -188,7 +188,7 @@ def definitional_sfp_check(x: Representation, depth: int = 6) -> Tuple[bool, dic
     syzygies = [x]
     current = x
     for k in range(depth):
-        term, mono = _canonical_injective_embedding(current)
+        term, mono = canonical_injective_embedding(current)
         coker, proj = cokernel_rep(mono)
         ses = RepSES(mono, proj)
         verdict = is_pure_rep_ses(ses)
@@ -245,11 +245,6 @@ def classify_ding_injective(x: Representation, depth: int = 2, verify: str = "st
     cert, err = totally_acyclic_injective_complex(x, depth=depth, verify=verify)
     evidence = {"certificate": None if cert is None else "window verified", "error": err}
     return ClassVerdict("ding-injective", cert is not None, {"*": evidence}, "full" if is_right_rooted(x.quiver) else "necessity-only")
-
-
-def membership_rep_class(x: Representation, predicate: Callable[[FinMod], bool]) -> bool:
-    """Componentwise class membership."""
-    return all(predicate(x.vertex_modules[v]) for v in x.quiver.vertices)
 
 
 def membership_psi_class(x: Representation, predicate: Callable[[FinMod], bool]) -> bool:

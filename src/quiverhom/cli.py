@@ -118,6 +118,9 @@ def cmd_purity(args) -> int:
 
 
 def cmd_ext(args) -> int:
+    if args.n < 0:
+        print(f"error: --n must be at least 0, got {args.n}", file=sys.stderr)
+        return 2
     try:
         _, _, reps = reps_file_from_dict(load_json(args.file))
         x = reps[args.x]

@@ -46,6 +46,7 @@ from .rep import (
     Representation,
     adjunction_check,
     cokernel_rep,
+    coinduced,
     copresentation_embedding,
     direct_sum_reps,
     dual_rep_ses,
@@ -54,7 +55,6 @@ from .rep import (
     restrict,
     restriction_adjunction_check,
     right_adjoint,
-    single_vertex_rep,
     stalk,
     subrep_generated,
     zero_rep,
@@ -93,14 +93,13 @@ from .znmod import (
     cyclic,
     ext_module,
     gi_module_certificate,
-    hom_entry_orders,
-    hom_entry_scales,
     identity_hom,
     image_order,
     is_epi,
     is_injective_module,
     is_mono,
     kernel_order,
+    random_hom,
     verify_gi_certificate,
 )
 from .znmod import is_split as mod_is_split
@@ -239,16 +238,6 @@ def random_injective_finmod(rng: random.Random, modulus: Modulus, config: Config
     return FinMod(modulus, canonical_chain(orders, modulus.n))
 
 
-def random_hom(rng: random.Random, dom: FinMod, cod: FinMod) -> ModHom:
-    orders = hom_entry_orders(dom.factors, cod.factors)
-    scales = hom_entry_scales(dom.factors, cod.factors)
-    mat = np.zeros((cod.rank, dom.rank), dtype=np.int64)
-    for j in range(cod.rank):
-        for i in range(dom.rank):
-            mat[j, i] = scales[j, i] * rng.randrange(int(orders[j, i]))
-    return ModHom(dom, cod, mat)
-
-
 def random_representation(
     rng: random.Random, q: Quiver, modulus: Modulus, config: Config, max_rank: int = 2
 ) -> Representation:
@@ -273,10 +262,6 @@ def random_rep_ses(rng: random.Random, x: Representation) -> RepSES:
     return RepSES(incl, proj)
 
 
-def e_rho(q: Quiver, modulus: Modulus, v: VertexId, m: FinMod) -> Representation:
-    return right_adjoint(q, Quiver((v,), ()), single_vertex_rep(q, modulus, v, m))
-
-
 def random_injective_rep(rng: random.Random, q: Quiver, modulus: Modulus, config: Config) -> Representation:
     """A product of e^v of injective modules: injective over a right rooted
     quiver, with the zero representation as the empty case."""
@@ -284,7 +269,7 @@ def random_injective_rep(rng: random.Random, q: Quiver, modulus: Modulus, config
     for v in q.vertices:
         m = random_injective_finmod(rng, modulus, config, max_rank=1)
         if not m.is_zero:
-            pieces.append(e_rho(q, modulus, v, m))
+            pieces.append(coinduced(q, modulus, v, m).rep)
     if not pieces:
         return zero_rep(q, modulus)
     return direct_sum_reps(pieces)[0]
@@ -298,7 +283,7 @@ def random_gorenstein_rep(rng: random.Random, q: Quiver, modulus: Modulus, confi
     for v in q.vertices:
         m = random_finmod(rng, modulus, config, max_rank=1)
         if not m.is_zero:
-            pieces.append(e_rho(q, modulus, v, m))
+            pieces.append(coinduced(q, modulus, v, m).rep)
     if not pieces:
         return zero_rep(q, modulus)
     return direct_sum_reps(pieces)[0]
@@ -626,7 +611,7 @@ def _right_adjoint(config: Config, rng: random.Random, t: int) -> Dict[str, obje
     if t == 0:
         v = rng.choice(q.vertices)
         m = random_injective_finmod(rng, modulus, config)
-        e = e_rho(q, modulus, v, m)
+        e = coinduced(q, modulus, v, m).rep
         ok = classify_strongly_fp_injective(e).verdict
         return {"_instance": f"single-vertex-{v}", "e_v_of_injective_sfp": ok, "_ok": ok}
     if t == 1:

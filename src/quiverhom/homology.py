@@ -1,6 +1,7 @@
-"""Projective generators and resolutions, injective coresolutions, Ext groups
-in the category of quiver representations, a brute-force extension-counting
-oracle, and totally acyclic complexes of injective representations.
+"""Projective generators and resolutions, the canonical injective
+coresolution step, Ext groups in the category of quiver representations, a
+brute-force extension-counting oracle, and totally acyclic complexes of
+injective representations.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from .rep import (
     RepMorphism,
     RepSES,
     Representation,
-    RightAdjointRep,
-    cokernel_rep,
+    coinduced,
     copresentation_embedding,
     direct_sum_reps,
     double_dual_rep_iso,
@@ -27,8 +27,6 @@ from .rep import (
     dual_rep_morphism,
     kernel_rep,
     psi,
-    single_vertex_rep,
-    stalk,
 )
 from .znmod import (
     FinMod,
@@ -36,7 +34,6 @@ from .znmod import (
     ModHom,
     Modulus,
     ambient_coords_solve,
-    ext_module,
     free_mod,
     hom_entry_orders,
     hom_entry_scales,
@@ -183,7 +180,7 @@ def projective_resolution(x: Representation, length: int) -> ProjResolution:
 
 
 # ---------------------------------------------------------------------------
-# injective hulls and coresolutions
+# injective hulls and the coresolution step
 # ---------------------------------------------------------------------------
 
 
@@ -203,52 +200,10 @@ def injective_hull(m: FinMod) -> Tuple[FinMod, ModHom]:
     return hull, embed
 
 
-@dataclass
-class InjCoresolution:
-    """0 -> x -> E^0 -> E^1 -> ...; diffs[k] maps terms[k] to terms[k+1] and
-    steps[k] is the short exact sequence 0 -> syz_k -> E^k -> syz_{k+1} -> 0."""
-
-    x: Representation
-    terms: List[Representation]
-    diffs: List[RepMorphism]
-    augmentation: RepMorphism
-    steps: List[RepSES]
-    syzygies: List[Representation]
-    projections: List[RepMorphism]
-
-    def extend_to(self, length: int):
-        while len(self.terms) < length:
-            syz = self.syzygies[-1]
-            term, mono = _canonical_injective_embedding(syz)
-            coker, proj = cokernel_rep(mono)
-            self.terms.append(term)
-            self.steps.append(RepSES(mono, proj))
-            self.projections.append(proj)
-            self.syzygies.append(coker)
-            if len(self.terms) >= 2:
-                self.diffs.append(_compose_through(self.projections[-2], mono))
-
-
-def _compose_through(proj: RepMorphism, mono: RepMorphism) -> RepMorphism:
-    return mono.compose(proj)
-
-
-def _canonical_injective_embedding(x: Representation) -> Tuple[Representation, RepMorphism]:
-    embeds = {}
-    for v in x.quiver.vertices:
-        _, embed = injective_hull(x.vertex_modules[v])
-        embeds[v] = embed
-    return copresentation_embedding(x, embeds)
-
-
-def injective_coresolution(x: Representation, length: int) -> InjCoresolution:
-    if has_directed_cycle(x.quiver):
-        raise ValueError("injective coresolutions need an acyclic quiver")
-    term, mono = _canonical_injective_embedding(x)
-    coker, proj = cokernel_rep(mono)
-    res = InjCoresolution(x, [term], [], mono, [RepSES(mono, proj)], [coker], [proj])
-    res.extend_to(length)
-    return res
+def canonical_injective_embedding(x: Representation) -> Tuple[Representation, RepMorphism]:
+    """One step of the canonical injective coresolution: the mono from x into
+    the product of the e^v of the injective hulls of its vertex modules."""
+    return copresentation_embedding(x, {v: injective_hull(x.vertex_modules[v])[1] for v in x.quiver.vertices})
 
 
 # ---------------------------------------------------------------------------
@@ -494,26 +449,6 @@ def _count_orbits(pairs, auts) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the stalk Ext identity
-# ---------------------------------------------------------------------------
-
-
-def stalk_ext_identity_check(f: FinMod, x: Representation, i: VertexId) -> bool:
-    """Compare Ext^1 over the ring of (F, ker psi_i) with Ext^1 of
-    (stalk_i F, X) in the representation category; requires psi_i epi.
-
-    Both sides are reduced to canonical invariant-factor form, so equality of
-    the chains exhibits the isomorphism."""
-    h = psi(x, i)
-    if not is_epi(h):
-        raise ValueError("psi at the chosen vertex is not an epimorphism")
-    ker, _ = kernel_of_hom(h)
-    lhs = ext_module(f, ker, 1)
-    rhs = ext(stalk(x.quiver, x.modulus, i, f), x, 1).value
-    return lhs.factors == rhs.factors
-
-
-# ---------------------------------------------------------------------------
 # complexes of representations and total acyclicity
 # ---------------------------------------------------------------------------
 
@@ -572,14 +507,7 @@ def strongly_fp_injective_test_family(q: Quiver, modulus: Modulus) -> List[Repre
     """e^v of the free module of rank one, for each vertex; finite products of
     these add nothing to Hom-exactness tests since Hom out of a finite direct
     sum splits."""
-    out = []
-    for v in q.vertices:
-        out.append(right_adjoint_free(q, modulus, v))
-    return out
-
-
-def right_adjoint_free(q: Quiver, modulus: Modulus, v: VertexId) -> Representation:
-    return RightAdjointRep(q, Quiver((v,), ()), single_vertex_rep(q, modulus, v, free_mod(modulus, 1))).rep
+    return [coinduced(q, modulus, v, free_mod(modulus, 1)).rep for v in q.vertices]
 
 
 class LeftResolutionFailure(Exception):
@@ -598,7 +526,7 @@ def _left_injective_step(w: Representation):
     q, modulus = w.quiver, w.modulus
     kernels = {v: kernel_of_hom(psi(w, v)) for v in q.vertices}
     covers = {v: free_mod(modulus, kernels[v][0].rank) for v in q.vertices}
-    singles = {v: RightAdjointRep(q, Quiver((v,), ()), single_vertex_rep(q, modulus, v, covers[v])) for v in q.vertices}
+    singles = {v: coinduced(q, modulus, v, covers[v]) for v in q.vertices}
     total, injs, projs = direct_sum_reps([singles[v].rep for v in q.vertices])
     vertex_order = _sinks_first_order(q)
     v_index = {v: t for t, v in enumerate(q.vertices)}

@@ -33,6 +33,12 @@ def quiver_to_dict(q: Quiver) -> dict:
     }
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise FormatError(f"{where}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
 def quiver_from_dict(d: dict) -> Quiver:
     try:
         vertices = tuple(d["vertices"])
@@ -41,7 +47,7 @@ def quiver_from_dict(d: dict) -> Quiver:
         raise FormatError(f"quiver block: missing or malformed field ({exc})") from exc
     try:
         return Quiver(vertices, arrows)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise FormatError(f"quiver block: {exc}") from exc
 
 
@@ -57,22 +63,24 @@ def rep_block_to_dict(x: Representation) -> dict:
 
 
 def rep_block_from_dict(d: dict, q: Quiver, modulus: Modulus) -> Representation:
+    modules = _object(_object(d, "representation block").get("modules", {}), "modules")
+    arrows_maps = _object(d.get("arrows_maps", {}), "arrows_maps")
     mods: Dict[VertexId, FinMod] = {}
     for v in q.vertices:
         key = _vertex_key(v)
-        if key not in d.get("modules", {}):
+        if key not in modules:
             raise FormatError(f"modules: missing vertex {key!r}")
         try:
-            mods[v] = FinMod(modulus, tuple(int(t) for t in d["modules"][key]))
-        except ValueError as exc:
+            mods[v] = FinMod(modulus, tuple(int(t) for t in modules[key]))
+        except (TypeError, ValueError) as exc:
             raise FormatError(f"modules[{key!r}]: {exc}") from exc
     maps: Dict[str, ModHom] = {}
     for a in q.arrows:
-        if a.id not in d.get("arrows_maps", {}):
+        if a.id not in arrows_maps:
             raise FormatError(f"arrows_maps: missing arrow {a.id!r}")
         try:
-            maps[a.id] = ModHom(mods[a.src], mods[a.tgt], np.array(d["arrows_maps"][a.id], dtype=np.int64).reshape(mods[a.tgt].rank, mods[a.src].rank))
-        except ValueError as exc:
+            maps[a.id] = ModHom(mods[a.src], mods[a.tgt], np.array(arrows_maps[a.id], dtype=np.int64).reshape(mods[a.tgt].rank, mods[a.src].rank))
+        except (TypeError, ValueError) as exc:
             raise FormatError(f"arrows_maps[{a.id!r}]: {exc}") from exc
     return Representation(q, modulus, mods, maps)
 
@@ -83,10 +91,17 @@ def rep_to_dict(x: Representation) -> dict:
     return out
 
 
-def rep_from_dict(d: dict) -> Representation:
-    if "modulus" not in d:
+def _modulus_of(d: dict) -> Modulus:
+    if "modulus" not in _object(d, "file"):
         raise FormatError("missing field 'modulus'")
-    modulus = Modulus(int(d["modulus"]))
+    try:
+        return Modulus(int(d["modulus"]))
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"modulus: {exc}") from exc
+
+
+def rep_from_dict(d: dict) -> Representation:
+    modulus = _modulus_of(d)
     q = quiver_from_dict(d.get("quiver", {}))
     return rep_block_from_dict(d, q, modulus)
 
@@ -96,6 +111,7 @@ def morphism_to_dict(f: RepMorphism) -> dict:
 
 
 def morphism_from_dict(d: dict, src: Representation, tgt: Representation) -> RepMorphism:
+    _object(d, "morphism")
     comps = {}
     for v in src.quiver.vertices:
         key = _vertex_key(v)
@@ -107,7 +123,7 @@ def morphism_from_dict(d: dict, src: Representation, tgt: Representation) -> Rep
                 tgt.vertex_modules[v],
                 np.array(d[key], dtype=np.int64).reshape(tgt.vertex_modules[v].rank, src.vertex_modules[v].rank),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise FormatError(f"morphism[{key!r}]: {exc}") from exc
     try:
         return RepMorphism(src, tgt, comps)
@@ -128,9 +144,7 @@ def ses_to_dict(s: RepSES) -> dict:
 
 
 def ses_from_dict(d: dict) -> RepSES:
-    if "modulus" not in d:
-        raise FormatError("missing field 'modulus'")
-    modulus = Modulus(int(d["modulus"]))
+    modulus = _modulus_of(d)
     q = quiver_from_dict(d.get("quiver", {}))
     reps = {}
     for name in ("x", "y", "z"):
@@ -146,12 +160,10 @@ def ses_from_dict(d: dict) -> RepSES:
 
 
 def reps_file_from_dict(d: dict) -> Tuple[Modulus, Quiver, Dict[str, Representation]]:
-    if "modulus" not in d:
-        raise FormatError("missing field 'modulus'")
-    modulus = Modulus(int(d["modulus"]))
+    modulus = _modulus_of(d)
     q = quiver_from_dict(d.get("quiver", {}))
     reps = {}
-    for name, block in d.get("reps", {}).items():
+    for name, block in _object(d.get("reps", {}), "reps").items():
         reps[name] = rep_block_from_dict(block, q, modulus)
     return modulus, q, reps
 

@@ -1,7 +1,6 @@
 """Purity of short exact sequences of representations via the dual-splitting
 criterion, the definitional tensor check as an independent oracle, pure
-monos/epis, and the split-diagram retraction used by the vertexwise
-induction over rooted quivers.
+monos, and natural one-sided inverses of morphisms of representations.
 """
 
 from __future__ import annotations
@@ -32,11 +31,10 @@ from .znmod import (
     Modulus,
     canonical_chain,
     cyclic,
-    hom_entry_orders,
-    hom_entry_scales,
     identity_hom,
     is_mono,
     is_pure_module_ses,
+    random_hom,
 )
 
 
@@ -173,16 +171,7 @@ def _random_test_rep(qop: Quiver, modulus: Modulus, rng: random.Random) -> Repre
     for v in qop.vertices:
         orders = [rng.choice(divisors) for _ in range(rng.randrange(0, 3))]
         mods[v] = FinMod(modulus, canonical_chain(orders, modulus.n))
-    maps = {}
-    for a in qop.arrows:
-        dom, cod = mods[a.src], mods[a.tgt]
-        orders = hom_entry_orders(dom.factors, cod.factors)
-        scales = hom_entry_scales(dom.factors, cod.factors)
-        mat = np.zeros((cod.rank, dom.rank), dtype=np.int64)
-        for j in range(cod.rank):
-            for i in range(dom.rank):
-                mat[j, i] = scales[j, i] * rng.randrange(int(orders[j, i]))
-        maps[a.id] = ModHom(dom, cod, mat)
+    maps = {a.id: random_hom(rng, mods[a.src], mods[a.tgt]) for a in qop.arrows}
     return Representation(qop, modulus, mods, maps)
 
 
@@ -220,13 +209,3 @@ def is_pure_mono_rep(f: RepMorphism) -> Tuple[bool, Optional[RepMorphism]]:
     fd = dual_rep_morphism(f)
     sec = rep_section(fd)
     return sec is not None, sec
-
-
-def is_pure_epi_rep(g: RepMorphism) -> Tuple[bool, Optional[RepMorphism]]:
-    """g epi is pure iff its dual is a split mono; returns the natural
-    retraction of the dual as certificate."""
-    if not g.is_epimorphism:
-        raise ValueError("map is not an epimorphism")
-    gd = dual_rep_morphism(g)
-    ret = rep_retraction(gd)
-    return ret is not None, ret

@@ -205,12 +205,6 @@ def is_left_rooted(q: Quiver) -> bool:
     return is_right_rooted(opposite(q))
 
 
-def is_locally_target_finite(q: Quiver) -> bool:
-    """Each vertex has finitely many outgoing arrows; trivially true for
-    finite quivers.  Kept to mirror the hypothesis of the structure theorems."""
-    return all(len(out_arrows(q, v)) < float("inf") for v in q.vertices)
-
-
 def is_subquiver(sub: Quiver, q: Quiver) -> bool:
     if not set(sub.vertices) <= set(q.vertices):
         return False

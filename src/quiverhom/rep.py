@@ -567,9 +567,12 @@ def right_adjoint(q: Quiver, qsub: Quiver, x: Representation) -> Representation:
     return RightAdjointRep(q, qsub, x).rep
 
 
-def single_vertex_rep(q: Quiver, modulus: Modulus, v: VertexId, m: FinMod) -> Representation:
+def coinduced(q: Quiver, modulus: Modulus, v: VertexId, m: FinMod) -> RightAdjointRep:
+    """e^v(m): the right adjoint of restriction to the one-vertex subquiver
+    at v, applied to m.  Its value at w is the product of copies of m indexed
+    by the paths from w to v."""
     one = Quiver((v,), ())
-    return Representation(one, modulus, {v: m}, {})
+    return RightAdjointRep(q, one, Representation(one, modulus, {v: m}, {}))
 
 
 def copresentation_embedding(x: Representation, embeds: Dict[VertexId, ModHom]) -> Tuple[Representation, RepMorphism]:
@@ -578,7 +581,7 @@ def copresentation_embedding(x: Representation, embeds: Dict[VertexId, ModHom]) 
     path p is embed_{target p} o X(p).  Monomorphism thanks to the trivial
     factors; this is the first step of the canonical injective copresentation."""
     q, modulus = x.quiver, x.modulus
-    singles = [RightAdjointRep(q, Quiver((v,), ()), single_vertex_rep(q, modulus, v, embeds[v].codomain)) for v in q.vertices]
+    singles = [coinduced(q, modulus, v, embeds[v].codomain) for v in q.vertices]
     total, injs, _ = direct_sum_reps([s.rep for s in singles])
     comps = {}
     for w in q.vertices:

@@ -14,6 +14,7 @@ required to be canonical.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
@@ -259,6 +260,17 @@ def hom_entry_scales(dom: Sequence[int], cod: Sequence[int]) -> np.ndarray:
         for i, d in enumerate(dom):
             out[j, i] = e // gcd(d, e)
     return out
+
+
+def random_hom(rng: random.Random, dom: FinMod, cod: FinMod) -> ModHom:
+    """A uniformly random hom, one draw per entry in row-major order."""
+    orders = hom_entry_orders(dom.factors, cod.factors)
+    scales = hom_entry_scales(dom.factors, cod.factors)
+    mat = np.zeros((cod.rank, dom.rank), dtype=np.int64)
+    for j in range(cod.rank):
+        for i in range(dom.rank):
+            mat[j, i] = scales[j, i] * rng.randrange(int(orders[j, i]))
+    return ModHom(dom, cod, mat)
 
 
 @lru_cache(maxsize=1024)
@@ -580,17 +592,6 @@ def double_dual_iso(m: FinMod) -> ModHom:
     return ModHom(m, matlis_dual(matlis_dual(m)), np.eye(m.rank, dtype=np.int64))
 
 
-def eval_pairing(m: FinMod, x, functional) -> int:
-    """<x, u> for x in M and u in M+ (dual coordinates)."""
-    n = m.modulus.n
-    x = m.reduce(x)
-    u = np.asarray(functional, dtype=np.int64).reshape(m.rank)
-    total = 0
-    for i, d in enumerate(m.factors):
-        total = (total + int(u[i]) * (n // d) * int(x[i])) % n
-    return total
-
-
 # ---------------------------------------------------------------------------
 # module classes: injective / projective / flat / strongly fp-injective
 # ---------------------------------------------------------------------------
@@ -672,23 +673,6 @@ def ext_module(f: FinMod, m: FinMod, degree: int) -> FinMod:
 def is_strongly_fp_injective_module(m: FinMod) -> bool:
     """Over the noetherian ring Z/n this coincides with injectivity."""
     return is_injective_module(m)[0]
-
-
-def sfp_ext_oracle(m: FinMod) -> bool:
-    """Definitional check: Ext^i(Z/d, M) == 0 for all d | n and i = 1, 2.
-
-    The free resolution of Z/d over Z/n is eventually 2-periodic, so the
-    first two degrees decide all higher ones.
-    """
-    n = m.modulus.n
-    for d in m.modulus.divisors:
-        if d == 1:
-            continue
-        f = cyclic(m.modulus, d)
-        for i in (1, 2):
-            if not ext_module(f, m, i).is_zero:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

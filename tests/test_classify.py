@@ -18,13 +18,11 @@ from quiverhom.classify import (
     ext_orthogonality_sample,
     find_orthogonality_violation,
     membership_psi_class,
-    membership_rep_class,
     reps_isomorphic,
     simple_stalks,
 )
-from quiverhom.homology import projective_generator, right_adjoint_free
-from quiverhom.rep import right_adjoint, single_vertex_rep
-from quiverhom.quiver import Quiver
+from quiverhom.homology import projective_generator
+from quiverhom.rep import coinduced
 from quiverhom.znmod import (
     ModHom,
     Modulus,
@@ -38,20 +36,16 @@ Z2 = Modulus(2)
 Z4 = Modulus(4)
 
 
-def e_rho(q, modulus, v, m):
-    return right_adjoint(q, Quiver((v,), ()), single_vertex_rep(q, modulus, v, m))
-
-
 def test_classify_injective_named_examples():
     q = a2()
-    e1 = e_rho(q, Z4, 1, cyclic(Z4, 4))  # (Z/4 -> 0)
+    e1 = coinduced(q, Z4, 1, cyclic(Z4, 4)).rep  # (Z/4 -> 0)
     cv = classify_injective(e1, with_oracle=True)
     assert cv.verdict and cv.oracle and cv.mode == "full"
     s2 = stalk(q, Z4, 2, cyclic(Z4, 4))
     cv = classify_injective(s2, with_oracle=True)
     assert not cv.verdict and cv.oracle is False
     assert not cv.evidence[1]["psi_split_epi"]
-    e2 = e_rho(q, Z4, 2, cyclic(Z4, 4))  # (Z/4 --id--> Z/4)
+    e2 = coinduced(q, Z4, 2, cyclic(Z4, 4)).rep  # (Z/4 --id--> Z/4)
     cv = classify_injective(e2, with_oracle=True)
     assert cv.verdict and cv.oracle
 
@@ -91,7 +85,7 @@ def test_classify_fp_and_sfp_collapse():
 def test_classify_sfp_named_examples():
     q = a2()
     # e^v of an injective module is strongly fp-injective
-    e1 = e_rho(q, Z4, 1, cyclic(Z4, 4))
+    e1 = coinduced(q, Z4, 1, cyclic(Z4, 4)).rep
     cv = classify_strongly_fp_injective(e1, with_oracle=True)
     assert cv.verdict and cv.oracle
     # the stalk s_2(Z/4) is not: its copresentation is not pure
@@ -153,7 +147,6 @@ def test_membership_classes():
     q = a2()
     m2 = cyclic(Z4, 2)
     x = Representation(q, Z4, {1: m2, 2: m2}, {"a": identity_hom(m2)})
-    assert membership_rep_class(x, lambda m: True)
     assert membership_psi_class(x, lambda m: True)
     assert not membership_psi_class(stalk(q, Z4, 2, m2), lambda m: True)
     # psi-class with the injective-module predicate matches the injective verdict
@@ -173,7 +166,7 @@ def test_ding_agrees_with_gorenstein():
     for x in (
         Representation(q, Z4, {1: m2, 2: m2}, {"a": identity_hom(m2)}),
         stalk(q, Z4, 2, m2),
-        e_rho(q, Z4, 1, cyclic(Z4, 4)),
+        coinduced(q, Z4, 1, cyclic(Z4, 4)).rep,
     ):
         assert classify_ding_injective(x).verdict == classify_gorenstein_sfp(x, with_oracle=True).oracle
 
@@ -226,7 +219,7 @@ def test_ext_orthogonality_sampling():
         return k, {"valid": ok}
 
     def right(rng):
-        j = e_rho(q, Z4, rng.choice([1, 2]), cyclic(Z4, 4))
+        j = coinduced(q, Z4, rng.choice([1, 2]), cyclic(Z4, 4)).rep
         return j, {"valid": classify_strongly_fp_injective(j).verdict}
 
     report = ext_orthogonality_sample(left, right, trials=20, seed=3)

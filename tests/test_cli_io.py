@@ -11,6 +11,7 @@ from quiverhom.io import (
     FormatError,
     quiver_from_dict,
     quiver_to_dict,
+    rep_block_to_dict,
     rep_from_dict,
     rep_to_dict,
     ses_from_dict,
@@ -104,6 +105,46 @@ def test_cli_ext(tmp_path, capsys):
     rec = json.loads(capsys.readouterr().out.strip())
     assert code == 0 and rec["cardinality"] == 2
     assert main(["ext", path, "--x", "nope", "--y", "s2", "--n", "1"]) == 2
+
+
+def test_cli_ext_rejects_negative_degree(tmp_path, capsys):
+    x = doubling_rep()
+    payload = {"modulus": 4, "quiver": quiver_to_dict(x.quiver), "reps": {"x": rep_block_to_dict(x)}}
+    path = write(tmp_path, "reps.json", payload)
+    assert main(["ext", path, "--x", "x", "--y", "x", "--n", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+def _reps_file() -> dict:
+    x = doubling_rep()
+    return {"modulus": 4, "quiver": quiver_to_dict(x.quiver), "reps": {"x": rep_block_to_dict(x), "y": rep_block_to_dict(x)}}
+
+
+# each payload once crashed its command with a traceback and exit 1
+MALFORMED_INPUTS = {
+    "modulus_one": ("classify", lambda: dict(rep_to_dict(doubling_rep()), modulus=1)),
+    "modulus_string": ("purity", lambda: dict(ses_to_dict(nonpure_fixture_ses(Z4)), modulus="x")),
+    "modulus_null": ("ext", lambda: dict(_reps_file(), modulus=None)),
+    "modules_entry_not_list": ("classify", lambda: dict(rep_to_dict(doubling_rep()), modules={"1": 4, "2": [4]})),
+    "unhashable_vertex": ("classify", lambda: dict(rep_to_dict(doubling_rep()), quiver={"vertices": [[1]], "arrows": []})),
+    "reps_list": ("ext", lambda: dict(_reps_file(), reps=[])),
+    "reps_entry_list": ("ext", lambda: dict(_reps_file(), reps={"x": [], "y": []})),
+    "modules_null": ("classify", lambda: dict(rep_to_dict(doubling_rep()), modules=None)),
+    "matrix_null": ("classify", lambda: dict(rep_to_dict(doubling_rep()), arrows_maps={"a": None})),
+    "morphism_null": ("purity", lambda: dict(ses_to_dict(nonpure_fixture_ses(Z4)), f=None)),
+    "top_level_number": ("classify", lambda: 5),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+def test_cli_malformed_input_exits_2(tmp_path, capsys, case):
+    command, payload = MALFORMED_INPUTS[case]
+    path = write(tmp_path, "bad.json", payload())
+    extra = ["--x", "x", "--y", "y", "--n", "1"] if command == "ext" else []
+    assert main([command, path] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
 
 
 def test_cli_rooted(tmp_path, capsys):

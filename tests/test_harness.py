@@ -9,7 +9,6 @@ from quiverhom.harness import (
     Config,
     TrialReport,
     derive_seed,
-    e_rho,
     nonpure_fixture_ses,
     random_finmod,
     random_gorenstein_rep,

@@ -8,6 +8,7 @@ from quiverhom.rep import (
     HomGroupRep,
     RepMorphism,
     Representation,
+    cokernel_rep,
     direct_sum_reps,
     hom_reps,
     identity_morphism,
@@ -18,21 +19,31 @@ from quiverhom.rep import (
 )
 from quiverhom.homology import (
     ExtComputation,
+    canonical_injective_embedding,
     ext,
     ext1_extension_count,
     ext_induced_second,
-    injective_coresolution,
     injective_hull,
     projective_cover_onto,
     projective_generator,
     projective_resolution,
     rep_digest,
-    stalk_ext_identity_check,
     strongly_fp_injective_test_family,
     totally_acyclic_injective_complex,
     yoneda_morphism,
 )
-from quiverhom.znmod import FinMod, ModHom, Modulus, cyclic, identity_hom, zero_hom, zero_mod
+from quiverhom.znmod import (
+    FinMod,
+    ModHom,
+    Modulus,
+    cyclic,
+    ext_module,
+    identity_hom,
+    is_epi,
+    kernel_of_hom,
+    zero_hom,
+    zero_mod,
+)
 
 Z2 = Modulus(2)
 Z4 = Modulus(4)
@@ -165,15 +176,15 @@ def test_injective_coresolution_named_example():
     # X = s_2(Z/4) on A2 over Z/4: 0 -> X -> e^2(Z/4) -> e^1(Z/4) -> 0
     q = a2()
     x = stalk(q, Z4, 2, cyclic(Z4, 4))
-    res = injective_coresolution(x, 2)
-    e0 = res.terms[0]
+    e0, mono = canonical_injective_embedding(x)
     assert e0.vertex_modules[1].factors == (4,)
     assert e0.vertex_modules[2].factors == (4,)
-    syz1 = res.syzygies[0]
+    syz1, _ = cokernel_rep(mono)
     assert syz1.vertex_modules[1].factors == (4,)
     assert syz1.vertex_modules[2].is_zero
     # next term resolves e^1(Z/4), which is injective, so the second syzygy vanishes
-    assert res.syzygies[1].is_zero
+    _, mono1 = canonical_injective_embedding(syz1)
+    assert cokernel_rep(mono1)[0].is_zero
 
 
 def test_ext_named_examples():
@@ -234,6 +245,21 @@ def test_dimension_shifting():
         omega = res.syzygies[0]
         rhs = ext(omega, s2, m).value
         assert lhs.factors == rhs.factors
+
+
+def stalk_ext_identity_check(f: FinMod, x: Representation, i) -> bool:
+    """Compare Ext^1 over the ring of (F, ker psi_i) with Ext^1 of
+    (stalk_i F, X) in the representation category; requires psi_i epi.
+
+    Both sides are reduced to canonical invariant-factor form, so equality of
+    the chains exhibits the isomorphism."""
+    h = psi(x, i)
+    if not is_epi(h):
+        raise ValueError("psi at the chosen vertex is not an epimorphism")
+    ker, _ = kernel_of_hom(h)
+    lhs = ext_module(f, ker, 1)
+    rhs = ext(stalk(x.quiver, x.modulus, i, f), x, 1).value
+    return lhs.factors == rhs.factors
 
 
 def test_stalk_ext_identity():

@@ -17,13 +17,11 @@ from quiverhom.rep import (
 )
 from quiverhom.purity import (
     definitional_purity_check,
-    is_pure_epi_rep,
     is_pure_mono_rep,
     is_pure_rep_ses,
     is_split_rep_ses,
     rep_retraction,
 )
-from quiverhom.homology import injective_coresolution
 from quiverhom.znmod import (
     ModHom,
     Modulus,
@@ -136,7 +134,6 @@ def test_pure_mono_epi_examples():
     x = ses.x
     ident = RepMorphism(x, x, {v: identity_hom(x.vertex_modules[v]) for v in x.quiver.vertices})
     assert is_pure_mono_rep(ident)[0]
-    assert is_pure_epi_rep(ident)[0]
 
 
 def test_psi_of_injective_is_split_epi():

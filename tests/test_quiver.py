@@ -7,7 +7,6 @@ from quiverhom.quiver import (
     has_directed_cycle,
     in_arrows,
     is_left_rooted,
-    is_locally_target_finite,
     is_right_rooted,
     is_subquiver,
     kronecker,
@@ -109,11 +108,6 @@ def test_rootedness_equals_acyclicity_on_random_quivers():
             for a in q.arrows:
                 if a.src in rs.stages[k]:
                     assert a.tgt in rs.stages[k - 1]
-
-
-def test_locally_target_finite():
-    assert is_locally_target_finite(a2())
-    assert is_locally_target_finite(loop_quiver())
 
 
 def test_subquiver():

@@ -30,8 +30,8 @@ from quiverhom.rep import (
     psi_data,
     restrict,
     restriction_adjunction_check,
+    coinduced,
     right_adjoint,
-    single_vertex_rep,
     stalk,
     tensor,
     TensorPresentation,
@@ -161,10 +161,10 @@ def test_right_adjoint_named_examples():
     q = a2()
     m = cyclic(Z4, 4)
     # e^1(M) = (M -> 0)
-    e1 = right_adjoint(q, Quiver((1,), ()), single_vertex_rep(q, Z4, 1, m))
+    e1 = coinduced(q, Z4, 1, m).rep
     assert e1.vertex_modules[1].factors == (4,) and e1.vertex_modules[2].is_zero
     # e^2(I) = (I --id--> I): exactly one path from 1 to 2
-    e2 = right_adjoint(q, Quiver((2,), ()), single_vertex_rep(q, Z4, 2, m))
+    e2 = coinduced(q, Z4, 2, m).rep
     assert e2.vertex_modules[1].factors == (4,) and e2.vertex_modules[2].factors == (4,)
     assert is_mono(e2.map("a")) and is_epi(e2.map("a"))
     # restricting the right adjoint along the full subquiver gives back x

@@ -16,7 +16,6 @@ from quiverhom.znmod import (
     cyclic,
     direct_sum_with_maps,
     double_dual_iso,
-    eval_pairing,
     ext_module,
     free_mod,
     gi_module_certificate,
@@ -39,7 +38,6 @@ from quiverhom.znmod import (
     quotient_with_projection,
     retraction_of,
     section_of,
-    sfp_ext_oracle,
     solve_congruences,
     subgroup_with_inclusion,
     verify_gi_certificate,
@@ -176,6 +174,17 @@ def test_matlis_dual_contravariant_and_double_dual():
             assert is_mono(iso) and is_epi(iso)
 
 
+def eval_pairing(m: FinMod, x, functional) -> int:
+    """<x, u> for x in M and u in M+ (dual coordinates)."""
+    n = m.modulus.n
+    x = m.reduce(x)
+    u = np.asarray(functional, dtype=np.int64).reshape(m.rank)
+    total = 0
+    for i, d in enumerate(m.factors):
+        total = (total + int(u[i]) * (n // d) * int(x[i])) % n
+    return total
+
+
 def test_dual_pairing_is_perfect():
     m = FinMod(Z8, (2, 8))
     seen = set()
@@ -281,6 +290,22 @@ def test_pure_iff_split_on_random_ses():
             count += 1
             assert (is_split(ses) is not None) == is_pure_module_ses(ses)[0]
     assert count >= 500
+
+
+def sfp_ext_oracle(m: FinMod) -> bool:
+    """Definitional check: Ext^i(Z/d, M) == 0 for all d | n and i = 1, 2.
+
+    The free resolution of Z/d over Z/n is eventually 2-periodic, so the
+    first two degrees decide all higher ones.
+    """
+    for d in m.modulus.divisors:
+        if d == 1:
+            continue
+        f = cyclic(m.modulus, d)
+        for i in (1, 2):
+            if not ext_module(f, m, i).is_zero:
+                return False
+    return True
 
 
 def test_sfp_three_way_agreement():
