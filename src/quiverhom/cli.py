@@ -41,7 +41,7 @@ from .homology import ext as ext_group
 from .homology import rep_digest
 from .io import FormatError, load_json, quiver_from_dict, rep_from_dict, reps_file_from_dict, ses_from_dict
 from .purity import definitional_purity_check, is_pure_rep_ses
-from .quiver import is_left_rooted, is_right_rooted, root_sequence
+from .quiver import has_directed_cycle, is_left_rooted, is_right_rooted, root_sequence
 from .znmod import Modulus
 
 CLASSIFIERS = {
@@ -122,7 +122,7 @@ def cmd_ext(args) -> int:
         print(f"error: --n must be at least 0, got {args.n}", file=sys.stderr)
         return 2
     try:
-        _, _, reps = reps_file_from_dict(load_json(args.file))
+        _, q, reps = reps_file_from_dict(load_json(args.file))
         x = reps[args.x]
         y = reps[args.y]
     except (FormatError, OSError) as exc:
@@ -130,6 +130,9 @@ def cmd_ext(args) -> int:
         return 2
     except KeyError as exc:
         print(f"error: representation {exc} not found in file", file=sys.stderr)
+        return 2
+    if has_directed_cycle(q):
+        print("error: ext needs an acyclic quiver", file=sys.stderr)
         return 2
     value = ext_group(x, y, args.n)
     record = {"degree": args.n, "ext": str(value.value), "cardinality": value.cardinality}

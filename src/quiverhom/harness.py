@@ -262,31 +262,31 @@ def random_rep_ses(rng: random.Random, x: Representation) -> RepSES:
     return RepSES(incl, proj)
 
 
-def random_injective_rep(rng: random.Random, q: Quiver, modulus: Modulus, config: Config) -> Representation:
-    """A product of e^v of injective modules: injective over a right rooted
-    quiver, with the zero representation as the empty case."""
+def _coinduced_product(rng: random.Random, q: Quiver, modulus: Modulus, config: Config, sample: Callable[..., FinMod]) -> Representation:
+    """The product over the vertices v of e^v(m), m drawn by
+    sample(rng, modulus, config, max_rank=1) in vertex order and skipped
+    when zero; the zero representation when every draw is zero."""
     pieces = []
     for v in q.vertices:
-        m = random_injective_finmod(rng, modulus, config, max_rank=1)
+        m = sample(rng, modulus, config, max_rank=1)
         if not m.is_zero:
             pieces.append(coinduced(q, modulus, v, m).rep)
     if not pieces:
         return zero_rep(q, modulus)
     return direct_sum_reps(pieces)[0]
+
+
+def random_injective_rep(rng: random.Random, q: Quiver, modulus: Modulus, config: Config) -> Representation:
+    """A product of e^v of injective modules: injective over a right rooted
+    quiver, with the zero representation as the empty case."""
+    return _coinduced_product(rng, q, modulus, config, random_injective_finmod)
 
 
 def random_gorenstein_rep(rng: random.Random, q: Quiver, modulus: Modulus, config: Config) -> Representation:
     """A product of e^v of arbitrary modules: the canonical maps are split
     epis by construction, so the result is Gorenstein strongly fp-injective
     over Z/n without usually being injective."""
-    pieces = []
-    for v in q.vertices:
-        m = random_finmod(rng, modulus, config, max_rank=1)
-        if not m.is_zero:
-            pieces.append(coinduced(q, modulus, v, m).rep)
-    if not pieces:
-        return zero_rep(q, modulus)
-    return direct_sum_reps(pieces)[0]
+    return _coinduced_product(rng, q, modulus, config, random_finmod)
 
 
 # the moduli n of the fixture trials, with I = Z/n

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .quiver import Path, Quiver, VertexId, has_directed_cycle, out_arrows, paths_between
+from .quiver import Quiver, VertexId, has_directed_cycle, out_arrows, paths_between, trivial_path
 from .rep import (
     HomGroupRep,
     RepMorphism,
@@ -70,22 +70,37 @@ def morphism_digest(f: RepMorphism) -> Tuple:
 # ---------------------------------------------------------------------------
 
 
-def projective_generator(q: Quiver, modulus: Modulus, v: VertexId) -> Representation:
-    """P_v: the free module on the paths from v at each vertex, with arrows
-    acting by path extension.  Requires q acyclic."""
-    path_sets = {w: paths_between(q, v, w) for w in q.vertices}
-    mods = {w: free_mod(modulus, len(path_sets[w])) for w in q.vertices}
+def _free_rep(q: Quiver, modulus: Modulus, ranks: Dict[VertexId, int]):
+    """The direct sum of ranks[v] copies of P_v over the vertices v, and its
+    path table {(v, w): paths from v to w} for every v with ranks[v] > 0.
+
+    At w it is free on the triples (v, i, p), with i < ranks[v] and p a path
+    from v to w, ordered by v, then i, then p in `paths_between` order.
+    Arrow maps extend paths, block by block.  Requires every path set from
+    a vertex of positive rank to be finite."""
+    sources = [v for v in q.vertices if ranks[v]]
+    paths = {(v, w): paths_between(q, v, w) for v in sources for w in q.vertices}
+    mods = {w: free_mod(modulus, sum(ranks[v] * len(paths[v, w]) for v in sources)) for w in q.vertices}
     maps = {}
     for a in q.arrows:
-        src_paths = path_sets[a.src]
-        tgt_paths = path_sets[a.tgt]
-        index = {p.key(): t for t, p in enumerate(tgt_paths)}
-        mat = np.zeros((len(tgt_paths), len(src_paths)), dtype=np.int64)
-        for s, p in enumerate(src_paths):
-            extended = Path(v, a.tgt, p.arrows + (a,))
-            mat[index[extended.key()], s] = 1
+        mat = np.zeros((mods[a.tgt].rank, mods[a.src].rank), dtype=np.int64)
+        row = col = 0
+        for v in sources:
+            src, tgt = paths[v, a.src], paths[v, a.tgt]
+            index = {p.arrows: t for t, p in enumerate(tgt)}
+            extended = np.array([index[p.arrows + (a,)] for p in src], dtype=np.int64)
+            for _ in range(ranks[v]):
+                mat[row + extended, col + np.arange(len(src))] = 1
+                row, col = row + len(tgt), col + len(src)
         maps[a.id] = ModHom(mods[a.src], mods[a.tgt], mat)
-    return Representation(q, modulus, mods, maps)
+    return Representation(q, modulus, mods, maps), paths
+
+
+def projective_generator(q: Quiver, modulus: Modulus, v: VertexId) -> Representation:
+    """P_v: the free module on the paths from v at each vertex, with arrows
+    acting by path extension.  Requires the paths from v to be finite."""
+    q.check_vertex(v)
+    return _free_rep(q, modulus, {w: int(w == v) for w in q.vertices})[0]
 
 
 def yoneda_morphism(p_v: Representation, v: VertexId, x: Representation, element: np.ndarray) -> RepMorphism:
@@ -105,28 +120,13 @@ def projective_cover_onto(x: Representation) -> Tuple[Representation, RepMorphis
     """An epi from a finite direct sum of the P_v onto x (one copy of P_v per
     canonical generator of x(v)); not minimal.
 
-    Written down from path tables.  At w the cover is free on the triples
-    (v, i, p), with i a canonical generator of x(v) and p a path from v to w,
-    ordered by v, then i, then p in `paths_between` order.  Arrow maps extend
-    paths, block by block, and (v, i, p) maps to column i of x.along(p).
+    The cover is `_free_rep` on ranks[v] = rank of x(v), so at w it is free
+    on the triples (v, i, p) with i a canonical generator of x(v); (v, i, p)
+    maps to column i of x.along(p).
     """
-    q, modulus = x.quiver, x.modulus
+    q = x.quiver
     ranks = {v: x.vertex_modules[v].rank for v in q.vertices}
-    paths = {(v, w): paths_between(q, v, w) for v in q.vertices for w in q.vertices}
-    mods = {w: free_mod(modulus, sum(ranks[v] * len(paths[v, w]) for v in q.vertices)) for w in q.vertices}
-    maps = {}
-    for a in q.arrows:
-        mat = np.zeros((mods[a.tgt].rank, mods[a.src].rank), dtype=np.int64)
-        row = col = 0
-        for v in q.vertices:
-            src, tgt = paths[v, a.src], paths[v, a.tgt]
-            index = {p.arrows: t for t, p in enumerate(tgt)}
-            extended = np.array([index[p.arrows + (a,)] for p in src], dtype=np.int64)
-            for _ in range(ranks[v]):
-                mat[row + extended, col + np.arange(len(src))] = 1
-                row, col = row + len(tgt), col + len(src)
-        maps[a.id] = ModHom(mods[a.src], mods[a.tgt], mat)
-    total = Representation(q, modulus, mods, maps)
+    total, paths = _free_rep(q, x.modulus, ranks)
     comps = {}
     for w in q.vertices:
         xw = x.vertex_modules[w]
@@ -137,7 +137,7 @@ def projective_cover_onto(x: Representation) -> Tuple[Representation, RepMorphis
                 # reshape orders the columns by generator, then by path
                 along = np.stack([x.along(p).matrix for p in paths[v, w]], axis=2)
                 blocks.append(along.reshape(xw.rank, ranks[v] * len(paths[v, w])))
-        comps[w] = ModHom(mods[w], xw, np.hstack(blocks))
+        comps[w] = ModHom(total.vertex_modules[w], xw, np.hstack(blocks))
     return total, RepMorphism(total, x, comps)
 
 
@@ -549,8 +549,8 @@ def _left_injective_step(w: Representation):
         # force the solution to vanish on the kernel-cover factor, then add the
         # cover of ker psi so that the component is surjective
         single = singles[wv]
-        inj_g = injs[v_index[wv]].components[wv].compose(single.injection(wv, ("triv", wv)))
-        proj_g = single.projection(wv, ("triv", wv)).compose(projs[v_index[wv]].components[wv])
+        inj_g = injs[v_index[wv]].components[wv].compose(single.injection(wv, trivial_path(wv)))
+        proj_g = single.projection(wv, trivial_path(wv)).compose(projs[v_index[wv]].components[wv])
         part = part - part.compose(inj_g).compose(proj_g)
         ker_mod, ker_incl = kernels[wv]
         cover_map = ker_incl.compose(ModHom(covers[wv], ker_mod, np.eye(ker_mod.rank, dtype=np.int64)))

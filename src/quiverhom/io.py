@@ -46,9 +46,13 @@ def quiver_from_dict(d: dict) -> Quiver:
     except (KeyError, TypeError) as exc:
         raise FormatError(f"quiver block: missing or malformed field ({exc})") from exc
     try:
-        return Quiver(vertices, arrows)
+        q = Quiver(vertices, arrows)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"quiver block: {exc}") from exc
+    # modules and morphisms are keyed by str(v), so 1 and "1" would share one entry
+    if len({_vertex_key(v) for v in vertices}) != len(vertices):
+        raise FormatError("quiver block: two vertex ids have the same string form")
+    return q
 
 
 def _vertex_key(v: VertexId) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple, Union
 
@@ -34,12 +35,6 @@ class Quiver:
         for a in self.arrows:
             if a.src not in vs or a.tgt not in vs:
                 raise ValueError(f"arrow {a.id} has an undeclared endpoint")
-
-    def arrow(self, arrow_id: str) -> Arrow:
-        for a in self.arrows:
-            if a.id == arrow_id:
-                return a
-        raise KeyError(arrow_id)
 
     def check_vertex(self, v: VertexId):
         if v not in self.vertices:
@@ -132,6 +127,13 @@ def paths_between(q: Quiver, i: VertexId, j: VertexId) -> List[Path]:
     """
     q.check_vertex(i)
     q.check_vertex(j)
+    return list(_paths_between(q, i, j))
+
+
+# resolutions and right adjoints ask for the same (quiver, i, j) over and
+# over; an infinite pair raises, and lru_cache keeps no exceptions
+@functools.lru_cache(maxsize=1024, typed=True)
+def _paths_between(q: Quiver, i: VertexId, j: VertexId) -> Tuple[Path, ...]:
     fwd = {v: [] for v in q.vertices}
     back = {v: [] for v in q.vertices}
     for a in q.arrows:
@@ -168,7 +170,7 @@ def paths_between(q: Quiver, i: VertexId, j: VertexId) -> List[Path]:
 
     if i in middle:
         walk(i, ())
-    return sorted(out, key=Path.key)
+    return tuple(sorted(out, key=Path.key))
 
 
 @dataclass(frozen=True)

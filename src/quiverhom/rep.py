@@ -7,6 +7,7 @@ and the tensor product with its defining adjunction.
 from __future__ import annotations
 
 import itertools
+import random
 from math import gcd
 from typing import Dict, List, Sequence, Tuple
 
@@ -461,33 +462,24 @@ def restrict(qsub: Quiver, x: Representation) -> Representation:
     )
 
 
-def _adjoint_factors(q: Quiver, qsub: Quiver, v: VertexId) -> List[Tuple]:
+def _adjoint_factors(q: Quiver, qsub: Quiver, v: VertexId) -> List[Path]:
     """Index set of the product defining the right adjoint at vertex v: the
-    trivial factor when v lies in the subquiver, then every nonempty path
-    from v that lands in the subquiver and whose last arrow is outside it."""
-    keys: List[Tuple] = []
-    if v in qsub.vertices:
-        keys.append(("triv", v))
+    paths from v that land in the subquiver and are trivial or end with an
+    arrow outside it, sorted by `Path.key`, so the trivial path comes first."""
     sub_arrow_ids = {a.id for a in qsub.arrows}
-    eligible = []
-    for w in qsub.vertices:
-        for p in paths_between(q, v, w):
-            if p.is_trivial:
-                continue
-            if p.arrows[-1].id in sub_arrow_ids:
-                continue
-            eligible.append(p)
-    eligible.sort(key=Path.key)
-    keys.extend(("path", tuple(a.id for a in p.arrows), p.target) for p in eligible)
-    return keys
+    return sorted(
+        (p for w in qsub.vertices for p in paths_between(q, v, w) if p.is_trivial or p.arrows[-1].id not in sub_arrow_ids),
+        key=Path.key,
+    )
 
 
 class RightAdjointRep:
     """Right adjoint of restriction along a subquiver inclusion, computed by
     the explicit product-over-paths formula; requires the big quiver acyclic.
 
-    Keeps the factor bookkeeping (keys, injections, projections per vertex)
-    so that units, counits and transposes can be assembled on top.
+    Keeps the factor bookkeeping (factor_keys[v], the paths from v that
+    index the factors at v, with their injections and projections) so that
+    units, counits and transposes can be assembled on top.
     """
 
     def __init__(self, q: Quiver, qsub: Quiver, x: Representation):
@@ -500,47 +492,30 @@ class RightAdjointRep:
         self.qsub = qsub
         self.inner = x
         self.factor_keys = {v: _adjoint_factors(q, qsub, v) for v in q.vertices}
+        self._pos = {v: {p: t for t, p in enumerate(self.factor_keys[v])} for v in q.vertices}
         self._data = {
-            v: direct_sum_with_maps([self.factor_module(k) for k in self.factor_keys[v]], modulus)
+            v: direct_sum_with_maps([x.vertex_modules[p.target] for p in self.factor_keys[v]], modulus)
             for v in q.vertices
         }
-        pos = {v: {k: t for t, k in enumerate(self.factor_keys[v])} for v in q.vertices}
         sub_arrow_ids = {a.id for a in qsub.arrows}
         mods = {v: self._data[v][0] for v in q.vertices}
         maps = {}
         for b in q.arrows:
-            total_u, _, projs_u = self._data[b.src]
-            total_v, injs_v, _ = self._data[b.tgt]
-            h = zero_hom(total_u, total_v)
-            for key in self.factor_keys[b.tgt]:
-                if key[0] == "triv" and b.id in sub_arrow_ids:
-                    comp = x.map(b.id).compose(projs_u[pos[b.src][("triv", b.src)]])
+            h = zero_hom(mods[b.src], mods[b.tgt])
+            for p in self.factor_keys[b.tgt]:
+                if p.is_trivial and b.id in sub_arrow_ids:
+                    comp = x.map(b.id).compose(self.projection(b.src, trivial_path(b.src)))
                 else:
-                    if key[0] == "triv":
-                        src_key = ("path", (b.id,), key[1])
-                    else:
-                        src_key = ("path", (b.id,) + key[1], key[2])
-                    comp = projs_u[pos[b.src][src_key]]
-                h = h + injs_v[pos[b.tgt][key]].compose(comp)
+                    comp = self.projection(b.src, Path(b.src, p.target, (b,) + p.arrows))
+                h = h + self.injection(b.tgt, p).compose(comp)
             maps[b.id] = h
         self.rep = Representation(q, modulus, mods, maps)
 
-    def factor_module(self, key) -> FinMod:
-        return self.inner.vertex_modules[key[1] if key[0] == "triv" else key[2]]
+    def injection(self, v: VertexId, p: Path) -> ModHom:
+        return self._data[v][1][self._pos[v][p]]
 
-    def factor_target(self, key) -> VertexId:
-        return key[1] if key[0] == "triv" else key[2]
-
-    def factor_path(self, v: VertexId, key) -> Path:
-        if key[0] == "triv":
-            return trivial_path(v)
-        return Path(v, key[2], tuple(self.q.arrow(aid) for aid in key[1]))
-
-    def injection(self, v: VertexId, key) -> ModHom:
-        return self._data[v][1][self.factor_keys[v].index(key)]
-
-    def projection(self, v: VertexId, key) -> ModHom:
-        return self._data[v][2][self.factor_keys[v].index(key)]
+    def projection(self, v: VertexId, p: Path) -> ModHom:
+        return self._data[v][2][self._pos[v][p]]
 
     def transpose(self, x_on_q: Representation, h: RepMorphism) -> RepMorphism:
         """Hom_{Q'}(restrict x, inner) -> Hom_Q(x, rep): the factor component
@@ -548,10 +523,9 @@ class RightAdjointRep:
         comps = {}
         for v in self.q.vertices:
             hv = zero_hom(x_on_q.vertex_modules[v], self.rep.vertex_modules[v])
-            for key in self.factor_keys[v]:
-                w = self.factor_target(key)
-                part = h.components[w].compose(x_on_q.along(self.factor_path(v, key)))
-                hv = hv + self.injection(v, key).compose(part)
+            for p in self.factor_keys[v]:
+                part = h.components[p.target].compose(x_on_q.along(p))
+                hv = hv + self.injection(v, p).compose(part)
             comps[v] = hv
         return RepMorphism(x_on_q, self.rep, comps)
 
@@ -559,7 +533,7 @@ class RightAdjointRep:
         """Hom_Q(x, rep) -> Hom_{Q'}(restrict x, inner) via the trivial factors."""
         comps = {}
         for w in self.qsub.vertices:
-            comps[w] = self.projection(w, ("triv", w)).compose(k.components[w])
+            comps[w] = self.projection(w, trivial_path(w)).compose(k.components[w])
         return RepMorphism(restrict(self.qsub, x_on_q), self.inner, comps)
 
 
@@ -588,9 +562,9 @@ def copresentation_embedding(x: Representation, embeds: Dict[VertexId, ModHom]) 
         h = zero_hom(x.vertex_modules[w], total.vertex_modules[w])
         for t, v in enumerate(q.vertices):
             single = singles[t]
-            for key in single.factor_keys[w]:
-                part = embeds[v].compose(x.along(single.factor_path(w, key)))
-                h = h + injs[t].components[w].compose(single.injection(w, key)).compose(part)
+            for p in single.factor_keys[w]:
+                part = embeds[v].compose(x.along(p))
+                h = h + injs[t].components[w].compose(single.injection(w, p)).compose(part)
         comps[w] = h
     return total, RepMorphism(x, total, comps)
 
@@ -759,9 +733,7 @@ def adjunction_check(y: Representation, x: Representation, naturality_samples: i
     if not is_mono(phi):
         return False, {"reason": "constructed map is not injective"}
     # naturality in Y against sampled endomorphisms
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     endo = HomGroupRep(y, y)
     for _ in range(naturality_samples):
         if endo.group.is_zero:

@@ -17,7 +17,7 @@ from quiverhom.io import (
     ses_from_dict,
     ses_to_dict,
 )
-from quiverhom.quiver import a2, make_quiver
+from quiverhom.quiver import a2, loop_quiver, make_quiver
 from quiverhom.rep import Representation, stalk
 from quiverhom.znmod import ModHom, Modulus, cyclic
 
@@ -121,7 +121,14 @@ def _reps_file() -> dict:
     return {"modulus": 4, "quiver": quiver_to_dict(x.quiver), "reps": {"x": rep_block_to_dict(x), "y": rep_block_to_dict(x)}}
 
 
-# each payload once crashed its command with a traceback and exit 1
+def _loop_reps_file() -> dict:
+    m = cyclic(Z4, 4)
+    x = Representation(loop_quiver(), Z4, {"v": m}, {"alpha": ModHom(m, m, [[1]])})
+    return {"modulus": 4, "quiver": quiver_to_dict(x.quiver), "reps": {"x": rep_block_to_dict(x), "y": rep_block_to_dict(x)}}
+
+
+# each payload once crashed its command with a traceback and exit 1, or
+# (vertex_ids_same_string) was accepted with one module read at two vertices
 MALFORMED_INPUTS = {
     "modulus_one": ("classify", lambda: dict(rep_to_dict(doubling_rep()), modulus=1)),
     "modulus_string": ("purity", lambda: dict(ses_to_dict(nonpure_fixture_ses(Z4)), modulus="x")),
@@ -134,6 +141,8 @@ MALFORMED_INPUTS = {
     "matrix_null": ("classify", lambda: dict(rep_to_dict(doubling_rep()), arrows_maps={"a": None})),
     "morphism_null": ("purity", lambda: dict(ses_to_dict(nonpure_fixture_ses(Z4)), f=None)),
     "top_level_number": ("classify", lambda: 5),
+    "ext_cyclic_quiver": ("ext", lambda: _loop_reps_file()),
+    "vertex_ids_same_string": ("classify", lambda: {"modulus": 4, "quiver": {"vertices": [1, "1"], "arrows": []}, "modules": {"1": [4]}, "arrows_maps": {}}),
 }
 
 

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from quiverhom.quiver import Quiver, a2, kronecker, make_quiver
+from quiverhom.quiver import Path, Quiver, a2, kronecker, make_quiver, paths_between
 from quiverhom.rep import (
     HomGroupRep,
     RepMorphism,
@@ -38,6 +38,7 @@ from quiverhom.znmod import (
     Modulus,
     cyclic,
     ext_module,
+    free_mod,
     identity_hom,
     is_epi,
     kernel_of_hom,
@@ -84,13 +85,55 @@ def test_yoneda_hom_identification():
             assert len(seen) == grp.cardinality
 
 
+def reference_projective_generator(q, modulus, v):
+    """P_v written down one path at a time: the free module on the paths
+    from v at each vertex, with arrows acting by path extension."""
+    path_sets = {w: paths_between(q, v, w) for w in q.vertices}
+    mods = {w: free_mod(modulus, len(path_sets[w])) for w in q.vertices}
+    maps = {}
+    for a in q.arrows:
+        src_paths = path_sets[a.src]
+        tgt_paths = path_sets[a.tgt]
+        index = {p.key(): t for t, p in enumerate(tgt_paths)}
+        mat = np.zeros((len(tgt_paths), len(src_paths)), dtype=np.int64)
+        for s, p in enumerate(src_paths):
+            extended = Path(v, a.tgt, p.arrows + (a,))
+            mat[index[extended.key()], s] = 1
+        maps[a.id] = ModHom(mods[a.src], mods[a.tgt], mat)
+    return Representation(q, modulus, mods, maps)
+
+
+def _rep_bytes(x):
+    q = x.quiver
+    return (
+        [x.vertex_modules[w].factors for w in q.vertices],
+        [(m.matrix.shape, m.matrix.tobytes()) for m in (x.map(a.id) for a in q.arrows)],
+    )
+
+
+def test_projective_generator_matches_path_by_path_reference():
+    from quiverhom.harness import Config, random_quiver
+
+    cfg = Config()
+    rng = random.Random(5)
+    quivers = [kronecker()] + [random_quiver(rng, cfg, acyclic=True, max_vertices=4, max_arrows=5) for _ in range(40)]
+    checked = 0
+    for q in quivers:
+        for n in (2, 6):
+            for v in q.vertices:
+                new = projective_generator(q, Modulus(n), v)
+                assert _rep_bytes(new) == _rep_bytes(reference_projective_generator(q, Modulus(n), v))
+                checked += 1
+    assert checked >= 150
+
+
 def reference_projective_cover_onto(x):
     """The cover as a direct sum of one P_v per canonical generator of x(v),
     mapped onto x by the Yoneda morphism of that generator."""
     q, modulus = x.quiver, x.modulus
     pieces, morphs = [], []
     for v in q.vertices:
-        p_v = projective_generator(q, modulus, v)
+        p_v = reference_projective_generator(q, modulus, v)
         for i in range(x.vertex_modules[v].rank):
             e = np.zeros(x.vertex_modules[v].rank, dtype=np.int64)
             e[i] = 1
@@ -110,12 +153,7 @@ def reference_projective_cover_onto(x):
 
 
 def _cover_bytes(total, epi):
-    q = total.quiver
-    return (
-        [total.vertex_modules[w].factors for w in q.vertices],
-        [(m.matrix.shape, m.matrix.tobytes()) for m in (total.map(a.id) for a in q.arrows)],
-        [(c.matrix.shape, c.matrix.tobytes()) for c in (epi.components[w] for w in q.vertices)],
-    )
+    return _rep_bytes(total) + ([(c.matrix.shape, c.matrix.tobytes()) for c in (epi.components[w] for w in total.quiver.vertices)],)
 
 
 def _cover_cases():

@@ -57,6 +57,17 @@ def test_paths_infinite_detection():
     assert len(paths_between(q, 1, 2)) == 1
 
 
+def test_paths_between_memo_hands_out_fresh_lists_and_raises_again():
+    q = kronecker()
+    first = paths_between(q, 1, 2)
+    first.clear()
+    assert [tuple(a.id for a in p.arrows) for p in paths_between(q, 1, 2)] == [("a",), ("b",)]
+    assert paths_between(q, 1, 2) is not paths_between(q, 1, 2)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="infinite path set"):
+            paths_between(loop_quiver(), "v", "v")
+
+
 def test_opposite_named_examples():
     q = a2()
     op = opposite(q)
