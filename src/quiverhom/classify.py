@@ -55,10 +55,6 @@ class ClassVerdict:
     mode: str  # "full" when the characterization is two-sided, else "necessity-only"
     oracle: Optional[bool] = None
 
-    @property
-    def agreed(self) -> Optional[bool]:
-        return None if self.oracle is None else self.oracle == self.verdict
-
 
 def simple_stalks(q: Quiver, modulus: Modulus) -> List[Representation]:
     """The simple representations: a residue field stalk at each vertex."""

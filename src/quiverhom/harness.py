@@ -86,6 +86,7 @@ from .classify import (
     simple_stalks,
 )
 from .znmod import (
+    MAX_MODULUS,
     FinMod,
     ModHom,
     Modulus,
@@ -119,9 +120,11 @@ class Config:
         if (
             not isinstance(self.moduli, (list, tuple))
             or not self.moduli
-            or not all(isinstance(m, int) and m >= 2 for m in self.moduli)
+            or not all(isinstance(m, int) and 2 <= m <= MAX_MODULUS for m in self.moduli)
         ):
-            raise ValueError(f"moduli must be a nonempty list of integers >= 2, got {self.moduli!r}")
+            raise ValueError(
+                f"moduli must be a nonempty list of integers from 2 to MAX_MODULUS = 2**21 = {MAX_MODULUS}, got {self.moduli!r}"
+            )
         if self.max_vertices < 1 or self.max_arrows < 0 or self.max_module_cardinality < 2:
             raise ValueError("caps must be positive")
         if self.trials < 1:

@@ -90,8 +90,11 @@ def in_arrows(q: Quiver, v: VertexId) -> List[Arrow]:
     return [a for a in q.arrows if a.tgt == v]
 
 
+@functools.lru_cache(maxsize=1024)
 def opposite(q: Quiver) -> Quiver:
-    """Same vertices, all arrows reversed; applying it twice gives back q."""
+    """Same vertices, all arrows reversed; applying it twice gives back q.
+    Memoized: every tensor presentation and dual checks against it, and a
+    quiver is immutable."""
 
     def flip(aid: str) -> str:
         return aid[: -len(_OP_SUFFIX)] if aid.endswith(_OP_SUFFIX) else aid + _OP_SUFFIX

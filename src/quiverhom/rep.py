@@ -40,6 +40,7 @@ from .znmod import (
     kernel_of_hom,
     matlis_dual,
     matlis_dual_hom,
+    present,
     quotient_with_projection,
     subgroup_present,
     subgroup_with_inclusion,
@@ -185,7 +186,15 @@ def zero_morphism(x: Representation, y: Representation) -> RepMorphism:
 
 
 def identity_morphism(x: Representation) -> RepMorphism:
-    return RepMorphism(x, x, {v: identity_hom(x.vertex_modules[v]) for v in x.quiver.vertices})
+    """The identity of x.  It is natural by construction, so it skips the
+    per-arrow naturality check of `RepMorphism.__init__`, which would cost
+    every `tensor_induced` caller that fixes one side far more than the
+    induced map itself."""
+    ident = RepMorphism.__new__(RepMorphism)
+    ident.source = ident.target = x
+    homs = {m: identity_hom(m) for m in set(x.vertex_modules.values())}
+    ident.components = {v: homs[x.vertex_modules[v]] for v in x.quiver.vertices}
+    return ident
 
 
 class RepSES:
@@ -605,116 +614,81 @@ def double_dual_rep_iso(x: Representation) -> RepMorphism:
 
 
 class TensorPresentation:
-    """Y tensor_Q X presented by generators (vertexwise cyclic tensors) and
-    the relations identifying the two arrow actions."""
+    """Y tensor_Q X by generators and relations.  At each vertex v the
+    generators are the pairs (s, t) of a generator of Y(v) and one of X(v),
+    in Kronecker order s * rank X(v) + t, of order gcd(c_s, d_t); `slices[v]`
+    is their range.  The relations are the orders, then for each arrow
+    a : i -> j the block kron(Y(a^op), I) - kron(I, X(a)), one column per
+    pair (s, t) at (j, i), reduced mod the orders, zero columns dropped."""
 
     def __init__(self, y: Representation, x: Representation):
-        if y.quiver != opposite(x.quiver) or y.modulus != x.modulus:
+        qop = opposite(x.quiver)
+        if y.quiver != qop or y.modulus != x.modulus:
             raise ValueError("tensor needs representations over mutually opposite quivers")
         self.y = y
         self.x = x
-        modulus = x.modulus
-        self.positions: Dict[Tuple, int] = {}
-        self.orders: List[int] = []
+        orders: List[int] = []
+        self.slices: Dict[VertexId, slice] = {}
         for v in x.quiver.vertices:
-            cf = y.vertex_modules[v].factors
-            df = x.vertex_modules[v].factors
-            for s, c in enumerate(cf):
-                for t, d in enumerate(df):
-                    self.positions[(v, s, t)] = len(self.orders)
-                    self.orders.append(gcd(c, d))
-        relations = []
-        qop = opposite(x.quiver)
-        flip = {a.id: a_op.id for a, a_op in zip(x.quiver.arrows, qop.arrows)}
-        for a in x.quiver.arrows:
-            i, j = a.src, a.tgt
-            y_map = y.map(flip[a.id])  # Y(j) -> Y(i)
-            x_map = x.map(a.id)  # X(i) -> X(j)
-            for s in range(y.vertex_modules[j].rank):
-                for t in range(x.vertex_modules[i].rank):
-                    rel = np.zeros(len(self.orders), dtype=np.int64)
-                    w = y_map.matrix[:, s]
-                    for u in range(y.vertex_modules[i].rank):
-                        p = self.positions[(i, u, t)]
-                        rel[p] = (rel[p] + int(w[u])) % self.orders[p]
-                    z = x_map.matrix[:, t]
-                    for r in range(x.vertex_modules[j].rank):
-                        p = self.positions[(j, s, r)]
-                        rel[p] = (rel[p] - int(z[r])) % self.orders[p]
-                    if rel.any():
-                        relations.append(rel)
-        self.module, self._proj, self._sect = quotient_with_projection(self.orders, relations, modulus)
+            start = len(orders)
+            orders += [gcd(c, d) for c in y.vertex_modules[v].factors for d in x.vertex_modules[v].factors]
+            self.slices[v] = slice(start, len(orders))
+        self.orders = np.array(orders, dtype=np.int64)
+        rels = [np.diag(self.orders)]
+        for a, a_op in zip(x.quiver.arrows, qop.arrows):
+            ym, xm = y.map(a_op.id).matrix, x.map(a.id).matrix  # Y(j) -> Y(i), X(i) -> X(j)
+            if not (ym.shape[1] and xm.shape[1]):
+                continue  # no pairs (s, t) at (j, i)
+            rel = np.zeros((len(self.orders), ym.shape[1] * xm.shape[1]), dtype=np.int64)
+            rel[self.slices[a.src]] += _kron(ym, np.eye(xm.shape[1], dtype=np.int64))
+            rel[self.slices[a.tgt]] -= _kron(np.eye(ym.shape[1], dtype=np.int64), xm)
+            rel %= self.orders[:, None]
+            rels.append(rel[:, rel.any(axis=0)])
+        self.module, self._proj, self._sect = present(np.hstack(rels), x.modulus, generators=len(orders))
 
-    def project(self, t0_vec: np.ndarray) -> np.ndarray:
-        if not self.module.rank:
-            return np.zeros(0, dtype=np.int64)
-        return self.module.reduce(self._proj.dot(np.asarray(t0_vec, dtype=np.int64)))
 
-    def lift(self, coords) -> np.ndarray:
-        c = self.module.reduce(coords)
-        if not len(self.orders):
-            return np.zeros(0, dtype=np.int64)
-        v = self._sect.dot(c) % self.x.modulus.n if self.module.rank else np.zeros(len(self.orders), dtype=np.int64)
-        return v % np.array(self.orders, dtype=np.int64)
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices by one broadcast product; np.kron itself
+    costs several times more on the few-by-few blocks used here."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def tensor(y: Representation, x: Representation) -> FinMod:
     return TensorPresentation(y, x).module
 
 
-def tensor_induced_right(pres_src: TensorPresentation, pres_tgt: TensorPresentation, f: RepMorphism) -> ModHom:
-    """Y tensor f : Y tensor X -> Y tensor X' for f : X -> X' with Y fixed."""
-    if pres_src.y != pres_tgt.y or f.source != pres_src.x or f.target != pres_tgt.x:
-        raise ValueError("presentations do not match the morphism")
-    big = np.zeros((len(pres_tgt.orders), len(pres_src.orders)), dtype=np.int64)
-    for (v, s, t), p_src in pres_src.positions.items():
-        fm = f.components[v].matrix
-        for r in range(f.target.vertex_modules[v].rank):
-            p_tgt = pres_tgt.positions[(v, s, r)]
-            big[p_tgt, p_src] = (big[p_tgt, p_src] + int(fm[r, t])) % pres_tgt.orders[p_tgt]
-    return _descend_between_quotients(pres_src, pres_tgt, big)
-
-
-def tensor_induced_left(pres_src: TensorPresentation, pres_tgt: TensorPresentation, theta: RepMorphism) -> ModHom:
-    """theta tensor X : Y' tensor X -> Y tensor X for theta : Y' -> Y with X fixed."""
-    if pres_src.x != pres_tgt.x or theta.source != pres_src.y or theta.target != pres_tgt.y:
-        raise ValueError("presentations do not match the morphism")
-    big = np.zeros((len(pres_tgt.orders), len(pres_src.orders)), dtype=np.int64)
-    for (v, s, t), p_src in pres_src.positions.items():
-        tm = theta.components[v].matrix
-        for u in range(theta.target.vertex_modules[v].rank):
-            p_tgt = pres_tgt.positions[(v, u, t)]
-            big[p_tgt, p_src] = (big[p_tgt, p_src] + int(tm[u, s])) % pres_tgt.orders[p_tgt]
-    return _descend_between_quotients(pres_src, pres_tgt, big)
-
-
-def _descend_between_quotients(pres_src: TensorPresentation, pres_tgt: TensorPresentation, big: np.ndarray) -> ModHom:
+def tensor_induced(pres_src: TensorPresentation, pres_tgt: TensorPresentation, theta: RepMorphism, f: RepMorphism) -> ModHom:
+    """theta tensor f : Y' tensor X -> Y tensor X' for theta : Y' -> Y and
+    f : X -> X', the block kron(theta_v, f_v) at each vertex; pass
+    `identity_morphism` for a side that stays fixed."""
+    if (theta.source, theta.target, f.source, f.target) != (pres_src.y, pres_tgt.y, pres_src.x, pres_tgt.x):
+        raise ValueError("presentations do not match the morphisms")
     src, tgt = pres_src.module, pres_tgt.module
     if not (src.rank and tgt.rank):
         return zero_hom(src, tgt)
-    mat = pres_tgt._proj.dot(big).dot(pres_src._sect)
-    return ModHom(src, tgt, mat)
+    big = np.zeros((len(pres_tgt.orders), len(pres_src.orders)), dtype=np.int64)
+    for v, rows in pres_tgt.slices.items():
+        cols = pres_src.slices[v]
+        if rows.stop > rows.start and cols.stop > cols.start:
+            big[rows, cols] = _kron(theta.components[v].matrix, f.components[v].matrix)
+    big %= pres_tgt.orders[:, None]
+    return ModHom(src, tgt, (pres_tgt._proj.dot(big) % src.modulus.n).dot(pres_src._sect))
 
 
-def tensor_functional_coords(pres: TensorPresentation, g: RepMorphism) -> np.ndarray:
-    """Dual coordinates of the functional <g(v)(y), x> on Y tensor X, for a
-    morphism g : Y -> dual(X) over the opposite quiver."""
+def tensor_functional_coords(pres: TensorPresentation, gs: Sequence[RepMorphism]) -> np.ndarray:
+    """Dual coordinates of the functionals <g(v)(y), x> on Y tensor X, one
+    column per morphism g : Y -> dual(X) over the opposite quiver."""
     n = pres.x.modulus.n
-    lam = np.zeros(len(pres.orders), dtype=np.int64)
-    for (v, s, t), p in pres.positions.items():
-        w = g.components[v].matrix[:, s]
-        d = pres.x.vertex_modules[v].factors[t]
-        lam[p] = (int(w[t]) * (n // d)) % n
-    dual = matlis_dual(pres.module)
-    coords = np.zeros(dual.rank, dtype=np.int64)
-    for k in range(dual.rank):
-        rep_vec = pres.lift(np.eye(dual.rank, dtype=np.int64)[k])
-        val = int(lam.dot(rep_vec)) % n
-        f = dual.factors[k]
-        if val % (n // f) != 0:
-            raise ValueError("functional is not well defined on the quotient (bug)")
-        coords[k] = (val // (n // f)) % f
-    return coords
+    lam = np.zeros((len(gs), len(pres.orders)), dtype=np.int64)
+    for v, cols in pres.slices.items():
+        scale = n // np.array(pres.x.vertex_modules[v].factors, dtype=np.int64)
+        for k, g in enumerate(gs):
+            lam[k, cols] = (g.components[v].matrix.T * scale).reshape(-1) % n
+    factors = np.array(pres.module.factors, dtype=np.int64)
+    vals = lam.dot(pres._sect % pres.orders[:, None]) % n
+    if (vals % (n // factors)).any():
+        raise ValueError("functional is not well defined on the quotient (bug)")
+    return (vals // (n // factors) % factors).T
 
 
 def adjunction_check(y: Representation, x: Representation, naturality_samples: int = 3, seed: int = 0) -> Tuple[bool, dict]:
@@ -725,30 +699,22 @@ def adjunction_check(y: Representation, x: Representation, naturality_samples: i
     hom = HomGroupRep(y, dual_rep(x))
     if lhs.cardinality != hom.cardinality:
         return False, {"reason": "cardinality mismatch", "lhs": lhs.cardinality, "rhs": hom.cardinality}
-    if hom.group.rank:
-        cols = [tensor_functional_coords(pres, g) for g in hom.basis]
-        phi = ModHom(hom.group, lhs, np.array(cols, dtype=np.int64).T if lhs.rank else np.zeros((0, hom.group.rank)))
-    else:
-        phi = zero_hom(hom.group, lhs)
+    phi = ModHom(hom.group, lhs, tensor_functional_coords(pres, hom.basis))
     if not is_mono(phi):
         return False, {"reason": "constructed map is not injective"}
-    # naturality in Y against sampled endomorphisms
+    # naturality in Y against sampled endomorphisms: the dual of
+    # theta tensor X carries the functional of g to that of g o theta
     rng = random.Random(seed)
     endo = HomGroupRep(y, y)
+    fixed = identity_morphism(x)
     for _ in range(naturality_samples):
         if endo.group.is_zero:
             break
         coords = np.array([rng.randrange(d) for d in endo.group.factors], dtype=np.int64)
         theta = endo.from_coords(coords)
-        pres_src = pres  # theta tensor X maps Y tensor X -> Y tensor X
-        induced = tensor_induced_left(pres_src, pres, theta)
-        for g in hom.basis:
-            left = tensor_functional_coords(pres, g)
-            # dual of induced map applied to the functional
-            lam_after = matlis_dual_hom(induced)(left)
-            right = tensor_functional_coords(pres, g.compose(theta))
-            if not np.array_equal(lam_after, right):
-                return False, {"reason": "naturality failure"}
+        moved = matlis_dual_hom(tensor_induced(pres, pres, theta, fixed)).compose(phi)
+        if not np.array_equal(moved.matrix, tensor_functional_coords(pres, [g.compose(theta) for g in hom.basis])):
+            return False, {"reason": "naturality failure"}
     return True, {"cardinality": lhs.cardinality}
 
 

@@ -24,16 +24,23 @@ import numpy as np
 
 from .linalg import diagonalize, quotient_order, solve_right, xgcd
 
+# The largest accepted n: the largest with (n - 1)**3 < 2**63, so an
+# unreduced product of three residues (HomSystem's L @ scales @ R) and every
+# int64 dot product of two residue vectors shorter than 2**21 stay exact.
+MAX_MODULUS = 2**21
+
 
 @dataclass(frozen=True)
 class Modulus:
-    """The coefficient ring Z/n."""
+    """The coefficient ring Z/n, for 2 <= n <= MAX_MODULUS."""
 
     n: int
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("modulus must be at least 2")
+        if self.n > MAX_MODULUS:
+            raise ValueError(f"modulus must be at most MAX_MODULUS = 2**21 = {MAX_MODULUS}, got {self.n}")
 
     @cached_property
     def prime_factors(self) -> Dict[int, int]:
@@ -246,20 +253,12 @@ def identity_hom(m: FinMod) -> ModHom:
 
 def hom_entry_orders(dom: Sequence[int], cod: Sequence[int]) -> np.ndarray:
     """Order of the (j, i) entry group: gcd(d_i, e_j)."""
-    out = np.zeros((len(cod), len(dom)), dtype=np.int64)
-    for j, e in enumerate(cod):
-        for i, d in enumerate(dom):
-            out[j, i] = gcd(d, e)
-    return out
+    return np.gcd.outer(_factor_arrays(cod), _factor_arrays(dom))
 
 
 def hom_entry_scales(dom: Sequence[int], cod: Sequence[int]) -> np.ndarray:
     """Generator of the (j, i) entry group: e_j // gcd(d_i, e_j)."""
-    out = np.zeros((len(cod), len(dom)), dtype=np.int64)
-    for j, e in enumerate(cod):
-        for i, d in enumerate(dom):
-            out[j, i] = e // gcd(d, e)
-    return out
+    return _factor_arrays(cod)[:, None] // hom_entry_orders(dom, cod)
 
 
 def random_hom(rng: random.Random, dom: FinMod, cod: FinMod) -> ModHom:
@@ -579,11 +578,8 @@ def matlis_dual_hom(f: ModHom) -> ModHom:
     """
     n = f.modulus.n
     dom, cod = f.domain, f.codomain
-    out = np.zeros((dom.rank, cod.rank), dtype=np.int64)
-    for i, d in enumerate(dom.factors):
-        for j, e in enumerate(cod.factors):
-            c = (int(f.matrix[j, i]) * (n // e)) % n
-            out[i, j] = (c // (n // d)) % d
+    d = _factor_arrays(dom.factors)[:, None]
+    out = (f.matrix.T * (n // _factor_arrays(cod.factors)) % n) // (n // d) % d
     return ModHom(matlis_dual(cod), matlis_dual(dom), out)
 
 

@@ -142,6 +142,7 @@ MALFORMED_INPUTS = {
     "morphism_null": ("purity", lambda: dict(ses_to_dict(nonpure_fixture_ses(Z4)), f=None)),
     "top_level_number": ("classify", lambda: 5),
     "ext_cyclic_quiver": ("ext", lambda: _loop_reps_file()),
+    "modulus_above_cap": ("classify", lambda: dict(rep_to_dict(doubling_rep()), modulus=4294967311)),
     "vertex_ids_same_string": ("classify", lambda: {"modulus": 4, "quiver": {"vertices": [1, "1"], "arrows": []}, "modules": {"1": [4]}, "arrows_maps": {}}),
 }
 
@@ -256,6 +257,13 @@ def test_cli_verify_rejects_modulus_below_two(capsys):
     assert captured.out == "" and captured.err.startswith("error:")
 
 
+def test_cli_verify_rejects_modulus_above_cap(capsys):
+    # 4294967311 once overflowed int64 and was reported as FAIL collapse[1], exit 1
+    assert main(["verify", "all", "--modulus-list", "4294967311"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:") and "MAX_MODULUS" in captured.err
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -266,8 +274,9 @@ def test_cli_verify_rejects_modulus_below_two(capsys):
         [{"trials": 1}],
         {"suites": ["nope"], "trials": 1},
         {"suites": "rootedness", "trials": 1},
+        {"moduli": [4, 4294967311], "trials": 1},
     ],
-    ids=["moduli0", "moduli1", "moduli2", "trials_null", "top_level_list", "unknown_suite", "suites_string"],
+    ids=["moduli0", "moduli1", "moduli2", "trials_null", "top_level_list", "unknown_suite", "suites_string", "moduli_above_cap"],
 )
 def test_cli_verify_rejects_bad_moduli_config(tmp_path, capsys, config):
     path = write(tmp_path, "config.json", config)

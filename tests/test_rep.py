@@ -211,6 +211,17 @@ def test_dual_ses_and_split_preservation():
     assert ds.g.target == dual_rep(s.x)
 
 
+def test_hom_group_near_the_modulus_cap():
+    # HomSystem forms L @ scales @ R unreduced, up to (n - 1)**3, which the
+    # cap keeps below 2**63; at n = 2 * 4294967311 it wrapped
+    n = 2 * 1000003
+    m = Modulus(n)
+    two, big = cyclic(m, 2), cyclic(m, n)
+    x = Representation(a2(), m, {1: two, 2: two}, {"a": ModHom(two, two, [[1]])})
+    y = Representation(a2(), m, {1: big, 2: big}, {"a": ModHom(big, big, [[n - 1]])})
+    assert HomGroupRep(x, y).cardinality == 2
+
+
 def test_tensor_named_examples():
     q = a2()
     qop = opposite(q)
@@ -308,7 +319,7 @@ def test_tensor_right_exact_random():
     # for any short exact sequence and any test object the induced sequence
     # of tensor groups is exact at the middle and right positions
     from quiverhom.harness import random_rep_ses, random_representation, Config
-    from quiverhom.rep import tensor_induced_right
+    from quiverhom.rep import tensor_induced
     from quiverhom.znmod import image_of_hom, kernel_of_hom
 
     cfg = Config()
@@ -316,8 +327,9 @@ def test_tensor_right_exact_random():
         ses = random_rep_ses(rng, x)
         s = random_representation(rng, opposite(q), modulus, cfg, max_rank=1)
         pres = {name: TensorPresentation(s, rep) for name, rep in (("x", ses.x), ("y", ses.y), ("z", ses.z))}
-        sf = tensor_induced_right(pres["x"], pres["y"], ses.f)
-        sg = tensor_induced_right(pres["y"], pres["z"], ses.g)
+        ident = identity_morphism(s)
+        sf = tensor_induced(pres["x"], pres["y"], ident, ses.f)
+        sg = tensor_induced(pres["y"], pres["z"], ident, ses.g)
         img_g, _ = image_of_hom(sg)
         assert img_g.cardinality == pres["z"].module.cardinality  # right exact
         img_f, _ = image_of_hom(sf)

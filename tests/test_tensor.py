@@ -1,0 +1,175 @@
+"""The Kronecker-form tensor product against the entry-by-entry loops it
+replaced, kept here as the reference oracle."""
+
+import random
+from math import gcd
+
+import numpy as np
+import pytest
+
+from quiverhom.harness import Config, random_quiver, random_representation
+from quiverhom.quiver import has_directed_cycle, opposite
+from quiverhom.rep import (
+    HomGroupRep,
+    TensorPresentation,
+    dual_rep,
+    identity_morphism,
+    tensor_functional_coords,
+    tensor_induced,
+)
+from quiverhom.znmod import ModHom, Modulus, matlis_dual, quotient_with_projection, zero_hom
+
+MODULI = (2, 4, 6, 12, 36, 72)
+
+
+class LoopTensorPresentation:
+    """Y tensor_Q X built one entry at a time through a (v, s, t) -> position
+    dict: the construction `TensorPresentation` replaced."""
+
+    def __init__(self, y, x):
+        self.y = y
+        self.x = x
+        self.positions = {}
+        self.orders = []
+        for v in x.quiver.vertices:
+            cf = y.vertex_modules[v].factors
+            df = x.vertex_modules[v].factors
+            for s, c in enumerate(cf):
+                for t, d in enumerate(df):
+                    self.positions[(v, s, t)] = len(self.orders)
+                    self.orders.append(gcd(c, d))
+        relations = []
+        qop = opposite(x.quiver)
+        flip = {a.id: a_op.id for a, a_op in zip(x.quiver.arrows, qop.arrows)}
+        for a in x.quiver.arrows:
+            i, j = a.src, a.tgt
+            y_map = y.map(flip[a.id])
+            x_map = x.map(a.id)
+            for s in range(y.vertex_modules[j].rank):
+                for t in range(x.vertex_modules[i].rank):
+                    rel = np.zeros(len(self.orders), dtype=np.int64)
+                    w = y_map.matrix[:, s]
+                    for u in range(y.vertex_modules[i].rank):
+                        p = self.positions[(i, u, t)]
+                        rel[p] = (rel[p] + int(w[u])) % self.orders[p]
+                    z = x_map.matrix[:, t]
+                    for r in range(x.vertex_modules[j].rank):
+                        p = self.positions[(j, s, r)]
+                        rel[p] = (rel[p] - int(z[r])) % self.orders[p]
+                    if rel.any():
+                        relations.append(rel)
+        self.module, self._proj, self._sect = quotient_with_projection(self.orders, relations, x.modulus)
+
+    def lift(self, coords):
+        c = self.module.reduce(coords)
+        if not len(self.orders):
+            return np.zeros(0, dtype=np.int64)
+        v = self._sect.dot(c) % self.x.modulus.n if self.module.rank else np.zeros(len(self.orders), dtype=np.int64)
+        return v % np.array(self.orders, dtype=np.int64)
+
+
+def _descend(pres_src, pres_tgt, big):
+    src, tgt = pres_src.module, pres_tgt.module
+    if not (src.rank and tgt.rank):
+        return zero_hom(src, tgt)
+    return ModHom(src, tgt, pres_tgt._proj.dot(big).dot(pres_src._sect))
+
+
+def loop_induced_right(pres_src, pres_tgt, f):
+    big = np.zeros((len(pres_tgt.orders), len(pres_src.orders)), dtype=np.int64)
+    for (v, s, t), p_src in pres_src.positions.items():
+        fm = f.components[v].matrix
+        for r in range(f.target.vertex_modules[v].rank):
+            p_tgt = pres_tgt.positions[(v, s, r)]
+            big[p_tgt, p_src] = (big[p_tgt, p_src] + int(fm[r, t])) % pres_tgt.orders[p_tgt]
+    return _descend(pres_src, pres_tgt, big)
+
+
+def loop_induced_left(pres_src, pres_tgt, theta):
+    big = np.zeros((len(pres_tgt.orders), len(pres_src.orders)), dtype=np.int64)
+    for (v, s, t), p_src in pres_src.positions.items():
+        tm = theta.components[v].matrix
+        for u in range(theta.target.vertex_modules[v].rank):
+            p_tgt = pres_tgt.positions[(v, u, t)]
+            big[p_tgt, p_src] = (big[p_tgt, p_src] + int(tm[u, s])) % pres_tgt.orders[p_tgt]
+    return _descend(pres_src, pres_tgt, big)
+
+
+def loop_functional_coords(pres, g):
+    n = pres.x.modulus.n
+    lam = np.zeros(len(pres.orders), dtype=np.int64)
+    for (v, s, t), p in pres.positions.items():
+        w = g.components[v].matrix[:, s]
+        d = pres.x.vertex_modules[v].factors[t]
+        lam[p] = (int(w[t]) * (n // d)) % n
+    dual = matlis_dual(pres.module)
+    coords = np.zeros(dual.rank, dtype=np.int64)
+    for k in range(dual.rank):
+        val = int(lam.dot(pres.lift(np.eye(dual.rank, dtype=np.int64)[k]))) % n
+        f = dual.factors[k]
+        assert val % (n // f) == 0
+        coords[k] = (val // (n // f)) % f
+    return coords
+
+
+def _pairs(seed, count):
+    """Harness-generated (Y over Q^op, X over Q) pairs: quivers of up to 3
+    vertices and 4 arrows, loops and cycles allowed, ranks 0 to 3."""
+    cfg = Config(moduli=MODULI)
+    for k in range(count):
+        rng = random.Random(seed * 100003 + k)
+        modulus = Modulus(MODULI[k % len(MODULI)])
+        q = random_quiver(rng, cfg, max_vertices=3, max_arrows=4)
+        x = random_representation(rng, q, modulus, cfg, max_rank=1 + k % 3)
+        y = random_representation(rng, opposite(q), modulus, cfg, max_rank=1 + k % 3)
+        yield rng, q, modulus, x, y
+
+
+def _random_morphism(rng, source, target):
+    hom = HomGroupRep(source, target)
+    return hom.from_coords([rng.randrange(d) for d in hom.group.factors])
+
+
+def test_presentation_matches_loop_oracle():
+    nonzero = cyclic = zero_rank = 0
+    for _, q, _, x, y in _pairs(1, 300):
+        new, old = TensorPresentation(y, x), LoopTensorPresentation(y, x)
+        assert new.orders.tolist() == old.orders
+        assert new.module == old.module
+        assert np.array_equal(new._proj, old._proj)
+        assert np.array_equal(new._sect, old._sect)
+        nonzero += not new.module.is_zero
+        cyclic += has_directed_cycle(q)
+        zero_rank += any(r.vertex_modules[v].is_zero for r in (x, y) for v in q.vertices)
+    assert nonzero >= 100 and cyclic >= 30 and zero_rank >= 30
+
+
+def test_induced_maps_and_functionals_match_loop_oracle():
+    for rng, q, modulus, x, y in _pairs(2, 200):
+        cfg = Config(moduli=MODULI)
+        x2 = random_representation(rng, q, modulus, cfg)
+        y2 = random_representation(rng, opposite(q), modulus, cfg)
+        f = _random_morphism(rng, x, x2)
+        theta = _random_morphism(rng, y2, y)
+        reps = {"yx": (y, x), "yx2": (y, x2), "y2x": (y2, x)}
+        new = {k: TensorPresentation(*r) for k, r in reps.items()}
+        old = {k: LoopTensorPresentation(*r) for k, r in reps.items()}
+        right = tensor_induced(new["yx"], new["yx2"], identity_morphism(y), f)
+        left = tensor_induced(new["y2x"], new["yx"], theta, identity_morphism(x))
+        assert right == loop_induced_right(old["yx"], old["yx2"], f)
+        assert left == loop_induced_left(old["y2x"], old["yx"], theta)
+        both = tensor_induced(new["y2x"], new["yx2"], theta, f)
+        assert both == loop_induced_right(old["yx"], old["yx2"], f).compose(loop_induced_left(old["y2x"], old["yx"], theta))
+        basis = HomGroupRep(y, dual_rep(x)).basis
+        gs = basis + [_random_morphism(rng, y, dual_rep(x))]
+        cols = tensor_functional_coords(new["yx"], gs)
+        assert cols.shape == (new["yx"].module.rank, len(gs))
+        for k, g in enumerate(gs):
+            assert np.array_equal(cols[:, k], loop_functional_coords(old["yx"], g))
+
+
+def test_tensor_induced_rejects_mismatched_morphisms():
+    _, _, _, x, y = next(_pairs(3, 1))
+    pres = TensorPresentation(y, x)
+    with pytest.raises(ValueError):
+        tensor_induced(pres, pres, identity_morphism(x), identity_morphism(y))

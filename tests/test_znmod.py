@@ -6,7 +6,9 @@ import time
 import numpy as np
 import pytest
 
+from quiverhom.linalg import quotient_order, solve_left
 from quiverhom.znmod import (
+    MAX_MODULUS,
     FinMod,
     ModHom,
     ModSES,
@@ -19,6 +21,8 @@ from quiverhom.znmod import (
     ext_module,
     free_mod,
     gi_module_certificate,
+    hom_entry_orders,
+    hom_entry_scales,
     hom_group,
     identity_hom,
     image_of_hom,
@@ -36,6 +40,7 @@ from quiverhom.znmod import (
     matlis_dual_hom,
     present,
     quotient_with_projection,
+    random_hom,
     retraction_of,
     section_of,
     solve_congruences,
@@ -513,5 +518,95 @@ def test_divisors_match_brute_force():
     for n in range(2, 501):
         assert Modulus(n).divisors == tuple(d for d in range(1, n + 1) if n % d == 0)
     start = time.perf_counter()
-    assert Modulus(2**31 - 1).divisors == (1, 2**31 - 1)
+    assert Modulus(2097143).divisors == (1, 2097143)  # the largest prime under the cap
     assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match="MAX_MODULUS"):
+        Modulus(2**31 - 1)
+
+
+def test_modulus_cap_is_the_largest_with_exact_cubes():
+    assert (MAX_MODULUS - 1) ** 3 < 2**63 <= MAX_MODULUS**3
+    assert Modulus(MAX_MODULUS).n == MAX_MODULUS
+    for n in (MAX_MODULUS + 1, 4294967311):
+        with pytest.raises(ValueError, match="MAX_MODULUS"):
+            Modulus(n)
+
+
+def _rank_mod_p(rows, p):
+    """Rank of a list of integer rows over GF(p), in Python ints."""
+    rows = [[v % p for v in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [v * inv % p for v in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [(v - c * w) % p for v, w in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _matmul(a, b, n):
+    return [[sum(x * y for x, y in zip(row, col)) % n for col in zip(*b)] for row in a]
+
+
+def test_compose_solve_left_and_quotient_order_near_the_cap_match_python_ints():
+    n = 2097143  # prime, so solvability is decided by ranks over GF(n)
+    m = Modulus(n)
+    rng = random.Random(11)
+
+    def draw(r, c):
+        return [[rng.choice((rng.randrange(n), rng.randrange(n - 64, n))) for _ in range(c)] for _ in range(r)]
+
+    for _ in range(30):
+        r, s, t = (rng.randint(1, 6) for _ in range(3))
+        a, b = draw(t, s), draw(s, r)
+        f = ModHom(free_mod(m, s), free_mod(m, t), a)
+        g = ModHom(free_mod(m, r), free_mod(m, s), b)
+        assert f.compose(g).matrix.tolist() == _matmul(a, b, n)
+        # Y @ a == b for a consistent right-hand side, and a random one
+        rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+        a = draw(rows, cols)
+        targets = _matmul(draw(2, rows), a, n) + draw(1, cols)
+        for target in targets:
+            out = solve_left(np.array(a), np.array([target]), n)
+            consistent = _rank_mod_p(a + [target], n) == _rank_mod_p(a, n)
+            assert (out is not None) == consistent
+            if out is None:
+                continue
+            y, kernel = out
+            assert _matmul(y.tolist(), a, n) == [target]
+            assert not any(any(row) for row in _matmul(kernel.tolist(), a, n))
+            assert _rank_mod_p(kernel.tolist(), n) == rows - _rank_mod_p(a, n)
+        # the column span of a.T leaves n**(cols - rank) cosets in (Z/n)**cols
+        assert quotient_order(np.array(a).T, [n] * cols, n) == n ** (cols - _rank_mod_p(a, n))
+
+
+def _chains(n):
+    """Every invariant-factor chain of rank at most 2 over Z/n."""
+    ds = [d for d in Modulus(n).divisors if d > 1]
+    return [()] + [(d,) for d in ds] + [(a, b) for a in ds for b in ds if b % a == 0]
+
+
+def test_hom_tables_and_matlis_dual_match_their_loops():
+    pairs = 0
+    rng = random.Random(3)
+    for n in range(2, 73):
+        m = Modulus(n)
+        chains = _chains(n)
+        for dom in chains:
+            for cod in chains:
+                pairs += 1
+                orders = [[math.gcd(d, e) for d in dom] for e in cod]
+                assert hom_entry_orders(dom, cod).reshape(len(cod), len(dom)).tolist() == orders
+                scales = [[e // math.gcd(d, e) for d in dom] for e in cod]
+                assert hom_entry_scales(dom, cod).reshape(len(cod), len(dom)).tolist() == scales
+                f = random_hom(rng, FinMod(m, dom), FinMod(m, cod))
+                dual = [[(int(f.matrix[j, i]) * (n // e)) % n // (n // d) % d for j, e in enumerate(cod)] for i, d in enumerate(dom)]
+                assert matlis_dual_hom(f).matrix.reshape(len(dom), len(cod)).tolist() == dual
+    assert pairs == 23187
