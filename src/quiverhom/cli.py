@@ -8,8 +8,15 @@ Subcommands:
   verify <suite|all> [--seed S] [--trials T] [--modulus-list ...] [--config F]
   fixture nonpure                             replay the non-pure fixture
 
-Exit codes: 0 all checks pass, 1 assertion failure (a theorem-violation
-finding), 2 usage or input error.
+Exit codes: 0 all checks pass, 1 a check failed (a theorem-violation
+finding), 2 usage or input error, a harness error in a `verify` trial, or
+an exception that escaped a command.
+
+Commands return their exit code and catch nothing: `main` alone turns a
+`FormatError`, `OSError` or `harness.UsageError` into `error: ...` on
+stderr, and any other exception into its traceback, both with exit 2.
+Every command but `verify` writes its records through `_emit`: JSON lines
+with `--json`, a table otherwise.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from typing import List, Optional
 
 from .classify import (
@@ -27,16 +35,7 @@ from .classify import (
     classify_projective,
     classify_strongly_fp_injective,
 )
-from .harness import (
-    NONPURE_FIXTURE_MODULI,
-    SUITES,
-    Config,
-    TrialReport,
-    is_vertexwise_split,
-    nonpure_fixture_ses,
-    run_all,
-    run_suite,
-)
+from .harness import NONPURE_FIXTURE_MODULI, Config, UsageError, is_vertexwise_split, nonpure_fixture_ses, run_all
 from .homology import ext as ext_group
 from .homology import rep_digest
 from .io import FormatError, load_json, quiver_from_dict, rep_from_dict, reps_file_from_dict, ses_from_dict
@@ -55,19 +54,22 @@ CLASSIFIERS = {
 
 
 def _print_table(rows: List[List[str]]):
-    if not rows:
-        return
     widths = [max(len(str(r[c])) for r in rows) for c in range(len(rows[0]))]
     for r in rows:
         print("  ".join(str(v).ljust(w) for v, w in zip(r, widths)))
 
 
+def _emit(args, records: List[dict], rows: List[List[str]]):
+    """One JSON line per record with --json, else the table rows."""
+    if args.json:
+        for rec in records:
+            print(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+    else:
+        _print_table(rows)
+
+
 def cmd_classify(args) -> int:
-    try:
-        x = rep_from_dict(load_json(args.file))
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    x = rep_from_dict(load_json(args.file))
     wanted = list(CLASSIFIERS) if args.cls == "all" else [args.cls]
     rows = [["class", "verdict", "mode", "oracle"]]
     records = []
@@ -78,30 +80,14 @@ def cmd_classify(args) -> int:
         else:
             cv = fn(x)
         rows.append([name, str(cv.verdict), cv.mode, str(cv.oracle)])
-        records.append(
-            {
-                "class": name,
-                "verdict": cv.verdict,
-                "mode": cv.mode,
-                "oracle": cv.oracle,
-                "instance": rep_digest(x),
-            }
-        )
-    if args.json:
-        for rec in records:
-            print(json.dumps(rec, sort_keys=True, separators=(",", ":")))
-    else:
-        _print_table(rows)
+        records.append({"class": name, "verdict": cv.verdict, "mode": cv.mode, "oracle": cv.oracle, "instance": rep_digest(x)})
+    _emit(args, records, rows)
     disagree = any(r["oracle"] is not None and r["oracle"] != r["verdict"] for r in records)
     return 1 if disagree else 0
 
 
 def cmd_purity(args) -> int:
-    try:
-        ses = ses_from_dict(load_json(args.file))
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ses = ses_from_dict(load_json(args.file))
     verdict = is_pure_rep_ses(ses)
     defin, tested, witness = definitional_purity_check(ses)
     record = {
@@ -110,45 +96,27 @@ def cmd_purity(args) -> int:
         "tested_objects": tested,
         "witness": verdict.witness if not verdict.pure else None,
     }
-    if args.json:
-        print(json.dumps(record, sort_keys=True, separators=(",", ":")))
-    else:
-        _print_table([["pure", "definitional", "tested"], [str(verdict.pure), str(defin), str(tested)]])
+    _emit(args, [record], [["pure", "definitional", "tested"], [str(verdict.pure), str(defin), str(tested)]])
     return 0 if verdict.pure == defin else 1
 
 
 def cmd_ext(args) -> int:
     if args.n < 0:
-        print(f"error: --n must be at least 0, got {args.n}", file=sys.stderr)
-        return 2
-    try:
-        _, q, reps = reps_file_from_dict(load_json(args.file))
-        x = reps[args.x]
-        y = reps[args.y]
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        print(f"error: representation {exc} not found in file", file=sys.stderr)
-        return 2
+        raise UsageError(f"--n must be at least 0, got {args.n}")
+    _, q, reps = reps_file_from_dict(load_json(args.file))
+    for name in (args.x, args.y):
+        if name not in reps:
+            raise UsageError(f"representation {name!r} not found in file")
     if has_directed_cycle(q):
-        print("error: ext needs an acyclic quiver", file=sys.stderr)
-        return 2
-    value = ext_group(x, y, args.n)
+        raise UsageError("ext needs an acyclic quiver")
+    value = ext_group(reps[args.x], reps[args.y], args.n)
     record = {"degree": args.n, "ext": str(value.value), "cardinality": value.cardinality}
-    if args.json:
-        print(json.dumps(record, sort_keys=True, separators=(",", ":")))
-    else:
-        _print_table([["degree", "ext", "cardinality"], [str(args.n), str(value.value), str(value.cardinality)]])
+    _emit(args, [record], [["degree", "ext", "cardinality"], [str(args.n), str(value.value), str(value.cardinality)]])
     return 0
 
 
 def cmd_rooted(args) -> int:
-    try:
-        q = quiver_from_dict(load_json(args.file))
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    q = quiver_from_dict(load_json(args.file))
     rs = root_sequence(q)
     record = {
         "right_rooted": is_right_rooted(q),
@@ -156,21 +124,25 @@ def cmd_rooted(args) -> int:
         "fixpoint_index": rs.fixpoint_index,
         "stages": [sorted(map(str, s)) for s in rs.stages],
     }
-    if args.json:
-        print(json.dumps(record, sort_keys=True, separators=(",", ":")))
-    else:
-        _print_table(
-            [
-                ["right_rooted", "left_rooted", "fixpoint"],
-                [str(record["right_rooted"]), str(record["left_rooted"]), str(rs.fixpoint_index)],
-            ]
-        )
+    rows = [["right_rooted", "left_rooted", "fixpoint"], [str(record["right_rooted"]), str(record["left_rooted"]), str(rs.fixpoint_index)]]
+    _emit(args, [record], rows)
     return 0
 
 
-def _emit_reports(reports: List[TrialReport], as_json: bool) -> int:
-    failures = [r for r in reports if not r.ok]
-    if as_json:
+def cmd_verify(args) -> int:
+    cfg = Config.from_dict(load_json(args.config)) if args.config else Config()
+    if args.seed is not None:
+        cfg.master_seed = args.seed
+    if args.modulus_list:
+        cfg.moduli = tuple(args.modulus_list)
+    if args.suite != "all":
+        cfg.suites = (args.suite,)
+    cfg.validate()
+    if args.trials is not None and args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    reports = run_all(cfg, args.trials)
+    bad = [r for r in reports if not r.ok]
+    if args.json:
         for r in reports:
             print(r.to_json())
     else:
@@ -181,47 +153,16 @@ def _emit_reports(reports: List[TrialReport], as_json: bool) -> int:
         for name, rs in by_suite.items():
             rows.append([name, str(len(rs)), str(sum(1 for r in rs if not r.ok))])
         _print_table(rows)
-        for r in failures[:10]:
-            print(f"FAIL {r.suite}[{r.trial}] seed={r.seed} verdicts={r.verdicts}")
-    return 1 if failures else 0
-
-
-def cmd_verify(args) -> int:
-    if args.config:
-        try:
-            cfg = Config.from_dict(load_json(args.config))
-        except (FormatError, OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        cfg = Config()
-    if args.seed is not None:
-        cfg.master_seed = args.seed
-    if args.modulus_list:
-        cfg.moduli = tuple(args.modulus_list)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        for r in bad[:10]:
+            print(f"{'ERROR' if r.harness_error else 'FAIL'} {r.suite}[{r.trial}] seed={r.seed} verdicts={r.verdicts}")
+    if any(r.harness_error for r in bad):
         return 2
-    trials = args.trials
-    if trials is not None and trials < 1:
-        print(f"error: --trials must be at least 1, got {trials}", file=sys.stderr)
-        return 2
-    if args.suite == "all":
-        reports = run_all(cfg, trials)
-    else:
-        if args.suite not in SUITES:
-            print(f"error: unknown suite {args.suite!r}; known: {', '.join(SUITES)}", file=sys.stderr)
-            return 2
-        reports = run_suite(args.suite, cfg, trials)
-    return _emit_reports(reports, args.json)
+    return 1 if bad else 0
 
 
 def cmd_fixture(args) -> int:
     if args.name != "nonpure":
-        print(f"error: unknown fixture {args.name!r}", file=sys.stderr)
-        return 2
+        raise UsageError(f"unknown fixture {args.name!r}")
     records = []
     for n in NONPURE_FIXTURE_MODULI:
         ses = nonpure_fixture_ses(Modulus(n))
@@ -235,12 +176,7 @@ def cmd_fixture(args) -> int:
                 "witness": verdict.witness,
             }
         )
-    if args.json:
-        for rec in records:
-            print(json.dumps(rec, sort_keys=True, separators=(",", ":")))
-    else:
-        rows = [["modulus", "pure"]] + [[str(r["modulus"]), str(r["pure"])] for r in records]
-        _print_table(rows)
+    _emit(args, records, [["modulus", "pure"]] + [[str(r["modulus"]), str(r["pure"])] for r in records])
     return 1 if any(r["pure"] or not r["vertexwise_split"] for r in records) else 0
 
 
@@ -296,7 +232,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (FormatError, OSError, UsageError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    except Exception:
+        traceback.print_exc()
+    return 2
 
 
 if __name__ == "__main__":

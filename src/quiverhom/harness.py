@@ -13,6 +13,12 @@ the report groups it emits, each a (report suite name, body, fixed trial
 count or None) triple, and ``run_suite`` runs each group through
 ``_run_trials``.
 
+A trial reports a theorem violation only through ``_ok``.  No check raises
+on purpose, so a trial body that raises (a generator's
+``RejectionBudgetExceeded``, a failed internal ``assert``, an overflow) is a
+harness error: its report carries the exception text and
+``harness_error``, and ``verify`` exits 2 rather than 1 for it.
+
 Every trial derives its own seed from (master seed, report suite name, trial
 index), so single trials replay independently, and reports are
 byte-identical for a fixed configuration.
@@ -106,10 +112,13 @@ from .znmod import (
 from .znmod import is_split as mod_is_split
 
 
+class UsageError(ValueError):
+    """A configuration or command line the harness will not run."""
+
+
 @dataclass
 class Config:
     moduli: Tuple[int, ...] = (2, 3, 4, 8, 9)
-    max_vertices: int = 6
     max_arrows: int = 8
     max_module_cardinality: int = 4096
     trials: int = 200
@@ -122,26 +131,30 @@ class Config:
             or not self.moduli
             or not all(isinstance(m, int) and 2 <= m <= MAX_MODULUS for m in self.moduli)
         ):
-            raise ValueError(
+            raise UsageError(
                 f"moduli must be a nonempty list of integers from 2 to MAX_MODULUS = 2**21 = {MAX_MODULUS}, got {self.moduli!r}"
             )
-        if self.max_vertices < 1 or self.max_arrows < 0 or self.max_module_cardinality < 2:
-            raise ValueError("caps must be positive")
+        if self.max_arrows < 0 or self.max_module_cardinality < 2:
+            raise UsageError("caps must be positive")
         if self.trials < 1:
-            raise ValueError("trials must be positive")
+            raise UsageError("trials must be positive")
         if not isinstance(self.suites, (list, tuple)) or not all(isinstance(s, str) and s in SUITES for s in self.suites):
-            raise ValueError(f"suites must be a list of names from {', '.join(SUITES)}, got {self.suites!r}")
+            raise UsageError(f"suites must be a list of names from {', '.join(SUITES)}, got {self.suites!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "Config":
         if not isinstance(d, dict):
-            raise ValueError(f"a config must be a JSON object, got {type(d).__name__}")
-        values = {f.name: d.get(f.name, getattr(cls, f.name)) for f in fields(cls)}
+            raise UsageError(f"a config must be a JSON object, got {type(d).__name__}")
+        names = [f.name for f in fields(cls)]
+        unknown = sorted(set(d) - set(names))
+        if unknown:
+            raise UsageError(f"unknown config keys {unknown}; known: {', '.join(names)}")
+        values = {name: d.get(name, getattr(cls, name)) for name in names}
         for name, value in values.items():
             if name in ("moduli", "suites"):
                 values[name] = tuple(value) if isinstance(value, list) else value
             elif type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+                raise UsageError(f"{name} must be an integer, got {value!r}")
         cfg = cls(**values)
         cfg.validate()
         return cfg
@@ -156,6 +169,7 @@ class TrialReport:
     verdicts: Dict[str, object]
     ok: bool
     ms: int = 0  # deterministic placeholder: wall time would break replayability
+    harness_error: bool = False  # the trial body raised; not in the JSON line
 
     def to_json(self) -> str:
         return json.dumps(
@@ -192,13 +206,13 @@ def random_quiver(
     config: Config,
     right_rooted: Optional[bool] = None,
     acyclic: Optional[bool] = None,
-    max_vertices: Optional[int] = None,
+    *,
+    max_vertices: int,
     max_arrows: Optional[int] = None,
 ) -> Quiver:
-    mv = max_vertices or config.max_vertices
     ma = max_arrows if max_arrows is not None else config.max_arrows
     for _ in range(400):
-        nv = rng.randint(1, mv)
+        nv = rng.randint(1, max_vertices)
         vertices = list(range(1, nv + 1))
         arrows = []
         for k in range(rng.randint(0, ma)):
@@ -326,11 +340,10 @@ def _run_trials(suite: str, config: Config, trials: int, body: Callable[[random.
             verdicts = body(rng, t)
             ok = bool(verdicts.pop("_ok", True))
             instance = str(verdicts.pop("_instance", ""))
-        except Exception as exc:  # a crash is a failed trial, not a crashed run
-            verdicts = {"error": f"{type(exc).__name__}: {exc}"}
-            ok = False
-            instance = ""
-        reports.append(TrialReport(suite, t, seed, instance, verdicts, ok))
+            error = False
+        except Exception as exc:  # a harness error, not a crashed run
+            verdicts, ok, instance, error = {"error": f"{type(exc).__name__}: {exc}"}, False, "", True
+        reports.append(TrialReport(suite, t, seed, instance, verdicts, ok, harness_error=error))
     return reports
 
 

@@ -269,13 +269,15 @@ class ExtComputation:
         return self._data(m)[1]
 
     def cocycle_to_ext_coords(self, m: int, hom_coords: np.ndarray) -> np.ndarray:
+        """The Ext^m coordinates of cocycles given by their Hom(P_m, Y)
+        coordinates, one column per cocycle, all solved at once."""
         ker, quo, incl, proj = self._data(m)
         c = ambient_coords_solve(incl.codomain.factors, incl.matrix, hom_coords, self.y.modulus)
         if c is None:
             raise ValueError("not a cocycle")
         if not quo.rank:
-            return np.zeros(0, dtype=np.int64)
-        return quo.reduce(proj.dot(ker.reduce(c)))
+            return np.zeros((0, hom_coords.shape[1]), dtype=np.int64)
+        return proj.dot(c % _column(ker.factors)) % _column(quo.factors)
 
 
 def ext(x: Representation, y: Representation, degree: int) -> ExtGroup:
@@ -290,28 +292,18 @@ def ext_induced_second(comp_src: ExtComputation, comp_tgt: ExtComputation, f: Re
     computations sharing the same resolution of X."""
     if comp_src.resolution is not comp_tgt.resolution:
         raise ValueError("computations must share the resolution")
-    ker_s, quo_s, incl_s, _ = comp_src._data(m)
+    ker_s, quo_s, incl_s, proj_s = comp_src._data(m)
     src_hom, tgt_hom = comp_src.homs[m], comp_tgt.homs[m]
-    cols = []
-    for k in range(quo_s.rank):
-        # lift an ext generator to a cocycle, postcompose with f, project
-        kcoords = _preimage_under_projection(comp_src, m, k)
-        hom_coords = incl_s(kcoords)
-        g = src_hom.from_coords(hom_coords)
-        fg = f.compose(g)
-        cols.append(comp_tgt.cocycle_to_ext_coords(m, tgt_hom.coords(fg)))
-    quo_t = comp_tgt.ext(m)
-    mat = np.array(cols, dtype=np.int64).T if cols and quo_t.rank else np.zeros((quo_t.rank, quo_s.rank), dtype=np.int64)
-    return ModHom(quo_s, quo_t, mat)
+    # lift every Ext generator to a cocycle, postcompose with f, project
+    lifts = ambient_coords_solve(quo_s.factors, proj_s, np.eye(quo_s.rank, dtype=np.int64), comp_src.y.modulus)
+    assert lifts is not None
+    cocycles = incl_s.matrix.dot(lifts % _column(ker_s.factors)) % _column(src_hom.group.factors)
+    fgs = [f.compose(src_hom.from_coords(cocycles[:, k])) for k in range(quo_s.rank)]
+    return ModHom(quo_s, comp_tgt.ext(m), comp_tgt.cocycle_to_ext_coords(m, tgt_hom.coord_matrix(fgs)))
 
 
-def _preimage_under_projection(comp: ExtComputation, m: int, gen_index: int) -> np.ndarray:
-    ker, quo, incl, proj = comp._data(m)
-    target = np.zeros(quo.rank, dtype=np.int64)
-    target[gen_index] = 1
-    sol = ambient_coords_solve(quo.factors, proj, target, comp.y.modulus)
-    assert sol is not None
-    return ker.reduce(sol)
+def _column(factors: Tuple[int, ...]) -> np.ndarray:
+    return np.array(factors, dtype=np.int64).reshape(-1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ import pathlib
 import numpy as np
 import pytest
 
+from quiverhom import cli, harness
 from quiverhom.cli import main
-from quiverhom.harness import nonpure_fixture_ses
+from quiverhom.harness import RejectionBudgetExceeded, derive_seed, nonpure_fixture_ses
 from quiverhom.io import (
     FormatError,
     quiver_from_dict,
@@ -275,11 +276,76 @@ def test_cli_verify_rejects_modulus_above_cap(capsys):
         {"suites": ["nope"], "trials": 1},
         {"suites": "rootedness", "trials": 1},
         {"moduli": [4, 4294967311], "trials": 1},
+        {"max_vertices": 6},
+        {"trails": 3},
     ],
-    ids=["moduli0", "moduli1", "moduli2", "trials_null", "top_level_list", "unknown_suite", "suites_string", "moduli_above_cap"],
+    ids=[
+        "moduli0", "moduli1", "moduli2", "trials_null", "top_level_list", "unknown_suite", "suites_string", "moduli_above_cap",
+        "removed_key", "misspelt_key",
+    ],
 )
 def test_cli_verify_rejects_bad_moduli_config(tmp_path, capsys, config):
     path = write(tmp_path, "config.json", config)
     assert main(["verify", "classification", "--config", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
+
+
+FILE_COMMANDS = {
+    "classify": ["classify", "{}"],
+    "purity": ["purity", "{}"],
+    "ext": ["ext", "{}", "--x", "x", "--y", "y", "--n", "1"],
+    "rooted": ["rooted", "{}"],
+    "verify_config": ["verify", "all", "--config", "{}"],
+}
+
+
+@pytest.mark.parametrize("problem", ["missing", "not_json", "not_utf8"])
+@pytest.mark.parametrize("command", list(FILE_COMMANDS))
+def test_cli_file_problems_exit_2(tmp_path, capsys, command, problem):
+    path = tmp_path / "input.json"
+    if problem == "not_json":
+        path.write_text("this is not json")
+    elif problem == "not_utf8":
+        path.write_bytes(b"\xff\xfe{}")
+    argv = [arg.format(path) for arg in FILE_COMMANDS[command]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+def _raising_body(config, rng, t):
+    raise RejectionBudgetExceeded("could not generate a quiver under the constraints")
+
+
+def test_cli_verify_harness_error_exits_2(monkeypatch, capsys):
+    # a body that raises is a harness error, not a theorem violation; its
+    # JSON line keeps the error text it always had
+    monkeypatch.setitem(harness.SUITES, "rootedness", (("rootedness", _raising_body, None),))
+    assert main(["verify", "rootedness", "--seed", "4", "--trials", "1", "--json"]) == 2
+    seed = derive_seed(4, "rootedness", 0)
+    assert capsys.readouterr().out == (
+        '{"instance":"","ms":0,"pass":false,"seed":%d,"suite":"rootedness","trial":0,'
+        '"verdicts":{"error":"RejectionBudgetExceeded: could not generate a quiver under the constraints"}}\n' % seed
+    )
+    assert main(["verify", "rootedness", "--seed", "4", "--trials", "1"]) == 2
+    out = capsys.readouterr().out
+    assert "ERROR rootedness[0]" in out and "FAIL" not in out
+
+
+def test_cli_verify_violation_still_exits_1(monkeypatch, capsys):
+    monkeypatch.setitem(harness.SUITES, "rootedness", (("rootedness", lambda config, rng, t: {"_ok": False}, None),))
+    assert main(["verify", "rootedness", "--trials", "1"]) == 1
+    assert "FAIL rootedness[0]" in capsys.readouterr().out
+
+
+def test_cli_escaped_exception_exits_2_with_traceback(tmp_path, monkeypatch, capsys):
+    def crash(x, with_oracle=False):
+        raise RuntimeError("classifier crashed")
+
+    monkeypatch.setitem(cli.CLASSIFIERS, "injective", crash)
+    path = write(tmp_path, "rep.json", rep_to_dict(doubling_rep()))
+    assert main(["classify", path, "--class", "injective"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback") and "RuntimeError: classifier crashed" in captured.err

@@ -37,8 +37,8 @@ def test_generators_deterministic():
     cfg = Config(master_seed=7)
     a = random.Random(123)
     b = random.Random(123)
-    qa = random_quiver(a, cfg)
-    qb = random_quiver(b, cfg)
+    qa = random_quiver(a, cfg, max_vertices=6)
+    qb = random_quiver(b, cfg, max_vertices=6)
     assert qa == qb
     modulus = Modulus(8)
     xa = random_representation(a, qa, modulus, cfg)
@@ -50,7 +50,7 @@ def test_random_quiver_constraints():
     cfg = Config()
     rng = random.Random(5)
     for _ in range(50):
-        q = random_quiver(rng, cfg, right_rooted=True)
+        q = random_quiver(rng, cfg, right_rooted=True, max_vertices=6)
         assert is_right_rooted(q)
         q = random_quiver(rng, cfg, acyclic=True, max_vertices=4)
         assert not has_directed_cycle(q)

@@ -363,3 +363,63 @@ def test_test_family_members_are_injective():
     assert len(fam) == 3
     for j in fam:
         assert _injective_rep_structure_check(j)
+
+
+def _ext_induced_second_per_generator(comp_src, comp_tgt, f, m):
+    """The earlier induced map: one projection solve, one composite and one
+    coordinate solve per Ext generator."""
+    from quiverhom.znmod import ambient_coords_solve
+
+    ker_s, quo_s, incl_s, proj_s = comp_src._data(m)
+    ker_t, quo_t, incl_t, proj_t = comp_tgt._data(m)
+    src_hom, tgt_hom = comp_src.homs[m], comp_tgt.homs[m]
+    cols = []
+    for k in range(quo_s.rank):
+        target = np.zeros(quo_s.rank, dtype=np.int64)
+        target[k] = 1
+        kcoords = ker_s.reduce(ambient_coords_solve(quo_s.factors, proj_s, target, comp_src.y.modulus))
+        fg = f.compose(src_hom.from_coords(incl_s(kcoords)))
+        c = ambient_coords_solve(incl_t.codomain.factors, incl_t.matrix, tgt_hom.coords(fg), comp_tgt.y.modulus)
+        assert c is not None
+        cols.append(quo_t.reduce(proj_t.dot(ker_t.reduce(c))) if quo_t.rank else np.zeros(0, dtype=np.int64))
+    mat = np.array(cols, dtype=np.int64).T if cols and quo_t.rank else np.zeros((quo_t.rank, quo_s.rank), dtype=np.int64)
+    return ModHom(quo_s, quo_t, mat)
+
+
+def test_ext_induced_second_matches_per_generator_loop():
+    # the sequences and test objects of the ext_engine suite's long exact
+    # sequence check, at every degree it reads
+    from quiverhom.harness import Config, random_quiver, random_rep_ses, random_representation
+
+    cfg = Config()
+    rng = random.Random(41)
+    seen_rank = 0
+    for _ in range(12):
+        modulus = Modulus(rng.choice([2, 4, 6, 9]))
+        q = random_quiver(rng, cfg, right_rooted=True, max_vertices=2, max_arrows=2)
+        y = random_representation(rng, q, modulus, cfg, max_rank=1)
+        ses = random_rep_ses(rng, y)
+        t_obj = stalk(q, modulus, rng.choice(q.vertices), cyclic(modulus, rng.choice([d for d in modulus.divisors if d > 1])))
+        res = projective_resolution(t_obj, 5)
+        comps = {name: ExtComputation(res, rep, 3) for name, rep in (("x", ses.x), ("y", ses.y), ("z", ses.z))}
+        for m in range(4):
+            for src, tgt, f in (("x", "y", ses.f), ("y", "z", ses.g)):
+                got = ext_induced_second(comps[src], comps[tgt], f, m)
+                assert got == _ext_induced_second_per_generator(comps[src], comps[tgt], f, m)
+                seen_rank = max(seen_rank, got.domain.rank * got.codomain.rank)
+    assert seen_rank > 0
+
+
+def test_cocycle_check_holds_when_ext_is_zero():
+    # Ext^0(S_1, P_1) = Hom(S_1, P_1) is zero on 1 -> 2, while the identity of
+    # P_1 is a degree-0 cochain that is not a cocycle
+    q = a2()
+    p1 = projective_generator(q, Z2, 1)
+    comp = ExtComputation(projective_resolution(stalk(q, Z2, 1, cyclic(Z2, 2)), 2), p1, 0)
+    assert comp.ext(0).is_zero
+    delta = comp.deltas[0]
+    cochains = np.eye(delta.domain.rank, dtype=np.int64)
+    assert delta.matrix.dot(cochains).any()
+    with pytest.raises(ValueError, match="not a cocycle"):
+        comp.cocycle_to_ext_coords(0, cochains)
+    assert comp.cocycle_to_ext_coords(0, np.zeros((delta.domain.rank, 2), dtype=np.int64)).shape == (0, 2)

@@ -394,3 +394,59 @@ def test_hom_group_matches_enumeration_with_loops_and_parallel_arrows(quiver):
         assert grp.cardinality == len(naturals)
         for f in naturals:
             assert grp.from_coords(grp.coords(f)) == f
+
+
+def _natural_by_composites(x, y, comps):
+    """The earlier naturality rule: compare the two checked composites."""
+    return all(y.map(a.id).compose(comps[a.src]) == comps[a.tgt].compose(x.map(a.id)) for a in x.quiver.arrows)
+
+
+def test_naturality_on_matrices_matches_composites():
+    from quiverhom.harness import Config, random_representation
+    from quiverhom.znmod import random_hom
+
+    verdicts = []
+    for rng, q, modulus, x in _random_instances(23, 40):
+        y = random_representation(rng, q, modulus, Config())
+        grp = HomGroupRep(x, y)
+        for _ in range(3):
+            coords = np.array([rng.randrange(d) for d in grp.group.factors], dtype=np.int64)
+            comps = dict(grp.from_coords(coords).components)
+            if rng.random() < 0.7:
+                v = rng.choice(q.vertices)
+                comps[v] = comps[v] + random_hom(rng, x.vertex_modules[v], y.vertex_modules[v])
+            old = _natural_by_composites(x, y, comps)
+            try:
+                RepMorphism(x, y, comps)
+                new = True
+            except ValueError as exc:
+                assert str(exc).startswith("naturality fails at arrow ")
+                new = False
+            assert new == old
+            verdicts.append(new)
+    assert True in verdicts and False in verdicts
+
+
+def test_rep_ses_names_the_failing_vertex():
+    # 0 -> 0 -> P_1 -> S_1 -> 0 on 1 -> 2 is exact at 1 and not at 2
+    from quiverhom.io import FormatError, morphism_to_dict, quiver_to_dict, rep_block_to_dict, ses_from_dict
+
+    m = cyclic(Z2, 2)
+    p1 = rep_a2(Z2, m, m, [[1]])
+    s1 = stalk(a2(), Z2, 1, m)
+    zero = zero_rep(a2(), Z2)
+    f = zero_morphism(zero, p1)
+    g = RepMorphism(p1, s1, {1: identity_hom(m), 2: ModHom(m, zero_mod(Z2), np.zeros((0, 1), dtype=np.int64))})
+    with pytest.raises(ValueError, match="^at vertex 2: cardinalities"):
+        RepSES(f, g)
+    payload = {
+        "modulus": 2,
+        "quiver": quiver_to_dict(a2()),
+        "x": rep_block_to_dict(zero),
+        "y": rep_block_to_dict(p1),
+        "z": rep_block_to_dict(s1),
+        "f": morphism_to_dict(f),
+        "g": morphism_to_dict(g),
+    }
+    with pytest.raises(FormatError, match="^sequence is not short exact: at vertex 2: "):
+        ses_from_dict(payload)
