@@ -46,6 +46,8 @@ from .znmod import (
     quotient_with_projection,
     retraction_of,
     section_of,
+    solve_congruences,
+    subgroup_present,
 )
 
 
@@ -103,29 +105,16 @@ def projective_generator(q: Quiver, modulus: Modulus, v: VertexId) -> Representa
     return _free_rep(q, modulus, {w: int(w == v) for w in q.vertices})[0]
 
 
-def yoneda_morphism(p_v: Representation, v: VertexId, x: Representation, element: np.ndarray) -> RepMorphism:
-    """The morphism P_v -> X sending the trivial-path generator to element."""
-    q = x.quiver
-    comps = {}
-    for w in q.vertices:
-        paths = paths_between(q, v, w)
-        mat = np.zeros((x.vertex_modules[w].rank, len(paths)), dtype=np.int64)
-        for t, p in enumerate(paths):
-            mat[:, t] = x.along(p)(element)
-        comps[w] = ModHom(p_v.vertex_modules[w], x.vertex_modules[w], mat)
-    return RepMorphism(p_v, x, comps)
-
-
 def projective_cover_onto(x: Representation) -> Tuple[Representation, RepMorphism]:
     """An epi from a finite direct sum of the P_v onto x (one copy of P_v per
     canonical generator of x(v)); not minimal.
 
-    The cover is `_free_rep` on ranks[v] = rank of x(v), so at w it is free
-    on the triples (v, i, p) with i a canonical generator of x(v); (v, i, p)
+    The cover is `_free_rep` on `_vertex_ranks(x)`, so at w it is free on
+    the triples (v, i, p) with i a canonical generator of x(v); (v, i, p)
     maps to column i of x.along(p).
     """
     q = x.quiver
-    ranks = {v: x.vertex_modules[v].rank for v in q.vertices}
+    ranks = _vertex_ranks(x)
     total, paths = _free_rep(q, x.modulus, ranks)
     comps = {}
     for w in q.vertices:
@@ -141,16 +130,23 @@ def projective_cover_onto(x: Representation) -> Tuple[Representation, RepMorphis
     return total, RepMorphism(total, x, comps)
 
 
+def _vertex_ranks(x: Representation) -> Dict[VertexId, int]:
+    return {v: x.vertex_modules[v].rank for v in x.quiver.vertices}
+
+
 @dataclass
 class ProjResolution:
     """... -> P_1 -> P_0 -> x -> 0 with projective terms, built by iterated
-    covers; diffs[k] maps terms[k+1] to terms[k]."""
+    covers; diffs[k] maps terms[k+1] to terms[k].  terms[k] is
+    `_free_rep(ranks[k])`: one P_v per canonical generator at v of the
+    representation it covers."""
 
     x: Representation
     terms: List[Representation]
     diffs: List[RepMorphism]
     augmentation: RepMorphism
     syzygies: List[Representation]
+    ranks: List[Dict[VertexId, int]]
 
     def extend_to(self, length: int):
         while len(self.terms) < length:
@@ -159,6 +155,7 @@ class ProjResolution:
             self.terms.append(cover)
             self.diffs.append(incl.compose(epi))
             self.syzygies.append(syz)
+            self.ranks.append(_vertex_ranks(syz))
 
 
 _RES_CACHE: Dict[Tuple, ProjResolution] = {}
@@ -173,7 +170,7 @@ def projective_resolution(x: Representation, length: int) -> ProjResolution:
     res = _RES_CACHE.get(key)
     if res is None or res.x != x:
         cover, epi = projective_cover_onto(x)
-        res = ProjResolution(x, [cover], [], epi, [])
+        res = ProjResolution(x, [cover], [], epi, [], [_vertex_ranks(x)])
         _RES_CACHE[key] = res
     res.extend_to(length)
     return res
@@ -228,10 +225,18 @@ class ExtGroup:
 
 
 class ExtComputation:
-    """Cohomology of Hom(P_., Y) for a fixed projective resolution of X.
+    """Cohomology of Hom(P_., Y) for a fixed projective resolution of X, in
+    Yoneda coordinates.
 
-    Exposes the Ext groups together with coordinates for cocycles, which is
-    what the long-exact-sequence and dimension-shifting checks consume.
+    A morphism P_v -> Y is determined by where it sends the trivial path at
+    v, so Hom(P_k, Y) is the product of one copy of Y(v) per generator
+    (v, i) of P_k, in the order of the generators; orders[k] lists the
+    orders of its coordinates (the factors of each Y(v), concatenated,
+    which need not form a divisibility chain).  deltas[k] is the matrix of
+    g -> g o d_k from those coordinates of Hom(P_k, Y) to those of
+    Hom(P_{k+1}, Y).  Exposes the Ext groups together with coordinates for
+    cocycles, which is what the long-exact-sequence and dimension-shifting
+    checks consume.
     """
 
     def __init__(self, resolution: ProjResolution, y: Representation, max_degree: int):
@@ -239,25 +244,64 @@ class ExtComputation:
         self.resolution = resolution
         self.y = y
         self.max_degree = max_degree
-        self.homs: List[HomGroupRep] = [HomGroupRep(p, y) for p in resolution.terms[: max_degree + 2]]
-        self.deltas: List[ModHom] = []
-        for k in range(max_degree + 1):
-            src, tgt = self.homs[k], self.homs[k + 1]
-            mat = tgt.coord_matrix([g.compose(resolution.diffs[k]) for g in src.basis])
-            self.deltas.append(ModHom(src.group, tgt.group, mat))
-        self._ext_data: Dict[int, Tuple[FinMod, FinMod, ModHom, np.ndarray]] = {}
+        vs = y.quiver.vertices
+        self.orders: List[Tuple[int, ...]] = [
+            tuple(d for v in vs for _ in range(ranks[v]) for d in y.vertex_modules[v].factors)
+            for ranks in resolution.ranks[: max_degree + 2]
+        ]
+        self._along: Dict[Tuple[VertexId, VertexId], np.ndarray] = {}
+        self.deltas: List[np.ndarray] = [self._delta(k) for k in range(max_degree + 1)]
+        self._ext_data: Dict[int, Tuple[FinMod, FinMod, np.ndarray, np.ndarray]] = {}
+
+    def _along_stack(self, u: VertexId, v: VertexId) -> np.ndarray:
+        """Y along each path from u to v, stacked in `paths_between` order;
+        asked only for pairs joined by some path."""
+        if (u, v) not in self._along:
+            self._along[u, v] = np.stack([self.y.along(p).matrix for p in paths_between(self.y.quiver, u, v)])
+        return self._along[u, v]
+
+    def _delta(self, k: int) -> np.ndarray:
+        """The block of generator (v, j) of P_{k+1} against generator (u, i)
+        of P_k is sum_p c_p Y(p), over the paths p from u to v, where c_p is
+        the coefficient of (u, i, p) in d_k of the trivial path at (v, j)."""
+        q, mods = self.y.quiver, self.y.vertex_modules
+        src, tgt = self.resolution.ranks[k], self.resolution.ranks[k + 1]
+        src_at = _offsets(q.vertices, src, mods)
+        tgt_at = _offsets(q.vertices, tgt, mods)
+        mat = np.zeros((len(self.orders[k + 1]), len(self.orders[k])), dtype=np.int64)
+        for v in q.vertices:
+            if not tgt[v] or not mods[v].rank:
+                continue
+            # P_{k+1}(v) lists the triples (w, j, p) with w before v first; the
+            # quiver is acyclic, so the trivial path is the one path from v to v
+            start = sum(tgt[w] * len(paths_between(q, w, v)) for w in q.vertices[: q.vertices.index(v)] if tgt[w])
+            column = self.resolution.diffs[k].components[v].matrix[:, start : start + tgt[v]]
+            rows = slice(tgt_at[v], tgt_at[v] + tgt[v] * mods[v].rank)
+            row = 0
+            for u in q.vertices:
+                if not src[u] or not paths_between(q, u, v):
+                    continue
+                along = self._along_stack(u, v)
+                coeffs = column[row : row + src[u] * len(along)].reshape(src[u], len(along), tgt[v])
+                row += src[u] * len(along)
+                block = np.einsum("itj,tab->jaib", coeffs, along)
+                mat[rows, src_at[u] : src_at[u] + src[u] * mods[u].rank] = block.reshape(rows.stop - rows.start, -1)
+        return mat % _column(self.orders[k + 1])
 
     def _data(self, m: int):
         if m not in self._ext_data:
-            ker, incl = kernel_of_hom(self.deltas[m])
+            modulus = self.y.modulus
+            zero = np.zeros(len(self.orders[m + 1]), dtype=np.int64)
+            out = solve_congruences(self.deltas[m], zero, self.orders[m + 1], self.orders[m], modulus)
+            assert out is not None
+            ker, incl = subgroup_present(self.orders[m], out[1], modulus)
             im_gens: List[np.ndarray] = []
-            if m and self.deltas[m - 1].domain.rank:
+            if m and self.orders[m - 1]:
                 # every image generator solved against incl at once
-                prev = self.deltas[m - 1]
-                coords = ambient_coords_solve(incl.codomain.factors, incl.matrix, prev.matrix, self.y.modulus)
+                coords = ambient_coords_solve(self.orders[m], incl, self.deltas[m - 1], modulus)
                 assert coords is not None, "image does not lie in the kernel (bug)"
-                im_gens = [ker.reduce(coords[:, c]) for c in range(prev.domain.rank)]
-            quo, proj, _ = quotient_with_projection(ker.factors, im_gens, self.y.modulus)
+                im_gens = [ker.reduce(c) for c in coords.T]
+            quo, proj, _ = quotient_with_projection(ker.factors, im_gens, modulus)
             self._ext_data[m] = (ker, quo, incl, proj)
         return self._ext_data[m]
 
@@ -269,10 +313,11 @@ class ExtComputation:
         return self._data(m)[1]
 
     def cocycle_to_ext_coords(self, m: int, hom_coords: np.ndarray) -> np.ndarray:
-        """The Ext^m coordinates of cocycles given by their Hom(P_m, Y)
-        coordinates, one column per cocycle, all solved at once."""
+        """The Ext^m coordinates of cocycles given by their Yoneda
+        coordinates in Hom(P_m, Y), one column per cocycle, all solved at
+        once."""
         ker, quo, incl, proj = self._data(m)
-        c = ambient_coords_solve(incl.codomain.factors, incl.matrix, hom_coords, self.y.modulus)
+        c = ambient_coords_solve(self.orders[m], incl, hom_coords, self.y.modulus)
         if c is None:
             raise ValueError("not a cocycle")
         if not quo.rank:
@@ -293,13 +338,31 @@ def ext_induced_second(comp_src: ExtComputation, comp_tgt: ExtComputation, f: Re
     if comp_src.resolution is not comp_tgt.resolution:
         raise ValueError("computations must share the resolution")
     ker_s, quo_s, incl_s, proj_s = comp_src._data(m)
-    src_hom, tgt_hom = comp_src.homs[m], comp_tgt.homs[m]
-    # lift every Ext generator to a cocycle, postcompose with f, project
+    # lift every Ext generator to a cocycle, postcompose with f, project;
+    # in Yoneda coordinates f o g applies f_v to the coordinates of each
+    # generator (v, i), so the postcomposition is one block-diagonal product
     lifts = ambient_coords_solve(quo_s.factors, proj_s, np.eye(quo_s.rank, dtype=np.int64), comp_src.y.modulus)
     assert lifts is not None
-    cocycles = incl_s.matrix.dot(lifts % _column(ker_s.factors)) % _column(src_hom.group.factors)
-    fgs = [f.compose(src_hom.from_coords(cocycles[:, k])) for k in range(quo_s.rank)]
-    return ModHom(quo_s, comp_tgt.ext(m), comp_tgt.cocycle_to_ext_coords(m, tgt_hom.coord_matrix(fgs)))
+    cocycles = incl_s.dot(lifts % _column(ker_s.factors)) % _column(comp_src.orders[m])
+    ranks = comp_src.resolution.ranks[m]
+    post = np.zeros((len(comp_tgt.orders[m]), len(comp_src.orders[m])), dtype=np.int64)
+    r = c = 0
+    for v in f.source.quiver.vertices:
+        fv = f.components[v].matrix
+        for _ in range(ranks[v]):
+            post[r : r + fv.shape[0], c : c + fv.shape[1]] = fv
+            r, c = r + fv.shape[0], c + fv.shape[1]
+    images = post.dot(cocycles) % _column(comp_tgt.orders[m])
+    return ModHom(quo_s, comp_tgt.ext(m), comp_tgt.cocycle_to_ext_coords(m, images))
+
+
+def _offsets(vertices, ranks: Dict[VertexId, int], mods: Dict[VertexId, FinMod]) -> Dict[VertexId, int]:
+    """Where the Yoneda coordinates of the generators at each vertex start."""
+    out, at = {}, 0
+    for v in vertices:
+        out[v] = at
+        at += ranks[v] * mods[v].rank
+    return out
 
 
 def _column(factors: Tuple[int, ...]) -> np.ndarray:

@@ -155,10 +155,12 @@ def _tensor_left_exact(s: Representation, ses: RepSES) -> bool:
 
 
 def _cheap_definitional_witness(ses: RepSES) -> Optional[dict]:
-    for desc, s in _cheap_test_objects(ses):
-        if not _tensor_left_exact(s, ses):
-            return desc
-    return None
+    """The first member of `_cheap_test_objects` that the sequence fails,
+    or None; memoized on the sequence, since `is_pure_rep_ses` and
+    `definitional_purity_check` both ask for it."""
+    if not hasattr(ses, "_cheap_witness"):
+        ses._cheap_witness = next((desc for desc, s in _cheap_test_objects(ses) if not _tensor_left_exact(s, ses)), None)
+    return ses._cheap_witness
 
 
 def _random_test_rep(qop: Quiver, modulus: Modulus, rng: random.Random) -> Representation:
@@ -184,20 +186,20 @@ def definitional_purity_check(ses: RepSES, budget: int = 5, seed: int = 0) -> Tu
     The projective and random members are a sanity net behind it, not part
     of the decision; they stay because dropping them would change the
     reported tested-object count and with it every stored report digest.
+    The cheap family is tensored at most once per sequence
+    (`_cheap_definitional_witness`); the count includes it either way.
     Returns (verdict, tested-object count, witness)."""
     modulus = ses.f.source.modulus
-    tests = _cheap_test_objects(ses)
     qop = opposite(ses.f.source.quiver)
+    tests = []
     if not has_directed_cycle(qop):
         for v in qop.vertices:
             tests.append(({"kind": "test-object", "shape": "projective", "vertex": v}, projective_generator(qop, modulus, v)))
     rng = random.Random(seed)
     for t in range(budget):
         tests.append(({"kind": "test-object", "shape": "random", "index": t}, _random_test_rep(qop, modulus, rng)))
-    for desc, s in tests:
-        if not _tensor_left_exact(s, ses):
-            return False, len(tests), desc
-    return True, len(tests), None
+    witness = _cheap_definitional_witness(ses) or next((desc for desc, s in tests if not _tensor_left_exact(s, ses)), None)
+    return witness is None, len(_cheap_test_objects(ses)) + len(tests), witness
 
 
 def is_pure_mono_rep(f: RepMorphism) -> Tuple[bool, Optional[RepMorphism]]:

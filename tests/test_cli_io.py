@@ -228,6 +228,16 @@ def test_cli_ext_degree2_output_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == "3fe28bdfebe8bf107f7a529401034a75ef42f9f39b99ceea9e4a8c5ea5ce229e"
 
 
+def test_cli_ext_degrees_0_to_3_output_is_pinned(capsys):
+    # first recorded with the hom-group Ext engine that tests/test_homology.py
+    # keeps as ReferenceExtComputation
+    for name in ("item0001-ext.json", "item0005-ext.json"):
+        for k in range(4):
+            assert main(["ext", str(LARGE_REPS / name), "--x", "x", "--y", "y", "--n", str(k), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == "5e38e7657e8fe96f77f0022482a04aa3c4af35dc7303a110d08362ea1325bf36"
+
+
 def test_cli_verify_unknown_suite(capsys):
     assert main(["verify", "bogus", "--trials", "1"]) == 2
 

@@ -1,3 +1,4 @@
+import pathlib
 import random
 
 import numpy as np
@@ -19,6 +20,7 @@ from quiverhom.rep import (
 )
 from quiverhom.homology import (
     ExtComputation,
+    _free_rep,
     canonical_injective_embedding,
     ext,
     ext1_extension_count,
@@ -30,24 +32,41 @@ from quiverhom.homology import (
     rep_digest,
     strongly_fp_injective_test_family,
     totally_acyclic_injective_complex,
-    yoneda_morphism,
 )
 from quiverhom.znmod import (
+    MAX_MODULUS,
     FinMod,
     ModHom,
     Modulus,
+    ambient_coords_solve,
     cyclic,
     ext_module,
     free_mod,
     identity_hom,
+    image_order,
     is_epi,
     kernel_of_hom,
+    kernel_order,
+    quotient_with_projection,
     zero_hom,
     zero_mod,
 )
 
 Z2 = Modulus(2)
 Z4 = Modulus(4)
+
+
+def yoneda_morphism(p_v: Representation, v, x: Representation, element: np.ndarray) -> RepMorphism:
+    """The morphism P_v -> X sending the trivial-path generator to element."""
+    q = x.quiver
+    comps = {}
+    for w in q.vertices:
+        paths = paths_between(q, v, w)
+        mat = np.zeros((x.vertex_modules[w].rank, len(paths)), dtype=np.int64)
+        for t, p in enumerate(paths):
+            mat[:, t] = x.along(p)(element)
+        comps[w] = ModHom(p_v.vertex_modules[w], x.vertex_modules[w], mat)
+    return RepMorphism(p_v, x, comps)
 
 
 def test_projective_generator_named_examples():
@@ -365,21 +384,216 @@ def test_test_family_members_are_injective():
         assert _injective_rep_structure_check(j)
 
 
-def _ext_induced_second_per_generator(comp_src, comp_tgt, f, m):
-    """The earlier induced map: one projection solve, one composite and one
-    coordinate solve per Ext generator."""
-    from quiverhom.znmod import ambient_coords_solve
+class ReferenceExtComputation:
+    """The earlier Ext engine, kept as the oracle: each cochain group is a
+    general hom group `HomGroupRep(P_k, Y)` and each differential is the
+    coordinate matrix of the composites of its basis with d_k."""
 
+    def __init__(self, resolution, y, max_degree):
+        resolution.extend_to(max_degree + 2)
+        self.resolution = resolution
+        self.y = y
+        self.homs = [HomGroupRep(p, y) for p in resolution.terms[: max_degree + 2]]
+        self.deltas = []
+        for k in range(max_degree + 1):
+            src, tgt = self.homs[k], self.homs[k + 1]
+            mat = tgt.coord_matrix([g.compose(resolution.diffs[k]) for g in src.basis])
+            self.deltas.append(ModHom(src.group, tgt.group, mat))
+        self._ext_data = {}
+
+    def _data(self, m):
+        if m not in self._ext_data:
+            ker, incl = kernel_of_hom(self.deltas[m])
+            im_gens = []
+            if m and self.deltas[m - 1].domain.rank:
+                prev = self.deltas[m - 1]
+                coords = ambient_coords_solve(incl.codomain.factors, incl.matrix, prev.matrix, self.y.modulus)
+                assert coords is not None
+                im_gens = [ker.reduce(coords[:, c]) for c in range(prev.domain.rank)]
+            quo, proj, _ = quotient_with_projection(ker.factors, im_gens, self.y.modulus)
+            self._ext_data[m] = (ker, quo, incl, proj)
+        return self._ext_data[m]
+
+    def ext(self, m):
+        return self._data(m)[1]
+
+
+def reference_ext_induced_second(comp_src, comp_tgt, f, m):
+    """The induced map on Ext through `HomGroupRep`: each lifted cocycle
+    becomes a morphism, is composed with f and read back by coordinates."""
     ker_s, quo_s, incl_s, proj_s = comp_src._data(m)
     ker_t, quo_t, incl_t, proj_t = comp_tgt._data(m)
     src_hom, tgt_hom = comp_src.homs[m], comp_tgt.homs[m]
+    lifts = ambient_coords_solve(quo_s.factors, proj_s, np.eye(quo_s.rank, dtype=np.int64), comp_src.y.modulus)
+    cocycles = incl_s.matrix.dot(lifts % np.array(ker_s.factors, dtype=np.int64).reshape(-1, 1))
+    fgs = [f.compose(src_hom.from_coords(cocycles[:, k])) for k in range(quo_s.rank)]
+    c = ambient_coords_solve(incl_t.codomain.factors, incl_t.matrix, tgt_hom.coord_matrix(fgs), comp_tgt.y.modulus)
+    assert c is not None
+    mat = proj_t.dot(c) if quo_t.rank else np.zeros((0, quo_s.rank), dtype=np.int64)
+    return ModHom(quo_s, quo_t, mat)
+
+
+def _generator_positions(term, ranks, v):
+    """The columns of the trivial-path generators (v, i) in term(v), for a
+    term `_free_rep(ranks)` of a resolution over an acyclic quiver."""
+    q = term.quiver
+    start = sum(ranks[w] * len(paths_between(q, w, v)) for w in q.vertices[: q.vertices.index(v)] if ranks[w])
+    return range(start, start + ranks[v])
+
+
+def _summand_projection(term, ranks, u, i):
+    """The projection of `_free_rep(ranks)` onto its summand (u, i), a P_u."""
+    q = term.quiver
+    p_u = projective_generator(q, term.modulus, u)
+    comps = {}
+    for w in q.vertices:
+        start = sum(ranks[s] * len(paths_between(q, s, w)) for s in q.vertices[: q.vertices.index(u)] if ranks[s])
+        count = len(paths_between(q, u, w))
+        mat = np.zeros((count, term.vertex_modules[w].rank), dtype=np.int64)
+        mat[np.arange(count), start + i * count + np.arange(count)] = 1
+        comps[w] = ModHom(term.vertex_modules[w], p_u.vertex_modules[w], mat)
+    return RepMorphism(term, p_u, comps)
+
+
+def _yoneda_coords(h, ranks):
+    """The Yoneda coordinates of h : `_free_rep(ranks)` -> Y: the image of
+    each trivial-path generator, in generator order."""
+    q = h.source.quiver
+    parts = [np.zeros(0, dtype=np.int64)]
+    for v in q.vertices:
+        for col in _generator_positions(h.source, ranks, v):
+            parts.append(h.components[v].matrix[:, col])
+    return np.concatenate(parts)
+
+
+def _from_yoneda_coords(term, ranks, y, coords):
+    """The morphism `_free_rep(ranks)` -> Y with the given Yoneda
+    coordinates: a sum of Yoneda morphisms out of the summands."""
+    q = term.quiver
+    h = zero_morphism(term, y)
+    at = 0
+    for u in q.vertices:
+        rank = y.vertex_modules[u].rank
+        p_u = projective_generator(q, term.modulus, u)
+        for i in range(ranks[u]):
+            element = coords[at : at + rank]
+            at += rank
+            h = h + yoneda_morphism(p_u, u, y, element).compose(_summand_projection(term, ranks, u, i))
+    return h
+
+
+def _yoneda_delta_oracle(comp, k):
+    """deltas[k] column by column: the Yoneda morphism of each coordinate
+    vector, precomposed with d_k, read back in Yoneda coordinates."""
+    res, y = comp.resolution, comp.y
+    ranks, ranks_next = res.ranks[k], res.ranks[k + 1]
+    cols = []
+    for c in range(len(comp.orders[k])):
+        e = np.zeros(len(comp.orders[k]), dtype=np.int64)
+        e[c] = 1
+        g = _from_yoneda_coords(res.terms[k], ranks, y, e)
+        cols.append(_yoneda_coords(g.compose(res.diffs[k]), ranks_next))
+    return np.array(cols, dtype=np.int64).reshape(len(comp.orders[k]), len(comp.orders[k + 1])).T
+
+
+def _yoneda_cases():
+    from quiverhom.harness import Config, random_quiver, random_representation
+    from quiverhom.io import load_json, reps_file_from_dict
+
+    # the `ext` inputs of the large_reps benchmark files
+    for name in ("item0001-ext.json", "item0005-ext.json"):
+        reps = reps_file_from_dict(load_json(str(pathlib.Path(__file__).parent / "data" / "large_reps" / name)))[2]
+        yield reps["x"], reps["y"]
+    cfg = Config()
+    rng = random.Random(23)
+    for n in (2, 4, 6, 12):
+        modulus = Modulus(n)
+        for _ in range(6):
+            q = random_quiver(rng, cfg, right_rooted=True, max_vertices=4, max_arrows=5)
+            yield random_representation(rng, q, modulus, cfg, 3), random_representation(rng, q, modulus, cfg, 3)
+        kq = kronecker()
+        x = random_representation(rng, kq, modulus, cfg)
+        yield x, random_representation(rng, kq, modulus, cfg)
+        yield zero_rep(kq, modulus), x
+        yield x, zero_rep(kq, modulus)
+        for v in kq.vertices:
+            yield stalk(kq, modulus, v, FinMod(modulus, (n, n))), x
+            yield x, stalk(kq, modulus, v, cyclic(modulus, n))
+    # the largest prime modulus below the cap
+    big = Modulus(2097143)
+    assert MAX_MODULUS - 2097143 < 10
+    kq = kronecker()
+    m = cyclic(big, big.n)
+    y = Representation(kq, big, {1: m, 2: m}, {"a": ModHom(m, m, [[big.n - 1]]), "b": ModHom(m, m, [[big.n - 2]])})
+    yield stalk(kq, big, 1, m), y
+    yield y, y
+
+
+def test_yoneda_delta_is_precomposition_with_the_differential():
+    checked = 0
+    for x, y in _yoneda_cases():
+        comp = ExtComputation(projective_resolution(x, 4), y, 2)
+        for k in range(3):
+            assert _rep_bytes(comp.resolution.terms[k]) == _rep_bytes(_free_rep(x.quiver, x.modulus, comp.resolution.ranks[k])[0])
+            assert comp.deltas[k].shape == (len(comp.orders[k + 1]), len(comp.orders[k]))
+            assert np.array_equal(comp.deltas[k], _yoneda_delta_oracle(comp, k))
+            checked += np.count_nonzero(comp.deltas[k])
+    assert checked >= 300
+
+
+def _reference_cases():
+    from quiverhom.harness import Config, random_gorenstein_rep, random_quiver, random_rep_ses, random_representation
+
+    cfg = Config()
+    rng = random.Random(29)
+    for n in (2, 4, 6, 9, 12):
+        modulus = Modulus(n)
+        for _ in range(3):
+            q = random_quiver(rng, cfg, right_rooted=True, max_vertices=3, max_arrows=3)
+            x = random_representation(rng, q, modulus, cfg)
+            ses = random_rep_ses(rng, random_representation(rng, q, modulus, cfg))
+            yield x, ses
+        kq = kronecker()
+        ses = random_rep_ses(rng, random_gorenstein_rep(rng, kq, modulus, cfg))
+        yield stalk(kq, modulus, 1, cyclic(modulus, n)), ses
+        yield zero_rep(kq, modulus), ses
+
+
+def test_ext_matches_hom_group_reference():
+    nonzero_ext = nonzero = 0
+    for x, ses in _reference_cases():
+        res = projective_resolution(x, 5)
+        new = {name: ExtComputation(res, rep, 3) for name, rep in (("x", ses.x), ("y", ses.y), ("z", ses.z))}
+        old = {name: ReferenceExtComputation(res, rep, 3) for name, rep in (("x", ses.x), ("y", ses.y), ("z", ses.z))}
+        for m in range(4):
+            for name in new:
+                assert new[name].ext(m).factors == old[name].ext(m).factors
+                nonzero_ext += not new[name].ext(m).is_zero
+            for src, tgt, f in (("x", "y", ses.f), ("y", "z", ses.g)):
+                got = ext_induced_second(new[src], new[tgt], f, m)
+                want = reference_ext_induced_second(old[src], old[tgt], f, m)
+                assert got.domain.factors == want.domain.factors and got.codomain.factors == want.codomain.factors
+                assert (image_order(got), kernel_order(got)) == (image_order(want), kernel_order(want))
+                nonzero += image_order(got) > 1
+    assert nonzero_ext >= 30 and nonzero > 0
+
+
+def _ext_induced_second_per_generator(comp_src, comp_tgt, f, m):
+    """The induced map one Ext generator at a time: lift it to a cocycle,
+    make that cocycle a morphism P_m -> Y, compose with f and read the
+    composite back in Yoneda coordinates."""
+    ker_s, quo_s, incl_s, proj_s = comp_src._data(m)
+    ker_t, quo_t, incl_t, proj_t = comp_tgt._data(m)
+    res = comp_src.resolution
+    term, ranks = res.terms[m], res.ranks[m]
     cols = []
     for k in range(quo_s.rank):
         target = np.zeros(quo_s.rank, dtype=np.int64)
         target[k] = 1
         kcoords = ker_s.reduce(ambient_coords_solve(quo_s.factors, proj_s, target, comp_src.y.modulus))
-        fg = f.compose(src_hom.from_coords(incl_s(kcoords)))
-        c = ambient_coords_solve(incl_t.codomain.factors, incl_t.matrix, tgt_hom.coords(fg), comp_tgt.y.modulus)
+        cocycle = incl_s.dot(kcoords) % np.array(comp_src.orders[m], dtype=np.int64)
+        fg = f.compose(_from_yoneda_coords(term, ranks, comp_src.y, cocycle))
+        c = ambient_coords_solve(comp_tgt.orders[m], incl_t, _yoneda_coords(fg, ranks), comp_tgt.y.modulus)
         assert c is not None
         cols.append(quo_t.reduce(proj_t.dot(ker_t.reduce(c))) if quo_t.rank else np.zeros(0, dtype=np.int64))
     mat = np.array(cols, dtype=np.int64).T if cols and quo_t.rank else np.zeros((quo_t.rank, quo_s.rank), dtype=np.int64)
@@ -418,8 +632,8 @@ def test_cocycle_check_holds_when_ext_is_zero():
     comp = ExtComputation(projective_resolution(stalk(q, Z2, 1, cyclic(Z2, 2)), 2), p1, 0)
     assert comp.ext(0).is_zero
     delta = comp.deltas[0]
-    cochains = np.eye(delta.domain.rank, dtype=np.int64)
-    assert delta.matrix.dot(cochains).any()
+    cochains = np.eye(len(comp.orders[0]), dtype=np.int64)
+    assert delta.dot(cochains).any()
     with pytest.raises(ValueError, match="not a cocycle"):
         comp.cocycle_to_ext_coords(0, cochains)
-    assert comp.cocycle_to_ext_coords(0, np.zeros((delta.domain.rank, 2), dtype=np.int64)).shape == (0, 2)
+    assert comp.cocycle_to_ext_coords(0, np.zeros((len(comp.orders[0]), 2), dtype=np.int64)).shape == (0, 2)

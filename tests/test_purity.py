@@ -127,6 +127,24 @@ def test_nonpure_fixture_definitional_witness_is_a_stalk():
     assert not ok and witness["shape"] == "stalk" and witness["vertex"] == 2
 
 
+def test_cheap_family_is_tensored_once_per_sequence(monkeypatch):
+    # the purity command and the purity_bridge suite run both checks on
+    # one sequence; the second reads the first's cheap-family witness
+    from quiverhom import purity
+
+    calls = []
+    tensor = purity._tensor_left_exact
+    monkeypatch.setattr(purity, "_tensor_left_exact", lambda s, ses: calls.append(1) or tensor(s, ses))
+    expected = definitional_purity_check(nonpure_fixture(Z4, 4), budget=2)
+    ses = nonpure_fixture(Z4, 4)
+    calls.clear()
+    verdict = is_pure_rep_ses(ses)
+    after_dual = len(calls)
+    assert not verdict.pure and verdict.witness == expected[2] and after_dual > 0
+    assert definitional_purity_check(ses, budget=2) == expected
+    assert len(calls) == after_dual
+
+
 def test_pure_mono_epi_examples():
     ses = nonpure_fixture(Z4, 4)
     pure, _ = is_pure_mono_rep(ses.f)
