@@ -32,9 +32,9 @@ from .znmod import (
     FinMod,
     Modulus,
     cyclic,
-    gi_module_certificate,
     is_epi,
     is_flat_module,
+    is_gi_certified,
     is_injective_module,
     is_mono,
     is_projective_module,
@@ -43,7 +43,6 @@ from .znmod import (
     is_strongly_fp_injective_module,
     retraction_of,
     section_of,
-    verify_gi_certificate,
 )
 
 
@@ -217,12 +216,8 @@ def classify_gorenstein_sfp(x: Representation, with_oracle: bool = False, oracle
         comp_cert = False
         ker_cert = False
         if epi:
-            m = x.vertex_modules[v]
-            cx, wit = gi_module_certificate(m)
-            comp_cert = verify_gi_certificate(m, cx, wit)
-            kerm, _ = ker_psi(x, v)
-            kx, kwit = gi_module_certificate(kerm)
-            ker_cert = verify_gi_certificate(kerm, kx, kwit)
+            comp_cert = is_gi_certified(x.vertex_modules[v])
+            ker_cert = is_gi_certified(ker_psi(x, v)[0])
         evidence[v] = {"psi_epi": epi, "component_gorenstein": comp_cert, "kernel_gorenstein": ker_cert}
         verdict = verdict and epi and comp_cert and ker_cert
     mode = "full" if is_right_rooted(x.quiver) else "necessity-only"

@@ -226,10 +226,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first `main` call, not at import, so that the `cmd_*`
+# functions it dispatches to are the module's bindings at that time
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

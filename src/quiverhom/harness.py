@@ -103,6 +103,7 @@ from .znmod import (
     identity_hom,
     image_order,
     is_epi,
+    is_gi_certified,
     is_injective_module,
     is_mono,
     kernel_order,
@@ -465,7 +466,7 @@ def _gorenstein(config: Config, rng: random.Random, t: int) -> Dict[str, object]
         x = random_representation(rng, q, modulus, config)
     full = t % 10 == 0
     cv = classify_gorenstein_sfp(x, with_oracle=True, oracle_verify="full" if full else "structural")
-    psi_member = membership_psi_class(x, lambda m: verify_gi_certificate(m, *gi_module_certificate(m)))
+    psi_member = membership_psi_class(x, is_gi_certified)
     psi_epi = all(is_epi(psi(x, v)) for v in q.vertices)
     ok = cv.verdict == cv.oracle == psi_member == psi_epi
     if t == 0:

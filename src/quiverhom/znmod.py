@@ -6,9 +6,10 @@ A module is a direct sum of cyclic groups Z/d_1 + ... + Z/d_k with
 d_1 | d_2 | ... | d_k and every d_i dividing n; elements are coordinate
 vectors with the i-th coordinate read mod d_i.  A hom is a matrix whose
 (j, i) entry must satisfy a_ji * d_i == 0 mod e_j, which is checked at
-construction.  Internal computations frequently pass through "ambient"
-factor tuples that are not divisibility chains; only FinMod values are
-required to be canonical.
+construction, except on the results of sums, negatives, composites, zero
+and identity homs, which satisfy it by construction.  Internal computations
+frequently pass through "ambient" factor tuples that are not divisibility
+chains; only FinMod values are required to be canonical.
 """
 
 from __future__ import annotations
@@ -195,6 +196,20 @@ class ModHom:
         self.codomain = codomain
         self.matrix = m
 
+    @classmethod
+    def _closed(cls, domain: FinMod, codomain: FinMod, m: np.ndarray) -> "ModHom":
+        """A hom whose int64 matrix of the right shape is well defined by
+        construction (a sum, negative or composite of homs, zero or the
+        identity): reduce it mod the codomain factors and skip the check."""
+        if codomain.rank:
+            m = np.mod(m, _hom_tables(domain.factors, codomain.factors)[0])
+        m.flags.writeable = False
+        h = cls.__new__(cls)
+        h.domain = domain
+        h.codomain = codomain
+        h.matrix = m
+        return h
+
     @property
     def modulus(self) -> Modulus:
         return self.domain.modulus
@@ -211,15 +226,15 @@ class ModHom:
         """self after other."""
         if other.codomain != self.domain:
             raise ValueError("homs do not compose")
-        return ModHom(other.domain, self.codomain, self.matrix.dot(other.matrix))
+        return ModHom._closed(other.domain, self.codomain, self.matrix.dot(other.matrix))
 
     def __add__(self, other: "ModHom") -> "ModHom":
         if (other.domain, other.codomain) != (self.domain, self.codomain):
             raise ValueError("hom addition needs equal domains and codomains")
-        return ModHom(self.domain, self.codomain, self.matrix + other.matrix)
+        return ModHom._closed(self.domain, self.codomain, self.matrix + other.matrix)
 
     def __neg__(self) -> "ModHom":
-        return ModHom(self.domain, self.codomain, -self.matrix)
+        return ModHom._closed(self.domain, self.codomain, -self.matrix)
 
     def __sub__(self, other: "ModHom") -> "ModHom":
         return self + (-other)
@@ -244,11 +259,13 @@ class ModHom:
 
 
 def zero_hom(domain: FinMod, codomain: FinMod) -> ModHom:
-    return ModHom(domain, codomain, np.zeros((codomain.rank, domain.rank), dtype=np.int64))
+    if domain.modulus != codomain.modulus:
+        raise ValueError("modulus mismatch between domain and codomain")
+    return ModHom._closed(domain, codomain, np.zeros((codomain.rank, domain.rank), dtype=np.int64))
 
 
 def identity_hom(m: FinMod) -> ModHom:
-    return ModHom(m, m, np.eye(m.rank, dtype=np.int64))
+    return ModHom._closed(m, m, np.eye(m.rank, dtype=np.int64))
 
 
 def hom_entry_orders(dom: Sequence[int], cod: Sequence[int]) -> np.ndarray:
@@ -849,3 +866,12 @@ def verify_gi_certificate(m: FinMod, cx: ModComplex, witness: ModHom) -> bool:
         return False
     ker, _ = kernel_of_hom(cx.diffs[0])
     return ker.cardinality == image_order(witness) and ker.factors == m.factors
+
+
+@lru_cache(maxsize=1024)
+def is_gi_certified(m: FinMod) -> bool:
+    """`verify_gi_certificate` on `gi_module_certificate(m)`, memoized per
+    module: the verdict depends only on the modulus and the factors.  A
+    certificate from elsewhere goes through `verify_gi_certificate`, which
+    replays it every time."""
+    return verify_gi_certificate(m, *gi_module_certificate(m))

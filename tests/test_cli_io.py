@@ -238,6 +238,43 @@ def test_cli_ext_degrees_0_to_3_output_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == "5e38e7657e8fe96f77f0022482a04aa3c4af35dc7303a110d08362ea1325bf36"
 
 
+@pytest.mark.parametrize(
+    "suite, trials, digest",
+    [
+        # gorenstein trials 0 and 10 run the oracle with oracle_verify="full"
+        ("gorenstein", "20", "bd60dd9060c57c06e280c6fe41c63ed4d3decd3d131fcea40399fdc34b8dbdc2"),
+        ("orthogonality", "10", "c7083d43beb087b84d4e70fba6f9cfb847a7471f766138a2bd04fabe7096bb82"),
+        # collapse trial 0 is the tampered-certificate control
+        ("collapse", "10", "2ec61f4aa778bd92311cf883d53ec53a1ddb55f82fe6525ff4205da8a565add8"),
+    ],
+    ids=["gorenstein", "orthogonality", "collapse"],
+)
+def test_cli_gorenstein_certificate_suites_are_pinned(capsys, suite, trials, digest):
+    assert main(["verify", suite, "--seed", "7", "--trials", trials, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cli_parser_built_once_answers_like_fresh_calls(monkeypatch, capsys):
+    argvs = [
+        ["classify", str(LARGE_REPS / "item0003-classify.json"), "--json"],
+        ["classify", "--class", "bogus", "x.json"],
+        ["purity", str(LARGE_REPS / "item0000-purity.json"), "--json"],
+    ]
+    monkeypatch.setattr(cli, "_parser", None)
+    shared, parsers = [], set()
+    for argv in argvs:
+        shared.append((main(argv), capsys.readouterr()))
+        parsers.add(id(cli._parser))
+    assert len(parsers) == 1
+    fresh = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append((main(argv), capsys.readouterr()))
+    assert [code for code, _ in shared] == [0, 2, 0]
+    assert shared == fresh
+
+
 def test_cli_verify_unknown_suite(capsys):
     assert main(["verify", "bogus", "--trials", "1"]) == 2
 

@@ -1,6 +1,7 @@
 """Property-based checks of the algebraic laws on the module layer."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from quiverhom.znmod import (
@@ -12,6 +13,7 @@ from quiverhom.znmod import (
     hom_entry_scales,
     identity_hom,
     matlis_dual_hom,
+    zero_hom,
 )
 
 moduli = st.sampled_from([2, 3, 4, 6, 8, 9, 12])
@@ -84,3 +86,46 @@ def test_hom_application_is_linear(triple):
     lhs = f(f.domain.reduce(x + y))
     rhs = f.codomain.reduce(f(x) + f(y))
     assert np.array_equal(lhs, rhs)
+
+
+@st.composite
+def closed_op_inputs(draw):
+    """Homs f, f2: a -> b and g: b -> c over Z/n, n <= 72, ranks 0 to 3."""
+    n = draw(st.integers(2, 72))
+    a, b, c = draw(finmod(n)), draw(finmod(n)), draw(finmod(n))
+    return draw(hom_between(a, b)), draw(hom_between(a, b)), draw(hom_between(b, c))
+
+
+@given(closed_op_inputs())
+@settings(max_examples=150, deadline=None)
+def test_closed_operations_agree_with_the_checked_constructor(inputs):
+    # compose, +, -, negation, zero_hom and identity_hom skip the
+    # well-definedness check; the checked constructor, given the unreduced
+    # matrix, must accept each result and reduce it to the same matrix
+    f, f2, g = inputs
+    a, b, c = f.domain, f.codomain, g.codomain
+    cases = [
+        (g.compose(f), a, c, g.matrix.dot(f.matrix)),
+        (f + f2, a, b, f.matrix + f2.matrix),
+        (f - f2, a, b, f.matrix - f2.matrix),
+        (-f, a, b, -f.matrix),
+        (zero_hom(a, c), a, c, np.zeros((c.rank, a.rank), dtype=np.int64)),
+        (identity_hom(b), b, b, np.eye(b.rank, dtype=np.int64)),
+    ]
+    for h, dom, cod, raw in cases:
+        checked = ModHom(dom, cod, raw)
+        assert h == checked
+        assert not h.matrix.flags.writeable
+
+
+def test_closed_operations_keep_their_guards():
+    z4 = Modulus(4)
+    f = identity_hom(FinMod(z4, (2,)))
+    g = identity_hom(FinMod(z4, (4,)))
+    with pytest.raises(ValueError, match="^homs do not compose$"):
+        f.compose(g)
+    for op in (f.__add__, f.__sub__):
+        with pytest.raises(ValueError, match="^hom addition needs equal domains and codomains$"):
+            op(g)
+    with pytest.raises(ValueError, match="^modulus mismatch between domain and codomain$"):
+        zero_hom(FinMod(z4, (2,)), FinMod(Modulus(2), (2,)))

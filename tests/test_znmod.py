@@ -27,6 +27,7 @@ from quiverhom.znmod import (
     identity_hom,
     image_of_hom,
     is_epi,
+    is_gi_certified,
     is_injective_module,
     is_mono,
     is_projective_module,
@@ -497,6 +498,33 @@ def test_gi_certificate_named_examples():
         assert verify_gi_certificate(m, cx, wit)
 
 
+def test_gi_memo_equals_the_replay_on_every_chain_of_rank_3():
+    count = 0
+    for n in (2, 4, 6, 8, 9, 12, 36, 72):
+        for factors in _chains(n, max_rank=3):
+            m = FinMod(Modulus(n), factors)
+            assert is_gi_certified(m) == verify_gi_certificate(m, *gi_module_certificate(m))
+            count += 1
+    assert count == 400
+
+
+def test_gi_memo_does_not_hide_a_tampered_certificate():
+    m = cyclic(Z4, 2)
+    assert is_gi_certified(m)
+    cx, wit = gi_module_certificate(m)
+    cx.diffs[1] = ModHom(cx.components[1], cx.components[0], (cx.diffs[1].matrix + 1) % 4)
+    assert not verify_gi_certificate(m, cx, wit)
+    assert is_gi_certified(m)
+
+
+def test_gi_memo_repeated_call_is_a_cache_hit():
+    m = FinMod(Modulus(12), (2, 6))
+    is_gi_certified(m)
+    hits = is_gi_certified.cache_info().hits
+    assert is_gi_certified(FinMod(Modulus(12), (2, 6)))
+    assert is_gi_certified.cache_info().hits == hits + 1
+
+
 def test_double_dual_for_all_modules_up_to_4096():
     # the natural evaluation map is an isomorphism for every canonical module
     # of cardinality at most 4096 over the tested moduli
@@ -587,10 +615,14 @@ def test_compose_solve_left_and_quotient_order_near_the_cap_match_python_ints():
         assert quotient_order(np.array(a).T, [n] * cols, n) == n ** (cols - _rank_mod_p(a, n))
 
 
-def _chains(n):
-    """Every invariant-factor chain of rank at most 2 over Z/n."""
+def _chains(n, max_rank=2):
+    """Every invariant-factor chain of rank at most `max_rank` over Z/n."""
     ds = [d for d in Modulus(n).divisors if d > 1]
-    return [()] + [(d,) for d in ds] + [(a, b) for a in ds for b in ds if b % a == 0]
+    chains, last = [()], [()]
+    for _ in range(max_rank):
+        last = [c + (d,) for c in last for d in ds if not c or d % c[-1] == 0]
+        chains += last
+    return chains
 
 
 def test_hom_tables_and_matlis_dual_match_their_loops():
