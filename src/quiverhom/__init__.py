@@ -42,7 +42,7 @@ from .rep import (
     restrict,
     right_adjoint,
     stalk,
-    tensor,
+    tensor_order,
 )
 from .purity import (
     definitional_purity_check,

@@ -159,11 +159,12 @@ class ProjResolution:
 
 
 _RES_CACHE: Dict[Tuple, ProjResolution] = {}
+_RES_CACHE_SIZE = 256
 
 
 def projective_resolution(x: Representation, length: int) -> ProjResolution:
     """Projective resolution with at least `length` terms; cached by the
-    structural digest of x."""
+    structural digest of x, the oldest entry dropped past `_RES_CACHE_SIZE`."""
     if has_directed_cycle(x.quiver):
         raise ValueError("projective resolutions need an acyclic quiver")
     key = (rep_digest(x),)
@@ -172,6 +173,8 @@ def projective_resolution(x: Representation, length: int) -> ProjResolution:
         cover, epi = projective_cover_onto(x)
         res = ProjResolution(x, [cover], [], epi, [], [_vertex_ranks(x)])
         _RES_CACHE[key] = res
+        if len(_RES_CACHE) > _RES_CACHE_SIZE:
+            del _RES_CACHE[next(iter(_RES_CACHE))]
     res.extend_to(length)
     return res
 
@@ -212,8 +215,6 @@ def canonical_injective_embedding(x: Representation) -> Tuple[Representation, Re
 class ExtGroup:
     value: FinMod
     degree: int
-    source_digest: str
-    target_digest: str
 
     @property
     def cardinality(self) -> int:
@@ -329,7 +330,7 @@ def ext(x: Representation, y: Representation, degree: int) -> ExtGroup:
     """Ext^degree(X, Y) in the representation category."""
     res = projective_resolution(x, degree + 2)
     comp = ExtComputation(res, y, degree)
-    return ExtGroup(comp.ext(degree), degree, rep_digest(x), rep_digest(y))
+    return ExtGroup(comp.ext(degree), degree)
 
 
 def ext_induced_second(comp_src: ExtComputation, comp_tgt: ExtComputation, f: RepMorphism, m: int) -> ModHom:

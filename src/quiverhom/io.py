@@ -39,6 +39,24 @@ def _object(value, where: str) -> dict:
     return value
 
 
+def _int(value) -> int:
+    """value, if it is a JSON integer: int() and numpy would truncate a
+    float, parse a string and read true as 1."""
+    if type(value) is not int:
+        raise FormatError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _matrix(value, rows: int, cols: int) -> np.ndarray:
+    entries = np.array(value, dtype=object)
+    for e in entries.flat:
+        _int(e)
+    try:
+        return entries.astype(np.int64).reshape(rows, cols)
+    except OverflowError as exc:
+        raise FormatError(f"entry outside the 64-bit range ({exc})") from exc
+
+
 def quiver_from_dict(d: dict) -> Quiver:
     try:
         vertices = tuple(d["vertices"])
@@ -75,7 +93,7 @@ def rep_block_from_dict(d: dict, q: Quiver, modulus: Modulus) -> Representation:
         if key not in modules:
             raise FormatError(f"modules: missing vertex {key!r}")
         try:
-            mods[v] = FinMod(modulus, tuple(int(t) for t in modules[key]))
+            mods[v] = FinMod(modulus, tuple(_int(t) for t in modules[key]))
         except (TypeError, ValueError) as exc:
             raise FormatError(f"modules[{key!r}]: {exc}") from exc
     maps: Dict[str, ModHom] = {}
@@ -83,7 +101,7 @@ def rep_block_from_dict(d: dict, q: Quiver, modulus: Modulus) -> Representation:
         if a.id not in arrows_maps:
             raise FormatError(f"arrows_maps: missing arrow {a.id!r}")
         try:
-            maps[a.id] = ModHom(mods[a.src], mods[a.tgt], np.array(arrows_maps[a.id], dtype=np.int64).reshape(mods[a.tgt].rank, mods[a.src].rank))
+            maps[a.id] = ModHom(mods[a.src], mods[a.tgt], _matrix(arrows_maps[a.id], mods[a.tgt].rank, mods[a.src].rank))
         except (TypeError, ValueError) as exc:
             raise FormatError(f"arrows_maps[{a.id!r}]: {exc}") from exc
     return Representation(q, modulus, mods, maps)
@@ -99,7 +117,7 @@ def _modulus_of(d: dict) -> Modulus:
     if "modulus" not in _object(d, "file"):
         raise FormatError("missing field 'modulus'")
     try:
-        return Modulus(int(d["modulus"]))
+        return Modulus(_int(d["modulus"]))
     except (TypeError, ValueError) as exc:
         raise FormatError(f"modulus: {exc}") from exc
 
@@ -122,11 +140,7 @@ def morphism_from_dict(d: dict, src: Representation, tgt: Representation) -> Rep
         if key not in d:
             raise FormatError(f"morphism: missing vertex {key!r}")
         try:
-            comps[v] = ModHom(
-                src.vertex_modules[v],
-                tgt.vertex_modules[v],
-                np.array(d[key], dtype=np.int64).reshape(tgt.vertex_modules[v].rank, src.vertex_modules[v].rank),
-            )
+            comps[v] = ModHom(src.vertex_modules[v], tgt.vertex_modules[v], _matrix(d[key], tgt.vertex_modules[v].rank, src.vertex_modules[v].rank))
         except (TypeError, ValueError) as exc:
             raise FormatError(f"morphism[{key!r}]: {exc}") from exc
     try:

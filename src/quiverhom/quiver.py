@@ -93,7 +93,7 @@ def in_arrows(q: Quiver, v: VertexId) -> List[Arrow]:
 @functools.lru_cache(maxsize=1024)
 def opposite(q: Quiver) -> Quiver:
     """Same vertices, all arrows reversed; applying it twice gives back q.
-    Memoized: every tensor presentation and dual checks against it, and a
+    Memoized: every tensor product and dual checks against it, and a
     quiver is immutable."""
 
     def flip(aid: str) -> str:

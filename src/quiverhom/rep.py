@@ -13,6 +13,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .linalg import quotient_order
 from .quiver import (
     Path,
     Quiver,
@@ -188,15 +189,7 @@ def zero_morphism(x: Representation, y: Representation) -> RepMorphism:
 
 
 def identity_morphism(x: Representation) -> RepMorphism:
-    """The identity of x.  It is natural by construction, so it skips the
-    per-arrow naturality check of `RepMorphism.__init__`, which would cost
-    every `tensor_induced` caller that fixes one side far more than the
-    induced map itself."""
-    ident = RepMorphism.__new__(RepMorphism)
-    ident.source = ident.target = x
-    homs = {m: identity_hom(m) for m in set(x.vertex_modules.values())}
-    ident.components = {v: homs[x.vertex_modules[v]] for v in x.quiver.vertices}
-    return ident
+    return RepMorphism(x, x, {v: identity_hom(x.vertex_modules[v]) for v in x.quiver.vertices})
 
 
 class RepSES:
@@ -610,6 +603,33 @@ def double_dual_rep_iso(x: Representation) -> RepMorphism:
 # ---------------------------------------------------------------------------
 
 
+def _tensor_relations(y: Representation, x: Representation) -> Tuple[np.ndarray, Dict[VertexId, slice], np.ndarray]:
+    """The generator orders, the vertex slices and the arrow relations of
+    Y tensor_Q X, as described on `TensorPresentation`, without the orders
+    themselves as relations."""
+    qop = opposite(x.quiver)
+    if y.quiver != qop or y.modulus != x.modulus:
+        raise ValueError("tensor needs representations over mutually opposite quivers")
+    orders = []
+    slices: Dict[VertexId, slice] = {}
+    for v in x.quiver.vertices:
+        start = len(orders)
+        orders += [gcd(c, d) for c in y.vertex_modules[v].factors for d in x.vertex_modules[v].factors]
+        slices[v] = slice(start, len(orders))
+    orders = np.array(orders, dtype=np.int64)
+    rels = [np.zeros((len(orders), 0), dtype=np.int64)]
+    for a, a_op in zip(x.quiver.arrows, qop.arrows):
+        ym, xm = y.map(a_op.id).matrix, x.map(a.id).matrix  # Y(j) -> Y(i), X(i) -> X(j)
+        if not (ym.shape[1] and xm.shape[1]):
+            continue  # no pairs (s, t) at (j, i)
+        rel = np.zeros((len(orders), ym.shape[1] * xm.shape[1]), dtype=np.int64)
+        rel[slices[a.src]] += _kron(ym, np.eye(xm.shape[1], dtype=np.int64))
+        rel[slices[a.tgt]] -= _kron(np.eye(ym.shape[1], dtype=np.int64), xm)
+        rel %= orders[:, None]
+        rels.append(rel[:, rel.any(axis=0)])
+    return orders, slices, np.hstack(rels)
+
+
 class TensorPresentation:
     """Y tensor_Q X by generators and relations.  At each vertex v the
     generators are the pairs (s, t) of a generator of Y(v) and one of X(v),
@@ -619,29 +639,10 @@ class TensorPresentation:
     pair (s, t) at (j, i), reduced mod the orders, zero columns dropped."""
 
     def __init__(self, y: Representation, x: Representation):
-        qop = opposite(x.quiver)
-        if y.quiver != qop or y.modulus != x.modulus:
-            raise ValueError("tensor needs representations over mutually opposite quivers")
+        self.orders, self.slices, rels = _tensor_relations(y, x)
         self.y = y
         self.x = x
-        orders: List[int] = []
-        self.slices: Dict[VertexId, slice] = {}
-        for v in x.quiver.vertices:
-            start = len(orders)
-            orders += [gcd(c, d) for c in y.vertex_modules[v].factors for d in x.vertex_modules[v].factors]
-            self.slices[v] = slice(start, len(orders))
-        self.orders = np.array(orders, dtype=np.int64)
-        rels = [np.diag(self.orders)]
-        for a, a_op in zip(x.quiver.arrows, qop.arrows):
-            ym, xm = y.map(a_op.id).matrix, x.map(a.id).matrix  # Y(j) -> Y(i), X(i) -> X(j)
-            if not (ym.shape[1] and xm.shape[1]):
-                continue  # no pairs (s, t) at (j, i)
-            rel = np.zeros((len(self.orders), ym.shape[1] * xm.shape[1]), dtype=np.int64)
-            rel[self.slices[a.src]] += _kron(ym, np.eye(xm.shape[1], dtype=np.int64))
-            rel[self.slices[a.tgt]] -= _kron(np.eye(ym.shape[1], dtype=np.int64), xm)
-            rel %= self.orders[:, None]
-            rels.append(rel[:, rel.any(axis=0)])
-        self.module, self._proj, self._sect = present(np.hstack(rels), x.modulus, generators=len(orders))
+        self.module, self._proj, self._sect = present(np.hstack([np.diag(self.orders), rels]), x.modulus, generators=len(self.orders))
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -650,8 +651,10 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
-def tensor(y: Representation, x: Representation) -> FinMod:
-    return TensorPresentation(y, x).module
+def tensor_order(y: Representation, x: Representation) -> int:
+    """|Y tensor_Q X|, counted from the relations without presenting it."""
+    orders, _, rels = _tensor_relations(y, x)
+    return quotient_order(rels, orders.tolist(), x.modulus.n)
 
 
 def tensor_induced(pres_src: TensorPresentation, pres_tgt: TensorPresentation, theta: RepMorphism, f: RepMorphism) -> ModHom:

@@ -145,6 +145,14 @@ MALFORMED_INPUTS = {
     "ext_cyclic_quiver": ("ext", lambda: _loop_reps_file()),
     "modulus_above_cap": ("classify", lambda: dict(rep_to_dict(doubling_rep()), modulus=4294967311)),
     "vertex_ids_same_string": ("classify", lambda: {"modulus": 4, "quiver": {"vertices": [1, "1"], "arrows": []}, "modules": {"1": [4]}, "arrows_maps": {}}),
+    # these five were once truncated or coerced and classified with exit 0
+    "modulus_float": ("classify", lambda: dict(rep_to_dict(doubling_rep()), modulus=4.9)),
+    "factor_float": ("classify", lambda: dict(rep_to_dict(doubling_rep()), modules={"1": [4.5], "2": [4]})),
+    "factor_string": ("ext", lambda: dict(_reps_file(), reps={k: dict(rep_block_to_dict(doubling_rep()), modules={"1": ["4"], "2": [4]}) for k in "xy"})),
+    "entry_float": ("classify", lambda: dict(rep_to_dict(doubling_rep()), arrows_maps={"a": [[2.7]]})),
+    "entry_bool": ("purity", lambda: dict(ses_to_dict(nonpure_fixture_ses(Z4)), f={"1": [[]], "2": [[True]]})),
+    # once an OverflowError traceback instead of an error line
+    "entry_huge": ("classify", lambda: dict(rep_to_dict(doubling_rep()), arrows_maps={"a": [[2**70]]})),
 }
 
 
@@ -246,8 +254,12 @@ def test_cli_ext_degrees_0_to_3_output_is_pinned(capsys):
         ("orthogonality", "10", "c7083d43beb087b84d4e70fba6f9cfb847a7471f766138a2bd04fabe7096bb82"),
         # collapse trial 0 is the tampered-certificate control
         ("collapse", "10", "2ec61f4aa778bd92311cf883d53ec53a1ddb55f82fe6525ff4205da8a565add8"),
+        # both reach the tensor test of purity: through definitional_purity_check,
+        # and through is_pure_rep_ses on impure coresolution steps
+        ("purity_bridge", "40", "4b5066600a4e58086b838ef4cb91b640b2477115f2a8337426ba73cdfff45e12"),
+        ("classification", "20", "e7f984415a40f04b448a90fba98a6ddaa11a003eecfa43ee128a4bb8b356bee8"),
     ],
-    ids=["gorenstein", "orthogonality", "collapse"],
+    ids=["gorenstein", "orthogonality", "collapse", "purity_bridge", "classification"],
 )
 def test_cli_gorenstein_certificate_suites_are_pinned(capsys, suite, trials, digest):
     assert main(["verify", suite, "--seed", "7", "--trials", trials, "--json"]) == 0

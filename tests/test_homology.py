@@ -18,6 +18,7 @@ from quiverhom.rep import (
     zero_morphism,
     zero_rep,
 )
+from quiverhom import homology
 from quiverhom.homology import (
     ExtComputation,
     _free_rep,
@@ -218,6 +219,18 @@ def test_projective_resolution_of_source_stalk():
     syz = res.syzygies[0]
     assert syz.vertex_modules[1].is_zero
     assert syz.vertex_modules[2].cardinality == 2
+
+
+def test_resolution_cache_drops_its_oldest_entry(monkeypatch):
+    monkeypatch.setattr(homology, "_RES_CACHE", {})
+    q = a2()
+    stalks = [stalk(q, Modulus(n), 1, cyclic(Modulus(n), n)) for n in range(2, homology._RES_CACHE_SIZE + 12)]
+    first = [projective_resolution(x, 2) for x in stalks]
+    assert len(homology._RES_CACHE) == homology._RES_CACHE_SIZE
+    again = projective_resolution(stalks[0], 2)
+    assert again is not first[0] and again == first[0]
+    assert len(homology._RES_CACHE) == homology._RES_CACHE_SIZE
+    assert projective_resolution(stalks[-1], 2) is first[-1]
 
 
 def test_injective_hull():

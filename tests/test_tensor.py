@@ -1,25 +1,42 @@
 """The Kronecker-form tensor product against the entry-by-entry loops it
-replaced, kept here as the reference oracle."""
+replaced, and the order-counting tensor test of purity against the
+present-based test it replaced, both kept here as reference oracles."""
 
+import json
+import pathlib
 import random
 from math import gcd
 
 import numpy as np
 import pytest
 
-from quiverhom.harness import Config, random_quiver, random_representation
+from quiverhom import purity
+from quiverhom.harness import (
+    NONPURE_FIXTURE_MODULI,
+    Config,
+    nonpure_fixture_ses,
+    random_quiver,
+    random_rep_ses,
+    random_representation,
+)
+from quiverhom.homology import canonical_injective_embedding
+from quiverhom.io import ses_from_dict
 from quiverhom.quiver import has_directed_cycle, opposite
 from quiverhom.rep import (
     HomGroupRep,
+    RepSES,
     TensorPresentation,
+    cokernel_rep,
     dual_rep,
     identity_morphism,
     tensor_functional_coords,
     tensor_induced,
+    tensor_order,
 )
-from quiverhom.znmod import ModHom, Modulus, matlis_dual, quotient_with_projection, zero_hom
+from quiverhom.znmod import ModHom, Modulus, is_mono, matlis_dual, quotient_with_projection, zero_hom
 
 MODULI = (2, 4, 6, 12, 36, 72)
+LARGE_REPS = pathlib.Path(__file__).parent / "data" / "large_reps"
 
 
 class LoopTensorPresentation:
@@ -138,6 +155,7 @@ def test_presentation_matches_loop_oracle():
         assert new.module == old.module
         assert np.array_equal(new._proj, old._proj)
         assert np.array_equal(new._sect, old._sect)
+        assert tensor_order(y, x) == new.module.cardinality
         nonzero += not new.module.is_zero
         cyclic += has_directed_cycle(q)
         zero_rank += any(r.vertex_modules[v].is_zero for r in (x, y) for v in q.vertices)
@@ -173,3 +191,56 @@ def test_tensor_induced_rejects_mismatched_morphisms():
     pres = TensorPresentation(y, x)
     with pytest.raises(ValueError):
         tensor_induced(pres, pres, identity_morphism(x), identity_morphism(y))
+
+
+def reference_tensor_left_exact(s, ses):
+    """Whether s tensor f is mono, decided on the presented groups: the
+    test `purity._tensor_left_exact` replaced."""
+    pres_x = TensorPresentation(s, ses.x)
+    pres_y = TensorPresentation(s, ses.y)
+    return is_mono(tensor_induced(pres_x, pres_y, identity_morphism(s), ses.f))
+
+
+def _definitional_test_objects(monkeypatch, ses):
+    """Every test object `definitional_purity_check` tensors `ses` with:
+    the cheap family, then the projective and random members.  A test that
+    always passes keeps the check from stopping at the first failure."""
+    seen = []
+    monkeypatch.setattr(purity, "_tensor_left_exact", lambda s, _: seen.append(s) or True)
+    _, tested, _ = purity.definitional_purity_check(ses)
+    monkeypatch.undo()
+    assert len(seen) == tested
+    return seen
+
+
+def _purity_sequences():
+    """Harness sequences (cycles allowed, n up to 72), canonical
+    coresolution steps, the non-pure fixtures and the purity files of
+    tests/data/large_reps."""
+    moduli = (2, 4, 6, 9, 12, 36, 72)
+    cfg = Config(moduli=moduli)
+    for k in range(90):
+        rng = random.Random(7919 * k + 5)
+        modulus = Modulus(moduli[k % len(moduli)])
+        q = random_quiver(rng, cfg, max_vertices=3, max_arrows=4)
+        x = random_representation(rng, q, modulus, cfg, max_rank=1 + k % 3)
+        yield random_rep_ses(rng, x)
+        if not has_directed_cycle(q):
+            _, mono = canonical_injective_embedding(x)
+            yield RepSES(mono, cokernel_rep(mono)[1])
+    for n in NONPURE_FIXTURE_MODULI:
+        yield nonpure_fixture_ses(Modulus(n))
+    for path in sorted(LARGE_REPS.glob("item*-purity.json")):
+        yield ses_from_dict(json.loads(path.read_text()))
+
+
+def test_order_count_matches_presented_tensor_test(monkeypatch):
+    objects = not_mono = cyclic = 0
+    for ses in _purity_sequences():
+        for s in _definitional_test_objects(monkeypatch, ses):
+            verdict = purity._tensor_left_exact(s, ses)
+            assert verdict == reference_tensor_left_exact(s, ses)
+            objects += 1
+            not_mono += not verdict
+        cyclic += has_directed_cycle(ses.x.quiver)
+    assert objects >= 1000 and not_mono >= 50 and cyclic >= 5
