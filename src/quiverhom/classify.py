@@ -275,7 +275,7 @@ def ext_orthogonality_sample(
             failures.append({
                 "trial": t,
                 "reason": "nonzero ext",
-                "ext": str(val.value),
+                "ext": str(val),
                 "left": rep_digest(k_rep),
                 "right": rep_digest(j_rep),
             })

@@ -110,8 +110,8 @@ def cmd_ext(args) -> int:
     if has_directed_cycle(q):
         raise UsageError("ext needs an acyclic quiver")
     value = ext_group(reps[args.x], reps[args.y], args.n)
-    record = {"degree": args.n, "ext": str(value.value), "cardinality": value.cardinality}
-    _emit(args, [record], [["degree", "ext", "cardinality"], [str(args.n), str(value.value), str(value.cardinality)]])
+    record = {"degree": args.n, "ext": str(value), "cardinality": value.cardinality}
+    _emit(args, [record], [["degree", "ext", "cardinality"], [str(args.n), str(value), str(value.cardinality)]])
     return 0
 
 

@@ -43,11 +43,10 @@ from .znmod import (
     is_mono,
     kernel_of_hom,
     kernel_order,
-    quotient_with_projection,
+    present,
     retraction_of,
     section_of,
     solve_congruences,
-    subgroup_present,
 )
 
 
@@ -211,20 +210,6 @@ def canonical_injective_embedding(x: Representation) -> Tuple[Representation, Re
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ExtGroup:
-    value: FinMod
-    degree: int
-
-    @property
-    def cardinality(self) -> int:
-        return self.value.cardinality
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value.is_zero
-
-
 class ExtComputation:
     """Cohomology of Hom(P_., Y) for a fixed projective resolution of X, in
     Yoneda coordinates.
@@ -252,7 +237,7 @@ class ExtComputation:
         ]
         self._along: Dict[Tuple[VertexId, VertexId], np.ndarray] = {}
         self.deltas: List[np.ndarray] = [self._delta(k) for k in range(max_degree + 1)]
-        self._ext_data: Dict[int, Tuple[FinMod, FinMod, np.ndarray, np.ndarray]] = {}
+        self._ext_data: Dict[int, Tuple[np.ndarray, FinMod, np.ndarray, np.ndarray]] = {}
 
     def _along_stack(self, u: VertexId, v: VertexId) -> np.ndarray:
         """Y along each path from u to v, stacked in `paths_between` order;
@@ -290,20 +275,24 @@ class ExtComputation:
         return mat % _column(self.orders[k + 1])
 
     def _data(self, m: int):
+        """(gens, quo, proj, sect): the k kernel generators of delta_m as
+        columns, and Ext^m = Z/B presented once on them, with the maps
+        between their coordinates in (Z/n)^k and those of Ext^m."""
         if m not in self._ext_data:
-            modulus = self.y.modulus
+            modulus, orders = self.y.modulus, self.orders[m]
             zero = np.zeros(len(self.orders[m + 1]), dtype=np.int64)
-            out = solve_congruences(self.deltas[m], zero, self.orders[m + 1], self.orders[m], modulus)
+            out = solve_congruences(self.deltas[m], zero, self.orders[m + 1], orders, modulus)
             assert out is not None
-            ker, incl = subgroup_present(self.orders[m], out[1], modulus)
-            im_gens: List[np.ndarray] = []
-            if m and self.orders[m - 1]:
-                # every image generator solved against incl at once
-                coords = ambient_coords_solve(self.orders[m], incl, self.deltas[m - 1], modulus)
-                assert coords is not None, "image does not lie in the kernel (bug)"
-                im_gens = [ker.reduce(c) for c in coords.T]
-            quo, proj, _ = quotient_with_projection(ker.factors, im_gens, modulus)
-            self._ext_data[m] = (ker, quo, incl, proj)
+            gens = out[1].T
+            k = gens.shape[1]
+            image = self.deltas[m - 1] if m else np.zeros((len(orders), 0), dtype=np.int64)
+            # the particular solution writes each coboundary in the generators,
+            # and the kernel rows are the relations among them, which present Z
+            out = solve_congruences(gens, image, orders, [modulus.n] * k, modulus)
+            assert out is not None, "image does not lie in the kernel (bug)"
+            coboundaries, relations = out
+            quo, proj, sect = present(np.hstack([relations.T, coboundaries]), modulus, generators=k)
+            self._ext_data[m] = (gens, quo, proj, sect)
         return self._ext_data[m]
 
     def ext(self, m: int) -> FinMod:
@@ -317,20 +306,19 @@ class ExtComputation:
         """The Ext^m coordinates of cocycles given by their Yoneda
         coordinates in Hom(P_m, Y), one column per cocycle, all solved at
         once."""
-        ker, quo, incl, proj = self._data(m)
-        c = ambient_coords_solve(self.orders[m], incl, hom_coords, self.y.modulus)
+        gens, quo, proj, _ = self._data(m)
+        c = ambient_coords_solve(self.orders[m], gens, hom_coords, self.y.modulus)
         if c is None:
             raise ValueError("not a cocycle")
         if not quo.rank:
             return np.zeros((0, hom_coords.shape[1]), dtype=np.int64)
-        return proj.dot(c % _column(ker.factors)) % _column(quo.factors)
+        return proj.dot(c) % _column(quo.factors)
 
 
-def ext(x: Representation, y: Representation, degree: int) -> ExtGroup:
+def ext(x: Representation, y: Representation, degree: int) -> FinMod:
     """Ext^degree(X, Y) in the representation category."""
     res = projective_resolution(x, degree + 2)
-    comp = ExtComputation(res, y, degree)
-    return ExtGroup(comp.ext(degree), degree)
+    return ExtComputation(res, y, degree).ext(degree)
 
 
 def ext_induced_second(comp_src: ExtComputation, comp_tgt: ExtComputation, f: RepMorphism, m: int) -> ModHom:
@@ -338,13 +326,12 @@ def ext_induced_second(comp_src: ExtComputation, comp_tgt: ExtComputation, f: Re
     computations sharing the same resolution of X."""
     if comp_src.resolution is not comp_tgt.resolution:
         raise ValueError("computations must share the resolution")
-    ker_s, quo_s, incl_s, proj_s = comp_src._data(m)
-    # lift every Ext generator to a cocycle, postcompose with f, project;
-    # in Yoneda coordinates f o g applies f_v to the coordinates of each
-    # generator (v, i), so the postcomposition is one block-diagonal product
-    lifts = ambient_coords_solve(quo_s.factors, proj_s, np.eye(quo_s.rank, dtype=np.int64), comp_src.y.modulus)
-    assert lifts is not None
-    cocycles = incl_s.dot(lifts % _column(ker_s.factors)) % _column(comp_src.orders[m])
+    gens, quo_s, _, sect = comp_src._data(m)
+    # lift every Ext generator to a cocycle through the section, postcompose
+    # with f, project; in Yoneda coordinates f o g applies f_v to the
+    # coordinates of each generator (v, i), so the postcomposition is one
+    # block-diagonal product
+    cocycles = gens.dot(sect) % _column(comp_src.orders[m])
     ranks = comp_src.resolution.ranks[m]
     post = np.zeros((len(comp_tgt.orders[m]), len(comp_src.orders[m])), dtype=np.int64)
     r = c = 0

@@ -63,6 +63,10 @@ def quiver_from_dict(d: dict) -> Quiver:
         arrows = tuple(Arrow(a["id"], a["src"], a["tgt"]) for a in d.get("arrows", []))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"quiver block: missing or malformed field ({exc})") from exc
+    for a in arrows:
+        # arrows_maps keys are JSON object keys, which are always strings
+        if not isinstance(a.id, str):
+            raise FormatError(f"quiver block: arrow {a.id!r} from {a.src!r} to {a.tgt!r}: id must be a JSON string")
     try:
         q = Quiver(vertices, arrows)
     except (TypeError, ValueError) as exc:

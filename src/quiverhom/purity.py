@@ -182,8 +182,9 @@ def definitional_purity_check(ses: RepSES, budget: int = 5, seed: int = 0) -> Tu
     The projective and random members are a sanity net behind it, not part
     of the decision; they stay because dropping them would change the
     reported tested-object count and with it every stored report digest.
-    The cheap family is tensored at most once per sequence
-    (`_cheap_definitional_witness`); the count includes it either way.
+    The cheap family is built and tensored at most once per sequence
+    (`_cheap_definitional_witness`); the count includes its members, one
+    stalk per vertex and divisor d > 1 plus the dual, either way.
     Returns (verdict, tested-object count, witness)."""
     modulus = ses.f.source.modulus
     qop = opposite(ses.f.source.quiver)
@@ -195,7 +196,8 @@ def definitional_purity_check(ses: RepSES, budget: int = 5, seed: int = 0) -> Tu
     for t in range(budget):
         tests.append(({"kind": "test-object", "shape": "random", "index": t}, _random_test_rep(qop, modulus, rng)))
     witness = _cheap_definitional_witness(ses) or next((desc for desc, s in tests if not _tensor_left_exact(s, ses)), None)
-    return witness is None, len(_cheap_test_objects(ses)) + len(tests), witness
+    cheap = len(qop.vertices) * (len(modulus.divisors) - 1) + 1
+    return witness is None, cheap + len(tests), witness
 
 
 def is_pure_mono_rep(f: RepMorphism) -> Tuple[bool, Optional[RepMorphism]]:

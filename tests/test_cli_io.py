@@ -153,6 +153,9 @@ MALFORMED_INPUTS = {
     "entry_bool": ("purity", lambda: dict(ses_to_dict(nonpure_fixture_ses(Z4)), f={"1": [[]], "2": [[True]]})),
     # once an OverflowError traceback instead of an error line
     "entry_huge": ("classify", lambda: dict(rep_to_dict(doubling_rep()), arrows_maps={"a": [[2**70]]})),
+    # once "missing arrow 5": the arrows_maps key is always the string "5"
+    "arrow_id_int": ("classify", lambda: dict(rep_to_dict(doubling_rep()), quiver={"vertices": [1, 2], "arrows": [{"id": 5, "src": 1, "tgt": 2}]}, arrows_maps={"5": [[2]]})),
+    "arrow_id_null": ("classify", lambda: dict(rep_to_dict(doubling_rep()), quiver={"vertices": [1, 2], "arrows": [{"id": None, "src": 1, "tgt": 2}]})),
 }
 
 
@@ -176,6 +179,19 @@ def test_cli_rooted(tmp_path, capsys):
     code = main(["rooted", path, "--json"])
     rec = json.loads(capsys.readouterr().out.strip())
     assert rec["right_rooted"] is False
+
+
+@pytest.mark.parametrize("arrow_id", [5, None], ids=["int", "null"])
+def test_cli_rejects_a_non_string_arrow_id(tmp_path, capsys, arrow_id):
+    # rooted once printed an AttributeError traceback from quiver.opposite,
+    # and classify said "missing arrow 5"
+    quiver = {"vertices": [1, 2], "arrows": [{"id": arrow_id, "src": 1, "tgt": 2}]}
+    rep = dict(rep_to_dict(doubling_rep()), quiver=quiver, arrows_maps={str(arrow_id): [[2]]})
+    for command, payload in (("rooted", quiver), ("classify", rep)):
+        assert main([command, write(tmp_path, "in.json", payload), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert f"arrow {arrow_id!r} from 1 to 2: id must be a JSON string" in captured.err
 
 
 def test_cli_fixture_nonpure(capsys):
@@ -258,8 +274,10 @@ def test_cli_ext_degrees_0_to_3_output_is_pinned(capsys):
         # and through is_pure_rep_ses on impure coresolution steps
         ("purity_bridge", "40", "4b5066600a4e58086b838ef4cb91b640b2477115f2a8337426ba73cdfff45e12"),
         ("classification", "20", "e7f984415a40f04b448a90fba98a6ddaa11a003eecfa43ee128a4bb8b356bee8"),
+        # the long-exact-sequence trials read ext_induced_second at degrees 0, 1 and 3
+        ("ext_engine", "20", "a7cbb9b4c9c08b2babc9cf426988a3152f9d8f81067f4f9c667774172681c158"),
     ],
-    ids=["gorenstein", "orthogonality", "collapse", "purity_bridge", "classification"],
+    ids=["gorenstein", "orthogonality", "collapse", "purity_bridge", "classification", "ext_engine"],
 )
 def test_cli_gorenstein_certificate_suites_are_pinned(capsys, suite, trials, digest):
     assert main(["verify", suite, "--seed", "7", "--trials", trials, "--json"]) == 0

@@ -145,6 +145,26 @@ def test_cheap_family_is_tensored_once_per_sequence(monkeypatch):
     assert len(calls) == after_dual
 
 
+def test_cheap_family_is_built_at_most_once_per_sequence(monkeypatch):
+    # definitional_purity_check counts the cheap family without building it
+    from quiverhom import purity
+
+    q = a2()
+    m = cyclic(Z4, 4)
+    x = Representation(q, Z4, {1: m, 2: m}, {"a": ModHom(m, m, [[2]])})
+    total, injs, projs = direct_sum_reps([x, x])
+    pure, impure = RepSES(injs[0], projs[1]), nonpure_fixture(Z4, 4)
+    calls = []
+    build = purity._cheap_test_objects
+    monkeypatch.setattr(purity, "_cheap_test_objects", lambda ses: calls.append(1) or build(ses))
+    for ses, verdict in ((pure, True), (impure, False)):
+        calls.clear()
+        assert is_pure_rep_ses(ses).pure is verdict
+        ok, count, _ = definitional_purity_check(ses, budget=2)
+        assert ok is verdict and count == len(build(ses)) + 2 + 2
+        assert len(calls) <= 1
+
+
 def test_pure_mono_epi_examples():
     ses = nonpure_fixture(Z4, 4)
     pure, _ = is_pure_mono_rep(ses.f)
