@@ -12,8 +12,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .quiver import Quiver, VertexId, has_directed_cycle, is_right_rooted, is_left_rooted
 from .homology import (
+    ExtComputation,
     canonical_injective_embedding,
     ext,
+    projective_resolution,
     rep_digest,
     totally_acyclic_injective_complex,
 )
@@ -61,11 +63,13 @@ def simple_stalks(q: Quiver, modulus: Modulus) -> List[Representation]:
 
 
 def _ext1_vanishes_against_simples(x: Representation, contravariant: bool) -> bool:
-    for s in simple_stalks(x.quiver, x.modulus):
-        val = ext(x, s, 1) if contravariant else ext(s, x, 1)
-        if not val.is_zero:
-            return False
-    return True
+    """Ext^1(X, S) = 0 (contravariant) or Ext^1(S, X) = 0 for every simple S;
+    the contravariant side resolves X once for all of them."""
+    simples = simple_stalks(x.quiver, x.modulus)
+    if contravariant:
+        res = projective_resolution(x, 3)
+        return all(ExtComputation(res, s).ext(1).is_zero for s in simples)
+    return all(ext(s, x, 1).is_zero for s in simples)
 
 
 def classify_injective(x: Representation, with_oracle: bool = False) -> ClassVerdict:

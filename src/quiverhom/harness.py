@@ -770,7 +770,7 @@ def _les_consistency(t_obj: Representation, ses: RepSES) -> bool:
     telescoping alternating-product identity whose tail is the computable
     kernel at degree 3."""
     res = projective_resolution(t_obj, 5)
-    comps = {name: ExtComputation(res, rep, 3) for name, rep in (("x", ses.x), ("y", ses.y), ("z", ses.z))}
+    comps = {name: ExtComputation(res, rep) for name, rep in (("x", ses.x), ("y", ses.y), ("z", ses.z))}
     hom_z = comps["z"].ext(0)
     f_hom = ext_induced_second(comps["x"], comps["y"], ses.f, 0)
     g_hom = ext_induced_second(comps["y"], comps["z"], ses.g, 0)
@@ -818,20 +818,21 @@ def _ext_engine(config: Config, rng: random.Random, t: int) -> Dict[str, object]
     x = random_representation(rng, q, modulus, config, max_rank=1)
     y = random_representation(rng, q, modulus, config, max_rank=1)
     verdicts: Dict[str, object] = {"_instance": f"{rep_digest(x)}-{rep_digest(y)}"}
-    ext0 = ext(x, y, 0)
+    # one resolution of x serves Ext^0..2 and the syzygy
+    res = projective_resolution(x, 4)
+    comp = ExtComputation(res, y)
     hom = hom_reps(x, y)[0]
-    verdicts["ext0_is_hom"] = ext0.factors == hom.factors
+    verdicts["ext0_is_hom"] = comp.ext(0).factors == hom.factors
     ok = bool(verdicts["ext0_is_hom"])
     if x.total_cardinality * y.total_cardinality <= 256:
         cnt = ext1_extension_count(x, y, cap=2048)
         if cnt is not None:
-            verdicts["oracle_agrees"] = cnt == ext(x, y, 1).cardinality
+            verdicts["oracle_agrees"] = cnt == comp.ext(1).cardinality
             ok = ok and bool(verdicts["oracle_agrees"])
     # dimension shifting
-    res = projective_resolution(x, 4)
     if res.syzygies:
         omega = res.syzygies[0]
-        verdicts["dimension_shift"] = ext(x, y, 2).factors == ext(omega, y, 1).factors
+        verdicts["dimension_shift"] = comp.ext(2).factors == ext(omega, y, 1).factors
         ok = ok and bool(verdicts["dimension_shift"])
     # long exact sequence spot check on a subsample
     if t % 5 == 1:

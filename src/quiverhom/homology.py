@@ -133,49 +133,38 @@ def _vertex_ranks(x: Representation) -> Dict[VertexId, int]:
     return {v: x.vertex_modules[v].rank for v in x.quiver.vertices}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProjResolution:
-    """... -> P_1 -> P_0 -> x -> 0 with projective terms, built by iterated
-    covers; diffs[k] maps terms[k+1] to terms[k].  terms[k] is
+    """P_{L-1} -> ... -> P_1 -> P_0 -> x -> 0 with projective terms, built by
+    iterated covers; diffs[k] maps terms[k+1] to terms[k].  terms[k] is
     `_free_rep(ranks[k])`: one P_v per canonical generator at v of the
     representation it covers."""
 
-    x: Representation
-    terms: List[Representation]
-    diffs: List[RepMorphism]
+    terms: Tuple[Representation, ...]
+    diffs: Tuple[RepMorphism, ...]
     augmentation: RepMorphism
-    syzygies: List[Representation]
-    ranks: List[Dict[VertexId, int]]
-
-    def extend_to(self, length: int):
-        while len(self.terms) < length:
-            syz, incl = kernel_rep(self.diffs[-1] if self.diffs else self.augmentation)
-            cover, epi = projective_cover_onto(syz)
-            self.terms.append(cover)
-            self.diffs.append(incl.compose(epi))
-            self.syzygies.append(syz)
-            self.ranks.append(_vertex_ranks(syz))
-
-
-_RES_CACHE: Dict[Tuple, ProjResolution] = {}
-_RES_CACHE_SIZE = 256
+    syzygies: Tuple[Representation, ...]
+    ranks: Tuple[Dict[VertexId, int], ...]
 
 
 def projective_resolution(x: Representation, length: int) -> ProjResolution:
-    """Projective resolution with at least `length` terms; cached by the
-    structural digest of x, the oldest entry dropped past `_RES_CACHE_SIZE`."""
+    """The projective resolution of x with exactly `length` terms."""
+    if length < 1:
+        raise ValueError("a resolution has at least one term")
     if has_directed_cycle(x.quiver):
         raise ValueError("projective resolutions need an acyclic quiver")
-    key = (rep_digest(x),)
-    res = _RES_CACHE.get(key)
-    if res is None or res.x != x:
-        cover, epi = projective_cover_onto(x)
-        res = ProjResolution(x, [cover], [], epi, [], [_vertex_ranks(x)])
-        _RES_CACHE[key] = res
-        if len(_RES_CACHE) > _RES_CACHE_SIZE:
-            del _RES_CACHE[next(iter(_RES_CACHE))]
-    res.extend_to(length)
-    return res
+    cover, augmentation = projective_cover_onto(x)
+    terms, diffs, syzygies, ranks = [cover], [], [], [_vertex_ranks(x)]
+    last = augmentation
+    while len(terms) < length:
+        syz, incl = kernel_rep(last)
+        cover, epi = projective_cover_onto(syz)
+        last = incl.compose(epi)
+        terms.append(cover)
+        diffs.append(last)
+        syzygies.append(syz)
+        ranks.append(_vertex_ranks(syz))
+    return ProjResolution(tuple(terms), tuple(diffs), augmentation, tuple(syzygies), tuple(ranks))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +201,7 @@ def canonical_injective_embedding(x: Representation) -> Tuple[Representation, Re
 
 class ExtComputation:
     """Cohomology of Hom(P_., Y) for a fixed projective resolution of X, in
-    Yoneda coordinates.
+    Yoneda coordinates, in degrees 0 .. L - 2 for a resolution of L terms.
 
     A morphism P_v -> Y is determined by where it sends the trivial path at
     v, so Hom(P_k, Y) is the product of one copy of Y(v) per generator
@@ -225,18 +214,16 @@ class ExtComputation:
     checks consume.
     """
 
-    def __init__(self, resolution: ProjResolution, y: Representation, max_degree: int):
-        resolution.extend_to(max_degree + 2)
+    def __init__(self, resolution: ProjResolution, y: Representation):
         self.resolution = resolution
         self.y = y
-        self.max_degree = max_degree
         vs = y.quiver.vertices
         self.orders: List[Tuple[int, ...]] = [
             tuple(d for v in vs for _ in range(ranks[v]) for d in y.vertex_modules[v].factors)
-            for ranks in resolution.ranks[: max_degree + 2]
+            for ranks in resolution.ranks
         ]
         self._along: Dict[Tuple[VertexId, VertexId], np.ndarray] = {}
-        self.deltas: List[np.ndarray] = [self._delta(k) for k in range(max_degree + 1)]
+        self.deltas: List[np.ndarray] = [self._delta(k) for k in range(len(resolution.terms) - 1)]
         self._ext_data: Dict[int, Tuple[np.ndarray, FinMod, np.ndarray, np.ndarray]] = {}
 
     def _along_stack(self, u: VertexId, v: VertexId) -> np.ndarray:
@@ -298,7 +285,7 @@ class ExtComputation:
     def ext(self, m: int) -> FinMod:
         if m < 0:
             raise ValueError("negative degree")
-        if m > self.max_degree:
+        if m >= len(self.deltas):
             raise ValueError("degree beyond computed window")
         return self._data(m)[1]
 
@@ -317,8 +304,9 @@ class ExtComputation:
 
 def ext(x: Representation, y: Representation, degree: int) -> FinMod:
     """Ext^degree(X, Y) in the representation category."""
-    res = projective_resolution(x, degree + 2)
-    return ExtComputation(res, y, degree).ext(degree)
+    if degree < 0:
+        raise ValueError("negative degree")
+    return ExtComputation(projective_resolution(x, degree + 2), y).ext(degree)
 
 
 def ext_induced_second(comp_src: ExtComputation, comp_tgt: ExtComputation, f: RepMorphism, m: int) -> ModHom:

@@ -57,9 +57,20 @@ def _matrix(value, rows: int, cols: int) -> np.ndarray:
         raise FormatError(f"entry outside the 64-bit range ({exc})") from exc
 
 
+def _vertices(value) -> Tuple[VertexId, ...]:
+    """value, if it is a JSON array of strings and integers (`true` is not
+    an integer)."""
+    if not isinstance(value, list):
+        raise FormatError(f"quiver block: vertices: expected a JSON array, got {type(value).__name__}")
+    for v in value:
+        if type(v) not in (str, int):
+            raise FormatError(f"quiver block: vertices: expected a string or an integer, got {v!r}")
+    return tuple(value)
+
+
 def quiver_from_dict(d: dict) -> Quiver:
     try:
-        vertices = tuple(d["vertices"])
+        vertices = _vertices(d["vertices"])
         arrows = tuple(Arrow(a["id"], a["src"], a["tgt"]) for a in d.get("arrows", []))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"quiver block: missing or malformed field ({exc})") from exc

@@ -20,12 +20,12 @@ from .rep import (
     dual_rep,
     dual_rep_morphism,
     dual_rep_ses,
+    naturality_system,
     stalk,
     tensor_order,
 )
 from .znmod import (
     FinMod,
-    HomSystem,
     ModHom,
     Modulus,
     canonical_chain,
@@ -71,23 +71,12 @@ def _natural_one_sided_inverse(h: RepMorphism, left: bool) -> Optional[RepMorphi
     """A natural u: T -> S with u o h = id (left) or h o u = id, for h: S -> T."""
     src, tgt = h.source, h.target
     q = src.quiver
-    sysm = HomSystem(src.modulus)
-    var = {v: sysm.add_hom_unknown(tgt.vertex_modules[v].factors, src.vertex_modules[v].factors) for v in q.vertices}
+    sysm, var = naturality_system(tgt, src)
     for v in q.vertices:
         side = (src if left else tgt).vertex_modules[v]
         eye = np.eye(side.rank, dtype=np.int64)
         hv = h.components[v].matrix
         sysm.add_matrix_equation([(var[v], eye, hv, 1) if left else (var[v], hv, eye, 1)], eye, side.factors)
-    for a in q.arrows:
-        sj, ti = src.vertex_modules[a.tgt], tgt.vertex_modules[a.src]
-        sysm.add_matrix_equation(
-            [
-                (var[a.src], src.map(a.id).matrix, np.eye(ti.rank, dtype=np.int64), 1),
-                (var[a.tgt], np.eye(sj.rank, dtype=np.int64), tgt.map(a.id).matrix, -1),
-            ],
-            np.zeros((sj.rank, ti.rank), dtype=np.int64),
-            sj.factors,
-        )
     out = sysm.solve()
     if out is None:
         return None

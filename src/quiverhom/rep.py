@@ -32,6 +32,7 @@ from .znmod import (
     ModSES,
     Modulus,
     ambient_coords_solve,
+    cokernel_of_hom,
     direct_sum_with_maps,
     double_dual_iso,
     identity_hom,
@@ -42,7 +43,6 @@ from .znmod import (
     matlis_dual,
     matlis_dual_hom,
     present,
-    quotient_with_projection,
     subgroup_present,
     subgroup_with_inclusion,
     zero_hom,
@@ -327,20 +327,16 @@ def cokernel_rep(f: RepMorphism):
     """(C, proj) with C(v) = coker f(v) and the induced arrow maps."""
     y = f.target
     q, modulus = y.quiver, y.modulus
-    data = {}
-    for v in q.vertices:
-        gens = [f.components[v].matrix[:, c] for c in range(f.components[v].domain.rank)]
-        quo, proj, sect = quotient_with_projection(y.vertex_modules[v].factors, gens, modulus)
-        data[v] = (quo, proj, sect)
+    data = {v: cokernel_of_hom(f.components[v]) for v in q.vertices}
     mods = {v: data[v][0] for v in q.vertices}
     maps = {}
     for a in q.arrows:
-        quo_s, proj_s, sect_s = data[a.src]
+        quo_s, _, sect_s = data[a.src]
         quo_t, proj_t, _ = data[a.tgt]
-        mat = proj_t.dot(y.map(a.id).matrix).dot(sect_s) if quo_t.rank and quo_s.rank else np.zeros((quo_t.rank, quo_s.rank), dtype=np.int64)
+        mat = proj_t.matrix.dot(y.map(a.id).matrix).dot(sect_s) if quo_t.rank and quo_s.rank else np.zeros((quo_t.rank, quo_s.rank), dtype=np.int64)
         maps[a.id] = ModHom(quo_s, quo_t, mat)
     coker = Representation(q, modulus, mods, maps)
-    proj = RepMorphism(y, coker, {v: ModHom(y.vertex_modules[v], data[v][0], data[v][1]) for v in q.vertices})
+    proj = RepMorphism(y, coker, {v: data[v][1] for v in q.vertices})
     return coker, proj
 
 
@@ -371,6 +367,25 @@ def subrep_generated(x: Representation, seeds: Dict[VertexId, List[np.ndarray]])
 # ---------------------------------------------------------------------------
 
 
+def naturality_system(x: Representation, y: Representation) -> Tuple[HomSystem, Dict[VertexId, int]]:
+    """A `HomSystem` with one unknown u_v : x(v) -> y(v) per vertex and the
+    naturality equation y(a) u_src = u_tgt x(a) of every arrow a, with the
+    unknown of each vertex."""
+    sysm = HomSystem(x.modulus)
+    var = {v: sysm.add_hom_unknown(x.vertex_modules[v].factors, y.vertex_modules[v].factors) for v in x.quiver.vertices}
+    for a in x.quiver.arrows:
+        xi, yj = x.vertex_modules[a.src], y.vertex_modules[a.tgt]
+        sysm.add_matrix_equation(
+            [
+                (var[a.src], y.map(a.id).matrix, np.eye(xi.rank, dtype=np.int64), 1),
+                (var[a.tgt], np.eye(yj.rank, dtype=np.int64), x.map(a.id).matrix, -1),
+            ],
+            np.zeros((yj.rank, xi.rank), dtype=np.int64),
+            yj.factors,
+        )
+    return sysm, var
+
+
 class HomGroupRep:
     """Hom_Q(X, Y) as a canonical module with a basis of morphisms and
     coordinate maps both ways."""
@@ -380,23 +395,10 @@ class HomGroupRep:
             raise ValueError("hom group needs a common quiver and modulus")
         self.x = x
         self.y = y
-        q, modulus = x.quiver, x.modulus
-        sysm = HomSystem(modulus)
-        var = {v: sysm.add_hom_unknown(x.vertex_modules[v].factors, y.vertex_modules[v].factors) for v in q.vertices}
-        for a in q.arrows:
-            xi, yj = x.vertex_modules[a.src], y.vertex_modules[a.tgt]
-            rhs = np.zeros((yj.rank, xi.rank), dtype=np.int64)
-            sysm.add_matrix_equation(
-                [
-                    (var[a.src], y.map(a.id).matrix, np.eye(xi.rank, dtype=np.int64), 1),
-                    (var[a.tgt], np.eye(yj.rank, dtype=np.int64), x.map(a.id).matrix, -1),
-                ],
-                rhs,
-                yj.factors,
-            )
+        sysm, _ = naturality_system(x, y)
         out = sysm.solve()
         assert out is not None
-        self.group, self._incl = subgroup_present(sysm.orders, out[1], modulus)
+        self.group, self._incl = subgroup_present(sysm.orders, out[1], x.modulus)
         self._sysm = sysm
         self.basis = [self._morphism_from_flat(self._incl[:, k]) for k in range(self.group.rank)]
 

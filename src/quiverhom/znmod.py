@@ -532,7 +532,8 @@ def image_of_hom(f: ModHom):
 
 
 def cokernel_of_hom(f: ModHom):
-    """(C, proj) with proj: cod(f) -> C the canonical projection."""
+    """(C, proj, sect) with proj: cod(f) -> C the canonical projection and
+    sect lifting canonical coordinates of C to cod(f)."""
     gens = [f.matrix[:, i] for i in range(f.domain.rank)]
     quo, proj, sect = quotient_with_projection(f.codomain.factors, gens, f.modulus)
     return quo, ModHom(f.codomain, quo, proj), sect

@@ -156,6 +156,13 @@ MALFORMED_INPUTS = {
     # once "missing arrow 5": the arrows_maps key is always the string "5"
     "arrow_id_int": ("classify", lambda: dict(rep_to_dict(doubling_rep()), quiver={"vertices": [1, 2], "arrows": [{"id": 5, "src": 1, "tgt": 2}]}, arrows_maps={"5": [[2]]})),
     "arrow_id_null": ("classify", lambda: dict(rep_to_dict(doubling_rep()), quiver={"vertices": [1, 2], "arrows": [{"id": None, "src": 1, "tgt": 2}]})),
+    # these five were once read as vertices '1' and '2', as '1', or as ids
+    # that are neither strings nor integers, and classified with exit 0
+    "vertices_string": ("classify", lambda: {"modulus": 4, "quiver": {"vertices": "12", "arrows": []}, "modules": {"1": [4], "2": [4]}, "arrows_maps": {}}),
+    "vertices_object": ("classify", lambda: {"modulus": 4, "quiver": {"vertices": {"1": 0}, "arrows": []}, "modules": {"1": [4]}, "arrows_maps": {}}),
+    "vertex_float": ("classify", lambda: {"modulus": 4, "quiver": {"vertices": [1.5], "arrows": []}, "modules": {"1.5": [4]}, "arrows_maps": {}}),
+    "vertex_bool": ("classify", lambda: {"modulus": 4, "quiver": {"vertices": [True], "arrows": []}, "modules": {"True": [4]}, "arrows_maps": {}}),
+    "vertex_null": ("classify", lambda: {"modulus": 4, "quiver": {"vertices": [None], "arrows": []}, "modules": {"None": [4]}, "arrows_maps": {}}),
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import pathlib
 import random
 
@@ -18,7 +19,7 @@ from quiverhom.rep import (
     zero_morphism,
     zero_rep,
 )
-from quiverhom import homology
+from quiverhom import classify, harness, homology
 from quiverhom.homology import (
     ExtComputation,
     _free_rep,
@@ -221,16 +222,75 @@ def test_projective_resolution_of_source_stalk():
     assert syz.vertex_modules[2].cardinality == 2
 
 
-def test_resolution_cache_drops_its_oldest_entry(monkeypatch):
-    monkeypatch.setattr(homology, "_RES_CACHE", {})
+def test_projective_resolution_has_exactly_the_asked_length():
     q = a2()
-    stalks = [stalk(q, Modulus(n), 1, cyclic(Modulus(n), n)) for n in range(2, homology._RES_CACHE_SIZE + 12)]
-    first = [projective_resolution(x, 2) for x in stalks]
-    assert len(homology._RES_CACHE) == homology._RES_CACHE_SIZE
-    again = projective_resolution(stalks[0], 2)
-    assert again is not first[0] and again == first[0]
-    assert len(homology._RES_CACHE) == homology._RES_CACHE_SIZE
-    assert projective_resolution(stalks[-1], 2) is first[-1]
+    s1 = stalk(q, Z4, 1, cyclic(Z4, 2))
+    long = projective_resolution(stalk(q, Z4, 1, cyclic(Z4, 2)), 4)
+    assert len(long.terms) == 4
+    # an equal representation resolved again is a new value of its own length
+    res = projective_resolution(s1, 2)
+    assert len(res.terms) == 2 and len(res.diffs) == 1 and len(res.syzygies) == 1 and len(res.ranks) == 2
+    assert res.terms == long.terms[:2]
+    with pytest.raises(ValueError):
+        projective_resolution(s1, 0)
+
+
+def test_projective_resolution_is_frozen():
+    res = projective_resolution(stalk(a2(), Z2, 1, cyclic(Z2, 2)), 3)
+    assert [f.name for f in dataclasses.fields(res)] == ["terms", "diffs", "augmentation", "syzygies", "ranks"]
+    assert all(isinstance(getattr(res, f), tuple) for f in ("terms", "diffs", "syzygies", "ranks"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.terms = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.augmentation = None
+
+
+def test_ext_window_is_the_resolution_length_less_two():
+    q = a2()
+    x = stalk(q, Z4, 1, cyclic(Z4, 2))
+    y = stalk(q, Z4, 2, cyclic(Z4, 4))
+    for length in range(1, 5):
+        comp = ExtComputation(projective_resolution(x, length), y)
+        for m in range(length - 1):
+            assert comp.ext(m) == ext(x, y, m)
+        with pytest.raises(ValueError):
+            comp.ext(length - 1)
+    with pytest.raises(ValueError):
+        ext(x, y, -1)
+
+
+def _count_resolutions(monkeypatch, *modules):
+    """The representations handed to `projective_resolution`, in call order,
+    through every module that calls it."""
+    seen = []
+    real = homology.projective_resolution
+
+    def counting(x, length):
+        seen.append(x)
+        return real(x, length)
+
+    for module in (homology,) + modules:
+        monkeypatch.setattr(module, "projective_resolution", counting, raising=False)
+    return seen
+
+
+def test_projective_oracle_resolves_x_once(monkeypatch):
+    # Ext^1(P_1, S) = 0 for all four simples over A2 / Z6, so none stops early
+    x = projective_generator(a2(), Modulus(6), 1)
+    seen = _count_resolutions(monkeypatch, classify)
+    assert classify._ext1_vanishes_against_simples(x, contravariant=True)
+    assert seen == [x]
+
+
+def test_ext_engine_resolves_x_once(monkeypatch):
+    seen = _count_resolutions(monkeypatch, harness)
+    # trials without the LES spot check whose syzygy differs from X: X is
+    # resolved once, then the syzygy once for the dimension shift
+    for t in (2, 7):
+        seen.clear()
+        rng = random.Random(harness.derive_seed(0, "ext_engine", t))
+        assert harness._ext_engine(harness.Config(), rng, t)["dimension_shift"]
+        assert len(seen) == 2 and seen[1] != seen[0]
 
 
 def test_injective_hull():
@@ -403,7 +463,6 @@ class ReferenceExtComputation:
     coordinate matrix of the composites of its basis with d_k."""
 
     def __init__(self, resolution, y, max_degree):
-        resolution.extend_to(max_degree + 2)
         self.resolution = resolution
         self.y = y
         self.homs = [HomGroupRep(p, y) for p in resolution.terms[: max_degree + 2]]
@@ -545,7 +604,7 @@ def _yoneda_cases():
 def test_yoneda_delta_is_precomposition_with_the_differential():
     checked = 0
     for x, y in _yoneda_cases():
-        comp = ExtComputation(projective_resolution(x, 4), y, 2)
+        comp = ExtComputation(projective_resolution(x, 4), y)
         for k in range(3):
             assert _rep_bytes(comp.resolution.terms[k]) == _rep_bytes(_free_rep(x.quiver, x.modulus, comp.resolution.ranks[k])[0])
             assert comp.deltas[k].shape == (len(comp.orders[k + 1]), len(comp.orders[k]))
@@ -576,7 +635,7 @@ def test_ext_matches_hom_group_reference():
     nonzero_ext = nonzero = 0
     for x, ses in _reference_cases():
         res = projective_resolution(x, 5)
-        new = {name: ExtComputation(res, rep, 3) for name, rep in (("x", ses.x), ("y", ses.y), ("z", ses.z))}
+        new = {name: ExtComputation(res, rep) for name, rep in (("x", ses.x), ("y", ses.y), ("z", ses.z))}
         old = {name: ReferenceExtComputation(res, rep, 3) for name, rep in (("x", ses.x), ("y", ses.y), ("z", ses.z))}
         for m in range(4):
             for name in new:
@@ -597,7 +656,7 @@ def test_section_lifts_round_trip_to_ext_coordinates():
     for x, ses in _reference_cases():
         res = projective_resolution(x, 5)
         for y in (ses.x, ses.y, ses.z):
-            comp = ExtComputation(res, y, 3)
+            comp = ExtComputation(res, y)
             for m in range(4):
                 gens, quo, _, sect = comp._data(m)
                 cocycles = gens.dot(sect) % np.array(comp.orders[m], dtype=np.int64).reshape(-1, 1)
@@ -610,7 +669,7 @@ def test_ext_without_cochains_or_cocycle_generators():
     # ker delta_0 has no generators, and Hom(P_2, S_2) has no coordinates
     q = a2()
     s2 = stalk(q, Z2, 2, cyclic(Z2, 2))
-    comp = ExtComputation(projective_resolution(projective_generator(q, Z2, 1), 4), s2, 2)
+    comp = ExtComputation(projective_resolution(projective_generator(q, Z2, 1), 4), s2)
     assert [comp._data(m)[0].shape for m in range(3)] == [(1, 0), (1, 1), (0, 0)]
     for m in range(3):
         assert comp.ext(m).is_zero
@@ -658,7 +717,7 @@ def test_ext_induced_second_matches_per_generator_loop():
         ses = random_rep_ses(rng, y)
         t_obj = stalk(q, modulus, rng.choice(q.vertices), cyclic(modulus, rng.choice([d for d in modulus.divisors if d > 1])))
         res = projective_resolution(t_obj, 5)
-        comps = {name: ExtComputation(res, rep, 3) for name, rep in (("x", ses.x), ("y", ses.y), ("z", ses.z))}
+        comps = {name: ExtComputation(res, rep) for name, rep in (("x", ses.x), ("y", ses.y), ("z", ses.z))}
         for m in range(4):
             for src, tgt, f in (("x", "y", ses.f), ("y", "z", ses.g)):
                 got = ext_induced_second(comps[src], comps[tgt], f, m)
@@ -672,7 +731,7 @@ def test_cocycle_check_holds_when_ext_is_zero():
     # P_1 is a degree-0 cochain that is not a cocycle
     q = a2()
     p1 = projective_generator(q, Z2, 1)
-    comp = ExtComputation(projective_resolution(stalk(q, Z2, 1, cyclic(Z2, 2)), 2), p1, 0)
+    comp = ExtComputation(projective_resolution(stalk(q, Z2, 1, cyclic(Z2, 2)), 2), p1)
     assert comp.ext(0).is_zero
     delta = comp.deltas[0]
     cochains = np.eye(len(comp.orders[0]), dtype=np.int64)
