@@ -37,10 +37,10 @@ from .classify import (
 )
 from .harness import NONPURE_FIXTURE_MODULI, Config, UsageError, is_vertexwise_split, nonpure_fixture_ses, run_all
 from .homology import ext as ext_group
-from .homology import rep_digest
 from .io import FormatError, load_json, quiver_from_dict, rep_from_dict, reps_file_from_dict, ses_from_dict
 from .purity import definitional_purity_check, is_pure_rep_ses
 from .quiver import has_directed_cycle, is_left_rooted, is_right_rooted, root_sequence
+from .rep import rep_digest
 from .znmod import Modulus
 
 CLASSIFIERS = {

@@ -58,6 +58,7 @@ from .rep import (
     dual_rep_ses,
     hom_reps,
     psi,
+    rep_digest,
     restrict,
     restriction_adjunction_check,
     right_adjoint,
@@ -77,7 +78,6 @@ from .homology import (
     ext1_extension_count,
     ext_induced_second,
     projective_resolution,
-    rep_digest,
     totally_acyclic_injective_complex,
 )
 from .classify import (
@@ -769,7 +769,7 @@ def _les_consistency(t_obj: Representation, ses: RepSES) -> bool:
     cardinalities: left exactness, the coboundary identity at Ext^1, and the
     telescoping alternating-product identity whose tail is the computable
     kernel at degree 3."""
-    res = projective_resolution(t_obj, 5)
+    res = projective_resolution(t_obj, 4)
     comps = {name: ExtComputation(res, rep) for name, rep in (("x", ses.x), ("y", ses.y), ("z", ses.z))}
     hom_z = comps["z"].ext(0)
     f_hom = ext_induced_second(comps["x"], comps["y"], ses.f, 0)
@@ -819,7 +819,7 @@ def _ext_engine(config: Config, rng: random.Random, t: int) -> Dict[str, object]
     y = random_representation(rng, q, modulus, config, max_rank=1)
     verdicts: Dict[str, object] = {"_instance": f"{rep_digest(x)}-{rep_digest(y)}"}
     # one resolution of x serves Ext^0..2 and the syzygy
-    res = projective_resolution(x, 4)
+    res = projective_resolution(x, 3)
     comp = ExtComputation(res, y)
     hom = hom_reps(x, y)[0]
     verdicts["ext0_is_hom"] = comp.ext(0).factors == hom.factors

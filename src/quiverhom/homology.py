@@ -6,13 +6,14 @@ injective representations.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .linalg import quotient_order
 from .quiver import Quiver, VertexId, has_directed_cycle, out_arrows, paths_between, trivial_path
 from .rep import (
     HomGroupRep,
@@ -48,18 +49,6 @@ from .znmod import (
     section_of,
     solve_congruences,
 )
-
-
-def rep_digest(x: Representation) -> str:
-    h = hashlib.sha256()
-    h.update(repr(x.quiver).encode())
-    h.update(str(x.modulus.n).encode())
-    for v in x.quiver.vertices:
-        h.update(str(x.vertex_modules[v].factors).encode())
-    for a in x.quiver.arrows:
-        h.update(a.id.encode())
-        h.update(x.arrow_maps[a.id].matrix.tobytes())
-    return h.hexdigest()[:16]
 
 
 def morphism_digest(f: RepMorphism) -> Tuple:
@@ -201,7 +190,7 @@ def canonical_injective_embedding(x: Representation) -> Tuple[Representation, Re
 
 class ExtComputation:
     """Cohomology of Hom(P_., Y) for a fixed projective resolution of X, in
-    Yoneda coordinates, in degrees 0 .. L - 2 for a resolution of L terms.
+    Yoneda coordinates, in degrees 0 .. L - 1 for a resolution of L terms.
 
     A morphism P_v -> Y is determined by where it sends the trivial path at
     v, so Hom(P_k, Y) is the product of one copy of Y(v) per generator
@@ -209,21 +198,30 @@ class ExtComputation:
     orders of its coordinates (the factors of each Y(v), concatenated,
     which need not form a divisibility chain).  deltas[k] is the matrix of
     g -> g o d_k from those coordinates of Hom(P_k, Y) to those of
-    Hom(P_{k+1}, Y).  Exposes the Ext groups together with coordinates for
-    cocycles, which is what the long-exact-sequence and dimension-shifting
-    checks consume.
+    Hom(P_{k+1}, Y).  The last term has no d, so deltas[L - 1] evaluates g
+    on generators of the kernel of the resolution's last map instead, with
+    orders[L] the orders of those values: a cochain is a cocycle iff it
+    vanishes on a generating set of that syzygy, so ker deltas[L - 1] is the
+    subgroup a longer resolution gives.  Exposes the Ext groups together
+    with coordinates for cocycles, which is what the long-exact-sequence
+    and dimension-shifting checks consume.
     """
 
     def __init__(self, resolution: ProjResolution, y: Representation):
         self.resolution = resolution
         self.y = y
         vs = y.quiver.vertices
+        length = len(resolution.terms)
+        # at each vertex, the generators of the syzygy after each term as
+        # columns over the triples of that term
+        tops = [self._trivial_path_columns(k) for k in range(length - 1)]
+        tops.append(self._kernel_columns(resolution.diffs[-1] if resolution.diffs else resolution.augmentation))
+        ranks = list(resolution.ranks) + [{v: tops[-1][v].shape[1] for v in vs}]
         self.orders: List[Tuple[int, ...]] = [
-            tuple(d for v in vs for _ in range(ranks[v]) for d in y.vertex_modules[v].factors)
-            for ranks in resolution.ranks
+            tuple(d for v in vs for _ in range(r[v]) for d in y.vertex_modules[v].factors) for r in ranks
         ]
         self._along: Dict[Tuple[VertexId, VertexId], np.ndarray] = {}
-        self.deltas: List[np.ndarray] = [self._delta(k) for k in range(len(resolution.terms) - 1)]
+        self.deltas: List[np.ndarray] = [self._delta(k, tops[k]) for k in range(length)]
         self._ext_data: Dict[int, Tuple[np.ndarray, FinMod, np.ndarray, np.ndarray]] = {}
 
     def _along_stack(self, u: VertexId, v: VertexId) -> np.ndarray:
@@ -233,22 +231,46 @@ class ExtComputation:
             self._along[u, v] = np.stack([self.y.along(p).matrix for p in paths_between(self.y.quiver, u, v)])
         return self._along[u, v]
 
-    def _delta(self, k: int) -> np.ndarray:
-        """The block of generator (v, j) of P_{k+1} against generator (u, i)
-        of P_k is sum_p c_p Y(p), over the paths p from u to v, where c_p is
-        the coefficient of (u, i, p) in d_k of the trivial path at (v, j)."""
+    def _trivial_path_columns(self, k: int) -> Dict[VertexId, np.ndarray]:
+        """The columns of d_k at the trivial paths of the generators (v, j)
+        of P_{k+1}: the images in P_k(v) of the generators of the syzygy."""
+        q, tgt = self.y.quiver, self.resolution.ranks[k + 1]
+        out = {}
+        for v in q.vertices:
+            # P_{k+1}(v) lists the triples (w, j, p) with w before v first; the
+            # quiver is acyclic, so the trivial path is the one path from v to v
+            start = sum(tgt[w] * len(paths_between(q, w, v)) for w in q.vertices[: q.vertices.index(v)] if tgt[w])
+            out[v] = self.resolution.diffs[k].components[v].matrix[:, start : start + tgt[v]]
+        return out
+
+    def _kernel_columns(self, last: RepMorphism) -> Dict[VertexId, np.ndarray]:
+        """Generators of ker last(v) as columns, one solve per vertex, except
+        where Y(v) is zero and the values of cochains there have no
+        coordinates."""
+        out = {}
+        for v in self.y.quiver.vertices:
+            f = last.components[v]
+            if not self.y.vertex_modules[v].rank or not f.domain.rank:
+                out[v] = np.zeros((f.domain.rank, 0), dtype=np.int64)
+                continue
+            zero = np.zeros(f.codomain.rank, dtype=np.int64)
+            out[v] = solve_congruences(f.matrix, zero, f.codomain.factors, f.domain.factors, self.y.modulus)[1].T
+        return out
+
+    def _delta(self, k: int, columns: Dict[VertexId, np.ndarray]) -> np.ndarray:
+        """The block of the generator in column j of columns[v] against
+        generator (u, i) of P_k is sum_p c_p Y(p), over the paths p from u
+        to v, where c_p is the coefficient of (u, i, p) in that column."""
         q, mods = self.y.quiver, self.y.vertex_modules
-        src, tgt = self.resolution.ranks[k], self.resolution.ranks[k + 1]
+        src = self.resolution.ranks[k]
+        tgt = {v: columns[v].shape[1] for v in q.vertices}
         src_at = _offsets(q.vertices, src, mods)
         tgt_at = _offsets(q.vertices, tgt, mods)
         mat = np.zeros((len(self.orders[k + 1]), len(self.orders[k])), dtype=np.int64)
         for v in q.vertices:
             if not tgt[v] or not mods[v].rank:
                 continue
-            # P_{k+1}(v) lists the triples (w, j, p) with w before v first; the
-            # quiver is acyclic, so the trivial path is the one path from v to v
-            start = sum(tgt[w] * len(paths_between(q, w, v)) for w in q.vertices[: q.vertices.index(v)] if tgt[w])
-            column = self.resolution.diffs[k].components[v].matrix[:, start : start + tgt[v]]
+            column = columns[v]
             rows = slice(tgt_at[v], tgt_at[v] + tgt[v] * mods[v].rank)
             row = 0
             for u in q.vertices:
@@ -282,12 +304,25 @@ class ExtComputation:
             self._ext_data[m] = (gens, quo, proj, sect)
         return self._ext_data[m]
 
-    def ext(self, m: int) -> FinMod:
+    def _check_degree(self, m: int):
         if m < 0:
             raise ValueError("negative degree")
         if m >= len(self.deltas):
             raise ValueError("degree beyond computed window")
+
+    def ext(self, m: int) -> FinMod:
+        self._check_degree(m)
         return self._data(m)[1]
+
+    def order(self, m: int) -> int:
+        """|Ext^m| = |ker delta_m| / |im delta_{m-1}|, from the cokernel
+        orders of the two coboundaries, with no kernel presentation."""
+        self._check_degree(m)
+        n = self.y.modulus.n
+        # |ker delta_m| = |C^m| |coker delta_m| / |C^{m+1}| and
+        # |im delta_{m-1}| = |C^m| / |coker delta_{m-1}|, with C^{-1} = 0
+        prev = quotient_order(self.deltas[m - 1], self.orders[m], n) if m else math.prod(self.orders[0])
+        return quotient_order(self.deltas[m], self.orders[m + 1], n) * prev // math.prod(self.orders[m + 1])
 
     def cocycle_to_ext_coords(self, m: int, hom_coords: np.ndarray) -> np.ndarray:
         """The Ext^m coordinates of cocycles given by their Yoneda
@@ -306,7 +341,7 @@ def ext(x: Representation, y: Representation, degree: int) -> FinMod:
     """Ext^degree(X, Y) in the representation category."""
     if degree < 0:
         raise ValueError("negative degree")
-    return ExtComputation(projective_resolution(x, degree + 2), y).ext(degree)
+    return ExtComputation(projective_resolution(x, degree + 1), y).ext(degree)
 
 
 def ext_induced_second(comp_src: ExtComputation, comp_tgt: ExtComputation, f: RepMorphism, m: int) -> ModHom:

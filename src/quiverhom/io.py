@@ -33,9 +33,21 @@ def quiver_to_dict(q: Quiver) -> dict:
     }
 
 
+def _json_type(value) -> str:
+    """The JSON type of a value `json.load` returned, for error messages;
+    the values themselves are spelled by `json.dumps`."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {str: "string", list: "array", dict: "object"}.get(type(value), type(value).__name__)
+
+
 def _object(value, where: str) -> dict:
     if not isinstance(value, dict):
-        raise FormatError(f"{where}: expected a JSON object, got {type(value).__name__}")
+        raise FormatError(f"{where}: expected a JSON object, got {_json_type(value)}")
     return value
 
 
@@ -43,7 +55,7 @@ def _int(value) -> int:
     """value, if it is a JSON integer: int() and numpy would truncate a
     float, parse a string and read true as 1."""
     if type(value) is not int:
-        raise FormatError(f"expected an integer, got {value!r}")
+        raise FormatError(f"expected an integer, got {json.dumps(value)}")
     return value
 
 
@@ -61,10 +73,10 @@ def _vertices(value) -> Tuple[VertexId, ...]:
     """value, if it is a JSON array of strings and integers (`true` is not
     an integer)."""
     if not isinstance(value, list):
-        raise FormatError(f"quiver block: vertices: expected a JSON array, got {type(value).__name__}")
+        raise FormatError(f"quiver block: vertices: expected a JSON array, got {_json_type(value)}")
     for v in value:
         if type(v) not in (str, int):
-            raise FormatError(f"quiver block: vertices: expected a string or an integer, got {v!r}")
+            raise FormatError(f"quiver block: vertices: expected a string or an integer, got {json.dumps(v)}")
     return tuple(value)
 
 

@@ -6,6 +6,7 @@ and the tensor product with its defining adjunction.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from math import gcd
@@ -107,6 +108,20 @@ class Representation:
     def __repr__(self):
         parts = ", ".join(f"{v}:{self.vertex_modules[v]}" for v in self.quiver.vertices)
         return f"Representation({parts})"
+
+
+def rep_digest(x: Representation) -> str:
+    """A short label for x, for reports: a hash of its quiver, modulus,
+    vertex factors and arrow matrices."""
+    h = hashlib.sha256()
+    h.update(repr(x.quiver).encode())
+    h.update(str(x.modulus.n).encode())
+    for v in x.quiver.vertices:
+        h.update(str(x.vertex_modules[v].factors).encode())
+    for a in x.quiver.arrows:
+        h.update(a.id.encode())
+        h.update(x.arrow_maps[a.id].matrix.tobytes())
+    return h.hexdigest()[:16]
 
 
 def zero_rep(quiver: Quiver, modulus: Modulus) -> Representation:
@@ -296,17 +311,21 @@ def _subrep_from_vertex_subgroups(x: Representation, incl_data: Dict[VertexId, T
     q, modulus = x.quiver, x.modulus
     mods = {v: incl_data[v][0] for v in q.vertices}
     maps = {}
-    for a in q.arrows:
-        sub_s, incl_s = incl_data[a.src]
-        sub_t, incl_t = incl_data[a.tgt]
+    for w in q.vertices:
+        sub_t, incl_t = incl_data[w]
+        arrows = in_arrows(q, w)
         cols = np.zeros((sub_t.rank, 0), dtype=np.int64)
-        if sub_s.rank:
-            # the images of all generators of sub_s, solved as one system
-            images = x.map(a.id).compose(incl_s).matrix
+        if any(mods[a.src].rank for a in arrows):
+            # the images of the generators along every arrow into w, solved
+            # as one system; each column is what a one-column solve returns
+            images = np.hstack([x.map(a.id).compose(incl_data[a.src][1]).matrix for a in arrows if mods[a.src].rank])
             cols = ambient_coords_solve(incl_t.codomain.factors, incl_t.matrix, images, modulus)
             if cols is None:
-                raise ValueError(f"subgroups not closed under arrow {a.id}")
-        maps[a.id] = ModHom(sub_s, sub_t, cols)
+                raise ValueError(f"subgroups not closed under the arrows into {w!r}")
+        at = 0
+        for a in arrows:
+            maps[a.id] = ModHom(mods[a.src], sub_t, cols[:, at : at + mods[a.src].rank])
+            at += mods[a.src].rank
     sub = Representation(q, modulus, mods, maps)
     incl = RepMorphism(sub, x, {v: incl_data[v][1] for v in q.vertices})
     return sub, incl

@@ -166,6 +166,23 @@ MALFORMED_INPUTS = {
 }
 
 
+# the offending value or type, spelled as JSON spells it
+MALFORMED_MESSAGES = {
+    "modulus_string": 'modulus: expected an integer, got "x"',
+    "modulus_null": "modulus: expected an integer, got null",
+    "factor_string": 'expected an integer, got "4"',
+    "entry_bool": "expected an integer, got true",
+    "top_level_number": "file: expected a JSON object, got number",
+    "reps_list": "reps: expected a JSON object, got array",
+    "modules_null": "modules: expected a JSON object, got null",
+    "morphism_null": "morphism: expected a JSON object, got null",
+    "vertices_string": "vertices: expected a JSON array, got string",
+    "vertices_object": "vertices: expected a JSON array, got object",
+    "vertex_bool": "expected a string or an integer, got true",
+    "vertex_null": "expected a string or an integer, got null",
+}
+
+
 @pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
 def test_cli_malformed_input_exits_2(tmp_path, capsys, case):
     command, payload = MALFORMED_INPUTS[case]
@@ -174,6 +191,7 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, case):
     assert main([command, path] + extra) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
+    assert MALFORMED_MESSAGES.get(case, "") in captured.err
 
 
 def test_cli_rooted(tmp_path, capsys):

@@ -21,8 +21,8 @@ from quiverhom.harness import (
     run_suite,
     SUITES,
 )
-from quiverhom.homology import rep_digest
 from quiverhom.quiver import a2, has_directed_cycle, is_right_rooted
+from quiverhom.rep import rep_digest
 from quiverhom.znmod import Modulus, is_injective_module
 
 

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from quiverhom.quiver import Quiver, a2, kronecker, loop_quiver, make_quiver, opposite
+from quiverhom.quiver import Quiver, a2, in_arrows, kronecker, loop_quiver, make_quiver, opposite
 from quiverhom.rep import (
     HomGroupRep,
     RepMorphism,
@@ -42,6 +42,7 @@ from quiverhom.znmod import (
     FinMod,
     ModHom,
     Modulus,
+    ambient_coords_solve,
     cyclic,
     hom_entry_orders,
     hom_entry_scales,
@@ -275,6 +276,54 @@ def test_image_rep():
     img, incl = image_rep(f)
     assert img.vertex_modules[1].factors == (2,)
     assert incl.is_monomorphism
+
+
+def _subrep_arrow_matrices_per_arrow(x, incl):
+    """The arrow maps of a subrepresentation solved one arrow at a time,
+    kept as the oracle for the one solve per target vertex."""
+    out = {}
+    for a in x.quiver.arrows:
+        incl_s, incl_t = incl.components[a.src], incl.components[a.tgt]
+        cols = np.zeros((incl_t.domain.rank, 0), dtype=np.int64)
+        if incl_s.domain.rank:
+            images = x.map(a.id).compose(incl_s).matrix
+            cols = ambient_coords_solve(incl_t.codomain.factors, incl_t.matrix, images, x.modulus)
+            assert cols is not None
+        out[a.id] = ModHom(incl_s.domain, incl_t.domain, cols).matrix
+    return out
+
+
+def test_subrep_arrow_maps_match_the_per_arrow_solve():
+    from quiverhom.harness import Config, random_representation
+
+    # in-degrees 0, 1 and 2 (parallel or not), and a loop
+    quivers = [
+        a2(),
+        kronecker(),
+        make_quiver([1, 2, 3], [("a", 1, 3), ("b", 2, 3), ("c", 1, 2)]),
+        make_quiver([1, 2, 3], [("a", 1, 2), ("b", 1, 2), ("c", 2, 3), ("d", 1, 3)]),
+        loop_quiver(),
+    ]
+    rng = random.Random(31)
+    cfg = Config()
+    zero_sources = joint = 0
+    for q in quivers:
+        for n in (2, 4, 6, 12):
+            modulus = Modulus(n)
+            for _ in range(6):
+                x = random_representation(rng, q, modulus, cfg, 3)
+                y = random_representation(rng, q, modulus, cfg, 3)
+                homs = HomGroupRep(x, y)
+                f = homs.from_coords([rng.randrange(d) for d in homs.group.factors])
+                for sub, incl in (kernel_rep(f), image_rep(f)):
+                    want = _subrep_arrow_matrices_per_arrow(incl.target, incl)
+                    for a in q.arrows:
+                        got = sub.arrow_maps[a.id].matrix
+                        assert got.shape == want[a.id].shape and np.array_equal(got, want[a.id])
+                        zero_sources += not sub.vertex_modules[a.src].rank and sub.vertex_modules[a.tgt].rank > 0
+                    for v in q.vertices:
+                        joint += sum(sub.vertex_modules[a.src].rank > 0 for a in in_arrows(q, v)) >= 2
+    assert zero_sources >= 80 and joint >= 60
 
 
 def _random_instances(seed, count, moduli=(2, 4, 9)):
