@@ -89,7 +89,7 @@ def quiver_from_dict(d: dict) -> Quiver:
     for a in arrows:
         # arrows_maps keys are JSON object keys, which are always strings
         if not isinstance(a.id, str):
-            raise FormatError(f"quiver block: arrow {a.id!r} from {a.src!r} to {a.tgt!r}: id must be a JSON string")
+            raise FormatError(f"quiver block: arrow {json.dumps(a.id)} from {json.dumps(a.src)} to {json.dumps(a.tgt)}: id must be a JSON string")
     try:
         q = Quiver(vertices, arrows)
     except (TypeError, ValueError) as exc:

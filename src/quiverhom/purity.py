@@ -7,12 +7,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .homology import projective_generator
-from .quiver import Quiver, has_directed_cycle, opposite
+from .quiver import Quiver, has_directed_cycle, in_arrows, opposite
 from .rep import (
     RepMorphism,
     RepSES,
@@ -32,7 +32,9 @@ from .znmod import (
     cyclic,
     identity_hom,
     is_pure_module_ses,
+    quotient_with_projection,
     random_hom,
+    torsion_order,
 )
 
 
@@ -45,7 +47,9 @@ class PurityVerdict:
     witness: Optional[dict]
 
     def replay(self, ses: RepSES) -> bool:
-        """Re-run the stored certificate against the sequence."""
+        """Re-run the stored certificate against the sequence: the dual
+        retraction when pure, else the witness, a test object through the
+        general tensor test."""
         if self.pure:
             assert self.dual_retraction is not None
             dual = dual_rep_ses(ses)
@@ -60,11 +64,19 @@ class PurityVerdict:
             ok, _ = is_pure_module_ses(ses.vertex_ses(w["vertex"]))
             return not ok
         if w.get("kind") == "test-object":
-            for desc, s in _cheap_test_objects(ses):
-                if desc == w:
-                    return not _tensor_left_exact(s, ses)
-            raise ValueError(f"unknown witness descriptor {w!r}")
+            # the general tensor test confirms a stalk found from the tops
+            return not _tensor_left_exact(_cheap_test_object(ses, w), ses)
         return False
+
+
+def _cheap_test_object(ses: RepSES, desc: dict) -> Representation:
+    """The stalk or dual of the sub term that a witness descriptor names."""
+    if desc.get("shape") == "dual-of-sub":
+        return dual_rep(ses.x)
+    if desc.get("shape") == "stalk":
+        modulus = ses.f.source.modulus
+        return stalk(opposite(ses.f.source.quiver), modulus, desc["vertex"], cyclic(modulus, desc["order"]))
+    raise ValueError(f"unknown witness descriptor {desc!r}")
 
 
 def _natural_one_sided_inverse(h: RepMorphism, left: bool) -> Optional[RepMorphism]:
@@ -103,9 +115,12 @@ def is_pure_rep_ses(ses: RepSES) -> PurityVerdict:
     """Purity by the dual-splitting criterion: the sequence is pure iff its
     dual splits in the opposite category.
 
-    A vertexwise module-purity prefilter catches most impure sequences
-    cheaply; the decisive test is one linear solve for a natural retraction
-    of the dualized epi.
+    A vertexwise module-purity prefilter (`is_pure_module_ses`, decided
+    from torsion orders) catches most impure sequences cheaply; the
+    decisive test is one linear solve for a natural retraction of the
+    dualized epi.  When that fails, the witness is the first cheap test
+    object the sequence fails (`_cheap_definitional_witness`): a stalk,
+    found from vertex tops, or the dual of the sub term.
     """
     for v in ses.f.source.quiver.vertices:
         ok, divisor = is_pure_module_ses(ses.vertex_ses(v))
@@ -119,19 +134,28 @@ def is_pure_rep_ses(ses: RepSES) -> PurityVerdict:
     return PurityVerdict(True, rho, None)
 
 
-def _cheap_test_objects(ses: RepSES) -> List[Tuple[dict, Representation]]:
-    """The stalks of the cyclics Z/d, d > 1, at every vertex of the opposite
-    quiver, then the dual of the sub term, each with its witness descriptor."""
-    q, modulus = ses.f.source.quiver, ses.f.source.modulus
-    qop = opposite(q)
-    out = [
-        ({"kind": "test-object", "shape": "stalk", "vertex": v, "order": d}, stalk(qop, modulus, v, cyclic(modulus, d)))
-        for v in q.vertices
-        for d in modulus.divisors
-        if d > 1
-    ]
-    out.append(({"kind": "test-object", "shape": "dual-of-sub"}, dual_rep(ses.x)))
-    return out
+def _vertex_top(x: Representation, v) -> FinMod:
+    """top_v(X): X(v) modulo the images of the arrows into v, loops included.
+
+    For the stalk S of Z/d at v on the opposite quiver, S (x) X is
+    Z/d (x) top_v(X), of order `torsion_order(top_v(X), d)`: every relation
+    of S (x) X comes from an arrow a into v, where S(a^op) is zero and X(a)
+    leaves its image."""
+    gens = [col for a in in_arrows(x.quiver, v) for col in x.map(a.id).matrix.T]
+    return quotient_with_projection(x.vertex_modules[v].factors, gens, x.modulus)[0]
+
+
+def _stalk_witness(ses: RepSES) -> Optional[dict]:
+    """The first stalk of a cyclic Z/d, d > 1, at a vertex v of the opposite
+    quiver (v, then d, ascending) that the sequence fails, or None.  Each
+    representation's top is presented once per vertex; every d is then
+    three products of gcds."""
+    for v in ses.f.source.quiver.vertices:
+        tx, ty, tz = (_vertex_top(r, v) for r in (ses.x, ses.y, ses.z))
+        for d in ses.f.source.modulus.divisors[1:]:
+            if torsion_order(tx, d) * torsion_order(tz, d) != torsion_order(ty, d):
+                return {"kind": "test-object", "shape": "stalk", "vertex": v, "order": d}
+    return None
 
 
 def _tensor_left_exact(s: Representation, ses: RepSES) -> bool:
@@ -140,11 +164,15 @@ def _tensor_left_exact(s: Representation, ses: RepSES) -> bool:
 
 
 def _cheap_definitional_witness(ses: RepSES) -> Optional[dict]:
-    """The first member of `_cheap_test_objects` that the sequence fails,
-    or None; memoized on the sequence, since `is_pure_rep_ses` and
-    `definitional_purity_check` both ask for it."""
+    """The first cheap test object the sequence fails, or None: the stalks
+    (`_stalk_witness`), then the dual of the sub term.  Memoized on the
+    sequence, since `is_pure_rep_ses` and `definitional_purity_check` both
+    ask for it."""
     if not hasattr(ses, "_cheap_witness"):
-        ses._cheap_witness = next((desc for desc, s in _cheap_test_objects(ses) if not _tensor_left_exact(s, ses)), None)
+        witness = _stalk_witness(ses)
+        if witness is None and not _tensor_left_exact(dual_rep(ses.x), ses):
+            witness = {"kind": "test-object", "shape": "dual-of-sub"}
+        ses._cheap_witness = witness
     return ses._cheap_witness
 
 
@@ -162,19 +190,25 @@ def definitional_purity_check(ses: RepSES, budget: int = 5, seed: int = 0) -> Tu
     """Tensor the sequence with a family of test objects over the opposite
     quiver and check left-exactness of each result.
 
-    The family is `_cheap_test_objects` (the stalks of cyclics, then the
-    dual of the sub term), followed by the projective generators when the
-    opposite quiver is acyclic and seeded random representations.  The dual
-    of the sub term makes the check decisive: exactness of
-    (dual X) tensor eta dualizes to surjectivity of Hom(dual X, dual Y) onto
-    Hom(dual X, dual X), which produces a splitting of the dual sequence.
-    The projective and random members are a sanity net behind it, not part
-    of the decision; they stay because dropping them would change the
-    reported tested-object count and with it every stored report digest.
-    The cheap family is built and tensored at most once per sequence
-    (`_cheap_definitional_witness`); the count includes its members, one
-    stalk per vertex and divisor d > 1 plus the dual, either way.
-    Returns (verdict, tested-object count, witness)."""
+    The family is the cheap one (the stalks of the cyclics Z/d, d > 1, at
+    every vertex, then the dual of the sub term), followed by the
+    projective generators when the opposite quiver is acyclic and seeded
+    random representations.  The dual of the sub term makes the check
+    decisive: exactness of (dual X) tensor eta dualizes to surjectivity of
+    Hom(dual X, dual Y) onto Hom(dual X, dual X), which produces a
+    splitting of the dual sequence.  The projective and random members are
+    a sanity net behind it, not part of the decision; they stay because
+    dropping them would change the reported tested-object count and with
+    it every stored report digest.
+
+    The stalks are never built: the stalk S of Z/d at v has
+    S (x) X = Z/d (x) top_v(X), so each of X, Y, Z has its top presented
+    once per vertex and every (v, d) is a comparison of gcd products
+    (`_stalk_witness`).  Every other member goes through the general
+    `tensor_order` test.  The cheap family is decided at most once per
+    sequence (`_cheap_definitional_witness`); the count includes its
+    members, one stalk per vertex and divisor d > 1 plus the dual, either
+    way.  Returns (verdict, tested-object count, witness)."""
     modulus = ses.f.source.modulus
     qop = opposite(ses.f.source.quiver)
     tests = []

@@ -216,7 +216,7 @@ def test_cli_rejects_a_non_string_arrow_id(tmp_path, capsys, arrow_id):
         assert main([command, write(tmp_path, "in.json", payload), "--json"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
-        assert f"arrow {arrow_id!r} from 1 to 2: id must be a JSON string" in captured.err
+        assert f"arrow {json.dumps(arrow_id)} from 1 to 2: id must be a JSON string" in captured.err
 
 
 def test_cli_fixture_nonpure(capsys):

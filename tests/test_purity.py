@@ -1,9 +1,13 @@
+import json
+import pathlib
 import random
 
 import numpy as np
 import pytest
 
-from quiverhom.quiver import a2, opposite
+from quiverhom.harness import NONPURE_FIXTURE_MODULI, nonpure_fixture_ses
+from quiverhom.io import ses_from_dict
+from quiverhom.quiver import a2
 from quiverhom.rep import (
     RepMorphism,
     RepSES,
@@ -16,6 +20,7 @@ from quiverhom.rep import (
     zero_rep,
 )
 from quiverhom.purity import (
+    PurityVerdict,
     definitional_purity_check,
     is_pure_mono_rep,
     is_pure_rep_ses,
@@ -32,6 +37,7 @@ from quiverhom.znmod import (
 Z2 = Modulus(2)
 Z4 = Modulus(4)
 Z9 = Modulus(9)
+LARGE_REPS = pathlib.Path(__file__).parent / "data" / "large_reps"
 
 
 def nonpure_fixture(modulus, order):
@@ -129,12 +135,14 @@ def test_nonpure_fixture_definitional_witness_is_a_stalk():
 
 def test_cheap_family_is_tensored_once_per_sequence(monkeypatch):
     # the purity command and the purity_bridge suite run both checks on
-    # one sequence; the second reads the first's cheap-family witness
+    # one sequence; the second reads the first's cheap-family witness and
+    # presents no vertex top and tensors nothing of its own
     from quiverhom import purity
 
     calls = []
-    tensor = purity._tensor_left_exact
-    monkeypatch.setattr(purity, "_tensor_left_exact", lambda s, ses: calls.append(1) or tensor(s, ses))
+    for name in ("_vertex_top", "_tensor_left_exact"):
+        real = getattr(purity, name)
+        monkeypatch.setattr(purity, name, lambda *args, real=real: calls.append(1) or real(*args))
     expected = definitional_purity_check(nonpure_fixture(Z4, 4), budget=2)
     ses = nonpure_fixture(Z4, 4)
     calls.clear()
@@ -146,7 +154,9 @@ def test_cheap_family_is_tensored_once_per_sequence(monkeypatch):
 
 
 def test_cheap_family_is_built_at_most_once_per_sequence(monkeypatch):
-    # definitional_purity_check counts the cheap family without building it
+    # definitional_purity_check counts the cheap family without building
+    # it: one stalk per vertex and divisor d > 1, plus the dual of the sub
+    # term; each of X, Y, Z has its top presented at most once per vertex
     from quiverhom import purity
 
     q = a2()
@@ -155,14 +165,46 @@ def test_cheap_family_is_built_at_most_once_per_sequence(monkeypatch):
     total, injs, projs = direct_sum_reps([x, x])
     pure, impure = RepSES(injs[0], projs[1]), nonpure_fixture(Z4, 4)
     calls = []
-    build = purity._cheap_test_objects
-    monkeypatch.setattr(purity, "_cheap_test_objects", lambda ses: calls.append(1) or build(ses))
+    top = purity._vertex_top
+    monkeypatch.setattr(purity, "_vertex_top", lambda r, v: calls.append(v) or top(r, v))
     for ses, verdict in ((pure, True), (impure, False)):
         calls.clear()
         assert is_pure_rep_ses(ses).pure is verdict
         ok, count, _ = definitional_purity_check(ses, budget=2)
-        assert ok is verdict and count == len(build(ses)) + 2 + 2
-        assert len(calls) <= 1
+        # 2 vertices x the divisors 2, 4 of Z/4, the dual of the sub term,
+        # the 2 projectives of the opposite of A2 and the 2 random members
+        assert ok is verdict and count == 2 * 2 + 1 + 2 + 2
+        assert all(calls.count(v) <= 3 for v in q.vertices)
+
+
+def test_replay_confirms_each_witness_through_the_general_tensor(monkeypatch):
+    # a witness found from vertex tops is rebuilt as one stalk and
+    # confirmed by the general tensor test; a stalk the sequence passes
+    # replays False
+    from quiverhom import purity
+
+    sequences = [nonpure_fixture_ses(Modulus(n)) for n in NONPURE_FIXTURE_MODULI]
+    sequences += [ses_from_dict(json.loads(p.read_text())) for p in sorted(LARGE_REPS.glob("item*-purity.json"))]
+    tensored = []
+    real = purity._tensor_left_exact
+    monkeypatch.setattr(purity, "_tensor_left_exact", lambda s, ses: tensored.append(s) or real(s, ses))
+    impure = passing = 0
+    for ses in sequences:
+        verdict = is_pure_rep_ses(ses)
+        if verdict.pure:
+            continue
+        impure += 1
+        w = verdict.witness
+        assert w.get("shape") == "stalk"
+        tensored.clear()
+        assert verdict.replay(ses) and len(tensored) == 1
+        assert tensored[0].vertex_modules[w["vertex"]].factors == (w["order"],)
+        # every stalk decided before the witness passed
+        order = [(v, d) for v in ses.x.quiver.vertices for d in ses.x.modulus.divisors[1:]]
+        for v, d in order[: order.index((w["vertex"], w["order"]))]:
+            assert not PurityVerdict(False, None, dict(w, vertex=v, order=d)).replay(ses)
+            passing += 1
+    assert impure == 6 and passing >= 30
 
 
 def test_pure_mono_epi_examples():

@@ -1,6 +1,7 @@
 """The Kronecker-form tensor product against the entry-by-entry loops it
 replaced, and the order-counting tensor test of purity against the
-present-based test it replaced, both kept here as reference oracles."""
+present-based test it replaced, both kept here as reference oracles; the
+vertex-top route of purity's stalk tests is checked against both."""
 
 import json
 import pathlib
@@ -33,7 +34,7 @@ from quiverhom.rep import (
     tensor_induced,
     tensor_order,
 )
-from quiverhom.znmod import ModHom, Modulus, is_mono, matlis_dual, quotient_with_projection, zero_hom
+from quiverhom.znmod import ModHom, Modulus, is_mono, matlis_dual, quotient_with_projection, torsion_order, zero_hom
 
 MODULI = (2, 4, 6, 12, 36, 72)
 LARGE_REPS = pathlib.Path(__file__).parent / "data" / "large_reps"
@@ -201,16 +202,28 @@ def reference_tensor_left_exact(s, ses):
     return is_mono(tensor_induced(pres_x, pres_y, identity_morphism(s), ses.f))
 
 
+def _stalk_descriptors(ses):
+    """The witness descriptors of the stalks of the cheap family, in the
+    order `definitional_purity_check` decides them."""
+    vertices, divisors = ses.x.quiver.vertices, ses.x.modulus.divisors
+    return [{"kind": "test-object", "shape": "stalk", "vertex": v, "order": d} for v in vertices for d in divisors[1:]]
+
+
 def _definitional_test_objects(monkeypatch, ses):
-    """Every test object `definitional_purity_check` tensors `ses` with:
-    the cheap family, then the projective and random members.  A test that
-    always passes keeps the check from stopping at the first failure."""
+    """Every test object `definitional_purity_check` counts for `ses`: the
+    stalks, rebuilt from their descriptors since the check reads them from
+    vertex tops, then those it tensors (the dual of the sub term, the
+    projective and random members).  Tests that always pass keep the check
+    from stopping at the first failure."""
     seen = []
+    monkeypatch.setattr(purity, "_stalk_witness", lambda _: None)
     monkeypatch.setattr(purity, "_tensor_left_exact", lambda s, _: seen.append(s) or True)
     _, tested, _ = purity.definitional_purity_check(ses)
     monkeypatch.undo()
-    assert len(seen) == tested
-    return seen
+    del ses._cheap_witness  # memoized under the patches
+    stalks = [purity._cheap_test_object(ses, desc) for desc in _stalk_descriptors(ses)]
+    assert len(stalks) + len(seen) == tested
+    return stalks + seen
 
 
 def _purity_sequences():
@@ -244,3 +257,24 @@ def test_order_count_matches_presented_tensor_test(monkeypatch):
             not_mono += not verdict
         cyclic += has_directed_cycle(ses.x.quiver)
     assert objects >= 1000 and not_mono >= 50 and cyclic >= 5
+
+
+def test_vertex_tops_give_the_stalk_tensor_orders():
+    # S (x) R = Z/d (x) top_v(R) for the stalk S of Z/d at v, so the top
+    # route decides each stalk as the presented tensor test does, and the
+    # stalk witness is the first stalk that test fails
+    objects = not_mono = 0
+    for ses in _purity_sequences():
+        failing = []
+        for desc in _stalk_descriptors(ses):
+            s, v, d = purity._cheap_test_object(ses, desc), desc["vertex"], desc["order"]
+            orders = [torsion_order(purity._vertex_top(r, v), d) for r in (ses.x, ses.y, ses.z)]
+            assert orders == [tensor_order(s, r) for r in (ses.x, ses.y, ses.z)]
+            verdict = orders[0] * orders[2] == orders[1]
+            assert verdict == reference_tensor_left_exact(s, ses)
+            objects += 1
+            if not verdict:
+                not_mono += 1
+                failing.append(desc)
+        assert purity._stalk_witness(ses) == (failing[0] if failing else None)
+    assert objects >= 1000 and not_mono >= 50

@@ -50,6 +50,7 @@ from quiverhom.znmod import (
     zero_hom,
     zero_mod,
 )
+from quiverhom.znmod import _torsion_generators
 
 Z4 = Modulus(4)
 Z6 = Modulus(6)
@@ -296,6 +297,41 @@ def test_pure_iff_split_on_random_ses():
             count += 1
             assert (is_split(ses) is not None) == is_pure_module_ses(ses)[0]
     assert count >= 500
+
+
+def reference_is_pure_module_ses(s):
+    """Purity by one lifting solve per divisor d > 1: every element of C[d]
+    lifts along g to an element x of B with d x == 0.  The test
+    `is_pure_module_ses` replaced with torsion orders."""
+    m, c = s.g.domain, s.g.codomain
+    mf = np.array(m.factors, dtype=np.int64)
+    rows = c.factors + m.factors
+    for d in s.modulus.divisors[1:]:
+        a = np.vstack([s.g.matrix, np.diag(d % mf)])
+        ys = [y for _, y in _torsion_generators(c, d)]
+        if not ys:
+            continue
+        b = np.vstack([np.column_stack(ys), np.zeros((m.rank, len(ys)), dtype=np.int64)])
+        if solve_congruences(a, b, rows, m.factors, s.modulus) is None:
+            return False, d
+    return True, None
+
+
+def test_torsion_orders_decide_module_purity_as_the_lifting_solves_do():
+    rng = random.Random(20)
+    count = impure = 0
+    for n in (2, 4, 6, 8, 12, 16, 27, 30, 36, 48, 72, 288, MAX_MODULUS):
+        modulus = Modulus(n)
+        for _ in range(180):
+            b = rand_finmod(rng, modulus, max_rank=3)
+            gens = [np.array([rng.randrange(d) for d in b.factors], dtype=np.int64) for _ in range(rng.randrange(1, 3))]
+            a, incl = subgroup_with_inclusion(b, gens)
+            ses = ModSES(incl, cokernel_of_hom(incl)[1])
+            verdict = is_pure_module_ses(ses)
+            assert verdict == reference_is_pure_module_ses(ses)
+            count += 1
+            impure += not verdict[0]
+    assert count >= 2000 and impure >= 250
 
 
 def sfp_ext_oracle(m: FinMod) -> bool:
