@@ -13,7 +13,7 @@ representations: its dual admits no natural retraction.
 
 from quiverhom import Modulus, is_pure_rep_ses, definitional_purity_check
 from quiverhom.harness import nonpure_fixture_ses
-from quiverhom.purity import is_split_rep_ses, rep_retraction
+from quiverhom.purity import rep_retraction
 from quiverhom.rep import dual_rep_ses
 from quiverhom.znmod import is_split as mod_is_split
 
@@ -34,4 +34,4 @@ for n in (4, 2, 9):
     print("  dual sub term:", dual.f.source)
     print("  dual middle:", dual.f.target)
     print("  dual retraction exists:", rep_retraction(dual.f) is not None)
-    print("  split as representations:", is_split_rep_ses(ses) is not None)
+    print("  split as representations:", rep_retraction(ses.f) is not None)

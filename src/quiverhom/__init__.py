@@ -48,7 +48,6 @@ from .purity import (
     definitional_purity_check,
     is_pure_mono_rep,
     is_pure_rep_ses,
-    is_split_rep_ses,
 )
 from .homology import (
     ext,

@@ -388,13 +388,16 @@ def _rootedness(config: Config, rng: random.Random, t: int) -> Dict[str, object]
 
 
 def _purity_bridge(config: Config, rng: random.Random, t: int) -> Dict[str, object]:
-    """Dual-splitting purity vs the definitional tensor check vs splitness of
-    the dual sequence, plus the non-pure fixture."""
+    """Purity by a retraction of f vs the cheap definitional tensor check vs
+    splitness of the dual sequence, plus the non-pure fixture."""
     if t < len(NONPURE_FIXTURE_MODULI):
         modulus = Modulus(NONPURE_FIXTURE_MODULI[t])
         ses = nonpure_fixture_ses(modulus)
         verdict = is_pure_rep_ses(ses)
-        defin, _, _ = definitional_purity_check(ses, budget=2, seed=rng.randrange(2**30))
+        # an unused draw: it keeps every later trial's stream, and so every
+        # report digest, unchanged
+        rng.randrange(2**30)
+        defin, _, _ = definitional_purity_check(ses)
         vertex_split = is_vertexwise_split(ses)
         ok = (not verdict.pure) and (not defin) and vertex_split and verdict.replay(ses)
         return {
@@ -410,7 +413,8 @@ def _purity_bridge(config: Config, rng: random.Random, t: int) -> Dict[str, obje
     x = random_representation(rng, q, modulus, config)
     ses = random_rep_ses(rng, x)
     verdict = is_pure_rep_ses(ses)
-    defin, _, _ = definitional_purity_check(ses, budget=2, seed=rng.randrange(2**30))
+    rng.randrange(2**30)  # unused: keeps every later trial's stream and digest
+    defin, _, _ = definitional_purity_check(ses)
     dual_split = rep_retraction(dual_rep_ses(ses).f) is not None
     ok = verdict.pure == defin == dual_split and verdict.replay(ses)
     return {
@@ -574,7 +578,7 @@ def _stability(config: Config, rng: random.Random, t: int) -> Dict[str, object]:
             if homs.cardinality > 512:
                 continue
             for h in homs.elements():
-                if h.is_monomorphism and is_pure_mono_rep(h)[0]:
+                if h.is_monomorphism and is_pure_mono_rep(h) is not None:
                     found = True
                     break
             if found:

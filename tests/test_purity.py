@@ -5,7 +5,15 @@ import random
 import numpy as np
 import pytest
 
-from quiverhom.harness import NONPURE_FIXTURE_MODULI, nonpure_fixture_ses
+from quiverhom.harness import (
+    NONPURE_FIXTURE_MODULI,
+    Config,
+    nonpure_fixture_ses,
+    random_injective_rep,
+    random_quiver,
+    random_representation,
+)
+from quiverhom.homology import canonical_injective_embedding
 from quiverhom.io import ses_from_dict
 from quiverhom.quiver import a2
 from quiverhom.rep import (
@@ -15,7 +23,9 @@ from quiverhom.rep import (
     cokernel_rep,
     copresentation_embedding,
     direct_sum_reps,
+    dual_rep_morphism,
     dual_rep_ses,
+    naturality_system,
     stalk,
     zero_rep,
 )
@@ -24,7 +34,6 @@ from quiverhom.purity import (
     definitional_purity_check,
     is_pure_mono_rep,
     is_pure_rep_ses,
-    is_split_rep_ses,
     rep_retraction,
 )
 from quiverhom.znmod import (
@@ -32,6 +41,7 @@ from quiverhom.znmod import (
     Modulus,
     cyclic,
     identity_hom,
+    zero_hom,
 )
 
 Z2 = Modulus(2)
@@ -68,7 +78,7 @@ def test_nonpure_fixture_shape_and_verdicts():
         assert not verdict.pure
         assert verdict.replay(ses)
         # and not split
-        assert is_split_rep_ses(ses) is None
+        assert rep_retraction(ses.f) is None
         ok, tested, witness = definitional_purity_check(ses)
         assert not ok and witness is not None
 
@@ -97,7 +107,7 @@ def test_split_ses_is_pure():
     assert verdict.pure and verdict.replay(ses)
     ok, _, _ = definitional_purity_check(ses)
     assert ok
-    assert is_split_rep_ses(ses) is not None
+    assert rep_retraction(ses.f) is not None
 
 
 def test_direct_sum_of_sequences_stays_pure():
@@ -120,7 +130,7 @@ def test_direct_sum_of_sequences_stays_pure():
 
     total_ses = sum_of_sequences(first, second)
     assert is_pure_rep_ses(total_ses).pure
-    ok, _, _ = definitional_purity_check(total_ses, budget=2)
+    ok, _, _ = definitional_purity_check(total_ses)
     assert ok
 
 
@@ -143,13 +153,13 @@ def test_cheap_family_is_tensored_once_per_sequence(monkeypatch):
     for name in ("_vertex_top", "_tensor_left_exact"):
         real = getattr(purity, name)
         monkeypatch.setattr(purity, name, lambda *args, real=real: calls.append(1) or real(*args))
-    expected = definitional_purity_check(nonpure_fixture(Z4, 4), budget=2)
+    expected = definitional_purity_check(nonpure_fixture(Z4, 4))
     ses = nonpure_fixture(Z4, 4)
     calls.clear()
     verdict = is_pure_rep_ses(ses)
     after_dual = len(calls)
     assert not verdict.pure and verdict.witness == expected[2] and after_dual > 0
-    assert definitional_purity_check(ses, budget=2) == expected
+    assert definitional_purity_check(ses) == expected
     assert len(calls) == after_dual
 
 
@@ -170,10 +180,10 @@ def test_cheap_family_is_built_at_most_once_per_sequence(monkeypatch):
     for ses, verdict in ((pure, True), (impure, False)):
         calls.clear()
         assert is_pure_rep_ses(ses).pure is verdict
-        ok, count, _ = definitional_purity_check(ses, budget=2)
+        ok, count, _ = definitional_purity_check(ses)
         # 2 vertices x the divisors 2, 4 of Z/4, the dual of the sub term,
-        # the 2 projectives of the opposite of A2 and the 2 random members
-        assert ok is verdict and count == 2 * 2 + 1 + 2 + 2
+        # the 2 projectives of the opposite of A2 and the 5 random members
+        assert ok is verdict and count == 2 * 2 + 1 + 2 + 5
         assert all(calls.count(v) <= 3 for v in q.vertices)
 
 
@@ -209,11 +219,77 @@ def test_replay_confirms_each_witness_through_the_general_tensor(monkeypatch):
 
 def test_pure_mono_epi_examples():
     ses = nonpure_fixture(Z4, 4)
-    pure, _ = is_pure_mono_rep(ses.f)
-    assert not pure
+    assert is_pure_mono_rep(ses.f) is None
     x = ses.x
     ident = RepMorphism(x, x, {v: identity_hom(x.vertex_modules[v]) for v in x.quiver.vertices})
-    assert is_pure_mono_rep(ident)[0]
+    assert is_pure_mono_rep(ident) is not None
+
+
+def _is_identity(h):
+    return all(h.components[v] == identity_hom(h.source.vertex_modules[v]) for v in h.source.quiver.vertices)
+
+
+def test_replay_rejects_a_retraction_that_is_not_a_left_inverse():
+    q = a2()
+    m = cyclic(Z4, 4)
+    x = Representation(q, Z4, {1: m, 2: m}, {"a": ModHom(m, m, [[2]])})
+    total, injs, projs = direct_sum_reps([x, x])
+    ses = RepSES(injs[0], projs[1])
+    verdict = is_pure_rep_ses(ses)
+    assert verdict.pure and verdict.replay(ses) and _is_identity(verdict.retraction.compose(ses.f))
+    zero = RepMorphism(ses.y, ses.x, {v: zero_hom(ses.y.vertex_modules[v], ses.x.vertex_modules[v]) for v in q.vertices})
+    assert not PurityVerdict(True, zero, None).replay(ses)
+    # the retraction onto the other summand is not a left inverse either
+    assert not PurityVerdict(True, projs[1], None).replay(ses)
+
+
+def reference_dual_section(f):
+    """A natural s with D(f) o s = id for the dual D(f): D(Y) -> D(X) of
+    f: X -> Y, or None: the dual-section route that decided pure monos."""
+    g = dual_rep_morphism(f)
+    src, tgt = g.source, g.target
+    sysm, var = naturality_system(tgt, src)
+    for v in src.quiver.vertices:
+        side = tgt.vertex_modules[v]
+        eye = np.eye(side.rank, dtype=np.int64)
+        sysm.add_matrix_equation([(var[v], g.components[v].matrix, eye, 1)], eye, side.factors)
+    out = sysm.solve()
+    if out is None:
+        return None
+    mats = sysm.assignment(out[0])
+    comps = {v: ModHom(tgt.vertex_modules[v], src.vertex_modules[v], m) for v, m in zip(src.quiver.vertices, mats)}
+    s = RepMorphism(tgt, src, comps)
+    assert _is_identity(g.compose(s))
+    return s
+
+
+def _coresolution_monos():
+    """The first two canonical injective coresolution steps of harness
+    representations, injective ones among them, over acyclic quivers."""
+    moduli = (2, 4, 6, 9, 12)
+    cfg = Config(moduli=moduli)
+    for k in range(40):
+        rng = random.Random(104729 * k + 3)
+        modulus = Modulus(moduli[k % len(moduli)])
+        q = random_quiver(rng, cfg, right_rooted=True, max_vertices=3, max_arrows=3)
+        x = random_injective_rep(rng, q, modulus, cfg) if k % 3 == 0 else random_representation(rng, q, modulus, cfg)
+        for _ in range(2):
+            _, mono = canonical_injective_embedding(x)
+            yield mono
+            x = cokernel_rep(mono)[0]
+
+
+def test_pure_mono_is_a_split_mono_as_the_dual_section_decides():
+    split = impure = 0
+    for f in _coresolution_monos():
+        r = is_pure_mono_rep(f)
+        assert (r is not None) == (reference_dual_section(f) is not None)
+        if r is None:
+            impure += 1
+        else:
+            assert _is_identity(r.compose(f))
+            split += 1
+    assert split >= 10 and impure >= 10
 
 
 def test_psi_of_injective_is_split_epi():
@@ -229,7 +305,7 @@ def test_psi_of_injective_is_split_epi():
 
 
 def test_purity_criteria_agree_on_random():
-    # dual-splitting criterion vs definitional tensor check on random SES
+    # splitting criterion vs definitional tensor check on random SES
     rng = random.Random(12)
     from quiverhom.rep import subrep_generated, kernel_rep
 
@@ -245,8 +321,8 @@ def test_purity_criteria_agree_on_random():
         coker, proj = cokernel_rep(incl)
         ses = RepSES(incl, proj)
         verdict = is_pure_rep_ses(ses)
-        definitional, _, _ = definitional_purity_check(ses, budget=3, seed=rng.randrange(1000))
+        definitional, _, _ = definitional_purity_check(ses)
         assert verdict.pure == definitional
-        assert verdict.pure == (is_split_rep_ses(ses) is not None)
+        assert verdict.pure == (rep_retraction(ses.f) is not None)
         agree += 1
     assert agree == 25

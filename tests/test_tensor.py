@@ -1,7 +1,10 @@
 """The Kronecker-form tensor product against the entry-by-entry loops it
 replaced, and the order-counting tensor test of purity against the
 present-based test it replaced, both kept here as reference oracles; the
-vertex-top route of purity's stalk tests is checked against both."""
+vertex-top route of purity's stalk tests is checked against both.  The
+projective and random members that `definitional_purity_check` counts but
+does not build are built here, as the sanity net behind the splitting
+criterion."""
 
 import json
 import pathlib
@@ -20,21 +23,34 @@ from quiverhom.harness import (
     random_rep_ses,
     random_representation,
 )
-from quiverhom.homology import canonical_injective_embedding
+from quiverhom.homology import canonical_injective_embedding, projective_generator
 from quiverhom.io import ses_from_dict
 from quiverhom.quiver import has_directed_cycle, opposite
 from quiverhom.rep import (
     HomGroupRep,
     RepSES,
+    Representation,
     TensorPresentation,
     cokernel_rep,
     dual_rep,
+    dual_rep_ses,
     identity_morphism,
     tensor_functional_coords,
     tensor_induced,
     tensor_order,
 )
-from quiverhom.znmod import ModHom, Modulus, is_mono, matlis_dual, quotient_with_projection, torsion_order, zero_hom
+from quiverhom.znmod import (
+    FinMod,
+    ModHom,
+    Modulus,
+    canonical_chain,
+    is_mono,
+    matlis_dual,
+    quotient_with_projection,
+    random_hom,
+    torsion_order,
+    zero_hom,
+)
 
 MODULI = (2, 4, 6, 12, 36, 72)
 LARGE_REPS = pathlib.Path(__file__).parent / "data" / "large_reps"
@@ -209,12 +225,52 @@ def _stalk_descriptors(ses):
     return [{"kind": "test-object", "shape": "stalk", "vertex": v, "order": d} for v in vertices for d in divisors[1:]]
 
 
+def _reference_random_rep(qop, modulus, rng):
+    divisors = [d for d in modulus.divisors if d > 1]
+    mods = {}
+    for v in qop.vertices:
+        orders = [rng.choice(divisors) for _ in range(rng.randrange(0, 3))]
+        mods[v] = FinMod(modulus, canonical_chain(orders, modulus.n))
+    maps = {a.id: random_hom(rng, mods[a.src], mods[a.tgt]) for a in qop.arrows}
+    return Representation(qop, modulus, mods, maps)
+
+
+def reference_definitional_members(ses, budget=5, seed=0):
+    """The sanity-net test objects `definitional_purity_check` counts but
+    does not build, as (witness descriptor, representation) pairs: the
+    projective generators of the opposite quiver when it is acyclic, then
+    `budget` random representations drawn from `random.Random(seed)`."""
+    modulus = ses.f.source.modulus
+    qop = opposite(ses.f.source.quiver)
+    members = []
+    if not has_directed_cycle(qop):
+        for v in qop.vertices:
+            members.append(({"kind": "test-object", "shape": "projective", "vertex": v}, projective_generator(qop, modulus, v)))
+    rng = random.Random(seed)
+    for t in range(budget):
+        members.append(({"kind": "test-object", "shape": "random", "index": t}, _reference_random_rep(qop, modulus, rng)))
+    return members
+
+
+def reference_definitional_purity_check(ses, budget=5, seed=0):
+    """The cheap family's witness, else the first reference member the
+    sequence fails, each tensored through `purity._tensor_left_exact`, with
+    the count of every test object: the definitional check that built and
+    tensored its whole family."""
+    members = reference_definitional_members(ses, budget, seed)
+    witness = purity._cheap_definitional_witness(ses)
+    if witness is None:
+        witness = next((desc for desc, s in members if not purity._tensor_left_exact(s, ses)), None)
+    cheap = len(ses.x.quiver.vertices) * (len(ses.x.modulus.divisors) - 1) + 1
+    return witness is None, cheap + len(members), witness
+
+
 def _definitional_test_objects(monkeypatch, ses):
     """Every test object `definitional_purity_check` counts for `ses`: the
     stalks, rebuilt from their descriptors since the check reads them from
-    vertex tops, then those it tensors (the dual of the sub term, the
-    projective and random members).  Tests that always pass keep the check
-    from stopping at the first failure."""
+    vertex tops, then the one it tensors (the dual of the sub term) and the
+    reference projective and random members.  Tests that always pass keep
+    the check from stopping at the first failure."""
     seen = []
     monkeypatch.setattr(purity, "_stalk_witness", lambda _: None)
     monkeypatch.setattr(purity, "_tensor_left_exact", lambda s, _: seen.append(s) or True)
@@ -222,6 +278,7 @@ def _definitional_test_objects(monkeypatch, ses):
     monkeypatch.undo()
     del ses._cheap_witness  # memoized under the patches
     stalks = [purity._cheap_test_object(ses, desc) for desc in _stalk_descriptors(ses)]
+    seen += [s for _, s in reference_definitional_members(ses)]
     assert len(stalks) + len(seen) == tested
     return stalks + seen
 
@@ -257,6 +314,23 @@ def test_order_count_matches_presented_tensor_test(monkeypatch):
             not_mono += not verdict
         cyclic += has_directed_cycle(ses.x.quiver)
     assert objects >= 1000 and not_mono >= 50 and cyclic >= 5
+
+
+def test_splitting_decides_purity_as_the_full_definitional_family_does():
+    # the sanity net: the splitting criterion, the dual-splitting criterion
+    # and the definitional check over every reference member agree, and a
+    # pure verdict's retraction replays
+    pure = impure = 0
+    for ses in _purity_sequences():
+        verdict = purity.is_pure_rep_ses(ses)
+        assert verdict.pure == (purity.rep_retraction(dual_rep_ses(ses).f) is not None)
+        assert reference_definitional_purity_check(ses) == purity.definitional_purity_check(ses)
+        if verdict.pure:
+            assert verdict.replay(ses)
+            pure += 1
+        else:
+            impure += 1
+    assert pure >= 50 and impure >= 20
 
 
 def test_vertex_tops_give_the_stalk_tensor_orders():
