@@ -15,7 +15,6 @@ from .homology import (
     ExtComputation,
     canonical_injective_embedding,
     ext,
-    projective_resolution,
     totally_acyclic_injective_complex,
 )
 from .purity import is_pure_rep_ses
@@ -64,17 +63,14 @@ def simple_stalks(q: Quiver, modulus: Modulus) -> List[Representation]:
 
 def _ext1_is_zero(x: Representation, y: Representation) -> bool:
     """Ext^1(X, Y) = 0, decided from its order alone."""
-    return ExtComputation(projective_resolution(x, 2), y).order(1) == 1
+    return ExtComputation(x, y).order(1) == 1
 
 
 def _ext1_vanishes_against_simples(x: Representation, contravariant: bool) -> bool:
     """Ext^1(X, S) = 0 (contravariant) or Ext^1(S, X) = 0 for every simple S,
-    by orders; the contravariant side resolves X once for all of them."""
+    by orders."""
     simples = simple_stalks(x.quiver, x.modulus)
-    if contravariant:
-        res = projective_resolution(x, 2)
-        return all(ExtComputation(res, s).order(1) == 1 for s in simples)
-    return all(_ext1_is_zero(s, x) for s in simples)
+    return all(_ext1_is_zero(x, s) if contravariant else _ext1_is_zero(s, x) for s in simples)
 
 
 def classify_injective(x: Representation, with_oracle: bool = False) -> ClassVerdict:

@@ -1,7 +1,14 @@
-"""Projective generators and resolutions, the canonical injective
+"""Projective generators, covers and resolutions, the canonical injective
 coresolution step, Ext groups in the category of quiver representations, a
 brute-force extension-counting oracle, and totally acyclic complexes of
 injective representations.
+
+Ext resolves nothing: `ExtComputation` reads Ext^m(X, Y) off the cochain
+complex that Hom(-, Y) makes of the standard resolution of X, lifted to the
+2-periodic free resolutions of its vertex modules over Z/n.  That complex
+has the same size in every degree m >= 1 and repeats with period 2, so
+every degree costs the same.  Iterated projective covers remain only for
+the right half of `totally_acyclic_injective_complex`.
 """
 
 from __future__ import annotations
@@ -126,14 +133,12 @@ def _vertex_ranks(x: Representation) -> Dict[VertexId, int]:
 class ProjResolution:
     """P_{L-1} -> ... -> P_1 -> P_0 -> x -> 0 with projective terms, built by
     iterated covers; diffs[k] maps terms[k+1] to terms[k].  terms[k] is
-    `_free_rep(ranks[k])`: one P_v per canonical generator at v of the
+    `_free_rep` with one P_v per canonical generator at v of the
     representation it covers."""
 
     terms: Tuple[Representation, ...]
     diffs: Tuple[RepMorphism, ...]
     augmentation: RepMorphism
-    syzygies: Tuple[Representation, ...]
-    ranks: Tuple[Dict[VertexId, int], ...]
 
 
 def projective_resolution(x: Representation, length: int) -> ProjResolution:
@@ -143,7 +148,7 @@ def projective_resolution(x: Representation, length: int) -> ProjResolution:
     if has_directed_cycle(x.quiver):
         raise ValueError("projective resolutions need an acyclic quiver")
     cover, augmentation = projective_cover_onto(x)
-    terms, diffs, syzygies, ranks = [cover], [], [], [_vertex_ranks(x)]
+    terms, diffs = [cover], []
     last = augmentation
     while len(terms) < length:
         syz, incl = kernel_rep(last)
@@ -151,9 +156,7 @@ def projective_resolution(x: Representation, length: int) -> ProjResolution:
         last = incl.compose(epi)
         terms.append(cover)
         diffs.append(last)
-        syzygies.append(syz)
-        ranks.append(_vertex_ranks(syz))
-    return ProjResolution(tuple(terms), tuple(diffs), augmentation, tuple(syzygies), tuple(ranks))
+    return ProjResolution(tuple(terms), tuple(diffs), augmentation)
 
 
 # ---------------------------------------------------------------------------
@@ -188,106 +191,112 @@ def canonical_injective_embedding(x: Representation) -> Tuple[Representation, Re
 # ---------------------------------------------------------------------------
 
 
-class ExtComputation:
-    """Cohomology of Hom(P_., Y) for a fixed projective resolution of X, in
-    Yoneda coordinates, in degrees 0 .. L - 1 for a resolution of L terms.
+class _ByDegree:
+    """Values for every degree m >= 0 that repeat with period 2 from degree 1
+    on, so only those of degrees 0, 1 and 2 are built, each on first use."""
 
-    A morphism P_v -> Y is determined by where it sends the trivial path at
-    v, so Hom(P_k, Y) is the product of one copy of Y(v) per generator
-    (v, i) of P_k, in the order of the generators; orders[k] lists the
-    orders of its coordinates (the factors of each Y(v), concatenated,
-    which need not form a divisibility chain).  deltas[k] is the matrix of
-    g -> g o d_k from those coordinates of Hom(P_k, Y) to those of
-    Hom(P_{k+1}, Y).  The last term has no d, so deltas[L - 1] evaluates g
-    on generators of the kernel of the resolution's last map instead, with
-    orders[L] the orders of those values: a cochain is a cocycle iff it
-    vanishes on a generating set of that syzygy, so ker deltas[L - 1] is the
-    subgroup a longer resolution gives.  Exposes the Ext groups together
-    with coordinates for cocycles, which is what the long-exact-sequence
-    and dimension-shifting checks consume.
+    def __init__(self, build):
+        self._build = build
+        self._built: Dict[int, object] = {}
+
+    def __getitem__(self, m: int):
+        if m < 0:
+            raise IndexError("negative degree")
+        k = m if m < 3 else 2 - m % 2
+        if k not in self._built:
+            self._built[k] = self._build(k)
+        return self._built[k]
+
+
+class ExtComputation:
+    """Ext^m(X, Y) for every degree m >= 0, as the cohomology of one cochain
+    complex T whose size does not grow with the degree.
+
+    X has the standard resolution 0 -> (+)_{a: i -> j} f_j X(i) ->
+    (+)_i f_i X(i) -> X -> 0, where f_i is the left adjoint of evaluation
+    at i (Mitchell, "Rings with several objects"), and each
+    X(i) = (+)_k Z/d_ik has the 2-periodic free resolution over Z/n on its
+    r_i generators, with boundary d_q = diag(d_ik) for odd q and
+    diag(n / d_ik) for even q.  Lifting the sequence to these resolutions
+    gives a projective resolution of X (a mapping cone), and since
+    Hom(f_i F, Y) = Hom(F, Y(i)), applying Hom(-, Y) to it gives T:
+
+    - T^0 has one block per vertex i, r_i copies of Y(i);
+    - T^m for m >= 1 follows those with one block per arrow a: i -> j,
+      r_i copies of Y(j).
+
+    A block is a matrix g whose column k lies in Y(i) (or Y(j)); its
+    coordinates run over the columns, then the factors of that module, and
+    orders[m] lists the orders of the coordinates of T^m, which need not
+    form a divisibility chain.  deltas[m] is the matrix of D_m: T^m -> T^{m+1}:
+
+    - from the block of i to itself, g_i -> g_i d_{m+1};
+    - into the block of a: i -> j, g -> Y(a) g_i - g_j phi_m, where phi_m
+      lifts X(a) to the resolutions: its integer matrix A for even m, and
+      A[l, k] d_ik / d_jl (an integer, as X(a) is well defined) for odd m;
+    - from the block of a to itself, h -> -h d_m.
+
+    D_{m+2} = D_m for m >= 1, so Ext^{m+2} = Ext^m for m >= 2, and a degree
+    costs the same whatever it is.  Nothing here needs the quiver to be
+    acyclic.
     """
 
-    def __init__(self, resolution: ProjResolution, y: Representation):
-        self.resolution = resolution
+    def __init__(self, x: Representation, y: Representation):
+        self.x = x
         self.y = y
-        vs = y.quiver.vertices
-        length = len(resolution.terms)
-        # at each vertex, the generators of the syzygy after each term as
-        # columns over the triples of that term
-        tops = [self._trivial_path_columns(k) for k in range(length - 1)]
-        tops.append(self._kernel_columns(resolution.diffs[-1] if resolution.diffs else resolution.augmentation))
-        ranks = list(resolution.ranks) + [{v: tops[-1][v].shape[1] for v in vs}]
-        self.orders: List[Tuple[int, ...]] = [
-            tuple(d for v in vs for _ in range(r[v]) for d in y.vertex_modules[v].factors) for r in ranks
-        ]
-        self._along: Dict[Tuple[VertexId, VertexId], np.ndarray] = {}
-        self.deltas: List[np.ndarray] = [self._delta(k, tops[k]) for k in range(length)]
+        self._ranks = _vertex_ranks(x)
+        self.orders = _ByDegree(
+            lambda m: tuple(d for v, copies in self._blocks(m) for _ in range(copies) for d in y.vertex_modules[v].factors)
+        )
+        self.deltas = _ByDegree(self._delta)
         self._ext_data: Dict[int, Tuple[np.ndarray, FinMod, np.ndarray, np.ndarray]] = {}
 
-    def _along_stack(self, u: VertexId, v: VertexId) -> np.ndarray:
-        """Y along each path from u to v, stacked in `paths_between` order;
-        asked only for pairs joined by some path."""
-        if (u, v) not in self._along:
-            self._along[u, v] = np.stack([self.y.along(p).matrix for p in paths_between(self.y.quiver, u, v)])
-        return self._along[u, v]
+    def _blocks(self, m: int) -> List[Tuple[VertexId, int]]:
+        """The blocks of T^m in order, each as (the vertex whose Y module it
+        copies, the number of copies)."""
+        q, r = self.x.quiver, self._ranks
+        blocks = [(v, r[v]) for v in q.vertices]
+        if m:
+            blocks += [(a.tgt, r[a.src]) for a in q.arrows]
+        return blocks
 
-    def _trivial_path_columns(self, k: int) -> Dict[VertexId, np.ndarray]:
-        """The columns of d_k at the trivial paths of the generators (v, j)
-        of P_{k+1}: the images in P_k(v) of the generators of the syzygy."""
-        q, tgt = self.y.quiver, self.resolution.ranks[k + 1]
-        out = {}
-        for v in q.vertices:
-            # P_{k+1}(v) lists the triples (w, j, p) with w before v first; the
-            # quiver is acyclic, so the trivial path is the one path from v to v
-            start = sum(tgt[w] * len(paths_between(q, w, v)) for w in q.vertices[: q.vertices.index(v)] if tgt[w])
-            out[v] = self.resolution.diffs[k].components[v].matrix[:, start : start + tgt[v]]
-        return out
+    def _delta(self, m: int) -> np.ndarray:
+        x, y, n = self.x, self.y, self.y.modulus.n
+        q, r = x.quiver, self._ranks
+        nv = len(q.vertices)
+        cols, rows = _block_slices(self._blocks(m), y), _block_slices(self._blocks(m + 1), y)
+        mat = np.zeros((len(self.orders[m + 1]), len(self.orders[m])), dtype=np.int64)
+        d = {v: np.array(x.vertex_modules[v].factors, dtype=np.int64) for v in q.vertices}
 
-    def _kernel_columns(self, last: RepMorphism) -> Dict[VertexId, np.ndarray]:
-        """Generators of ker last(v) as columns, one solve per vertex, except
-        where Y(v) is zero and the values of cochains there have no
-        coordinates."""
-        out = {}
-        for v in self.y.quiver.vertices:
-            f = last.components[v]
-            if not self.y.vertex_modules[v].rank or not f.domain.rank:
-                out[v] = np.zeros((f.domain.rank, 0), dtype=np.int64)
+        def boundary(v: VertexId, k: int) -> np.ndarray:
+            return d[v] if k % 2 else n // d[v]
+
+        for t, v in enumerate(q.vertices):
+            if r[v] and y.vertex_modules[v].rank:
+                mat[rows[t], cols[t]] = np.diag(np.repeat(boundary(v, m + 1), y.vertex_modules[v].rank))
+        index = {v: t for t, v in enumerate(q.vertices)}
+        for s, a in enumerate(q.arrows):
+            i, j = a.src, a.tgt
+            yj = y.vertex_modules[j].rank
+            if not r[i] or not yj:
                 continue
-            zero = np.zeros(f.codomain.rank, dtype=np.int64)
-            out[v] = solve_congruences(f.matrix, zero, f.codomain.factors, f.domain.factors, self.y.modulus)[1].T
-        return out
-
-    def _delta(self, k: int, columns: Dict[VertexId, np.ndarray]) -> np.ndarray:
-        """The block of the generator in column j of columns[v] against
-        generator (u, i) of P_k is sum_p c_p Y(p), over the paths p from u
-        to v, where c_p is the coefficient of (u, i, p) in that column."""
-        q, mods = self.y.quiver, self.y.vertex_modules
-        src = self.resolution.ranks[k]
-        tgt = {v: columns[v].shape[1] for v in q.vertices}
-        src_at = _offsets(q.vertices, src, mods)
-        tgt_at = _offsets(q.vertices, tgt, mods)
-        mat = np.zeros((len(self.orders[k + 1]), len(self.orders[k])), dtype=np.int64)
-        for v in q.vertices:
-            if not tgt[v] or not mods[v].rank:
-                continue
-            column = columns[v]
-            rows = slice(tgt_at[v], tgt_at[v] + tgt[v] * mods[v].rank)
-            row = 0
-            for u in q.vertices:
-                if not src[u] or not paths_between(q, u, v):
-                    continue
-                along = self._along_stack(u, v)
-                coeffs = column[row : row + src[u] * len(along)].reshape(src[u], len(along), tgt[v])
-                row += src[u] * len(along)
-                block = np.einsum("itj,tab->jaib", coeffs, along)
-                mat[rows, src_at[u] : src_at[u] + src[u] * mods[u].rank] = block.reshape(rows.stop - rows.start, -1)
-        return mat % _column(self.orders[k + 1])
+            row = rows[nv + s]
+            mat[row, cols[index[i]]] += np.kron(np.eye(r[i], dtype=np.int64), y.map(a.id).matrix)
+            phi = x.map(a.id).matrix
+            if m % 2:
+                phi = phi * d[i][None, :] // d[j][:, None]
+            mat[row, cols[index[j]]] -= np.kron(phi.T % n, np.eye(yj, dtype=np.int64))
+            if m:
+                mat[row, cols[nv + s]] = -np.diag(np.repeat(boundary(i, m), yj))
+        return mat % _column(self.orders[m + 1])
 
     def _data(self, m: int):
         """(gens, quo, proj, sect): the k kernel generators of delta_m as
         columns, and Ext^m = Z/B presented once on them, with the maps
         between their coordinates in (Z/n)^k and those of Ext^m."""
-        if m not in self._ext_data:
+        # ker D_m / im D_{m-1} repeats with period 2 from degree 2 on
+        key = m if m < 4 else 2 + m % 2
+        if key not in self._ext_data:
             modulus, orders = self.y.modulus, self.orders[m]
             zero = np.zeros(len(self.orders[m + 1]), dtype=np.int64)
             out = solve_congruences(self.deltas[m], zero, self.orders[m + 1], orders, modulus)
@@ -301,78 +310,78 @@ class ExtComputation:
             assert out is not None, "image does not lie in the kernel (bug)"
             coboundaries, relations = out
             quo, proj, sect = present(np.hstack([relations.T, coboundaries]), modulus, generators=k)
-            self._ext_data[m] = (gens, quo, proj, sect)
-        return self._ext_data[m]
-
-    def _check_degree(self, m: int):
-        if m < 0:
-            raise ValueError("negative degree")
-        if m >= len(self.deltas):
-            raise ValueError("degree beyond computed window")
+            self._ext_data[key] = (gens, quo, proj, sect)
+        return self._ext_data[key]
 
     def ext(self, m: int) -> FinMod:
-        self._check_degree(m)
+        _check_degree(m)
         return self._data(m)[1]
 
     def order(self, m: int) -> int:
         """|Ext^m| = |ker delta_m| / |im delta_{m-1}|, from the cokernel
         orders of the two coboundaries, with no kernel presentation."""
-        self._check_degree(m)
+        _check_degree(m)
         n = self.y.modulus.n
-        # |ker delta_m| = |C^m| |coker delta_m| / |C^{m+1}| and
-        # |im delta_{m-1}| = |C^m| / |coker delta_{m-1}|, with C^{-1} = 0
+        # |ker delta_m| = |T^m| |coker delta_m| / |T^{m+1}| and
+        # |im delta_{m-1}| = |T^m| / |coker delta_{m-1}|, with T^{-1} = 0
         prev = quotient_order(self.deltas[m - 1], self.orders[m], n) if m else math.prod(self.orders[0])
         return quotient_order(self.deltas[m], self.orders[m + 1], n) * prev // math.prod(self.orders[m + 1])
 
-    def cocycle_to_ext_coords(self, m: int, hom_coords: np.ndarray) -> np.ndarray:
-        """The Ext^m coordinates of cocycles given by their Yoneda
-        coordinates in Hom(P_m, Y), one column per cocycle, all solved at
-        once."""
+    def cocycle_to_ext_coords(self, m: int, cochains: np.ndarray) -> np.ndarray:
+        """The Ext^m coordinates of cocycles given by their coordinates in
+        T^m, one column per cocycle, all solved at once."""
         gens, quo, proj, _ = self._data(m)
-        c = ambient_coords_solve(self.orders[m], gens, hom_coords, self.y.modulus)
+        c = ambient_coords_solve(self.orders[m], gens, cochains, self.y.modulus)
         if c is None:
             raise ValueError("not a cocycle")
         if not quo.rank:
-            return np.zeros((0, hom_coords.shape[1]), dtype=np.int64)
+            return np.zeros((0, cochains.shape[1]), dtype=np.int64)
         return proj.dot(c) % _column(quo.factors)
 
 
-def ext(x: Representation, y: Representation, degree: int) -> FinMod:
-    """Ext^degree(X, Y) in the representation category."""
-    if degree < 0:
+def _check_degree(m: int):
+    if m < 0:
         raise ValueError("negative degree")
-    return ExtComputation(projective_resolution(x, degree + 1), y).ext(degree)
+
+
+def ext(x: Representation, y: Representation, degree: int) -> FinMod:
+    """Ext^degree(X, Y) in the representation category, over an acyclic
+    quiver (refusing the others is this function's contract, not a limit of
+    `ExtComputation`)."""
+    _check_degree(degree)
+    if has_directed_cycle(x.quiver):
+        raise ValueError("ext needs an acyclic quiver")
+    return ExtComputation(x, y).ext(degree)
 
 
 def ext_induced_second(comp_src: ExtComputation, comp_tgt: ExtComputation, f: RepMorphism, m: int) -> ModHom:
     """The map Ext^m(X, Y) -> Ext^m(X, Y') induced by f : Y -> Y', for two
-    computations sharing the same resolution of X."""
-    if comp_src.resolution is not comp_tgt.resolution:
-        raise ValueError("computations must share the resolution")
+    computations of the same X."""
+    if comp_src.x is not comp_tgt.x and comp_src.x != comp_tgt.x:
+        raise ValueError("computations must share X")
     gens, quo_s, _, sect = comp_src._data(m)
     # lift every Ext generator to a cocycle through the section, postcompose
-    # with f, project; in Yoneda coordinates f o g applies f_v to the
-    # coordinates of each generator (v, i), so the postcomposition is one
-    # block-diagonal product
+    # with f, project; f o g applies f_v to each column of a block copying
+    # Y(v), so the postcomposition is one block-diagonal product
     cocycles = gens.dot(sect) % _column(comp_src.orders[m])
-    ranks = comp_src.resolution.ranks[m]
     post = np.zeros((len(comp_tgt.orders[m]), len(comp_src.orders[m])), dtype=np.int64)
     r = c = 0
-    for v in f.source.quiver.vertices:
+    for v, copies in comp_src._blocks(m):
         fv = f.components[v].matrix
-        for _ in range(ranks[v]):
+        for _ in range(copies):
             post[r : r + fv.shape[0], c : c + fv.shape[1]] = fv
             r, c = r + fv.shape[0], c + fv.shape[1]
     images = post.dot(cocycles) % _column(comp_tgt.orders[m])
     return ModHom(quo_s, comp_tgt.ext(m), comp_tgt.cocycle_to_ext_coords(m, images))
 
 
-def _offsets(vertices, ranks: Dict[VertexId, int], mods: Dict[VertexId, FinMod]) -> Dict[VertexId, int]:
-    """Where the Yoneda coordinates of the generators at each vertex start."""
-    out, at = {}, 0
-    for v in vertices:
-        out[v] = at
-        at += ranks[v] * mods[v].rank
+def _block_slices(blocks: List[Tuple[VertexId, int]], y: Representation) -> List[slice]:
+    """The coordinates of each block of a degree of T."""
+    out, at = [], 0
+    for v, copies in blocks:
+        size = copies * y.vertex_modules[v].rank
+        out.append(slice(at, at + size))
+        at += size
     return out
 
 

@@ -269,8 +269,8 @@ def test_cli_large_reps_output_is_pinned(capsys):
 
 
 def test_cli_ext_degree2_output_is_pinned(capsys):
-    # Ext^2 resolves one step further than `large_reps` does: item0001's
-    # degree-2 cocycles have 11 nonzero image generators, item0005's none
+    # Ext^2 reads the coboundary D_2, which the degree-1 `ext` items of
+    # `large_reps` never build
     for name in ("item0001-ext.json", "item0005-ext.json"):
         assert main(["ext", str(LARGE_REPS / name), "--x", "x", "--y", "y", "--n", "2", "--json"]) == 0
     out = capsys.readouterr().out
