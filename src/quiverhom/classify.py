@@ -37,13 +37,9 @@ from .znmod import (
     is_flat_module,
     is_gi_certified,
     is_injective_module,
-    is_mono,
     is_projective_module,
-    is_pure_epi_module,
-    is_pure_mono_module,
     is_strongly_fp_injective_module,
-    retraction_of,
-    section_of,
+    splits,
 )
 
 
@@ -83,7 +79,7 @@ def classify_injective(x: Representation, with_oracle: bool = False) -> ClassVer
     verdict = True
     for v in x.quiver.vertices:
         h = psi(x, v)
-        split_epi = is_epi(h) and section_of(h) is not None
+        split_epi = splits(h, epi=True)
         comp_inj = is_injective_module(x.vertex_modules[v])[0]
         evidence[v] = {"psi_split_epi": split_epi, "component_injective": comp_inj}
         verdict = verdict and split_epi and comp_inj
@@ -99,7 +95,7 @@ def classify_projective(x: Representation, with_oracle: bool = False) -> ClassVe
     verdict = True
     for v in x.quiver.vertices:
         h = phi(x, v)
-        split_mono = is_mono(h) and retraction_of(h) is not None
+        split_mono = splits(h, epi=False)
         comp = is_projective_module(x.vertex_modules[v])[0]
         evidence[v] = {"phi_split_mono": split_mono, "component_projective": comp}
         verdict = verdict and split_mono and comp
@@ -115,7 +111,7 @@ def classify_flat(x: Representation) -> ClassVerdict:
     verdict = True
     for v in x.quiver.vertices:
         h = phi(x, v)
-        pure_mono = is_mono(h) and is_pure_mono_module(h)
+        pure_mono = splits(h, epi=False)
         comp = is_flat_module(x.vertex_modules[v])[0]
         evidence[v] = {"phi_pure_mono": pure_mono, "component_flat": comp}
         verdict = verdict and pure_mono and comp
@@ -130,7 +126,7 @@ def classify_fp_injective(x: Representation) -> ClassVerdict:
     verdict = True
     for v in x.quiver.vertices:
         h = psi(x, v)
-        pure_epi = is_epi(h) and is_pure_epi_module(h)
+        pure_epi = splits(h, epi=True)
         comp = is_injective_module(x.vertex_modules[v])[0]
         evidence[v] = {"psi_pure_epi": pure_epi, "component_fp_injective": comp}
         verdict = verdict and pure_epi and comp
@@ -146,7 +142,7 @@ def classify_strongly_fp_injective(x: Representation, with_oracle: bool = False,
     verdict = True
     for v in x.quiver.vertices:
         h = psi(x, v)
-        pure_epi = is_epi(h) and is_pure_epi_module(h)
+        pure_epi = splits(h, epi=True)
         comp = is_strongly_fp_injective_module(x.vertex_modules[v])
         evidence[v] = {"psi_pure_epi": pure_epi, "component_strongly_fp_injective": comp}
         verdict = verdict and pure_epi and comp

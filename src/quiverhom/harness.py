@@ -109,9 +109,9 @@ from .znmod import (
     is_mono,
     kernel_order,
     random_hom,
+    splits,
     verify_gi_certificate,
 )
-from .znmod import is_split as mod_is_split
 
 
 class UsageError(ValueError):
@@ -325,7 +325,7 @@ def nonpure_fixture_ses(modulus: Modulus) -> RepSES:
 
 def is_vertexwise_split(ses: RepSES) -> bool:
     """Whether the module sequence at every vertex of `ses` splits."""
-    return all(mod_is_split(ses.vertex_ses(v)) is not None for v in ses.x.quiver.vertices)
+    return all(splits(ses.vertex_ses(v).f, epi=False) for v in ses.x.quiver.vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,8 @@ from .znmod import (
     kernel_order,
     present,
     retraction_of,
-    section_of,
     solve_congruences,
+    splits,
 )
 
 
@@ -573,7 +573,7 @@ def _injective_rep_structure_check(x: Representation) -> bool:
     for v in x.quiver.vertices:
         if not is_injective_module(x.vertex_modules[v])[0]:
             return False
-        if section_of(psi(x, v)) is None:
+        if not splits(psi(x, v), epi=True):
             return False
     return True
 

@@ -18,7 +18,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -450,11 +450,25 @@ def present(relations, modulus: Modulus, generators: Optional[int] = None):
 
 
 def direct_sum_with_maps(mods: Sequence[FinMod], modulus: Modulus):
-    """Canonical direct sum with injections and projections for each summand."""
-    all_factors = [d for m in mods for d in m.factors]
+    """Canonical direct sum with injections and projections for each summand.
+
+    Memoized per summand tuple and modulus; each call returns fresh lists of
+    the shared, read-only homs.
+    """
+    total, injections, projections = _direct_sum(tuple(mods), modulus)
+    return total, list(injections), list(projections)
+
+
+@lru_cache(maxsize=1024)
+def _direct_sum(mods: Tuple[FinMod, ...], modulus: Modulus):
+    all_factors = tuple(d for m in mods for d in m.factors)
     g = len(all_factors)
-    rel = np.diag(np.array(all_factors, dtype=np.int64)) if g else np.zeros((0, 0), dtype=np.int64)
-    total, proj, sect = present(rel, modulus, generators=g)
+    if all(b % a == 0 for a, b in zip(all_factors, all_factors[1:])):
+        # already canonical: diag(chain) presents itself with proj = sect = I
+        total = FinMod(modulus, all_factors)
+        proj = sect = np.eye(g, dtype=np.int64)
+    else:
+        total, proj, sect = present(np.diag(np.array(all_factors, dtype=np.int64)), modulus, generators=g)
     injections, projections = [], []
     offset = 0
     for m in mods:
@@ -464,7 +478,7 @@ def direct_sum_with_maps(mods: Sequence[FinMod], modulus: Modulus):
         injections.append(ModHom(m, total, inj))
         projections.append(ModHom(total, m, prj))
         offset += r
-    return total, injections, projections
+    return total, tuple(injections), tuple(projections)
 
 
 def subgroup_present(ambient_orders: Sequence[int], gens: Sequence[np.ndarray], modulus: Modulus):
@@ -722,25 +736,14 @@ class ModSES:
         return self.f.modulus
 
 
-def _one_sided_inverse(h: ModHom, left: bool) -> Optional[ModHom]:
-    """u: cod(h) -> dom(h) with u o h == id (left) or h o u == id, if any."""
-    side = h.domain if left else h.codomain
-    eye = np.eye(side.rank, dtype=np.int64)
-    sysm = HomSystem(h.modulus)
-    var = sysm.add_hom_unknown(h.codomain.factors, h.domain.factors)
-    sysm.add_matrix_equation([(var, eye, h.matrix, 1) if left else (var, h.matrix, eye, 1)], eye, side.factors)
-    out = sysm.solve()
-    return None if out is None else ModHom(h.codomain, h.domain, sysm.assignment(out[0])[0])
-
-
 def retraction_of(f: ModHom) -> Optional[ModHom]:
     """r with r o f == id on dom(f), if one exists."""
-    return _one_sided_inverse(f, left=True)
-
-
-def section_of(g: ModHom) -> Optional[ModHom]:
-    """s with g o s == id on cod(g), if one exists."""
-    return _one_sided_inverse(g, left=False)
+    eye = np.eye(f.domain.rank, dtype=np.int64)
+    sysm = HomSystem(f.modulus)
+    var = sysm.add_hom_unknown(f.codomain.factors, f.domain.factors)
+    sysm.add_matrix_equation([(var, eye, f.matrix, 1)], eye, f.domain.factors)
+    out = sysm.solve()
+    return None if out is None else ModHom(f.codomain, f.domain, sysm.assignment(out[0])[0])
 
 
 def is_split(s: ModSES) -> Optional[ModHom]:
@@ -752,6 +755,39 @@ def torsion_order(m: FinMod, d: int) -> int:
     """|M[d]| = |{x : d x == 0}| = prod gcd(d, m_i), which is also
     |Z/d (x) M|, read off the invariant factors m_i."""
     return prod(gcd(d, c) for c in m.factors)
+
+
+def splits(h: ModHom, epi: bool) -> bool:
+    """Whether h is a split epi (epi=True) or a split mono, from orders alone.
+
+    A sequence of bounded abelian groups is pure iff it splits (Fuchs,
+    Infinite Abelian Groups I, 27-28), and by the primary decomposition
+    purity is Hom(Z/d, -) exactness for the prime powers d = p^a only; past
+    the p-exponent of every factor of dom(h) and cod(h) the test repeats.
+    - Epi g: B -> C: g(B[d]) == C[d].  B[d] is generated by the columns
+      (b_i / gcd(d, b_i)) e_i, so |g(B[d])| = |C| / |C / g(B[d])|.
+    - Mono f: A -> C: f(A) meets dC in d f(A) only, i.e.
+      |C / (f(A) + dC)| |A[d]| == |C[d]|; C / dC is sum Z/gcd(d, c_i).
+    At the largest d for each p, B[d], C[d] and A[d] are the p-parts and dC
+    is the p'-part of C, so the tests also force g onto and f one-to-one:
+    no separate epi or mono check is needed.
+    """
+    dom, cod = h.domain, h.codomain
+    n = h.modulus.n
+    top = lcm(dom.factors[-1] if dom.rank else 1, cod.factors[-1] if cod.rank else 1)
+    for p in h.modulus.prime_factors:
+        d = p
+        while top % d == 0:
+            if epi:
+                gens = h.matrix * [b // gcd(d, b) for b in dom.factors]
+                ok = quotient_order(gens, cod.factors, n) * torsion_order(cod, d) == cod.cardinality
+            else:
+                mod_d = [gcd(d, c) for c in cod.factors]
+                ok = quotient_order(h.matrix, mod_d, n) * torsion_order(dom, d) == torsion_order(cod, d)
+            if not ok:
+                return False
+            d *= p
+    return True
 
 
 def is_pure_module_ses(s: ModSES) -> Tuple[bool, Optional[int]]:
@@ -772,17 +808,21 @@ def is_pure_module_ses(s: ModSES) -> Tuple[bool, Optional[int]]:
 
 
 def is_pure_mono_module(f: ModHom) -> bool:
-    """f is a pure mono iff its dual is a split epi."""
+    """Whether the mono f is pure, which for finite modules is split: `splits`
+    from orders, with no dual and no solve.  Raises ValueError if f is not
+    a mono."""
     if not is_mono(f):
         raise ValueError("map is not a monomorphism")
-    return section_of(matlis_dual_hom(f)) is not None
+    return splits(f, epi=False)
 
 
 def is_pure_epi_module(g: ModHom) -> bool:
-    """g is a pure epi iff its dual is a split mono."""
+    """Whether the epi g is pure, which for finite modules is split: `splits`
+    from orders, with no dual and no solve.  Raises ValueError if g is not
+    an epi."""
     if not is_epi(g):
         raise ValueError("map is not an epimorphism")
-    return retraction_of(matlis_dual_hom(g)) is not None
+    return splits(g, epi=True)
 
 
 # ---------------------------------------------------------------------------

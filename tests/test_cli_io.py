@@ -310,6 +310,26 @@ def test_cli_gorenstein_certificate_suites_are_pinned(capsys, suite, trials, dig
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "suite, digest",
+    [
+        # the injectivity check of every component and the purity of every left step
+        ("totally_acyclic", "b37570922ed70f96d8bbb7bd1aa26c303a7fb9c20cc3b9466a7fd8eaff90dc6f"),
+        # summands, pure kernels, extensions and cokernels of monos, classified
+        ("closure", "0ee11baa8b256ab04405e8bfa3b3f9ea76a88f5dddde7e4d7a09637a6b7d839f"),
+        # finite products are canonical direct sums at every vertex
+        ("products", "9b9bdb5591373e12e1ac6ef77fb6e10d1ac10f972cae2abae1543351ec22313f"),
+        ("stability", "53b9c715bc46778968f42686a42eb195c684ea798adfa9459ae8e25964b8104e"),
+    ],
+    ids=["totally_acyclic", "closure", "products", "stability"],
+)
+def test_cli_splitting_suites_are_pinned(capsys, suite, digest):
+    # first recorded while every splitting test still solved for a section or retraction
+    assert main(["verify", suite, "--seed", "7", "--trials", "20", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cli_parser_built_once_answers_like_fresh_calls(monkeypatch, capsys):
     argvs = [
         ["classify", str(LARGE_REPS / "item0003-classify.json"), "--json"],

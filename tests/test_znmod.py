@@ -10,6 +10,7 @@ from quiverhom.linalg import quotient_order, solve_left
 from quiverhom.znmod import (
     MAX_MODULUS,
     FinMod,
+    HomSystem,
     ModHom,
     ModSES,
     Modulus,
@@ -43,8 +44,8 @@ from quiverhom.znmod import (
     quotient_with_projection,
     random_hom,
     retraction_of,
-    section_of,
     solve_congruences,
+    splits,
     subgroup_with_inclusion,
     verify_gi_certificate,
     zero_hom,
@@ -517,6 +518,127 @@ def test_pure_mono_epi_module_maps():
     assert is_pure_mono_module(ident) and is_pure_epi_module(ident)
     g = ModHom(cyclic(Z4, 4), cyclic(Z4, 2), [[1]])
     assert is_epi(g) and not is_pure_epi_module(g)
+    # the ValueError contract: purity is asked only of monos and epis
+    with pytest.raises(ValueError, match="not a monomorphism"):
+        is_pure_mono_module(g)
+    with pytest.raises(ValueError, match="not an epimorphism"):
+        is_pure_epi_module(f)
+    with pytest.raises(ValueError, match="not an epimorphism"):
+        is_pure_epi_module(zero_hom(zero_mod(Z4), cyclic(Z4, 2)))
+
+
+def section_of(g):
+    """s with g o s == id on cod(g), or None: the solve that decided split
+    epis before `splits` read them off orders."""
+    eye = np.eye(g.codomain.rank, dtype=np.int64)
+    sysm = HomSystem(g.modulus)
+    var = sysm.add_hom_unknown(g.codomain.factors, g.domain.factors)
+    sysm.add_matrix_equation([(var, g.matrix, eye, 1)], eye, g.codomain.factors)
+    out = sysm.solve()
+    if out is None:
+        return None
+    s = ModHom(g.codomain, g.domain, sysm.assignment(out[0])[0])
+    assert g.compose(s) == identity_hom(g.codomain)
+    return s
+
+
+SPLITS_MODULI = (2, 4, 6, 8, 9, 12, 16, 18, 36, 72, 144, 288)
+
+
+def test_splits_agrees_with_the_solves_and_the_dual_route():
+    # epis onto quotients, monos from subgroups, and random homs that are
+    # mostly neither; each verdict against a section or retraction solve,
+    # the solve on the Matlis dual, and the purity of the sequence
+    rng = random.Random(23)
+    # each sequence gives one epi and one mono, split or not alike
+    seen = dict.fromkeys(["split", "nonsplit", "neither"], 0)
+    for n in SPLITS_MODULI:
+        modulus = Modulus(n)
+        for _ in range(40):
+            b = rand_finmod(rng, modulus, max_rank=3)
+            # multiples of a prime make most of the non-split sequences
+            p = rng.choice([1, *modulus.prime_factors])
+            gens = [p * np.array([rng.randrange(d) for d in b.factors], dtype=np.int64) for _ in range(rng.randrange(1, 3))]
+            _, incl = subgroup_with_inclusion(b, gens)
+            proj = cokernel_of_hom(incl)[1]
+            split = is_pure_module_ses(ModSES(incl, proj))[0]
+            assert splits(proj, epi=True) == (section_of(proj) is not None) == split
+            assert (retraction_of(matlis_dual_hom(proj)) is not None) == split
+            assert splits(incl, epi=False) == (retraction_of(incl) is not None) == split
+            assert (section_of(matlis_dual_hom(incl)) is not None) == split
+            seen["split" if split else "nonsplit"] += 1
+            h = rand_hom(rng, rand_finmod(rng, modulus, max_rank=3), rand_finmod(rng, modulus, max_rank=3))
+            assert splits(h, epi=True) == (section_of(h) is not None)
+            assert splits(h, epi=False) == (retraction_of(h) is not None)
+            seen["neither"] += not (is_epi(h) or is_mono(h))
+    assert seen["nonsplit"] >= 100 and seen["split"] >= 300 and seen["neither"] >= 120, seen
+
+
+def presented_sum(mods, modulus, presented=None):
+    """The direct sum through `present` of the diagonal relations, whatever
+    the factors: the route every sum took before chains were read off.
+    `presented` is that presentation when the caller already has it."""
+    factors = [d for m in mods for d in m.factors]
+    if presented is None:
+        presented = present(np.diag(np.array(factors, dtype=np.int64)), modulus, generators=len(factors))
+    total, proj, sect = presented
+    injs, projs = [], []
+    offset = 0
+    for m in mods:
+        injs.append(ModHom(m, total, proj[:, offset : offset + m.rank].reshape(total.rank, m.rank)))
+        projs.append(ModHom(total, m, sect[offset : offset + m.rank, :].reshape(m.rank, total.rank)))
+        offset += m.rank
+    return total, injs, projs
+
+
+def test_direct_sum_of_a_chain_is_the_presented_sum():
+    # every chain of length <= 4 whose factors divide n (n itself included:
+    # free summands) presents itself; every fifth one is also summed, cut
+    # alternately into one summand per factor and, when there are two or
+    # more, one summand of the first two factors and cyclic ones after it
+    count = 0
+    for n in (2, 4, 12, 36, 72, 288, 2**21, 2097143):
+        modulus = Modulus(n)
+        divisors = modulus.divisors[1:]
+        for k in range(5):
+            for chain in itertools.combinations_with_replacement(divisors, k):
+                if any(b % a for a, b in zip(chain, chain[1:])):
+                    continue
+                presented = present(np.diag(np.array(chain, dtype=np.int64)), modulus, generators=k)
+                assert presented[0].factors == chain
+                assert np.array_equal(presented[1], np.eye(k)) and np.array_equal(presented[2], np.eye(k))
+                if count % 5 == 0:
+                    head = 2 if k >= 2 and count % 10 else 1
+                    mods = [FinMod(modulus, chain[:head])] + [FinMod(modulus, (d,)) for d in chain[head:]]
+                    assert direct_sum_with_maps(mods, modulus) == presented_sum(mods, modulus, presented)
+                count += 1
+    assert count == 15390
+
+
+def test_direct_sum_outside_a_chain_is_the_presented_sum():
+    rng = random.Random(24)
+    count = 0
+    for n in SPLITS_MODULI + (2**21,):
+        modulus = Modulus(n)
+        for _ in range(40):
+            mods = [rand_finmod(rng, modulus, max_rank=2) for _ in range(rng.randrange(2, 5))]
+            factors = [d for m in mods for d in m.factors]
+            count += any(b % a for a, b in zip(factors, factors[1:]))
+            assert direct_sum_with_maps(mods, modulus) == presented_sum(mods, modulus)
+    assert count >= 200
+
+
+def test_direct_sum_results_are_fresh_lists_of_read_only_homs():
+    m2, m4 = cyclic(Z4, 2), cyclic(Z4, 4)
+    for mods in ([m2, m4], [m4, m2], [m2]):
+        total, injs, projs = direct_sum_with_maps(mods, Z4)
+        for h in injs + projs:
+            assert not h.matrix.flags.writeable
+            with pytest.raises(ValueError):
+                h.matrix[...] = 0
+        injs.append(injs[0])
+        projs.clear()
+        assert direct_sum_with_maps(mods, Z4) == presented_sum(mods, Z4)
 
 
 def test_gi_certificate_named_examples():
