@@ -19,7 +19,7 @@ q = a2()
 m2 = cyclic(Z4, 2)
 x = Representation(q, Z4, {1: m2, 2: m2}, {"a": identity_hom(m2)})
 
-cv = classify_gorenstein_sfp(x, with_oracle=True, oracle_verify="full")
+cv = classify_gorenstein_sfp(x, with_oracle=True, oracle_full=True)
 print("Gorenstein strongly fp-injective:", cv.verdict)
 print("injective:", classify_injective(x).verdict)
 print("per-vertex evidence:", cv.evidence)
@@ -33,7 +33,7 @@ print("differentials at degrees 0 and 1:",
 
 # the representation-level certificate: a verified window of the totally
 # acyclic complex, with Hom-exactness replayed against the test family
-cert, err = totally_acyclic_injective_complex(x, depth=2, verify="full")
+cert, err = totally_acyclic_injective_complex(x, depth=2, full=True)
 print("window degrees:", cert.complex.degrees())
 print("verification:", cert.verification)
 print("degree 0 component:", cert.complex.components[0])

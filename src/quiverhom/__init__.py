@@ -53,7 +53,6 @@ from .homology import (
     ext,
     ext1_extension_count,
     projective_generator,
-    projective_resolution,
     totally_acyclic_injective_complex,
 )
 from .classify import (

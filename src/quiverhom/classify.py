@@ -134,7 +134,7 @@ def classify_fp_injective(x: Representation) -> ClassVerdict:
     return ClassVerdict("fp-injective", verdict, evidence, mode)
 
 
-def classify_strongly_fp_injective(x: Representation, with_oracle: bool = False, oracle_depth: int = 6) -> ClassVerdict:
+def classify_strongly_fp_injective(x: Representation, with_oracle: bool = False) -> ClassVerdict:
     """psi pure epi with strongly fp-injective components; two-sided over
     locally target-finite right rooted quivers (finite quivers are always
     locally target-finite).  Oracle: the definitional coresolution check."""
@@ -149,7 +149,7 @@ def classify_strongly_fp_injective(x: Representation, with_oracle: bool = False,
     mode = "full" if is_right_rooted(x.quiver) else "necessity-only"
     oracle = None
     if with_oracle and not has_directed_cycle(x.quiver):
-        oracle = definitional_sfp_check(x, depth=oracle_depth)[0]
+        oracle = definitional_sfp_check(x)[0]
     return ClassVerdict("strongly-fp-injective", verdict, evidence, mode, oracle)
 
 
@@ -205,7 +205,7 @@ def definitional_sfp_check(x: Representation, depth: int = 6) -> Tuple[bool, dic
     raise DepthExhausted(f"no verdict after {depth} pure steps")
 
 
-def classify_gorenstein_sfp(x: Representation, with_oracle: bool = False, oracle_depth: int = 2, oracle_verify: str = "structural") -> ClassVerdict:
+def classify_gorenstein_sfp(x: Representation, with_oracle: bool = False, oracle_full: bool = False) -> ClassVerdict:
     """psi epi at every vertex with Gorenstein strongly fp-injective
     components and kernels, certificates attached; oracle: an explicit
     totally acyclic complex of injective representations."""
@@ -224,17 +224,17 @@ def classify_gorenstein_sfp(x: Representation, with_oracle: bool = False, oracle
     mode = "full" if is_right_rooted(x.quiver) else "necessity-only"
     oracle = None
     if with_oracle and not has_directed_cycle(x.quiver):
-        cert, _ = totally_acyclic_injective_complex(x, depth=oracle_depth, verify=oracle_verify)
+        cert, _ = totally_acyclic_injective_complex(x, full=oracle_full)
         oracle = cert is not None
     return ClassVerdict("gorenstein-strongly-fp-injective", verdict, evidence, mode, oracle)
 
 
-def classify_ding_injective(x: Representation, depth: int = 2, verify: str = "structural") -> ClassVerdict:
+def classify_ding_injective(x: Representation, depth: int = 2) -> ClassVerdict:
     """Ding injectivity uses fp-injective test objects in the total
     acyclicity condition; over Z/n the fp-injective representations are the
     strongly fp-injective ones, so the same certificate decides, and the
     verdict must agree with the Gorenstein classifier."""
-    cert, err = totally_acyclic_injective_complex(x, depth=depth, verify=verify)
+    cert, err = totally_acyclic_injective_complex(x, depth=depth)
     evidence = {"certificate": None if cert is None else "window verified", "error": err}
     return ClassVerdict("ding-injective", cert is not None, {"*": evidence}, "full" if is_right_rooted(x.quiver) else "necessity-only")
 

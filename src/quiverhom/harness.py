@@ -470,7 +470,7 @@ def _gorenstein(config: Config, rng: random.Random, t: int) -> Dict[str, object]
     else:
         x = random_representation(rng, q, modulus, config)
     full = t % 10 == 0
-    cv = classify_gorenstein_sfp(x, with_oracle=True, oracle_verify="full" if full else "structural")
+    cv = classify_gorenstein_sfp(x, with_oracle=True, oracle_full=full)
     psi_member = membership_psi_class(x, is_gi_certified)
     psi_epi = all(is_epi(psi(x, v)) for v in q.vertices)
     ok = cv.verdict == cv.oracle == psi_member == psi_epi

@@ -1,5 +1,5 @@
-"""Projective generators, covers and resolutions, the canonical injective
-coresolution step, Ext groups in the category of quiver representations, a
+"""Projective generators and covers, the canonical injective coresolution
+step, Ext groups in the category of quiver representations, a
 brute-force extension-counting oracle, and totally acyclic complexes of
 injective representations.
 
@@ -7,8 +7,9 @@ Ext resolves nothing: `ExtComputation` reads Ext^m(X, Y) off the cochain
 complex that Hom(-, Y) makes of the standard resolution of X, lifted to the
 2-periodic free resolutions of its vertex modules over Z/n.  That complex
 has the same size in every degree m >= 1 and repeats with period 2, so
-every degree costs the same.  Iterated projective covers remain only for
-the right half of `totally_acyclic_injective_complex`.
+every degree costs the same.  Nothing here builds a projective resolution:
+the right half of `totally_acyclic_injective_complex` is the canonical
+injective coresolution.
 """
 
 from __future__ import annotations
@@ -28,11 +29,9 @@ from .rep import (
     RepSES,
     Representation,
     coinduced,
+    cokernel_rep,
     copresentation_embedding,
     direct_sum_reps,
-    double_dual_rep_iso,
-    dual_rep,
-    dual_rep_morphism,
     kernel_rep,
     psi,
 )
@@ -127,36 +126,6 @@ def projective_cover_onto(x: Representation) -> Tuple[Representation, RepMorphis
 
 def _vertex_ranks(x: Representation) -> Dict[VertexId, int]:
     return {v: x.vertex_modules[v].rank for v in x.quiver.vertices}
-
-
-@dataclass(frozen=True)
-class ProjResolution:
-    """P_{L-1} -> ... -> P_1 -> P_0 -> x -> 0 with projective terms, built by
-    iterated covers; diffs[k] maps terms[k+1] to terms[k].  terms[k] is
-    `_free_rep` with one P_v per canonical generator at v of the
-    representation it covers."""
-
-    terms: Tuple[Representation, ...]
-    diffs: Tuple[RepMorphism, ...]
-    augmentation: RepMorphism
-
-
-def projective_resolution(x: Representation, length: int) -> ProjResolution:
-    """The projective resolution of x with exactly `length` terms."""
-    if length < 1:
-        raise ValueError("a resolution has at least one term")
-    if has_directed_cycle(x.quiver):
-        raise ValueError("projective resolutions need an acyclic quiver")
-    cover, augmentation = projective_cover_onto(x)
-    terms, diffs = [cover], []
-    last = augmentation
-    while len(terms) < length:
-        syz, incl = kernel_rep(last)
-        cover, epi = projective_cover_onto(syz)
-        last = incl.compose(epi)
-        terms.append(cover)
-        diffs.append(last)
-    return ProjResolution(tuple(terms), tuple(diffs), augmentation)
 
 
 # ---------------------------------------------------------------------------
@@ -651,19 +620,22 @@ def _sinks_first_order(q: Quiver) -> List[VertexId]:
 
 
 def totally_acyclic_injective_complex(
-    x: Representation, depth: int = 2, verify: str = "structural"
+    x: Representation, depth: int = 2, full: bool = False
 ) -> Tuple[Optional[AcyclicComplex], Optional[str]]:
     """Attempt to exhibit x as a cycle of a totally acyclic complex of
-    injective representations.
+    injective representations, in a window of degrees depth .. -(depth + 1).
 
     Left half: iterated epis from injective representations built by the
-    product-of-path-covers lifting.  Right half: the dual of a projective
-    resolution of the dual of x.  The window is verified for exactness, the
-    components for injectivity; with verify="full" the Hom-exactness against
-    the strongly fp-injective test family is replayed as well.
+    product-of-path-covers lifting.  Right half: the canonical injective
+    coresolution of x; Hom(J, -) of any injective coresolution has
+    cohomology Ext(J, x), so no verdict depends on that choice.  The window
+    is verified for exactness, the components for injectivity; with full
+    the Hom-exactness against the strongly fp-injective test family is
+    replayed as well.
     """
-    q, modulus = x.quiver, x.modulus
-    if has_directed_cycle(q):
+    if depth < 0:
+        raise ValueError("depth must be at least 0")
+    if has_directed_cycle(x.quiver):
         return None, "quiver is not right rooted"
     components: Dict[int, Representation] = {}
     diffs: Dict[int, RepMorphism] = {}
@@ -684,21 +656,20 @@ def totally_acyclic_injective_complex(
         return None, str(exc)
     for k in range(1, depth + 1):
         diffs[k] = kernels[k - 1].compose(pis[k])
-    # right half: dualize a projective resolution of the dual
-    xd = dual_rep(x)
-    res = projective_resolution(xd, depth + 1)
-    for k in range(depth + 1):
-        components[-(k + 1)] = dual_rep(res.terms[k])
-    emb = dual_rep_morphism(res.augmentation).compose(double_dual_rep_iso(x))
+    # right half at degrees -1 .. -(depth + 1)
+    components[-1], emb = canonical_injective_embedding(x)
     diffs[0] = emb.compose(pis[0])
+    mono = emb
     for k in range(1, depth + 1):
-        diffs[-k] = dual_rep_morphism(res.diffs[k - 1])
+        coker, proj = cokernel_rep(mono)
+        components[-(k + 1)], mono = canonical_injective_embedding(coker)
+        diffs[-k] = mono.compose(proj)
     cx = RepComplex(components, diffs)
     verification = {"exact": cx.interior_exact(), "components_injective": True, "hom_exact": None}
     for k, rep in components.items():
         if not _injective_rep_structure_check(rep):
             verification["components_injective"] = False
-    if verify == "full":
+    if full:
         verification["hom_exact"] = _hom_exactness_against_family(cx)
     if not verification["exact"] or not verification["components_injective"]:
         return None, f"window verification failed: {verification}"

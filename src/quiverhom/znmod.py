@@ -807,24 +807,6 @@ def is_pure_module_ses(s: ModSES) -> Tuple[bool, Optional[int]]:
     return True, None
 
 
-def is_pure_mono_module(f: ModHom) -> bool:
-    """Whether the mono f is pure, which for finite modules is split: `splits`
-    from orders, with no dual and no solve.  Raises ValueError if f is not
-    a mono."""
-    if not is_mono(f):
-        raise ValueError("map is not a monomorphism")
-    return splits(f, epi=False)
-
-
-def is_pure_epi_module(g: ModHom) -> bool:
-    """Whether the epi g is pure, which for finite modules is split: `splits`
-    from orders, with no dual and no solve.  Raises ValueError if g is not
-    an epi."""
-    if not is_epi(g):
-        raise ValueError("map is not an epimorphism")
-    return splits(g, epi=True)
-
-
 # ---------------------------------------------------------------------------
 # Gorenstein certificates at the module level
 # ---------------------------------------------------------------------------

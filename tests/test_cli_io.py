@@ -290,7 +290,7 @@ def test_cli_ext_degrees_0_to_3_output_is_pinned(capsys):
 @pytest.mark.parametrize(
     "suite, trials, digest",
     [
-        # gorenstein trials 0 and 10 run the oracle with oracle_verify="full"
+        # gorenstein trials 0 and 10 run the oracle with oracle_full=True
         ("gorenstein", "20", "bd60dd9060c57c06e280c6fe41c63ed4d3decd3d131fcea40399fdc34b8dbdc2"),
         ("orthogonality", "10", "c7083d43beb087b84d4e70fba6f9cfb847a7471f766138a2bd04fabe7096bb82"),
         # collapse trial 0 is the tampered-certificate control

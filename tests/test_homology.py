@@ -1,18 +1,21 @@
-import dataclasses
 import math
 import pathlib
 import random
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
-from quiverhom.quiver import Path, Quiver, a2, kronecker, loop_quiver, make_quiver, paths_between
+from quiverhom.quiver import Path, Quiver, a2, has_directed_cycle, kronecker, loop_quiver, make_quiver, paths_between
 from quiverhom.rep import (
     HomGroupRep,
     RepMorphism,
     Representation,
     cokernel_rep,
     direct_sum_reps,
+    double_dual_rep_iso,
+    dual_rep,
+    dual_rep_morphism,
     hom_reps,
     identity_morphism,
     kernel_rep,
@@ -31,9 +34,9 @@ from quiverhom.homology import (
     ext1_extension_count,
     ext_induced_second,
     injective_hull,
+    morphism_digest,
     projective_cover_onto,
     projective_generator,
-    projective_resolution,
     strongly_fp_injective_test_family,
     totally_acyclic_injective_complex,
 )
@@ -214,11 +217,29 @@ def test_projective_cover_matches_direct_sum_of_yoneda_maps():
     assert checked >= 150
 
 
+Resolution = namedtuple("Resolution", "terms diffs augmentation")
+
+
+def reference_projective_resolution(x, length):
+    """P_{L-1} -> ... -> P_1 -> P_0 -> x -> 0 with exactly `length` terms,
+    by iterated covers: terms[k + 1] covers the kernel of the map out of
+    terms[k], and diffs[k] maps terms[k + 1] to terms[k]."""
+    cover, augmentation = projective_cover_onto(x)
+    terms, diffs, last = [cover], [], augmentation
+    while len(terms) < length:
+        syz, incl = kernel_rep(last)
+        cover, epi = projective_cover_onto(syz)
+        last = incl.compose(epi)
+        terms.append(cover)
+        diffs.append(last)
+    return Resolution(tuple(terms), tuple(diffs), augmentation)
+
+
 def test_projective_resolution_of_source_stalk():
     # 0 -> P_2 -> P_1 -> s_1 -> 0 over A2 / Z2
     q = a2()
     s1 = stalk(q, Z2, 1, cyclic(Z2, 2))
-    res = projective_resolution(s1, 2)
+    res = reference_projective_resolution(s1, 2)
     assert res.terms[0].vertex_modules[1].factors == (2,)
     assert res.terms[0].vertex_modules[2].factors == (2,)
     # first syzygy is P_2 = (0 -> R)
@@ -227,36 +248,13 @@ def test_projective_resolution_of_source_stalk():
     assert syz.vertex_modules[2].cardinality == 2
 
 
-def test_projective_resolution_has_exactly_the_asked_length():
-    q = a2()
-    s1 = stalk(q, Z4, 1, cyclic(Z4, 2))
-    long = projective_resolution(stalk(q, Z4, 1, cyclic(Z4, 2)), 4)
-    assert len(long.terms) == 4
-    # an equal representation resolved again is a new value of its own length
-    res = projective_resolution(s1, 2)
-    assert len(res.terms) == 2 and len(res.diffs) == 1
-    assert res.terms == long.terms[:2]
-    with pytest.raises(ValueError):
-        projective_resolution(s1, 0)
-
-
-def test_projective_resolution_is_frozen():
-    res = projective_resolution(stalk(a2(), Z2, 1, cyclic(Z2, 2)), 3)
-    assert [f.name for f in dataclasses.fields(res)] == ["terms", "diffs", "augmentation"]
-    assert all(isinstance(getattr(res, f), tuple) for f in ("terms", "diffs"))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        res.terms = ()
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        res.augmentation = None
-
-
 def test_ext_window_is_the_resolution_length_less_one():
     # of the Yoneda reference; ExtComputation answers every degree
     q = a2()
     x = stalk(q, Z4, 1, cyclic(Z4, 2))
     y = stalk(q, Z4, 2, cyclic(Z4, 4))
     for length in range(1, 5):
-        comp = YonedaExtComputation(projective_resolution(x, length), y)
+        comp = YonedaExtComputation(reference_projective_resolution(x, length), y)
         for m in range(length):
             assert comp.ext(m) == ext(x, y, m)
             assert comp.order(m) == comp.ext(m).cardinality
@@ -290,7 +288,8 @@ def _count_calls(monkeypatch, name, *modules):
 
 
 def test_ext_oracles_call_no_projective_resolution(monkeypatch):
-    seen = _count_calls(monkeypatch, "projective_resolution", classify, harness)
+    # every projective resolution starts from a cover
+    seen = _count_calls(monkeypatch, "projective_cover_onto", classify, harness)
     q = a2()
     # over A2 / Z6, P_1 is projective and injective, P_2 projective only
     p1, p2 = (projective_generator(q, Modulus(6), v) for v in (1, 2))
@@ -304,7 +303,6 @@ def test_ext_oracles_call_no_projective_resolution(monkeypatch):
 
 
 def test_ext_engine_takes_omega_from_one_cover(monkeypatch):
-    resolved = _count_calls(monkeypatch, "projective_resolution", harness)
     covered = _count_calls(monkeypatch, "projective_cover_onto", harness)
     # trials 2 and 7 skip the long-exact-sequence check, 1 and 6 run it
     for t in (1, 2, 6, 7):
@@ -313,7 +311,6 @@ def test_ext_engine_takes_omega_from_one_cover(monkeypatch):
         verdicts = harness._ext_engine(harness.Config(), rng, t)
         assert verdicts["dimension_shift"] and verdicts.get("les_consistent", True)
         assert len(covered) == 1
-    assert resolved == []
 
 
 def test_injective_hull():
@@ -447,7 +444,7 @@ def test_totally_acyclic_named_examples():
     q = a2()
     m2 = cyclic(Z4, 2)
     x = Representation(q, Z4, {1: m2, 2: m2}, {"a": identity_hom(m2)})
-    cert, err = totally_acyclic_injective_complex(x, depth=2, verify="full")
+    cert, err = totally_acyclic_injective_complex(x, depth=2, full=True)
     assert cert is not None, err
     assert cert.verification["exact"] and cert.verification["hom_exact"]
     # X injective: contractible certificate exists
@@ -467,6 +464,89 @@ def test_totally_acyclic_left_steps_are_ses():
     x = Representation(q, Z4, {1: m2, 2: m2}, {"a": identity_hom(m2)})
     cert, _ = totally_acyclic_injective_complex(x, depth=1)
     assert cert is not None and len(cert.left_steps) == 2
+
+
+def test_totally_acyclic_refuses_a_negative_depth():
+    x = stalk(a2(), Z4, 1, cyclic(Z4, 2))
+    with pytest.raises(ValueError):
+        totally_acyclic_injective_complex(x, depth=-1)
+    cert, err = totally_acyclic_injective_complex(x, depth=0)
+    assert cert is not None, err
+    assert cert.complex.degrees() == [-1, 0]
+
+
+def reference_totally_acyclic_verdict(x, depth, full):
+    """(cert is None, err, verification) of the window whose right half
+    dualizes a projective resolution of the dual of x; the left half and
+    every check are those of `totally_acyclic_injective_complex`."""
+    if has_directed_cycle(x.quiver):
+        return True, "quiver is not right rooted", None
+    components, diffs, pis, kernels = {}, {}, [], []
+    current = x
+    try:
+        for k in range(depth + 1):
+            components[k], pi, current, incl = homology._left_injective_step(current)
+            pis.append(pi)
+            kernels.append(incl)
+    except homology.LeftResolutionFailure as exc:
+        return True, str(exc), None
+    for k in range(1, depth + 1):
+        diffs[k] = kernels[k - 1].compose(pis[k])
+    res = reference_projective_resolution(dual_rep(x), depth + 1)
+    for k in range(depth + 1):
+        components[-(k + 1)] = dual_rep(res.terms[k])
+    emb = dual_rep_morphism(res.augmentation).compose(double_dual_rep_iso(x))
+    diffs[0] = emb.compose(pis[0])
+    for k in range(1, depth + 1):
+        diffs[-k] = dual_rep_morphism(res.diffs[k - 1])
+    cx = homology.RepComplex(components, diffs)
+    verification = {
+        "exact": cx.interior_exact(),
+        "components_injective": all(homology._injective_rep_structure_check(c) for c in components.values()),
+        "hom_exact": homology._hom_exactness_against_family(cx) if full else None,
+    }
+    if not verification["exact"] or not verification["components_injective"]:
+        return True, f"window verification failed: {verification}", None
+    if verification["hom_exact"] is False:
+        return True, "Hom-exactness against the test family failed", None
+    return False, None, verification
+
+
+def _totally_acyclic_cases():
+    from quiverhom.harness import Config, random_gorenstein_rep, random_injective_rep, random_quiver, random_representation
+
+    q = a2()
+    m2, m4 = cyclic(Z4, 2), cyclic(Z4, 4)
+    yield Representation(q, Z4, {1: m2, 2: m2}, {"a": identity_hom(m2)}), 2
+    yield Representation(q, Z4, {1: m4, 2: m4}, {"a": identity_hom(m4)}), 1
+    yield stalk(q, Z4, 2, m2), 1
+    yield zero_rep(q, Z4), 1
+    yield stalk(loop_quiver(), Z4, "v", m2), 1
+    cfg = Config()
+    rng = random.Random(24)
+    make = (random_gorenstein_rep, random_injective_rep, random_representation)
+    for t in range(42):
+        modulus = Modulus(rng.choice([4, 6, 9]))
+        q = random_quiver(rng, cfg, right_rooted=True, max_vertices=3, max_arrows=3)
+        yield make[t % 3](rng, q, modulus, cfg), t % 3
+
+
+def test_totally_acyclic_right_half_is_the_canonical_coresolution():
+    # Hom(J, -) of any injective coresolution of x has cohomology Ext(J, x),
+    # so the dualized resolution of the dual gives the same verdicts
+    certified = failed = 0
+    for x, depth in _totally_acyclic_cases():
+        for full in (False, True):
+            cert, err = totally_acyclic_injective_complex(x, depth=depth, full=full)
+            got = (cert is None, err, None if cert is None else cert.verification)
+            assert got == reference_totally_acyclic_verdict(x, depth, full)
+            if cert is None:
+                failed += 1
+                continue
+            certified += 1
+            assert morphism_digest(cert.cycle_witness) == morphism_digest(canonical_injective_embedding(x)[1])
+            assert cert.complex.components[-1] == cert.cycle_witness.target
+    assert certified >= 70 and failed >= 10
 
 
 def test_test_family_members_are_injective():
@@ -790,7 +870,7 @@ def _yoneda_cases():
 def test_yoneda_delta_is_precomposition_with_the_differential():
     checked = 0
     for x, y in _yoneda_cases():
-        comp = YonedaExtComputation(projective_resolution(x, 4), y)
+        comp = YonedaExtComputation(reference_projective_resolution(x, 4), y)
         for k in range(3):
             assert _rep_bytes(comp.resolution.terms[k]) == _rep_bytes(_free_rep(x.quiver, x.modulus, comp.ranks[k])[0])
             assert comp.deltas[k].shape == (len(comp.orders[k + 1]), len(comp.orders[k]))
@@ -811,7 +891,7 @@ def test_last_delta_from_kernel_generators_matches_a_longer_resolution():
     # subgroup either way, so Ext^{L-1} is presented byte for byte alike
     checked = nonzero = 0
     for x, y in _yoneda_cases():
-        res = [None] + [projective_resolution(x, length) for length in range(1, 5)]
+        res = [None] + [reference_projective_resolution(x, length) for length in range(1, 5)]
         for length in range(1, 4):
             short, long = YonedaExtComputation(res[length], y), YonedaExtComputation(res[length + 1], y)
             m = length - 1
@@ -846,7 +926,7 @@ def test_ext_matches_hom_group_reference():
     # the standard complex and the Yoneda engine against hom-group cochains
     nonzero_ext = nonzero = 0
     for x, ses in _reference_cases():
-        res = projective_resolution(x, 5)
+        res = reference_projective_resolution(x, 5)
         terms = (("x", ses.x), ("y", ses.y), ("z", ses.z))
         old = {name: ReferenceExtComputation(res, rep, 3) for name, rep in terms}
         for new, induced in (
@@ -870,7 +950,7 @@ def test_section_lifts_round_trip_to_ext_coordinates():
     # each Ext generator, lifted through the presentation's section, reads
     # back as itself
     for x, ses in _reference_cases():
-        res = projective_resolution(x, 5)
+        res = reference_projective_resolution(x, 5)
         for y in (ses.x, ses.y, ses.z):
             for comp in (ExtComputation(x, y), YonedaExtComputation(res, y)):
                 _assert_section_round_trip(comp, range(4))
@@ -890,7 +970,7 @@ def test_ext_without_cochains_or_cocycle_generators():
     q = a2()
     s2 = stalk(q, Z2, 2, cyclic(Z2, 2))
     p1 = projective_generator(q, Z2, 1)
-    yoneda = YonedaExtComputation(projective_resolution(p1, 4), s2)
+    yoneda = YonedaExtComputation(reference_projective_resolution(p1, 4), s2)
     assert [yoneda._data(m)[0].shape for m in range(3)] == [(1, 0), (1, 1), (0, 0)]
     # in the standard complex T^0 = S_2(2) and T^m = S_2(2) + S_2(2) for m >= 1
     # (the block of vertex 2, then of the arrow); D_0 and D_1 are injective
@@ -942,7 +1022,7 @@ def test_ext_induced_second_matches_per_generator_loop():
         y = random_representation(rng, q, modulus, cfg, max_rank=1)
         ses = random_rep_ses(rng, y)
         t_obj = stalk(q, modulus, rng.choice(q.vertices), cyclic(modulus, rng.choice([d for d in modulus.divisors if d > 1])))
-        res = projective_resolution(t_obj, 5)
+        res = reference_projective_resolution(t_obj, 5)
         comps = {name: YonedaExtComputation(res, rep) for name, rep in (("x", ses.x), ("y", ses.y), ("z", ses.z))}
         for m in range(4):
             for src, tgt, f in (("x", "y", ses.f), ("y", "z", ses.g)):
@@ -958,7 +1038,7 @@ def test_cocycle_check_holds_when_ext_is_zero():
     q = a2()
     p1 = projective_generator(q, Z2, 1)
     s1 = stalk(q, Z2, 1, cyclic(Z2, 2))
-    for comp in (YonedaExtComputation(projective_resolution(s1, 2), p1), ExtComputation(s1, p1)):
+    for comp in (YonedaExtComputation(reference_projective_resolution(s1, 2), p1), ExtComputation(s1, p1)):
         assert comp.ext(0).is_zero
         delta = comp.deltas[0]
         cochains = np.eye(len(comp.orders[0]), dtype=np.int64)
@@ -977,7 +1057,7 @@ def test_standard_complex_matches_yoneda_reference():
     checked = nonzero = induced_nonzero = 0
     for x, y in _yoneda_cases():
         ses = random_rep_ses(rng, y)
-        res = projective_resolution(x, 4)
+        res = reference_projective_resolution(x, 4)
         terms = (("x", ses.x), ("y", ses.y), ("z", ses.z))
         new = {name: ExtComputation(x, rep) for name, rep in terms}
         old = {name: YonedaExtComputation(res, rep) for name, rep in terms}
@@ -1010,7 +1090,7 @@ def test_ext_periodicity_against_yoneda_reference():
         for _ in range(6):
             q = random_quiver(rng, cfg, right_rooted=True, max_vertices=3, max_arrows=3)
             x = random_representation(rng, q, modulus, cfg)
-            res = projective_resolution(x, 6)
+            res = reference_projective_resolution(x, 6)
             for y in (random_representation(rng, q, modulus, cfg), stalk(q, modulus, rng.choice(q.vertices), cyclic(modulus, n))):
                 comp, old = ExtComputation(x, y), YonedaExtComputation(res, y)
                 for m in range(2, 6):

@@ -10,6 +10,10 @@ import pathlib
 import types
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+# spans BENCHMARK.json still names although the package deleted their
+# function on purpose, so their metrics read 0 until the benchmark drops
+# them; each must still be named and must not resolve, so none goes stale
+RETIRED = {"homology.projective_resolution"}
 
 
 def _tracing():
@@ -31,7 +35,8 @@ def test_every_traced_span_resolves_to_a_function():
     spans = {n.rsplit(".", 1)[0] for n in _metric_names() if n.count(".") == 2 and not n.startswith("harness.suite_s.")}
     spans |= set(methods) | set(tracing.BEFORE) | set(tracing.AFTER)
     assert len(spans) > len(methods)
-    missing = []
+    assert RETIRED <= spans
+    missing, resolved = [], []
     for span in sorted(spans):
         layer, name = span.split(".")
         assert layer in tracing.LAYERS, span
@@ -43,9 +48,13 @@ def test_every_traced_span_resolves_to_a_function():
             # tracing wraps the public functions a layer module defines itself
             obj = getattr(mod, name, None)
             ok = isinstance(obj, types.FunctionType) and obj.__module__ == mod.__name__
-        if not ok:
+        if span in RETIRED:
+            if ok:
+                resolved.append(span)
+        elif not ok:
             missing.append(span)
     assert not missing, f"spans that no longer resolve: {missing}"
+    assert not resolved, f"retired spans that resolve again: {resolved}"
 
 
 def test_every_suite_timer_names_a_suite():

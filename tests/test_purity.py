@@ -296,7 +296,7 @@ def test_psi_of_injective_is_split_epi():
     # e^2(Z/4) on A2 has psi_1 split epi: a section, found by enumerating
     # the hom group, certifies what the orders decide
     from quiverhom.rep import psi
-    from quiverhom.znmod import hom_group, is_pure_epi_module, splits
+    from quiverhom.znmod import hom_group, is_epi, splits
 
     ses = nonpure_fixture(Z4, 4)
     e2 = ses.y
@@ -311,7 +311,7 @@ def test_psi_of_injective_is_split_epi():
         if h.compose(s) == ident:
             sections.append(s)
     assert sections
-    assert splits(h, epi=True) and is_pure_epi_module(h)
+    assert is_epi(h) and splits(h, epi=True)
 
 
 def test_purity_criteria_agree_on_random():

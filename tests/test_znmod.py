@@ -32,9 +32,7 @@ from quiverhom.znmod import (
     is_injective_module,
     is_mono,
     is_projective_module,
-    is_pure_epi_module,
     is_pure_module_ses,
-    is_pure_mono_module,
     is_split,
     is_strongly_fp_injective_module,
     kernel_of_hom,
@@ -513,18 +511,11 @@ def test_solve_congruences_columns_match_one_column_calls(n):
 
 def test_pure_mono_epi_module_maps():
     f = ModHom(cyclic(Z4, 2), cyclic(Z4, 4), [[2]])
-    assert is_mono(f) and not is_pure_mono_module(f)
+    assert is_mono(f) and not splits(f, epi=False)
     ident = identity_hom(cyclic(Z4, 4))
-    assert is_pure_mono_module(ident) and is_pure_epi_module(ident)
+    assert is_mono(ident) and splits(ident, epi=False) and is_epi(ident) and splits(ident, epi=True)
     g = ModHom(cyclic(Z4, 4), cyclic(Z4, 2), [[1]])
-    assert is_epi(g) and not is_pure_epi_module(g)
-    # the ValueError contract: purity is asked only of monos and epis
-    with pytest.raises(ValueError, match="not a monomorphism"):
-        is_pure_mono_module(g)
-    with pytest.raises(ValueError, match="not an epimorphism"):
-        is_pure_epi_module(f)
-    with pytest.raises(ValueError, match="not an epimorphism"):
-        is_pure_epi_module(zero_hom(zero_mod(Z4), cyclic(Z4, 2)))
+    assert is_epi(g) and not splits(g, epi=True)
 
 
 def section_of(g):
