@@ -14,6 +14,7 @@ injective coresolution.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -51,14 +52,9 @@ from .znmod import (
     kernel_of_hom,
     kernel_order,
     present,
-    retraction_of,
     solve_congruences,
     splits,
 )
-
-
-def morphism_digest(f: RepMorphism) -> Tuple:
-    return tuple(f.components[v].matrix.tobytes() for v in f.source.quiver.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +378,16 @@ def _chains_of_cardinality(modulus: Modulus, card: int) -> List[Tuple[int, ...]]
     return out
 
 
+def _hom_order(dom: FinMod, cod: FinMod) -> int:
+    """|Hom(dom, cod)|: the product of the entry group orders."""
+    return math.prod(hom_entry_orders(dom.factors, cod.factors).ravel().tolist())
+
+
 def _enumerate_module_homs(dom: FinMod, cod: FinMod, cap: int):
+    if _hom_order(dom, cod) > cap:
+        return None
     orders = hom_entry_orders(dom.factors, cod.factors)
     scales = hom_entry_scales(dom.factors, cod.factors)
-    total = int(np.prod(orders)) if orders.size else 1
-    if total > cap:
-        return None
     mats = []
     for combo in itertools.product(*[range(int(o)) for o in orders.reshape(-1)]):
         t = np.array(combo, dtype=np.int64).reshape(orders.shape)
@@ -395,6 +395,7 @@ def _enumerate_module_homs(dom: FinMod, cod: FinMod, cap: int):
     return mats
 
 
+@functools.lru_cache(maxsize=256)
 def _module_aut_count(m: FinMod, cap: int) -> Optional[int]:
     homs = _enumerate_module_homs(m, m, cap)
     if homs is None:
@@ -406,24 +407,32 @@ def ext1_extension_count(x: Representation, y: Representation, cap: int = 4096) 
     """Number of equivalence classes of extensions 0 -> Y -> E -> X -> 0,
     counted by exhaustive enumeration of middle structures; the count equals
     the cardinality of Ext^1(X, Y).  Returns None when the search space
-    exceeds the cap.
+    exceeds the cap: some End E(v), the arrow structures on one choice of
+    vertex modules, or some Hom(Y, E), Hom(E, X) or Hom(E, E).
 
-    To avoid isomorphism tests across candidate middles, each isomorphism
-    class is weighted by |Aut_rep(E)| / prod_v |Aut(E(v))|, which counts each
-    class exactly once over all structures carrying it.
+    The vertex modules E(v) run over the invariant-factor chains of the
+    right cardinality and E over the arrow structures on them.  The group G
+    of vertexwise automorphisms acts on the triples (E, i, p) with i mono,
+    p epi and p i = 0 by transport of structure, and its orbits are the
+    extension classes.  The stabilizer of a triple is the set of the
+    1 + i h p with h in Hom(X, Y), one for each h (such a map is the
+    identity on i(Y) and modulo i(Y)), so the number of classes is
+    |Hom(X, Y)| #{(E, i, p)} / |G|, read with no automorphism or orbit.
     """
     q, modulus = x.quiver, x.modulus
     cards = {v: x.vertex_modules[v].cardinality * y.vertex_modules[v].cardinality for v in q.vertices}
     chain_options = {v: _chains_of_cardinality(modulus, cards[v]) for v in q.vertices}
+    hom_xy: Optional[int] = None  # |Hom(X, Y)|, built at the first exact pair
     grand_total = 0
     for combo in itertools.product(*[chain_options[v] for v in q.vertices]):
         mods = {v: FinMod(modulus, c) for v, c in zip(q.vertices, combo)}
-        g_order = 1
+        g_order = end_bound = 1
         for v in q.vertices:
             cnt = _module_aut_count(mods[v], cap)
             if cnt is None:
                 return None
             g_order *= cnt
+            end_bound *= _hom_order(mods[v], mods[v])
         arrow_spaces = []
         total_structures = 1
         for a in q.arrows:
@@ -434,62 +443,29 @@ def ext1_extension_count(x: Representation, y: Representation, cap: int = 4096) 
             total_structures *= len(homs)
             if total_structures > cap:
                 return None
-        numerator = 0
+        pairs = 0
         for arrow_maps in itertools.product(*arrow_spaces):
             e = Representation(q, modulus, mods, {a.id: h for a, h in zip(q.arrows, arrow_maps)})
             homs_ye = HomGroupRep(y, e)
             homs_ex = HomGroupRep(e, x)
-            homs_ee = HomGroupRep(e, e)
-            if homs_ye.cardinality > cap or homs_ex.cardinality > cap or homs_ee.cardinality > cap:
+            if homs_ye.cardinality > cap or homs_ex.cardinality > cap:
+                return None
+            # Hom(E, E) lies in the product of the End E(v)
+            if end_bound > cap and HomGroupRep(e, e).cardinality > cap:
                 return None
             monos = [i for i in homs_ye.elements() if i.is_monomorphism]
-            epis = [p for p in homs_ex.elements() if p.is_epimorphism]
-            pairs = [(i, p) for i in monos for p in epis if p.compose(i).is_zero]
-            if not pairs:
+            if not monos:
                 continue
-            auts = []
-            for phi in homs_ee.elements():
-                if phi.is_monomorphism:
-                    inv_comps = {v: _module_inverse(phi.components[v]) for v in q.vertices}
-                    auts.append((phi, RepMorphism(e, e, inv_comps)))
-            orbits = _count_orbits(pairs, auts)
-            numerator += orbits * len(auts)
+            epis = [p for p in homs_ex.elements() if p.is_epimorphism]
+            pairs += sum(1 for i in monos for p in epis if p.compose(i).is_zero)
+        if not pairs:
+            continue
+        if hom_xy is None:
+            hom_xy = HomGroupRep(x, y).cardinality
+        numerator = hom_xy * pairs
         assert numerator % g_order == 0, "orbit-counting identity failed (bug)"
         grand_total += numerator // g_order
     return grand_total
-
-
-def _module_inverse(h: ModHom) -> ModHom:
-    inv = retraction_of(h)
-    assert inv is not None
-    return inv
-
-
-def _count_orbits(pairs, auts) -> int:
-    def digest(pair):
-        i, p = pair
-        return (morphism_digest(i), morphism_digest(p))
-
-    index = {digest(pair): pair for pair in pairs}
-    seen = set()
-    orbits = 0
-    for pair in pairs:
-        d = digest(pair)
-        if d in seen:
-            continue
-        orbits += 1
-        stack = [pair]
-        seen.add(d)
-        while stack:
-            i, p = stack.pop()
-            for phi, phi_inv in auts:
-                nd = (morphism_digest(phi.compose(i)), morphism_digest(p.compose(phi_inv)))
-                if nd not in seen:
-                    if nd not in index:
-                        raise AssertionError("automorphism left the SES set (bug)")
-                    seen.add(nd)
-                    stack.append(index[nd])
-    return orbits
 
 
 # ---------------------------------------------------------------------------

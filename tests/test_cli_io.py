@@ -368,6 +368,15 @@ def test_cli_verify_ext_engine_lifts_ext_generators(capsys):
     assert main(["verify", "ext_engine", "--seed", "3003", "--trials", "2"]) == 0
 
 
+def test_cli_verify_ext_engine_oracle_is_pinned(capsys):
+    # first recorded while the extension oracle still searched orbits under
+    # Aut(E); the trials of this seed that read it report oracle_agrees
+    assert main(["verify", "ext_engine", "--seed", "3003", "--trials", "20", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert any("oracle_agrees" in json.loads(line)["verdicts"] for line in out.splitlines())
+    assert hashlib.sha256(out.encode()).hexdigest() == "e1d99face5f1d69dbffe09d2004e9a85f71a5d08bb4fd7862e2ade7a42bc579c"
+
+
 def test_cli_verify_rejects_nonpositive_trials(capsys):
     assert main(["verify", "classification", "--trials", "-5"]) == 2
     captured = capsys.readouterr()

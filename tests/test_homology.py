@@ -1,3 +1,4 @@
+import itertools
 import math
 import pathlib
 import random
@@ -34,7 +35,6 @@ from quiverhom.homology import (
     ext1_extension_count,
     ext_induced_second,
     injective_hull,
-    morphism_digest,
     projective_cover_onto,
     projective_generator,
     strongly_fp_injective_test_family,
@@ -53,10 +53,12 @@ from quiverhom.znmod import (
     identity_hom,
     image_order,
     is_epi,
+    is_mono,
     kernel_of_hom,
     kernel_order,
     present,
     quotient_with_projection,
+    retraction_of,
     solve_congruences,
     zero_hom,
     zero_mod,
@@ -64,6 +66,10 @@ from quiverhom.znmod import (
 
 Z2 = Modulus(2)
 Z4 = Modulus(4)
+
+
+def morphism_digest(f: RepMorphism):
+    return tuple(f.components[v].matrix.tobytes() for v in f.source.quiver.vertices)
 
 
 def yoneda_morphism(p_v: Representation, v, x: Representation, element: np.ndarray) -> RepMorphism:
@@ -383,6 +389,198 @@ def test_ext_random_agreement_with_oracle():
         hits += 1
         assert cnt == ext(x, y, 1).cardinality
     assert hits >= 8
+
+
+def reference_ext1_extension_count(x, y, cap=4096):
+    """The orbit-counting extension oracle: for each middle structure E,
+    the orbits of its exact pairs (i, p) under Aut_rep(E), found by search,
+    weighted by |Aut_rep(E)| / prod_v |Aut E(v)|, with the same caps as
+    `ext1_extension_count`."""
+    q, modulus = x.quiver, x.modulus
+    cards = {v: x.vertex_modules[v].cardinality * y.vertex_modules[v].cardinality for v in q.vertices}
+    chain_options = {v: homology._chains_of_cardinality(modulus, cards[v]) for v in q.vertices}
+    grand_total = 0
+    for combo in itertools.product(*[chain_options[v] for v in q.vertices]):
+        mods = {v: FinMod(modulus, c) for v, c in zip(q.vertices, combo)}
+        g_order = 1
+        for v in q.vertices:
+            homs = homology._enumerate_module_homs(mods[v], mods[v], cap)
+            if homs is None:
+                return None
+            g_order *= sum(1 for h in homs if is_mono(h))
+        arrow_spaces = []
+        total_structures = 1
+        for a in q.arrows:
+            homs = homology._enumerate_module_homs(mods[a.src], mods[a.tgt], cap)
+            if homs is None:
+                return None
+            arrow_spaces.append(homs)
+            total_structures *= len(homs)
+            if total_structures > cap:
+                return None
+        numerator = 0
+        for arrow_maps in itertools.product(*arrow_spaces):
+            e = Representation(q, modulus, mods, {a.id: h for a, h in zip(q.arrows, arrow_maps)})
+            homs_ye, homs_ex, homs_ee = HomGroupRep(y, e), HomGroupRep(e, x), HomGroupRep(e, e)
+            if homs_ye.cardinality > cap or homs_ex.cardinality > cap or homs_ee.cardinality > cap:
+                return None
+            monos = [i for i in homs_ye.elements() if i.is_monomorphism]
+            epis = [p for p in homs_ex.elements() if p.is_epimorphism]
+            pairs = [(i, p) for i in monos for p in epis if p.compose(i).is_zero]
+            if not pairs:
+                continue
+            auts = []
+            for phi in homs_ee.elements():
+                if phi.is_monomorphism:
+                    inv = {v: retraction_of(phi.components[v]) for v in q.vertices}
+                    auts.append((phi, RepMorphism(e, e, inv)))
+            numerator += _count_orbits(pairs, auts) * len(auts)
+        assert numerator % g_order == 0
+        grand_total += numerator // g_order
+    return grand_total
+
+
+def _count_orbits(pairs, auts):
+    def digest(pair):
+        return morphism_digest(pair[0]), morphism_digest(pair[1])
+
+    index = {digest(pair): pair for pair in pairs}
+    seen = set()
+    orbits = 0
+    for pair in pairs:
+        if digest(pair) in seen:
+            continue
+        orbits += 1
+        stack = [pair]
+        seen.add(digest(pair))
+        while stack:
+            i, p = stack.pop()
+            for phi, phi_inv in auts:
+                nd = (morphism_digest(phi.compose(i)), morphism_digest(p.compose(phi_inv)))
+                if nd not in seen:
+                    assert nd in index, "automorphism left the set of exact pairs"
+                    seen.add(nd)
+                    stack.append(index[nd])
+    return orbits
+
+
+def _extension_count_cases():
+    """The named stalk cases, then random pairs over A2, linear A3, the
+    Kronecker quiver, a loop, a 2-cycle and a loop with an arrow, on moduli
+    2 to 9, each with a cap of 128, 512 or 2048; like `ext_engine`, only
+    pairs with |X| |Y| <= 256."""
+    from quiverhom.harness import Config, random_representation
+
+    q = a2()
+    s1, s2 = (stalk(q, Z2, v, cyclic(Z2, 2)) for v in (1, 2))
+    yield s1, s2, 4096
+    yield s2, s1, 4096
+    t = stalk(q, Z4, 1, cyclic(Z4, 2))
+    yield t, stalk(q, Z4, 1, cyclic(Z4, 2)), 4096
+    quivers = [
+        q,
+        make_quiver([1, 2, 3], [("a", 1, 2), ("b", 2, 3)]),
+        kronecker(),
+        loop_quiver(),
+        make_quiver([1, 2], [("a", 1, 2), ("b", 2, 1)]),
+        make_quiver([1, 2], [("l", 1, 1), ("a", 1, 2)]),
+    ]
+    cfg = Config()
+    rng = random.Random(2025)
+    for k in range(120):
+        quiver = quivers[k % len(quivers)]
+        modulus = Modulus(rng.randint(2, 9))
+        x = random_representation(rng, quiver, modulus, cfg, max_rank=1 + (k % 4 == 3))
+        y = random_representation(rng, quiver, modulus, cfg, max_rank=1)
+        if x.total_cardinality * y.total_cardinality <= 256:
+            yield x, y, (128, 512, 2048)[k % 3]
+
+
+def test_extension_count_matches_the_orbit_count():
+    compared = nonzero = capped = 0
+    for x, y, cap in _extension_count_cases():
+        cnt = ext1_extension_count(x, y, cap=cap)
+        assert cnt == reference_ext1_extension_count(x, y, cap=cap)
+        compared += 1
+        nonzero += cnt is not None and cnt > 1
+        capped += cnt is None
+    assert compared >= 80 and nonzero >= 10 and capped >= 30
+
+
+def _cap_contract_cases():
+    """(check, X, Y, cap) where `check` is the first cap check to bind."""
+    q, cap = a2(), 128
+    v4 = FinMod(Z2, (2, 2))
+
+    def everywhere(quiver, m):
+        return Representation(quiver, Z2, {v: m for v in quiver.vertices}, {a.id: zero_hom(m, m) for a in quiver.arrows})
+
+    # E(1) = (Z/2)^4 has 2^16 endomorphisms
+    yield "vertex End", stalk(q, Z2, 1, v4), stalk(q, Z2, 1, v4), cap
+    # E = (Z/2)^2 at both vertices carries 16 * 16 Kronecker structures
+    k2 = everywhere(kronecker(), cyclic(Z2, 2))
+    yield "arrow structures", k2, k2, cap
+    # on the zero structure, Hom(E, E) is the whole product of the End E(v),
+    # and Hom(Y, E) or Hom(E, X) is that too when X or Y is zero
+    yield "Hom(Y, E)", zero_rep(q, Z2), everywhere(q, v4), cap
+    yield "Hom(E, X)", everywhere(q, v4), zero_rep(q, Z2), cap
+    yield "Hom(E, E)", stalk(q, Z2, 1, v4), stalk(q, Z2, 2, v4), cap
+
+
+def _spy_hom_groups(monkeypatch):
+    """(source, target, cardinality) of every HomGroupRep homology builds,
+    in order."""
+    built = []
+    real = homology.HomGroupRep
+
+    def spying(a, b):
+        grp = real(a, b)
+        built.append((a, b, grp.cardinality))
+        return grp
+
+    monkeypatch.setattr(homology, "HomGroupRep", spying)
+    return built
+
+
+def test_extension_count_caps_bind_like_the_orbit_count(monkeypatch):
+    built = _spy_hom_groups(monkeypatch)
+    for check, x, y, cap in _cap_contract_cases():
+        built.clear()
+        assert ext1_extension_count(x, y, cap=cap) is None
+        assert reference_ext1_extension_count(x, y, cap=cap) is None
+        if check in ("vertex End", "arrow structures"):
+            assert built == [], check
+            continue
+        a, b, _ = next(record for record in built if record[2] > cap)
+        assert (a is y, b is x, a is b) == (check == "Hom(Y, E)", check == "Hom(E, X)", check == "Hom(E, E)")
+
+
+def _end_bound(e):
+    return math.prod(homology._hom_order(m, m) for m in e.vertex_modules.values())
+
+
+def test_extension_count_solves_hom_e_e_only_above_the_end_bound(monkeypatch):
+    built = _spy_hom_groups(monkeypatch)
+    solved = skipped = 0
+    cases = [case[1:] for case in _cap_contract_cases()]
+    for x, y, cap in itertools.chain(cases, itertools.islice(_extension_count_cases(), 60)):
+        built.clear()
+        cnt = ext1_extension_count(x, y, cap=cap)
+        # |Hom(X, Y)| is read once, at the first exact pair, and there is
+        # one whenever the count is not capped: the split extension
+        hom_xy = sum(a is x and b is y for a, b, _ in built)
+        assert hom_xy <= 1 and (cnt is None or hom_xy == 1)
+        ends = {id(a) for a, b, _ in built if a is b}
+        assert all(_end_bound(a) > cap for a, b, _ in built if a is b)
+        for k, (a, e, card) in enumerate(built):
+            if a is y and e is not x and card <= cap and built[k + 1][2] <= cap:
+                if _end_bound(e) > cap:
+                    assert id(e) in ends
+                    solved += 1
+                else:
+                    assert id(e) not in ends
+                    skipped += 1
+    assert solved >= 1 and skipped >= 1000
 
 
 def test_dimension_shifting():
