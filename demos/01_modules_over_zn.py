@@ -5,6 +5,8 @@ Everything in the toolkit is exact integer arithmetic; this walk-through
 shows the module layer that the representation theory is built on.
 """
 
+from math import gcd
+
 import numpy as np
 
 from quiverhom import FinMod, ModHom, Modulus, cyclic, hom_group, present
@@ -42,11 +44,16 @@ f = ModHom(cyclic(Z4, 4), cyclic(Z4, 4), [[2]])
 print("dual of doubling is doubling:", matlis_dual_hom(f).matrix.tolist())
 print("(Z/2)+ =", matlis_dual(cyclic(Z4, 2)))
 
-# --- injectivity with certificates -------------------------------------------
-ok, cert = is_injective_module(cyclic(Z4, 4))
-print("Z/4 injective over Z/4:", ok)
-ok, cert = is_injective_module(cyclic(Z4, 2))
-print("Z/2 injective over Z/4:", ok, "| witness ideal:", cert["witness"]["ideal"])
+# --- injectivity from invariant factors --------------------------------------
+# sum Z/d_i is injective over Z/n iff gcd(d_i, n/d_i) = 1 for every i
+print("Z/4 injective over Z/4:", is_injective_module(cyclic(Z4, 4)))
+m = cyclic(Z4, 2)
+# Baer's criterion names the failing ideal (k): the smallest k whose map
+# (k) -> M, k |-> y, for a generator y of the (n/k)-torsion, has y outside kM
+witness = next(
+    k for k in Z4.divisors[:-1] if any((d // gcd(Z4.n // k, d)) % gcd(k, d) for d in m.factors)
+)
+print("Z/2 injective over Z/4:", is_injective_module(m), "| witness ideal:", witness)
 # the witness is the ideal map (2) -> Z/2, 2 |-> 1, which cannot extend
 
 # --- splitness and purity agree on finite modules -----------------------------

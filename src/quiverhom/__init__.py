@@ -14,7 +14,6 @@ from .znmod import (
     is_injective_module,
     is_pure_module_ses,
     is_split,
-    is_strongly_fp_injective_module,
     matlis_dual,
     matlis_dual_hom,
     present,

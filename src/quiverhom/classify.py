@@ -1,14 +1,15 @@
 """Decision procedures for the representation classes: injective, projective,
 flat, fp-injective, strongly fp-injective, Gorenstein strongly fp-injective
-and Ding injective, each with an independent definitional oracle, plus
-Ext-orthogonality sampling for the lifted cotorsion pairs.
+and Ding injective, all but flat and fp-injective with an independent
+oracle, plus Ext-orthogonality sampling for the lifted cotorsion pairs.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .quiver import Quiver, VertexId, has_directed_cycle, is_right_rooted, is_left_rooted
 from .homology import (
@@ -34,11 +35,8 @@ from .znmod import (
     Modulus,
     cyclic,
     is_epi,
-    is_flat_module,
     is_gi_certified,
     is_injective_module,
-    is_projective_module,
-    is_strongly_fp_injective_module,
     splits,
 )
 
@@ -69,88 +67,74 @@ def _ext1_vanishes_against_simples(x: Representation, contravariant: bool) -> bo
     return all(_ext1_is_zero(x, s) if contravariant else _ext1_is_zero(s, x) for s in simples)
 
 
-def classify_injective(x: Representation, with_oracle: bool = False) -> ClassVerdict:
-    """psi split epi at every vertex with injective components; the converse
-    direction of the characterization needs a right rooted quiver.
+class _Vertexwise(NamedTuple):
+    """One vertexwise characterization: psi split epi at every vertex (full
+    on right rooted quivers) when `epi`, else phi split mono (full on left
+    rooted quivers), with components in the one module class that Z/n's
+    injective, projective, flat, fp-injective and strongly fp-injective
+    modules form.  Over finite modules, split is pure."""
 
-    Oracle: vanishing of Ext^1 against the simple stalks, which suffices over
-    the artinian path ring by induction along composition series."""
+    epi: bool
+    map_key: str
+    component_key: str
+    oracle: Optional[Callable[[Representation], bool]] = None
+
+
+_VERTEXWISE = {
+    # oracle: Ext^1 against the simple stalks vanishes, which suffices over
+    # the artinian path ring by induction along composition series
+    "injective": _Vertexwise(
+        True, "psi_split_epi", "component_injective", partial(_ext1_vanishes_against_simples, contravariant=False)
+    ),
+    "projective": _Vertexwise(
+        False, "phi_split_mono", "component_projective", partial(_ext1_vanishes_against_simples, contravariant=True)
+    ),
+    "flat": _Vertexwise(False, "phi_pure_mono", "component_flat"),
+    "fp-injective": _Vertexwise(True, "psi_pure_epi", "component_fp_injective"),
+    # two-sided over locally target-finite right rooted quivers, which every
+    # finite quiver is; oracle: the definitional coresolution check
+    "strongly-fp-injective": _Vertexwise(
+        True, "psi_pure_epi", "component_strongly_fp_injective", lambda x: definitional_sfp_check(x)[0]
+    ),
+}
+
+
+def _classify_vertexwise(name: str, x: Representation, with_oracle: bool) -> ClassVerdict:
+    row = _VERTEXWISE[name]
+    canonical = psi if row.epi else phi
     evidence = {}
     verdict = True
     for v in x.quiver.vertices:
-        h = psi(x, v)
-        split_epi = splits(h, epi=True)
-        comp_inj = is_injective_module(x.vertex_modules[v])[0]
-        evidence[v] = {"psi_split_epi": split_epi, "component_injective": comp_inj}
-        verdict = verdict and split_epi and comp_inj
-    mode = "full" if is_right_rooted(x.quiver) else "necessity-only"
+        split = splits(canonical(x, v), epi=row.epi)
+        comp = is_injective_module(x.vertex_modules[v])
+        evidence[v] = {row.map_key: split, row.component_key: comp}
+        verdict = verdict and split and comp
+    rooted = is_right_rooted if row.epi else is_left_rooted
+    mode = "full" if rooted(x.quiver) else "necessity-only"
     oracle = None
-    if with_oracle and not has_directed_cycle(x.quiver):
-        oracle = _ext1_vanishes_against_simples(x, contravariant=False)
-    return ClassVerdict("injective", verdict, evidence, mode, oracle)
+    if with_oracle and row.oracle is not None and not has_directed_cycle(x.quiver):
+        oracle = row.oracle(x)
+    return ClassVerdict(name, verdict, evidence, mode, oracle)
+
+
+def classify_injective(x: Representation, with_oracle: bool = False) -> ClassVerdict:
+    return _classify_vertexwise("injective", x, with_oracle)
 
 
 def classify_projective(x: Representation, with_oracle: bool = False) -> ClassVerdict:
-    evidence = {}
-    verdict = True
-    for v in x.quiver.vertices:
-        h = phi(x, v)
-        split_mono = splits(h, epi=False)
-        comp = is_projective_module(x.vertex_modules[v])[0]
-        evidence[v] = {"phi_split_mono": split_mono, "component_projective": comp}
-        verdict = verdict and split_mono and comp
-    mode = "full" if is_left_rooted(x.quiver) else "necessity-only"
-    oracle = None
-    if with_oracle and not has_directed_cycle(x.quiver):
-        oracle = _ext1_vanishes_against_simples(x, contravariant=True)
-    return ClassVerdict("projective", verdict, evidence, mode, oracle)
+    return _classify_vertexwise("projective", x, with_oracle)
 
 
-def classify_flat(x: Representation) -> ClassVerdict:
-    evidence = {}
-    verdict = True
-    for v in x.quiver.vertices:
-        h = phi(x, v)
-        pure_mono = splits(h, epi=False)
-        comp = is_flat_module(x.vertex_modules[v])[0]
-        evidence[v] = {"phi_pure_mono": pure_mono, "component_flat": comp}
-        verdict = verdict and pure_mono and comp
-    mode = "full" if is_left_rooted(x.quiver) else "necessity-only"
-    return ClassVerdict("flat", verdict, evidence, mode)
+def classify_flat(x: Representation, with_oracle: bool = False) -> ClassVerdict:
+    return _classify_vertexwise("flat", x, with_oracle)
 
 
-def classify_fp_injective(x: Representation) -> ClassVerdict:
-    """psi pure epi with fp-injective components; over Z/n the component
-    condition coincides with injectivity (the ring is noetherian)."""
-    evidence = {}
-    verdict = True
-    for v in x.quiver.vertices:
-        h = psi(x, v)
-        pure_epi = splits(h, epi=True)
-        comp = is_injective_module(x.vertex_modules[v])[0]
-        evidence[v] = {"psi_pure_epi": pure_epi, "component_fp_injective": comp}
-        verdict = verdict and pure_epi and comp
-    mode = "full" if is_right_rooted(x.quiver) else "necessity-only"
-    return ClassVerdict("fp-injective", verdict, evidence, mode)
+def classify_fp_injective(x: Representation, with_oracle: bool = False) -> ClassVerdict:
+    return _classify_vertexwise("fp-injective", x, with_oracle)
 
 
 def classify_strongly_fp_injective(x: Representation, with_oracle: bool = False) -> ClassVerdict:
-    """psi pure epi with strongly fp-injective components; two-sided over
-    locally target-finite right rooted quivers (finite quivers are always
-    locally target-finite).  Oracle: the definitional coresolution check."""
-    evidence = {}
-    verdict = True
-    for v in x.quiver.vertices:
-        h = psi(x, v)
-        pure_epi = splits(h, epi=True)
-        comp = is_strongly_fp_injective_module(x.vertex_modules[v])
-        evidence[v] = {"psi_pure_epi": pure_epi, "component_strongly_fp_injective": comp}
-        verdict = verdict and pure_epi and comp
-    mode = "full" if is_right_rooted(x.quiver) else "necessity-only"
-    oracle = None
-    if with_oracle and not has_directed_cycle(x.quiver):
-        oracle = definitional_sfp_check(x)[0]
-    return ClassVerdict("strongly-fp-injective", verdict, evidence, mode, oracle)
+    return _classify_vertexwise("strongly-fp-injective", x, with_oracle)
 
 
 class DepthExhausted(Exception):

@@ -74,11 +74,7 @@ def cmd_classify(args) -> int:
     rows = [["class", "verdict", "mode", "oracle"]]
     records = []
     for name in wanted:
-        fn = CLASSIFIERS[name]
-        if name in ("injective", "projective", "strongly-fp-injective", "gorenstein") and args.oracle:
-            cv = fn(x, with_oracle=True)
-        else:
-            cv = fn(x)
+        cv = CLASSIFIERS[name](x, with_oracle=args.oracle)
         rows.append([name, str(cv.verdict), cv.mode, str(cv.oracle)])
         records.append({"class": name, "verdict": cv.verdict, "mode": cv.mode, "oracle": cv.oracle, "instance": rep_digest(x)})
     _emit(args, records, rows)

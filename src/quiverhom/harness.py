@@ -875,7 +875,7 @@ def _orthogonality(config: Config, rng: random.Random, t: int) -> Dict[str, obje
         mods = {v: random_injective_finmod(r, modulus, config) for v in q.vertices}
         maps = {a.id: random_hom(r, mods[a.src], mods[a.tgt]) for a in q.arrows}
         kk = Representation(q, modulus, mods, maps)
-        valid = all(is_injective_module(kk.vertex_modules[v])[0] for v in q.vertices)
+        valid = all(is_injective_module(kk.vertex_modules[v]) for v in q.vertices)
         return kk, {"valid": valid}
 
     def right_w(r):

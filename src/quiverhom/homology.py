@@ -378,14 +378,7 @@ def _chains_of_cardinality(modulus: Modulus, card: int) -> List[Tuple[int, ...]]
     return out
 
 
-def _hom_order(dom: FinMod, cod: FinMod) -> int:
-    """|Hom(dom, cod)|: the product of the entry group orders."""
-    return math.prod(hom_entry_orders(dom.factors, cod.factors).ravel().tolist())
-
-
-def _enumerate_module_homs(dom: FinMod, cod: FinMod, cap: int):
-    if _hom_order(dom, cod) > cap:
-        return None
+def _enumerate_module_homs(dom: FinMod, cod: FinMod) -> List[ModHom]:
     orders = hom_entry_orders(dom.factors, cod.factors)
     scales = hom_entry_scales(dom.factors, cod.factors)
     mats = []
@@ -396,19 +389,38 @@ def _enumerate_module_homs(dom: FinMod, cod: FinMod, cap: int):
 
 
 @functools.lru_cache(maxsize=256)
-def _module_aut_count(m: FinMod, cap: int) -> Optional[int]:
-    homs = _enumerate_module_homs(m, m, cap)
-    if homs is None:
-        return None
-    return sum(1 for h in homs if is_mono(h))
+def _module_aut_count(m: FinMod) -> int:
+    return sum(1 for h in _enumerate_module_homs(m, m) if is_mono(h))
+
+
+def _elementary_hom_order(modulus: Modulus, dom_card: int, cod_card: int) -> int:
+    """|Hom(E_0, E_0')| for the elementary chains E_0 = sum_p (Z/p)^{v_p} of
+    the two cardinalities: prod_p p^(v_p(dom_card) v_p(cod_card))."""
+
+    def v(p: int, card: int) -> int:
+        k = 0
+        while card % p == 0:
+            card //= p
+            k += 1
+        return k
+
+    return math.prod(p ** (v(p, dom_card) * v(p, cod_card)) for p in modulus.prime_factors)
 
 
 def ext1_extension_count(x: Representation, y: Representation, cap: int = 4096) -> Optional[int]:
     """Number of equivalence classes of extensions 0 -> Y -> E -> X -> 0,
     counted by exhaustive enumeration of middle structures; the count equals
-    the cardinality of Ext^1(X, Y).  Returns None when the search space
-    exceeds the cap: some End E(v), the arrow structures on one choice of
-    vertex modules, or some Hom(Y, E), Hom(E, X) or Hom(E, E).
+    the cardinality of Ext^1(X, Y).  Returns None, before any enumeration,
+    when prod_v |End E_0(v)| or prod_a |Hom(E_0(s a), E_0(t a))| exceeds
+    the cap, where E_0(v) is the elementary chain of order |X(v)| |Y(v)|.
+
+    That one test decides whether any End E(v), the arrow structures on any
+    choice of vertex modules, or any Hom(Y, E), Hom(E, X) or Hom(E, E)
+    exceeds the cap.  For one prime, a chain B of order p^b has
+    |Hom(Y(v), B)| <= |B|^(rank Y(v)) <= p^(b b), and likewise
+    |Hom(B, X(v))| and |End B|, while |End (Z/p)^b| = p^(b b); each Hom
+    between chains is largest on the elementary ones.  And on the zero
+    structure over the E_0(v), Hom(E, E) is all of prod_v End E_0(v).
 
     The vertex modules E(v) run over the invariant-factor chains of the
     right cardinality and E over the arrow structures on them.  The group G
@@ -421,42 +433,24 @@ def ext1_extension_count(x: Representation, y: Representation, cap: int = 4096) 
     """
     q, modulus = x.quiver, x.modulus
     cards = {v: x.vertex_modules[v].cardinality * y.vertex_modules[v].cardinality for v in q.vertices}
+    ends = math.prod(_elementary_hom_order(modulus, cards[v], cards[v]) for v in q.vertices)
+    structures = math.prod(_elementary_hom_order(modulus, cards[a.src], cards[a.tgt]) for a in q.arrows)
+    if ends > cap or structures > cap:
+        return None
     chain_options = {v: _chains_of_cardinality(modulus, cards[v]) for v in q.vertices}
     hom_xy: Optional[int] = None  # |Hom(X, Y)|, built at the first exact pair
     grand_total = 0
     for combo in itertools.product(*[chain_options[v] for v in q.vertices]):
         mods = {v: FinMod(modulus, c) for v, c in zip(q.vertices, combo)}
-        g_order = end_bound = 1
-        for v in q.vertices:
-            cnt = _module_aut_count(mods[v], cap)
-            if cnt is None:
-                return None
-            g_order *= cnt
-            end_bound *= _hom_order(mods[v], mods[v])
-        arrow_spaces = []
-        total_structures = 1
-        for a in q.arrows:
-            homs = _enumerate_module_homs(mods[a.src], mods[a.tgt], cap)
-            if homs is None:
-                return None
-            arrow_spaces.append(homs)
-            total_structures *= len(homs)
-            if total_structures > cap:
-                return None
+        g_order = math.prod(_module_aut_count(mods[v]) for v in q.vertices)
+        arrow_spaces = [_enumerate_module_homs(mods[a.src], mods[a.tgt]) for a in q.arrows]
         pairs = 0
         for arrow_maps in itertools.product(*arrow_spaces):
             e = Representation(q, modulus, mods, {a.id: h for a, h in zip(q.arrows, arrow_maps)})
-            homs_ye = HomGroupRep(y, e)
-            homs_ex = HomGroupRep(e, x)
-            if homs_ye.cardinality > cap or homs_ex.cardinality > cap:
-                return None
-            # Hom(E, E) lies in the product of the End E(v)
-            if end_bound > cap and HomGroupRep(e, e).cardinality > cap:
-                return None
-            monos = [i for i in homs_ye.elements() if i.is_monomorphism]
+            monos = [i for i in HomGroupRep(y, e).elements() if i.is_monomorphism]
             if not monos:
                 continue
-            epis = [p for p in homs_ex.elements() if p.is_epimorphism]
+            epis = [p for p in HomGroupRep(e, x).elements() if p.is_epimorphism]
             pairs += sum(1 for i in monos for p in epis if p.compose(i).is_zero)
         if not pairs:
             continue
@@ -516,7 +510,7 @@ class AcyclicComplex:
 
 def _injective_rep_structure_check(x: Representation) -> bool:
     for v in x.quiver.vertices:
-        if not is_injective_module(x.vertex_modules[v])[0]:
+        if not is_injective_module(x.vertex_modules[v]):
             return False
         if not splits(psi(x, v), epi=True):
             return False

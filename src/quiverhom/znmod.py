@@ -1,6 +1,7 @@
 """Finitely generated Z/n-modules in invariant-factor form, homs between
-them, and the module-level homological predicates (injectivity, splitness,
-purity, strong fp-injectivity, Gorenstein certificates).
+them, and the module-level homological predicates (injectivity, which over
+Z/n is also projectivity, flatness and strong fp-injectivity, splitness,
+purity, Gorenstein certificates).
 
 A module is a direct sum of cyclic groups Z/d_1 + ... + Z/d_k with
 d_1 | d_2 | ... | d_k and every d_i dividing n; elements are coordinate
@@ -23,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import diagonalize, quotient_order, solve_right, xgcd
+from .linalg import diagonalize, quotient_order, solve_right
 
 # The largest accepted n: the largest with (n - 1)**3 < 2**63, so an
 # unreduced product of three residues (HomSystem's L @ scales @ R) and every
@@ -621,59 +622,17 @@ def double_dual_iso(m: FinMod) -> ModHom:
 
 
 # ---------------------------------------------------------------------------
-# module classes: injective / projective / flat / strongly fp-injective
+# the one module class: injective = projective = flat = strongly fp-injective
 # ---------------------------------------------------------------------------
 
 
-def _torsion_generators(m: FinMod, k: int) -> List[Tuple[int, np.ndarray]]:
-    """Generators of the k-torsion subgroup {y : k y == 0}, one per factor."""
-    gens = []
-    for i, d in enumerate(m.factors):
-        c = d // gcd(k, d)
-        if c % d != 0:
-            v = np.zeros(m.rank, dtype=np.int64)
-            v[i] = c
-            gens.append((i, v))
-    return gens
-
-
-def is_injective_module(m: FinMod) -> Tuple[bool, dict]:
-    """Baer criterion over Z/n: every hom from an ideal (k) extends to Z/n.
-
-    A hom (k) -> M is an element y with (n/k) y == 0; it extends iff
-    y in k M.  The certificate stores, per ideal, either extension witnesses
-    or the first failing ideal map.
-    """
+def is_injective_module(m: FinMod) -> bool:
+    """M = sum Z/d_i is injective over Z/n iff gcd(d_i, n/d_i) = 1 for every
+    i: each p-part of Z/d_i is 0 or all of Z/p^{v_p(n)}.  Over the
+    noetherian ring Z/n this one class is also the projective, flat,
+    fp-injective and strongly fp-injective modules."""
     n = m.modulus.n
-    checks = []
-    for k in m.modulus.divisors:
-        if k == n:
-            continue
-        torsion = _torsion_generators(m, n // k)
-        for i, y in torsion:
-            d = m.factors[i]
-            c = int(y[i])
-            g = gcd(k, d)
-            if c % g != 0:
-                witness = {"ideal": k, "map_sends_generator_to": y.tolist()}
-                return False, {"criterion": "baer", "witness": witness}
-            # witness x with k x == y
-            gg, s, _ = xgcd(k, d)
-            x = np.zeros(m.rank, dtype=np.int64)
-            x[i] = (s * (c // g)) % d
-            checks.append({"ideal": k, "torsion_gen": y.tolist(), "extension": x.tolist()})
-    return True, {"criterion": "baer", "extensions": checks}
-
-
-def is_projective_module(m: FinMod) -> Tuple[bool, dict]:
-    """Over Z/n projective == injective == flat: each p-part must be free."""
-    ok, cert = is_injective_module(m)
-    return ok, {"criterion": "p-parts free (projective = injective over Z/n)", "baer": cert}
-
-
-def is_flat_module(m: FinMod) -> Tuple[bool, dict]:
-    ok, cert = is_injective_module(m)
-    return ok, {"criterion": "p-parts free (flat = injective over Z/n)", "baer": cert}
+    return all(gcd(d, n // d) == 1 for d in m.factors)
 
 
 def ext_module(f: FinMod, m: FinMod, degree: int) -> FinMod:
@@ -696,11 +655,6 @@ def ext_module(f: FinMod, m: FinMod, degree: int) -> FinMod:
             if k > 1:
                 orders.append(k)
     return FinMod(f.modulus, canonical_chain(orders, n))
-
-
-def is_strongly_fp_injective_module(m: FinMod) -> bool:
-    """Over the noetherian ring Z/n this coincides with injectivity."""
-    return is_injective_module(m)[0]
 
 
 # ---------------------------------------------------------------------------

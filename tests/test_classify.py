@@ -29,7 +29,6 @@ from quiverhom.znmod import (
     cyclic,
     identity_hom,
     is_injective_module,
-    is_strongly_fp_injective_module,
 )
 
 Z2 = Modulus(2)
@@ -156,7 +155,7 @@ def test_membership_classes():
         mm2 = cyclic(Z4, rng.choice([2, 4]))
         valid = [t for t in range(4) if (t * m1.factors[0]) % mm2.factors[0] == 0]
         y = Representation(q, Z4, {1: m1, 2: mm2}, {"a": ModHom(m1, mm2, [[rng.choice(valid)]])})
-        lhs = membership_psi_class(y, lambda m: is_injective_module(m)[0])
+        lhs = membership_psi_class(y, is_injective_module)
         assert lhs == classify_injective(y).verdict
 
 

@@ -50,6 +50,8 @@ from quiverhom.znmod import (
     cyclic,
     ext_module,
     free_mod,
+    hom_entry_orders,
+    hom_entry_scales,
     identity_hom,
     image_order,
     is_epi,
@@ -391,6 +393,23 @@ def test_ext_random_agreement_with_oracle():
     assert hits >= 8
 
 
+def _module_hom_order(dom, cod):
+    """|Hom(dom, cod)|: the product of the entry group orders."""
+    return math.prod(hom_entry_orders(dom.factors, cod.factors).ravel().tolist())
+
+
+def _capped_module_homs(dom, cod, cap):
+    """Every hom dom -> cod, or None when there are more than cap."""
+    if _module_hom_order(dom, cod) > cap:
+        return None
+    orders = hom_entry_orders(dom.factors, cod.factors)
+    scales = hom_entry_scales(dom.factors, cod.factors)
+    return [
+        ModHom(dom, cod, np.array(combo, dtype=np.int64).reshape(orders.shape) * scales)
+        for combo in itertools.product(*[range(int(o)) for o in orders.ravel()])
+    ]
+
+
 def reference_ext1_extension_count(x, y, cap=4096):
     """The orbit-counting extension oracle: for each middle structure E,
     the orbits of its exact pairs (i, p) under Aut_rep(E), found by search,
@@ -404,14 +423,14 @@ def reference_ext1_extension_count(x, y, cap=4096):
         mods = {v: FinMod(modulus, c) for v, c in zip(q.vertices, combo)}
         g_order = 1
         for v in q.vertices:
-            homs = homology._enumerate_module_homs(mods[v], mods[v], cap)
+            homs = _capped_module_homs(mods[v], mods[v], cap)
             if homs is None:
                 return None
             g_order *= sum(1 for h in homs if is_mono(h))
         arrow_spaces = []
         total_structures = 1
         for a in q.arrows:
-            homs = homology._enumerate_module_homs(mods[a.src], mods[a.tgt], cap)
+            homs = _capped_module_homs(mods[a.src], mods[a.tgt], cap)
             if homs is None:
                 return None
             arrow_spaces.append(homs)
@@ -525,6 +544,10 @@ def _cap_contract_cases():
     yield "Hom(Y, E)", zero_rep(q, Z2), everywhere(q, v4), cap
     yield "Hom(E, X)", everywhere(q, v4), zero_rep(q, Z2), cap
     yield "Hom(E, E)", stalk(q, Z2, 1, v4), stalk(q, Z2, 2, v4), cap
+    # E_0 = ((Z/2)^2, Z/2) on a loop with an arrow: prod_v |End E_0(v)| is
+    # 2^5, within a cap of 32, while the structures number 2^4 * 2^2
+    la = make_quiver([1, 2], [("l", 1, 1), ("a", 1, 2)])
+    yield "arrow structures", everywhere(la, cyclic(Z2, 2)), stalk(la, Z2, 1, cyclic(Z2, 2)), 32
 
 
 def _spy_hom_groups(monkeypatch):
@@ -543,44 +566,67 @@ def _spy_hom_groups(monkeypatch):
 
 
 def test_extension_count_caps_bind_like_the_orbit_count(monkeypatch):
+    """Each check of the orbit oracle that binds first is caught by the one
+    cap test up front, before any hom group is solved."""
     built = _spy_hom_groups(monkeypatch)
     for check, x, y, cap in _cap_contract_cases():
         built.clear()
-        assert ext1_extension_count(x, y, cap=cap) is None
-        assert reference_ext1_extension_count(x, y, cap=cap) is None
-        if check in ("vertex End", "arrow structures"):
-            assert built == [], check
-            continue
-        a, b, _ = next(record for record in built if record[2] > cap)
-        assert (a is y, b is x, a is b) == (check == "Hom(Y, E)", check == "Hom(E, X)", check == "Hom(E, E)")
-
-
-def _end_bound(e):
-    return math.prod(homology._hom_order(m, m) for m in e.vertex_modules.values())
+        assert ext1_extension_count(x, y, cap=cap) is None, check
+        assert built == [], check
+        assert reference_ext1_extension_count(x, y, cap=cap) is None, check
 
 
 def test_extension_count_solves_hom_e_e_only_above_the_end_bound(monkeypatch):
+    """Hom(E, E) is never solved: the cap test bounds it by
+    prod_v |End E_0(v)| before the enumeration, so no group built is over
+    the cap.  |Hom(X, Y)| is read once, at the first exact pair, and there
+    is one whenever the count is not capped: the split extension."""
     built = _spy_hom_groups(monkeypatch)
-    solved = skipped = 0
+    counted = middles = 0
     cases = [case[1:] for case in _cap_contract_cases()]
     for x, y, cap in itertools.chain(cases, itertools.islice(_extension_count_cases(), 60)):
         built.clear()
         cnt = ext1_extension_count(x, y, cap=cap)
-        # |Hom(X, Y)| is read once, at the first exact pair, and there is
-        # one whenever the count is not capped: the split extension
         hom_xy = sum(a is x and b is y for a, b, _ in built)
         assert hom_xy <= 1 and (cnt is None or hom_xy == 1)
-        ends = {id(a) for a, b, _ in built if a is b}
-        assert all(_end_bound(a) > cap for a, b, _ in built if a is b)
-        for k, (a, e, card) in enumerate(built):
-            if a is y and e is not x and card <= cap and built[k + 1][2] <= cap:
-                if _end_bound(e) > cap:
-                    assert id(e) in ends
-                    solved += 1
-                else:
-                    assert id(e) not in ends
-                    skipped += 1
-    assert solved >= 1 and skipped >= 1000
+        assert not any(a is b for a, b, _ in built)
+        assert all(card <= cap for _, _, card in built)
+        middles += sum(a is y and b is not x for a, b, _ in built)
+        counted += cnt is not None
+    assert counted >= 30 and middles >= 1000
+
+
+def test_elementary_chains_bound_every_hom_the_extension_count_solves():
+    """For chains A, C and every chain B of order |A| |C|, |End B|,
+    |Hom(A, B)| and |Hom(B, C)| are at most |End E_0|, E_0 the elementary
+    chain of that order, which is one of the B; between two such orders,
+    every |Hom(B, B')| is at most |Hom(E_0, E_0')|."""
+    pairs = 0
+    for n in (2, 4, 6, 8, 9, 12, 16, 18, 27, 30):
+        modulus = Modulus(n)
+        divisors = modulus.divisors[1:]
+        chains = [FinMod(modulus, ())] + [FinMod(modulus, (d,)) for d in divisors]
+        chains += [FinMod(modulus, (d, e)) for d in divisors for e in divisors if e % d == 0]
+        middles = {}
+        for a in chains:
+            for c in chains:
+                card = a.cardinality * c.cardinality
+                if card not in middles:
+                    middles[card] = [FinMod(modulus, f) for f in homology._chains_of_cardinality(modulus, card)]
+                end_e0 = homology._elementary_hom_order(modulus, card, card)
+                assert max(_module_hom_order(b, b) for b in middles[card]) == end_e0
+                assert all(max(_module_hom_order(a, b), _module_hom_order(b, c)) <= end_e0 for b in middles[card])
+                pairs += 1
+        for card, bs in middles.items():
+            for card2, bs2 in middles.items():
+                bound = homology._elementary_hom_order(modulus, card, card2)
+                assert max(_module_hom_order(b, b2) for b in bs for b2 in bs2) == bound
+    assert pairs >= 1000
+    # the bound holds over all B together, not for each B alone: over Z/8,
+    # A = (Z/2)^3 and B = Z/2 + Z/4 have |Hom(A, B)| = 64 > |End B| = 32
+    z8 = Modulus(8)
+    a, b = FinMod(z8, (2, 2, 2)), FinMod(z8, (2, 4))
+    assert _module_hom_order(a, b) == 64 and _module_hom_order(b, b) == 32
 
 
 def test_dimension_shifting():
