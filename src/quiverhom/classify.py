@@ -41,7 +41,7 @@ from .znmod import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassVerdict:
     class_name: str
     verdict: bool
@@ -143,35 +143,35 @@ class DepthExhausted(Exception):
     than guessed."""
 
 
-def reps_isomorphic(a: Representation, b: Representation, cap: int = 4096) -> Optional[bool]:
-    """Search for an isomorphism; None when the hom group is too large to
-    enumerate under the cap."""
+# the largest hom group `reps_isomorphic` enumerates, and the most pure
+# steps `definitional_sfp_check` takes before it gives up
+_ISO_SEARCH_CAP, _SFP_CHECK_DEPTH = 4096, 6
+
+
+def reps_isomorphic(a: Representation, b: Representation) -> Optional[bool]:
+    """Search for an isomorphism; None when the hom group has more than
+    `_ISO_SEARCH_CAP` elements."""
     if a.quiver != b.quiver or a.modulus != b.modulus:
         return False
     for v in a.quiver.vertices:
         if a.vertex_modules[v].factors != b.vertex_modules[v].factors:
             return False
     homs = HomGroupRep(a, b)
-    if homs.cardinality > cap:
+    if homs.cardinality > _ISO_SEARCH_CAP:
         return None
-    for f in homs.elements():
-        if f.is_monomorphism:
-            return True
-    return False
+    return any(f.is_monomorphism for f in homs.elements())
 
 
-def definitional_sfp_check(x: Representation, depth: int = 6) -> Tuple[bool, dict]:
+def definitional_sfp_check(x: Representation) -> Tuple[bool, dict]:
     """Build the canonical injective coresolution step by step and test each
     step for purity; any impure step is definitive for False, a vanishing or
     repeating syzygy is definitive for True."""
     info: Dict = {"steps": []}
     syzygies = [x]
-    current = x
-    for k in range(depth):
-        term, mono = canonical_injective_embedding(current)
+    for k in range(_SFP_CHECK_DEPTH):
+        _, mono = canonical_injective_embedding(syzygies[-1])
         coker, proj = cokernel_rep(mono)
-        ses = RepSES(mono, proj)
-        verdict = is_pure_rep_ses(ses)
+        verdict = is_pure_rep_ses(RepSES(mono, proj))
         info["steps"].append({"degree": k, "pure": verdict.pure})
         if not verdict.pure:
             info["failure"] = {"degree": k, "witness": verdict.witness}
@@ -179,14 +179,11 @@ def definitional_sfp_check(x: Representation, depth: int = 6) -> Tuple[bool, dic
         if coker.is_zero:
             info["terminated"] = {"degree": k, "reason": "syzygy vanished"}
             return True, info
-        for prev in syzygies:
-            iso = reps_isomorphic(prev, coker)
-            if iso:
-                info["terminated"] = {"degree": k, "reason": "syzygy periodicity"}
-                return True, info
+        if any(reps_isomorphic(prev, coker) for prev in syzygies):
+            info["terminated"] = {"degree": k, "reason": "syzygy periodicity"}
+            return True, info
         syzygies.append(coker)
-        current = coker
-    raise DepthExhausted(f"no verdict after {depth} pure steps")
+    raise DepthExhausted(f"no verdict after {_SFP_CHECK_DEPTH} pure steps")
 
 
 def classify_gorenstein_sfp(x: Representation, with_oracle: bool = False, oracle_full: bool = False) -> ClassVerdict:

@@ -759,7 +759,7 @@ def _adjunction(config: Config, rng: random.Random, t: int) -> Dict[str, object]
     y = random_representation(rng, qsub, modulus, config)
     ok1, info1 = restriction_adjunction_check(q, qsub, x, y)
     yop = random_representation(rng, opposite(q), modulus, config)
-    ok2, info2 = adjunction_check(yop, x, naturality_samples=3, seed=rng.randrange(2**30))
+    ok2, info2 = adjunction_check(yop, x, seed=rng.randrange(2**30))
     ok = ok1 and ok2
     return {
         "_instance": rep_digest(x),

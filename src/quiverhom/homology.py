@@ -157,17 +157,18 @@ def canonical_injective_embedding(x: Representation) -> Tuple[Representation, Re
 
 
 class _ByDegree:
-    """Values for every degree m >= 0 that repeat with period 2 from degree 1
-    on, so only those of degrees 0, 1 and 2 are built, each on first use."""
+    """Values for every degree m >= 0 that repeat with period 2 from degree
+    `start` on: only degrees 0 .. start + 1 are built, each on first use."""
 
-    def __init__(self, build):
+    def __init__(self, build, start: int):
         self._build = build
+        self._start = start
         self._built: Dict[int, object] = {}
 
     def __getitem__(self, m: int):
         if m < 0:
             raise IndexError("negative degree")
-        k = m if m < 3 else 2 - m % 2
+        k = m if m < self._start + 2 else self._start + (m - self._start) % 2
         if k not in self._built:
             self._built[k] = self._build(k)
         return self._built[k]
@@ -211,10 +212,11 @@ class ExtComputation:
         self.y = y
         self._ranks = _vertex_ranks(x)
         self.orders = _ByDegree(
-            lambda m: tuple(d for v, copies in self._blocks(m) for _ in range(copies) for d in y.vertex_modules[v].factors)
+            lambda m: tuple(d for v, copies in self._blocks(m) for _ in range(copies) for d in y.vertex_modules[v].factors), 1
         )
-        self.deltas = _ByDegree(self._delta)
-        self._ext_data: Dict[int, Tuple[np.ndarray, FinMod, np.ndarray, np.ndarray]] = {}
+        self.deltas = _ByDegree(self._delta, 1)
+        # ker D_m / im D_{m-1} repeats with period 2 from degree 2 on
+        self._ext_data = _ByDegree(self._present_ext, 2)
 
     def _blocks(self, m: int) -> List[Tuple[VertexId, int]]:
         """The blocks of T^m in order, each as (the vertex whose Y module it
@@ -255,28 +257,27 @@ class ExtComputation:
                 mat[row, cols[nv + s]] = -np.diag(np.repeat(boundary(i, m), yj))
         return mat % _column(self.orders[m + 1])
 
-    def _data(self, m: int):
+    def _data(self, m: int) -> Tuple[np.ndarray, FinMod, np.ndarray, np.ndarray]:
         """(gens, quo, proj, sect): the k kernel generators of delta_m as
         columns, and Ext^m = Z/B presented once on them, with the maps
         between their coordinates in (Z/n)^k and those of Ext^m."""
-        # ker D_m / im D_{m-1} repeats with period 2 from degree 2 on
-        key = m if m < 4 else 2 + m % 2
-        if key not in self._ext_data:
-            modulus, orders = self.y.modulus, self.orders[m]
-            zero = np.zeros(len(self.orders[m + 1]), dtype=np.int64)
-            out = solve_congruences(self.deltas[m], zero, self.orders[m + 1], orders, modulus)
-            assert out is not None
-            gens = out[1].T
-            k = gens.shape[1]
-            image = self.deltas[m - 1] if m else np.zeros((len(orders), 0), dtype=np.int64)
-            # the particular solution writes each coboundary in the generators,
-            # and the kernel rows are the relations among them, which present Z
-            out = solve_congruences(gens, image, orders, [modulus.n] * k, modulus)
-            assert out is not None, "image does not lie in the kernel (bug)"
-            coboundaries, relations = out
-            quo, proj, sect = present(np.hstack([relations.T, coboundaries]), modulus, generators=k)
-            self._ext_data[key] = (gens, quo, proj, sect)
-        return self._ext_data[key]
+        return self._ext_data[m]
+
+    def _present_ext(self, m: int):
+        modulus, orders = self.y.modulus, self.orders[m]
+        zero = np.zeros(len(self.orders[m + 1]), dtype=np.int64)
+        out = solve_congruences(self.deltas[m], zero, self.orders[m + 1], orders, modulus)
+        assert out is not None
+        gens = out[1].T
+        k = gens.shape[1]
+        image = self.deltas[m - 1] if m else np.zeros((len(orders), 0), dtype=np.int64)
+        # the particular solution writes each coboundary in the generators,
+        # and the kernel rows are the relations among them, which present Z
+        out = solve_congruences(gens, image, orders, [modulus.n] * k, modulus)
+        assert out is not None, "image does not lie in the kernel (bug)"
+        coboundaries, relations = out
+        quo, proj, sect = present(np.hstack([relations.T, coboundaries]), modulus, generators=k)
+        return gens, quo, proj, sect
 
     def ext(self, m: int) -> FinMod:
         _check_degree(m)
@@ -497,7 +498,7 @@ class RepComplex:
         return all(self.is_exact_at(k) for k in self.interior_degrees())
 
 
-@dataclass
+@dataclass(frozen=True)
 class AcyclicComplex:
     """A verified window of a totally acyclic complex of injective
     representations with a designated cycle."""

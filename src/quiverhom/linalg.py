@@ -78,8 +78,7 @@ def _memoized(kernel):
     kept flat because per-entry object overhead dominates the cache's
     memory.  The LRU cache holds 4096 entries.  Inputs over
     `_MEMO_MAX_CELLS` cells call the kernel directly.  Returned arrays are
-    read-only on both paths, since cached ones are shared by every caller,
-    and list members of the result are copied on each call.
+    read-only on both paths, since cached ones are shared by every caller.
     """
 
     @functools.lru_cache(maxsize=4096)
@@ -97,10 +96,8 @@ def _memoized(kernel):
         *mats, n = args
         mats = [_as_matrix(m, n) for m in mats]
         if sum(m.size for m in mats) > _MEMO_MAX_CELLS:
-            out = _frozen(kernel(*mats, n))
-        else:
-            out = cached(n, *(d for m in mats for d in m.shape), b"".join(m.tobytes() for m in mats))
-        return None if out is None else tuple(list(x) if isinstance(x, list) else x for x in out)
+            return _frozen(kernel(*mats, n))
+        return cached(n, *(d for m in mats for d in m.shape), b"".join(m.tobytes() for m in mats))
 
     memoized.cache_info = cached.cache_info
     memoized.cache_clear = cached.cache_clear
@@ -318,9 +315,9 @@ class _Tracked:
 @_memoized
 def diagonalize(a, n: int):
     """Two-sided reduction over Z/n: returns (d, U, Uinv) with U a V ==
-    diag(d) mod n for some invertible V, which is not computed, the d_i
-    divisors of n in a divisibility chain (trailing entries may equal n,
-    representing zero diagonal entries).
+    diag(d) mod n for some invertible V, which is not computed, and d the
+    tuple of the d_i, divisors of n in a divisibility chain (trailing
+    entries may equal n, representing zero diagonal entries).
     """
     a = _as_matrix(a, n)
     m, k = a.shape
@@ -416,5 +413,5 @@ def diagonalize(a, n: int):
                 t.d[p + 1, p + 1] = gcd(int(t.d[p + 1, p + 1]), n)
     diag = [gcd(int(t.d[p, p]), n) if p < rank else n for p in range(m)]
     # diagonal entries equal to n act as zero; fold them into the tail
-    chain = [d if d != 0 else n for d in diag]
+    chain = tuple(d if d != 0 else n for d in diag)
     return chain, t.u % n, t.uinv % n

@@ -10,6 +10,7 @@ decision is therefore one natural retraction of the sub-term map.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -39,7 +40,7 @@ from .znmod import (
 RANDOM_TEST_MEMBERS = 5
 
 
-@dataclass
+@dataclass(frozen=True)
 class PurityVerdict:
     pure: bool
     # a natural retraction of the sub-term map, splitting the sequence, when pure
@@ -142,17 +143,21 @@ def _tensor_left_exact(s: Representation, ses: RepSES) -> bool:
     return tensor_order(s, ses.x) * tensor_order(s, ses.z) == tensor_order(s, ses.y)
 
 
+# the cheap witness per sequence, keyed by identity and dropped with it
+_WITNESSES: "weakref.WeakKeyDictionary[RepSES, Optional[dict]]" = weakref.WeakKeyDictionary()
+
+
 def _cheap_definitional_witness(ses: RepSES) -> Optional[dict]:
     """The first cheap test object the sequence fails, or None: the stalks
-    (`_stalk_witness`), then the dual of the sub term.  Memoized on the
+    (`_stalk_witness`), then the dual of the sub term.  Memoized per
     sequence, since `is_pure_rep_ses` and `definitional_purity_check` both
     ask for it."""
-    if not hasattr(ses, "_cheap_witness"):
+    if ses not in _WITNESSES:
         witness = _stalk_witness(ses)
         if witness is None and not _tensor_left_exact(dual_rep(ses.x), ses):
             witness = {"kind": "test-object", "shape": "dual-of-sub"}
-        ses._cheap_witness = witness
-    return ses._cheap_witness
+        _WITNESSES[ses] = witness
+    return _WITNESSES[ses]
 
 
 def definitional_purity_check(ses: RepSES) -> Tuple[bool, int, Optional[dict]]:

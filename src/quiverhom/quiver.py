@@ -121,7 +121,7 @@ def has_directed_cycle(q: Quiver) -> bool:
     return any(color[v] == 0 and visit(v) for v in q.vertices)
 
 
-def paths_between(q: Quiver, i: VertexId, j: VertexId) -> List[Path]:
+def paths_between(q: Quiver, i: VertexId, j: VertexId) -> Tuple[Path, ...]:
     """All paths from i to j, trivial path included when i == j.
 
     Raises when a directed cycle is reachable on some i-to-j route, since the
@@ -130,7 +130,7 @@ def paths_between(q: Quiver, i: VertexId, j: VertexId) -> List[Path]:
     """
     q.check_vertex(i)
     q.check_vertex(j)
-    return list(_paths_between(q, i, j))
+    return _paths_between(q, i, j)
 
 
 # resolutions and right adjoints ask for the same (quiver, i, j) over and

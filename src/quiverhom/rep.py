@@ -9,8 +9,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from math import gcd
-from typing import Dict, List, Sequence, Tuple
+from math import gcd, prod
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -51,10 +52,19 @@ from .znmod import (
 )
 
 
-class Representation:
-    """A functor from the free category on a quiver to finite Z/n-modules."""
+def _read_only(given: Mapping, keys: Sequence, what: str) -> Mapping:
+    """`given` on exactly `keys`, read-only and in their order; the caller
+    has checked that every key is present."""
+    if len(given) != len(keys):
+        raise ValueError(f"{what} keys not in the quiver: {[k for k in given if k not in keys]!r}")
+    return MappingProxyType({k: given[k] for k in keys})
 
-    def __init__(self, quiver: Quiver, modulus: Modulus, vertex_modules: Dict[VertexId, FinMod], arrow_maps: Dict[str, ModHom]):
+
+class Representation:
+    """A functor from the free category on a quiver to finite Z/n-modules,
+    with read-only tables keyed by the quiver's vertices and arrow ids."""
+
+    def __init__(self, quiver: Quiver, modulus: Modulus, vertex_modules: Mapping[VertexId, FinMod], arrow_maps: Mapping[str, ModHom]):
         for v in quiver.vertices:
             if v not in vertex_modules:
                 raise ValueError(f"missing module at vertex {v!r}")
@@ -68,29 +78,23 @@ class Representation:
                 raise ValueError(f"arrow map {a.id} has wrong endpoints")
         self.quiver = quiver
         self.modulus = modulus
-        self.vertex_modules = dict(vertex_modules)
-        self.arrow_maps = dict(arrow_maps)
-
-    def module(self, v: VertexId) -> FinMod:
-        self.quiver.check_vertex(v)
-        return self.vertex_modules[v]
+        self.vertex_modules = _read_only(vertex_modules, quiver.vertices, "vertex")
+        self.arrow_maps = _read_only(arrow_maps, [a.id for a in quiver.arrows], "arrow")
 
     def map(self, arrow_id: str) -> ModHom:
         return self.arrow_maps[arrow_id]
 
     def along(self, p: Path) -> ModHom:
         """Composite of the arrow maps along a path; identity on a trivial path."""
-        h = identity_hom(self.module(p.source))
+        self.quiver.check_vertex(p.source)
+        h = identity_hom(self.vertex_modules[p.source])
         for a in p.arrows:
             h = self.map(a.id).compose(h)
         return h
 
     @property
     def total_cardinality(self) -> int:
-        c = 1
-        for v in self.quiver.vertices:
-            c *= self.vertex_modules[v].cardinality
-        return c
+        return prod(m.cardinality for m in self.vertex_modules.values())
 
     @property
     def is_zero(self) -> bool:
@@ -141,16 +145,16 @@ def stalk(quiver: Quiver, modulus: Modulus, v: VertexId, m: FinMod) -> Represent
 class RepMorphism:
     """A natural transformation between representations of the same quiver."""
 
-    def __init__(self, source: Representation, target: Representation, components: Dict[VertexId, ModHom]):
+    def __init__(self, source: Representation, target: Representation, components: Mapping[VertexId, ModHom]):
         if source.quiver != target.quiver or source.modulus != target.modulus:
             raise ValueError("source and target live over different quivers or moduli")
-        self.source = source
-        self.target = target
-        self.components = dict(components)
         for v in source.quiver.vertices:
-            h = self.components.get(v)
+            h = components.get(v)
             if h is None or h.domain != source.vertex_modules[v] or h.codomain != target.vertex_modules[v]:
                 raise ValueError(f"bad component at vertex {v!r}")
+        self.source = source
+        self.target = target
+        self.components = _read_only(components, source.quiver.vertices, "vertex")
         # Y(a) f_src == f_tgt X(a) as homs into Y(tgt): the matrices agree
         # mod the target factors of their rows
         for a in source.quiver.arrows:
@@ -159,9 +163,6 @@ class RepMorphism:
             if (diff % np.array(target.vertex_modules[a.tgt].factors, dtype=np.int64)[:, None]).any():
                 raise ValueError(f"naturality fails at arrow {a.id}")
 
-    def component(self, v: VertexId) -> ModHom:
-        return self.components[v]
-
     def compose(self, other: "RepMorphism") -> "RepMorphism":
         if other.target != self.source:
             raise ValueError("morphisms do not compose")
@@ -169,6 +170,8 @@ class RepMorphism:
         return RepMorphism(other.source, self.target, comps)
 
     def __add__(self, other: "RepMorphism") -> "RepMorphism":
+        if other.source != self.source or other.target != self.target:
+            raise ValueError("morphisms have different sources or targets")
         comps = {v: self.components[v] + other.components[v] for v in self.source.quiver.vertices}
         return RepMorphism(self.source, self.target, comps)
 
@@ -712,7 +715,10 @@ def tensor_functional_coords(pres: TensorPresentation, gs: Sequence[RepMorphism]
     return (vals // (n // factors) % factors).T
 
 
-def adjunction_check(y: Representation, x: Representation, naturality_samples: int = 3, seed: int = 0) -> Tuple[bool, dict]:
+_NATURALITY_SAMPLES = 3  # endomorphisms of Y that `adjunction_check` samples
+
+
+def adjunction_check(y: Representation, x: Representation, seed: int = 0) -> Tuple[bool, dict]:
     """Verify Hom(Y tensor X, Z/n) iso Hom_{Qop}(Y, dual X): cardinalities, a
     constructed bijection, and naturality against sampled endomorphisms of Y."""
     pres = TensorPresentation(y, x)
@@ -728,7 +734,7 @@ def adjunction_check(y: Representation, x: Representation, naturality_samples: i
     rng = random.Random(seed)
     endo = HomGroupRep(y, y)
     fixed = identity_morphism(x)
-    for _ in range(naturality_samples):
+    for _ in range(_NATURALITY_SAMPLES):
         if endo.group.is_zero:
             break
         coords = np.array([rng.randrange(d) for d in endo.group.factors], dtype=np.int64)

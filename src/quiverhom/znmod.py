@@ -451,13 +451,10 @@ def present(relations, modulus: Modulus, generators: Optional[int] = None):
 
 
 def direct_sum_with_maps(mods: Sequence[FinMod], modulus: Modulus):
-    """Canonical direct sum with injections and projections for each summand.
-
-    Memoized per summand tuple and modulus; each call returns fresh lists of
-    the shared, read-only homs.
-    """
-    total, injections, projections = _direct_sum(tuple(mods), modulus)
-    return total, list(injections), list(projections)
+    """Canonical direct sum with tuples of injections and projections for
+    each summand, memoized per summand tuple and modulus; the homs are
+    read-only, so every caller shares them."""
+    return _direct_sum(tuple(mods), modulus)
 
 
 @lru_cache(maxsize=1024)
@@ -679,11 +676,6 @@ class ModSES:
             raise ValueError("cardinalities rule out exactness at the middle")
         self.f = f
         self.g = g
-        self.certificate = {
-            "left": f.domain.cardinality,
-            "middle": f.codomain.cardinality,
-            "right": g.codomain.cardinality,
-        }
 
     @property
     def modulus(self) -> Modulus:

@@ -170,6 +170,27 @@ def test_ding_agrees_with_gorenstein():
         assert classify_ding_injective(x).verdict == classify_gorenstein_sfp(x, with_oracle=True).oracle
 
 
+def test_verdicts_are_frozen():
+    from dataclasses import FrozenInstanceError
+
+    from quiverhom.homology import totally_acyclic_injective_complex
+    from quiverhom.purity import is_pure_rep_ses
+    from quiverhom.rep import RepSES
+
+    x = coinduced(a2(), Z4, 1, cyclic(Z4, 4)).rep
+    total, injs, projs = direct_sum_reps([x, x])
+    cert, err = totally_acyclic_injective_complex(x, depth=1)
+    assert err is None
+    for value, field in (
+        (classify_injective(x), "verdict"),
+        (classify_gorenstein_sfp(x, with_oracle=True), "oracle"),
+        (is_pure_rep_ses(RepSES(injs[0], projs[1])), "pure"),
+        (cert, "cycle_witness"),
+    ):
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, field, None)
+
+
 def test_necessity_only_on_loop_quiver():
     lq = loop_quiver()
     m = cyclic(Z4, 4)

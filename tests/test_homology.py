@@ -1359,6 +1359,34 @@ def test_ext_cost_does_not_depend_on_the_degree():
     assert sorted(comp.deltas._built) == [1, 2]
 
 
+def test_by_degree_builds_each_period_class_once():
+    for start, representatives in ((1, [0, 1, 2, 1, 2, 1, 2, 1, 2, 1]), (2, [0, 1, 2, 3, 2, 3, 2, 3, 2, 3])):
+        built = []
+        values = homology._ByDegree(lambda k: built.append(k) or k, start)
+        assert [values[m] for m in reversed(range(10))] == representatives[::-1]
+        assert sorted(built) == list(range(start + 2))
+        with pytest.raises(IndexError):
+            values[-1]
+
+
+def test_ext_data_is_built_once_per_period_class():
+    # Ext^m = ker D_m / im D_{m-1} repeats with period 2 from degree 2 on:
+    # asked for degrees 9 down to 0, a computation presents Ext at 0 .. 3
+    # only, each equal to a fresh computation's at that degree
+    checked = nonzero = 0
+    for x, ses in _reference_cases():
+        for y in (ses.x, ses.y, ses.z):
+            comp, fresh = ExtComputation(x, y), ExtComputation(x, y)
+            for m in reversed(range(10)):
+                representative = m if m < 4 else 2 + m % 2
+                assert comp.ext(m) == fresh.ext(representative)
+                assert all(_same_bytes(got, want) for got, want in zip(comp._data(m), fresh._data(representative)))
+                checked += 1
+                nonzero += m > 3 and not comp.ext(m).is_zero
+            assert sorted(comp._ext_data._built) == [0, 1, 2, 3]
+    assert checked == 750 and nonzero >= 10
+
+
 def _cyclic_quivers():
     return [
         loop_quiver(),

@@ -187,6 +187,27 @@ def test_cheap_family_is_built_at_most_once_per_sequence(monkeypatch):
         assert all(calls.count(v) <= 3 for v in q.vertices)
 
 
+def test_witness_memo_is_filled_once_and_dropped_with_the_sequence(monkeypatch):
+    import gc
+    import weakref
+
+    from quiverhom import purity
+
+    calls = []
+    stalks = purity._stalk_witness
+    monkeypatch.setattr(purity, "_stalk_witness", lambda s: calls.append(1) or stalks(s))
+    gc.collect()
+    before = len(purity._WITNESSES)
+    ses = nonpure_fixture(Z4, 4)
+    witness = is_pure_rep_ses(ses).witness
+    assert definitional_purity_check(ses)[2] == witness == purity._WITNESSES[ses]
+    assert len(calls) == 1 and len(purity._WITNESSES) == before + 1
+    ref = weakref.ref(ses)
+    del ses
+    gc.collect()
+    assert ref() is None and len(purity._WITNESSES) == before
+
+
 def test_replay_confirms_each_witness_through_the_general_tensor(monkeypatch):
     # a witness found from vertex tops is rebuilt as one stalk and
     # confirmed by the general tensor test; a stalk the sequence passes

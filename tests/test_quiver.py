@@ -40,7 +40,7 @@ def test_paths_named_examples():
     ps = paths_between(q, 1, 2)
     assert len(ps) == 1 and ps[0].length == 1
     ps = paths_between(q, 1, 1)
-    assert ps == [trivial_path(1)]
+    assert ps == (trivial_path(1),)
     ps = paths_between(kronecker(), 1, 2)
     assert len(ps) == 2
     assert [tuple(a.id for a in p.arrows) for p in ps] == [("a",), ("b",)]
@@ -57,12 +57,11 @@ def test_paths_infinite_detection():
     assert len(paths_between(q, 1, 2)) == 1
 
 
-def test_paths_between_memo_hands_out_fresh_lists_and_raises_again():
+def test_paths_between_memo_hands_out_its_tuple_and_raises_again():
     q = kronecker()
     first = paths_between(q, 1, 2)
-    first.clear()
-    assert [tuple(a.id for a in p.arrows) for p in paths_between(q, 1, 2)] == [("a",), ("b",)]
-    assert paths_between(q, 1, 2) is not paths_between(q, 1, 2)
+    assert isinstance(first, tuple) and paths_between(q, 1, 2) is first
+    assert [tuple(a.id for a in p.arrows) for p in first] == [("a",), ("b",)]
     for _ in range(2):
         with pytest.raises(ValueError, match="infinite path set"):
             paths_between(loop_quiver(), "v", "v")

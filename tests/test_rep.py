@@ -499,3 +499,77 @@ def test_rep_ses_names_the_failing_vertex():
     }
     with pytest.raises(FormatError, match="^sequence is not short exact: at vertex 2: "):
         ses_from_dict(payload)
+
+
+def _read_only_values():
+    """(name, representation or morphism) from each kind of constructor."""
+    from quiverhom.io import rep_from_dict, rep_to_dict
+
+    x = doubling_rep()
+    total, injs, projs = direct_sum_reps([x, x])
+    double = identity_morphism(x) + identity_morphism(x)
+    ker, incl = kernel_rep(double)
+    coker, proj = cokernel_rep(double)
+    yield "constructor", x
+    yield "rep_from_dict", rep_from_dict(rep_to_dict(x))
+    yield "direct_sum_reps", total
+    yield "direct_sum_reps injection", injs[0]
+    yield "kernel_rep", ker
+    yield "kernel_rep inclusion", incl
+    yield "cokernel_rep", coker
+    yield "cokernel_rep projection", proj
+    yield "identity_morphism", identity_morphism(x)
+
+
+def test_representations_and_morphisms_are_read_only():
+    m = cyclic(Z4, 2)
+    seen = 0
+    for name, value in _read_only_values():
+        if isinstance(value, Representation):
+            tables = (value.vertex_modules, value.arrow_maps)
+            items = ((1, m), ("a", ModHom(m, m, [[1]])))
+        else:
+            tables = (value.components,)
+            items = ((1, value.components[2]),)
+        for table, (key, item) in zip(tables, items):
+            before = dict(table)
+            with pytest.raises(TypeError):
+                table[key] = item
+            with pytest.raises(TypeError):
+                del table[key]
+            assert dict(table) == before, name
+            seen += 1
+    assert seen == 14
+
+
+def test_constructors_reject_keys_outside_the_quiver():
+    m = cyclic(Z4, 4)
+    h = ModHom(m, m, [[2]])
+    x = doubling_rep()
+    with pytest.raises(ValueError, match=r"^vertex keys not in the quiver: \[3\]$"):
+        Representation(a2(), Z4, {1: m, 2: m, 3: m}, {"a": h})
+    with pytest.raises(ValueError, match=r"^arrow keys not in the quiver: \['b'\]$"):
+        Representation(a2(), Z4, {1: m, 2: m}, {"a": h, "b": h})
+    with pytest.raises(ValueError, match=r"^vertex keys not in the quiver: \['v'\]$"):
+        RepMorphism(x, x, {1: identity_hom(m), 2: identity_hom(m), "v": identity_hom(m)})
+    # the stored tables hold exactly the quiver's keys, in quiver order
+    y = Representation(a2(), Z4, {2: m, 1: m}, {"a": h})
+    assert list(y.vertex_modules) == [1, 2] and y == x
+
+
+def test_morphism_sum_rejects_other_sources_or_targets():
+    # x2 has the vertex modules of x and another arrow map, so every
+    # component sum is defined, but the two morphisms leave different
+    # representations
+    m = cyclic(Z4, 4)
+    x = doubling_rep()
+    x2 = rep_a2(Z4, m, m, [[0]])
+    for f, g in (
+        (identity_morphism(x), zero_morphism(x2, x)),
+        (identity_morphism(x), zero_morphism(x, x2)),
+    ):
+        with pytest.raises(ValueError, match="different sources or targets"):
+            f + g
+        with pytest.raises(ValueError, match="different sources or targets"):
+            f - g
+    assert identity_morphism(x) + zero_morphism(x, x) == identity_morphism(x)
