@@ -18,7 +18,8 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -469,11 +470,12 @@ def ext1_extension_count(x: Representation, y: Representation, cap: int = 4096) 
 
 
 class RepComplex:
-    """A finite window of a complex; diffs[k] maps degree k to degree k-1."""
+    """A finite window of a complex; diffs[k] maps degree k to degree k-1.
+    Both tables are read-only mappings."""
 
-    def __init__(self, components: Dict[int, Representation], diffs: Dict[int, RepMorphism]):
-        self.components = dict(components)
-        self.diffs = dict(diffs)
+    def __init__(self, components: Mapping[int, Representation], diffs: Mapping[int, RepMorphism]):
+        self.components = MappingProxyType(dict(components))
+        self.diffs = MappingProxyType(dict(diffs))
         for k, d in self.diffs.items():
             if d.source != self.components[k] or d.target != self.components[k - 1]:
                 raise ValueError(f"differential at degree {k} has wrong endpoints")
@@ -505,7 +507,7 @@ class AcyclicComplex:
 
     complex: RepComplex
     cycle_witness: RepMorphism  # mono from the cycle representation into degree -1
-    left_steps: List[RepSES]
+    left_steps: Tuple[RepSES, ...]
     verification: dict
 
 
@@ -646,7 +648,7 @@ def totally_acyclic_injective_complex(
         return None, f"window verification failed: {verification}"
     if verification["hom_exact"] is False:
         return None, "Hom-exactness against the test family failed"
-    return AcyclicComplex(cx, emb, left_steps, verification), None
+    return AcyclicComplex(cx, emb, tuple(left_steps), verification), None
 
 
 def _hom_exactness_against_family(cx: RepComplex) -> bool:

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import diagonalize, quotient_order, solve_right
+from .linalg import _solve_flat, diagonalize, quotient_order
 
 # The largest accepted n: the largest with (n - 1)**3 < 2**63, so an
 # unreduced product of three residues (HomSystem's L @ scales @ R) and every
@@ -317,33 +317,39 @@ def solve_congruences(
     mod r, i.e. when c is a multiple of r / gcd(m_t, r), which is how it
     is tested, so no product is formed.  Each row is reduced mod its r and
     rescaled by n/r into Z/n; one Howell solve there projects onto exactly
-    the mixed-modulus solutions.  Returns (particular, kernel generators as
-    the rows of a matrix) reduced mod the orders, or None when some column
-    of b is inconsistent.
+    the mixed-modulus solutions.  The checks, the scaling and the transpose
+    for `solve_left` are done in Python ints.  Returns (particular, kernel
+    generators as the rows of a matrix) reduced mod the orders, or None
+    when some column of b is inconsistent.
     """
     n = modulus.n
-    om = np.array(orders, dtype=np.int64).reshape(-1)
-    r = np.array(row_moduli, dtype=np.int64).reshape(-1, 1)
+    om = np.asarray(orders, dtype=np.int64).ravel().tolist()
+    r = np.asarray(row_moduli, dtype=np.int64).ravel().tolist()
     for what, vals in (("unknown order", om), ("equation modulus", r)):
-        for m in vals.ravel().tolist():
+        for m in vals:
             if m < 1 or n % m:
                 raise ValueError(f"{what} {m} must divide {n}")
-    a = np.asarray(a, dtype=np.int64).reshape(r.size, om.size) % r
-    bad = a % (r // np.gcd(om, r))
-    if np.count_nonzero(bad):
-        k, t = np.argwhere(bad)[0]
-        raise ValueError(
-            f"coefficient {a[k, t]} for unknown of order {om[t]} is not well defined mod {r[k, 0]}"
-        )
-    scale = n // r
+    a_rows = []
+    for rk, row in zip(r, np.asarray(a, dtype=np.int64).reshape(len(r), len(om)).tolist()):
+        row = [c % rk for c in row]
+        for c, m in zip(row, om):
+            if c % (rk // gcd(m, rk)):
+                raise ValueError(f"coefficient {c} for unknown of order {m} is not well defined mod {rk}")
+        a_rows.append([c * (n // rk) for c in row])
     b = np.asarray(b, dtype=np.int64)
-    rhs = b.reshape(r.size, 1) if b.ndim == 1 else b
-    out = solve_right(a * scale, rhs % r * scale, n)
+    if b.ndim not in (1, 2) or len(b) != len(r):
+        raise ValueError(f"shape mismatch: {len(r)} equations, right-hand side of shape {b.shape}")
+    rhs = b if b.ndim == 2 else b.reshape(-1, 1)
+    b_rows = [[c % rk * (n // rk) for c in row] for rk, row in zip(r, rhs.tolist())]
+    # a @ x == b is x^T a^T == b^T: solve_left's operands are the columns
+    flat = tuple(x for rows in (a_rows, b_rows) for col in zip(*rows) for x in col)
+    out = _solve_flat(n, ((len(om), len(r)), (rhs.shape[1], len(r))), flat)
     if out is None:
         return None
-    part, kern = out
-    part = part % om[:, None]
-    return (part[:, 0] if b.ndim == 1 else part), kern.T % om
+    y, kern = out
+    om = np.array(om, dtype=np.int64)
+    part = y.T % om[:, None]
+    return (part[:, 0] if b.ndim == 1 else part), kern % om
 
 
 class HomSystem:

@@ -13,6 +13,7 @@ from quiverhom.rep import (
     RepMorphism,
     Representation,
     cokernel_rep,
+    coinduced,
     direct_sum_reps,
     double_dual_rep_iso,
     dual_rep,
@@ -708,6 +709,18 @@ def test_totally_acyclic_left_steps_are_ses():
     x = Representation(q, Z4, {1: m2, 2: m2}, {"a": identity_hom(m2)})
     cert, _ = totally_acyclic_injective_complex(x, depth=1)
     assert cert is not None and len(cert.left_steps) == 2
+
+
+def test_totally_acyclic_certificate_is_read_only():
+    x = coinduced(a2(), Z4, 1, cyclic(Z4, 4)).rep
+    cert, err = totally_acyclic_injective_complex(x, depth=1)
+    assert cert is not None, err
+    cx = cert.complex
+    with pytest.raises(TypeError):
+        cx.diffs[1] = zero_morphism(cx.components[1], cx.components[0])
+    with pytest.raises(TypeError):
+        cx.components[0] = x
+    assert isinstance(cert.left_steps, tuple)
 
 
 def test_totally_acyclic_refuses_a_negative_depth():

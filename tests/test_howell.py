@@ -12,6 +12,7 @@ from typing import List, Tuple
 import numpy as np
 import pytest
 
+from quiverhom import linalg
 from quiverhom.linalg import howell_form, unit_multiplier, xgcd
 
 
@@ -145,3 +146,21 @@ def test_howell_form_matches_reference_on_augmented_inputs(n):
         h = howell_form(aug, n)
         ref = reference_howell_form(aug, n)
         assert h.shape == ref.shape and np.array_equal(h, ref)
+
+
+@pytest.fixture
+def numpy_kernel(monkeypatch):
+    """Every input takes the numpy kernel, as inputs over the cutoff do; the
+    tests above run the Python-int kernel, which their inputs are small
+    enough to take."""
+    monkeypatch.setattr(linalg, "_SMALL_CELLS", -1)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_numpy_howell_form_against_brute_force(n, numpy_kernel):
+    test_howell_form_against_brute_force(n)
+
+
+@pytest.mark.parametrize("n", [12, 36, 72, 388, 1024])
+def test_numpy_howell_form_matches_reference_on_augmented_inputs(n, numpy_kernel):
+    test_howell_form_matches_reference_on_augmented_inputs(n)

@@ -1,9 +1,12 @@
+import collections
 import itertools
 import random
+from math import gcd
 
 import numpy as np
 import pytest
 
+from quiverhom import linalg
 from quiverhom.linalg import (
     diagonalize,
     howell_form,
@@ -12,6 +15,7 @@ from quiverhom.linalg import (
     unit_multiplier,
     xgcd,
 )
+from quiverhom.znmod import Modulus, solve_congruences
 
 
 def rand_mat(rng, rows, cols, n):
@@ -233,3 +237,125 @@ def test_memo_skips_inputs_over_64_cells():
         after = kernel.cache_info()
         assert after.currsize == before.currsize
         assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+# -- the Python-int kernels against the numpy kernels ------------------------
+#
+# Inputs of at most linalg._SMALL_CELLS cells run on lists of Python ints.
+# Setting the cutoff to -1 sends every input to the numpy kernels, which are
+# the oracle: both must return identical results.
+
+MODULI = (2, 4, 12, 72, 510510, 2097143, 2**21)
+
+
+def _identical(x, y):
+    if x is None or y is None:
+        return x is None and y is None
+    if isinstance(x, np.ndarray):
+        return isinstance(y, np.ndarray) and x.dtype == y.dtype == np.int64 and x.shape == y.shape and np.array_equal(x, y)
+    if all(type(u) is int for u in x):  # diagonalize's chain
+        return type(y) is tuple and x == y and all(type(u) is int for u in y)
+    return len(x) == len(y) and all(_identical(u, v) for u, v in zip(x, y))
+
+
+def _on_numpy(monkeypatch, f, *args):
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "_SMALL_CELLS", -1)
+        return f(*args)
+
+
+def _numpy_kernel_calls(monkeypatch):
+    calls = collections.Counter()
+    for name in ("_howell_numpy", "_solve_left_numpy", "_diagonalize_numpy"):
+
+        def spy(*args, kernel=getattr(linalg, name), name=name):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(linalg, name, spy)
+    return calls
+
+
+def _divisor_scaled(rng, rows, cols, n):
+    """Entries that are often zero divisors: each column times a divisor of n."""
+    divisors = [d for d in (1, 2, 3, 4, 6, 8, 9, 12, 16, 17, 64, 1024, n // 2, n // 3) if d and n % d == 0]
+    a = rand_mat(rng, rows, cols, n)
+    return (a * np.array([rng.choice(divisors) for _ in range(cols)], dtype=np.int64)) % n
+
+
+@pytest.mark.parametrize("n", MODULI)
+def test_int_and_numpy_kernels_agree(n, monkeypatch):
+    rng = random.Random(n)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (3, 2), (4, 4), (5, 8), (9, 6), (12, 20)]
+    inconsistent = 0
+    for m, k in shapes:
+        for _ in range(3):
+            a = _divisor_scaled(rng, m, k, n) if rng.random() < 0.5 else rand_mat(rng, m, k, n)
+            # rows of b: none, consistent ones, and (usually) inconsistent ones
+            for b in (rand_mat(rng, 0, k, n), rand_mat(rng, 2, m, n).dot(a) % n, rand_mat(rng, 2, k, n)):
+                linalg.solve_left.cache_clear()
+                got = solve_left(a, b, n)
+                assert _identical(got, _on_numpy(monkeypatch, solve_left, a, b, n))
+                inconsistent += got is None
+            # unreduced and negative entries are reduced once, on entry
+            raw = a - n * rand_mat(rng, m, k, 3)
+            assert _identical(howell_form(raw, n), _on_numpy(monkeypatch, howell_form, a, n))
+            linalg.diagonalize.cache_clear()
+            assert _identical(diagonalize(raw, n), _on_numpy(monkeypatch, diagonalize, a, n))
+    assert inconsistent
+
+
+@pytest.mark.parametrize("n", [72, 2**21])
+def test_inputs_take_the_int_path_up_to_the_cutoff(n, monkeypatch):
+    calls = _numpy_kernel_calls(monkeypatch)
+    rng = random.Random(5)
+    assert linalg._SMALL_CELLS == 1024
+    # howell_form counts rows * cols; solve_left and diagonalize rows * (rows + cols)
+    for kernel, shape, name in (
+        (howell_form, (32, 32), "_howell_numpy"),
+        (howell_form, (25, 41), "_howell_numpy"),
+        (solve_left, (16, 48), "_solve_left_numpy"),
+        (solve_left, (25, 16), "_solve_left_numpy"),
+        (diagonalize, (16, 48), "_diagonalize_numpy"),
+        (diagonalize, (25, 16), "_diagonalize_numpy"),
+    ):
+        m, k = shape
+        cells = m * k if kernel is howell_form else m * (m + k)
+        a = _divisor_scaled(rng, m, k, n)
+        args = (a, rand_mat(rng, 2, m, n).dot(a) % n, n) if kernel is solve_left else (a, n)
+        before = calls[name]
+        got = kernel(*args)
+        assert calls[name] - before == (cells > 1024), (kernel.__name__, cells)
+        assert _identical(got, _on_numpy(monkeypatch, kernel, *args))
+
+
+@pytest.mark.parametrize("n", MODULI)
+def test_solve_congruences_int_and_numpy_paths_agree(n, monkeypatch):
+    modulus = Modulus(n)
+    divisors = [d for d in modulus.divisors if d > 1][:8] + [n]
+    rng = random.Random(7 * n)
+    for rows, unknowns in ((0, 0), (0, 2), (2, 0), (1, 1), (3, 2), (4, 5), (6, 9), (14, 30), (20, 35)):
+        for _ in range(3):
+            r = [rng.choice(divisors) for _ in range(rows)]
+            orders = [rng.choice(divisors) for _ in range(unknowns)]
+            a = [[rng.randrange(rk) * (rk // gcd(m, rk)) for m in orders] for rk in r]
+            x = [rng.randrange(m) for m in orders]
+            b = [sum(c * v for c, v in zip(row, x)) for row in a]
+            for rhs in (b, np.array([b, [rng.randrange(n) for _ in r]], dtype=np.int64).reshape(2, rows).T):
+                linalg.solve_left.cache_clear()
+                got = solve_congruences(a, rhs, r, orders, modulus)
+                assert got is not None or np.ndim(rhs) == 2
+                assert _identical(got, _on_numpy(monkeypatch, solve_congruences, a, rhs, r, orders, modulus))
+
+
+def test_solve_congruences_error_messages():
+    z4 = Modulus(4)
+    with pytest.raises(ValueError, match="^unknown order 3 must divide 4$"):
+        solve_congruences([[0]], [0], [4], [3], z4)
+    with pytest.raises(ValueError, match="^equation modulus 0 must divide 4$"):
+        solve_congruences([[0]], [0], [0], [2], z4)
+    # the first bad coefficient in row-major order, reduced mod its row
+    with pytest.raises(ValueError, match="^coefficient 3 for unknown of order 2 is not well defined mod 4$"):
+        solve_congruences([[0, 7], [1, 0]], [0, 0], [4, 4], [2, 2], z4)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        solve_congruences([[0]], [0, 0], [4], [2], z4)
