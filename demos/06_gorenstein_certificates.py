@@ -35,7 +35,7 @@ print("differentials at degrees 0 and 1:",
 # acyclic complex, with Hom-exactness replayed against the test family
 cert, err = totally_acyclic_injective_complex(x, depth=2, full=True)
 print("window degrees:", cert.complex.degrees())
-print("verification:", cert.verification)
+print("verification:", dict(cert.verification))
 print("degree 0 component:", cert.complex.components[0])
 
 # psi-class membership with the Gorenstein module predicate (the certificate

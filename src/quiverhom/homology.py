@@ -142,7 +142,7 @@ def injective_hull(m: FinMod) -> Tuple[FinMod, ModHom]:
                 h *= p**k
         hull_factors.append(h)
     hull = FinMod(m.modulus, tuple(hull_factors))
-    embed = ModHom(m, hull, np.diag(np.array([h // d for d, h in zip(m.factors, hull_factors)], dtype=np.int64)) if m.rank else np.zeros((0, 0), dtype=np.int64))
+    embed = ModHom._closed(m, hull, np.diag(np.array([h // d for d, h in zip(m.factors, hull_factors)], dtype=np.int64)) if m.rank else np.zeros((0, 0), dtype=np.int64))
     return hull, embed
 
 
@@ -508,7 +508,7 @@ class AcyclicComplex:
     complex: RepComplex
     cycle_witness: RepMorphism  # mono from the cycle representation into degree -1
     left_steps: Tuple[RepSES, ...]
-    verification: dict
+    verification: Mapping[str, Optional[bool]]  # read-only
 
 
 def _injective_rep_structure_check(x: Representation) -> bool:
@@ -648,7 +648,7 @@ def totally_acyclic_injective_complex(
         return None, f"window verification failed: {verification}"
     if verification["hom_exact"] is False:
         return None, "Hom-exactness against the test family failed"
-    return AcyclicComplex(cx, emb, tuple(left_steps), verification), None
+    return AcyclicComplex(cx, emb, tuple(left_steps), MappingProxyType(verification)), None
 
 
 def _hom_exactness_against_family(cx: RepComplex) -> bool:

@@ -320,23 +320,6 @@ solve_left.cache_info, solve_left.cache_clear = _solve.cache_info, _solve.cache_
 solve_left.__wrapped__ = lambda a, b, n: _solve_left(a, b, n, _solve.__wrapped__)
 
 
-def solve_right(a, b, n: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Solve a @ X == b (mod n) columnwise; returns (X, K) with kernel columns.
-
-    `solve_left` reduces its inputs mod n and returns reduced, read-only
-    arrays, so the transposes are all the work done here.
-    """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    if b.shape[:1] != a.shape[:1]:
-        raise ValueError(f"shape mismatch: a is {a.shape}, b is {b.shape}")
-    out = solve_left(a.T, b.T, n)
-    if out is None:
-        return None
-    y, kern = out
-    return y.T, kern.T
-
-
 def quotient_order(a, orders: Sequence[int], n: int) -> int:
     """|(Z/m_1 + ... + Z/m_r) / column span of a|, each m_i dividing n.
 

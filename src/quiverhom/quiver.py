@@ -189,9 +189,11 @@ class RootSequence:
                 raise ValueError("stages must be ascending")
 
 
+@functools.lru_cache(maxsize=1024)
 def root_sequence(q: Quiver) -> RootSequence:
     """Iterate: a vertex enters the next stage when all its outgoing arrows
-    land inside the current stage.  Stabilizes within |vertices| steps."""
+    land inside the current stage.  Stabilizes within |vertices| steps.
+    Memoized: every classification asks whether its quiver is rooted."""
     out = {v: [a.tgt for a in q.arrows if a.src == v] for v in q.vertices}
     stages = [frozenset()]
     while True:

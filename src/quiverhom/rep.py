@@ -9,6 +9,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import weakref
+from functools import lru_cache
 from math import gcd, prod
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
@@ -62,7 +64,8 @@ def _read_only(given: Mapping, keys: Sequence, what: str) -> Mapping:
 
 class Representation:
     """A functor from the free category on a quiver to finite Z/n-modules,
-    with read-only tables keyed by the quiver's vertices and arrow ids."""
+    with read-only tables keyed by the quiver's vertices and arrow ids.
+    Equal representations hash equally, so they can key memos."""
 
     def __init__(self, quiver: Quiver, modulus: Modulus, vertex_modules: Mapping[VertexId, FinMod], arrow_maps: Mapping[str, ModHom]):
         for v in quiver.vertices:
@@ -80,6 +83,7 @@ class Representation:
         self.modulus = modulus
         self.vertex_modules = _read_only(vertex_modules, quiver.vertices, "vertex")
         self.arrow_maps = _read_only(arrow_maps, [a.id for a in quiver.arrows], "arrow")
+        self._hash = None
 
     def map(self, arrow_id: str) -> ModHom:
         return self.arrow_maps[arrow_id]
@@ -101,7 +105,7 @@ class Representation:
         return all(m.is_zero for m in self.vertex_modules.values())
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Representation)
             and self.quiver == other.quiver
             and self.modulus == other.modulus
@@ -109,9 +113,36 @@ class Representation:
             and self.arrow_maps == other.arrow_maps
         )
 
+    def __hash__(self):
+        # the tables are read-only and in quiver order, so the hash is
+        # computed once; equal reduced matrices have equal bytes
+        if self._hash is None:
+            self._hash = hash((
+                self.quiver,
+                self.modulus,
+                tuple(self.vertex_modules.values()),
+                tuple(h.matrix.tobytes() for h in self.arrow_maps.values()),
+            ))
+        return self._hash
+
     def __repr__(self):
         parts = ", ".join(f"{v}:{self.vertex_modules[v]}" for v in self.quiver.vertices)
         return f"Representation({parts})"
+
+
+def _sum_of_composites(dom: FinMod, cod: FinMod, chains) -> ModHom:
+    """The sum of the composites h_1 o ... o h_k, one per chain (h_1, ...,
+    h_k) of homs from dom to cod, as one closed hom.  Each product is
+    reduced mod the factors of cod: the homs are well defined, so this is
+    the matrix that `compose` and `+` give, without their intermediate homs."""
+    col = np.array(cod.factors, dtype=np.int64)[:, None]
+    total = np.zeros((cod.rank, dom.rank), dtype=np.int64)
+    for first, *rest in chains:
+        m = first.matrix
+        for h in rest:
+            m = m.dot(h.matrix) % col
+        total += m
+    return ModHom._closed(dom, cod, total)
 
 
 def rep_digest(x: Representation) -> str:
@@ -163,20 +194,33 @@ class RepMorphism:
             if (diff % np.array(target.vertex_modules[a.tgt].factors, dtype=np.int64)[:, None]).any():
                 raise ValueError(f"naturality fails at arrow {a.id}")
 
+    @classmethod
+    def _closed(cls, source: Representation, target: Representation, components: Mapping[VertexId, ModHom]) -> "RepMorphism":
+        """A morphism that is natural by construction (a composite, sum or
+        negative of morphisms, zero, the identity, a canonical injection,
+        projection or inclusion, a solution of the naturality system, a
+        transpose across the restriction adjunction): store the read-only
+        table and skip the checks."""
+        f = cls.__new__(cls)
+        f.source = source
+        f.target = target
+        f.components = _read_only(components, source.quiver.vertices, "vertex")
+        return f
+
     def compose(self, other: "RepMorphism") -> "RepMorphism":
         if other.target != self.source:
             raise ValueError("morphisms do not compose")
         comps = {v: self.components[v].compose(other.components[v]) for v in self.source.quiver.vertices}
-        return RepMorphism(other.source, self.target, comps)
+        return RepMorphism._closed(other.source, self.target, comps)
 
     def __add__(self, other: "RepMorphism") -> "RepMorphism":
         if other.source != self.source or other.target != self.target:
             raise ValueError("morphisms have different sources or targets")
         comps = {v: self.components[v] + other.components[v] for v in self.source.quiver.vertices}
-        return RepMorphism(self.source, self.target, comps)
+        return RepMorphism._closed(self.source, self.target, comps)
 
     def __neg__(self):
-        return RepMorphism(self.source, self.target, {v: -h for v, h in self.components.items()})
+        return RepMorphism._closed(self.source, self.target, {v: -h for v, h in self.components.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -203,11 +247,13 @@ class RepMorphism:
 
 
 def zero_morphism(x: Representation, y: Representation) -> RepMorphism:
-    return RepMorphism(x, y, {v: zero_hom(x.vertex_modules[v], y.vertex_modules[v]) for v in x.quiver.vertices})
+    if x.quiver != y.quiver or x.modulus != y.modulus:
+        raise ValueError("source and target live over different quivers or moduli")
+    return RepMorphism._closed(x, y, {v: zero_hom(x.vertex_modules[v], y.vertex_modules[v]) for v in x.quiver.vertices})
 
 
 def identity_morphism(x: Representation) -> RepMorphism:
-    return RepMorphism(x, x, {v: identity_hom(x.vertex_modules[v]) for v in x.quiver.vertices})
+    return RepMorphism._closed(x, x, {v: identity_hom(x.vertex_modules[v]) for v in x.quiver.vertices})
 
 
 class RepSES:
@@ -247,15 +293,32 @@ class RepSES:
 # ---------------------------------------------------------------------------
 
 
+# psi_data and phi_data by representation, then by kind and vertex; an
+# entry goes when its representation does, and holds no reference to it
+_CANONICAL_MAPS: "weakref.WeakKeyDictionary[Representation, Dict[Tuple[str, VertexId], tuple]]" = weakref.WeakKeyDictionary()
+
+
+def _memo_canonical(x: Representation, kind: str, i: VertexId, build):
+    maps = _CANONICAL_MAPS.get(x)
+    if maps is None:
+        maps = _CANONICAL_MAPS[x] = {}
+    if (kind, i) not in maps:
+        maps[kind, i] = build(x, i)
+    return maps[kind, i]
+
+
 def psi_data(x: Representation, i: VertexId):
     """(P, psi, arrows, projections): the universal map into the product of
-    the targets of the arrows leaving i, with its coordinate projections."""
-    arrows = out_arrows(x.quiver, i)
+    the targets of the arrows leaving i, with its coordinate projections.
+    Memoized per representation and vertex."""
+    return _memo_canonical(x, "psi", i, _psi_data)
+
+
+def _psi_data(x: Representation, i: VertexId):
+    arrows = tuple(out_arrows(x.quiver, i))
     mods = [x.vertex_modules[a.tgt] for a in arrows]
     total, injs, projs = direct_sum_with_maps(mods, x.modulus)
-    h = zero_hom(x.vertex_modules[i], total)
-    for inj, a in zip(injs, arrows):
-        h = h + inj.compose(x.map(a.id))
+    h = _sum_of_composites(x.vertex_modules[i], total, [(inj, x.map(a.id)) for inj, a in zip(injs, arrows)])
     return total, h, arrows, projs
 
 
@@ -265,13 +328,15 @@ def psi(x: Representation, i: VertexId) -> ModHom:
 
 def phi_data(x: Representation, i: VertexId):
     """(S, phi, arrows, injections): the universal map out of the coproduct of
-    the sources of the arrows entering i."""
-    arrows = in_arrows(x.quiver, i)
+    the sources of the arrows entering i.  Memoized like `psi_data`."""
+    return _memo_canonical(x, "phi", i, _phi_data)
+
+
+def _phi_data(x: Representation, i: VertexId):
+    arrows = tuple(in_arrows(x.quiver, i))
     mods = [x.vertex_modules[a.src] for a in arrows]
     total, injs, projs = direct_sum_with_maps(mods, x.modulus)
-    h = zero_hom(total, x.vertex_modules[i])
-    for prj, a in zip(projs, arrows):
-        h = h + x.map(a.id).compose(prj)
+    h = _sum_of_composites(total, x.vertex_modules[i], [(x.map(a.id), prj) for prj, a in zip(projs, arrows)])
     return total, h, arrows, injs
 
 
@@ -294,17 +359,16 @@ def direct_sum_reps(reps: Sequence[Representation]):
     mods = {v: vertex_data[v][0] for v in q.vertices}
     maps = {}
     for a in q.arrows:
-        total_src, injs_src, projs_src = vertex_data[a.src]
-        total_tgt, injs_tgt, projs_tgt = vertex_data[a.tgt]
-        h = zero_hom(total_src, total_tgt)
-        for t, r in enumerate(reps):
-            h = h + injs_tgt[t].compose(r.map(a.id)).compose(projs_src[t])
-        maps[a.id] = h
+        total_src, _, projs_src = vertex_data[a.src]
+        total_tgt, injs_tgt, _ = vertex_data[a.tgt]
+        maps[a.id] = _sum_of_composites(
+            total_src, total_tgt, [(injs_tgt[t], r.map(a.id), projs_src[t]) for t, r in enumerate(reps)]
+        )
     total = Representation(q, modulus, mods, maps)
     injections, projections = [], []
     for t, r in enumerate(reps):
-        injections.append(RepMorphism(r, total, {v: vertex_data[v][1][t] for v in q.vertices}))
-        projections.append(RepMorphism(total, r, {v: vertex_data[v][2][t] for v in q.vertices}))
+        injections.append(RepMorphism._closed(r, total, {v: vertex_data[v][1][t] for v in q.vertices}))
+        projections.append(RepMorphism._closed(total, r, {v: vertex_data[v][2][t] for v in q.vertices}))
     return total, injections, projections
 
 
@@ -330,7 +394,7 @@ def _subrep_from_vertex_subgroups(x: Representation, incl_data: Dict[VertexId, T
             maps[a.id] = ModHom(mods[a.src], sub_t, cols[:, at : at + mods[a.src].rank])
             at += mods[a.src].rank
     sub = Representation(q, modulus, mods, maps)
-    incl = RepMorphism(sub, x, {v: incl_data[v][1] for v in q.vertices})
+    incl = RepMorphism._closed(sub, x, {v: incl_data[v][1] for v in q.vertices})
     return sub, incl
 
 
@@ -358,7 +422,7 @@ def cokernel_rep(f: RepMorphism):
         mat = proj_t.matrix.dot(y.map(a.id).matrix).dot(sect_s) if quo_t.rank and quo_s.rank else np.zeros((quo_t.rank, quo_s.rank), dtype=np.int64)
         maps[a.id] = ModHom(quo_s, quo_t, mat)
     coker = Representation(q, modulus, mods, maps)
-    proj = RepMorphism(y, coker, {v: data[v][1] for v in q.vertices})
+    proj = RepMorphism._closed(y, coker, {v: data[v][1] for v in q.vertices})
     return coker, proj
 
 
@@ -425,12 +489,14 @@ class HomGroupRep:
         self.basis = [self._morphism_from_flat(self._incl[:, k]) for k in range(self.group.rank)]
 
     def _morphism_from_flat(self, flat: np.ndarray) -> RepMorphism:
+        """The morphism at a solution of the naturality system; `assignment`
+        multiplies by the entry scales, so each component is well defined."""
         mats = self._sysm.assignment(flat)
         comps = {
-            v: ModHom(self.x.vertex_modules[v], self.y.vertex_modules[v], mat)
+            v: ModHom._closed(self.x.vertex_modules[v], self.y.vertex_modules[v], mat)
             for v, mat in zip(self.x.quiver.vertices, mats)
         }
-        return RepMorphism(self.x, self.y, comps)
+        return RepMorphism._closed(self.x, self.y, comps)
 
     def coords(self, f: RepMorphism) -> np.ndarray:
         """Coordinates of a morphism in the canonical hom group."""
@@ -502,7 +568,8 @@ class RightAdjointRep:
 
     Keeps the factor bookkeeping (factor_keys[v], the paths from v that
     index the factors at v, with their injections and projections) so that
-    units, counits and transposes can be assembled on top.
+    units, counits and transposes can be assembled on top.  Every table is
+    read-only, so `coinduced` can share one object among its callers.
     """
 
     def __init__(self, q: Quiver, qsub: Quiver, x: Representation):
@@ -514,24 +581,26 @@ class RightAdjointRep:
         self.q = q
         self.qsub = qsub
         self.inner = x
-        self.factor_keys = {v: _adjoint_factors(q, qsub, v) for v in q.vertices}
-        self._pos = {v: {p: t for t, p in enumerate(self.factor_keys[v])} for v in q.vertices}
-        self._data = {
+        self.factor_keys = MappingProxyType({v: tuple(_adjoint_factors(q, qsub, v)) for v in q.vertices})
+        self._pos = MappingProxyType(
+            {v: MappingProxyType({p: t for t, p in enumerate(self.factor_keys[v])}) for v in q.vertices}
+        )
+        self._data = MappingProxyType({
             v: direct_sum_with_maps([x.vertex_modules[p.target] for p in self.factor_keys[v]], modulus)
             for v in q.vertices
-        }
+        })
         sub_arrow_ids = {a.id for a in qsub.arrows}
         mods = {v: self._data[v][0] for v in q.vertices}
         maps = {}
         for b in q.arrows:
-            h = zero_hom(mods[b.src], mods[b.tgt])
+            chains = []
             for p in self.factor_keys[b.tgt]:
                 if p.is_trivial and b.id in sub_arrow_ids:
-                    comp = x.map(b.id).compose(self.projection(b.src, trivial_path(b.src)))
+                    chain = (x.map(b.id), self.projection(b.src, trivial_path(b.src)))
                 else:
-                    comp = self.projection(b.src, Path(b.src, p.target, (b,) + p.arrows))
-                h = h + self.injection(b.tgt, p).compose(comp)
-            maps[b.id] = h
+                    chain = (self.projection(b.src, Path(b.src, p.target, (b,) + p.arrows)),)
+                chains.append((self.injection(b.tgt, p),) + chain)
+            maps[b.id] = _sum_of_composites(mods[b.src], mods[b.tgt], chains)
         self.rep = Representation(q, modulus, mods, maps)
 
     def injection(self, v: VertexId, p: Path) -> ModHom:
@@ -543,21 +612,26 @@ class RightAdjointRep:
     def transpose(self, x_on_q: Representation, h: RepMorphism) -> RepMorphism:
         """Hom_{Q'}(restrict x, inner) -> Hom_Q(x, rep): the factor component
         at a path p is h(target p) composed with x along p."""
-        comps = {}
-        for v in self.q.vertices:
-            hv = zero_hom(x_on_q.vertex_modules[v], self.rep.vertex_modules[v])
-            for p in self.factor_keys[v]:
-                part = h.components[p.target].compose(x_on_q.along(p))
-                hv = hv + self.injection(v, p).compose(part)
-            comps[v] = hv
-        return RepMorphism(x_on_q, self.rep, comps)
+        if h.target != self.inner or h.source != restrict(self.qsub, x_on_q):
+            raise ValueError("morphism does not go from restrict x to the inner representation")
+        comps = {
+            v: _sum_of_composites(
+                x_on_q.vertex_modules[v],
+                self.rep.vertex_modules[v],
+                [(self.injection(v, p), h.components[p.target], x_on_q.along(p)) for p in self.factor_keys[v]],
+            )
+            for v in self.q.vertices
+        }
+        return RepMorphism._closed(x_on_q, self.rep, comps)
 
     def transpose_back(self, x_on_q: Representation, k: RepMorphism) -> RepMorphism:
         """Hom_Q(x, rep) -> Hom_{Q'}(restrict x, inner) via the trivial factors."""
+        if k.source != x_on_q or k.target != self.rep:
+            raise ValueError("morphism does not go from x to the right adjoint")
         comps = {}
         for w in self.qsub.vertices:
             comps[w] = self.projection(w, trivial_path(w)).compose(k.components[w])
-        return RepMorphism(restrict(self.qsub, x_on_q), self.inner, comps)
+        return RepMorphism._closed(restrict(self.qsub, x_on_q), self.inner, comps)
 
 
 def right_adjoint(q: Quiver, qsub: Quiver, x: Representation) -> Representation:
@@ -567,7 +641,13 @@ def right_adjoint(q: Quiver, qsub: Quiver, x: Representation) -> Representation:
 def coinduced(q: Quiver, modulus: Modulus, v: VertexId, m: FinMod) -> RightAdjointRep:
     """e^v(m): the right adjoint of restriction to the one-vertex subquiver
     at v, applied to m.  Its value at w is the product of copies of m indexed
-    by the paths from w to v."""
+    by the paths from w to v.  Read-only and shared: equal arguments get the
+    same object from a bounded memo."""
+    return _coinduced(q, modulus, v, m)
+
+
+@lru_cache(maxsize=64)
+def _coinduced(q: Quiver, modulus: Modulus, v: VertexId, m: FinMod) -> RightAdjointRep:
     one = Quiver((v,), ())
     return RightAdjointRep(q, one, Representation(one, modulus, {v: m}, {}))
 
@@ -578,18 +658,23 @@ def copresentation_embedding(x: Representation, embeds: Dict[VertexId, ModHom]) 
     path p is embed_{target p} o X(p).  Monomorphism thanks to the trivial
     factors; this is the first step of the canonical injective copresentation."""
     q, modulus = x.quiver, x.modulus
+    if any(embeds[v].domain != x.vertex_modules[v] for v in q.vertices):
+        raise ValueError("homs do not compose")
     singles = [coinduced(q, modulus, v, embeds[v].codomain) for v in q.vertices]
     total, injs, _ = direct_sum_reps([s.rep for s in singles])
-    comps = {}
-    for w in q.vertices:
-        h = zero_hom(x.vertex_modules[w], total.vertex_modules[w])
-        for t, v in enumerate(q.vertices):
-            single = singles[t]
-            for p in single.factor_keys[w]:
-                part = embeds[v].compose(x.along(p))
-                h = h + injs[t].components[w].compose(single.injection(w, p)).compose(part)
-        comps[w] = h
-    return total, RepMorphism(x, total, comps)
+    comps = {
+        w: _sum_of_composites(
+            x.vertex_modules[w],
+            total.vertex_modules[w],
+            [
+                (inj.components[w], single.injection(w, p), embeds[v], x.along(p))
+                for v, single, inj in zip(q.vertices, singles, injs)
+                for p in single.factor_keys[w]
+            ],
+        )
+        for w in q.vertices
+    }
+    return total, RepMorphism._closed(x, total, comps)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ A module is a direct sum of cyclic groups Z/d_1 + ... + Z/d_k with
 d_1 | d_2 | ... | d_k and every d_i dividing n; elements are coordinate
 vectors with the i-th coordinate read mod d_i.  A hom is a matrix whose
 (j, i) entry must satisfy a_ji * d_i == 0 mod e_j, which is checked at
-construction, except on the results of sums, negatives, composites, zero
-and identity homs, which satisfy it by construction.  Internal computations
+construction, except on homs that satisfy it by construction: sums,
+negatives, composites, zero and identity homs, subgroup inclusions,
+quotient projections, Matlis duals and the injections and projections of
+direct sums.  Internal computations
 frequently pass through "ambient" factor tuples that are not divisibility
 chains; only FinMod values are required to be canonical.
 """
@@ -201,7 +203,9 @@ class ModHom:
     def _closed(cls, domain: FinMod, codomain: FinMod, m: np.ndarray) -> "ModHom":
         """A hom whose int64 matrix of the right shape is well defined by
         construction (a sum, negative or composite of homs, zero or the
-        identity): reduce it mod the codomain factors and skip the check."""
+        identity, a subgroup inclusion, a quotient projection, a Matlis
+        dual, a direct-sum injection or projection): reduce it mod the
+        codomain factors and skip the check."""
         if codomain.rank:
             m = np.mod(m, _hom_tables(domain.factors, codomain.factors)[0])
         m.flags.writeable = False
@@ -241,15 +245,16 @@ class ModHom:
         return self + (-other)
 
     def __eq__(self, other):
-        return (
+        # equal ends give equal shapes, and both matrices are reduced int64
+        return self is other or (
             isinstance(other, ModHom)
             and self.domain == other.domain
             and self.codomain == other.codomain
-            and np.array_equal(self.matrix, other.matrix)
+            and self.matrix.tobytes() == other.matrix.tobytes()
         )
 
     def __hash__(self):
-        return hash((self.domain, self.codomain, self.matrix.tobytes()))
+        return hash((self.domain.modulus.n, self.domain.factors, self.codomain.factors, self.matrix.tobytes()))
 
     @property
     def is_zero(self) -> bool:
@@ -479,8 +484,10 @@ def _direct_sum(mods: Tuple[FinMod, ...], modulus: Modulus):
         r = m.rank
         inj = proj[:, offset : offset + r] if total.rank else np.zeros((0, r), dtype=np.int64)
         prj = sect[offset : offset + r, :] if total.rank else np.zeros((r, 0), dtype=np.int64)
-        injections.append(ModHom(m, total, inj))
-        projections.append(ModHom(total, m, prj))
+        # proj and sect are mutually inverse isomorphisms between the
+        # summands' coordinates and the canonical sum, so both are homs
+        injections.append(ModHom._closed(m, total, inj))
+        projections.append(ModHom._closed(total, m, prj))
         offset += r
     return total, tuple(injections), tuple(projections)
 
@@ -517,7 +524,7 @@ def ambient_coords_solve(
 
 def subgroup_with_inclusion(ambient: FinMod, gens: Sequence[np.ndarray]):
     sub, incl = subgroup_present(ambient.factors, gens, ambient.modulus)
-    return sub, ModHom(sub, ambient, incl)
+    return sub, ModHom._closed(sub, ambient, incl)
 
 
 def quotient_with_projection(ambient_orders: Sequence[int], gens: Sequence[np.ndarray], modulus: Modulus):
@@ -537,7 +544,14 @@ def quotient_with_projection(ambient_orders: Sequence[int], gens: Sequence[np.nd
 
 
 def kernel_of_hom(f: ModHom):
-    """(K, incl) with K the kernel of f and incl its inclusion into dom(f)."""
+    """(K, incl) with K the kernel of f and incl its inclusion into dom(f).
+    Memoized per hom, like `cokernel_order` and `splits`: an LRU cache of
+    1024 entries each, which hands every caller the same read-only result."""
+    return _kernel_of_hom(f)
+
+
+@lru_cache(maxsize=1024)
+def _kernel_of_hom(f: ModHom):
     zero = np.zeros(f.codomain.rank, dtype=np.int64)
     out = solve_congruences(f.matrix, zero, f.codomain.factors, f.domain.factors, f.modulus)
     assert out is not None
@@ -554,11 +568,16 @@ def cokernel_of_hom(f: ModHom):
     sect lifting canonical coordinates of C to cod(f)."""
     gens = [f.matrix[:, i] for i in range(f.domain.rank)]
     quo, proj, sect = quotient_with_projection(f.codomain.factors, gens, f.modulus)
-    return quo, ModHom(f.codomain, quo, proj), sect
+    return quo, ModHom._closed(f.codomain, quo, proj), sect
 
 
 def cokernel_order(f: ModHom) -> int:
     """|coker f|, without presenting the cokernel."""
+    return _cokernel_order(f)
+
+
+@lru_cache(maxsize=1024)
+def _cokernel_order(f: ModHom) -> int:
     return quotient_order(f.matrix, f.codomain.factors, f.modulus.n)
 
 
@@ -616,7 +635,7 @@ def matlis_dual_hom(f: ModHom) -> ModHom:
     dom, cod = f.domain, f.codomain
     d = _factor_arrays(dom.factors)[:, None]
     out = (f.matrix.T * (n // _factor_arrays(cod.factors)) % n) // (n // d) % d
-    return ModHom(matlis_dual(cod), matlis_dual(dom), out)
+    return ModHom._closed(matlis_dual(cod), matlis_dual(dom), out)
 
 
 def double_dual_iso(m: FinMod) -> ModHom:
@@ -724,6 +743,11 @@ def splits(h: ModHom, epi: bool) -> bool:
     is the p'-part of C, so the tests also force g onto and f one-to-one:
     no separate epi or mono check is needed.
     """
+    return _splits(h, epi)
+
+
+@lru_cache(maxsize=1024)
+def _splits(h: ModHom, epi: bool) -> bool:
     dom, cod = h.domain, h.codomain
     n = h.modulus.n
     top = lcm(dom.factors[-1] if dom.rank else 1, cod.factors[-1] if cod.rank else 1)

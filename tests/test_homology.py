@@ -720,6 +720,9 @@ def test_totally_acyclic_certificate_is_read_only():
         cx.diffs[1] = zero_morphism(cx.components[1], cx.components[0])
     with pytest.raises(TypeError):
         cx.components[0] = x
+    with pytest.raises(TypeError):
+        cert.verification["exact"] = False
+    assert cert.verification["exact"] is True
     assert isinstance(cert.left_steps, tuple)
 
 

@@ -11,11 +11,24 @@ from quiverhom.linalg import (
     diagonalize,
     howell_form,
     solve_left,
-    solve_right,
     unit_multiplier,
     xgcd,
 )
 from quiverhom.znmod import Modulus, solve_congruences
+
+
+def solve_right(a, b, n: int):
+    """Solve a @ X == b (mod n) columnwise; returns (X, K) with kernel
+    columns, or None: `solve_left` on the transposes."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if b.shape[:1] != a.shape[:1]:
+        raise ValueError(f"shape mismatch: a is {a.shape}, b is {b.shape}")
+    out = solve_left(a.T, b.T, n)
+    if out is None:
+        return None
+    y, kern = out
+    return y.T, kern.T
 
 
 def rand_mat(rng, rows, cols, n):
