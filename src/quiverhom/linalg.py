@@ -2,27 +2,28 @@
 two-sided diagonalization, and the order of a quotient by a column span.
 
 Matrices come in as array_like and go out as numpy int64 arrays with
-entries in [0, N); every input is reduced mod N once, on entry.  Each of
-`howell_form`, `solve_left` and `diagonalize` has two implementations that
-do the same operations in the same order, so they return identical results:
-one on lists of Python ints for inputs of at most `_SMALL_CELLS` cells,
-where numpy's per-call cost would outweigh the arithmetic, and one on numpy
-arrays above that.  `quotient_order` computes in Python ints only.  The
-Howell form is the canonical echelon form for row modules over Z/N: unlike
-a plain echelon form it spans *all* row-module elements whose leading
-coordinates vanish, which is what makes greedy back-substitution and kernel
-extraction correct over a ring with zero divisors.  It is built in one pass
-over the columns: as each pivot row is fixed, its annihilator multiple
-(N/d)*row, zero in the pivot column, joins the rows still to be reduced, so
-the later columns absorb it and no second pass is needed.  `diagonalize`
-reduces on both sides but returns only the row transform and its inverse.
+entries in [0, N); every input is reduced mod N once, on entry.  Each
+operation has one kernel, in Python ints.  The working rows of `howell_form`,
+`solve_left` and `diagonalize` are dicts from column to nonzero entry, so a
+row update reads only the support of its source row, a column operation
+skips the rows that are zero in both columns, and a pivot search reads only
+nonzero entries: the inputs the package builds are small, or large and a
+few percent nonzero.  The Howell form is the canonical echelon form for row
+modules over Z/N: unlike a plain echelon form it spans *all* row-module
+elements whose leading coordinates vanish, which is what makes greedy
+back-substitution and kernel extraction correct over a ring with zero
+divisors.  It is built in one pass over the columns: as each pivot row is
+fixed, its annihilator multiple (N/d)*row, zero in the pivot column, joins
+the rows still to be reduced, so the later columns absorb it and no second
+pass is needed.  `diagonalize` reduces on both sides but returns only the
+row transform and its inverse.
 """
 
 from __future__ import annotations
 
 import functools
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,14 +63,6 @@ def unit_multiplier(a: int, n: int) -> int:
     return u
 
 
-# Inputs of at most this many cells run on lists of Python ints, larger ones
-# on numpy arrays.  `howell_form` counts rows * cols of its input;
-# `solve_left` and `diagonalize` count the cells of `a` and of the row
-# transform they track, rows * (rows + cols).  Below the cutoff numpy's
-# fixed cost per call outweighs the arithmetic; above it the per-entry cost
-# of Python ints does.
-_SMALL_CELLS = 1024
-
 # Inputs of at most this many cells (all matrices together) are memoized.
 # Only small systems repeat in practice; large ones would make a bounded
 # cache hold megabytes per entry for almost no hits.
@@ -96,16 +89,58 @@ def _array(rows, cols: int) -> np.ndarray:
     return out
 
 
-def _frozen(result):
-    if result is not None:
-        for x in result:
-            if isinstance(x, np.ndarray):
-                x.setflags(write=False)
-    return result
+# ---------------------------------------------------------------------------
+# sparse rows: dicts from column to nonzero entry in [0, n)
+# ---------------------------------------------------------------------------
+
+
+def _sparse(row: Sequence[int]) -> Dict[int, int]:
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def _dense(rows: Sequence[Dict[int, int]], cols: int) -> List[List[int]]:
+    out = [[0] * cols for _ in rows]
+    for o, row in zip(out, rows):
+        for j, x in row.items():
+            o[j] = x
+    return out
+
+
+def _axpy(dst: Dict[int, int], src: Dict[int, int], q: int, n: int) -> None:
+    """dst -= q * src, in place, over the support of src."""
+    for j, y in src.items():
+        x = (dst.get(j, 0) - q * y) % n
+        if x:
+            dst[j] = x
+        else:
+            dst.pop(j, None)
+
+
+def _scaled(row: Dict[int, int], c: int, n: int) -> Dict[int, int]:
+    return {j: v for j, x in row.items() if (v := c * x % n)}
+
+
+def _combined(ri, rj, s: int, t: int, p: int, q: int, n: int):
+    """(s*ri + t*rj, p*ri + q*rj), over the union of the supports."""
+    a: Dict[int, int] = {}
+    b: Dict[int, int] = {}
+    for j, x in ri.items():
+        y = rj.get(j, 0)
+        if v := (s * x + t * y) % n:
+            a[j] = v
+        if v := (p * x + q * y) % n:
+            b[j] = v
+    for j, y in rj.items():
+        if j not in ri:
+            if v := t * y % n:
+                a[j] = v
+            if v := q * y % n:
+                b[j] = v
+    return a, b
 
 
 def _memoized(small):
-    """Memoize the Python-int kernel `small(n, dims, flat)` on small inputs.
+    """Memoize the kernel `small(n, dims, flat)` on small inputs.
 
     `dims` holds each input matrix's (rows, cols) and `flat` their entries
     as `_flat` lists them, so the arguments are the key.  Inputs of at most
@@ -143,24 +178,25 @@ def howell_form(a, n: int) -> np.ndarray:
     """
     w = np.mod(_matrix(a), n)
     k = w.shape[1]
-    if w.size > _SMALL_CELLS:
-        return _howell_numpy(w, n)
-    h = _howell(w.tolist(), k, n)
-    return np.array(h, dtype=np.int64).reshape(len(h), k)
+    h = _howell([_sparse(row) for row in w.tolist()], k, n)
+    return np.array(_dense(h, k), dtype=np.int64).reshape(len(h), k)
 
 
-def _howell(w: List[List[int]], k: int, n: int) -> List[List[int]]:
-    """`_howell_numpy` on lists of Python ints: the same pivots, gcd steps and
-    reductions in the same order.  `w` is reduced mod n and is overwritten."""
-    h: List[List[int]] = []
+def _howell(w: List[Dict[int, int]], k: int, n: int) -> List[Dict[int, int]]:
+    """The Howell rows of the sparse rows `w`, which are overwritten.
+
+    Among the rows nonzero in a column, the pivot is the first with the
+    least gcd(., n), which needs the fewest gcd steps."""
+    h: List[Dict[int, int]] = []
     for j in range(k):
-        nz = [i for i, row in enumerate(w) if row[j]]
+        nz = [i for i, row in enumerate(w) if j in row]
         if not nz:
             continue
         p = min(nz, key=lambda i: gcd(w[i][j], n))
         c = unit_multiplier(w[p][j], n)
-        w[p] = [c * x % n for x in w[p]]
-        rest = [i for i in nz if i != p]
+        if c != 1:
+            w[p] = _scaled(w[p], c, n)
+        rest = [i for i in nz if i != p]  # the other rows nonzero in column j
         while rest:
             wp = w[p]
             d = wp[j]
@@ -168,65 +204,29 @@ def _howell(w: List[List[int]], k: int, n: int) -> List[List[int]]:
             for i in rest:
                 q, rem = divmod(w[i][j], d)
                 if q:
-                    w[i] = [(x - q * y) % n for x, y in zip(w[i], wp)]
+                    _axpy(w[i], wp, q, n)
                 if rem:
                     odd.append(i)
             if not odd:
                 break
             i = odd[0]
-            wi, b = w[i], w[i][j]
+            b = w[i][j]
             g, s, t = xgcd(d, b)
-            w[p] = [(s * x + t * y) % n for x, y in zip(wp, wi)]
-            w[i] = [((d // g) * y - (b // g) * x) % n for x, y in zip(wp, wi)]
+            w[p], w[i] = _combined(wp, w[i], s, t, -(b // g), d // g, n)
             rest = odd[1:]
         row = w[p]
         d = row[j]
-        for i, above in enumerate(h):
-            if above[j] >= d:
-                q = above[j] // d
-                h[i] = [(x - q * y) % n for x, y in zip(above, row)]
+        for above in h:
+            if above.get(j, 0) >= d:
+                _axpy(above, row, above[j] // d, n)
         h.append(row)
-        w[p] = [(n // d) * x % n for x in row]
+        w[p] = _scaled(row, n // d, n) if d > 1 else {}  # n*row is zero
     return h
-
-
-def _howell_numpy(w: np.ndarray, n: int) -> np.ndarray:
-    """`howell_form` on an int64 array reduced mod n, which is overwritten."""
-    k = w.shape[1]
-    h = np.zeros((k, k), dtype=np.int64)
-    r = 0
-    for j in range(k):
-        nz = np.flatnonzero(w[:, j])
-        if not nz.size:
-            continue
-        # the entry with the least gcd(., n) needs the fewest gcd steps
-        p = int(nz[np.argmin(np.gcd(w[nz, j], n))])
-        w[p] = (unit_multiplier(int(w[p, j]), n) * w[p]) % n
-        rest = nz[nz != p]  # the other rows nonzero in column j
-        while rest.size:
-            d = int(w[p, j])
-            q, rem = np.divmod(w[rest, j], d)
-            w[rest] = (w[rest] - q[:, None] * w[p]) % n
-            odd = np.flatnonzero(rem)
-            if not odd.size:
-                break
-            i, b = int(rest[odd[0]]), int(rem[odd[0]])
-            g, s, t = xgcd(d, b)
-            w[p], w[i] = (s * w[p] + t * w[i]) % n, ((d // g) * w[i] - (b // g) * w[p]) % n
-            rest = rest[odd[1:]]
-        d = int(w[p, j])
-        h[r] = w[p]
-        above = np.flatnonzero(h[:r, j] >= d)
-        if above.size:
-            h[above] = (h[above] - (h[above, j] // d)[:, None] * h[r]) % n
-        w[p] = ((n // d) * h[r]) % n
-        r += 1
-    return h[:r]
 
 
 @_memoized
 def _solve(n: int, dims, flat) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """`solve_left` on Python ints: `flat` lists a (m x k), then b (t x k).
+    """`solve_left` on `flat`, which lists a (m x k), then b (t x k).
 
     The Howell form goes through `howell_form` itself, so that every Howell
     form the package builds is one call of it.
@@ -240,7 +240,7 @@ def _solve(n: int, dims, flat) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         j = next(c for c, x in enumerate(row) if x)
         if j >= k:
             break
-        pivots.append((row, j, row[j]))
+        pivots.append((_sparse(row), j, row[j]))
     sols = []
     for s in range(m, m + t):
         # the last m entries of res track -y, so y @ a == b once res[:k] is zero
@@ -251,50 +251,19 @@ def _solve(n: int, dims, flat) -> Optional[Tuple[np.ndarray, np.ndarray]]:
                 if v % d:
                     return None
                 q = v // d
-                res = [(x - q * y) % n for x, y in zip(res, row)]
+                for c, y in row.items():
+                    res[c] = (res[c] - q * y) % n
         if any(res[:k]):
             return None
         sols.append([-x % n for x in res[k:]])
     return _array(sols, m), _array([row[k:] for row in h[len(pivots) :]], m)
 
 
-def _solve_left_numpy(a: np.ndarray, b: np.ndarray, n: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """`solve_left` on int64 arrays reduced mod n."""
-    m, k = a.shape
-    h = howell_form(np.hstack([a, np.eye(m, dtype=np.int64)]), n)
-    # rows are ordered by pivot column, so the rows pivoting in a come first
-    pivots = []
-    for i, row in enumerate(h):
-        j = int(np.argmax(row != 0))
-        if j >= k:
-            break
-        pivots.append((i, j, int(row[j])))
-    # copied, so the result does not keep all of h alive
-    kernel = h[len(pivots) :, k:].copy()
-    sols = np.zeros((b.shape[0], m), dtype=np.int64)
-    for t in range(b.shape[0]):
-        # the last m entries of res track -y, so y @ a == b once res[:k] is zero
-        res = np.hstack([b[t], np.zeros(m, dtype=np.int64)])
-        for i, j, d in pivots:
-            v = int(res[j])
-            if v == 0:
-                continue
-            if v % d != 0:
-                return None
-            res = (res - (v // d) * h[i]) % n
-        if res[:k].any():
-            return None
-        sols[t] = (-res[k:]) % n
-    return sols, kernel
-
-
-def _solve_flat(n: int, dims, flat) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """`solve_left` on the arguments `_solve` takes, on either path."""
-    (m, k), (t, _) = dims
-    if m * (m + k) <= _SMALL_CELLS:
-        return _solve(n, dims, flat)
-    a = np.array(flat[: m * k], dtype=np.int64).reshape(m, k)
-    return solve_left(a, np.array(flat[m * k :], dtype=np.int64).reshape(t, k), n)
+def _solve_args(a, b, n: int):
+    a, b = _matrix(a), _matrix(b)
+    if b.shape[1] != a.shape[1]:
+        raise ValueError(f"shape mismatch: a is {a.shape}, b is {b.shape}")
+    return n, (a.shape, b.shape), _flat(n, a, b)
 
 
 def solve_left(a, b, n: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -303,21 +272,11 @@ def solve_left(a, b, n: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     Returns (Y, K) where Y stacks one particular solution per row of b and
     the rows of K span the left kernel {y : y a == 0}; None if inconsistent.
     """
-    return _solve_left(a, b, n, _solve)
-
-
-def _solve_left(a, b, n: int, small) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    a, b = _matrix(a), _matrix(b)
-    if b.shape[1] != a.shape[1]:
-        raise ValueError(f"shape mismatch: a is {a.shape}, b is {b.shape}")
-    m, k = a.shape
-    if m * (m + k) > _SMALL_CELLS:
-        return _frozen(_solve_left_numpy(np.mod(a, n), np.mod(b, n), n))
-    return small(n, (a.shape, b.shape), _flat(n, a, b))
+    return _solve(*_solve_args(a, b, n))
 
 
 solve_left.cache_info, solve_left.cache_clear = _solve.cache_info, _solve.cache_clear
-solve_left.__wrapped__ = lambda a, b, n: _solve_left(a, b, n, _solve.__wrapped__)
+solve_left.__wrapped__ = lambda a, b, n: _solve.__wrapped__(*_solve_args(a, b, n))
 
 
 def quotient_order(a, orders: Sequence[int], n: int) -> int:
@@ -351,231 +310,74 @@ def quotient_order(a, orders: Sequence[int], n: int) -> int:
     return order
 
 
-class _Tracked:
-    """Matrix with its row transforms tracked alongside their inverses.
-
-    Column transforms act on the matrix alone: no caller reads them.
-    """
-
-    def __init__(self, a: np.ndarray, n: int):
-        self.n = n
-        self.d = a.copy()
-        m = a.shape[0]
-        self.u = np.eye(m, dtype=np.int64)
-        self.uinv = np.eye(m, dtype=np.int64)
-
-    def row_swap(self, i, j):
-        self.d[[i, j]] = self.d[[j, i]]
-        self.u[[i, j]] = self.u[[j, i]]
-        self.uinv[:, [i, j]] = self.uinv[:, [j, i]]
-
-    def col_swap(self, i, j):
-        self.d[:, [i, j]] = self.d[:, [j, i]]
-
-    def row_combine(self, i, j, s, t, p, q):
-        """rows (i,j) <- (s*ri + t*rj, p*ri + q*rj); [[s,t],[p,q]] unimodular."""
-        n = self.n
-        det = (s * q - t * p) % n
-        _, dinv, _ = xgcd(det, n)
-        dinv %= n
-        for mat in (self.d, self.u):
-            ri, rj = mat[i].copy(), mat[j].copy()
-            mat[i] = (s * ri + t * rj) % n
-            mat[j] = (p * ri + q * rj) % n
-        # inverse of [[s,t],[p,q]] is dinv*[[q,-t],[-p,s]], applied to columns
-        ci, cj = self.uinv[:, i].copy(), self.uinv[:, j].copy()
-        self.uinv[:, i] = (dinv * (q * ci - p * cj)) % n
-        self.uinv[:, j] = (dinv * (-t * ci + s * cj)) % n
-
-    def col_combine(self, i, j, s, t, p, q):
-        """cols (i,j) <- (s*ci + t*cj, p*ci + q*cj); [[s,t],[p,q]] unimodular."""
-        d, n = self.d, self.n
-        ci, cj = d[:, i].copy(), d[:, j].copy()
-        d[:, i] = (s * ci + t * cj) % n
-        d[:, j] = (p * ci + q * cj) % n
-
-    def row_scale(self, i, u):
-        n = self.n
-        _, uinv, _ = xgcd(u % n, n)
-        self.d[i] = (u * self.d[i]) % n
-        self.u[i] = (u * self.u[i]) % n
-        self.uinv[:, i] = (uinv * self.uinv[:, i]) % n
-
-    def rows_axpy(self, idx: np.ndarray, q: np.ndarray, p: int):
-        """rows[idx] -= q * row[p], batched."""
-        n = self.n
-        for mat in (self.d, self.u):
-            mat[idx] = (mat[idx] - q[:, None] * mat[p]) % n
-        self.uinv[:, p] = (self.uinv[:, p] + self.uinv[:, idx].dot(q)) % n
-
-    def cols_axpy(self, idx: np.ndarray, q: np.ndarray, p: int):
-        """cols[idx] -= q * col[p], batched."""
-        d = self.d
-        d[:, idx] = (d[:, idx] - q[None, :] * d[:, [p]]) % self.n
-
-
-def _diagonalize_numpy(a: np.ndarray, n: int):
-    """`diagonalize` on an int64 array reduced mod n."""
-    m, k = a.shape
-    t = _Tracked(a, n)
-    r = min(m, k)
-
-    def clear_at(p):
-        # choose the pivot once: entry with minimal gcd(., n), then smallest value
-        sub = t.d[p:, p:]
-        nz = np.argwhere(sub != 0)
-        if nz.size == 0:
-            return False
-        vals = sub[nz[:, 0], nz[:, 1]]
-        keys = np.gcd(vals, n) * (n + 1) + vals
-        order = np.lexsort((nz[:, 1], nz[:, 0], keys))
-        bi, bj = int(nz[order[0], 0]) + p, int(nz[order[0], 1]) + p
-        if bi != p:
-            t.row_swap(p, bi)
-        if bj != p:
-            t.col_swap(p, bj)
-        while True:
-            # each pass either performs only pivot-preserving divisible ops
-            # (then exits clean) or strictly decreases the pivot value
-            dirty = False
-            while True:
-                av = int(t.d[p, p])
-                colv = t.d[p + 1 :, p]
-                nzb = np.nonzero(colv)[0]
-                if nzb.size == 0:
-                    break
-                divisible = nzb[colv[nzb] % av == 0]
-                if divisible.size:
-                    idx = divisible + p + 1
-                    t.rows_axpy(idx, t.d[idx, p] // av, p)
-                rest = np.nonzero(t.d[p + 1 :, p])[0]
-                if rest.size == 0:
-                    break
-                i = int(rest[0]) + p + 1
-                b = int(t.d[i, p])
-                g, s, tt = xgcd(av, b)
-                t.row_combine(p, i, s % n, tt % n, (-(b // g)) % n, (av // g) % n)
-                dirty = True
-            while True:
-                av = int(t.d[p, p])
-                rowv = t.d[p, p + 1 :]
-                nzb = np.nonzero(rowv)[0]
-                if nzb.size == 0:
-                    break
-                divisible = nzb[rowv[nzb] % av == 0]
-                if divisible.size:
-                    idx = divisible + p + 1
-                    t.cols_axpy(idx, t.d[p, idx] // av, p)
-                rest = np.nonzero(t.d[p, p + 1 :])[0]
-                if rest.size == 0:
-                    break
-                j = int(rest[0]) + p + 1
-                b = int(t.d[p, j])
-                g, s, tt = xgcd(av, b)
-                t.col_combine(p, j, s % n, tt % n, (-(b // g)) % n, (av // g) % n)
-                dirty = True
-            if not dirty and not t.d[p + 1 :, p].any():
-                return True
-
-    rank = 0
-    for p in range(r):
-        if clear_at(p):
-            rank += 1
-        else:
-            break
-    # normalize diagonal entries to divisors of n
-    for p in range(rank):
-        t.row_scale(p, unit_multiplier(int(t.d[p, p]), n))
-        t.d[p, p] = gcd(int(t.d[p, p]), n)
-    # enforce the divisibility chain d_p | d_{p+1}
-    changed = True
-    while changed:
-        changed = False
-        for p in range(rank - 1):
-            dp, dq = int(t.d[p, p]), int(t.d[p + 1, p + 1])
-            if dq % dp != 0:
-                changed = True
-                t.row_combine(p, p + 1, 1, 1, 0, 1)  # row p += row p+1
-                av, b = int(t.d[p, p]), int(t.d[p, p + 1])
-                g, s, tt = xgcd(av, b)
-                t.col_combine(p, p + 1, s % n, tt % n, (-(b // g)) % n, (av // g) % n)
-                b2 = int(t.d[p + 1, p])
-                if b2:
-                    q = b2 // int(t.d[p, p])
-                    t.row_combine(p, p + 1, 1, 0, (-q) % n, 1)
-                t.row_scale(p, unit_multiplier(int(t.d[p, p]), n))
-                t.row_scale(p + 1, unit_multiplier(int(t.d[p + 1, p + 1]), n))
-                t.d[p, p] = gcd(int(t.d[p, p]), n)
-                t.d[p + 1, p + 1] = gcd(int(t.d[p + 1, p + 1]), n)
-    diag = [gcd(int(t.d[p, p]), n) if p < rank else n for p in range(m)]
-    # diagonal entries equal to n act as zero; fold them into the tail
-    chain = tuple(d if d != 0 else n for d in diag)
-    return chain, t.u % n, t.uinv % n
-
-
 @_memoized
 def _diagonalize(n: int, dims, flat):
-    """`_diagonalize_numpy` on lists of Python ints, `flat` the matrix: the
-    same pivots, gcd steps and row and column operations in the same order."""
+    """`diagonalize` on `flat`, the matrix's entries.
+
+    `d` and `u` are kept as sparse rows, and `uinv` as its sparse columns,
+    so every operation on `uinv` is a row operation on `uinv_cols`.  Column
+    operations act on `d` alone: no caller reads them.  `U` and `Uinv` are
+    not canonical, and `znmod.present` turns them into generator
+    coordinates that reach printed output, so the pivot rule and the order
+    of the operations below are part of the result.
+    """
     ((m, k),) = dims
-    d = [list(flat[i * k : (i + 1) * k]) for i in range(m)]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    uinv = [row[:] for row in u]
+    d = [_sparse(flat[i * k : (i + 1) * k]) for i in range(m)]
+    u = [{i: 1} for i in range(m)]
+    uinv_cols = [{i: 1} for i in range(m)]
 
     def row_swap(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-        for row in uinv:
-            row[i], row[j] = row[j], row[i]
+        for mat in (d, u, uinv_cols):
+            mat[i], mat[j] = mat[j], mat[i]
 
     def row_combine(i, j, s, t, p, q):
         """rows (i,j) <- (s*ri + t*rj, p*ri + q*rj); [[s,t],[p,q]] unimodular."""
         _, dinv, _ = xgcd((s * q - t * p) % n, n)
-        dinv %= n
         for mat in (d, u):
-            ri, rj = mat[i], mat[j]
-            mat[i] = [(s * x + t * y) % n for x, y in zip(ri, rj)]
-            mat[j] = [(p * x + q * y) % n for x, y in zip(ri, rj)]
+            mat[i], mat[j] = _combined(mat[i], mat[j], s, t, p, q, n)
         # inverse of [[s,t],[p,q]] is dinv*[[q,-t],[-p,s]], applied to columns
-        for row in uinv:
-            ci, cj = row[i], row[j]
-            row[i], row[j] = dinv * (q * ci - p * cj) % n, dinv * (-t * ci + s * cj) % n
+        uinv_cols[i], uinv_cols[j] = _combined(
+            uinv_cols[i], uinv_cols[j], dinv * q, -dinv * p, -dinv * t, dinv * s, n
+        )
 
     def col_combine(i, j, s, t, p, q):
         for row in d:
-            ci, cj = row[i], row[j]
-            row[i], row[j] = (s * ci + t * cj) % n, (p * ci + q * cj) % n
+            if i in row or j in row:
+                x, y = row.pop(i, 0), row.pop(j, 0)
+                if v := (s * x + t * y) % n:
+                    row[i] = v
+                if v := (p * x + q * y) % n:
+                    row[j] = v
 
     def row_scale(i, c):
-        _, cinv, _ = xgcd(c % n, n)
-        d[i] = [c * x % n for x in d[i]]
-        u[i] = [c * x % n for x in u[i]]
-        for row in uinv:
-            row[i] = cinv * row[i] % n
+        if c != 1:
+            _, cinv, _ = xgcd(c % n, n)
+            d[i], u[i] = _scaled(d[i], c, n), _scaled(u[i], c, n)
+            uinv_cols[i] = _scaled(uinv_cols[i], cinv, n)
 
     def clear_at(p):
-        nz = [(gcd(x, n) * (n + 1) + x, i, j) for i in range(p, m) for j, x in enumerate(d[i][p:], p) if x]
+        # the pivot: entry with minimal gcd(., n), then smallest value, row, column
+        nz = [(gcd(x, n) * (n + 1) + x, i, j) for i in range(p, m) for j, x in d[i].items() if j >= p]
         if not nz:
             return False
         _, bi, bj = min(nz)
         if bi != p:
             row_swap(p, bi)
         if bj != p:
-            for row in d:
-                row[p], row[bj] = row[bj], row[p]
+            col_combine(p, bj, 0, 1, 1, 0)  # swap columns p and bj
         while True:
+            # each pass either performs only pivot-preserving divisible ops
+            # (then exits clean) or strictly decreases the pivot value
             dirty = False
             while True:
                 av = d[p][p]
-                nzb = [i for i in range(p + 1, m) if d[i][p]]
+                nzb = [i for i in range(p + 1, m) if p in d[i]]
                 divisible = [(i, d[i][p] // av) for i in nzb if d[i][p] % av == 0]
-                for mat in (d, u):
-                    for i, q in divisible:
-                        mat[i] = [(x - q * y) % n for x, y in zip(mat[i], mat[p])]
-                if divisible:
-                    for row in uinv:
-                        row[p] = (row[p] + sum(row[i] * q for i, q in divisible)) % n
-                rest = [i for i in nzb if d[i][p]]
+                for i, q in divisible:
+                    _axpy(d[i], d[p], q, n)
+                    _axpy(u[i], u[p], q, n)
+                    _axpy(uinv_cols[p], uinv_cols[i], -q, n)
+                rest = [i for i in nzb if p in d[i]]
                 if not rest:
                     break
                 b = d[rest[0]][p]
@@ -584,46 +386,50 @@ def _diagonalize(n: int, dims, flat):
                 dirty = True
             while True:
                 av = d[p][p]
-                nzb = [j for j in range(p + 1, k) if d[p][j]]
+                nzb = sorted(j for j in d[p] if j > p)
                 divisible = [(j, d[p][j] // av) for j in nzb if d[p][j] % av == 0]
                 if divisible:
+                    qs = dict(divisible)
                     for row in d:
-                        for j, q in divisible:
-                            row[j] = (row[j] - q * row[p]) % n
-                rest = [j for j in nzb if d[p][j]]
+                        if p in row:
+                            _axpy(row, qs, row[p], n)
+                rest = [j for j in nzb if j in d[p]]
                 if not rest:
                     break
                 b = d[p][rest[0]]
                 g, s, tt = xgcd(av, b)
                 col_combine(p, rest[0], s % n, tt % n, -(b // g) % n, (av // g) % n)
                 dirty = True
-            if not dirty and not any(d[i][p] for i in range(p + 1, m)):
+            if not dirty and not any(p in d[i] for i in range(p + 1, m)):
                 return True
 
     rank = 0
     while rank < min(m, k) and clear_at(rank):
         rank += 1
+    # normalize diagonal entries to divisors of n
     for p in range(rank):
         row_scale(p, unit_multiplier(d[p][p], n))
         d[p][p] = gcd(d[p][p], n)
+    # enforce the divisibility chain d_p | d_{p+1}
     changed = True
     while changed:
         changed = False
         for p in range(rank - 1):
-            if d[p + 1][p + 1] % d[p][p]:
+            if d[p + 1].get(p + 1, 0) % d[p][p]:
                 changed = True
-                row_combine(p, p + 1, 1, 1, 0, 1)
-                av, b = d[p][p], d[p][p + 1]
+                row_combine(p, p + 1, 1, 1, 0, 1)  # row p += row p+1
+                av, b = d[p].get(p, 0), d[p].get(p + 1, 0)
                 g, s, tt = xgcd(av, b)
                 col_combine(p, p + 1, s % n, tt % n, -(b // g) % n, (av // g) % n)
-                if d[p + 1][p]:
+                if d[p + 1].get(p):
                     row_combine(p, p + 1, 1, 0, -(d[p + 1][p] // d[p][p]) % n, 1)
-                row_scale(p, unit_multiplier(d[p][p], n))
-                row_scale(p + 1, unit_multiplier(d[p + 1][p + 1], n))
-                d[p][p] = gcd(d[p][p], n)
-                d[p + 1][p + 1] = gcd(d[p + 1][p + 1], n)
-    chain = tuple(gcd(d[p][p], n) if p < rank else n for p in range(m))
-    return chain, _array(u, m), _array(uinv, m)
+                row_scale(p, unit_multiplier(d[p].get(p, 0), n))
+                row_scale(p + 1, unit_multiplier(d[p + 1].get(p + 1, 0), n))
+                d[p][p] = gcd(d[p].get(p, 0), n)
+                d[p + 1][p + 1] = gcd(d[p + 1].get(p + 1, 0), n)
+    # diagonal entries equal to n act as zero; fold them into the tail
+    chain = tuple(gcd(d[p].get(p, 0), n) if p < rank else n for p in range(m))
+    return chain, _array(_dense(u, m), m), _array(list(zip(*_dense(uinv_cols, m))), m)
 
 
 def diagonalize(a, n: int):
@@ -632,16 +438,13 @@ def diagonalize(a, n: int):
     tuple of the d_i, divisors of n in a divisibility chain (trailing
     entries may equal n, representing zero diagonal entries).
     """
-    return _diagonalize_entry(a, n, _diagonalize)
+    return _diagonalize(*_diagonalize_args(a, n))
 
 
-def _diagonalize_entry(a, n: int, small):
+def _diagonalize_args(a, n: int):
     a = _matrix(a)
-    m, k = a.shape
-    if m * (m + k) > _SMALL_CELLS:
-        return _frozen(_diagonalize_numpy(np.mod(a, n), n))
-    return small(n, (a.shape,), _flat(n, a))
+    return n, (a.shape,), _flat(n, a)
 
 
 diagonalize.cache_info, diagonalize.cache_clear = _diagonalize.cache_info, _diagonalize.cache_clear
-diagonalize.__wrapped__ = lambda a, n: _diagonalize_entry(a, n, _diagonalize.__wrapped__)
+diagonalize.__wrapped__ = lambda a, n: _diagonalize.__wrapped__(*_diagonalize_args(a, n))

@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import _solve_flat, diagonalize, quotient_order
+from .linalg import _solve, diagonalize, quotient_order
 
 # The largest accepted n: the largest with (n - 1)**3 < 2**63, so an
 # unreduced product of three residues (HomSystem's L @ scales @ R) and every
@@ -348,7 +348,7 @@ def solve_congruences(
     b_rows = [[c % rk * (n // rk) for c in row] for rk, row in zip(r, rhs.tolist())]
     # a @ x == b is x^T a^T == b^T: solve_left's operands are the columns
     flat = tuple(x for rows in (a_rows, b_rows) for col in zip(*rows) for x in col)
-    out = _solve_flat(n, ((len(om), len(r)), (rhs.shape[1], len(r))), flat)
+    out = _solve(n, ((len(om), len(r)), (rhs.shape[1], len(r))), flat)
     if out is None:
         return None
     y, kern = out

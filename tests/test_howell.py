@@ -2,7 +2,9 @@
 
 `reference_howell_form` is the earlier implementation, kept here as the
 oracle: an echelon pass, then the annihilator multiples of every pivot row
-re-echeloned with the rest until nothing changes.
+re-echeloned with the rest until nothing changes.  The same checks run on
+`linalg_oracle.howell_form`, the numpy kernel that other tests hold the
+package's kernel to.
 """
 
 import random
@@ -12,7 +14,7 @@ from typing import List, Tuple
 import numpy as np
 import pytest
 
-from quiverhom import linalg
+import linalg_oracle as oracle
 from quiverhom.linalg import howell_form, unit_multiplier, xgcd
 
 
@@ -113,14 +115,13 @@ def rand_mat(rng, rows, cols, n):
     return a
 
 
-@pytest.mark.parametrize("n", range(2, 13))
-def test_howell_form_against_brute_force(n):
+def _check_against_brute_force(howell, n):
     rng = random.Random(31 * n)
     for rows in range(4):
         for cols in range(1, 5):
             for _ in range(6):
                 a = rand_mat(rng, rows, cols, n)
-                h = howell_form(a, n)
+                h = howell(a, n)
                 full = span(a, n, cols)
                 assert np.array_equal(span(h, n, cols), full)
                 assert all(row.any() for row in h)
@@ -137,30 +138,31 @@ def test_howell_form_against_brute_force(n):
                 assert np.array_equal(h, reference_howell_form(a, n))
 
 
-@pytest.mark.parametrize("n", [12, 36, 72, 388, 1024])
-def test_howell_form_matches_reference_on_augmented_inputs(n):
+@pytest.mark.parametrize("n", range(2, 13))
+def test_howell_form_against_brute_force(n):
+    _check_against_brute_force(howell_form, n)
+
+
+def _check_against_reference_on_augmented_inputs(howell, n):
     rng = random.Random(n)
     for _ in range(30):
         m, k = rng.randrange(1, 13), rng.randrange(1, 13)
         aug = np.hstack([rand_mat(rng, m, k, n), np.eye(m, dtype=np.int64)])
-        h = howell_form(aug, n)
+        h = howell(aug, n)
         ref = reference_howell_form(aug, n)
         assert h.shape == ref.shape and np.array_equal(h, ref)
 
 
-@pytest.fixture
-def numpy_kernel(monkeypatch):
-    """Every input takes the numpy kernel, as inputs over the cutoff do; the
-    tests above run the Python-int kernel, which their inputs are small
-    enough to take."""
-    monkeypatch.setattr(linalg, "_SMALL_CELLS", -1)
+@pytest.mark.parametrize("n", [12, 36, 72, 388, 1024])
+def test_howell_form_matches_reference_on_augmented_inputs(n):
+    _check_against_reference_on_augmented_inputs(howell_form, n)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
-def test_numpy_howell_form_against_brute_force(n, numpy_kernel):
-    test_howell_form_against_brute_force(n)
+def test_numpy_howell_form_against_brute_force(n):
+    _check_against_brute_force(oracle.howell_form, n)
 
 
 @pytest.mark.parametrize("n", [12, 36, 72, 388, 1024])
-def test_numpy_howell_form_matches_reference_on_augmented_inputs(n, numpy_kernel):
-    test_howell_form_matches_reference_on_augmented_inputs(n)
+def test_numpy_howell_form_matches_reference_on_augmented_inputs(n):
+    _check_against_reference_on_augmented_inputs(oracle.howell_form, n)

@@ -1,4 +1,3 @@
-import collections
 import itertools
 import random
 from math import gcd
@@ -6,7 +5,8 @@ from math import gcd
 import numpy as np
 import pytest
 
-from quiverhom import linalg
+import linalg_oracle as oracle
+from quiverhom import linalg, znmod
 from quiverhom.linalg import (
     diagonalize,
     howell_form,
@@ -252,11 +252,11 @@ def test_memo_skips_inputs_over_64_cells():
         assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
-# -- the Python-int kernels against the numpy kernels ------------------------
+# -- the kernels against the numpy oracle -----------------------------------
 #
-# Inputs of at most linalg._SMALL_CELLS cells run on lists of Python ints.
-# Setting the cutoff to -1 sends every input to the numpy kernels, which are
-# the oracle: both must return identical results.
+# `linalg_oracle` holds the numpy kernels that large inputs took before each
+# operation had one kernel.  They do the same operations in the same order
+# on dense arrays, so both must return identical results.
 
 MODULI = (2, 4, 12, 72, 510510, 2097143, 2**21)
 
@@ -271,24 +271,6 @@ def _identical(x, y):
     return len(x) == len(y) and all(_identical(u, v) for u, v in zip(x, y))
 
 
-def _on_numpy(monkeypatch, f, *args):
-    with monkeypatch.context() as m:
-        m.setattr(linalg, "_SMALL_CELLS", -1)
-        return f(*args)
-
-
-def _numpy_kernel_calls(monkeypatch):
-    calls = collections.Counter()
-    for name in ("_howell_numpy", "_solve_left_numpy", "_diagonalize_numpy"):
-
-        def spy(*args, kernel=getattr(linalg, name), name=name):
-            calls[name] += 1
-            return kernel(*args)
-
-        monkeypatch.setattr(linalg, name, spy)
-    return calls
-
-
 def _divisor_scaled(rng, rows, cols, n):
     """Entries that are often zero divisors: each column times a divisor of n."""
     divisors = [d for d in (1, 2, 3, 4, 6, 8, 9, 12, 16, 17, 64, 1024, n // 2, n // 3) if d and n % d == 0]
@@ -297,7 +279,7 @@ def _divisor_scaled(rng, rows, cols, n):
 
 
 @pytest.mark.parametrize("n", MODULI)
-def test_int_and_numpy_kernels_agree(n, monkeypatch):
+def test_int_and_numpy_kernels_agree(n):
     rng = random.Random(n)
     shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (3, 2), (4, 4), (5, 8), (9, 6), (12, 20)]
     inconsistent = 0
@@ -308,38 +290,64 @@ def test_int_and_numpy_kernels_agree(n, monkeypatch):
             for b in (rand_mat(rng, 0, k, n), rand_mat(rng, 2, m, n).dot(a) % n, rand_mat(rng, 2, k, n)):
                 linalg.solve_left.cache_clear()
                 got = solve_left(a, b, n)
-                assert _identical(got, _on_numpy(monkeypatch, solve_left, a, b, n))
+                assert _identical(got, oracle.solve_left(a, b, n))
                 inconsistent += got is None
             # unreduced and negative entries are reduced once, on entry
             raw = a - n * rand_mat(rng, m, k, 3)
-            assert _identical(howell_form(raw, n), _on_numpy(monkeypatch, howell_form, a, n))
+            assert _identical(howell_form(raw, n), oracle.howell_form(a, n))
             linalg.diagonalize.cache_clear()
-            assert _identical(diagonalize(raw, n), _on_numpy(monkeypatch, diagonalize, a, n))
+            assert _identical(diagonalize(raw, n), oracle.diagonalize(a, n))
     assert inconsistent
 
 
 @pytest.mark.parametrize("n", [72, 2**21])
-def test_inputs_take_the_int_path_up_to_the_cutoff(n, monkeypatch):
-    calls = _numpy_kernel_calls(monkeypatch)
+def test_kernels_match_the_oracle_across_the_former_cutoff(n):
     rng = random.Random(5)
-    assert linalg._SMALL_CELLS == 1024
-    # howell_form counts rows * cols; solve_left and diagonalize rows * (rows + cols)
-    for kernel, shape, name in (
-        (howell_form, (32, 32), "_howell_numpy"),
-        (howell_form, (25, 41), "_howell_numpy"),
-        (solve_left, (16, 48), "_solve_left_numpy"),
-        (solve_left, (25, 16), "_solve_left_numpy"),
-        (diagonalize, (16, 48), "_diagonalize_numpy"),
-        (diagonalize, (25, 16), "_diagonalize_numpy"),
+    # 1,024 and 1,025 cells, the former cutoff between the kernels: counted
+    # rows * cols for howell_form, rows * (rows + cols) for the other two
+    for kernel, want, (m, k) in (
+        (howell_form, oracle.howell_form, (32, 32)),
+        (howell_form, oracle.howell_form, (25, 41)),
+        (solve_left, oracle.solve_left, (16, 48)),
+        (solve_left, oracle.solve_left, (25, 16)),
+        (diagonalize, oracle.diagonalize, (16, 48)),
+        (diagonalize, oracle.diagonalize, (25, 16)),
     ):
-        m, k = shape
-        cells = m * k if kernel is howell_form else m * (m + k)
         a = _divisor_scaled(rng, m, k, n)
         args = (a, rand_mat(rng, 2, m, n).dot(a) % n, n) if kernel is solve_left else (a, n)
-        before = calls[name]
-        got = kernel(*args)
-        assert calls[name] - before == (cells > 1024), (kernel.__name__, cells)
-        assert _identical(got, _on_numpy(monkeypatch, kernel, *args))
+        assert _identical(kernel(*args), want(*args)), (kernel.__name__, m, k)
+
+
+def _sparse_mat(rng, rows, cols, n, density):
+    """About `density` of the entries nonzero, each a random multiple of a
+    divisor of n, with some rows and columns left all zero, the last column
+    among them."""
+    divisors = [d for d in (1, 2, 3, 4, 8, 9, 17, 1024, n // 2, n // 3) if d and n % d == 0]
+    a = np.zeros((rows, cols), dtype=np.int64)
+    live_rows = [i for i in range(rows) if rng.random() < 0.9]
+    live_cols = [j for j in range(cols - 1) if rng.random() < 0.9]
+    for _ in range(round(density * rows * cols)):
+        if live_rows and live_cols:
+            a[rng.choice(live_rows), rng.choice(live_cols)] = rng.randrange(1, n) * rng.choice(divisors) % n
+    return a
+
+
+@pytest.mark.parametrize("n", [72, 2097143, 2**21])
+def test_kernels_match_the_oracle_on_large_sparse_inputs(n):
+    """Shapes and densities like the largest inputs `ext`, `purity` and
+    `classify` build on bigger quivers: about 110 x 160, 0.1-12 % nonzero."""
+    rng = random.Random(n + 1)
+    shapes = [(0, 40), (40, 0), (1, 150), (150, 1), (110, 160), (160, 110), (70, 70), (48, 96)]
+    for (m, k), density in zip(shapes, (0.05, 0.05, 0.12, 0.12, 0.001, 0.02, 0.12, 0.06)):
+        a = _sparse_mat(rng, m, k, n, density)
+        b = np.vstack([_sparse_mat(rng, 2, m, n, 0.1).dot(a) % n, _sparse_mat(rng, 1, k, n, 0.05)])
+        assert _identical(howell_form(a, n), oracle.howell_form(a, n)), (m, k)
+        # consistent rows; one off in the zero last column only; a random one
+        off = b[:1] + (np.arange(k) == k - 1)
+        for rhs in (b[:2], off, b):
+            assert _identical(solve_left(a, rhs, n), oracle.solve_left(a, rhs, n)), (m, k)
+        assert _identical(diagonalize(a, n), oracle.diagonalize(a, n)), (m, k)
+        assert _identical(diagonalize(a.T, n), oracle.diagonalize(a.T, n)), (k, m)
 
 
 @pytest.mark.parametrize("n", MODULI)
@@ -358,7 +366,11 @@ def test_solve_congruences_int_and_numpy_paths_agree(n, monkeypatch):
                 linalg.solve_left.cache_clear()
                 got = solve_congruences(a, rhs, r, orders, modulus)
                 assert got is not None or np.ndim(rhs) == 2
-                assert _identical(got, _on_numpy(monkeypatch, solve_congruences, a, rhs, r, orders, modulus))
+                with monkeypatch.context() as m:
+                    # the same checks and scaling, then the oracle's solve
+                    m.setattr(znmod, "_solve", oracle.solve_flat)
+                    want = solve_congruences(a, rhs, r, orders, modulus)
+                assert _identical(got, want)
 
 
 def test_solve_congruences_error_messages():
