@@ -22,6 +22,7 @@ with `--json`, a table otherwise.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import traceback
@@ -126,13 +127,13 @@ def cmd_rooted(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = Config.from_dict(load_json(args.config)) if args.config else Config()
-    if args.seed is not None:
-        cfg.master_seed = args.seed
-    if args.modulus_list:
-        cfg.moduli = tuple(args.modulus_list)
-    if args.suite != "all":
-        cfg.suites = (args.suite,)
+    base = Config.from_dict(load_json(args.config)) if args.config else Config()
+    cfg = dataclasses.replace(
+        base,
+        master_seed=base.master_seed if args.seed is None else args.seed,
+        moduli=tuple(args.modulus_list) if args.modulus_list else base.moduli,
+        suites=base.suites if args.suite == "all" else (args.suite,),
+    )
     cfg.validate()
     if args.trials is not None and args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")

@@ -118,7 +118,7 @@ class UsageError(ValueError):
     """A configuration or command line the harness will not run."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
     moduli: Tuple[int, ...] = (2, 3, 4, 8, 9)
     max_arrows: int = 8

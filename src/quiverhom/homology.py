@@ -52,6 +52,7 @@ from .znmod import (
     is_mono,
     kernel_of_hom,
     kernel_order,
+    kron,
     present,
     solve_congruences,
     splits,
@@ -249,11 +250,11 @@ class ExtComputation:
             if not r[i] or not yj:
                 continue
             row = rows[nv + s]
-            mat[row, cols[index[i]]] += np.kron(np.eye(r[i], dtype=np.int64), y.map(a.id).matrix)
+            mat[row, cols[index[i]]] += kron(np.eye(r[i], dtype=np.int64), y.map(a.id).matrix)
             phi = x.map(a.id).matrix
             if m % 2:
                 phi = phi * d[i][None, :] // d[j][:, None]
-            mat[row, cols[index[j]]] -= np.kron(phi.T % n, np.eye(yj, dtype=np.int64))
+            mat[row, cols[index[j]]] -= kron(phi.T % n, np.eye(yj, dtype=np.int64))
             if m:
                 mat[row, cols[nv + s]] = -np.diag(np.repeat(boundary(i, m), yj))
         return mat % _column(self.orders[m + 1])

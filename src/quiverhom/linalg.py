@@ -2,7 +2,9 @@
 two-sided diagonalization, and the order of a quotient by a column span.
 
 Matrices come in as array_like and go out as numpy int64 arrays with
-entries in [0, N); every input is reduced mod N once, on entry.  Each
+entries in [0, N); every input is reduced mod N once, on entry.
+`solve_left` and `diagonalize` read a list or tuple as a sequence of rows
+of Python ints, without numpy, and build their memo keys themselves.  Each
 operation has one kernel, in Python ints.  The working rows of `howell_form`,
 `solve_left` and `diagonalize` are dicts from column to nonzero entry, so a
 row update reads only the support of its source row, a column operation
@@ -76,10 +78,17 @@ def _matrix(a) -> np.ndarray:
     return m
 
 
-def _flat(n: int, *mats: np.ndarray) -> Tuple[int, ...]:
-    """The entries of `mats`, one matrix after another, row-major, as
-    Python ints reduced mod n."""
-    return tuple(x % n for m in mats for x in m.ravel().tolist())
+def _entries(a, n: int) -> Tuple[int, Optional[int], List[int]]:
+    """(rows, cols, entries) of the matrix `a`, array_like or a list or
+    tuple of rows of Python ints: its entries row-major, reduced mod n.  A
+    sequence with no rows has no column count of its own; cols is None."""
+    if isinstance(a, (list, tuple)):
+        lengths = set(map(len, a))
+        if len(lengths) > 1:
+            raise ValueError(f"matrix rows differ in length: {sorted(lengths)}")
+        return len(a), (lengths.pop() if lengths else None), [x % n for row in a for x in row]
+    a = _matrix(a)
+    return a.shape[0], a.shape[1], [x % n for x in a.ravel().tolist()]
 
 
 def _array(rows, cols: int) -> np.ndarray:
@@ -142,10 +151,10 @@ def _combined(ri, rj, s: int, t: int, p: int, q: int, n: int):
 def _memoized(small):
     """Memoize the kernel `small(n, dims, flat)` on small inputs.
 
-    `dims` holds each input matrix's (rows, cols) and `flat` their entries
-    as `_flat` lists them, so the arguments are the key.  Inputs of at most
-    `_MEMO_MAX_CELLS` cells go through an LRU cache of 4096 entries; larger
-    ones call the kernel directly.  Results are read-only, since cached
+    `dims` holds each input matrix's (rows, cols) and `flat` their entries,
+    one matrix after another as `_entries` lists them, so the arguments are
+    the key.  Inputs of at most `_MEMO_MAX_CELLS` cells go through an LRU
+    cache of 4096 entries; larger ones call the kernel directly.  Results are read-only, since cached
     ones are shared by every caller.
     """
     cached = functools.lru_cache(maxsize=4096)(small)
@@ -259,24 +268,20 @@ def _solve(n: int, dims, flat) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     return _array(sols, m), _array([row[k:] for row in h[len(pivots) :]], m)
 
 
-def _solve_args(a, b, n: int):
-    a, b = _matrix(a), _matrix(b)
-    if b.shape[1] != a.shape[1]:
-        raise ValueError(f"shape mismatch: a is {a.shape}, b is {b.shape}")
-    return n, (a.shape, b.shape), _flat(n, a, b)
-
-
 def solve_left(a, b, n: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Solve Y @ a == b (mod n) for each row of b.
 
     Returns (Y, K) where Y stacks one particular solution per row of b and
     the rows of K span the left kernel {y : y a == 0}; None if inconsistent.
+    A sequence `a` with no rows takes its column count from `b`.
     """
-    return _solve(*_solve_args(a, b, n))
-
-
-solve_left.cache_info, solve_left.cache_clear = _solve.cache_info, _solve.cache_clear
-solve_left.__wrapped__ = lambda a, b, n: _solve.__wrapped__(*_solve_args(a, b, n))
+    m, k, fa = _entries(a, n)
+    t, kb, fb = _entries(b, n)
+    if k is None:
+        k = kb or 0
+    if kb not in (None, k):
+        raise ValueError(f"shape mismatch: a is {(m, k)}, b is {(t, kb)}")
+    return _solve(n, ((m, k), (t, k)), tuple(fa + fb))
 
 
 def quotient_order(a, orders: Sequence[int], n: int) -> int:
@@ -438,13 +443,5 @@ def diagonalize(a, n: int):
     tuple of the d_i, divisors of n in a divisibility chain (trailing
     entries may equal n, representing zero diagonal entries).
     """
-    return _diagonalize(*_diagonalize_args(a, n))
-
-
-def _diagonalize_args(a, n: int):
-    a = _matrix(a)
-    return n, (a.shape,), _flat(n, a)
-
-
-diagonalize.cache_info, diagonalize.cache_clear = _diagonalize.cache_info, _diagonalize.cache_clear
-diagonalize.__wrapped__ = lambda a, n: _diagonalize.__wrapped__(*_diagonalize_args(a, n))
+    m, k, flat = _entries(a, n)
+    return _diagonalize(n, ((m, k or 0),), tuple(flat))

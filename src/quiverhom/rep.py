@@ -44,6 +44,7 @@ from .znmod import (
     is_epi,
     is_mono,
     kernel_of_hom,
+    kron,
     matlis_dual,
     matlis_dual_hom,
     present,
@@ -638,16 +639,12 @@ def right_adjoint(q: Quiver, qsub: Quiver, x: Representation) -> Representation:
     return RightAdjointRep(q, qsub, x).rep
 
 
+@lru_cache(maxsize=64)
 def coinduced(q: Quiver, modulus: Modulus, v: VertexId, m: FinMod) -> RightAdjointRep:
     """e^v(m): the right adjoint of restriction to the one-vertex subquiver
     at v, applied to m.  Its value at w is the product of copies of m indexed
     by the paths from w to v.  Read-only and shared: equal arguments get the
     same object from a bounded memo."""
-    return _coinduced(q, modulus, v, m)
-
-
-@lru_cache(maxsize=64)
-def _coinduced(q: Quiver, modulus: Modulus, v: VertexId, m: FinMod) -> RightAdjointRep:
     one = Quiver((v,), ())
     return RightAdjointRep(q, one, Representation(one, modulus, {v: m}, {}))
 
@@ -732,8 +729,8 @@ def _tensor_relations(y: Representation, x: Representation) -> Tuple[np.ndarray,
         if not (ym.shape[1] and xm.shape[1]):
             continue  # no pairs (s, t) at (j, i)
         rel = np.zeros((len(orders), ym.shape[1] * xm.shape[1]), dtype=np.int64)
-        rel[slices[a.src]] += _kron(ym, np.eye(xm.shape[1], dtype=np.int64))
-        rel[slices[a.tgt]] -= _kron(np.eye(ym.shape[1], dtype=np.int64), xm)
+        rel[slices[a.src]] += kron(ym, np.eye(xm.shape[1], dtype=np.int64))
+        rel[slices[a.tgt]] -= kron(np.eye(ym.shape[1], dtype=np.int64), xm)
         rel %= orders[:, None]
         rels.append(rel[:, rel.any(axis=0)])
     return orders, slices, np.hstack(rels)
@@ -752,12 +749,6 @@ class TensorPresentation:
         self.y = y
         self.x = x
         self.module, self._proj, self._sect = present(np.hstack([np.diag(self.orders), rels]), x.modulus, generators=len(self.orders))
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two matrices by one broadcast product; np.kron itself
-    costs several times more on the few-by-few blocks used here."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def tensor_order(y: Representation, x: Representation) -> int:
@@ -779,7 +770,7 @@ def tensor_induced(pres_src: TensorPresentation, pres_tgt: TensorPresentation, t
     for v, rows in pres_tgt.slices.items():
         cols = pres_src.slices[v]
         if rows.stop > rows.start and cols.stop > cols.start:
-            big[rows, cols] = _kron(theta.components[v].matrix, f.components[v].matrix)
+            big[rows, cols] = kron(theta.components[v].matrix, f.components[v].matrix)
     big %= pres_tgt.orders[:, None]
     return ModHom(src, tgt, (pres_tgt._proj.dot(big) % src.modulus.n).dot(pres_src._sect))
 

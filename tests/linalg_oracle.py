@@ -5,7 +5,7 @@ the oracle for its one Python-int kernel per operation.
 are the package's former numpy kernels, unchanged.  They do the same
 pivots, gcd steps and row and column operations in the same order as the
 package's kernels, on dense int64 arrays, so `howell_form`, `solve_left`,
-`diagonalize` and `solve_flat` below must return results identical to the
+`diagonalize` and `solve_rows` below must return results identical to the
 package's: Howell rows, solutions, kernels, chains, `U` and `Uinv`.
 `_solve_left_numpy` builds its Howell form with this module's
 `howell_form`, so no oracle result goes through the package's kernels.
@@ -33,11 +33,11 @@ def solve_left(a, b, n: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     return _solve_left_numpy(_reduced(a, n), _reduced(b, n), n)
 
 
-def solve_flat(n: int, dims, flat) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """`solve_left` on the arguments `quiverhom.linalg._solve` takes."""
-    (m, k), (t, _) = dims
-    a = np.array(flat[: m * k], dtype=np.int64).reshape(m, k)
-    return solve_left(a, np.array(flat[m * k :], dtype=np.int64).reshape(t, k), n)
+def solve_rows(a, b, n: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """`solve_left` on sequences of int rows, as `quiverhom.znmod` passes
+    them: b has at least one row, which gives the column count of a."""
+    k = len(b[0])
+    return solve_left(np.array(a, dtype=np.int64).reshape(len(a), k), np.array(b, dtype=np.int64).reshape(len(b), k), n)
 
 
 def diagonalize(a, n: int):

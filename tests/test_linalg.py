@@ -209,17 +209,19 @@ def _memo_inputs():
         yield n, a, b
 
 
-def test_memo_matches_uncached_kernel():
+def test_memo_matches_uncached_kernel(monkeypatch):
     for n, a, b in _memo_inputs():
-        for kernel, args in ((solve_left, (a, b, n)), (diagonalize, (a, n))):
+        for kernel, memo, args in ((solve_left, linalg._solve, (a, b, n)), (diagonalize, linalg._diagonalize, (a, n))):
             first = kernel(*args)
             cached = kernel(*args)
-            assert kernel.cache_info().hits >= 1
-            kernel.cache_clear()
+            assert memo.cache_info().hits >= 1
+            memo.cache_clear()
             fresh = kernel(*args)
             assert _same_result(cached, first)
             assert _same_result(cached, fresh)
-            assert _same_result(cached, kernel.__wrapped__(*args))
+            with monkeypatch.context() as m:
+                m.setattr(linalg, "_MEMO_MAX_CELLS", -1)  # every input skips the cache
+                assert _same_result(cached, kernel(*args))
 
 
 def test_memo_results_are_read_only():
@@ -241,13 +243,13 @@ def test_memo_results_are_read_only():
 
 def test_memo_skips_inputs_over_64_cells():
     rng = random.Random(3)
-    for kernel, args in (
-        (solve_left, (rand_mat(rng, 8, 8, 6), rand_mat(rng, 1, 8, 6), 6)),
-        (diagonalize, (rand_mat(rng, 5, 13, 6), 6)),
+    for kernel, memo, args in (
+        (solve_left, linalg._solve, (rand_mat(rng, 8, 8, 6), rand_mat(rng, 1, 8, 6), 6)),
+        (diagonalize, linalg._diagonalize, (rand_mat(rng, 5, 13, 6), 6)),
     ):
-        before = kernel.cache_info()
+        before = memo.cache_info()
         kernel(*args)
-        after = kernel.cache_info()
+        after = memo.cache_info()
         assert after.currsize == before.currsize
         assert (after.hits, after.misses) == (before.hits, before.misses)
 
@@ -288,16 +290,29 @@ def test_int_and_numpy_kernels_agree(n):
             a = _divisor_scaled(rng, m, k, n) if rng.random() < 0.5 else rand_mat(rng, m, k, n)
             # rows of b: none, consistent ones, and (usually) inconsistent ones
             for b in (rand_mat(rng, 0, k, n), rand_mat(rng, 2, m, n).dot(a) % n, rand_mat(rng, 2, k, n)):
-                linalg.solve_left.cache_clear()
+                linalg._solve.cache_clear()
                 got = solve_left(a, b, n)
                 assert _identical(got, oracle.solve_left(a, b, n))
+                # the same matrices as rows of Python ints
+                assert _identical(solve_left(a.tolist(), b.tolist(), n), got)
                 inconsistent += got is None
             # unreduced and negative entries are reduced once, on entry
             raw = a - n * rand_mat(rng, m, k, 3)
             assert _identical(howell_form(raw, n), oracle.howell_form(a, n))
-            linalg.diagonalize.cache_clear()
+            linalg._diagonalize.cache_clear()
             assert _identical(diagonalize(raw, n), oracle.diagonalize(a, n))
+            assert _identical(diagonalize(raw.tolist(), n), oracle.diagonalize(a, n))
     assert inconsistent
+
+
+def test_solve_left_checks_the_shape_of_int_rows():
+    with pytest.raises(ValueError, match=r"^matrix rows differ in length: \[1, 2\]$"):
+        solve_left([[1, 2], [3]], [[0, 0]], 4)
+    with pytest.raises(ValueError, match=r"^shape mismatch: a is \(1, 2\), b is \(1, 1\)$"):
+        solve_left([[1, 2]], [[0]], 4)
+    # a with no rows takes its column count from b: y @ a is then zero
+    assert solve_left([], [[0, 0]], 4)[0].shape == (1, 0)
+    assert solve_left([], [[1, 0]], 4) is None
 
 
 @pytest.mark.parametrize("n", [72, 2**21])
@@ -363,12 +378,12 @@ def test_solve_congruences_int_and_numpy_paths_agree(n, monkeypatch):
             x = [rng.randrange(m) for m in orders]
             b = [sum(c * v for c, v in zip(row, x)) for row in a]
             for rhs in (b, np.array([b, [rng.randrange(n) for _ in r]], dtype=np.int64).reshape(2, rows).T):
-                linalg.solve_left.cache_clear()
+                linalg._solve.cache_clear()
                 got = solve_congruences(a, rhs, r, orders, modulus)
                 assert got is not None or np.ndim(rhs) == 2
                 with monkeypatch.context() as m:
                     # the same checks and scaling, then the oracle's solve
-                    m.setattr(znmod, "_solve", oracle.solve_flat)
+                    m.setattr(znmod, "solve_left", oracle.solve_rows)
                     want = solve_congruences(a, rhs, r, orders, modulus)
                 assert _identical(got, want)
 

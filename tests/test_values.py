@@ -150,22 +150,25 @@ def test_memoized_psi_and_phi_equal_a_fresh_computation(monkeypatch):
 def test_memoized_hom_properties_equal_a_fresh_computation(monkeypatch):
     # the kernels, cokernel orders and splitting verdicts of every hom a
     # `verify all` child asks about
-    memos = {name: getattr(znmod, name) for name in ("_kernel_of_hom", "_cokernel_order", "_splits")}
+    memos = {name: getattr(znmod, name) for name in ("_kernel_of_hom", "cokernel_order", "splits")}
     asked = {name: [] for name in memos}
     for name, cached in memos.items():
 
-        def recording(*a, _cached=cached, _args=asked[name]):
-            _args.append(a)
-            return _cached(*a)
+        def recording(*a, _cached=cached, _args=asked[name], **kw):
+            _args.append((a, tuple(kw.items())))  # splits takes epi by keyword
+            return _cached(*a, **kw)
 
-        monkeypatch.setattr(znmod, name, recording)
+        # every module that imported the memo calls it by its own binding
+        for mod in _package_modules():
+            if getattr(mod, name, None) is cached:
+                monkeypatch.setattr(mod, name, recording)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "all", "--seed", "42002", "--trials", "10", "--json"]) == 0
     for name, cached in memos.items():
         args = asked[name]
         assert len(args) > 2 * len(set(args)), name
-        for a in set(args):
-            assert cached(*a) == cached.__wrapped__(*a), (name, a)
+        for a, kw in set(args):
+            assert cached(*a, **dict(kw)) == cached.__wrapped__(*a, **dict(kw)), (name, a, kw)
 
 
 def test_memo_entry_goes_with_its_representation():
@@ -259,12 +262,13 @@ def test_every_memo_is_bounded_or_weak():
                 caches.append(f"{where}.{attr}")
                 assert obj.cache_info().maxsize is not None, f"{where}.{attr} is an unbounded cache"
     assert {
-        "quiverhom.rep._coinduced",
+        "quiverhom.rep.coinduced",
         "quiverhom.znmod._kernel_of_hom",
-        "quiverhom.znmod._cokernel_order",
-        "quiverhom.znmod._splits",
+        "quiverhom.znmod.cokernel_order",
+        "quiverhom.znmod.splits",
         "quiverhom.quiver.root_sequence",
         "quiverhom.linalg._solve",
+        "quiverhom.linalg._diagonalize",
     } <= set(caches)
     # a plain module-level or class-level container that grows while the
     # package works is an unbounded memo
