@@ -134,9 +134,6 @@ def cmd_verify(args) -> int:
         moduli=tuple(args.modulus_list) if args.modulus_list else base.moduli,
         suites=base.suites if args.suite == "all" else (args.suite,),
     )
-    cfg.validate()
-    if args.trials is not None and args.trials < 1:
-        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     reports = run_all(cfg, args.trials)
     bad = [r for r in reports if not r.ok]
     if args.json:

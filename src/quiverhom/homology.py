@@ -24,7 +24,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .linalg import quotient_order
-from .quiver import Quiver, VertexId, has_directed_cycle, out_arrows, paths_between, trivial_path
+from .quiver import Quiver, VertexId, has_directed_cycle, out_arrows, paths_between, root_sequence, trivial_path
 from .rep import (
     HomGroupRep,
     RepMorphism,
@@ -278,7 +278,7 @@ class ExtComputation:
         out = solve_congruences(gens, image, orders, [modulus.n] * k, modulus)
         assert out is not None, "image does not lie in the kernel (bug)"
         coboundaries, relations = out
-        quo, proj, sect = present(np.hstack([relations.T, coboundaries]), modulus, generators=k)
+        quo, proj, sect = present(np.hstack([relations.T, coboundaries]), modulus)
         return gens, quo, proj, sect
 
     def ext(self, m: int) -> FinMod:
@@ -546,8 +546,12 @@ def _left_injective_step(w: Representation):
     covers = {v: free_mod(modulus, kernels[v][0].rank) for v in q.vertices}
     singles = {v: coinduced(q, modulus, v, covers[v]) for v in q.vertices}
     total, injs, projs = direct_sum_reps([singles[v].rep for v in q.vertices])
-    vertex_order = _sinks_first_order(q)
     v_index = {v: t for t, v in enumerate(q.vertices)}
+    # sinks first: stage by stage of the root sequence, in quiver order within each
+    stages = root_sequence(q).stages
+    if stages[-1] != frozenset(q.vertices):
+        raise ValueError("quiver has a directed cycle")
+    vertex_order = [v for prev, cur in zip(stages, stages[1:]) for v in sorted(cur - prev, key=v_index.get)]
     pi_comps: Dict[VertexId, ModHom] = {}
     for wv in vertex_order:
         sysm = HomSystem(modulus)
@@ -578,19 +582,6 @@ def _left_injective_step(w: Representation):
     pi = RepMorphism(total, w, pi_comps)
     ker, incl = kernel_rep(pi)
     return total, pi, ker, incl
-
-
-def _sinks_first_order(q: Quiver) -> List[VertexId]:
-    order: List[VertexId] = []
-    remaining = set(q.vertices)
-    while remaining:
-        layer = [v for v in remaining if all(a.tgt not in remaining for a in out_arrows(q, v))]
-        if not layer:
-            raise ValueError("quiver has a directed cycle")
-        for v in sorted(layer, key=lambda t: q.vertices.index(t)):
-            order.append(v)
-            remaining.discard(v)
-    return order
 
 
 def totally_acyclic_injective_complex(

@@ -1,30 +1,32 @@
 """Exact matrix arithmetic over Z/N: Howell normal form, linear solvers,
 two-sided diagonalization, and the order of a quotient by a column span.
 
-Matrices come in as array_like and go out as numpy int64 arrays with
-entries in [0, N); every input is reduced mod N once, on entry.
-`solve_left` and `diagonalize` read a list or tuple as a sequence of rows
-of Python ints, without numpy, and build their memo keys themselves.  Each
-operation has one kernel, in Python ints.  The working rows of `howell_form`,
-`solve_left` and `diagonalize` are dicts from column to nonzero entry, so a
-row update reads only the support of its source row, a column operation
-skips the rows that are zero in both columns, and a pivot search reads only
-nonzero entries: the inputs the package builds are small, or large and a
-few percent nonzero.  The Howell form is the canonical echelon form for row
-modules over Z/N: unlike a plain echelon form it spans *all* row-module
-elements whose leading coordinates vanish, which is what makes greedy
-back-substitution and kernel extraction correct over a ring with zero
-divisors.  It is built in one pass over the columns: as each pivot row is
-fixed, its annihilator multiple (N/d)*row, zero in the pivot column, joins
-the rows still to be reduced, so the later columns absorb it and no second
-pass is needed.  `diagonalize` reduces on both sides but returns only the
-row transform and its inverse.
+Every matrix comes in through `_entries`, as an array_like or as a list
+or tuple of rows of Python ints (read without numpy), and is reduced mod N
+once, on entry; every matrix goes out through `_array`, as a read-only
+int64 array with entries in [0, N).  No other function calls numpy.
+`solve_left` and `diagonalize` build their memo keys from the entries.
+Each operation has one kernel, in Python ints, and the echelon kernel
+`_howell` serves `howell_form`, `solve_left` and `quotient_order` alike.
+The working rows of `_howell` and `diagonalize` are dicts from column to
+nonzero entry, so a row update reads only the support of its source row, a
+column operation skips the rows that are zero in both columns, and a pivot
+search reads only nonzero entries: the inputs the package builds are
+small, or large and a few percent nonzero.  The Howell form is the
+canonical echelon form for row modules over Z/N: unlike a plain echelon
+form it spans *all* row-module elements whose leading coordinates vanish,
+which is what makes greedy back-substitution and kernel extraction correct
+over a ring with zero divisors.  It is built in one pass over the columns:
+as each pivot row is fixed, its annihilator multiple (N/d)*row, zero in
+the pivot column, joins the rows still to be reduced, so the later columns
+absorb it and no second pass is needed.  `diagonalize` reduces on both
+sides but returns only the row transform and its inverse.
 """
 
 from __future__ import annotations
 
 import functools
-from math import gcd
+from math import gcd, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,23 +73,19 @@ def unit_multiplier(a: int, n: int) -> int:
 _MEMO_MAX_CELLS = 64
 
 
-def _matrix(a) -> np.ndarray:
-    m = np.asarray(a, dtype=np.int64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2d matrix, got shape {m.shape}")
-    return m
-
-
 def _entries(a, n: int) -> Tuple[int, Optional[int], List[int]]:
     """(rows, cols, entries) of the matrix `a`, array_like or a list or
-    tuple of rows of Python ints: its entries row-major, reduced mod n.  A
-    sequence with no rows has no column count of its own; cols is None."""
+    tuple of rows: its entries row-major, as Python ints reduced mod n (so
+    numpy scalars in the rows cannot wrap in the kernels).  A sequence with
+    no rows has no column count of its own; cols is None."""
     if isinstance(a, (list, tuple)):
         lengths = set(map(len, a))
         if len(lengths) > 1:
             raise ValueError(f"matrix rows differ in length: {sorted(lengths)}")
-        return len(a), (lengths.pop() if lengths else None), [x % n for row in a for x in row]
-    a = _matrix(a)
+        return len(a), (lengths.pop() if lengths else None), [int(x) % n for row in a for x in row]
+    a = np.asarray(a, dtype=np.int64)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2d matrix, got shape {a.shape}")
     return a.shape[0], a.shape[1], [x % n for x in a.ravel().tolist()]
 
 
@@ -185,10 +183,10 @@ def howell_form(a, n: int) -> np.ndarray:
     rows by its annihilator multiple (n/d)*row, zero in column j.  The
     working rows then span every element that vanishes up to column j.
     """
-    w = np.mod(_matrix(a), n)
-    k = w.shape[1]
-    h = _howell([_sparse(row) for row in w.tolist()], k, n)
-    return np.array(_dense(h, k), dtype=np.int64).reshape(len(h), k)
+    m, k, flat = _entries(a, n)
+    k = k or 0
+    h = _howell([_sparse(flat[i * k : (i + 1) * k]) for i in range(m)], k, n)
+    return _array(_dense(h, k), k)
 
 
 def _howell(w: List[Dict[int, int]], k: int, n: int) -> List[Dict[int, int]]:
@@ -237,13 +235,13 @@ def _howell(w: List[Dict[int, int]], k: int, n: int) -> List[Dict[int, int]]:
 def _solve(n: int, dims, flat) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """`solve_left` on `flat`, which lists a (m x k), then b (t x k).
 
-    The Howell form goes through `howell_form` itself, so that every Howell
-    form the package builds is one call of it.
+    The Howell form goes through `howell_form` itself, so that every solve
+    is one call of it in the benchmark's counters.
     """
     (m, k), (t, _) = dims
     # [a | I] spans the pairs (y a, y); its rows pivoting in a come first
     aug = [list(flat[i * k : (i + 1) * k]) + [int(i == c) for c in range(m)] for i in range(m)]
-    h = howell_form(np.array(aug, dtype=np.int64).reshape(m, k + m), n).tolist()
+    h = howell_form(aug, n).tolist()
     pivots = []
     for row in h:
         j = next(c for c, x in enumerate(row) if x)
@@ -287,32 +285,20 @@ def solve_left(a, b, n: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
 def quotient_order(a, orders: Sequence[int], n: int) -> int:
     """|(Z/m_1 + ... + Z/m_r) / column span of a|, each m_i dividing n.
 
-    Over Z, the columns of a and the m_i*e_i span a lattice L containing
-    nZ^r, and its index in Z^r is the product of the pivots of a column
-    echelon form.  Row by row, every column is folded by a unimodular gcd
-    step into a pivot column that starts as m_i*e_i and leaves that row
-    with a zero.  Since nZ^r lies in L, entries are reduced mod n at every
-    step; the arithmetic is in Python ints, without transforms or a cache.
+    The rows m_i*e_i and the columns of a span a submodule L of (Z/n)^r
+    whose Howell form has h rows with pivots d_j; each row adds a factor
+    n/d_j to |L|, so the quotient (Z/n)^r / L has order n^(r-h) * prod d_j.
+    It calls the Howell kernel directly, without `howell_form`'s array
+    conversions or a cache.
     """
-    r = len(orders)
-    cols = [[x % n for x in c] for c in np.asarray(a, dtype=np.int64).T.tolist()]
-    order = 1
-    for i, m in enumerate(orders):
-        piv = [0] * r
-        piv[i] = m
-        rest = []
-        for c in cols:
-            if c[i]:
-                g, s, t = xgcd(piv[i], c[i])
-                u, v = c[i] // g, piv[i] // g
-                pairs = list(zip(piv, c))
-                piv = [(s * x + t * y) % n for x, y in pairs]
-                c = [(u * x - v * y) % n for x, y in pairs]
-            if any(c):
-                rest.append(c)
-        order *= piv[i]
-        cols = rest
-    return order
+    r, c, flat = _entries(a, n)
+    if r != len(orders):
+        raise ValueError(f"expected one row per order: {r} rows, {len(orders)} orders")
+    c = c or 0
+    w = [{i: m % n} for i, m in enumerate(orders) if m % n]
+    w += [{i: x for i in range(r) if (x := flat[i * c + j])} for j in range(c)]
+    h = _howell(w, r, n)
+    return n ** (r - len(h)) * prod(row[min(row)] for row in h)  # a pivot leads its row
 
 
 @_memoized

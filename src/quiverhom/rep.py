@@ -748,7 +748,7 @@ class TensorPresentation:
         self.orders, self.slices, rels = _tensor_relations(y, x)
         self.y = y
         self.x = x
-        self.module, self._proj, self._sect = present(np.hstack([np.diag(self.orders), rels]), x.modulus, generators=len(self.orders))
+        self.module, self._proj, self._sect = present(np.hstack([np.diag(self.orders), rels]), x.modulus)
 
 
 def tensor_order(y: Representation, x: Representation) -> int:

@@ -22,7 +22,8 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -442,7 +443,7 @@ class HomSystem:
 # ---------------------------------------------------------------------------
 
 
-def present(relations, modulus: Modulus, generators: Optional[int] = None):
+def present(relations, modulus: Modulus):
     """Canonical form of the cokernel of a relations matrix over Z/n.
 
     Rows index generators, columns index relations.  Returns
@@ -452,9 +453,7 @@ def present(relations, modulus: Modulus, generators: Optional[int] = None):
     n = modulus.n
     rel = np.asarray(relations, dtype=np.int64)
     if rel.ndim != 2:
-        if generators is None:
-            raise ValueError("generator count required for an empty relations matrix")
-        rel = rel.reshape(generators, -1)
+        raise ValueError(f"expected a 2d relations matrix, got shape {rel.shape}")
     g = rel.shape[0]
     if g == 0:
         return zero_mod(modulus), np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0), dtype=np.int64)
@@ -485,7 +484,7 @@ def _direct_sum(mods: Tuple[FinMod, ...], modulus: Modulus):
         total = FinMod(modulus, all_factors)
         proj = sect = np.eye(g, dtype=np.int64)
     else:
-        total, proj, sect = present(np.diag(np.array(all_factors, dtype=np.int64)), modulus, generators=g)
+        total, proj, sect = present(np.diag(np.array(all_factors, dtype=np.int64)), modulus)
     injections, projections = [], []
     offset = 0
     for m in mods:
@@ -514,7 +513,7 @@ def subgroup_present(ambient_orders: Sequence[int], gens: Sequence[np.ndarray], 
     out = solve_congruences(gmat, np.zeros(len(amb), dtype=np.int64), amb, [modulus.n] * r, modulus)
     assert out is not None
     rel = out[1].T
-    sub, _, sect = present(rel, modulus, generators=r)
+    sub, _, sect = present(rel, modulus)
     incl = gmat.dot(sect) % modulus.n if sub.rank else np.zeros((len(amb), 0), dtype=np.int64)
     if amb:
         incl = incl % _factor_arrays(amb)[:, None]
@@ -547,7 +546,7 @@ def quotient_with_projection(ambient_orders: Sequence[int], gens: Sequence[np.nd
     if gens:
         cols.append(np.array([np.asarray(v, dtype=np.int64).reshape(g) for v in gens]).T)
     rel = np.hstack(cols) if cols else np.zeros((0, 0), dtype=np.int64)
-    quo, proj, sect = present(rel, modulus, generators=g)
+    quo, proj, sect = present(rel, modulus)
     return quo, proj, sect
 
 
@@ -617,7 +616,7 @@ def hom_group(m: FinMod, nmod: FinMod) -> Tuple[FinMod, List[ModHom]]:
     orders = hom_entry_orders(m.factors, nmod.factors).reshape(-1)
     scales = hom_entry_scales(m.factors, nmod.factors).reshape(-1)
     rel = np.diag(orders) if len(orders) else np.zeros((0, 0), dtype=np.int64)
-    grp, _, sect = present(rel, m.modulus, generators=len(orders))
+    grp, _, sect = present(rel, m.modulus)
     basis = []
     for k in range(grp.rank):
         entries = (sect[:, k] * scales) % m.modulus.n
@@ -791,18 +790,18 @@ def is_pure_module_ses(s: ModSES) -> Tuple[bool, Optional[int]]:
 
 
 class ModComplex:
-    """A window of a complex of modules; diff[k] maps degree k to k-1."""
+    """A window of a complex of modules; diffs[k] maps degree k to k-1.
+    Both tables are read-only mappings."""
 
-    def __init__(self, components: Dict[int, FinMod], diffs: Dict[int, ModHom]):
-        self.components = dict(components)
-        self.diffs = dict(diffs)
+    def __init__(self, components: Mapping[int, FinMod], diffs: Mapping[int, ModHom]):
+        self.components = MappingProxyType(dict(components))
+        self.diffs = MappingProxyType(dict(diffs))
         for k, d in self.diffs.items():
             if d.domain != self.components[k] or d.codomain != self.components[k - 1]:
                 raise ValueError(f"differential at degree {k} has wrong endpoints")
-        for k in self.diffs:
-            if k - 1 in self.diffs:
-                if not self.diffs[k - 1].compose(self.diffs[k]).is_zero:
-                    raise ValueError(f"d o d != 0 at degree {k}")
+        for k, d in self.diffs.items():
+            if k - 1 in self.diffs and not self.diffs[k - 1].compose(d).is_zero:
+                raise ValueError(f"d o d != 0 at degree {k}")
 
     def degrees(self):
         return sorted(self.components)

@@ -9,6 +9,9 @@ package's kernels, on dense int64 arrays, so `howell_form`, `solve_left`,
 package's: Howell rows, solutions, kernels, chains, `U` and `Uinv`.
 `_solve_left_numpy` builds its Howell form with this module's
 `howell_form`, so no oracle result goes through the package's kernels.
+`quotient_order` is the package's former column fold, a second echelon
+algorithm, unchanged: it must give the order the package reads off the
+Howell kernel.
 """
 
 from __future__ import annotations
@@ -42,6 +45,37 @@ def solve_rows(a, b, n: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
 
 def diagonalize(a, n: int):
     return _diagonalize_numpy(_reduced(a, n), n)
+
+
+def quotient_order(a, orders, n: int) -> int:
+    """|(Z/m_1 + ... + Z/m_r) / column span of a|, each m_i dividing n.
+
+    Over Z, the columns of a and the m_i*e_i span a lattice L containing
+    nZ^r, and its index in Z^r is the product of the pivots of a column
+    echelon form.  Row by row, every column is folded by a unimodular gcd
+    step into a pivot column that starts as m_i*e_i and leaves that row
+    with a zero.  Since nZ^r lies in L, entries are reduced mod n at every
+    step; the arithmetic is in Python ints, without transforms or a cache.
+    """
+    r = len(orders)
+    cols = [[x % n for x in c] for c in np.asarray(a, dtype=np.int64).T.tolist()]
+    order = 1
+    for i, m in enumerate(orders):
+        piv = [0] * r
+        piv[i] = m
+        rest = []
+        for c in cols:
+            if c[i]:
+                g, s, t = xgcd(piv[i], c[i])
+                u, v = c[i] // g, piv[i] // g
+                pairs = list(zip(piv, c))
+                piv = [(s * x + t * y) % n for x, y in pairs]
+                c = [(u * x - v * y) % n for x, y in pairs]
+            if any(c):
+                rest.append(c)
+        order *= piv[i]
+        cols = rest
+    return order
 
 
 def _howell_numpy(w: np.ndarray, n: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -8,6 +9,7 @@ from quiverhom import harness
 from quiverhom.harness import (
     Config,
     TrialReport,
+    UsageError,
     derive_seed,
     nonpure_fixture_ses,
     random_finmod,
@@ -122,6 +124,25 @@ def test_nonpure_fixture_builder():
 def test_unknown_suite():
     with pytest.raises(KeyError):
         run_suite("nope", Config(), 1)
+
+
+def test_config_validates_itself_at_construction():
+    with pytest.raises(UsageError, match="^trials must be positive$"):
+        Config(trials=0)
+    with pytest.raises(UsageError, match="^moduli must be"):
+        Config(moduli=(1,))
+    with pytest.raises(UsageError, match="^suites must be"):
+        dataclasses.replace(Config(), suites=("nope",))
+
+
+def test_an_explicit_trial_count_below_one_is_rejected():
+    cfg = Config(trials=3)
+    assert len(run_suite("rootedness", cfg)) == 3
+    for trials in (0, -2):
+        with pytest.raises(UsageError, match=f"^trials must be at least 1, got {trials}$"):
+            run_suite("rootedness", cfg, trials)
+        with pytest.raises(UsageError, match=f"^trials must be at least 1, got {trials}$"):
+            run_all(cfg, trials)
 
 
 def test_all_suites_one_trial(monkeypatch):

@@ -7,7 +7,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from quiverhom.quiver import Path, Quiver, a2, has_directed_cycle, kronecker, loop_quiver, make_quiver, paths_between
+from quiverhom.quiver import Path, Quiver, a2, has_directed_cycle, kronecker, loop_quiver, make_quiver, paths_between, root_sequence
 from quiverhom.rep import (
     HomGroupRep,
     RepMorphism,
@@ -30,7 +30,6 @@ from quiverhom import classify, harness, homology
 from quiverhom.homology import (
     ExtComputation,
     _free_rep,
-    _sinks_first_order,
     canonical_injective_embedding,
     ext,
     ext1_extension_count,
@@ -824,8 +823,10 @@ def _term_ranks(term):
     vertex, taken predecessors first, its rank less the paths into it from
     the generators before it."""
     q = term.quiver
+    stages = root_sequence(q).stages
+    sinks_first = [v for prev, cur in zip(stages, stages[1:]) for v in q.vertices if v in cur - prev]
     ranks = {}
-    for v in reversed(_sinks_first_order(q)):
+    for v in reversed(sinks_first):
         ranks[v] = term.vertex_modules[v].rank - sum(r * len(paths_between(q, u, v)) for u, r in ranks.items())
     return ranks
 
@@ -924,7 +925,7 @@ class YonedaExtComputation:
             k = gens.shape[1]
             image = self.deltas[m - 1] if m else np.zeros((len(orders), 0), dtype=np.int64)
             coboundaries, relations = solve_congruences(gens, image, orders, [modulus.n] * k, modulus)
-            self._ext_data[m] = (gens,) + present(np.hstack([relations.T, coboundaries]), modulus, generators=k)
+            self._ext_data[m] = (gens,) + present(np.hstack([relations.T, coboundaries]), modulus)
         return self._ext_data[m]
 
     def _check_degree(self, m):

@@ -10,6 +10,7 @@ from quiverhom import linalg, znmod
 from quiverhom.linalg import (
     diagonalize,
     howell_form,
+    quotient_order,
     solve_left,
     unit_multiplier,
     xgcd,
@@ -241,6 +242,18 @@ def test_memo_results_are_read_only():
     assert diagonalize(a, n) is diagonalize(a, n)
 
 
+def test_howell_form_reads_arrays_and_int_rows_and_is_read_only():
+    a = np.array([[2, 4, 6], [3, 0, 9]], dtype=np.int64)
+    h = howell_form(a, 12)
+    assert h.tolist() == [[1, 8, 3]]  # (3, 0, 9) - (2, 4, 6) generates both rows
+    assert _identical(howell_form(a.tolist(), 12), h)
+    assert howell_form(np.zeros((0, 3), dtype=np.int64), 12).shape == (0, 3)
+    assert howell_form([], 12).shape == (0, 0)
+    for out in (h, howell_form([], 12)):
+        with pytest.raises(ValueError):
+            out[...] = 0
+
+
 def test_memo_skips_inputs_over_64_cells():
     rng = random.Random(3)
     for kernel, memo, args in (
@@ -313,6 +326,18 @@ def test_solve_left_checks_the_shape_of_int_rows():
     # a with no rows takes its column count from b: y @ a is then zero
     assert solve_left([], [[0, 0]], 4)[0].shape == (1, 0)
     assert solve_left([], [[1, 0]], 4) is None
+
+
+@pytest.mark.parametrize("n", [2**61 - 1, 2**62])
+def test_rows_of_numpy_scalars_are_read_as_python_ints(n):
+    rng = random.Random(n)
+    for m, k in ((2, 2), (3, 4), (5, 3)):
+        a = np.array([rng.randrange(-(2**63), 2**63) for _ in range(m * k)], dtype=np.int64).reshape(m, k)
+        rows = list(a)  # numpy rows, whose scalars would wrap in int64 products
+        assert _identical(howell_form(rows, n), howell_form(a, n))
+        assert _identical(solve_left(rows, rows[:1], n), solve_left(a, a[:1], n))
+        assert _identical(diagonalize(rows, n), diagonalize(a, n))
+        assert quotient_order(rows, [n] * m, n) == quotient_order(a, [n] * m, n)
 
 
 @pytest.mark.parametrize("n", [72, 2**21])

@@ -9,6 +9,7 @@ import random
 import numpy as np
 import pytest
 
+import linalg_oracle as oracle
 from quiverhom.harness import Config, random_representation
 from quiverhom.homology import RepComplex, totally_acyclic_injective_complex
 from quiverhom.linalg import quotient_order
@@ -105,6 +106,32 @@ def test_quotient_order_is_exact_for_large_moduli():
     assert quotient_order([[2**60 + 2**59]], [n], n) == 2**59
     assert quotient_order([[2**60 + 2**59]], [2**60], n) == 2**59
     assert quotient_order(np.zeros((2, 3), dtype=np.int64), [n, 2**40], n) == n * 2**40
+
+
+@pytest.mark.parametrize("n", [2, 12, 72, 2**21, 2**61 - 1, 2**62])
+def test_quotient_order_matches_the_column_fold(n):
+    rng = random.Random(n)
+    divisors = [d for d in (1, 2, 3, 4, 6, 8, 9, 1024, 2**40, n // 2, n // 3, n) if d and n % d == 0]
+    for rows, cols in [(0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (3, 2), (4, 4), (5, 8), (8, 5)] * 4:
+        orders = [rng.choice(divisors) for _ in range(rows)]
+        # entries across the whole int64 range, or multiples of divisors of n
+        if rng.random() < 0.5:
+            entries = [rng.randrange(-(2**63), 2**63) for _ in range(rows * cols)]
+        else:
+            entries = [rng.randrange(-n, 2 * n) * rng.choice(divisors) % n - rng.choice((0, n)) for _ in range(rows * cols)]
+        a = np.array(entries, dtype=np.int64).reshape(rows, cols)
+        assert quotient_order(a, orders, n) == oracle.quotient_order(a, orders, n), (rows, cols, orders)
+        assert quotient_order(a.tolist(), orders, n) == oracle.quotient_order(a, orders, n)
+
+
+def test_quotient_order_needs_one_row_per_order():
+    with pytest.raises(ValueError, match=r"^expected one row per order: 2 rows, 1 orders$"):
+        quotient_order([[1], [2]], [4], 4)
+    with pytest.raises(ValueError, match=r"^expected one row per order: 1 rows, 2 orders$"):
+        quotient_order([[1]], [4, 4], 4)
+    with pytest.raises(ValueError, match=r"^expected one row per order: 0 rows, 1 orders$"):
+        quotient_order(np.zeros((0, 2), dtype=np.int64), [4], 4)
+    assert quotient_order([], [], 4) == 1
 
 
 def _old_rule_accepts(mat, dom, cod):

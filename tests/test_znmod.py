@@ -11,6 +11,7 @@ from quiverhom.znmod import (
     MAX_MODULUS,
     FinMod,
     HomSystem,
+    ModComplex,
     ModHom,
     ModSES,
     Modulus,
@@ -87,6 +88,13 @@ def test_present_named_examples():
     ]
     assert chains_card6 == [(6,)]
     assert m.factors == (6,)
+    assert present(np.zeros((0, 3), dtype=np.int64), Z4)[0].rank == 0
+
+
+def test_present_needs_a_2d_relations_matrix():
+    for rel in ([], [2, 0], np.zeros((1, 1, 1), dtype=np.int64)):
+        with pytest.raises(ValueError, match="^expected a 2d relations matrix"):
+            present(rel, Z4)
 
 
 def test_present_proj_sect_inverse():
@@ -622,7 +630,7 @@ def presented_sum(mods, modulus, presented=None):
     `presented` is that presentation when the caller already has it."""
     factors = [d for m in mods for d in m.factors]
     if presented is None:
-        presented = present(np.diag(np.array(factors, dtype=np.int64)), modulus, generators=len(factors))
+        presented = present(np.diag(np.array(factors, dtype=np.int64)), modulus)
     total, proj, sect = presented
     injs, projs = [], []
     offset = 0
@@ -646,7 +654,7 @@ def test_direct_sum_of_a_chain_is_the_presented_sum():
             for chain in itertools.combinations_with_replacement(divisors, k):
                 if any(b % a for a, b in zip(chain, chain[1:])):
                     continue
-                presented = present(np.diag(np.array(chain, dtype=np.int64)), modulus, generators=k)
+                presented = present(np.diag(np.array(chain, dtype=np.int64)), modulus)
                 assert presented[0].factors == chain
                 assert np.array_equal(presented[1], np.eye(k)) and np.array_equal(presented[2], np.eye(k))
                 if count % 5 == 0:
@@ -713,9 +721,22 @@ def test_gi_memo_does_not_hide_a_tampered_certificate():
     m = cyclic(Z4, 2)
     assert is_gi_certified(m)
     cx, wit = gi_module_certificate(m)
-    cx.diffs[1] = ModHom(cx.components[1], cx.components[0], (cx.diffs[1].matrix + 1) % 4)
-    assert not verify_gi_certificate(m, cx, wit)
+    # d_1 zero keeps d o d = 0, so only the replay can reject it
+    tampered = ModComplex(cx.components, {**cx.diffs, 1: zero_hom(cx.components[1], cx.components[0])})
+    assert not verify_gi_certificate(m, tampered, wit)
     assert is_gi_certified(m)
+
+
+def test_mod_complex_is_read_only_and_rejects_a_nonzero_d_o_d():
+    cx, _ = gi_module_certificate(cyclic(Z4, 2))
+    with pytest.raises(TypeError):
+        cx.diffs[1] = cx.diffs[0]
+    with pytest.raises(TypeError):
+        cx.components[0] = zero_mod(Z4)
+    # d_1 + 1 is multiplication by 3, and d_0 d_1 = 6 = 2 mod 4
+    tampered = ModHom(cx.components[1], cx.components[0], (cx.diffs[1].matrix + 1) % 4)
+    with pytest.raises(ValueError, match=r"^d o d != 0 at degree 1$"):
+        ModComplex(cx.components, {**cx.diffs, 1: tampered})
 
 
 def test_gi_memo_repeated_call_is_a_cache_hit():
