@@ -36,12 +36,12 @@ print("coker(diag(2,3)) over Z/6 =", m)
 grp, basis = hom_group(cyclic(Z4, 2), cyclic(Z4, 4))
 print("Hom(Z/2, Z/4) over Z/4:", grp, "with", len(basis), "generator(s)")
 # the generator doubles: it is the matrix [2]
-print("generator matrix:", basis[0].matrix.tolist())
+print("generator matrix:", [list(r) for r in basis[0].matrix])
 
 # --- Matlis duality ----------------------------------------------------------
 # Hom(-, Z/n) is exact on finite modules and fixes invariant factors.
 f = ModHom(cyclic(Z4, 4), cyclic(Z4, 4), [[2]])
-print("dual of doubling is doubling:", matlis_dual_hom(f).matrix.tolist())
+print("dual of doubling is doubling:", [list(r) for r in matlis_dual_hom(f).matrix])
 print("(Z/2)+ =", matlis_dual(cyclic(Z4, 2)))
 
 # --- injectivity from invariant factors --------------------------------------

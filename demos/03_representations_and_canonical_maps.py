@@ -22,7 +22,7 @@ ker, incl = kernel_of_hom(h)
 print("ker(psi_1) =", ker)
 
 # phi is dual, indexed by incoming arrows
-print("phi_2 matrix:", phi(x, 2).matrix.tolist())
+print("phi_2 matrix:", [list(r) for r in phi(x, 2).matrix])
 
 # hom groups of representations solve the naturality equations exactly
 grp, basis = hom_reps(x, x)
@@ -32,7 +32,7 @@ print("End(X) =", grp)
 e1 = coinduced(q, Z4, 1, m).rep
 print("e^1(Z/4):", e1)
 e2 = coinduced(q, Z4, 2, m).rep
-print("e^2(Z/4):", e2, "| arrow map:", e2.map("a").matrix.tolist())
+print("e^2(Z/4):", e2, "| arrow map:", [list(r) for r in e2.map("a").matrix])
 
 # restricting the right adjoint along the full subquiver recovers the input
 print("restrict(e^Q(X)) == X:", restrict(q, right_adjoint(q, q, x)) == x)

@@ -29,7 +29,7 @@ print("per-vertex evidence:", cv.evidence)
 cx, witness = gi_module_certificate(m2)
 print("module certificate verifies:", verify_gi_certificate(m2, cx, witness))
 print("differentials at degrees 0 and 1:",
-      cx.diffs[0].matrix.tolist(), cx.diffs[1].matrix.tolist())
+      [list(r) for r in cx.diffs[0].matrix], [list(r) for r in cx.diffs[1].matrix])
 
 # the representation-level certificate: a verified window of the totally
 # acyclic complex, with Hom-exactness replayed against the test family

@@ -33,8 +33,6 @@ import random
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .quiver import (
     Quiver,
     VertexId,
@@ -267,13 +265,13 @@ def random_representation(
 def random_rep_ses(rng: random.Random, x: Representation) -> RepSES:
     """A short exact sequence ending in a quotient of x: take the
     subrepresentation generated by random seed elements and quotient by it."""
-    seeds: Dict[VertexId, List[np.ndarray]] = {}
+    seeds: Dict[VertexId, List[Tuple[int, ...]]] = {}
     for v in x.quiver.vertices:
         m = x.vertex_modules[v]
         picks = []
         for _ in range(rng.randint(0, 2)):
             if m.rank:
-                picks.append(np.array([rng.randrange(d) for d in m.factors], dtype=np.int64))
+                picks.append(tuple(rng.randrange(d) for d in m.factors))
         seeds[v] = picks
     sub, incl = subrep_generated(x, seeds)
     _, proj = cokernel_rep(incl)
@@ -488,8 +486,7 @@ def _twisted_sum_ses(rng: random.Random, j1: Representation, j2: Representation)
     total, injs, projs = direct_sum_reps([j1, j2])
     homs = HomGroupRep(j1, j2)
     if homs.group.rank:
-        coords = np.array([rng.randrange(d) for d in homs.group.factors], dtype=np.int64)
-        theta = homs.from_coords(coords)
+        theta = homs.from_coords([rng.randrange(d) for d in homs.group.factors])
     else:
         theta = None
     if theta is None:

@@ -21,9 +21,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
-import numpy as np
-
-from .linalg import quotient_order
+from .linalg import Matrix, diag, hstack, identity, kron, matmul, mod_rows, quotient_order, transpose
 from .quiver import Quiver, VertexId, has_directed_cycle, out_arrows, paths_between, root_sequence, trivial_path
 from .rep import (
     HomGroupRep,
@@ -52,7 +50,6 @@ from .znmod import (
     is_mono,
     kernel_of_hom,
     kernel_order,
-    kron,
     present,
     solve_congruences,
     splits,
@@ -77,14 +74,15 @@ def _free_rep(q: Quiver, modulus: Modulus, ranks: Dict[VertexId, int]):
     mods = {w: free_mod(modulus, sum(ranks[v] * len(paths[v, w]) for v in sources)) for w in q.vertices}
     maps = {}
     for a in q.arrows:
-        mat = np.zeros((mods[a.tgt].rank, mods[a.src].rank), dtype=np.int64)
+        mat = [[0] * mods[a.src].rank for _ in range(mods[a.tgt].rank)]
         row = col = 0
         for v in sources:
             src, tgt = paths[v, a.src], paths[v, a.tgt]
             index = {p.arrows: t for t, p in enumerate(tgt)}
-            extended = np.array([index[p.arrows + (a,)] for p in src], dtype=np.int64)
+            extended = [index[p.arrows + (a,)] for p in src]
             for _ in range(ranks[v]):
-                mat[row + extended, col + np.arange(len(src))] = 1
+                for c, t in enumerate(extended):
+                    mat[row + t][col + c] = 1
                 row, col = row + len(tgt), col + len(src)
         maps[a.id] = ModHom(mods[a.src], mods[a.tgt], mat)
     return Representation(q, modulus, mods, maps), paths
@@ -111,14 +109,14 @@ def projective_cover_onto(x: Representation) -> Tuple[Representation, RepMorphis
     comps = {}
     for w in q.vertices:
         xw = x.vertex_modules[w]
-        blocks = [np.zeros((xw.rank, 0), dtype=np.int64)]
+        blocks = []
         for v in q.vertices:
             if ranks[v] and paths[v, w]:
-                # along[:, i, t] is column i of x along the t-th path, so the
-                # reshape orders the columns by generator, then by path
-                along = np.stack([x.along(p).matrix for p in paths[v, w]], axis=2)
-                blocks.append(along.reshape(xw.rank, ranks[v] * len(paths[v, w])))
-        comps[w] = ModHom(total.vertex_modules[w], xw, np.hstack(blocks))
+                # row r holds entry (r, i) of x along each path, ordered by
+                # generator i, then by path
+                mats = [x.along(p).matrix for p in paths[v, w]]
+                blocks.append(tuple(tuple(itertools.chain.from_iterable(zip(*rows))) for rows in zip(*mats)))
+        comps[w] = ModHom(total.vertex_modules[w], xw, hstack(blocks, xw.rank))
     return total, RepMorphism(total, x, comps)
 
 
@@ -143,7 +141,7 @@ def injective_hull(m: FinMod) -> Tuple[FinMod, ModHom]:
                 h *= p**k
         hull_factors.append(h)
     hull = FinMod(m.modulus, tuple(hull_factors))
-    embed = ModHom._closed(m, hull, np.diag(np.array([h // d for d, h in zip(m.factors, hull_factors)], dtype=np.int64)) if m.rank else np.zeros((0, 0), dtype=np.int64))
+    embed = ModHom._closed(m, hull, diag([h // d for d, h in zip(m.factors, hull_factors)]))
     return hull, embed
 
 
@@ -229,20 +227,24 @@ class ExtComputation:
             blocks += [(a.tgt, r[a.src]) for a in q.arrows]
         return blocks
 
-    def _delta(self, m: int) -> np.ndarray:
+    def _delta(self, m: int) -> Matrix:
         x, y, n = self.x, self.y, self.y.modulus.n
         q, r = x.quiver, self._ranks
         nv = len(q.vertices)
         cols, rows = _block_slices(self._blocks(m), y), _block_slices(self._blocks(m + 1), y)
-        mat = np.zeros((len(self.orders[m + 1]), len(self.orders[m])), dtype=np.int64)
-        d = {v: np.array(x.vertex_modules[v].factors, dtype=np.int64) for v in q.vertices}
+        mat = [[0] * len(self.orders[m]) for _ in self.orders[m + 1]]
+        d = {v: x.vertex_modules[v].factors for v in q.vertices}
 
-        def boundary(v: VertexId, k: int) -> np.ndarray:
-            return d[v] if k % 2 else n // d[v]
+        def boundary(v: VertexId, k: int, copies: int) -> Matrix:
+            return diag([e if k % 2 else n // e for e in d[v] for _ in range(copies)])
+
+        def add(rows: slice, cols: slice, block: Matrix, sign: int = 1):
+            for i, brow in zip(range(rows.start, rows.stop), block, strict=True):
+                mat[i][cols] = [u + sign * w for u, w in zip(mat[i][cols], brow, strict=True)]
 
         for t, v in enumerate(q.vertices):
             if r[v] and y.vertex_modules[v].rank:
-                mat[rows[t], cols[t]] = np.diag(np.repeat(boundary(v, m + 1), y.vertex_modules[v].rank))
+                add(rows[t], cols[t], boundary(v, m + 1, y.vertex_modules[v].rank))
         index = {v: t for t, v in enumerate(q.vertices)}
         for s, a in enumerate(q.arrows):
             i, j = a.src, a.tgt
@@ -250,16 +252,16 @@ class ExtComputation:
             if not r[i] or not yj:
                 continue
             row = rows[nv + s]
-            mat[row, cols[index[i]]] += kron(np.eye(r[i], dtype=np.int64), y.map(a.id).matrix)
+            add(row, cols[index[i]], kron(identity(r[i]), y.map(a.id).matrix))
             phi = x.map(a.id).matrix
             if m % 2:
-                phi = phi * d[i][None, :] // d[j][:, None]
-            mat[row, cols[index[j]]] -= kron(phi.T % n, np.eye(yj, dtype=np.int64))
+                phi = [[u * di // dj for u, di in zip(prow, d[i])] for prow, dj in zip(phi, d[j])]
+            add(row, cols[index[j]], kron(transpose(phi, r[i]), identity(yj)), -1)
             if m:
-                mat[row, cols[nv + s]] = -np.diag(np.repeat(boundary(i, m), yj))
-        return mat % _column(self.orders[m + 1])
+                add(row, cols[nv + s], boundary(i, m, yj), -1)
+        return mod_rows(mat, self.orders[m + 1])
 
-    def _data(self, m: int) -> Tuple[np.ndarray, FinMod, np.ndarray, np.ndarray]:
+    def _data(self, m: int) -> Tuple[Matrix, FinMod, Matrix, Matrix]:
         """(gens, quo, proj, sect): the k kernel generators of delta_m as
         columns, and Ext^m = Z/B presented once on them, with the maps
         between their coordinates in (Z/n)^k and those of Ext^m."""
@@ -267,18 +269,17 @@ class ExtComputation:
 
     def _present_ext(self, m: int):
         modulus, orders = self.y.modulus, self.orders[m]
-        zero = np.zeros(len(self.orders[m + 1]), dtype=np.int64)
-        out = solve_congruences(self.deltas[m], zero, self.orders[m + 1], orders, modulus)
+        out = solve_congruences(self.deltas[m], (0,) * len(self.orders[m + 1]), self.orders[m + 1], orders, modulus)
         assert out is not None
-        gens = out[1].T
-        k = gens.shape[1]
-        image = self.deltas[m - 1] if m else np.zeros((len(orders), 0), dtype=np.int64)
+        k = len(out[1])
+        gens = transpose(out[1], len(orders))
+        image = self.deltas[m - 1] if m else ((),) * len(orders)
         # the particular solution writes each coboundary in the generators,
         # and the kernel rows are the relations among them, which present Z
         out = solve_congruences(gens, image, orders, [modulus.n] * k, modulus)
         assert out is not None, "image does not lie in the kernel (bug)"
         coboundaries, relations = out
-        quo, proj, sect = present(np.hstack([relations.T, coboundaries]), modulus)
+        quo, proj, sect = present(hstack([transpose(relations, k), coboundaries], k), modulus)
         return gens, quo, proj, sect
 
     def ext(self, m: int) -> FinMod:
@@ -295,16 +296,14 @@ class ExtComputation:
         prev = quotient_order(self.deltas[m - 1], self.orders[m], n) if m else math.prod(self.orders[0])
         return quotient_order(self.deltas[m], self.orders[m + 1], n) * prev // math.prod(self.orders[m + 1])
 
-    def cocycle_to_ext_coords(self, m: int, cochains: np.ndarray) -> np.ndarray:
+    def cocycle_to_ext_coords(self, m: int, cochains: Matrix) -> Matrix:
         """The Ext^m coordinates of cocycles given by their coordinates in
         T^m, one column per cocycle, all solved at once."""
         gens, quo, proj, _ = self._data(m)
         c = ambient_coords_solve(self.orders[m], gens, cochains, self.y.modulus)
         if c is None:
             raise ValueError("not a cocycle")
-        if not quo.rank:
-            return np.zeros((0, cochains.shape[1]), dtype=np.int64)
-        return proj.dot(c) % _column(quo.factors)
+        return mod_rows(matmul(proj, c, len(cochains[0]) if len(cochains) else 0), quo.factors)
 
 
 def _check_degree(m: int):
@@ -331,15 +330,16 @@ def ext_induced_second(comp_src: ExtComputation, comp_tgt: ExtComputation, f: Re
     # lift every Ext generator to a cocycle through the section, postcompose
     # with f, project; f o g applies f_v to each column of a block copying
     # Y(v), so the postcomposition is one block-diagonal product
-    cocycles = gens.dot(sect) % _column(comp_src.orders[m])
-    post = np.zeros((len(comp_tgt.orders[m]), len(comp_src.orders[m])), dtype=np.int64)
+    cocycles = mod_rows(matmul(gens, sect, quo_s.rank), comp_src.orders[m])
+    post = [[0] * len(comp_src.orders[m]) for _ in comp_tgt.orders[m]]
     r = c = 0
     for v, copies in comp_src._blocks(m):
-        fv = f.components[v].matrix
+        fv = f.components[v]
         for _ in range(copies):
-            post[r : r + fv.shape[0], c : c + fv.shape[1]] = fv
-            r, c = r + fv.shape[0], c + fv.shape[1]
-    images = post.dot(cocycles) % _column(comp_tgt.orders[m])
+            for i, row in enumerate(fv.matrix):
+                post[r + i][c : c + fv.domain.rank] = row
+            r, c = r + fv.codomain.rank, c + fv.domain.rank
+    images = mod_rows(matmul(post, cocycles, quo_s.rank), comp_tgt.orders[m])
     return ModHom(quo_s, comp_tgt.ext(m), comp_tgt.cocycle_to_ext_coords(m, images))
 
 
@@ -351,10 +351,6 @@ def _block_slices(blocks: List[Tuple[VertexId, int]], y: Representation) -> List
         out.append(slice(at, at + size))
         at += size
     return out
-
-
-def _column(factors: Tuple[int, ...]) -> np.ndarray:
-    return np.array(factors, dtype=np.int64).reshape(-1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +381,9 @@ def _enumerate_module_homs(dom: FinMod, cod: FinMod) -> List[ModHom]:
     orders = hom_entry_orders(dom.factors, cod.factors)
     scales = hom_entry_scales(dom.factors, cod.factors)
     mats = []
-    for combo in itertools.product(*[range(int(o)) for o in orders.reshape(-1)]):
-        t = np.array(combo, dtype=np.int64).reshape(orders.shape)
-        mats.append(ModHom(dom, cod, t * scales))
+    for combo in itertools.product(*[range(o) for row in orders for o in row]):
+        t = iter(combo)
+        mats.append(ModHom(dom, cod, [[next(t) * s for s in row] for row in scales]))
     return mats
 
 
@@ -560,7 +556,7 @@ def _left_injective_step(w: Representation):
             u = a.tgt
             rhs_h = pi_comps[u].compose(total.map(a.id))
             sysm.add_matrix_equation(
-                [(var, w.map(a.id).matrix, np.eye(total.vertex_modules[wv].rank, dtype=np.int64), 1)],
+                [(var, w.map(a.id).matrix, identity(total.vertex_modules[wv].rank), 1)],
                 rhs_h.matrix,
                 w.vertex_modules[u].factors,
             )
@@ -575,7 +571,7 @@ def _left_injective_step(w: Representation):
         proj_g = single.projection(wv, trivial_path(wv)).compose(projs[v_index[wv]].components[wv])
         part = part - part.compose(inj_g).compose(proj_g)
         ker_mod, ker_incl = kernels[wv]
-        cover_map = ker_incl.compose(ModHom(covers[wv], ker_mod, np.eye(ker_mod.rank, dtype=np.int64)))
+        cover_map = ker_incl.compose(ModHom(covers[wv], ker_mod, identity(ker_mod.rank)))
         pi_comps[wv] = part + cover_map.compose(proj_g)
         if not is_epi(pi_comps[wv]):
             raise LeftResolutionFailure(wv, "component map is not onto")

@@ -13,9 +13,7 @@ Schemas:
 from __future__ import annotations
 
 import json
-from typing import Dict, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, Tuple
 
 from .quiver import Arrow, Quiver, VertexId
 from .rep import RepMorphism, RepSES, Representation
@@ -52,21 +50,31 @@ def _object(value, where: str) -> dict:
 
 
 def _int(value) -> int:
-    """value, if it is a JSON integer: int() and numpy would truncate a
-    float, parse a string and read true as 1."""
+    """value, if it is a JSON integer: int() would truncate a float, parse
+    a string and read true as 1."""
     if type(value) is not int:
         raise FormatError(f"expected an integer, got {json.dumps(value)}")
     return value
 
 
-def _matrix(value, rows: int, cols: int) -> np.ndarray:
-    entries = np.array(value, dtype=object)
-    for e in entries.flat:
-        _int(e)
-    try:
-        return entries.astype(np.int64).reshape(rows, cols)
-    except OverflowError as exc:
-        raise FormatError(f"entry outside the 64-bit range ({exc})") from exc
+def _matrix(value, rows: int, cols: int) -> Tuple[Tuple[int, ...], ...]:
+    """value, if it is a JSON array of `rows` arrays of `cols` integers
+    that fit in 64 bits; nothing is reshaped."""
+    if not isinstance(value, list) or len(value) != rows or any(not isinstance(r, list) or len(r) != cols for r in value):
+        raise FormatError(f"expected {rows} rows of {cols} integers, got {json.dumps(value)}")
+    out = tuple(tuple(map(_int, row)) for row in value)
+    for row in out:
+        for e in row:
+            if not -(2**63) <= e < 2**63:
+                raise FormatError(f"entry outside the 64-bit range ({e})")
+    return out
+
+
+def _known_keys(table: dict, keys: Iterable[str], where: str, what: str) -> None:
+    """Reject the keys of `table` that name no vertex or arrow of the quiver."""
+    unknown = sorted(set(table) - set(keys))
+    if unknown:
+        raise FormatError(f"{where}: unknown {what} {unknown}")
 
 
 def _vertices(value) -> Tuple[VertexId, ...]:
@@ -107,13 +115,15 @@ def _vertex_key(v: VertexId) -> str:
 def rep_block_to_dict(x: Representation) -> dict:
     return {
         "modules": {_vertex_key(v): list(x.vertex_modules[v].factors) for v in x.quiver.vertices},
-        "arrows_maps": {a.id: x.arrow_maps[a.id].matrix.tolist() for a in x.quiver.arrows},
+        "arrows_maps": {a.id: [list(row) for row in x.arrow_maps[a.id].matrix] for a in x.quiver.arrows},
     }
 
 
 def rep_block_from_dict(d: dict, q: Quiver, modulus: Modulus) -> Representation:
     modules = _object(_object(d, "representation block").get("modules", {}), "modules")
     arrows_maps = _object(d.get("arrows_maps", {}), "arrows_maps")
+    _known_keys(modules, map(_vertex_key, q.vertices), "modules", "vertices")
+    _known_keys(arrows_maps, (a.id for a in q.arrows), "arrows_maps", "arrows")
     mods: Dict[VertexId, FinMod] = {}
     for v in q.vertices:
         key = _vertex_key(v)
@@ -156,11 +166,11 @@ def rep_from_dict(d: dict) -> Representation:
 
 
 def morphism_to_dict(f: RepMorphism) -> dict:
-    return {_vertex_key(v): f.components[v].matrix.tolist() for v in f.source.quiver.vertices}
+    return {_vertex_key(v): [list(row) for row in f.components[v].matrix] for v in f.source.quiver.vertices}
 
 
 def morphism_from_dict(d: dict, src: Representation, tgt: Representation) -> RepMorphism:
-    _object(d, "morphism")
+    _known_keys(_object(d, "morphism"), map(_vertex_key, src.quiver.vertices), "morphism", "vertices")
     comps = {}
     for v in src.quiver.vertices:
         key = _vertex_key(v)

@@ -1,11 +1,14 @@
 """Exact matrix arithmetic over Z/N: Howell normal form, linear solvers,
-two-sided diagonalization, and the order of a quotient by a column span.
+two-sided diagonalization, the order of a quotient by a column span, and
+the few matrix helpers the package builds its systems with.
 
-Every matrix comes in through `_entries`, as an array_like or as a list
-or tuple of rows of Python ints (read without numpy), and is reduced mod N
-once, on entry; every matrix goes out through `_array`, as a read-only
-int64 array with entries in [0, N).  No other function calls numpy.
-`solve_left` and `diagonalize` build their memo keys from the entries.
+A matrix is a tuple of row tuples of Python ints; a matrix with no rows is
+`()`, and its column count comes from context, which is why `matmul`,
+`transpose` and `hstack` take one.  The kernels read every matrix through
+`_entries`, which takes any sequence of rows and reduces the entries mod N
+once, on entry; their results are tuples with entries in [0, N), so they
+are read-only and can be shared.  `solve_left` and `diagonalize` build
+their memo keys from the entries.
 Each operation has one kernel, in Python ints, and the echelon kernel
 `_howell` serves `howell_form`, `solve_left` and `quotient_order` alike.
 The working rows of `_howell` and `diagonalize` are dicts from column to
@@ -26,10 +29,12 @@ sides but returns only the row transform and its inverse.
 from __future__ import annotations
 
 import functools
+import itertools
 from math import gcd, prod
+from operator import index, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
+Matrix = Tuple[Tuple[int, ...], ...]
 
 
 def xgcd(a: int, b: int) -> Tuple[int, int, int]:
@@ -74,26 +79,58 @@ _MEMO_MAX_CELLS = 64
 
 
 def _entries(a, n: int) -> Tuple[int, Optional[int], List[int]]:
-    """(rows, cols, entries) of the matrix `a`, array_like or a list or
-    tuple of rows: its entries row-major, as Python ints reduced mod n (so
-    numpy scalars in the rows cannot wrap in the kernels).  A sequence with
-    no rows has no column count of its own; cols is None."""
-    if isinstance(a, (list, tuple)):
+    """(rows, cols, entries) of the matrix `a`, a sequence of rows of
+    integers: its entries row-major, as Python ints reduced mod n (so
+    fixed-width integer scalars in the rows cannot wrap in the kernels).  A
+    matrix with no rows has no column count of its own; cols is None."""
+    try:
         lengths = set(map(len, a))
-        if len(lengths) > 1:
-            raise ValueError(f"matrix rows differ in length: {sorted(lengths)}")
-        return len(a), (lengths.pop() if lengths else None), [int(x) % n for row in a for x in row]
-    a = np.asarray(a, dtype=np.int64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2d matrix, got shape {a.shape}")
-    return a.shape[0], a.shape[1], [x % n for x in a.ravel().tolist()]
+        entries = [index(x) % n for row in a for x in row]
+    except TypeError:
+        raise ValueError("expected a 2d matrix: a sequence of rows of integers") from None
+    if len(lengths) > 1:
+        raise ValueError(f"matrix rows differ in length: {sorted(lengths)}")
+    return len(a), (lengths.pop() if lengths else None), entries
 
 
-def _array(rows, cols: int) -> np.ndarray:
-    """Rows of Python ints as a read-only int64 array with `cols` columns."""
-    out = np.array(rows, dtype=np.int64).reshape(len(rows), cols)
-    out.flags.writeable = False
-    return out
+# ---------------------------------------------------------------------------
+# matrix helpers
+# ---------------------------------------------------------------------------
+
+
+def matmul(a: Matrix, b: Matrix, cols: int) -> Matrix:
+    """The product a b, where b has `cols` columns; entries unreduced."""
+    bt = transpose(b, cols)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
+
+
+def transpose(a: Matrix, cols: int) -> Matrix:
+    """The transpose of a, which has `cols` columns."""
+    return tuple(zip(*a, strict=True)) if a else ((),) * cols
+
+
+def hstack(blocks: Sequence[Matrix], rows: int) -> Matrix:
+    """The matrices `blocks`, each with `rows` rows, side by side."""
+    return tuple(tuple(itertools.chain.from_iterable(r)) for r in zip(((),) * rows, *blocks, strict=True))
+
+
+def kron(a: Matrix, b: Matrix) -> Matrix:
+    """The Kronecker product: row (r, s), column (i, j) is a[r][i] b[s][j]."""
+    return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
+
+
+def diag(entries: Sequence[int]) -> Matrix:
+    k = len(entries)
+    return tuple(tuple(x if i == j else 0 for j in range(k)) for i, x in enumerate(entries))
+
+
+def identity(k: int) -> Matrix:
+    return diag((1,) * k)
+
+
+def mod_rows(a: Matrix, moduli: Sequence[int]) -> Matrix:
+    """Row i of a reduced mod moduli[i]."""
+    return tuple(tuple(x % m for x in row) for row, m in zip(a, moduli, strict=True))
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +142,8 @@ def _sparse(row: Sequence[int]) -> Dict[int, int]:
     return {j: x for j, x in enumerate(row) if x}
 
 
-def _dense(rows: Sequence[Dict[int, int]], cols: int) -> List[List[int]]:
-    out = [[0] * cols for _ in rows]
-    for o, row in zip(out, rows):
-        for j, x in row.items():
-            o[j] = x
-    return out
+def _dense(rows: Sequence[Dict[int, int]], cols: int) -> Matrix:
+    return tuple(tuple(row.get(j, 0) for j in range(cols)) for row in rows)
 
 
 def _axpy(dst: Dict[int, int], src: Dict[int, int], q: int, n: int) -> None:
@@ -152,8 +185,8 @@ def _memoized(small):
     `dims` holds each input matrix's (rows, cols) and `flat` their entries,
     one matrix after another as `_entries` lists them, so the arguments are
     the key.  Inputs of at most `_MEMO_MAX_CELLS` cells go through an LRU
-    cache of 4096 entries; larger ones call the kernel directly.  Results are read-only, since cached
-    ones are shared by every caller.
+    cache of 4096 entries; larger ones call the kernel directly.  Results
+    are tuples, so the cached ones can be shared by every caller.
     """
     cached = functools.lru_cache(maxsize=4096)(small)
 
@@ -166,7 +199,7 @@ def _memoized(small):
     return memoized
 
 
-def howell_form(a, n: int) -> np.ndarray:
+def howell_form(a, n: int) -> Matrix:
     """Canonical Howell normal form of the row module of `a` over Z/n.
 
     Pivot entries divide n, entries above each pivot are reduced modulo the
@@ -185,8 +218,7 @@ def howell_form(a, n: int) -> np.ndarray:
     """
     m, k, flat = _entries(a, n)
     k = k or 0
-    h = _howell([_sparse(flat[i * k : (i + 1) * k]) for i in range(m)], k, n)
-    return _array(_dense(h, k), k)
+    return _dense(_howell([_sparse(flat[i * k : (i + 1) * k]) for i in range(m)], k, n), k)
 
 
 def _howell(w: List[Dict[int, int]], k: int, n: int) -> List[Dict[int, int]]:
@@ -232,7 +264,7 @@ def _howell(w: List[Dict[int, int]], k: int, n: int) -> List[Dict[int, int]]:
 
 
 @_memoized
-def _solve(n: int, dims, flat) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+def _solve(n: int, dims, flat) -> Optional[Tuple[Matrix, Matrix]]:
     """`solve_left` on `flat`, which lists a (m x k), then b (t x k).
 
     The Howell form goes through `howell_form` itself, so that every solve
@@ -241,7 +273,7 @@ def _solve(n: int, dims, flat) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     (m, k), (t, _) = dims
     # [a | I] spans the pairs (y a, y); its rows pivoting in a come first
     aug = [list(flat[i * k : (i + 1) * k]) + [int(i == c) for c in range(m)] for i in range(m)]
-    h = howell_form(aug, n).tolist()
+    h = howell_form(aug, n)
     pivots = []
     for row in h:
         j = next(c for c, x in enumerate(row) if x)
@@ -262,11 +294,11 @@ def _solve(n: int, dims, flat) -> Optional[Tuple[np.ndarray, np.ndarray]]:
                     res[c] = (res[c] - q * y) % n
         if any(res[:k]):
             return None
-        sols.append([-x % n for x in res[k:]])
-    return _array(sols, m), _array([row[k:] for row in h[len(pivots) :]], m)
+        sols.append(tuple(-x % n for x in res[k:]))
+    return tuple(sols), tuple(row[k:] for row in h[len(pivots) :])
 
 
-def solve_left(a, b, n: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+def solve_left(a, b, n: int) -> Optional[Tuple[Matrix, Matrix]]:
     """Solve Y @ a == b (mod n) for each row of b.
 
     Returns (Y, K) where Y stacks one particular solution per row of b and
@@ -288,8 +320,8 @@ def quotient_order(a, orders: Sequence[int], n: int) -> int:
     The rows m_i*e_i and the columns of a span a submodule L of (Z/n)^r
     whose Howell form has h rows with pivots d_j; each row adds a factor
     n/d_j to |L|, so the quotient (Z/n)^r / L has order n^(r-h) * prod d_j.
-    It calls the Howell kernel directly, without `howell_form`'s array
-    conversions or a cache.
+    It calls the Howell kernel directly, without `howell_form`'s dense
+    rows or a cache.
     """
     r, c, flat = _entries(a, n)
     if r != len(orders):
@@ -420,7 +452,7 @@ def _diagonalize(n: int, dims, flat):
                 d[p + 1][p + 1] = gcd(d[p + 1].get(p + 1, 0), n)
     # diagonal entries equal to n act as zero; fold them into the tail
     chain = tuple(gcd(d[p].get(p, 0), n) if p < rank else n for p in range(m))
-    return chain, _array(_dense(u, m), m), _array(list(zip(*_dense(uinv_cols, m))), m)
+    return chain, _dense(u, m), transpose(_dense(uinv_cols, m), m)
 
 
 def diagonalize(a, n: int):

@@ -14,8 +14,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
+from .linalg import identity, transpose
 from .quiver import has_directed_cycle, in_arrows, opposite
 from .rep import (
     RepMorphism,
@@ -83,7 +82,7 @@ def rep_retraction(f: RepMorphism) -> Optional[RepMorphism]:
     sysm, var = naturality_system(tgt, src)
     for v in q.vertices:
         side = src.vertex_modules[v]
-        eye = np.eye(side.rank, dtype=np.int64)
+        eye = identity(side.rank)
         sysm.add_matrix_equation([(var[v], eye, f.components[v].matrix, 1)], eye, side.factors)
     out = sysm.solve()
     if out is None:
@@ -121,7 +120,7 @@ def _vertex_top(x: Representation, v) -> FinMod:
     Z/d (x) top_v(X), of order `torsion_order(top_v(X), d)`: every relation
     of S (x) X comes from an arrow a into v, where S(a^op) is zero and X(a)
     leaves its image."""
-    gens = [col for a in in_arrows(x.quiver, v) for col in x.map(a.id).matrix.T]
+    gens = [col for a in in_arrows(x.quiver, v) for col in transpose(x.map(a.id).matrix, x.vertex_modules[a.src].rank)]
     return quotient_with_projection(x.vertex_modules[v].factors, gens, x.modulus)[0]
 
 

@@ -10,14 +10,14 @@ import hashlib
 import itertools
 import random
 import weakref
+from array import array
 from functools import lru_cache
 from math import gcd, prod
+from operator import add, mul
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-import numpy as np
-
-from .linalg import quotient_order
+from .linalg import Matrix, diag, hstack, identity, kron, matmul, mod_rows, quotient_order, transpose
 from .quiver import (
     Path,
     Quiver,
@@ -44,7 +44,6 @@ from .znmod import (
     is_epi,
     is_mono,
     kernel_of_hom,
-    kron,
     matlis_dual,
     matlis_dual_hom,
     present,
@@ -116,13 +115,13 @@ class Representation:
 
     def __hash__(self):
         # the tables are read-only and in quiver order, so the hash is
-        # computed once; equal reduced matrices have equal bytes
+        # computed once
         if self._hash is None:
             self._hash = hash((
                 self.quiver,
                 self.modulus,
                 tuple(self.vertex_modules.values()),
-                tuple(h.matrix.tobytes() for h in self.arrow_maps.values()),
+                tuple(h.matrix for h in self.arrow_maps.values()),
             ))
         return self._hash
 
@@ -134,21 +133,22 @@ class Representation:
 def _sum_of_composites(dom: FinMod, cod: FinMod, chains) -> ModHom:
     """The sum of the composites h_1 o ... o h_k, one per chain (h_1, ...,
     h_k) of homs from dom to cod, as one closed hom.  Each product is
-    reduced mod the factors of cod: the homs are well defined, so this is
-    the matrix that `compose` and `+` give, without their intermediate homs."""
-    col = np.array(cod.factors, dtype=np.int64)[:, None]
-    total = np.zeros((cod.rank, dom.rank), dtype=np.int64)
+    reduced mod the factors of cod once, at the end: the homs are well
+    defined, so this is the matrix that `compose` and `+` give, without
+    their intermediate homs."""
+    total = ((0,) * dom.rank,) * cod.rank
     for first, *rest in chains:
         m = first.matrix
         for h in rest:
-            m = m.dot(h.matrix) % col
-        total += m
+            m = matmul(m, h.matrix, h.domain.rank)
+        total = tuple(tuple(map(add, r, s)) for r, s in zip(total, m))
     return ModHom._closed(dom, cod, total)
 
 
 def rep_digest(x: Representation) -> str:
     """A short label for x, for reports: a hash of its quiver, modulus,
-    vertex factors and arrow matrices."""
+    vertex factors and arrow matrices (each as the bytes of its entries,
+    row-major, as native 64-bit ints)."""
     h = hashlib.sha256()
     h.update(repr(x.quiver).encode())
     h.update(str(x.modulus.n).encode())
@@ -156,7 +156,7 @@ def rep_digest(x: Representation) -> str:
         h.update(str(x.vertex_modules[v].factors).encode())
     for a in x.quiver.arrows:
         h.update(a.id.encode())
-        h.update(x.arrow_maps[a.id].matrix.tobytes())
+        h.update(array("q", [e for row in x.arrow_maps[a.id].matrix for e in row]).tobytes())
     return h.hexdigest()[:16]
 
 
@@ -187,12 +187,8 @@ class RepMorphism:
         self.source = source
         self.target = target
         self.components = _read_only(components, source.quiver.vertices, "vertex")
-        # Y(a) f_src == f_tgt X(a) as homs into Y(tgt): the matrices agree
-        # mod the target factors of their rows
         for a in source.quiver.arrows:
-            ya, xa = target.map(a.id).matrix, source.map(a.id).matrix
-            diff = ya.dot(self.components[a.src].matrix) - self.components[a.tgt].matrix.dot(xa)
-            if (diff % np.array(target.vertex_modules[a.tgt].factors, dtype=np.int64)[:, None]).any():
+            if target.map(a.id).compose(self.components[a.src]) != self.components[a.tgt].compose(source.map(a.id)):
                 raise ValueError(f"naturality fails at arrow {a.id}")
 
     @classmethod
@@ -382,17 +378,17 @@ def _subrep_from_vertex_subgroups(x: Representation, incl_data: Dict[VertexId, T
     for w in q.vertices:
         sub_t, incl_t = incl_data[w]
         arrows = in_arrows(q, w)
-        cols = np.zeros((sub_t.rank, 0), dtype=np.int64)
+        cols = ((),) * sub_t.rank
         if any(mods[a.src].rank for a in arrows):
             # the images of the generators along every arrow into w, solved
             # as one system; each column is what a one-column solve returns
-            images = np.hstack([x.map(a.id).compose(incl_data[a.src][1]).matrix for a in arrows if mods[a.src].rank])
+            images = hstack([x.map(a.id).compose(incl_data[a.src][1]).matrix for a in arrows], x.vertex_modules[w].rank)
             cols = ambient_coords_solve(incl_t.codomain.factors, incl_t.matrix, images, modulus)
             if cols is None:
                 raise ValueError(f"subgroups not closed under the arrows into {w!r}")
         at = 0
         for a in arrows:
-            maps[a.id] = ModHom(mods[a.src], sub_t, cols[:, at : at + mods[a.src].rank])
+            maps[a.id] = ModHom(mods[a.src], sub_t, [row[at : at + mods[a.src].rank] for row in cols])
             at += mods[a.src].rank
     sub = Representation(q, modulus, mods, maps)
     incl = RepMorphism._closed(sub, x, {v: incl_data[v][1] for v in q.vertices})
@@ -420,25 +416,25 @@ def cokernel_rep(f: RepMorphism):
     for a in q.arrows:
         quo_s, _, sect_s = data[a.src]
         quo_t, proj_t, _ = data[a.tgt]
-        mat = proj_t.matrix.dot(y.map(a.id).matrix).dot(sect_s) if quo_t.rank and quo_s.rank else np.zeros((quo_t.rank, quo_s.rank), dtype=np.int64)
-        maps[a.id] = ModHom(quo_s, quo_t, mat)
+        mat = matmul(proj_t.matrix, y.map(a.id).matrix, y.vertex_modules[a.src].rank)
+        maps[a.id] = ModHom(quo_s, quo_t, matmul(mat, sect_s, quo_s.rank))
     coker = Representation(q, modulus, mods, maps)
     proj = RepMorphism._closed(y, coker, {v: data[v][1] for v in q.vertices})
     return coker, proj
 
 
-def subrep_generated(x: Representation, seeds: Dict[VertexId, List[np.ndarray]]):
+def subrep_generated(x: Representation, seeds: Dict[VertexId, List[Sequence[int]]]):
     """Smallest subrepresentation containing the seed elements: close the
     vertexwise subgroups under all arrow maps, then present."""
     q = x.quiver
-    gens = {v: [np.asarray(g, dtype=np.int64) for g in seeds.get(v, [])] for v in q.vertices}
+    gens = {v: list(seeds.get(v, [])) for v in q.vertices}
     while True:
         incl = {v: subgroup_present(x.vertex_modules[v].factors, gens[v], x.modulus)[1] for v in q.vertices}
         changed = False
         for a in q.arrows:
             for g in list(gens[a.src]):
                 img = x.map(a.id)(g)
-                if img.any() and ambient_coords_solve(
+                if any(img) and ambient_coords_solve(
                     x.vertex_modules[a.tgt].factors, incl[a.tgt], img, x.modulus
                 ) is None:
                     gens[a.tgt].append(img)
@@ -464,10 +460,10 @@ def naturality_system(x: Representation, y: Representation) -> Tuple[HomSystem, 
         xi, yj = x.vertex_modules[a.src], y.vertex_modules[a.tgt]
         sysm.add_matrix_equation(
             [
-                (var[a.src], y.map(a.id).matrix, np.eye(xi.rank, dtype=np.int64), 1),
-                (var[a.tgt], np.eye(yj.rank, dtype=np.int64), x.map(a.id).matrix, -1),
+                (var[a.src], y.map(a.id).matrix, identity(xi.rank), 1),
+                (var[a.tgt], identity(yj.rank), x.map(a.id).matrix, -1),
             ],
-            np.zeros((yj.rank, xi.rank), dtype=np.int64),
+            ((0,) * xi.rank,) * yj.rank,
             yj.factors,
         )
     return sysm, var
@@ -487,9 +483,9 @@ class HomGroupRep:
         assert out is not None
         self.group, self._incl = subgroup_present(sysm.orders, out[1], x.modulus)
         self._sysm = sysm
-        self.basis = [self._morphism_from_flat(self._incl[:, k]) for k in range(self.group.rank)]
+        self.basis = [self._morphism_from_flat(col) for col in transpose(self._incl, self.group.rank)]
 
-    def _morphism_from_flat(self, flat: np.ndarray) -> RepMorphism:
+    def _morphism_from_flat(self, flat: Sequence[int]) -> RepMorphism:
         """The morphism at a solution of the naturality system; `assignment`
         multiplies by the entry scales, so each component is well defined."""
         mats = self._sysm.assignment(flat)
@@ -499,28 +495,26 @@ class HomGroupRep:
         }
         return RepMorphism._closed(self.x, self.y, comps)
 
-    def coords(self, f: RepMorphism) -> np.ndarray:
+    def coords(self, f: RepMorphism) -> Tuple[int, ...]:
         """Coordinates of a morphism in the canonical hom group."""
-        return self.coord_matrix([f])[:, 0]
+        return tuple(row[0] for row in self.coord_matrix([f]))
 
-    def coord_matrix(self, fs: Sequence[RepMorphism]) -> np.ndarray:
+    def coord_matrix(self, fs: Sequence[RepMorphism]) -> Matrix:
         """The coordinates of each morphism as one column, all solved against
         the inclusion of the hom group at once."""
         if not fs:
-            return np.zeros((self.group.rank, 0), dtype=np.int64)
+            return ((),) * self.group.rank
         vs = self.x.quiver.vertices
         flats = [self._sysm.flat_of([f.components[v].matrix for v in vs]) for f in fs]
-        flat = np.array(flats, dtype=np.int64).reshape(len(fs), len(self._sysm.orders)).T
-        sol = ambient_coords_solve(self._sysm.orders, self._incl, flat, self.x.modulus)
+        sol = ambient_coords_solve(self._sysm.orders, self._incl, transpose(flats, len(self._sysm.orders)), self.x.modulus)
         if sol is None:
             raise ValueError("morphism does not lie in the hom group (bug)")
-        return sol % np.array(self.group.factors, dtype=np.int64).reshape(-1, 1)
+        return mod_rows(sol, self.group.factors)
 
     def from_coords(self, coords) -> RepMorphism:
-        orders = self._sysm.orders
         c = self.group.reduce(coords)
-        flat = self._incl.dot(c) % self.x.modulus.n if self.group.rank else np.zeros(len(orders), dtype=np.int64)
-        return self._morphism_from_flat(flat % orders)
+        # each order divides n, so one reduction gives the flat vector
+        return self._morphism_from_flat(tuple(sum(map(mul, row, c)) % o for row, o in zip(self._incl, self._sysm.orders)))
 
     @property
     def cardinality(self) -> int:
@@ -528,7 +522,7 @@ class HomGroupRep:
 
     def elements(self):
         for coords in itertools.product(*[range(d) for d in self.group.factors]):
-            yield self.from_coords(np.array(coords, dtype=np.int64))
+            yield self.from_coords(coords)
 
 
 def hom_reps(x: Representation, y: Representation) -> Tuple[FinMod, List[RepMorphism]]:
@@ -709,31 +703,31 @@ def double_dual_rep_iso(x: Representation) -> RepMorphism:
 # ---------------------------------------------------------------------------
 
 
-def _tensor_relations(y: Representation, x: Representation) -> Tuple[np.ndarray, Dict[VertexId, slice], np.ndarray]:
+def _tensor_relations(y: Representation, x: Representation) -> Tuple[Tuple[int, ...], Dict[VertexId, slice], Matrix]:
     """The generator orders, the vertex slices and the arrow relations of
     Y tensor_Q X, as described on `TensorPresentation`, without the orders
     themselves as relations."""
     qop = opposite(x.quiver)
     if y.quiver != qop or y.modulus != x.modulus:
         raise ValueError("tensor needs representations over mutually opposite quivers")
-    orders = []
+    orders: List[int] = []
     slices: Dict[VertexId, slice] = {}
     for v in x.quiver.vertices:
         start = len(orders)
         orders += [gcd(c, d) for c in y.vertex_modules[v].factors for d in x.vertex_modules[v].factors]
         slices[v] = slice(start, len(orders))
-    orders = np.array(orders, dtype=np.int64)
-    rels = [np.zeros((len(orders), 0), dtype=np.int64)]
+    rels: List[Tuple[int, ...]] = []  # the relations, as columns
     for a, a_op in zip(x.quiver.arrows, qop.arrows):
         ym, xm = y.map(a_op.id).matrix, x.map(a.id).matrix  # Y(j) -> Y(i), X(i) -> X(j)
-        if not (ym.shape[1] and xm.shape[1]):
+        ys, xs = y.vertex_modules[a.tgt].rank, x.vertex_modules[a.src].rank
+        if not (ys and xs):
             continue  # no pairs (s, t) at (j, i)
-        rel = np.zeros((len(orders), ym.shape[1] * xm.shape[1]), dtype=np.int64)
-        rel[slices[a.src]] += kron(ym, np.eye(xm.shape[1], dtype=np.int64))
-        rel[slices[a.tgt]] -= kron(np.eye(ym.shape[1], dtype=np.int64), xm)
-        rel %= orders[:, None]
-        rels.append(rel[:, rel.any(axis=0)])
-    return orders, slices, np.hstack(rels)
+        rel = [[0] * (ys * xs) for _ in orders]
+        for rows, block, sign in ((slices[a.src], kron(ym, identity(xs)), 1), (slices[a.tgt], kron(identity(ys), xm), -1)):
+            for r, brow in zip(range(rows.start, rows.stop), block, strict=True):
+                rel[r] = [u + sign * w for u, w in zip(rel[r], brow)]
+        rels += [col for col in zip(*mod_rows(rel, orders)) if any(col)]
+    return tuple(orders), slices, transpose(rels, len(orders))
 
 
 class TensorPresentation:
@@ -748,13 +742,13 @@ class TensorPresentation:
         self.orders, self.slices, rels = _tensor_relations(y, x)
         self.y = y
         self.x = x
-        self.module, self._proj, self._sect = present(np.hstack([np.diag(self.orders), rels]), x.modulus)
+        self.module, self._proj, self._sect = present(hstack([diag(self.orders), rels], len(self.orders)), x.modulus)
 
 
 def tensor_order(y: Representation, x: Representation) -> int:
     """|Y tensor_Q X|, counted from the relations without presenting it."""
     orders, _, rels = _tensor_relations(y, x)
-    return quotient_order(rels, orders.tolist(), x.modulus.n)
+    return quotient_order(rels, orders, x.modulus.n)
 
 
 def tensor_induced(pres_src: TensorPresentation, pres_tgt: TensorPresentation, theta: RepMorphism, f: RepMorphism) -> ModHom:
@@ -766,29 +760,31 @@ def tensor_induced(pres_src: TensorPresentation, pres_tgt: TensorPresentation, t
     src, tgt = pres_src.module, pres_tgt.module
     if not (src.rank and tgt.rank):
         return zero_hom(src, tgt)
-    big = np.zeros((len(pres_tgt.orders), len(pres_src.orders)), dtype=np.int64)
+    big = [[0] * len(pres_src.orders) for _ in pres_tgt.orders]
     for v, rows in pres_tgt.slices.items():
-        cols = pres_src.slices[v]
-        if rows.stop > rows.start and cols.stop > cols.start:
-            big[rows, cols] = kron(theta.components[v].matrix, f.components[v].matrix)
-    big %= pres_tgt.orders[:, None]
-    return ModHom(src, tgt, (pres_tgt._proj.dot(big) % src.modulus.n).dot(pres_src._sect))
+        block = kron(theta.components[v].matrix, f.components[v].matrix)
+        for r, brow in zip(range(rows.start, rows.stop), block, strict=True):
+            big[r][pres_src.slices[v]] = brow
+    big = mod_rows(big, pres_tgt.orders)
+    return ModHom(src, tgt, matmul(matmul(pres_tgt._proj, big, len(pres_src.orders)), pres_src._sect, src.rank))
 
 
-def tensor_functional_coords(pres: TensorPresentation, gs: Sequence[RepMorphism]) -> np.ndarray:
+def tensor_functional_coords(pres: TensorPresentation, gs: Sequence[RepMorphism]) -> Matrix:
     """Dual coordinates of the functionals <g(v)(y), x> on Y tensor X, one
     column per morphism g : Y -> dual(X) over the opposite quiver."""
     n = pres.x.modulus.n
-    lam = np.zeros((len(gs), len(pres.orders)), dtype=np.int64)
+    lam = [[0] * len(pres.orders) for _ in gs]
     for v, cols in pres.slices.items():
-        scale = n // np.array(pres.x.vertex_modules[v].factors, dtype=np.int64)
+        scale = [n // d for d in pres.x.vertex_modules[v].factors]
         for k, g in enumerate(gs):
-            lam[k, cols] = (g.components[v].matrix.T * scale).reshape(-1) % n
-    factors = np.array(pres.module.factors, dtype=np.int64)
-    vals = lam.dot(pres._sect % pres.orders[:, None]) % n
-    if (vals % (n // factors)).any():
+            # g(v) : Y(v) -> dual X(v); entry (s, t) of its transpose, in Kronecker order
+            gt = transpose(g.components[v].matrix, pres.y.vertex_modules[v].rank)
+            lam[k][cols] = [x * c % n for row in gt for x, c in zip(row, scale)]
+    factors = pres.module.factors
+    vals = [[x % n for x in row] for row in matmul(lam, mod_rows(pres._sect, pres.orders), len(factors))]
+    if any(x % (n // f) for row in vals for x, f in zip(row, factors)):
         raise ValueError("functional is not well defined on the quotient (bug)")
-    return (vals // (n // factors) % factors).T
+    return transpose([[x // (n // f) % f for x, f in zip(row, factors)] for row in vals], len(factors))
 
 
 _NATURALITY_SAMPLES = 3  # endomorphisms of Y that `adjunction_check` samples
@@ -813,10 +809,9 @@ def adjunction_check(y: Representation, x: Representation, seed: int = 0) -> Tup
     for _ in range(_NATURALITY_SAMPLES):
         if endo.group.is_zero:
             break
-        coords = np.array([rng.randrange(d) for d in endo.group.factors], dtype=np.int64)
-        theta = endo.from_coords(coords)
+        theta = endo.from_coords([rng.randrange(d) for d in endo.group.factors])
         moved = matlis_dual_hom(tensor_induced(pres, pres, theta, fixed)).compose(phi)
-        if not np.array_equal(moved.matrix, tensor_functional_coords(pres, [g.compose(theta) for g in hom.basis])):
+        if moved.matrix != tensor_functional_coords(pres, [g.compose(theta) for g in hom.basis]):
             return False, {"reason": "naturality failure"}
     return True, {"cardinality": lhs.cardinality}
 

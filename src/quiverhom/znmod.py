@@ -5,8 +5,9 @@ purity, Gorenstein certificates).
 
 A module is a direct sum of cyclic groups Z/d_1 + ... + Z/d_k with
 d_1 | d_2 | ... | d_k and every d_i dividing n; elements are coordinate
-vectors with the i-th coordinate read mod d_i.  A hom is a matrix whose
-(j, i) entry must satisfy a_ji * d_i == 0 mod e_j, which is checked at
+vectors with the i-th coordinate read mod d_i, as tuples of Python ints.
+A hom is a matrix, a tuple of int rows as in `linalg`, whose (j, i) entry
+must satisfy a_ji * d_i == 0 mod e_j, which is checked at
 construction, except on homs that satisfy it by construction: sums,
 negatives, composites, zero and identity homs, subgroup inclusions,
 quotient projections, Matlis duals and the injections and projections of
@@ -22,16 +23,14 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
+from operator import add, mul
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
+from .linalg import Matrix, diag, diagonalize, hstack, identity, kron, matmul, mod_rows, quotient_order, solve_left, transpose
 
-from .linalg import diagonalize, quotient_order, solve_left
-
-# The largest accepted n: the largest with (n - 1)**3 < 2**63, so an
-# unreduced product of three residues (HomSystem's L, scales and R) and every
-# int64 dot product of two residue vectors shorter than 2**21 stay exact.
+# The largest accepted n.  Python ints make every product exact at any n;
+# the cap is kept as a fixed part of the interface (inputs, messages).
 MAX_MODULUS = 2**21
 
 
@@ -139,13 +138,11 @@ class FinMod:
     def is_zero(self) -> bool:
         return not self.factors
 
-    def reduce(self, vec) -> np.ndarray:
-        v = np.asarray(vec, dtype=np.int64).reshape(self.rank)
-        return np.mod(v, np.array(self.factors, dtype=np.int64)) if self.rank else v
+    def reduce(self, vec) -> Tuple[int, ...]:
+        return tuple(int(x) % d for x, d in zip(vec, self.factors, strict=True))
 
-    def elements(self) -> Iterable[np.ndarray]:
-        for tup in itertools.product(*[range(d) for d in self.factors]):
-            yield np.array(tup, dtype=np.int64)
+    def elements(self) -> Iterable[Tuple[int, ...]]:
+        return itertools.product(*[range(d) for d in self.factors])
 
     def __str__(self):
         if not self.factors:
@@ -165,10 +162,6 @@ def free_mod(modulus: Modulus, rank: int) -> FinMod:
     return FinMod(modulus, (modulus.n,) * rank)
 
 
-def _factor_arrays(factors: Sequence[int]):
-    return np.array(factors, dtype=np.int64)
-
-
 class ModHom:
     """Hom of finite Z/n-modules as a congruence-constrained matrix.
 
@@ -182,128 +175,107 @@ class ModHom:
     def __init__(self, domain: FinMod, codomain: FinMod, matrix):
         if domain.modulus != codomain.modulus:
             raise ValueError("modulus mismatch between domain and codomain")
-        m = np.asarray(matrix, dtype=np.int64).reshape(codomain.rank, domain.rank)
-        if codomain.rank:
-            cod_col, scales = _hom_tables(domain.factors, codomain.factors)
-            m = np.mod(m, cod_col)
-            # m_ji * d_i == 0 mod e_j iff the entry is a multiple of the
-            # generator e_j / gcd(d_i, e_j) of its entry group
-            bad = m % scales
-            if bad.any():
-                j, i = np.argwhere(bad).tolist()[0]
-                raise ValueError(
-                    f"entry {m[j, i]} at ({j},{i}) is not well defined: "
-                    f"{m[j, i]}*{domain.factors[i]} != 0 mod {codomain.factors[j]}"
-                )
-        m.flags.writeable = False
+        if len(matrix) != codomain.rank or any(len(row) != domain.rank for row in matrix):
+            raise ValueError(f"expected a {codomain.rank}x{domain.rank} matrix, got rows of lengths {[len(row) for row in matrix]}")
+        m = tuple(tuple(int(x) % e for x in row) for row, e in zip(matrix, codomain.factors))
+        # m_ji * d_i == 0 mod e_j iff the entry is a multiple of the
+        # generator e_j / gcd(d_i, e_j) of its entry group
+        for j, (row, scales) in enumerate(zip(m, hom_entry_scales(domain.factors, codomain.factors))):
+            for i, (x, s) in enumerate(zip(row, scales)):
+                if x % s:
+                    raise ValueError(
+                        f"entry {x} at ({j},{i}) is not well defined: "
+                        f"{x}*{domain.factors[i]} != 0 mod {codomain.factors[j]}"
+                    )
         self.domain = domain
         self.codomain = codomain
         self.matrix = m
 
     @classmethod
-    def _closed(cls, domain: FinMod, codomain: FinMod, m: np.ndarray) -> "ModHom":
-        """A hom whose int64 matrix of the right shape is well defined by
+    def _closed(cls, domain: FinMod, codomain: FinMod, m: Matrix) -> "ModHom":
+        """A hom whose int matrix of the right shape is well defined by
         construction (a sum, negative or composite of homs, zero or the
         identity, a subgroup inclusion, a quotient projection, a Matlis
         dual, a direct-sum injection or projection): reduce it mod the
         codomain factors and skip the check."""
-        if codomain.rank:
-            m = np.mod(m, _hom_tables(domain.factors, codomain.factors)[0])
-        m.flags.writeable = False
         h = cls.__new__(cls)
         h.domain = domain
         h.codomain = codomain
-        h.matrix = m
+        h.matrix = mod_rows(m, codomain.factors)
         return h
 
     @property
     def modulus(self) -> Modulus:
         return self.domain.modulus
 
-    def __call__(self, vec) -> np.ndarray:
+    def __call__(self, vec) -> Tuple[int, ...]:
         x = self.domain.reduce(vec)
-        if not self.codomain.rank:
-            return np.zeros(0, dtype=np.int64)
-        if not self.domain.rank:
-            return np.zeros(self.codomain.rank, dtype=np.int64)
-        return self.codomain.reduce(self.matrix.dot(x))
+        return tuple(sum(map(mul, row, x)) % e for row, e in zip(self.matrix, self.codomain.factors))
 
     def compose(self, other: "ModHom") -> "ModHom":
         """self after other."""
         if other.codomain != self.domain:
             raise ValueError("homs do not compose")
-        return ModHom._closed(other.domain, self.codomain, self.matrix.dot(other.matrix))
+        return ModHom._closed(other.domain, self.codomain, matmul(self.matrix, other.matrix, other.domain.rank))
 
     def __add__(self, other: "ModHom") -> "ModHom":
         if (other.domain, other.codomain) != (self.domain, self.codomain):
             raise ValueError("hom addition needs equal domains and codomains")
-        return ModHom._closed(self.domain, self.codomain, self.matrix + other.matrix)
+        return ModHom._closed(self.domain, self.codomain, tuple(tuple(map(add, r, s)) for r, s in zip(self.matrix, other.matrix)))
 
     def __neg__(self) -> "ModHom":
-        return ModHom._closed(self.domain, self.codomain, -self.matrix)
+        return ModHom._closed(self.domain, self.codomain, tuple(tuple(-x for x in row) for row in self.matrix))
 
     def __sub__(self, other: "ModHom") -> "ModHom":
         return self + (-other)
 
     def __eq__(self, other):
-        # equal ends give equal shapes, and both matrices are reduced int64
+        # both matrices are reduced, so equal homs have equal tuples
         return self is other or (
             isinstance(other, ModHom)
             and self.domain == other.domain
             and self.codomain == other.codomain
-            and self.matrix.tobytes() == other.matrix.tobytes()
+            and self.matrix == other.matrix
         )
 
     def __hash__(self):
-        return hash((self.domain.modulus.n, self.domain.factors, self.codomain.factors, self.matrix.tobytes()))
+        return hash((self.domain.modulus.n, self.domain.factors, self.codomain.factors, self.matrix))
 
     @property
     def is_zero(self) -> bool:
-        return not self.matrix.any()
+        return not any(map(any, self.matrix))
 
     def __repr__(self):
-        return f"ModHom({self.domain} -> {self.codomain}, {self.matrix.tolist()})"
+        return f"ModHom({self.domain} -> {self.codomain}, {[list(row) for row in self.matrix]})"
 
 
 def zero_hom(domain: FinMod, codomain: FinMod) -> ModHom:
     if domain.modulus != codomain.modulus:
         raise ValueError("modulus mismatch between domain and codomain")
-    return ModHom._closed(domain, codomain, np.zeros((codomain.rank, domain.rank), dtype=np.int64))
+    return ModHom._closed(domain, codomain, ((0,) * domain.rank,) * codomain.rank)
 
 
 def identity_hom(m: FinMod) -> ModHom:
-    return ModHom._closed(m, m, np.eye(m.rank, dtype=np.int64))
+    return ModHom._closed(m, m, identity(m.rank))
 
 
-def hom_entry_orders(dom: Sequence[int], cod: Sequence[int]) -> np.ndarray:
+def hom_entry_orders(dom: Sequence[int], cod: Sequence[int]) -> Matrix:
     """Order of the (j, i) entry group: gcd(d_i, e_j)."""
-    return np.gcd.outer(_factor_arrays(cod), _factor_arrays(dom))
+    return tuple(tuple(gcd(d, e) for d in dom) for e in cod)
 
 
-def hom_entry_scales(dom: Sequence[int], cod: Sequence[int]) -> np.ndarray:
-    """Generator of the (j, i) entry group: e_j // gcd(d_i, e_j)."""
-    return _factor_arrays(cod)[:, None] // hom_entry_orders(dom, cod)
+@lru_cache(maxsize=1024)
+def hom_entry_scales(dom: Tuple[int, ...], cod: Tuple[int, ...]) -> Matrix:
+    """Generator of the (j, i) entry group: e_j // gcd(d_i, e_j).  Memoized
+    per factor pair, which every `ModHom` construction and every
+    `HomSystem` unknown looks up."""
+    return tuple(tuple(e // gcd(d, e) for d in dom) for e in cod)
 
 
 def random_hom(rng: random.Random, dom: FinMod, cod: FinMod) -> ModHom:
     """A uniformly random hom, one draw per entry in row-major order."""
-    orders = hom_entry_orders(dom.factors, cod.factors)
     scales = hom_entry_scales(dom.factors, cod.factors)
-    mat = np.zeros((cod.rank, dom.rank), dtype=np.int64)
-    for j in range(cod.rank):
-        for i in range(dom.rank):
-            mat[j, i] = scales[j, i] * rng.randrange(int(orders[j, i]))
-    return ModHom(dom, cod, mat)
-
-
-@lru_cache(maxsize=1024)
-def _hom_tables(dom: Tuple[int, ...], cod: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
-    """The codomain factors as a column and `hom_entry_scales`, shared per
-    factor pair by every `ModHom` construction; read-only."""
-    out = (_factor_arrays(cod)[:, None], hom_entry_scales(dom, cod))
-    for x in out:
-        x.flags.writeable = False
-    return out
+    return ModHom(dom, cod, [[s * rng.randrange(e // s) for s in row] for row, e in zip(scales, cod.factors)])
 
 
 # ---------------------------------------------------------------------------
@@ -313,58 +285,51 @@ def _hom_tables(dom: Tuple[int, ...], cod: Tuple[int, ...]) -> Tuple[np.ndarray,
 
 def solve_congruences(
     a, b, row_moduli: Sequence[int], orders: Sequence[int], modulus: Modulus
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+) -> Optional[Tuple[tuple, Matrix]]:
     """Solve a @ x == b with row k read mod r_k and unknown x_t in Z/m_t.
 
-    b is one right-hand side (a vector) or several (the columns of a
-    matrix); the particular solution has the same shape, one column per
-    column of b, each the solution a one-column call returns.  Every r_k
-    and m_t divides n.  A coefficient is well defined when c * m_t == 0
-    mod r, i.e. when c is a multiple of r / gcd(m_t, r), which is how it
-    is tested, so no product is formed.  Each row is reduced mod its r and
-    rescaled by n/r into Z/n; one `solve_left` there projects onto exactly
-    the mixed-modulus solutions.  The checks, the scaling and the transpose
-    it takes are done in Python ints.  Returns (particular, kernel
-    generators as the rows of a matrix) reduced mod the orders, or None
-    when some column of b is inconsistent.
+    a has one row per equation.  b is one right-hand side (a vector of
+    ints) or several (the columns of a matrix, given by its rows); with no
+    equations it is one empty vector.  The particular solution has the
+    same form, one column per column of b, each the solution a one-column
+    call returns.  Every r_k and m_t divides n.  A coefficient is well
+    defined when c * m_t == 0 mod r, i.e. when c is a multiple of
+    r / gcd(m_t, r), which is how it is tested, so no product is formed.
+    Each row is reduced mod its r and rescaled by n/r into Z/n; one
+    `solve_left` there projects onto exactly the mixed-modulus solutions.
+    Returns (particular, kernel generators as the rows of a matrix) reduced
+    mod the orders, or None when some column of b is inconsistent.
     """
     n = modulus.n
-    om = np.asarray(orders, dtype=np.int64).ravel().tolist()
-    r = np.asarray(row_moduli, dtype=np.int64).ravel().tolist()
+    om, r = tuple(orders), tuple(row_moduli)
     for what, vals in (("unknown order", om), ("equation modulus", r)):
         for m in vals:
             if m < 1 or n % m:
                 raise ValueError(f"{what} {m} must divide {n}")
+    if len(a) != len(r) or any(len(row) != len(om) for row in a):
+        raise ValueError(f"shape mismatch: {len(r)} equations in {len(om)} unknowns, coefficient rows of lengths {[len(row) for row in a]}")
     a_rows = []
-    for rk, row in zip(r, np.asarray(a, dtype=np.int64).reshape(len(r), len(om)).tolist()):
-        row = [c % rk for c in row]
+    for rk, row in zip(r, a):
+        row = [int(c) % rk for c in row]
         for c, m in zip(row, om):
             if c % (rk // gcd(m, rk)):
                 raise ValueError(f"coefficient {c} for unknown of order {m} is not well defined mod {rk}")
         a_rows.append([c * (n // rk) for c in row])
-    b = np.asarray(b, dtype=np.int64)
-    if b.ndim not in (1, 2) or len(b) != len(r):
-        raise ValueError(f"shape mismatch: {len(r)} equations, right-hand side of shape {b.shape}")
-    rhs = b if b.ndim == 2 else b.reshape(-1, 1)
-    b_rows = [[c % rk * (n // rk) for c in row] for rk, row in zip(r, rhs.tolist())]
+    single = not len(b) or not hasattr(b[0], "__len__")
+    rhs = [(c,) for c in b] if single else b
+    if len(rhs) != len(r):
+        raise ValueError(f"shape mismatch: {len(r)} equations, right-hand side of {len(rhs)} rows")
+    b_rows = [[int(c) % rk * (n // rk) for c in row] for rk, row in zip(r, rhs)]
     # a @ x == b is x^T a^T == b^T: solve_left's operands are the columns,
     # one empty row per unknown and per right-hand side if no equations
-    a_cols = list(zip(*a_rows)) if r else [()] * len(om)
-    b_cols = list(zip(*b_rows)) if r else [()] * rhs.shape[1]
-    out = solve_left(a_cols, b_cols, n)
+    out = solve_left(transpose(a_rows, len(om)), transpose(b_rows, 1), n)
     if out is None:
         return None
     y, kern = out
-    om = np.array(om, dtype=np.int64)
-    part = y.T % om[:, None]
-    return (part[:, 0] if b.ndim == 1 else part), kern % om
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The Kronecker product of two matrices, by one broadcast product;
-    numpy's own kron costs several times more on the few-by-few blocks
-    that the linear systems are assembled from."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    kern = tuple(tuple(x % m for x, m in zip(row, om)) for row in kern)
+    if single:
+        return tuple(x % m for x, m in zip(y[0], om)), kern
+    return mod_rows(transpose(y, len(om)), om), kern
 
 
 class HomSystem:
@@ -372,7 +337,7 @@ class HomSystem:
 
     Each unknown hom U is parameterized entrywise by its generator
     multiples, U[j, i] = t_ji * scales[j, i] with t_ji in Z/gcd(d_i, e_j);
-    `orders` lists those entry orders for all unknowns, one flat vector.
+    `orders` lists those entry orders for all unknowns, one flat tuple.
     Equations are sums of terms sign * L @ U @ R with known L, R, added
     row-major in call order.  Register every unknown before the first
     equation.
@@ -380,62 +345,68 @@ class HomSystem:
 
     def __init__(self, modulus: Modulus):
         self.modulus = modulus
-        self.orders = np.zeros(0, dtype=np.int64)
-        # per unknown: its slice of the flat vector, entry scales, codomain column
-        self._vars: List[Tuple[slice, np.ndarray, np.ndarray]] = []
-        self._blocks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.orders: Tuple[int, ...] = ()
+        # per unknown: its first flat index, entry scales, codomain factors
+        self._vars: List[Tuple[int, Matrix, Tuple[int, ...]]] = []
+        self._rows: List[List[int]] = []
+        self._rhs: List[int] = []
+        self._moduli: List[int] = []
 
     def add_hom_unknown(self, dom_factors: Sequence[int], cod_factors: Sequence[int]) -> int:
-        if self._blocks:
+        if self._rows:
             raise ValueError("unknowns must be registered before the first equation")
-        cod_col, scales = _hom_tables(tuple(dom_factors), tuple(cod_factors))
-        start = len(self.orders)
-        self.orders = np.concatenate([self.orders, (cod_col // scales).reshape(-1)])
-        self._vars.append((slice(start, len(self.orders)), scales, cod_col))
+        cod = tuple(cod_factors)
+        scales = hom_entry_scales(tuple(dom_factors), cod)
+        self._vars.append((len(self.orders), scales, cod))
+        self.orders += tuple(e // s for row, e in zip(scales, cod) for s in row)
         return len(self._vars) - 1
 
     def add_matrix_equation(
         self,
-        terms: Sequence[Tuple[int, np.ndarray, np.ndarray, int]],
-        rhs: np.ndarray,
+        terms: Sequence[Tuple[int, Matrix, Matrix, int]],
+        rhs: Matrix,
         row_factors: Sequence[int],
     ):
         """Sum of sign * L @ U_var @ R terms equals rhs, rows read mod row_factors."""
         if not len(row_factors):
             return
-        rhs = np.asarray(rhs, dtype=np.int64)
-        n_rows, n_cols = rhs.shape
-        moduli = np.repeat(np.array(row_factors, dtype=np.int64), n_cols)[:, None]
-        block = np.zeros((n_rows * n_cols, len(self.orders)), dtype=np.int64)
+        n_cols = len(rhs[0])
+        block = [[0] * len(self.orders) for _ in range(len(row_factors) * n_cols)]
         for var, left, right, sign in terms:
-            cols, scales, _ = self._vars[var]
-            left = np.asarray(left, dtype=np.int64).reshape(n_rows, scales.shape[0])
-            right = np.asarray(right, dtype=np.int64).reshape(scales.shape[1], n_cols)
+            start, scales, _ = self._vars[var]
+            flat_scales = [sign * s for row in scales for s in row]
             # row (a, b), column (j, i): sign * L[a, j] * R[i, b] * scales[j, i]
-            block[:, cols] += sign * kron(left, right.T) * scales.reshape(-1) % moduli
-        self._blocks.append((block, rhs.reshape(-1), moduli[:, 0]))
+            for brow, krow in zip(block, kron(left, transpose(right, n_cols)), strict=True):
+                for c, x in enumerate(map(mul, krow, flat_scales), start):
+                    brow[c] += x
+        self._rows += block
+        self._rhs += [x for row in rhs for x in row]
+        self._moduli += [e for e in row_factors for _ in range(n_cols)]
 
-    def solve(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    def solve(self) -> Optional[Tuple[tuple, Matrix]]:
         """`solve_congruences` on the flat unknowns: (particular, kernel
         generators as rows), or None."""
-        if self._blocks:
-            a, b, r = (np.concatenate(parts) for parts in zip(*self._blocks))
-        else:
-            a, b, r = np.zeros((0, len(self.orders)), dtype=np.int64), (), ()
-        return solve_congruences(a, b, r, self.orders, self.modulus)
+        return solve_congruences(self._rows, self._rhs, self._moduli, self.orders, self.modulus)
 
-    def assignment(self, flat) -> List[np.ndarray]:
+    def assignment(self, flat) -> List[Matrix]:
         """The matrix of each unknown hom at a flat vector."""
-        flat = np.asarray(flat, dtype=np.int64)
-        return [(flat[cols].reshape(scales.shape) * scales) % cod_col for cols, scales, cod_col in self._vars]
+        return [
+            tuple(
+                tuple(int(flat[at]) * s % e for at, s in enumerate(row, start + j * len(row)))
+                for j, (row, e) in enumerate(zip(scales, cod))
+            )
+            for start, scales, cod in self._vars
+        ]
 
-    def flat_of(self, matrices: Sequence[np.ndarray]) -> np.ndarray:
+    def flat_of(self, matrices: Sequence[Matrix]) -> Tuple[int, ...]:
         """Inverse of `assignment` on well-defined hom matrices: every entry
         is a multiple of its generator, so the division is exact."""
-        flat = np.zeros(len(self.orders), dtype=np.int64)
-        for m, (cols, scales, _) in zip(matrices, self._vars):
-            flat[cols] = (np.asarray(m, dtype=np.int64) // scales).reshape(-1)
-        return flat
+        return tuple(
+            int(x) // s
+            for m, (_, scales, _) in zip(matrices, self._vars, strict=True)
+            for row, srow in zip(m, scales)
+            for x, s in zip(row, srow)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -450,22 +421,14 @@ def present(relations, modulus: Modulus):
     (module, proj, sect) with proj @ sect == identity mod the invariant
     factors; proj maps old generator coordinates onto canonical coordinates.
     """
-    n = modulus.n
-    rel = np.asarray(relations, dtype=np.int64)
-    if rel.ndim != 2:
-        raise ValueError(f"expected a 2d relations matrix, got shape {rel.shape}")
-    g = rel.shape[0]
-    if g == 0:
-        return zero_mod(modulus), np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0), dtype=np.int64)
-    d, u, uinv = diagonalize(rel, n)
+    if not len(relations):
+        return zero_mod(modulus), (), ()
+    d, u, uinv = diagonalize(relations, modulus.n)
     keep = [i for i, di in enumerate(d) if di > 1]
-    factors = tuple(int(d[i]) for i in keep)
-    mod = FinMod(modulus, factors)
-    proj = u[keep, :] % n
-    if keep:
-        proj = proj % _factor_arrays(factors)[:, None]
-    sect = uinv[:, keep] % n
-    return mod, proj, sect
+    factors = tuple(d[i] for i in keep)
+    proj = tuple(tuple(x % f for x in u[i]) for i, f in zip(keep, factors))
+    sect = tuple(tuple(row[i] for i in keep) for row in uinv)
+    return FinMod(modulus, factors), proj, sect
 
 
 def direct_sum_with_maps(mods: Sequence[FinMod], modulus: Modulus):
@@ -478,76 +441,62 @@ def direct_sum_with_maps(mods: Sequence[FinMod], modulus: Modulus):
 @lru_cache(maxsize=1024)
 def _direct_sum(mods: Tuple[FinMod, ...], modulus: Modulus):
     all_factors = tuple(d for m in mods for d in m.factors)
-    g = len(all_factors)
     if all(b % a == 0 for a, b in zip(all_factors, all_factors[1:])):
         # already canonical: diag(chain) presents itself with proj = sect = I
         total = FinMod(modulus, all_factors)
-        proj = sect = np.eye(g, dtype=np.int64)
+        proj = sect = identity(len(all_factors))
     else:
-        total, proj, sect = present(np.diag(np.array(all_factors, dtype=np.int64)), modulus)
+        total, proj, sect = present(diag(all_factors), modulus)
     injections, projections = [], []
     offset = 0
     for m in mods:
         r = m.rank
-        inj = proj[:, offset : offset + r] if total.rank else np.zeros((0, r), dtype=np.int64)
-        prj = sect[offset : offset + r, :] if total.rank else np.zeros((r, 0), dtype=np.int64)
         # proj and sect are mutually inverse isomorphisms between the
         # summands' coordinates and the canonical sum, so both are homs
-        injections.append(ModHom._closed(m, total, inj))
-        projections.append(ModHom._closed(total, m, prj))
+        injections.append(ModHom._closed(m, total, tuple(row[offset : offset + r] for row in proj)))
+        projections.append(ModHom._closed(total, m, sect[offset : offset + r]))
         offset += r
     return total, tuple(injections), tuple(projections)
 
 
-def subgroup_present(ambient_orders: Sequence[int], gens: Sequence[np.ndarray], modulus: Modulus):
+def subgroup_present(ambient_orders: Sequence[int], gens: Sequence[Sequence[int]], modulus: Modulus):
     """Present the subgroup of prod Z/m_c generated by gens.
 
     Returns (module, incl) where incl maps canonical coordinates to ambient
     coordinates (columns are the canonical generators).
     """
-    amb = list(ambient_orders)
+    amb = tuple(ambient_orders)
     r = len(gens)
     if r == 0:
-        return zero_mod(modulus), np.zeros((len(amb), 0), dtype=np.int64)
-    gmat = np.array([np.asarray(g, dtype=np.int64).reshape(len(amb)) for g in gens], dtype=np.int64).T
-    out = solve_congruences(gmat, np.zeros(len(amb), dtype=np.int64), amb, [modulus.n] * r, modulus)
+        return zero_mod(modulus), ((),) * len(amb)
+    gmat = transpose([tuple(map(int, g)) for g in gens], len(amb))
+    out = solve_congruences(gmat, (0,) * len(amb), amb, [modulus.n] * r, modulus)
     assert out is not None
-    rel = out[1].T
-    sub, _, sect = present(rel, modulus)
-    incl = gmat.dot(sect) % modulus.n if sub.rank else np.zeros((len(amb), 0), dtype=np.int64)
-    if amb:
-        incl = incl % _factor_arrays(amb)[:, None]
-    return sub, incl
+    sub, _, sect = present(transpose(out[1], r), modulus)
+    return sub, mod_rows(matmul(gmat, sect, sub.rank), amb)
 
 
-def ambient_coords_solve(
-    ambient_orders: Sequence[int], incl: np.ndarray, target: np.ndarray, modulus: Modulus
-) -> Optional[np.ndarray]:
+def ambient_coords_solve(ambient_orders: Sequence[int], incl: Matrix, target, modulus: Modulus):
     """Solve incl @ c == target in prod Z/m_c for c over the column module;
     a matrix target gives one column of c per column, solved in one pass."""
-    out = solve_congruences(incl, target, ambient_orders, [modulus.n] * incl.shape[1], modulus)
+    unknowns = len(incl[0]) if len(incl) else 0
+    out = solve_congruences(incl, target, ambient_orders, [modulus.n] * unknowns, modulus)
     return None if out is None else out[0]
 
 
-def subgroup_with_inclusion(ambient: FinMod, gens: Sequence[np.ndarray]):
+def subgroup_with_inclusion(ambient: FinMod, gens: Sequence[Sequence[int]]):
     sub, incl = subgroup_present(ambient.factors, gens, ambient.modulus)
     return sub, ModHom._closed(sub, ambient, incl)
 
 
-def quotient_with_projection(ambient_orders: Sequence[int], gens: Sequence[np.ndarray], modulus: Modulus):
+def quotient_with_projection(ambient_orders: Sequence[int], gens: Sequence[Sequence[int]], modulus: Modulus):
     """Quotient of prod Z/m_c by the subgroup generated by gens.
 
     Returns (module, proj, sect): proj is a hom on ambient coordinates and
     sect lifts canonical coordinates to ambient representatives.
     """
-    amb = list(ambient_orders)
-    g = len(amb)
-    cols = [np.diag(np.array(amb, dtype=np.int64))] if g else []
-    if gens:
-        cols.append(np.array([np.asarray(v, dtype=np.int64).reshape(g) for v in gens]).T)
-    rel = np.hstack(cols) if cols else np.zeros((0, 0), dtype=np.int64)
-    quo, proj, sect = present(rel, modulus)
-    return quo, proj, sect
+    g = len(ambient_orders)
+    return present(hstack([diag(ambient_orders), transpose(gens, g)], g), modulus)
 
 
 # a plain function over the memo, unlike `cokernel_order` and `splits`:
@@ -561,22 +510,19 @@ def kernel_of_hom(f: ModHom):
 
 @lru_cache(maxsize=1024)
 def _kernel_of_hom(f: ModHom):
-    zero = np.zeros(f.codomain.rank, dtype=np.int64)
-    out = solve_congruences(f.matrix, zero, f.codomain.factors, f.domain.factors, f.modulus)
+    out = solve_congruences(f.matrix, (0,) * f.codomain.rank, f.codomain.factors, f.domain.factors, f.modulus)
     assert out is not None
     return subgroup_with_inclusion(f.domain, out[1])
 
 
 def image_of_hom(f: ModHom):
-    gens = [f.matrix[:, i] for i in range(f.domain.rank)]
-    return subgroup_with_inclusion(f.codomain, gens)
+    return subgroup_with_inclusion(f.codomain, transpose(f.matrix, f.domain.rank))
 
 
 def cokernel_of_hom(f: ModHom):
     """(C, proj, sect) with proj: cod(f) -> C the canonical projection and
     sect lifting canonical coordinates of C to cod(f)."""
-    gens = [f.matrix[:, i] for i in range(f.domain.rank)]
-    quo, proj, sect = quotient_with_projection(f.codomain.factors, gens, f.modulus)
+    quo, proj, sect = quotient_with_projection(f.codomain.factors, transpose(f.matrix, f.domain.rank), f.modulus)
     return quo, ModHom._closed(f.codomain, quo, proj), sect
 
 
@@ -613,14 +559,13 @@ def hom_group(m: FinMod, nmod: FinMod) -> Tuple[FinMod, List[ModHom]]:
     """The group Hom(M, N) in canonical form with matching generator homs."""
     if m.modulus != nmod.modulus:
         raise ValueError("modulus mismatch")
-    orders = hom_entry_orders(m.factors, nmod.factors).reshape(-1)
-    scales = hom_entry_scales(m.factors, nmod.factors).reshape(-1)
-    rel = np.diag(orders) if len(orders) else np.zeros((0, 0), dtype=np.int64)
-    grp, _, sect = present(rel, m.modulus)
+    orders = [o for row in hom_entry_orders(m.factors, nmod.factors) for o in row]
+    scales = hom_entry_scales(m.factors, nmod.factors)
+    grp, _, sect = present(diag(orders), m.modulus)
     basis = []
-    for k in range(grp.rank):
-        entries = (sect[:, k] * scales) % m.modulus.n
-        basis.append(ModHom(m, nmod, entries.reshape(nmod.rank, m.rank)))
+    for col in transpose(sect, grp.rank):
+        entries = iter(col)
+        basis.append(ModHom(m, nmod, [[next(entries) * s for s in row] for row in scales]))
     return grp, basis
 
 
@@ -638,14 +583,16 @@ def matlis_dual_hom(f: ModHom) -> ModHom:
     """
     n = f.modulus.n
     dom, cod = f.domain, f.codomain
-    d = _factor_arrays(dom.factors)[:, None]
-    out = (f.matrix.T * (n // _factor_arrays(cod.factors)) % n) // (n // d) % d
+    out = tuple(
+        tuple((x * (n // e) % n) // (n // d) for x, e in zip(col, cod.factors))
+        for col, d in zip(transpose(f.matrix, dom.rank), dom.factors)
+    )
     return ModHom._closed(matlis_dual(cod), matlis_dual(dom), out)
 
 
 def double_dual_iso(m: FinMod) -> ModHom:
     """The natural evaluation map M -> M++ (the identity in coordinates)."""
-    return ModHom(m, matlis_dual(matlis_dual(m)), np.eye(m.rank, dtype=np.int64))
+    return ModHom(m, matlis_dual(matlis_dual(m)), identity(m.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +661,7 @@ class ModSES:
 
 def retraction_of(f: ModHom) -> Optional[ModHom]:
     """r with r o f == id on dom(f), if one exists."""
-    eye = np.eye(f.domain.rank, dtype=np.int64)
+    eye = identity(f.domain.rank)
     sysm = HomSystem(f.modulus)
     var = sysm.add_hom_unknown(f.codomain.factors, f.domain.factors)
     sysm.add_matrix_equation([(var, eye, f.matrix, 1)], eye, f.domain.factors)
@@ -756,7 +703,8 @@ def splits(h: ModHom, epi: bool) -> bool:
         d = p
         while top % d == 0:
             if epi:
-                gens = h.matrix * [b // gcd(d, b) for b in dom.factors]
+                mult = [b // gcd(d, b) for b in dom.factors]
+                gens = [tuple(map(mul, row, mult)) for row in h.matrix]
                 ok = quotient_order(gens, cod.factors, n) * torsion_order(cod, d) == cod.cardinality
             else:
                 mod_d = [gcd(d, c) for c in cod.factors]
@@ -838,13 +786,9 @@ def gi_module_certificate(m: FinMod, window: int = 3) -> Tuple[ModComplex, ModHo
     comps = {k: free for k in range(-window, window + 1)}
     diffs = {}
     for k in range(-window + 1, window + 1):
-        if k % 2 == 0:
-            diag = [d for d in m.factors]
-        else:
-            diag = [n // d for d in m.factors]
-        diffs[k] = ModHom(free, free, np.diag(np.array(diag, dtype=np.int64)) if m.rank else np.zeros((0, 0)))
+        diffs[k] = ModHom(free, free, diag([d if k % 2 == 0 else n // d for d in m.factors]))
     cx = ModComplex(comps, diffs)
-    witness = ModHom(m, free, np.diag(np.array([n // d for d in m.factors], dtype=np.int64)) if m.rank else np.zeros((0, 0)))
+    witness = ModHom(m, free, diag([n // d for d in m.factors]))
     return cx, witness
 
 

@@ -11,7 +11,7 @@ package's: Howell rows, solutions, kernels, chains, `U` and `Uinv`.
 `howell_form`, so no oracle result goes through the package's kernels.
 `quotient_order` is the package's former column fold, a second echelon
 algorithm, unchanged: it must give the order the package reads off the
-Howell kernel.
+Howell kernel.  `arr` reads a matrix of the package as an array.
 """
 
 from __future__ import annotations
@@ -22,6 +22,13 @@ from typing import Optional, Tuple
 import numpy as np
 
 from quiverhom.linalg import unit_multiplier, xgcd
+
+
+def arr(m, cols: int) -> np.ndarray:
+    """A matrix of the package, a tuple of int rows, as an int64 array with
+    `cols` columns, for the tests that compare it with numpy (a matrix with
+    no rows has no column count of its own); an array as it is."""
+    return np.array(m, dtype=np.int64).reshape(len(m), cols)
 
 
 def _reduced(a, n: int) -> np.ndarray:
@@ -36,11 +43,13 @@ def solve_left(a, b, n: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     return _solve_left_numpy(_reduced(a, n), _reduced(b, n), n)
 
 
-def solve_rows(a, b, n: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+def solve_rows(a, b, n: int):
     """`solve_left` on sequences of int rows, as `quiverhom.znmod` passes
-    them: b has at least one row, which gives the column count of a."""
+    them (b has at least one row, which gives the column count of a), with
+    the results as tuples of int rows, as the package returns them."""
     k = len(b[0])
-    return solve_left(np.array(a, dtype=np.int64).reshape(len(a), k), np.array(b, dtype=np.int64).reshape(len(b), k), n)
+    out = solve_left(np.array(a, dtype=np.int64).reshape(len(a), k), np.array(b, dtype=np.int64).reshape(len(b), k), n)
+    return None if out is None else tuple(tuple(map(tuple, x.tolist())) for x in out)
 
 
 def diagonalize(a, n: int):

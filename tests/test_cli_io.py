@@ -163,6 +163,16 @@ MALFORMED_INPUTS = {
     "vertex_float": ("classify", lambda: {"modulus": 4, "quiver": {"vertices": [1.5], "arrows": []}, "modules": {"1.5": [4]}, "arrows_maps": {}}),
     "vertex_bool": ("classify", lambda: {"modulus": 4, "quiver": {"vertices": [True], "arrows": []}, "modules": {"True": [4]}, "arrows_maps": {}}),
     "vertex_null": ("classify", lambda: {"modulus": 4, "quiver": {"vertices": [None], "arrows": []}, "modules": {"None": [4]}, "arrows_maps": {}}),
+    # these seven were once reshaped or dropped, and ran with exit 0: a
+    # matrix is exactly `rows` lists of `cols` integers, and every key of
+    # modules, arrows_maps and a morphism names a vertex or an arrow
+    "matrix_flat": ("classify", lambda: _two_by_two_rep([1, 0, 0, 1])),
+    "matrix_one_row": ("classify", lambda: _two_by_two_rep([[1, 0, 0, 1]])),
+    "morphism_flat": ("purity", lambda: dict(ses_to_dict(nonpure_fixture_ses(Z4)), f={"1": [[]], "2": [1]})),
+    "morphism_no_rows": ("purity", lambda: dict(ses_to_dict(nonpure_fixture_ses(Z4)), f={"1": [], "2": [[1]]})),
+    "modules_unknown_vertex": ("classify", lambda: dict(rep_to_dict(doubling_rep()), modules={"1": [4], "2": [4], "3": [2]})),
+    "arrows_maps_unknown_arrow": ("classify", lambda: dict(rep_to_dict(doubling_rep()), arrows_maps={"a": [[2]], "b": [[5]]})),
+    "morphism_unknown_vertex": ("purity", lambda: dict(ses_to_dict(nonpure_fixture_ses(Z4)), f={"1": [[]], "2": [[1]], "3": [[1]]})),
 }
 
 
@@ -180,7 +190,24 @@ MALFORMED_MESSAGES = {
     "vertices_object": "vertices: expected a JSON array, got object",
     "vertex_bool": "expected a string or an integer, got true",
     "vertex_null": "expected a string or an integer, got null",
+    "matrix_flat": "arrows_maps['a']: expected 2 rows of 2 integers, got [1, 0, 0, 1]",
+    "matrix_one_row": "arrows_maps['a']: expected 2 rows of 2 integers, got [[1, 0, 0, 1]]",
+    "morphism_flat": "morphism['2']: expected 1 rows of 1 integers, got [1]",
+    "morphism_no_rows": "morphism['1']: expected 1 rows of 0 integers, got []",
+    "modules_unknown_vertex": "modules: unknown vertices ['3']",
+    "arrows_maps_unknown_arrow": "arrows_maps: unknown arrows ['b']",
+    "morphism_unknown_vertex": "morphism: unknown vertices ['3']",
 }
+
+
+def _two_by_two_rep(matrix) -> dict:
+    """Z/2 + Z/4 at both ends of 1 -> 2, with the arrow map `matrix`."""
+    return {
+        "modulus": 4,
+        "quiver": quiver_to_dict(a2()),
+        "modules": {"1": [2, 4], "2": [2, 4]},
+        "arrows_maps": {"a": matrix},
+    }
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_INPUTS))

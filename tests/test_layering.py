@@ -1,11 +1,16 @@
 """No module of the package imports a private name of another module: what
 a module keeps private (a cache key, a kernel's arguments) stays behind its
 public functions.  Attribute use such as `ModHom._closed` is not an import
-and is not checked here.  Within `linalg`, numpy is called only by the one
-reader and the one writer of matrices."""
+and is not checked here.  The package imports nothing but the standard
+library and itself, and no command loads numpy: a matrix is a tuple of
+int rows throughout."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "quiverhom"
 
@@ -26,22 +31,41 @@ def test_no_module_imports_a_private_name_of_another():
     assert not found, found
 
 
-def test_linalg_calls_numpy_only_in_its_reader_and_writer():
-    allowed = {"_entries", "_array"}
+def test_the_package_imports_only_the_standard_library():
     found = []
-
-    def visit(node, func):
-        if isinstance(node, ast.FunctionDef):
-            func = node.name
-        if isinstance(node, ast.Call):
-            root = node.func
-            while isinstance(root, ast.Attribute):
-                root = root.value
-            if isinstance(root, ast.Name) and root.id == "np" and func not in allowed:
-                found.append(f"linalg.py:{node.lineno} calls numpy in {func}")
-        for child in ast.iter_child_nodes(node):
-            visit(child, func)
-
-    path = SRC / "linalg.py"
-    visit(ast.parse(path.read_text(), str(path)), None)
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} imports {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names | {"quiverhom"}
+            ]
     assert not found, found
+
+
+def test_no_command_loads_numpy():
+    # each command in one process, which then reports what it imported
+    data = pathlib.Path(__file__).resolve().parent / "data" / "large_reps"
+    argvs = [
+        ["verify", "all", "--seed", "1", "--trials", "2", "--json"],
+        ["classify", str(data / "item0003-classify.json"), "--oracle", "--json"],
+        ["purity", str(data / "item0000-purity.json"), "--json"],
+        ["ext", str(data / "item0001-ext.json"), "--x", "x", "--y", "y", "--n", "2", "--json"],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from quiverhom.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps({'codes': codes, 'numpy': 'numpy' in sys.modules}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 0], "numpy": False}

@@ -15,6 +15,7 @@ from quiverhom.harness import (
 )
 from quiverhom.homology import canonical_injective_embedding
 from quiverhom.io import ses_from_dict
+from quiverhom.linalg import identity
 from quiverhom.quiver import a2
 from quiverhom.rep import (
     RepMorphism,
@@ -272,7 +273,7 @@ def reference_dual_section(f):
     sysm, var = naturality_system(tgt, src)
     for v in src.quiver.vertices:
         side = tgt.vertex_modules[v]
-        eye = np.eye(side.rank, dtype=np.int64)
+        eye = identity(side.rank)
         sysm.add_matrix_equation([(var[v], g.components[v].matrix, eye, 1)], eye, side.factors)
     out = sysm.solve()
     if out is None:
@@ -327,8 +328,8 @@ def test_psi_of_injective_is_split_epi():
     sections = []
     for coeffs in grp.elements():
         s = zero_hom(h.codomain, h.domain)
-        for c, b in zip(coeffs.tolist(), basis):
-            s = s + ModHom._closed(b.domain, b.codomain, c * b.matrix)
+        for c, b in zip(coeffs, basis):
+            s = s + ModHom._closed(b.domain, b.codomain, [[c * x for x in row] for row in b.matrix])
         if h.compose(s) == ident:
             sections.append(s)
     assert sections
