@@ -71,13 +71,13 @@ def _emit(args, records: List[dict], rows: List[List[str]]):
 
 def cmd_classify(args) -> int:
     x = rep_from_dict(load_json(args.file))
+    instance = rep_digest(x)
     wanted = list(CLASSIFIERS) if args.cls == "all" else [args.cls]
-    rows = [["class", "verdict", "mode", "oracle"]]
-    records = []
+    rows, records = [["class", "verdict", "mode", "oracle"]], []
     for name in wanted:
         cv = CLASSIFIERS[name](x, with_oracle=args.oracle)
         rows.append([name, str(cv.verdict), cv.mode, str(cv.oracle)])
-        records.append({"class": name, "verdict": cv.verdict, "mode": cv.mode, "oracle": cv.oracle, "instance": rep_digest(x)})
+        records.append({"class": name, "verdict": cv.verdict, "mode": cv.mode, "oracle": cv.oracle, "instance": instance})
     _emit(args, records, rows)
     disagree = any(r["oracle"] is not None and r["oracle"] != r["verdict"] for r in records)
     return 1 if disagree else 0

@@ -269,14 +269,14 @@ class ExtComputation:
 
     def _present_ext(self, m: int):
         modulus, orders = self.y.modulus, self.orders[m]
-        out = solve_congruences(self.deltas[m], (0,) * len(self.orders[m + 1]), self.orders[m + 1], orders, modulus)
+        out = solve_congruences(self.deltas[m], ((),) * len(self.orders[m + 1]), 0, self.orders[m + 1], orders, modulus)
         assert out is not None
         k = len(out[1])
         gens = transpose(out[1], len(orders))
-        image = self.deltas[m - 1] if m else ((),) * len(orders)
+        image, width = (self.deltas[m - 1], len(self.orders[m - 1])) if m else (((),) * len(orders), 0)
         # the particular solution writes each coboundary in the generators,
         # and the kernel rows are the relations among them, which present Z
-        out = solve_congruences(gens, image, orders, [modulus.n] * k, modulus)
+        out = solve_congruences(gens, image, width, orders, [modulus.n] * k, modulus)
         assert out is not None, "image does not lie in the kernel (bug)"
         coboundaries, relations = out
         quo, proj, sect = present(hstack([transpose(relations, k), coboundaries], k), modulus)
@@ -296,14 +296,15 @@ class ExtComputation:
         prev = quotient_order(self.deltas[m - 1], self.orders[m], n) if m else math.prod(self.orders[0])
         return quotient_order(self.deltas[m], self.orders[m + 1], n) * prev // math.prod(self.orders[m + 1])
 
-    def cocycle_to_ext_coords(self, m: int, cochains: Matrix) -> Matrix:
-        """The Ext^m coordinates of cocycles given by their coordinates in
-        T^m, one column per cocycle, all solved at once."""
-        gens, quo, proj, _ = self._data(m)
-        c = ambient_coords_solve(self.orders[m], gens, cochains, self.y.modulus)
+    def cocycle_to_ext_coords(self, m: int, cochains: Matrix, cols: int) -> Matrix:
+        """The Ext^m coordinates of `cols` cocycles given by their
+        coordinates in T^m, one column per cocycle, all solved at once."""
+        gens, quo, proj, sect = self._data(m)
+        # sect has one row per kernel generator, the columns of gens
+        c = ambient_coords_solve(self.orders[m], gens, len(sect), cochains, cols, self.y.modulus)
         if c is None:
             raise ValueError("not a cocycle")
-        return mod_rows(matmul(proj, c, len(cochains[0]) if len(cochains) else 0), quo.factors)
+        return mod_rows(matmul(proj, c, cols), quo.factors)
 
 
 def _check_degree(m: int):
@@ -340,7 +341,7 @@ def ext_induced_second(comp_src: ExtComputation, comp_tgt: ExtComputation, f: Re
                 post[r + i][c : c + fv.domain.rank] = row
             r, c = r + fv.codomain.rank, c + fv.domain.rank
     images = mod_rows(matmul(post, cocycles, quo_s.rank), comp_tgt.orders[m])
-    return ModHom(quo_s, comp_tgt.ext(m), comp_tgt.cocycle_to_ext_coords(m, images))
+    return ModHom(quo_s, comp_tgt.ext(m), comp_tgt.cocycle_to_ext_coords(m, images, quo_s.rank))
 
 
 def _block_slices(blocks: List[Tuple[VertexId, int]], y: Representation) -> List[slice]:
@@ -558,6 +559,7 @@ def _left_injective_step(w: Representation):
             sysm.add_matrix_equation(
                 [(var, w.map(a.id).matrix, identity(total.vertex_modules[wv].rank), 1)],
                 rhs_h.matrix,
+                total.vertex_modules[wv].rank,
                 w.vertex_modules[u].factors,
             )
         out = sysm.solve()

@@ -83,7 +83,7 @@ def rep_retraction(f: RepMorphism) -> Optional[RepMorphism]:
     for v in q.vertices:
         side = src.vertex_modules[v]
         eye = identity(side.rank)
-        sysm.add_matrix_equation([(var[v], eye, f.components[v].matrix, 1)], eye, side.factors)
+        sysm.add_matrix_equation([(var[v], eye, f.components[v].matrix, 1)], eye, side.rank, side.factors)
     out = sysm.solve()
     if out is None:
         return None

@@ -378,12 +378,13 @@ def _subrep_from_vertex_subgroups(x: Representation, incl_data: Dict[VertexId, T
     for w in q.vertices:
         sub_t, incl_t = incl_data[w]
         arrows = in_arrows(q, w)
+        width = sum(mods[a.src].rank for a in arrows)
         cols = ((),) * sub_t.rank
-        if any(mods[a.src].rank for a in arrows):
+        if width:
             # the images of the generators along every arrow into w, solved
             # as one system; each column is what a one-column solve returns
             images = hstack([x.map(a.id).compose(incl_data[a.src][1]).matrix for a in arrows], x.vertex_modules[w].rank)
-            cols = ambient_coords_solve(incl_t.codomain.factors, incl_t.matrix, images, modulus)
+            cols = ambient_coords_solve(incl_t.codomain.factors, incl_t.matrix, sub_t.rank, images, width, modulus)
             if cols is None:
                 raise ValueError(f"subgroups not closed under the arrows into {w!r}")
         at = 0
@@ -429,13 +430,14 @@ def subrep_generated(x: Representation, seeds: Dict[VertexId, List[Sequence[int]
     q = x.quiver
     gens = {v: list(seeds.get(v, [])) for v in q.vertices}
     while True:
-        incl = {v: subgroup_present(x.vertex_modules[v].factors, gens[v], x.modulus)[1] for v in q.vertices}
+        subs = {v: subgroup_present(x.vertex_modules[v].factors, gens[v], x.modulus) for v in q.vertices}
         changed = False
         for a in q.arrows:
+            sub, incl = subs[a.tgt]
             for g in list(gens[a.src]):
                 img = x.map(a.id)(g)
                 if any(img) and ambient_coords_solve(
-                    x.vertex_modules[a.tgt].factors, incl[a.tgt], img, x.modulus
+                    x.vertex_modules[a.tgt].factors, incl, sub.rank, [(c,) for c in img], 1, x.modulus
                 ) is None:
                     gens[a.tgt].append(img)
                     changed = True
@@ -464,6 +466,7 @@ def naturality_system(x: Representation, y: Representation) -> Tuple[HomSystem, 
                 (var[a.tgt], identity(yj.rank), x.map(a.id).matrix, -1),
             ],
             ((0,) * xi.rank,) * yj.rank,
+            xi.rank,
             yj.factors,
         )
     return sysm, var
@@ -502,11 +505,10 @@ class HomGroupRep:
     def coord_matrix(self, fs: Sequence[RepMorphism]) -> Matrix:
         """The coordinates of each morphism as one column, all solved against
         the inclusion of the hom group at once."""
-        if not fs:
-            return ((),) * self.group.rank
         vs = self.x.quiver.vertices
         flats = [self._sysm.flat_of([f.components[v].matrix for v in vs]) for f in fs]
-        sol = ambient_coords_solve(self._sysm.orders, self._incl, transpose(flats, len(self._sysm.orders)), self.x.modulus)
+        orders, modulus = self._sysm.orders, self.x.modulus
+        sol = ambient_coords_solve(orders, self._incl, self.group.rank, transpose(flats, len(orders)), len(fs), modulus)
         if sol is None:
             raise ValueError("morphism does not lie in the hom group (bug)")
         return mod_rows(sol, self.group.factors)

@@ -284,21 +284,20 @@ def random_hom(rng: random.Random, dom: FinMod, cod: FinMod) -> ModHom:
 
 
 def solve_congruences(
-    a, b, row_moduli: Sequence[int], orders: Sequence[int], modulus: Modulus
-) -> Optional[Tuple[tuple, Matrix]]:
+    a, b, cols: int, row_moduli: Sequence[int], orders: Sequence[int], modulus: Modulus
+) -> Optional[Tuple[Matrix, Matrix]]:
     """Solve a @ x == b with row k read mod r_k and unknown x_t in Z/m_t.
 
-    a has one row per equation.  b is one right-hand side (a vector of
-    ints) or several (the columns of a matrix, given by its rows); with no
-    equations it is one empty vector.  The particular solution has the
-    same form, one column per column of b, each the solution a one-column
-    call returns.  Every r_k and m_t divides n.  A coefficient is well
-    defined when c * m_t == 0 mod r, i.e. when c is a multiple of
-    r / gcd(m_t, r), which is how it is tested, so no product is formed.
-    Each row is reduced mod its r and rescaled by n/r into Z/n; one
-    `solve_left` there projects onto exactly the mixed-modulus solutions.
-    Returns (particular, kernel generators as the rows of a matrix) reduced
-    mod the orders, or None when some column of b is inconsistent.
+    a has one row per equation, b one row per equation and `cols` columns,
+    one right-hand side each (cols = 0 asks for the kernel alone).  Every
+    r_k and m_t divides n.  A coefficient is well defined when c * m_t == 0
+    mod r, i.e. when c is a multiple of r / gcd(m_t, r), which is how it is
+    tested, so no product is formed.  Each row is reduced mod its r and
+    rescaled by n/r into Z/n; one `solve_left` there projects onto exactly
+    the mixed-modulus solutions.  Returns (particular, kernel generators as
+    the rows of a matrix) reduced mod the orders, the particular solution
+    with one row per unknown and one column per column of b, or None when
+    some column of b is inconsistent.
     """
     n = modulus.n
     om, r = tuple(orders), tuple(row_moduli)
@@ -315,21 +314,16 @@ def solve_congruences(
             if c % (rk // gcd(m, rk)):
                 raise ValueError(f"coefficient {c} for unknown of order {m} is not well defined mod {rk}")
         a_rows.append([c * (n // rk) for c in row])
-    single = not len(b) or not hasattr(b[0], "__len__")
-    rhs = [(c,) for c in b] if single else b
-    if len(rhs) != len(r):
-        raise ValueError(f"shape mismatch: {len(r)} equations, right-hand side of {len(rhs)} rows")
-    b_rows = [[int(c) % rk * (n // rk) for c in row] for rk, row in zip(r, rhs)]
+    if len(b) != len(r) or any(len(row) != cols for row in b):
+        raise ValueError(f"shape mismatch: {len(r)} equations, {cols} right-hand sides, rows of lengths {[len(row) for row in b]}")
+    b_rows = [[int(c) % rk * (n // rk) for c in row] for rk, row in zip(r, b)]
     # a @ x == b is x^T a^T == b^T: solve_left's operands are the columns,
     # one empty row per unknown and per right-hand side if no equations
-    out = solve_left(transpose(a_rows, len(om)), transpose(b_rows, 1), n)
+    out = solve_left(transpose(a_rows, len(om)), transpose(b_rows, cols), n)
     if out is None:
         return None
     y, kern = out
-    kern = tuple(tuple(x % m for x, m in zip(row, om)) for row in kern)
-    if single:
-        return tuple(x % m for x, m in zip(y[0], om)), kern
-    return mod_rows(transpose(y, len(om)), om), kern
+    return mod_rows(transpose(y, len(om)), om), tuple(tuple(x % m for x, m in zip(row, om)) for row in kern)
 
 
 class HomSystem:
@@ -349,7 +343,7 @@ class HomSystem:
         # per unknown: its first flat index, entry scales, codomain factors
         self._vars: List[Tuple[int, Matrix, Tuple[int, ...]]] = []
         self._rows: List[List[int]] = []
-        self._rhs: List[int] = []
+        self._rhs: List[Tuple[int]] = []
         self._moduli: List[int] = []
 
     def add_hom_unknown(self, dom_factors: Sequence[int], cod_factors: Sequence[int]) -> int:
@@ -365,12 +359,11 @@ class HomSystem:
         self,
         terms: Sequence[Tuple[int, Matrix, Matrix, int]],
         rhs: Matrix,
+        n_cols: int,
         row_factors: Sequence[int],
     ):
-        """Sum of sign * L @ U_var @ R terms equals rhs, rows read mod row_factors."""
-        if not len(row_factors):
-            return
-        n_cols = len(rhs[0])
+        """Sum of sign * L @ U_var @ R terms equals rhs, rows read mod
+        row_factors; every R and rhs have n_cols columns."""
         block = [[0] * len(self.orders) for _ in range(len(row_factors) * n_cols)]
         for var, left, right, sign in terms:
             start, scales, _ = self._vars[var]
@@ -380,13 +373,14 @@ class HomSystem:
                 for c, x in enumerate(map(mul, krow, flat_scales), start):
                     brow[c] += x
         self._rows += block
-        self._rhs += [x for row in rhs for x in row]
+        self._rhs += [(x,) for row in rhs for x in row]
         self._moduli += [e for e in row_factors for _ in range(n_cols)]
 
     def solve(self) -> Optional[Tuple[tuple, Matrix]]:
-        """`solve_congruences` on the flat unknowns: (particular, kernel
-        generators as rows), or None."""
-        return solve_congruences(self._rows, self._rhs, self._moduli, self.orders, self.modulus)
+        """`solve_congruences` on the flat unknowns, one right-hand side:
+        (particular as a flat vector, kernel generators as rows), or None."""
+        out = solve_congruences(self._rows, self._rhs, 1, self._moduli, self.orders, self.modulus)
+        return None if out is None else (tuple(row[0] for row in out[0]), out[1])
 
     def assignment(self, flat) -> List[Matrix]:
         """The matrix of each unknown hom at a flat vector."""
@@ -470,17 +464,17 @@ def subgroup_present(ambient_orders: Sequence[int], gens: Sequence[Sequence[int]
     if r == 0:
         return zero_mod(modulus), ((),) * len(amb)
     gmat = transpose([tuple(map(int, g)) for g in gens], len(amb))
-    out = solve_congruences(gmat, (0,) * len(amb), amb, [modulus.n] * r, modulus)
+    out = solve_congruences(gmat, ((),) * len(amb), 0, amb, [modulus.n] * r, modulus)
     assert out is not None
     sub, _, sect = present(transpose(out[1], r), modulus)
     return sub, mod_rows(matmul(gmat, sect, sub.rank), amb)
 
 
-def ambient_coords_solve(ambient_orders: Sequence[int], incl: Matrix, target, modulus: Modulus):
-    """Solve incl @ c == target in prod Z/m_c for c over the column module;
-    a matrix target gives one column of c per column, solved in one pass."""
-    unknowns = len(incl[0]) if len(incl) else 0
-    out = solve_congruences(incl, target, ambient_orders, [modulus.n] * unknowns, modulus)
+def ambient_coords_solve(ambient_orders: Sequence[int], incl: Matrix, rank: int, target: Matrix, cols: int, modulus: Modulus):
+    """Solve incl @ c == target in prod Z/m_c for c over the column module:
+    incl has `rank` columns and target `cols`, and c has one row per column
+    of incl and one column per column of target, all solved in one pass."""
+    out = solve_congruences(incl, target, cols, ambient_orders, [modulus.n] * rank, modulus)
     return None if out is None else out[0]
 
 
@@ -510,7 +504,7 @@ def kernel_of_hom(f: ModHom):
 
 @lru_cache(maxsize=1024)
 def _kernel_of_hom(f: ModHom):
-    out = solve_congruences(f.matrix, (0,) * f.codomain.rank, f.codomain.factors, f.domain.factors, f.modulus)
+    out = solve_congruences(f.matrix, ((),) * f.codomain.rank, 0, f.codomain.factors, f.domain.factors, f.modulus)
     assert out is not None
     return subgroup_with_inclusion(f.domain, out[1])
 
@@ -664,7 +658,7 @@ def retraction_of(f: ModHom) -> Optional[ModHom]:
     eye = identity(f.domain.rank)
     sysm = HomSystem(f.modulus)
     var = sysm.add_hom_unknown(f.codomain.factors, f.domain.factors)
-    sysm.add_matrix_equation([(var, eye, f.matrix, 1)], eye, f.domain.factors)
+    sysm.add_matrix_equation([(var, eye, f.matrix, 1)], eye, f.domain.rank, f.domain.factors)
     out = sysm.solve()
     return None if out is None else ModHom(f.codomain, f.domain, sysm.assignment(out[0])[0])
 

@@ -9,6 +9,8 @@ package's kernels, on dense int64 arrays, so `howell_form`, `solve_left`,
 package's: Howell rows, solutions, kernels, chains, `U` and `Uinv`.
 `_solve_left_numpy` builds its Howell form with this module's
 `howell_form`, so no oracle result goes through the package's kernels.
+`solve_congruences` is the package's mixed-modulus solve on arrays of the
+stated shapes, through this module's `solve_left`.
 `quotient_order` is the package's former column fold, a second echelon
 algorithm, unchanged: it must give the order the package reads off the
 Howell kernel.  `arr` reads a matrix of the package as an array.
@@ -45,11 +47,29 @@ def solve_left(a, b, n: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
 
 def solve_rows(a, b, n: int):
     """`solve_left` on sequences of int rows, as `quiverhom.znmod` passes
-    them (b has at least one row, which gives the column count of a), with
-    the results as tuples of int rows, as the package returns them."""
-    k = len(b[0])
+    them (a matrix with no rows takes its column count from the other, as
+    in `solve_left`, and with neither it is 0), with the results as tuples
+    of int rows, as the package returns them."""
+    k = len(a[0]) if len(a) else len(b[0]) if len(b) else 0
     out = solve_left(np.array(a, dtype=np.int64).reshape(len(a), k), np.array(b, dtype=np.int64).reshape(len(b), k), n)
     return None if out is None else tuple(tuple(map(tuple, x.tolist())) for x in out)
+
+
+def solve_congruences(a, b, cols: int, row_moduli, orders, n: int):
+    """`quiverhom.znmod.solve_congruences` on int64 arrays shaped by the
+    counts alone: a is (equations x unknowns) and b (equations x cols).
+    Each row is reduced mod its r and rescaled by n/r, and the results are
+    reduced mod the orders: (particular, one row per unknown; kernel
+    generators as rows), or None.  Coefficients are not checked."""
+    r = np.array(row_moduli, dtype=np.int64).reshape(-1, 1)
+    om = np.array(orders, dtype=np.int64)
+    a = np.array(a, dtype=np.int64).reshape(len(r), len(om)) % r * (n // r)
+    b = np.array(b, dtype=np.int64).reshape(len(r), cols) % r * (n // r)
+    out = solve_left(a.T, b.T, n)
+    if out is None:
+        return None
+    y, kern = out
+    return y.T % om.reshape(-1, 1), kern % om
 
 
 def diagonalize(a, n: int):

@@ -891,8 +891,8 @@ class YonedaExtComputation:
             if not self.y.vertex_modules[v].rank or not f.domain.rank:
                 out[v] = np.zeros((f.domain.rank, 0), dtype=np.int64)
                 continue
-            zero = np.zeros(f.codomain.rank, dtype=np.int64)
-            out[v] = arr(solve_congruences(f.matrix, zero, f.codomain.factors, f.domain.factors, self.y.modulus)[1], f.domain.rank).T
+            zero = np.zeros((f.codomain.rank, 0), dtype=np.int64)
+            out[v] = arr(solve_congruences(f.matrix, zero, 0, f.codomain.factors, f.domain.factors, self.y.modulus)[1], f.domain.rank).T
         return out
 
     def _delta(self, k, columns):
@@ -925,11 +925,11 @@ class YonedaExtComputation:
         """(gens, quo, proj, sect), as `ExtComputation._data` gives them."""
         if m not in self._ext_data:
             modulus, orders = self.y.modulus, self.orders[m]
-            zero = np.zeros(len(self.orders[m + 1]), dtype=np.int64)
-            gens = arr(solve_congruences(self.deltas[m], zero, self.orders[m + 1], orders, modulus)[1], len(orders)).T
+            zero = np.zeros((len(self.orders[m + 1]), 0), dtype=np.int64)
+            gens = arr(solve_congruences(self.deltas[m], zero, 0, self.orders[m + 1], orders, modulus)[1], len(orders)).T
             k = gens.shape[1]
             image = self.deltas[m - 1] if m else np.zeros((len(orders), 0), dtype=np.int64)
-            coboundaries, relations = solve_congruences(gens, image, orders, [modulus.n] * k, modulus)
+            coboundaries, relations = solve_congruences(gens, image, image.shape[1], orders, [modulus.n] * k, modulus)
             relations, coboundaries = arr(relations, k), arr(coboundaries, image.shape[1])
             self._ext_data[m] = (gens,) + present(np.hstack([relations.T, coboundaries]), modulus)
         return self._ext_data[m]
@@ -950,14 +950,12 @@ class YonedaExtComputation:
         prev = quotient_order(self.deltas[m - 1], self.orders[m], n) if m else math.prod(self.orders[0])
         return quotient_order(self.deltas[m], self.orders[m + 1], n) * prev // math.prod(self.orders[m + 1])
 
-    def cocycle_to_ext_coords(self, m, hom_coords):
+    def cocycle_to_ext_coords(self, m, hom_coords, cols):
         gens, quo, proj, _ = self._data(m)
-        c = ambient_coords_solve(self.orders[m], gens, hom_coords, self.y.modulus)
+        c = ambient_coords_solve(self.orders[m], gens, gens.shape[1], hom_coords, cols, self.y.modulus)
         if c is None:
             raise ValueError("not a cocycle")
-        if not quo.rank:
-            return np.zeros((0, hom_coords.shape[1]), dtype=np.int64)
-        return arr(proj, gens.shape[1]).dot(arr(c, hom_coords.shape[1])) % _column(quo.factors)
+        return arr(proj, gens.shape[1]).dot(arr(c, cols)) % _column(quo.factors)
 
 
 def yoneda_ext_induced_second(comp_src, comp_tgt, f, m):
@@ -974,7 +972,7 @@ def yoneda_ext_induced_second(comp_src, comp_tgt, f, m):
             post[r : r + fv.shape[0], c : c + fv.shape[1]] = fv
             r, c = r + fv.shape[0], c + fv.shape[1]
     images = post.dot(cocycles) % _column(comp_tgt.orders[m])
-    return ModHom(quo_s, comp_tgt.ext(m), comp_tgt.cocycle_to_ext_coords(m, images))
+    return ModHom(quo_s, comp_tgt.ext(m), comp_tgt.cocycle_to_ext_coords(m, images, quo_s.rank))
 
 
 def _yoneda_offsets(vertices, ranks, mods):
@@ -1010,9 +1008,9 @@ class ReferenceExtComputation:
         if m not in self._ext_data:
             ker, incl = kernel_of_hom(self.deltas[m])
             im_gens = []
-            if m and self.deltas[m - 1].domain.rank:
+            if m:
                 prev = self.deltas[m - 1]
-                coords = ambient_coords_solve(incl.codomain.factors, incl.matrix, prev.matrix, self.y.modulus)
+                coords = ambient_coords_solve(incl.codomain.factors, incl.matrix, ker.rank, prev.matrix, prev.domain.rank, self.y.modulus)
                 assert coords is not None
                 coords = arr(coords, prev.domain.rank)
                 im_gens = [ker.reduce(coords[:, c]) for c in range(prev.domain.rank)]
@@ -1030,14 +1028,13 @@ def reference_ext_induced_second(comp_src, comp_tgt, f, m):
     ker_s, quo_s, incl_s, proj_s = comp_src._data(m)
     ker_t, quo_t, incl_t, proj_t = comp_tgt._data(m)
     src_hom, tgt_hom = comp_src.homs[m], comp_tgt.homs[m]
-    lifts = ambient_coords_solve(quo_s.factors, proj_s, np.eye(quo_s.rank, dtype=np.int64), comp_src.y.modulus)
-    lifts = np.array(lifts, dtype=np.int64).reshape(ker_s.rank, quo_s.rank)  # proj_s has no rows if quo_s is zero
-    cocycles = arr(incl_s.matrix, ker_s.rank).dot(lifts % np.array(ker_s.factors, dtype=np.int64).reshape(-1, 1))
+    eye = np.eye(quo_s.rank, dtype=np.int64)
+    lifts = ambient_coords_solve(quo_s.factors, proj_s, ker_s.rank, eye, quo_s.rank, comp_src.y.modulus)
+    cocycles = arr(incl_s.matrix, ker_s.rank).dot(arr(lifts, quo_s.rank) % _column(ker_s.factors))
     fgs = [f.compose(src_hom.from_coords(cocycles[:, k])) for k in range(quo_s.rank)]
-    c = ambient_coords_solve(incl_t.codomain.factors, incl_t.matrix, tgt_hom.coord_matrix(fgs), comp_tgt.y.modulus)
+    c = ambient_coords_solve(incl_t.codomain.factors, incl_t.matrix, ker_t.rank, tgt_hom.coord_matrix(fgs), quo_s.rank, comp_tgt.y.modulus)
     assert c is not None
-    mat = arr(proj_t, ker_t.rank).dot(arr(c, quo_s.rank)) if quo_t.rank else np.zeros((0, quo_s.rank), dtype=np.int64)
-    return ModHom(quo_s, quo_t, mat)
+    return ModHom(quo_s, quo_t, arr(proj_t, ker_t.rank).dot(arr(c, quo_s.rank)))
 
 
 def _generator_positions(term, ranks, v):
@@ -1229,7 +1226,7 @@ def _assert_section_round_trip(comp, degrees):
     for m in degrees:
         gens, quo, _, sect = comp._data(m)
         cocycles = arr(gens, len(sect)).dot(arr(sect, quo.rank)) % _column(comp.orders[m])
-        got = comp.cocycle_to_ext_coords(m, cocycles)
+        got = comp.cocycle_to_ext_coords(m, cocycles, quo.rank)
         assert np.array_equal(arr(got, quo.rank), np.eye(quo.rank, dtype=np.int64))
 
 
@@ -1250,7 +1247,7 @@ def test_ext_without_cochains_or_cocycle_generators():
         for m in range(3):
             assert comp.ext(m).is_zero
             cochains = np.zeros((len(comp.orders[m]), 2), dtype=np.int64)
-            assert len(comp.cocycle_to_ext_coords(m, cochains)) == 0
+            assert len(comp.cocycle_to_ext_coords(m, cochains, 2)) == 0
             induced = induced_map(comp, comp, identity_morphism(s2), m)
             assert induced.domain.is_zero and induced.codomain.is_zero
 
@@ -1265,17 +1262,17 @@ def _ext_induced_second_per_generator(comp_src, comp_tgt, f, m):
     term, ranks = res.terms[m], comp_src.ranks[m]
     cols = []
     for k in range(quo_s.rank):
-        target = np.zeros(quo_s.rank, dtype=np.int64)
+        target = np.zeros((quo_s.rank, 1), dtype=np.int64)
         target[k] = 1
         # lifted by solving against proj, not read off the section
-        kcoords = ambient_coords_solve(quo_s.factors, proj_s, target, comp_src.y.modulus)
-        cocycle = gens_s.dot(kcoords) % np.array(comp_src.orders[m], dtype=np.int64)
+        kcoords = ambient_coords_solve(quo_s.factors, proj_s, gens_s.shape[1], target, 1, comp_src.y.modulus)
+        cocycle = gens_s.dot(arr(kcoords, 1)[:, 0]) % np.array(comp_src.orders[m], dtype=np.int64)
         fg = f.compose(_from_yoneda_coords(term, ranks, comp_src.y, cocycle))
-        c = ambient_coords_solve(comp_tgt.orders[m], gens_t, _yoneda_coords(fg, ranks), comp_tgt.y.modulus)
+        target = _yoneda_coords(fg, ranks).reshape(-1, 1)
+        c = ambient_coords_solve(comp_tgt.orders[m], gens_t, gens_t.shape[1], target, 1, comp_tgt.y.modulus)
         assert c is not None
-        cols.append(quo_t.reduce(arr(proj_t, gens_t.shape[1]).dot(c)) if quo_t.rank else np.zeros(0, dtype=np.int64))
-    mat = np.array(cols, dtype=np.int64).T if cols and quo_t.rank else np.zeros((quo_t.rank, quo_s.rank), dtype=np.int64)
-    return ModHom(quo_s, quo_t, mat)
+        cols.append(quo_t.reduce(arr(proj_t, gens_t.shape[1]).dot(arr(c, 1)[:, 0])))
+    return ModHom(quo_s, quo_t, np.array(cols, dtype=np.int64).reshape(quo_s.rank, quo_t.rank).T)
 
 
 def test_ext_induced_second_matches_per_generator_loop():
@@ -1314,8 +1311,8 @@ def test_cocycle_check_holds_when_ext_is_zero():
         cochains = np.eye(len(comp.orders[0]), dtype=np.int64)
         assert delta.dot(cochains).any()
         with pytest.raises(ValueError, match="not a cocycle"):
-            comp.cocycle_to_ext_coords(0, cochains)
-        assert len(comp.cocycle_to_ext_coords(0, np.zeros((len(comp.orders[0]), 2), dtype=np.int64))) == 0
+            comp.cocycle_to_ext_coords(0, cochains, len(comp.orders[0]))
+        assert len(comp.cocycle_to_ext_coords(0, np.zeros((len(comp.orders[0]), 2), dtype=np.int64), 2)) == 0
 
 
 def test_standard_complex_matches_yoneda_reference():

@@ -3,7 +3,8 @@ a module keeps private (a cache key, a kernel's arguments) stays behind its
 public functions.  Attribute use such as `ModHom._closed` is not an import
 and is not checked here.  The package imports nothing but the standard
 library and itself, and no command loads numpy: a matrix is a tuple of
-int rows throughout."""
+int rows throughout, and no module but `cli` reads a shape off a first
+row: a matrix with no rows has none, so every count is stated."""
 
 import ast
 import json
@@ -28,6 +29,26 @@ def test_no_module_imports_a_private_name_of_another():
                     for alias in node.names
                     if alias.name.startswith("_") and not alias.name.startswith("__")
                 ]
+    assert not found, found
+
+
+def test_no_module_reads_a_shape_from_a_first_row():
+    # `cli` sizes a printed table from its header row, which always exists
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("len", "hasattr")
+                and node.args
+                and isinstance(node.args[0], ast.Subscript)
+                and isinstance(node.args[0].slice, ast.Constant)
+                and node.args[0].slice.value == 0
+            ):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert not found, found
 
 

@@ -415,25 +415,32 @@ def test_solve_congruences_int_and_numpy_paths_agree(n, monkeypatch):
             a = [[rng.randrange(rk) * (rk // gcd(m, rk)) for m in orders] for rk in r]
             x = [rng.randrange(m) for m in orders]
             b = [sum(c * v for c, v in zip(row, x)) for row in a]
-            for rhs in (b, np.array([b, [rng.randrange(n) for _ in r]], dtype=np.int64).reshape(2, rows).T.tolist()):
+            # b, then b beside a random column, then no right-hand side
+            for cols in (1, 2, 0):
+                rhs = [(c, rng.randrange(n))[:cols] for c in b]
                 linalg._solve.cache_clear()
-                got = solve_congruences(a, rhs, r, orders, modulus)
-                assert got is not None or np.ndim(rhs) == 2
+                got = solve_congruences(a, rhs, cols, r, orders, modulus)
+                assert got is not None or cols == 2
                 with monkeypatch.context() as m:
                     # the same checks and scaling, then the oracle's solve
                     m.setattr(znmod, "solve_left", oracle.solve_rows)
-                    want = solve_congruences(a, rhs, r, orders, modulus)
+                    want = solve_congruences(a, rhs, cols, r, orders, modulus)
                 assert _identical(got, want)
 
 
 def test_solve_congruences_error_messages():
     z4 = Modulus(4)
     with pytest.raises(ValueError, match="^unknown order 3 must divide 4$"):
-        solve_congruences([[0]], [0], [4], [3], z4)
+        solve_congruences([[0]], [[0]], 1, [4], [3], z4)
     with pytest.raises(ValueError, match="^equation modulus 0 must divide 4$"):
-        solve_congruences([[0]], [0], [0], [2], z4)
+        solve_congruences([[0]], [[0]], 1, [0], [2], z4)
     # the first bad coefficient in row-major order, reduced mod its row
     with pytest.raises(ValueError, match="^coefficient 3 for unknown of order 2 is not well defined mod 4$"):
-        solve_congruences([[0, 7], [1, 0]], [0, 0], [4, 4], [2, 2], z4)
-    with pytest.raises(ValueError, match="shape mismatch"):
-        solve_congruences([[0]], [0, 0], [4], [2], z4)
+        solve_congruences([[0, 7], [1, 0]], [[0], [0]], 1, [4, 4], [2, 2], z4)
+    with pytest.raises(ValueError, match=r"^shape mismatch: 1 equations, 1 right-hand sides, rows of lengths \[1, 1\]$"):
+        solve_congruences([[0]], [[0], [0]], 1, [4], [2], z4)
+    # the stated count, not the first row, gives the number of right-hand sides
+    with pytest.raises(ValueError, match=r"rows of lengths \[2\]$"):
+        solve_congruences([[0]], [[0, 0]], 1, [4], [2], z4)
+    with pytest.raises(ValueError, match=r"^shape mismatch: 0 equations, 0 right-hand sides, rows of lengths \[0\]$"):
+        solve_congruences([], [()], 0, [], [2], z4)

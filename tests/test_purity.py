@@ -274,7 +274,7 @@ def reference_dual_section(f):
     for v in src.quiver.vertices:
         side = tgt.vertex_modules[v]
         eye = identity(side.rank)
-        sysm.add_matrix_equation([(var[v], g.components[v].matrix, eye, 1)], eye, side.factors)
+        sysm.add_matrix_equation([(var[v], g.components[v].matrix, eye, 1)], eye, side.rank, side.factors)
     out = sysm.solve()
     if out is None:
         return None

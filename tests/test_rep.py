@@ -286,11 +286,9 @@ def _subrep_arrow_matrices_per_arrow(x, incl):
     out = {}
     for a in x.quiver.arrows:
         incl_s, incl_t = incl.components[a.src], incl.components[a.tgt]
-        cols = np.zeros((incl_t.domain.rank, 0), dtype=np.int64)
-        if incl_s.domain.rank:
-            images = x.map(a.id).compose(incl_s).matrix
-            cols = ambient_coords_solve(incl_t.codomain.factors, incl_t.matrix, images, x.modulus)
-            assert cols is not None
+        images = x.map(a.id).compose(incl_s).matrix
+        cols = ambient_coords_solve(incl_t.codomain.factors, incl_t.matrix, incl_t.domain.rank, images, incl_s.domain.rank, x.modulus)
+        assert cols is not None
         out[a.id] = ModHom(incl_s.domain, incl_t.domain, cols).matrix
     return out
 

@@ -374,7 +374,7 @@ def reference_is_pure_module_ses(s):
         if not ys:
             continue
         b = np.vstack([np.column_stack(ys), np.zeros((m.rank, len(ys)), dtype=np.int64)])
-        if solve_congruences(a, b.tolist(), rows, m.factors, s.modulus) is None:
+        if solve_congruences(a, b.tolist(), len(ys), rows, m.factors, s.modulus) is None:
             return False, d
     return True, None
 
@@ -462,7 +462,7 @@ def test_kernel_image_cokernel():
 
 def test_solve_congruences_well_definedness_guard():
     with pytest.raises(ValueError, match="not well defined mod 4"):
-        solve_congruences([[1]], [0], [4], [2], Z4)  # 1 * 2 != 0 mod 4
+        solve_congruences([[1]], [[0]], 1, [4], [2], Z4)  # 1 * 2 != 0 mod 4
 
 
 def test_solve_congruences_guard_matches_product_rule():
@@ -473,10 +473,10 @@ def test_solve_congruences_guard_matches_product_rule():
             for r in modulus.divisors:
                 for c in range(-r, r):
                     if (c * m) % r == 0:
-                        solve_congruences([[c]], [0], [r], [m], modulus)
+                        solve_congruences([[c]], [[0]], 1, [r], [m], modulus)
                     else:
                         with pytest.raises(ValueError):
-                            solve_congruences([[c]], [0], [r], [m], modulus)
+                            solve_congruences([[c]], [[0]], 1, [r], [m], modulus)
 
 
 def _span(gens, orders):
@@ -519,14 +519,14 @@ def test_solve_congruences_matches_enumeration(n):
         r = np.array(rows, dtype=np.int64)
         solutions = {tuple(x) for x in xs[((xs.dot(a.T) - b) % r == 0).all(axis=1)].tolist()}
         homogeneous = {tuple(x) for x in xs[(xs.dot(a.T) % r == 0).all(axis=1)].tolist()}
-        out = solve_congruences(a, b, rows, orders, modulus)
+        out = solve_congruences(a, b.reshape(k, 1), 1, rows, orders, modulus)
         if not solutions:
             assert out is None
             seen_none += 1
             continue
         seen_some += 1
         part, gens = out
-        assert part in solutions
+        assert len(part) == t and tuple(row[0] for row in part) in solutions
         for g in gens:
             assert g in homogeneous
         assert _span(gens, orders) == homogeneous
@@ -553,8 +553,8 @@ def test_solve_congruences_columns_match_one_column_calls(n):
                 b[:, c] = a.dot([rng.randrange(m) for m in orders])
             else:
                 b[:, c] = [rng.randrange(n) for _ in rows]
-        singles = [solve_congruences(a, b[:, c], rows, orders, modulus) for c in range(cols)]
-        out = solve_congruences(a, b.tolist(), rows, orders, modulus)
+        singles = [solve_congruences(a, b[:, c : c + 1], 1, rows, orders, modulus) for c in range(cols)]
+        out = solve_congruences(a, b.tolist(), cols, rows, orders, modulus)
         seen["no rows"] += k == 0
         seen["no unknowns"] += t == 0
         seen["no columns"] += cols == 0
@@ -564,14 +564,11 @@ def test_solve_congruences_columns_match_one_column_calls(n):
             continue
         seen["consistent"] += 1
         part, kern = out
-        if k:  # with no equations b has no rows, and is read as one empty vector
-            assert len(part) == t and all(len(row) == cols for row in part)
-            for c, (single_part, single_kern) in enumerate(singles):
-                assert tuple(row[c] for row in part) == single_part
-                assert kern == single_kern
-        else:
-            assert part == (0,) * t
-        assert kern == solve_congruences(a, np.zeros(k, dtype=np.int64), rows, orders, modulus)[1]
+        assert len(part) == t and all(len(row) == cols for row in part)
+        for c, (single_part, single_kern) in enumerate(singles):
+            assert tuple(row[c : c + 1] for row in part) == single_part
+            assert kern == single_kern
+        assert (((),) * t, kern) == solve_congruences(a, np.zeros((k, 0), dtype=np.int64), 0, rows, orders, modulus)
     assert all(seen.values()), seen
 
 
@@ -590,7 +587,7 @@ def section_of(g):
     eye = identity(g.codomain.rank)
     sysm = HomSystem(g.modulus)
     var = sysm.add_hom_unknown(g.codomain.factors, g.domain.factors)
-    sysm.add_matrix_equation([(var, g.matrix, eye, 1)], eye, g.codomain.factors)
+    sysm.add_matrix_equation([(var, g.matrix, eye, 1)], eye, g.codomain.rank, g.codomain.factors)
     out = sysm.solve()
     if out is None:
         return None
@@ -783,11 +780,12 @@ def test_divisors_match_brute_force():
         Modulus(2**31 - 1)
 
 
-def test_modulus_cap_is_the_largest_with_exact_cubes():
-    assert (MAX_MODULUS - 1) ** 3 < 2**63 <= MAX_MODULUS**3
-    assert Modulus(MAX_MODULUS).n == MAX_MODULUS
-    for n in (MAX_MODULUS + 1, 4294967311):
-        with pytest.raises(ValueError, match="MAX_MODULUS"):
+def test_modulus_cap_is_pinned_at_2_to_the_21():
+    # a fixed part of the interface: products are Python ints, exact at any n
+    assert MAX_MODULUS == 2**21
+    assert Modulus(2**21).n == 2**21
+    for n in (2**21 + 1, 4294967311):
+        with pytest.raises(ValueError, match=rf"^modulus must be at most MAX_MODULUS = 2\*\*21 = 2097152, got {n}$"):
             Modulus(n)
 
 
