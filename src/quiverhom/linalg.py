@@ -4,11 +4,11 @@ the few matrix helpers the package builds its systems with.
 
 A matrix is a tuple of row tuples of Python ints; a matrix with no rows is
 `()`, and its column count comes from context, which is why `matmul`,
-`transpose` and `hstack` take one.  The kernels read every matrix through
-`_entries`, which takes any sequence of rows and reduces the entries mod N
-once, on entry; their results are tuples with entries in [0, N), so they
-are read-only and can be shared.  `solve_left` and `diagonalize` build
-their memo keys from the entries.
+`transpose`, `hstack` and `solve_left` take one.  The kernels read every
+matrix through `_entries`, which takes any sequence of rows and reduces
+the entries mod N once, on entry; their results are tuples with entries in
+[0, N), so they are read-only and can be shared.  `solve_left` and
+`diagonalize` build their memo keys from the entries.
 Each operation has one kernel, in Python ints, and the echelon kernel
 `_howell` serves `howell_form`, `solve_left` and `quotient_order` alike.
 The working rows of `_howell` and `diagonalize` are dicts from column to
@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 from math import gcd, prod
-from operator import index, mul
+from operator import index
 from typing import Dict, List, Optional, Sequence, Tuple
 
 Matrix = Tuple[Tuple[int, ...], ...]
@@ -99,9 +99,19 @@ def _entries(a, n: int) -> Tuple[int, Optional[int], List[int]]:
 
 
 def matmul(a: Matrix, b: Matrix, cols: int) -> Matrix:
-    """The product a b, where b has `cols` columns; entries unreduced."""
-    bt = transpose(b, cols)
-    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
+    """The product a b, where b has `cols` columns; entries unreduced.  Row
+    i adds a[i][k] times row k of b, over its nonzero entries, for each
+    nonzero a[i][k] only: large factors are a few percent nonzero."""
+    support = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for x, nonzero in zip(row, support):
+            if x:
+                for j, y in nonzero:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def transpose(a: Matrix, cols: int) -> Matrix:
@@ -298,20 +308,18 @@ def _solve(n: int, dims, flat) -> Optional[Tuple[Matrix, Matrix]]:
     return tuple(sols), tuple(row[k:] for row in h[len(pivots) :])
 
 
-def solve_left(a, b, n: int) -> Optional[Tuple[Matrix, Matrix]]:
-    """Solve Y @ a == b (mod n) for each row of b.
+def solve_left(a, b, cols: int, n: int) -> Optional[Tuple[Matrix, Matrix]]:
+    """Solve Y @ a == b (mod n) for each row of b, where a and b have `cols`
+    columns.
 
     Returns (Y, K) where Y stacks one particular solution per row of b and
     the rows of K span the left kernel {y : y a == 0}; None if inconsistent.
-    A sequence `a` with no rows takes its column count from `b`.
     """
     m, k, fa = _entries(a, n)
     t, kb, fb = _entries(b, n)
-    if k is None:
-        k = kb or 0
-    if kb not in (None, k):
-        raise ValueError(f"shape mismatch: a is {(m, k)}, b is {(t, kb)}")
-    return _solve(n, ((m, k), (t, k)), tuple(fa + fb))
+    if k not in (None, cols) or kb not in (None, cols):
+        raise ValueError(f"shape mismatch: a is {(m, k)}, b is {(t, kb)}, expected {cols} columns")
+    return _solve(n, ((m, cols), (t, cols)), tuple(fa + fb))
 
 
 def quotient_order(a, orders: Sequence[int], n: int) -> int:

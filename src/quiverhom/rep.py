@@ -13,7 +13,7 @@ import weakref
 from array import array
 from functools import lru_cache
 from math import gcd, prod
-from operator import add, mul
+from operator import mul
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -44,6 +44,8 @@ from .znmod import (
     is_epi,
     is_mono,
     kernel_of_hom,
+    map_into_sum,
+    map_out_of_sum,
     matlis_dual,
     matlis_dual_hom,
     present,
@@ -128,21 +130,6 @@ class Representation:
     def __repr__(self):
         parts = ", ".join(f"{v}:{self.vertex_modules[v]}" for v in self.quiver.vertices)
         return f"Representation({parts})"
-
-
-def _sum_of_composites(dom: FinMod, cod: FinMod, chains) -> ModHom:
-    """The sum of the composites h_1 o ... o h_k, one per chain (h_1, ...,
-    h_k) of homs from dom to cod, as one closed hom.  Each product is
-    reduced mod the factors of cod once, at the end: the homs are well
-    defined, so this is the matrix that `compose` and `+` give, without
-    their intermediate homs."""
-    total = ((0,) * dom.rank,) * cod.rank
-    for first, *rest in chains:
-        m = first.matrix
-        for h in rest:
-            m = matmul(m, h.matrix, h.domain.rank)
-        total = tuple(tuple(map(add, r, s)) for r, s in zip(total, m))
-    return ModHom._closed(dom, cod, total)
 
 
 def rep_digest(x: Representation) -> str:
@@ -313,10 +300,8 @@ def psi_data(x: Representation, i: VertexId):
 
 def _psi_data(x: Representation, i: VertexId):
     arrows = tuple(out_arrows(x.quiver, i))
-    mods = [x.vertex_modules[a.tgt] for a in arrows]
-    total, injs, projs = direct_sum_with_maps(mods, x.modulus)
-    h = _sum_of_composites(x.vertex_modules[i], total, [(inj, x.map(a.id)) for inj, a in zip(injs, arrows)])
-    return total, h, arrows, projs
+    h = map_into_sum(x.vertex_modules[i], [x.map(a.id) for a in arrows])
+    return h.codomain, h, arrows, direct_sum_with_maps([x.vertex_modules[a.tgt] for a in arrows], x.modulus)[2]
 
 
 def psi(x: Representation, i: VertexId) -> ModHom:
@@ -331,10 +316,8 @@ def phi_data(x: Representation, i: VertexId):
 
 def _phi_data(x: Representation, i: VertexId):
     arrows = tuple(in_arrows(x.quiver, i))
-    mods = [x.vertex_modules[a.src] for a in arrows]
-    total, injs, projs = direct_sum_with_maps(mods, x.modulus)
-    h = _sum_of_composites(total, x.vertex_modules[i], [(x.map(a.id), prj) for prj, a in zip(projs, arrows)])
-    return total, h, arrows, injs
+    h = map_out_of_sum([x.map(a.id) for a in arrows], x.vertex_modules[i])
+    return h.domain, h, arrows, direct_sum_with_maps([x.vertex_modules[a.src] for a in arrows], x.modulus)[1]
 
 
 def phi(x: Representation, i: VertexId) -> ModHom:
@@ -354,13 +337,7 @@ def direct_sum_reps(reps: Sequence[Representation]):
         raise ValueError("summands live over different quivers or moduli")
     vertex_data = {v: direct_sum_with_maps([r.vertex_modules[v] for r in reps], modulus) for v in q.vertices}
     mods = {v: vertex_data[v][0] for v in q.vertices}
-    maps = {}
-    for a in q.arrows:
-        total_src, _, projs_src = vertex_data[a.src]
-        total_tgt, injs_tgt, _ = vertex_data[a.tgt]
-        maps[a.id] = _sum_of_composites(
-            total_src, total_tgt, [(injs_tgt[t], r.map(a.id), projs_src[t]) for t, r in enumerate(reps)]
-        )
+    maps = {a.id: map_into_sum(mods[a.src], [r.map(a.id).compose(p) for r, p in zip(reps, vertex_data[a.src][2])]) for a in q.arrows}
     total = Representation(q, modulus, mods, maps)
     injections, projections = [], []
     for t, r in enumerate(reps):
@@ -590,14 +567,15 @@ class RightAdjointRep:
         mods = {v: self._data[v][0] for v in q.vertices}
         maps = {}
         for b in q.arrows:
-            chains = []
-            for p in self.factor_keys[b.tgt]:
-                if p.is_trivial and b.id in sub_arrow_ids:
-                    chain = (x.map(b.id), self.projection(b.src, trivial_path(b.src)))
-                else:
-                    chain = (self.projection(b.src, Path(b.src, p.target, (b,) + p.arrows)),)
-                chains.append((self.injection(b.tgt, p),) + chain)
-            maps[b.id] = _sum_of_composites(mods[b.src], mods[b.tgt], chains)
+            # the factor at p of the image of an element is its factor at b p,
+            # or x(b) of its trivial factor when p is trivial and b is in qsub
+            comps = [
+                x.map(b.id).compose(self.projection(b.src, trivial_path(b.src)))
+                if p.is_trivial and b.id in sub_arrow_ids
+                else self.projection(b.src, Path(b.src, p.target, (b,) + p.arrows))
+                for p in self.factor_keys[b.tgt]
+            ]
+            maps[b.id] = map_into_sum(mods[b.src], comps)
         self.rep = Representation(q, modulus, mods, maps)
 
     def injection(self, v: VertexId, p: Path) -> ModHom:
@@ -612,11 +590,7 @@ class RightAdjointRep:
         if h.target != self.inner or h.source != restrict(self.qsub, x_on_q):
             raise ValueError("morphism does not go from restrict x to the inner representation")
         comps = {
-            v: _sum_of_composites(
-                x_on_q.vertex_modules[v],
-                self.rep.vertex_modules[v],
-                [(self.injection(v, p), h.components[p.target], x_on_q.along(p)) for p in self.factor_keys[v]],
-            )
+            v: map_into_sum(x_on_q.vertex_modules[v], [h.components[p.target].compose(x_on_q.along(p)) for p in self.factor_keys[v]])
             for v in self.q.vertices
         }
         return RepMorphism._closed(x_on_q, self.rep, comps)
@@ -654,19 +628,12 @@ def copresentation_embedding(x: Representation, embeds: Dict[VertexId, ModHom]) 
     if any(embeds[v].domain != x.vertex_modules[v] for v in q.vertices):
         raise ValueError("homs do not compose")
     singles = [coinduced(q, modulus, v, embeds[v].codomain) for v in q.vertices]
-    total, injs, _ = direct_sum_reps([s.rep for s in singles])
-    comps = {
-        w: _sum_of_composites(
-            x.vertex_modules[w],
-            total.vertex_modules[w],
-            [
-                (inj.components[w], single.injection(w, p), embeds[v], x.along(p))
-                for v, single, inj in zip(q.vertices, singles, injs)
-                for p in single.factor_keys[w]
-            ],
-        )
-        for w in q.vertices
-    }
+    total = direct_sum_reps([s.rep for s in singles])[0]
+    comps = {}
+    for w in q.vertices:
+        xw = x.vertex_modules[w]
+        into = [map_into_sum(xw, [embeds[v].compose(x.along(p)) for p in s.factor_keys[w]]) for v, s in zip(q.vertices, singles)]
+        comps[w] = map_into_sum(xw, into)
     return total, RepMorphism._closed(x, total, comps)
 
 

@@ -319,7 +319,7 @@ def solve_congruences(
     b_rows = [[int(c) % rk * (n // rk) for c in row] for rk, row in zip(r, b)]
     # a @ x == b is x^T a^T == b^T: solve_left's operands are the columns,
     # one empty row per unknown and per right-hand side if no equations
-    out = solve_left(transpose(a_rows, len(om)), transpose(b_rows, cols), n)
+    out = solve_left(transpose(a_rows, len(om)), transpose(b_rows, cols), len(r), n)
     if out is None:
         return None
     y, kern = out
@@ -433,14 +433,18 @@ def direct_sum_with_maps(mods: Sequence[FinMod], modulus: Modulus):
 
 
 @lru_cache(maxsize=1024)
-def _direct_sum(mods: Tuple[FinMod, ...], modulus: Modulus):
-    all_factors = tuple(d for m in mods for d in m.factors)
-    if all(b % a == 0 for a, b in zip(all_factors, all_factors[1:])):
+def _sum_presentation(factors: Tuple[int, ...], modulus: Modulus):
+    """(total, proj, sect) for the summands' factors in order: the canonical
+    sum, its injections side by side and its projections stacked."""
+    if all(b % a == 0 for a, b in zip(factors, factors[1:])):
         # already canonical: diag(chain) presents itself with proj = sect = I
-        total = FinMod(modulus, all_factors)
-        proj = sect = identity(len(all_factors))
-    else:
-        total, proj, sect = present(diag(all_factors), modulus)
+        return FinMod(modulus, factors), identity(len(factors)), identity(len(factors))
+    return present(diag(factors), modulus)
+
+
+@lru_cache(maxsize=1024)
+def _direct_sum(mods: Tuple[FinMod, ...], modulus: Modulus):
+    total, proj, sect = _sum_presentation(tuple(d for m in mods for d in m.factors), modulus)
     injections, projections = [], []
     offset = 0
     for m in mods:
@@ -451,6 +455,26 @@ def _direct_sum(mods: Tuple[FinMod, ...], modulus: Modulus):
         projections.append(ModHom._closed(total, m, sect[offset : offset + r]))
         offset += r
     return total, tuple(injections), tuple(projections)
+
+
+def map_into_sum(dom: FinMod, comps: Sequence[ModHom]) -> ModHom:
+    """sum_t inj_t o comps[t], from dom into the canonical sum of the
+    codomains of `comps`, as one product: the sum's injections side by
+    side times the components' matrices stacked."""
+    if any(c.domain != dom for c in comps):
+        raise ValueError("components do not start at the domain")
+    total, proj, _ = _sum_presentation(tuple(d for c in comps for d in c.codomain.factors), dom.modulus)
+    return ModHom._closed(dom, total, matmul(proj, tuple(itertools.chain.from_iterable(c.matrix for c in comps)), dom.rank))
+
+
+def map_out_of_sum(comps: Sequence[ModHom], cod: FinMod) -> ModHom:
+    """sum_t comps[t] o proj_t, from the canonical sum of the domains of
+    `comps` into cod, as one product: the components' matrices side by
+    side times the sum's projections stacked."""
+    if any(c.codomain != cod for c in comps):
+        raise ValueError("components do not end at the codomain")
+    total, _, sect = _sum_presentation(tuple(d for c in comps for d in c.domain.factors), cod.modulus)
+    return ModHom._closed(total, cod, matmul(hstack([c.matrix for c in comps], cod.rank), sect, total.rank))
 
 
 def subgroup_present(ambient_orders: Sequence[int], gens: Sequence[Sequence[int]], modulus: Modulus):

@@ -45,13 +45,11 @@ def solve_left(a, b, n: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     return _solve_left_numpy(_reduced(a, n), _reduced(b, n), n)
 
 
-def solve_rows(a, b, n: int):
-    """`solve_left` on sequences of int rows, as `quiverhom.znmod` passes
-    them (a matrix with no rows takes its column count from the other, as
-    in `solve_left`, and with neither it is 0), with the results as tuples
-    of int rows, as the package returns them."""
-    k = len(a[0]) if len(a) else len(b[0]) if len(b) else 0
-    out = solve_left(np.array(a, dtype=np.int64).reshape(len(a), k), np.array(b, dtype=np.int64).reshape(len(b), k), n)
+def solve_rows(a, b, cols: int, n: int):
+    """`solve_left` on sequences of int rows with `cols` columns, as
+    `quiverhom.znmod` passes them, with the results as tuples of int rows,
+    as the package returns them."""
+    out = solve_left(np.array(a, dtype=np.int64).reshape(len(a), cols), np.array(b, dtype=np.int64).reshape(len(b), cols), n)
     return None if out is None else tuple(tuple(map(tuple, x.tolist())) for x in out)
 
 

@@ -276,6 +276,7 @@ def test_cli_verify_all_output_is_pinned(capsys):
 
 
 LARGE_REPS = pathlib.Path(__file__).parent / "data" / "large_reps"
+LARGE_INPUTS = pathlib.Path(__file__).parent / "data" / "large_inputs"
 LARGE_REPS_ARGS = {
     "classify": ["--oracle", "--json"],
     "purity": ["--json"],
@@ -293,6 +294,24 @@ def test_cli_large_reps_output_is_pinned(capsys):
         assert main([command, str(path), *LARGE_REPS_ARGS[command]]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == "438b8513a0947eb06fa12ea6c4f40fb9df214cceaf05b94b65f58806383023b1"
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        # the quiver 1 => 2 => ... => 6, two parallel arrows per step, Z/4 at
+        # every vertex and identity maps: its coinduced objects have one
+        # factor per path, and the paths double at every step
+        ("path6-classify.json", "573937c56cacfbd1559bfd1745420e7183f8853ba9055e8b5e73b5fb763b1e21"),
+        # classify inputs 3 and 7 of seed 42 from bench/gen.py with VERTICES,
+        # ARROWS, MAX_RANK = 7, 12, 4
+        ("probe0003-classify.json", "d1dc1c61e857aafb1a852539e669ab413e9ce8dbc667fd76d20f19b448947ed0"),
+        ("probe0007-classify.json", "8a1233732f7b877e02d6f4abd9566b5f593a0c150645657c94ed7c68bc6c4fc8"),
+    ],
+)
+def test_cli_large_input_output_is_pinned(capsys, name, digest):
+    assert main(["classify", str(LARGE_INPUTS / name), "--oracle", "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_cli_ext_degree2_output_is_pinned(capsys):

@@ -4,6 +4,7 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import linalg_oracle as oracle
 from linalg_oracle import arr
@@ -11,6 +12,7 @@ from quiverhom import linalg, znmod
 from quiverhom.linalg import (
     diagonalize,
     howell_form,
+    matmul,
     quotient_order,
     solve_left,
     unit_multiplier,
@@ -36,7 +38,7 @@ def solve_right(a, b, n: int):
     b = np.asarray(b, dtype=np.int64)
     if b.shape[:1] != a.shape[:1]:
         raise ValueError(f"shape mismatch: a is {a.shape}, b is {b.shape}")
-    out = solve_left(a.T, b.T, n)
+    out = solve_left(a.T, b.T, a.shape[0], n)
     if out is None:
         return None
     y, kern = out
@@ -169,7 +171,7 @@ def test_kernels_left_right():
     kr = solve_right(a, np.zeros((2, 0), dtype=np.int64), n)[1]
     for col in kr.T:
         assert not (a.dot(col) % n).any()
-    kl = solve_left(a, np.zeros((0, 2), dtype=np.int64), n)[1]
+    kl = solve_left(a, np.zeros((0, 2), dtype=np.int64), 2, n)[1]
     for row in kl:
         assert not (np.array(row).dot(a) % n).any()
     # completeness against brute force
@@ -216,7 +218,7 @@ def _memo_inputs():
 
 def test_memo_matches_uncached_kernel(monkeypatch):
     for n, a, b in _memo_inputs():
-        for kernel, memo, args in ((solve_left, linalg._solve, (a, b, n)), (diagonalize, linalg._diagonalize, (a, n))):
+        for kernel, memo, args in ((solve_left, linalg._solve, (a, b, a.shape[1], n)), (diagonalize, linalg._diagonalize, (a, n))):
             first = kernel(*args)
             cached = kernel(*args)
             assert memo.cache_info().hits >= 1
@@ -231,8 +233,8 @@ def test_memo_matches_uncached_kernel(monkeypatch):
 
 def test_memo_results_are_read_only():
     n, a = 12, np.array([[2, 4, 6], [3, 0, 9]], dtype=np.int64)
-    for args in ((a, a[:1], n), (a, a[:1] + 1, n), (a, n), (np.ones((9, 9), dtype=np.int64), n)):
-        kernel = solve_left if len(args) == 3 else diagonalize
+    for args in ((a, a[:1], 3, n), (a, a[:1] + 1, 3, n), (a, n), (np.ones((9, 9), dtype=np.int64), n)):
+        kernel = solve_left if len(args) == 4 else diagonalize
         for _ in range(2):  # first call fills the cache, second hits it
             out = kernel(*args)
             if out is None:
@@ -259,7 +261,7 @@ def test_howell_form_reads_arrays_and_int_rows_and_is_read_only():
 def test_memo_skips_inputs_over_64_cells():
     rng = random.Random(3)
     for kernel, memo, args in (
-        (solve_left, linalg._solve, (rand_mat(rng, 8, 8, 6), rand_mat(rng, 1, 8, 6), 6)),
+        (solve_left, linalg._solve, (rand_mat(rng, 8, 8, 6), rand_mat(rng, 1, 8, 6), 8, 6)),
         (diagonalize, linalg._diagonalize, (rand_mat(rng, 5, 13, 6), 6)),
     ):
         before = memo.cache_info()
@@ -267,6 +269,56 @@ def test_memo_skips_inputs_over_64_cells():
         after = memo.cache_info()
         assert after.currsize == before.currsize
         assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+# -- the zero-skipping product against a plain triple loop -------------------
+
+
+def triple_loop(a, b, inner, cols):
+    """a b entry by entry, where a has `inner` columns and b `cols`."""
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)) for i in range(len(a)))
+
+
+@st.composite
+def factors(draw):
+    """(a, b, inner, cols): small factors with some rows and columns counts
+    zero and some rows all zero, or large ones 1-5 % nonzero; entries are
+    negative or unreduced as often as not, since `matmul` is exact over Z."""
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        rows, inner, cols = (draw(st.integers(30, 120)) for _ in range(3))
+        density = draw(st.floats(0.01, 0.05))
+    else:
+        rows, inner, cols = (draw(st.integers(0, 5)) for _ in range(3))
+        density = draw(st.sampled_from([0.0, 0.3, 1.0]))
+
+    def entry():
+        return rng.choice([rng.randrange(-(2**40), 2**40), rng.randrange(1, 10)]) if rng.random() < density else 0
+
+    a = [[entry() for _ in range(inner)] for _ in range(rows)]
+    b = [[entry() for _ in range(cols)] for _ in range(inner)]
+    for m in (a, b):
+        if m and draw(st.booleans()):
+            m[rng.randrange(len(m))] = [0] * len(m[0])  # an all-zero row
+    return tuple(map(tuple, a)), tuple(map(tuple, b)), inner, cols
+
+
+@given(factors())
+@settings(max_examples=80, deadline=None)
+def test_matmul_matches_the_triple_loop(args):
+    a, b, inner, cols = args
+    got = matmul(a, b, cols)
+    assert got == triple_loop(a, b, inner, cols)
+    assert len(got) == len(a) and all(len(row) == cols for row in got)
+    assert _ints(got)
+
+
+def test_matmul_with_no_rows():
+    assert matmul((), ((1, 2),), 2) == ()
+    # b with no rows: a has rows of no entries, and the product is zero
+    assert matmul(((), ()), (), 3) == ((0, 0, 0), (0, 0, 0))
+    assert matmul(((0, 0),), ((5, -7), (2**70, 1)), 2) == ((0, 0),)
+    assert matmul(((-1, 3),), ((5, -7), (2**70, 1)), 2) == ((3 * 2**70 - 5, 10),)
 
 
 # -- the kernels against the numpy oracle -----------------------------------
@@ -317,10 +369,10 @@ def test_int_and_numpy_kernels_agree(n):
             # rows of b: none, consistent ones, and (usually) inconsistent ones
             for b in (rand_mat(rng, 0, k, n), rand_mat(rng, 2, m, n).dot(a) % n, rand_mat(rng, 2, k, n)):
                 linalg._solve.cache_clear()
-                got = solve_left(a, b, n)
+                got = solve_left(a, b, k, n)
                 assert _identical(got, oracle.solve_left(a, b, n))
                 # the same matrices as rows of Python ints
-                assert _identical(solve_left(a.tolist(), b.tolist(), n), got)
+                assert _identical(solve_left(a.tolist(), b.tolist(), k, n), got)
                 inconsistent += got is None
             # unreduced and negative entries are reduced once, on entry
             raw = a - n * rand_mat(rng, m, k, 3)
@@ -333,12 +385,18 @@ def test_int_and_numpy_kernels_agree(n):
 
 def test_solve_left_checks_the_shape_of_int_rows():
     with pytest.raises(ValueError, match=r"^matrix rows differ in length: \[1, 2\]$"):
-        solve_left([[1, 2], [3]], [[0, 0]], 4)
-    with pytest.raises(ValueError, match=r"^shape mismatch: a is \(1, 2\), b is \(1, 1\)$"):
-        solve_left([[1, 2]], [[0]], 4)
-    # a with no rows takes its column count from b: y @ a is then zero
-    assert solve_left([], [[0, 0]], 4)[0] == ((),)
-    assert solve_left([], [[1, 0]], 4) is None
+        solve_left([[1, 2], [3]], [[0, 0]], 2, 4)
+    with pytest.raises(ValueError, match=r"^shape mismatch: a is \(1, 2\), b is \(1, 1\), expected 2 columns$"):
+        solve_left([[1, 2]], [[0]], 2, 4)
+    # a and b agree with each other but not with the stated count
+    with pytest.raises(ValueError, match=r"^shape mismatch: a is \(1, 2\), b is \(1, 2\), expected 3 columns$"):
+        solve_left([[1, 2]], [[0, 0]], 3, 4)
+    with pytest.raises(ValueError, match=r"^shape mismatch: a is \(0, None\), b is \(1, 2\), expected 3 columns$"):
+        solve_left([], [[0, 0]], 3, 4)
+    # a with no rows has no unknowns: y @ a is zero, whatever the count
+    assert solve_left([], [[0, 0]], 2, 4)[0] == ((),)
+    assert solve_left([], [[1, 0]], 2, 4) is None
+    assert solve_left([], [], 3, 4) == ((), ())
 
 
 @pytest.mark.parametrize("n", [2**61 - 1, 2**62])
@@ -348,7 +406,7 @@ def test_rows_of_numpy_scalars_are_read_as_python_ints(n):
         a = np.array([rng.randrange(-(2**63), 2**63) for _ in range(m * k)], dtype=np.int64).reshape(m, k)
         rows = list(a)  # numpy rows, whose scalars would wrap in int64 products
         assert _identical(howell_form(rows, n), howell_form(a, n))
-        assert _identical(solve_left(rows, rows[:1], n), solve_left(a, a[:1], n))
+        assert _identical(solve_left(rows, rows[:1], k, n), solve_left(a, a[:1], k, n))
         assert _identical(diagonalize(rows, n), diagonalize(a, n))
         assert quotient_order(rows, [n] * m, n) == quotient_order(a, [n] * m, n)
 
@@ -367,8 +425,9 @@ def test_kernels_match_the_oracle_across_the_former_cutoff(n):
         (diagonalize, oracle.diagonalize, (25, 16)),
     ):
         a = _divisor_scaled(rng, m, k, n)
-        args = (a, rand_mat(rng, 2, m, n).dot(a) % n, n) if kernel is solve_left else (a, n)
-        assert _identical(kernel(*args), want(*args)), (kernel.__name__, m, k)
+        args = (a, rand_mat(rng, 2, m, n).dot(a) % n) if kernel is solve_left else (a,)
+        counts = (k,) if kernel is solve_left else ()
+        assert _identical(kernel(*args, *counts, n), want(*args, n)), (kernel.__name__, m, k)
 
 
 def _sparse_mat(rng, rows, cols, n, density):
@@ -398,7 +457,7 @@ def test_kernels_match_the_oracle_on_large_sparse_inputs(n):
         # consistent rows; one off in the zero last column only; a random one
         off = b[:1] + (np.arange(k) == k - 1)
         for rhs in (b[:2], off, b):
-            assert _identical(solve_left(a, rhs, n), oracle.solve_left(a, rhs, n)), (m, k)
+            assert _identical(solve_left(a, rhs, k, n), oracle.solve_left(a, rhs, n)), (m, k)
         assert _identical(diagonalize(a, n), oracle.diagonalize(a, n)), (m, k)
         assert _identical(diagonalize(a.T, n), oracle.diagonalize(a.T, n)), (k, m)
 

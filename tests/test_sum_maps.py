@@ -1,0 +1,177 @@
+"""Every map into or out of a canonical direct sum is one product with the
+sum's presentation (`znmod.map_into_sum`, `znmod.map_out_of_sum`).  Over Z,
+sum_t P_t R_t S_t = [P_1 ... P_k] [R_1 S_1; ...; R_k S_k], so each such map
+must equal the sum of its per-summand composites, folded here by `compose`
+and `+` from the summands' injections and projections: psi, phi, the arrow
+maps of `direct_sum_reps` and of `RightAdjointRep`,
+`RightAdjointRep.transpose` and the components of
+`copresentation_embedding`.  The sums include zero summands, sums with no
+summands and sums whose factors do not concatenate to a divisibility
+chain, whose injections and projections are not 0/1 blocks."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from quiverhom.harness import Config, random_finmod, random_quiver, random_representation
+from quiverhom.quiver import Path, in_arrows, make_quiver, out_arrows, trivial_path
+from quiverhom.rep import (
+    HomGroupRep,
+    RightAdjointRep,
+    coinduced,
+    copresentation_embedding,
+    direct_sum_reps,
+    phi,
+    psi,
+    restrict,
+    zero_rep,
+)
+from quiverhom.znmod import (
+    FinMod,
+    ModHom,
+    Modulus,
+    direct_sum_with_maps,
+    map_into_sum,
+    map_out_of_sum,
+    random_hom,
+    zero_hom,
+)
+
+CONFIG = Config()
+Z12 = Modulus(12)
+
+
+def composite_sum(dom, cod, chains):
+    """The sum of the composites h_1 o ... o h_k, one per chain (h_1, ...,
+    h_k) of homs from dom to cod, by `compose` and `+`."""
+    total = zero_hom(dom, cod)
+    for first, *rest in chains:
+        for h in rest:
+            first = first.compose(h)
+        total = total + first
+    return total
+
+
+@st.composite
+def instances(draw):
+    """(rng, x): a representation of a random acyclic quiver; Z/12 and Z/36
+    give summands whose factors do not concatenate to a chain."""
+    rng = draw(st.randoms(use_true_random=False))
+    modulus = Modulus(draw(st.sampled_from([2, 4, 6, 12, 36])))
+    q = random_quiver(rng, CONFIG, acyclic=True, max_vertices=4, max_arrows=5)
+    return rng, random_representation(rng, q, modulus, CONFIG)
+
+
+def test_a_sum_outside_a_chain_has_injections_that_are_not_blocks():
+    z4, z3 = FinMod(Z12, (4,)), FinMod(Z12, (3,))
+    total, injs, projs = direct_sum_with_maps([z4, z3], Z12)
+    assert total.factors == (12,)
+    assert [h.matrix for h in injs] == [((9,),), ((8,),)]
+    assert [h.matrix for h in projs] == [((1,),), ((2,),)]
+    dom = FinMod(Z12, (12, 12))
+    comps = [ModHom(dom, z4, [[1, 3]]), ModHom(dom, z3, [[2, 1]])]
+    into = map_into_sum(dom, comps)
+    assert into == composite_sum(dom, total, list(zip(injs, comps)))
+    assert [p.compose(into) for p in projs] == comps
+    back = [ModHom(z4, dom, [[3], [6]]), ModHom(z3, dom, [[4], [8]])]
+    out = map_out_of_sum(back, dom)
+    assert out == composite_sum(total, dom, list(zip(back, projs)))
+    assert [out.compose(i) for i in injs] == back
+
+
+def test_no_summands_and_zero_summands():
+    dom, zero = FinMod(Z12, (2, 6)), FinMod(Z12, ())
+    into = map_into_sum(dom, [])
+    assert into.codomain.is_zero and into.matrix == ()
+    out = map_out_of_sum([], dom)
+    assert out.domain.is_zero and out.matrix == ((), ())
+    comps = [zero_hom(dom, zero), ModHom(dom, FinMod(Z12, (4,)), [[2, 0]]), zero_hom(dom, zero)]
+    total, injs, _ = direct_sum_with_maps([c.codomain for c in comps], Z12)
+    assert map_into_sum(dom, comps) == composite_sum(dom, total, list(zip(injs, comps)))
+    back = [zero_hom(zero, dom), ModHom(FinMod(Z12, (4,)), dom, [[0], [3]])]
+    total, _, projs = direct_sum_with_maps([c.domain for c in back], Z12)
+    assert map_out_of_sum(back, dom) == composite_sum(total, dom, list(zip(back, projs)))
+
+
+def test_components_must_share_the_named_end():
+    dom = FinMod(Z12, (12,))
+    with pytest.raises(ValueError, match="^components do not start at the domain$"):
+        map_into_sum(dom, [zero_hom(FinMod(Z12, (6,)), dom)])
+    with pytest.raises(ValueError, match="^components do not end at the codomain$"):
+        map_out_of_sum([zero_hom(dom, FinMod(Z12, (6,)))], dom)
+
+
+@given(instances())
+@settings(max_examples=60, deadline=None)
+def test_psi_and_phi_are_the_composite_sums(instance):
+    _, x = instance
+    for v in x.quiver.vertices:
+        arrows = out_arrows(x.quiver, v)
+        total, injs, _ = direct_sum_with_maps([x.vertex_modules[a.tgt] for a in arrows], x.modulus)
+        assert psi(x, v) == composite_sum(x.vertex_modules[v], total, [(i, x.map(a.id)) for i, a in zip(injs, arrows)])
+        arrows = in_arrows(x.quiver, v)
+        total, _, projs = direct_sum_with_maps([x.vertex_modules[a.src] for a in arrows], x.modulus)
+        assert phi(x, v) == composite_sum(total, x.vertex_modules[v], [(x.map(a.id), p) for p, a in zip(projs, arrows)])
+
+
+@given(instances(), st.integers(1, 3), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_direct_sum_arrow_maps_are_the_composite_sums(instance, count, with_zero):
+    rng, x = instance
+    reps = [x] + [random_representation(rng, x.quiver, x.modulus, CONFIG) for _ in range(count - 1)]
+    if with_zero:
+        reps.insert(rng.randrange(len(reps) + 1), zero_rep(x.quiver, x.modulus))
+    total, injs, projs = direct_sum_reps(reps)
+    for a in x.quiver.arrows:
+        chains = [(i.components[a.tgt], r.map(a.id), p.components[a.src]) for i, r, p in zip(injs, reps, projs)]
+        assert total.map(a.id) == composite_sum(total.vertex_modules[a.src], total.vertex_modules[a.tgt], chains)
+
+
+def _subquiver(rng, q):
+    """A random subquiver: some vertices, and some arrows between them."""
+    vs = [v for v in q.vertices if rng.random() < 0.7] or [q.vertices[0]]
+    arrows = [(a.id, a.src, a.tgt) for a in q.arrows if a.src in vs and a.tgt in vs and rng.random() < 0.6]
+    return make_quiver(vs, arrows)
+
+
+@given(instances())
+@settings(max_examples=60, deadline=None)
+def test_right_adjoint_arrow_maps_and_transposes_are_the_composite_sums(instance):
+    rng, x = instance
+    q = x.quiver
+    qsub = _subquiver(rng, q)
+    inner = random_representation(rng, qsub, x.modulus, CONFIG)
+    ra = RightAdjointRep(q, qsub, inner)
+    sub_ids = {a.id for a in qsub.arrows}
+    for b in q.arrows:
+        chains = []
+        for p in ra.factor_keys[b.tgt]:
+            if p.is_trivial and b.id in sub_ids:
+                chain = (inner.map(b.id), ra.projection(b.src, trivial_path(b.src)))
+            else:
+                chain = (ra.projection(b.src, Path(b.src, p.target, (b,) + p.arrows)),)
+            chains.append((ra.injection(b.tgt, p),) + chain)
+        assert ra.rep.map(b.id) == composite_sum(ra.rep.vertex_modules[b.src], ra.rep.vertex_modules[b.tgt], chains)
+    homs = HomGroupRep(restrict(qsub, x), inner)
+    h = homs.from_coords([rng.randrange(d) for d in homs.group.factors])
+    k = ra.transpose(x, h)
+    for v in q.vertices:
+        chains = [(ra.injection(v, p), h.components[p.target], x.along(p)) for p in ra.factor_keys[v]]
+        assert k.components[v] == composite_sum(x.vertex_modules[v], ra.rep.vertex_modules[v], chains)
+
+
+@given(instances())
+@settings(max_examples=60, deadline=None)
+def test_copresentation_embedding_is_the_nested_composite_sum(instance):
+    rng, x = instance
+    q, modulus = x.quiver, x.modulus
+    embeds = {v: random_hom(rng, x.vertex_modules[v], random_finmod(rng, modulus, CONFIG)) for v in q.vertices}
+    total, f = copresentation_embedding(x, embeds)
+    singles = [coinduced(q, modulus, v, embeds[v].codomain) for v in q.vertices]
+    _, injs, _ = direct_sum_reps([s.rep for s in singles])
+    for w in q.vertices:
+        chains = [
+            (inj.components[w], single.injection(w, p), embeds[v], x.along(p))
+            for v, single, inj in zip(q.vertices, singles, injs)
+            for p in single.factor_keys[w]
+        ]
+        assert f.components[w] == composite_sum(x.vertex_modules[w], total.vertex_modules[w], chains)

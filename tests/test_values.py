@@ -284,18 +284,19 @@ def test_every_memo_is_bounded_or_weak():
 # ---------------------------------------------------------------------------
 
 # Runs `verify all` with `ModHom._closed` and `RepMorphism._closed` replaced
-# by the checked constructors, and `rep._sum_of_composites` by `compose` and
-# `+`, which check the ends.  A checked hom must also equal the fast one
-# (rows of Python ints, entry for entry).  Prints the JSON lines of each
-# seed, then one line of counts and errors.
+# by the checked constructors, and `rep.map_into_sum` and `rep.map_out_of_sum`
+# by sums of composites with the summands' injections and projections, built
+# by `compose` and `+`, which check the ends.  A checked hom must also equal
+# the fast one (rows of Python ints, entry for entry).  Prints the JSON lines
+# of each seed, then one line of counts and errors.
 _CHECKED_RUN = r"""
 import contextlib, io, json, sys
 from quiverhom import cli, rep
 from quiverhom.rep import RepMorphism
-from quiverhom.znmod import ModHom, zero_hom
+from quiverhom.znmod import ModHom, direct_sum_with_maps, zero_hom
 
 closed_hom = ModHom._closed.__func__
-fast_sum = rep._sum_of_composites
+fast_into, fast_out = rep.map_into_sum, rep.map_out_of_sum
 counts = {"homs": 0, "morphisms": 0, "sums": 0}
 errors = []
 
@@ -318,26 +319,33 @@ def checked_hom(cls, domain, codomain, m):
     return h
 
 
-def composites_added(dom, cod, chains):
+def composites_added(dom, cod, composites):
     h = zero_hom(dom, cod)
-    for first, *rest in chains:
-        for g in rest:
-            first = first.compose(g)
-        h = h + first
+    for first, second in composites:
+        h = h + first.compose(second)
     return h
 
 
-def checked_sum(dom, cod, chains):
-    chains = list(chains)
-    h = checked("sums", lambda: composites_added(dom, cod, chains))
-    fast = fast_sum(dom, cod, chains)
+def checked_sum(fast, h):
     if fast.matrix != h.matrix:
         errors.append(f"sums: {fast.matrix} != {h.matrix}")
     return h
 
 
+def checked_into(dom, comps):
+    total, injs, _ = direct_sum_with_maps([c.codomain for c in comps], dom.modulus)
+    h = checked("sums", lambda: composites_added(dom, total, zip(injs, comps)))
+    return checked_sum(fast_into(dom, comps), h)
+
+
+def checked_out(comps, cod):
+    total, _, projs = direct_sum_with_maps([c.domain for c in comps], cod.modulus)
+    h = checked("sums", lambda: composites_added(total, cod, zip(comps, projs)))
+    return checked_sum(fast_out(comps, cod), h)
+
+
 ModHom._closed = classmethod(checked_hom)
-rep._sum_of_composites = checked_sum
+rep.map_into_sum, rep.map_out_of_sum = checked_into, checked_out
 RepMorphism._closed = classmethod(lambda cls, s, t, c: checked("morphisms", lambda: RepMorphism(s, t, c)))
 for seed in sys.argv[1:]:
     out = io.StringIO()

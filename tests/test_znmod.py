@@ -831,7 +831,7 @@ def test_compose_solve_left_and_quotient_order_near_the_cap_match_python_ints():
         a = draw(rows, cols)
         targets = _matmul(draw(2, rows), a, n) + draw(1, cols)
         for target in targets:
-            out = solve_left(np.array(a), np.array([target]), n)
+            out = solve_left(np.array(a), np.array([target]), cols, n)
             consistent = _rank_mod_p(a + [target], n) == _rank_mod_p(a, n)
             assert (out is not None) == consistent
             if out is None:
