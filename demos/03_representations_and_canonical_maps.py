@@ -3,9 +3,9 @@
 right adjoint of restriction."""
 
 from quiverhom import Modulus, Representation, cyclic, hom_reps, psi, phi, restrict, right_adjoint, stalk
-from quiverhom.quiver import a2
-from quiverhom.rep import coinduced, psi_data
-from quiverhom.znmod import ModHom, kernel_of_hom
+from quiverhom.quiver import a2, out_arrows
+from quiverhom.rep import coinduced
+from quiverhom.znmod import ModHom, direct_sum_with_maps, kernel_of_hom
 
 Z4 = Modulus(4)
 q = a2()
@@ -16,8 +16,9 @@ x = Representation(q, Z4, {1: m, 2: m}, {"a": ModHom(m, m, [[2]])})
 
 # psi at a vertex collects the arrow maps into the product of the targets;
 # with one outgoing arrow it is the arrow map itself
-total, h, arrows, projs = psi_data(x, 1)
-print("psi_1 codomain:", total, "| proj o psi == X(a):", projs[0].compose(h) == x.map("a"))
+h = psi(x, 1)
+_, _, projs = direct_sum_with_maps([x.vertex_modules[a.tgt] for a in out_arrows(q, 1)], Z4)
+print("psi_1 codomain:", h.codomain, "| proj o psi == X(a):", projs[0].compose(h) == x.map("a"))
 ker, incl = kernel_of_hom(h)
 print("ker(psi_1) =", ker)
 

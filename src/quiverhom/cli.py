@@ -131,10 +131,11 @@ def cmd_verify(args) -> int:
     cfg = dataclasses.replace(
         base,
         master_seed=base.master_seed if args.seed is None else args.seed,
+        trials=base.trials if args.trials is None else args.trials,
         moduli=tuple(args.modulus_list) if args.modulus_list else base.moduli,
         suites=base.suites if args.suite == "all" else (args.suite,),
     )
-    reports = run_all(cfg, args.trials)
+    reports = run_all(cfg)
     bad = [r for r in reports if not r.ok]
     if args.json:
         for r in reports:

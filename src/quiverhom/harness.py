@@ -907,22 +907,18 @@ SUITES: Dict[str, Tuple[Tuple[str, TrialBody, Optional[int]], ...]] = {
 }
 
 
-def run_suite(name: str, config: Config, trials: Optional[int] = None) -> List[TrialReport]:
-    """The reports of suite `name`, with `trials` trials (by default the
-    config's) in each report group that has no fixed count of its own."""
-    if trials is None:
-        trials = config.trials
-    elif trials < 1:
-        raise UsageError(f"trials must be at least 1, got {trials}")
+def run_suite(name: str, config: Config) -> List[TrialReport]:
+    """The reports of suite `name`, with `config.trials` trials in each
+    report group that has no fixed count of its own."""
     reports: List[TrialReport] = []
     for part, body, fixed in SUITES[name]:
-        reports.extend(_run_trials(part, config, fixed or trials, functools.partial(body, config)))
+        reports.extend(_run_trials(part, config, fixed or config.trials, functools.partial(body, config)))
     return reports
 
 
-def run_all(config: Config, trials: Optional[int] = None) -> List[TrialReport]:
+def run_all(config: Config) -> List[TrialReport]:
     out: List[TrialReport] = []
     names = config.suites or tuple(SUITES)
     for name in names:
-        out.extend(run_suite(name, config, trials))
+        out.extend(run_suite(name, config))
     return out

@@ -189,6 +189,7 @@ def _combined(ri, rj, s: int, t: int, p: int, q: int, n: int):
     return a, b
 
 
+# a wrapper rather than a bare lru_cache, for the size gate: see _MEMO_MAX_CELLS
 def _memoized(small):
     """Memoize the kernel `small(n, dims, flat)` on small inputs.
 

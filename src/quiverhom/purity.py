@@ -10,8 +10,8 @@ decision is therefore one natural retraction of the sub-term map.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 from .linalg import identity, transpose
@@ -142,21 +142,18 @@ def _tensor_left_exact(s: Representation, ses: RepSES) -> bool:
     return tensor_order(s, ses.x) * tensor_order(s, ses.z) == tensor_order(s, ses.y)
 
 
-# the cheap witness per sequence, keyed by identity and dropped with it
-_WITNESSES: "weakref.WeakKeyDictionary[RepSES, Optional[dict]]" = weakref.WeakKeyDictionary()
-
-
+# `is_pure_rep_ses` and `definitional_purity_check` both ask for the
+# witness of a sequence, which hashes by identity; one `verify all` asks
+# about some 15 sequences
+@lru_cache(maxsize=64)
 def _cheap_definitional_witness(ses: RepSES) -> Optional[dict]:
     """The first cheap test object the sequence fails, or None: the stalks
     (`_stalk_witness`), then the dual of the sub term.  Memoized per
-    sequence, since `is_pure_rep_ses` and `definitional_purity_check` both
-    ask for it."""
-    if ses not in _WITNESSES:
-        witness = _stalk_witness(ses)
-        if witness is None and not _tensor_left_exact(dual_rep(ses.x), ses):
-            witness = {"kind": "test-object", "shape": "dual-of-sub"}
-        _WITNESSES[ses] = witness
-    return _WITNESSES[ses]
+    sequence."""
+    witness = _stalk_witness(ses)
+    if witness is None and not _tensor_left_exact(dual_rep(ses.x), ses):
+        witness = {"kind": "test-object", "shape": "dual-of-sub"}
+    return witness
 
 
 def definitional_purity_check(ses: RepSES) -> Tuple[bool, int, Optional[dict]]:

@@ -121,6 +121,10 @@ def has_directed_cycle(q: Quiver) -> bool:
     return any(color[v] == 0 and visit(v) for v in q.vertices)
 
 
+# resolutions and right adjoints ask for the same (quiver, i, j) over and
+# over; a hit means both vertices passed their checks before, and lru_cache
+# keeps no exceptions, so a bad vertex or an infinite pair raises every time
+@functools.lru_cache(maxsize=1024, typed=True)
 def paths_between(q: Quiver, i: VertexId, j: VertexId) -> Tuple[Path, ...]:
     """All paths from i to j, trivial path included when i == j.
 
@@ -130,13 +134,6 @@ def paths_between(q: Quiver, i: VertexId, j: VertexId) -> Tuple[Path, ...]:
     """
     q.check_vertex(i)
     q.check_vertex(j)
-    return _paths_between(q, i, j)
-
-
-# resolutions and right adjoints ask for the same (quiver, i, j) over and
-# over; an infinite pair raises, and lru_cache keeps no exceptions
-@functools.lru_cache(maxsize=1024, typed=True)
-def _paths_between(q: Quiver, i: VertexId, j: VertexId) -> Tuple[Path, ...]:
     fwd = {v: [] for v in q.vertices}
     back = {v: [] for v in q.vertices}
     for a in q.arrows:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-import weakref
 from array import array
 from functools import lru_cache
 from math import gcd, prod
@@ -277,51 +276,21 @@ class RepSES:
 # ---------------------------------------------------------------------------
 
 
-# psi_data and phi_data by representation, then by kind and vertex; an
-# entry goes when its representation does, and holds no reference to it
-_CANONICAL_MAPS: "weakref.WeakKeyDictionary[Representation, Dict[Tuple[str, VertexId], tuple]]" = weakref.WeakKeyDictionary()
-
-
-def _memo_canonical(x: Representation, kind: str, i: VertexId, build):
-    maps = _CANONICAL_MAPS.get(x)
-    if maps is None:
-        maps = _CANONICAL_MAPS[x] = {}
-    if (kind, i) not in maps:
-        maps[kind, i] = build(x, i)
-    return maps[kind, i]
-
-
-def psi_data(x: Representation, i: VertexId):
-    """(P, psi, arrows, projections): the universal map into the product of
-    the targets of the arrows leaving i, with its coordinate projections.
-    Memoized per representation and vertex."""
-    return _memo_canonical(x, "psi", i, _psi_data)
-
-
-def _psi_data(x: Representation, i: VertexId):
-    arrows = tuple(out_arrows(x.quiver, i))
-    h = map_into_sum(x.vertex_modules[i], [x.map(a.id) for a in arrows])
-    return h.codomain, h, arrows, direct_sum_with_maps([x.vertex_modules[a.tgt] for a in arrows], x.modulus)[2]
-
-
+# psi and phi: resolutions and classifications ask for the same
+# (representation, vertex) over and over, and equal representations hash
+# equally; one `verify all` asks for about 340 distinct psi maps
+@lru_cache(maxsize=512)
 def psi(x: Representation, i: VertexId) -> ModHom:
-    return psi_data(x, i)[1]
+    """The universal map from X(i) into the product of the targets of the
+    arrows leaving i, in `out_arrows` order."""
+    return map_into_sum(x.vertex_modules[i], [x.map(a.id) for a in out_arrows(x.quiver, i)])
 
 
-def phi_data(x: Representation, i: VertexId):
-    """(S, phi, arrows, injections): the universal map out of the coproduct of
-    the sources of the arrows entering i.  Memoized like `psi_data`."""
-    return _memo_canonical(x, "phi", i, _phi_data)
-
-
-def _phi_data(x: Representation, i: VertexId):
-    arrows = tuple(in_arrows(x.quiver, i))
-    h = map_out_of_sum([x.map(a.id) for a in arrows], x.vertex_modules[i])
-    return h.domain, h, arrows, direct_sum_with_maps([x.vertex_modules[a.src] for a in arrows], x.modulus)[1]
-
-
+@lru_cache(maxsize=512)
 def phi(x: Representation, i: VertexId) -> ModHom:
-    return phi_data(x, i)[1]
+    """The universal map out of the coproduct of the sources of the arrows
+    entering i, in `in_arrows` order, into X(i)."""
+    return map_out_of_sum([x.map(a.id) for a in in_arrows(x.quiver, i)], x.vertex_modules[i])
 
 
 def ker_psi(x: Representation, i: VertexId):

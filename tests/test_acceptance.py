@@ -5,6 +5,7 @@ All assertions are exact (tolerance zero); the stated wall-clock budgets are
 asserted as upper bounds.
 """
 
+import dataclasses
 import io
 import time
 from contextlib import redirect_stdout
@@ -19,7 +20,7 @@ CFG = Config(master_seed=42)
 
 def _run(name, trials):
     t0 = time.time()
-    reports = run_suite(name, CFG, trials)
+    reports = run_suite(name, dataclasses.replace(CFG, trials=trials))
     dt = time.time() - t0
     failures = [r for r in reports if not r.ok]
     return reports, failures, dt
@@ -40,7 +41,7 @@ def test_criterion_1_rootedness():
 
 def test_criterion_2_purity_bridge():
     reports, failures, dt = _run("purity_bridge", 303)
-    fixture_reports, fixture_failures, dt2 = _run("nonpure_fixture", None)
+    fixture_reports, fixture_failures, dt2 = _run("nonpure_fixture", CFG.trials)
     ok = not failures and not fixture_failures and (dt + dt2) < 60
     _report(
         2,
@@ -80,7 +81,7 @@ def test_criterion_5_closure_suites():
         counts[name] = len(reports)
         all_failures.extend(failures)
     # the closure suite appends its negative control; it must detect the corruption
-    closure_reports = run_suite("closure", CFG, 2)
+    closure_reports = run_suite("closure", dataclasses.replace(CFG, trials=2))
     control = [r for r in closure_reports if r.suite == "closure_negative_control"]
     control_ok = bool(control) and all(r.ok for r in control)
     dt = time.time() - t0

@@ -429,6 +429,15 @@ def test_cli_verify_rejects_nonpositive_trials(capsys):
     assert captured.out == "" and captured.err.startswith("error:")
 
 
+def test_cli_verify_all_reports_a_trial_count_below_one_as_the_config_does(capsys):
+    # the trial count reaches the harness only through Config, so the CLI
+    # reports Config's message
+    for trials in ("0", "-2"):
+        assert main(["verify", "all", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: trials must be positive\n"
+
+
 def test_cli_verify_rejects_modulus_below_two(capsys):
     assert main(["verify", "classification", "--modulus-list", "1", "--trials", "1"]) == 2
     captured = capsys.readouterr()

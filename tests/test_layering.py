@@ -4,7 +4,8 @@ public functions.  Attribute use such as `ModHom._closed` is not an import
 and is not checked here.  The package imports nothing but the standard
 library and itself, and no command loads numpy: a matrix is a tuple of
 int rows throughout, and no module but `cli` reads a shape off a first
-row: a matrix with no rows has none, so every count is stated."""
+row: a matrix with no rows has none, so every count is stated.  No module
+imports weakref: every memo is a bounded lru_cache."""
 
 import ast
 import json
@@ -52,8 +53,8 @@ def test_no_module_reads_a_shape_from_a_first_row():
     assert not found, found
 
 
-def test_the_package_imports_only_the_standard_library():
-    found = []
+def _absolute_imports():
+    """(file name, line, module) of every absolute import in the package."""
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
@@ -62,11 +63,22 @@ def test_the_package_imports_only_the_standard_library():
                 names = [node.module]
             else:
                 continue
-            found += [
-                f"{path.name}:{node.lineno} imports {name}"
-                for name in names
-                if name.split(".")[0] not in sys.stdlib_module_names | {"quiverhom"}
-            ]
+            for name in names:
+                yield path.name, node.lineno, name
+
+
+def test_the_package_imports_only_the_standard_library():
+    found = [
+        f"{file}:{line} imports {name}"
+        for file, line, name in _absolute_imports()
+        if name.split(".")[0] not in sys.stdlib_module_names | {"quiverhom"}
+    ]
+    assert not found, found
+
+
+def test_no_module_imports_weakref():
+    # every memo is a bounded lru_cache on its function, never a weak map
+    found = [f"{file}:{line}" for file, line, name in _absolute_imports() if name.split(".")[0] == "weakref"]
     assert not found, found
 
 

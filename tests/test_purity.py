@@ -197,16 +197,19 @@ def test_witness_memo_is_filled_once_and_dropped_with_the_sequence(monkeypatch):
     calls = []
     stalks = purity._stalk_witness
     monkeypatch.setattr(purity, "_stalk_witness", lambda s: calls.append(1) or stalks(s))
-    gc.collect()
-    before = len(purity._WITNESSES)
     ses = nonpure_fixture(Z4, 4)
     witness = is_pure_rep_ses(ses).witness
-    assert definitional_purity_check(ses)[2] == witness == purity._WITNESSES[ses]
-    assert len(calls) == 1 and len(purity._WITNESSES) == before + 1
+    assert definitional_purity_check(ses)[2] == witness is purity._cheap_definitional_witness(ses)
+    assert len(calls) == 1
+    # the memo is bounded: once as many newer sequences have been asked
+    # about, its entry and the sequence go
     ref = weakref.ref(ses)
     del ses
+    monkeypatch.setattr(purity, "_stalk_witness", lambda s: {"kind": "stub"})
+    for _ in range(purity._cheap_definitional_witness.cache_info().maxsize):
+        purity._cheap_definitional_witness(object())
     gc.collect()
-    assert ref() is None and len(purity._WITNESSES) == before
+    assert ref() is None
 
 
 def test_replay_confirms_each_witness_through_the_general_tensor(monkeypatch):

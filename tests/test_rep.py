@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from linalg_oracle import arr
-from quiverhom.quiver import Quiver, a2, in_arrows, kronecker, loop_quiver, make_quiver, opposite
+from quiverhom.quiver import Quiver, a2, in_arrows, kronecker, loop_quiver, make_quiver, opposite, out_arrows
 from quiverhom.rep import (
     HomGroupRep,
     RepMorphism,
@@ -27,9 +27,7 @@ from quiverhom.rep import (
     ker_psi,
     kernel_rep,
     phi,
-    phi_data,
     psi,
-    psi_data,
     restrict,
     restriction_adjunction_check,
     coinduced,
@@ -46,6 +44,7 @@ from quiverhom.znmod import (
     Modulus,
     ambient_coords_solve,
     cyclic,
+    direct_sum_with_maps,
     hom_entry_orders,
     hom_entry_scales,
     identity_hom,
@@ -68,9 +67,28 @@ def doubling_rep():
     return rep_a2(Z4, m, m, [[2]])
 
 
+def psi_projections(x, i):
+    """The arrows leaving i and the projections of the product of their
+    targets, the codomain of psi(x, i)."""
+    arrows = out_arrows(x.quiver, i)
+    total, _, projs = direct_sum_with_maps([x.vertex_modules[a.tgt] for a in arrows], x.modulus)
+    assert total == psi(x, i).codomain
+    return arrows, projs
+
+
+def phi_injections(x, i):
+    """The arrows entering i and the injections of the coproduct of their
+    sources, the domain of phi(x, i)."""
+    arrows = in_arrows(x.quiver, i)
+    total, injs, _ = direct_sum_with_maps([x.vertex_modules[a.src] for a in arrows], x.modulus)
+    assert total == phi(x, i).domain
+    return arrows, injs
+
+
 def test_psi_named_examples():
     x = doubling_rep()
-    total, h, arrows, projs = psi_data(x, 1)
+    h = psi(x, 1)
+    arrows, projs = psi_projections(x, 1)
     # one outgoing arrow: psi is the arrow map in the product coordinate
     assert len(arrows) == 1
     assert projs[0].compose(h) == x.map("a")
@@ -86,22 +104,25 @@ def test_psi_named_examples():
         kronecker(), Z2, {1: m, 2: m},
         {"a": identity_hom(m), "b": identity_hom(m)},
     )
-    total, h, arrows, projs = psi_data(x, 1)
-    assert total.cardinality == 4
+    h = psi(x, 1)
+    assert h.codomain.cardinality == 4
+    _, projs = psi_projections(x, 1)
     for p in projs:
         assert p.compose(h) == identity_hom(m)
 
 
 def test_phi_named_examples():
     x = doubling_rep()
-    total, h, arrows, injs = phi_data(x, 2)
+    h = phi(x, 2)
+    _, injs = phi_injections(x, 2)
     assert h.compose(injs[0]) == x.map("a")
     # phi at a source vertex comes from the zero module
     assert phi(x, 1).domain.is_zero
     # two parallel arrows into 2
     m = cyclic(Z2, 2)
     x = Representation(kronecker(), Z2, {1: m, 2: m}, {"a": identity_hom(m), "b": ModHom(m, m, [[0]])})
-    total, h, arrows, injs = phi_data(x, 2)
+    h = phi(x, 2)
+    _, injs = phi_injections(x, 2)
     assert h.compose(injs[0]) == x.map("a")
     assert h.compose(injs[1]) == x.map("b")
 
@@ -340,16 +361,14 @@ def _random_instances(seed, count, moduli=(2, 4, 9)):
 def test_psi_phi_universal_properties_random():
     # composing psi with each coordinate projection recovers the arrow map,
     # and dually for phi with the injections
-    from quiverhom.quiver import out_arrows, in_arrows
-
     for rng, q, modulus, x in _random_instances(21, 40):
         for v in q.vertices:
-            total, h, arrows, projs = psi_data(x, v)
+            arrows, projs = psi_projections(x, v)
             for a, p in zip(arrows, projs):
-                assert p.compose(h) == x.map(a.id)
-            total, h, arrows, injs = phi_data(x, v)
+                assert p.compose(psi(x, v)) == x.map(a.id)
+            arrows, injs = phi_injections(x, v)
             for a, inj in zip(arrows, injs):
-                assert h.compose(inj) == x.map(a.id)
+                assert phi(x, v).compose(inj) == x.map(a.id)
 
 
 def test_dual_rep_ses_exact_random():

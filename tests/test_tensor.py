@@ -277,7 +277,7 @@ def _definitional_test_objects(monkeypatch, ses):
     monkeypatch.setattr(purity, "_tensor_left_exact", lambda s, _: seen.append(s) or True)
     _, tested, _ = purity.definitional_purity_check(ses)
     monkeypatch.undo()
-    del purity._WITNESSES[ses]  # memoized under the patches
+    purity._cheap_definitional_witness.cache_clear()  # memoized under the patches
     stalks = [purity._cheap_test_object(ses, desc) for desc in _stalk_descriptors(ses)]
     seen += [s for _, s in reference_definitional_members(ses)]
     assert len(stalks) + len(seen) == tested

@@ -1,11 +1,11 @@
 """Representations as values: the hash agrees with equality, the memos keyed
-by representations hand out what a fresh computation gives and let go of
-their keys, the shared coinduced objects are read-only, every memo in the
-package is bounded or weak, and every construction that skips its checks
-(`ModHom._closed`, `RepMorphism._closed`) passes them when they are run."""
+by representations hand out what a fresh computation gives and share it
+between equal keys, the shared coinduced objects are read-only, every memo
+in the package is a bounded lru_cache, and every construction that skips its
+checks (`ModHom._closed`, `RepMorphism._closed`) passes them when they are
+run."""
 
 import contextlib
-import gc
 import importlib
 import io
 import json
@@ -15,13 +15,12 @@ import pkgutil
 import random
 import subprocess
 import sys
-import weakref
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import quiverhom
-from quiverhom import cli, rep as rep_module, znmod
+from quiverhom import cli, znmod
 from quiverhom.harness import Config, random_quiver, random_representation
 from quiverhom.io import rep_from_dict, rep_to_dict
 from quiverhom.quiver import Quiver, a2, kronecker
@@ -32,8 +31,8 @@ from quiverhom.rep import (
     copresentation_embedding,
     direct_sum_reps,
     identity_morphism,
-    phi_data,
-    psi_data,
+    phi,
+    psi,
     restrict,
     stalk,
     zero_morphism,
@@ -110,46 +109,9 @@ def test_one_arrow_entry_or_the_quiver_alone_makes_representations_unequal(s, da
 # ---------------------------------------------------------------------------
 
 
-def _same(got, want):
-    total, h, arrows, maps = got
-    return (
-        total == want[0]
-        and h == want[1]
-        and isinstance(arrows, tuple)
-        and arrows == want[2]
-        and maps == want[3]
-    )
-
-
-def test_memoized_psi_and_phi_equal_a_fresh_computation(monkeypatch):
-    # every (representation, kind, vertex) a `verify all` child asks for
-    asked = []
-    memo = rep_module._memo_canonical
-
-    def recording(x, kind, i, build):
-        asked.append((x, kind, i))
-        return memo(x, kind, i, build)
-
-    monkeypatch.setattr(rep_module, "_memo_canonical", recording)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["verify", "all", "--seed", "42000", "--trials", "10", "--json"]) == 0
-    assert asked
-    fresh = {"psi": rep_module._psi_data, "phi": rep_module._phi_data}
-    public = {"psi": psi_data, "phi": phi_data}
-    reps = list({id(x): x for x, _, _ in asked}.values())
-    for x in reps:
-        for v in x.quiver.vertices:
-            for kind in ("psi", "phi"):
-                assert _same(public[kind](x, v), fresh[kind](x, v)), (x, kind, v)
-    # questions repeat, and equal representations built apart share entries
-    distinct = {(x, kind, i) for x, kind, i in asked}
-    assert len(asked) > 2 * len(distinct) and len(set(reps)) < len(reps)
-
-
-def test_memoized_hom_properties_equal_a_fresh_computation(monkeypatch):
-    # the kernels, cokernel orders and splitting verdicts of every hom a
-    # `verify all` child asks about
-    memos = {name: getattr(znmod, name) for name in ("_kernel_of_hom", "cokernel_order", "splits")}
+def _record(monkeypatch, memos):
+    """Route every call of each memo in `memos` through a recorder and return
+    the (args, keyword items) each was asked for."""
     asked = {name: [] for name in memos}
     for name, cached in memos.items():
 
@@ -161,6 +123,37 @@ def test_memoized_hom_properties_equal_a_fresh_computation(monkeypatch):
         for mod in _package_modules():
             if getattr(mod, name, None) is cached:
                 monkeypatch.setattr(mod, name, recording)
+    return asked
+
+
+def test_memoized_psi_and_phi_equal_a_fresh_computation(monkeypatch):
+    # every (representation, vertex) a `verify all` child asks psi for; the
+    # `classify` files add the phi maps, which no `verify` suite asks for
+    memos = {"psi": psi, "phi": phi}
+    asked = _record(monkeypatch, memos)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "all", "--seed", "42000", "--trials", "10", "--json"]) == 0
+        for name in ("item0003-classify.json", "item0007-classify.json"):
+            assert cli.main(["classify", str(ROOT / "tests" / "data" / "large_reps" / name), "--json"]) == 0
+    assert asked["psi"] and asked["phi"]
+    calls = [a for name in memos for a, _ in asked[name]]
+    reps = list({id(x): x for x, _ in calls}.values())
+    for x in reps:
+        for v in x.quiver.vertices:
+            for cached in memos.values():
+                assert cached(x, v) == cached.__wrapped__(x, v), (x, cached.__name__, v)
+    # questions repeat, and equal representations built apart share entries
+    assert len(asked["psi"]) > 2 * len(set(asked["psi"]))
+    # classify asks for each phi twice, for the projective and flat rows
+    assert len(asked["phi"]) >= 2 * len(set(asked["phi"]))
+    assert len(set(reps)) < len(reps)
+
+
+def test_memoized_hom_properties_equal_a_fresh_computation(monkeypatch):
+    # the kernels, cokernel orders and splitting verdicts of every hom a
+    # `verify all` child asks about
+    memos = {name: getattr(znmod, name) for name in ("_kernel_of_hom", "cokernel_order", "splits")}
+    asked = _record(monkeypatch, memos)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "all", "--seed", "42002", "--trials", "10", "--json"]) == 0
     for name, cached in memos.items():
@@ -174,14 +167,8 @@ def test_memo_entry_goes_with_its_representation():
     m = cyclic(Modulus(8), 8)
     x = Representation(a2(), Modulus(8), {1: m, 2: m}, {"a": ModHom(m, m, [[3]])})
     twin = Representation(a2(), Modulus(8), {1: m, 2: m}, {"a": ModHom(m, m, [[3]])})
-    got = psi_data(x, 1)
-    # an equal representation reads the same entry
-    assert twin in rep_module._CANONICAL_MAPS and psi_data(twin, 1) is got
-    alive = weakref.ref(x)
-    del x
-    gc.collect()
-    assert alive() is None
-    assert twin not in rep_module._CANONICAL_MAPS
+    # an equal representation built separately reads the same entry
+    assert twin is not x and psi(twin, 1) is psi(x, 1)
 
 
 def test_coinduced_objects_are_shared_and_read_only():
@@ -222,7 +209,7 @@ def test_closed_constructions_check_their_ends():
 
 
 # ---------------------------------------------------------------------------
-# every memo is bounded or weak
+# every memo is a bounded lru_cache
 # ---------------------------------------------------------------------------
 
 
@@ -239,19 +226,16 @@ def _namespaces():
                 yield f"{mod.__name__}.{obj.__name__}", vars(obj)
 
 
-_WEAK = (weakref.WeakKeyDictionary, weakref.WeakValueDictionary, weakref.WeakSet)
-
-
 def _plain_containers():
     """(name, container) of every mutable dict, list or set held by a module
-    or class of the package; the weak mappings are left out."""
+    or class of the package."""
     for where, space in _namespaces():
         for attr, obj in space.items():
-            if not attr.startswith("__") and isinstance(obj, (dict, list, set)) and not isinstance(obj, _WEAK):
+            if not attr.startswith("__") and isinstance(obj, (dict, list, set)):
                 yield f"{where}.{attr}", obj
 
 
-def test_every_memo_is_bounded_or_weak():
+def test_every_memo_is_a_bounded_lru_cache():
     caches = []
     for where, space in _namespaces():
         for attr, obj in space.items():
@@ -262,6 +246,10 @@ def test_every_memo_is_bounded_or_weak():
                 assert obj.cache_info().maxsize is not None, f"{where}.{attr} is an unbounded cache"
     assert {
         "quiverhom.rep.coinduced",
+        "quiverhom.rep.psi",
+        "quiverhom.rep.phi",
+        "quiverhom.quiver.paths_between",
+        "quiverhom.purity._cheap_definitional_witness",
         "quiverhom.znmod._kernel_of_hom",
         "quiverhom.znmod.cokernel_order",
         "quiverhom.znmod.splits",
@@ -276,7 +264,6 @@ def test_every_memo_is_bounded_or_weak():
         assert cli.main(["verify", "all", "--seed", "42001", "--trials", "2", "--json"]) == 0
     grown = [name for name, obj in _plain_containers() if len(obj) != before.get(name, len(obj))]
     assert not grown
-    assert isinstance(rep_module._CANONICAL_MAPS, weakref.WeakKeyDictionary)
 
 
 # ---------------------------------------------------------------------------
