@@ -2,16 +2,17 @@
 flat, fp-injective, strongly fp-injective, Gorenstein strongly fp-injective
 and Ding injective, all but flat and fp-injective with an independent
 oracle, plus Ext-orthogonality sampling for the lifted cotorsion pairs.
+Projective and flat are read as injective and fp-injective on the Matlis
+dual.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .quiver import Quiver, VertexId, has_directed_cycle, is_right_rooted, is_left_rooted
+from .quiver import Quiver, VertexId, has_directed_cycle, is_right_rooted
 from .homology import (
     ExtComputation,
     canonical_injective_embedding,
@@ -24,8 +25,8 @@ from .rep import (
     RepSES,
     Representation,
     cokernel_rep,
+    dual_rep,
     ker_psi,
-    phi,
     psi,
     rep_digest,
     stalk,
@@ -60,21 +61,17 @@ def _ext1_is_zero(x: Representation, y: Representation) -> bool:
     return ExtComputation(x, y).order(1) == 1
 
 
-def _ext1_vanishes_against_simples(x: Representation, contravariant: bool) -> bool:
-    """Ext^1(X, S) = 0 (contravariant) or Ext^1(S, X) = 0 for every simple S,
-    by orders."""
-    simples = simple_stalks(x.quiver, x.modulus)
-    return all(_ext1_is_zero(x, s) if contravariant else _ext1_is_zero(s, x) for s in simples)
+def _ext1_vanishes_against_simples(x: Representation) -> bool:
+    """Ext^1(S, X) = 0 for every simple S, by orders."""
+    return all(_ext1_is_zero(s, x) for s in simple_stalks(x.quiver, x.modulus))
 
 
 class _Vertexwise(NamedTuple):
     """One vertexwise characterization: psi split epi at every vertex (full
-    on right rooted quivers) when `epi`, else phi split mono (full on left
-    rooted quivers), with components in the one module class that Z/n's
-    injective, projective, flat, fp-injective and strongly fp-injective
-    modules form.  Over finite modules, split is pure."""
+    on right rooted quivers), with components in the one module class that
+    Z/n's injective, fp-injective and strongly fp-injective modules form.
+    Over finite modules, split is pure."""
 
-    epi: bool
     map_key: str
     component_key: str
     oracle: Optional[Callable[[Representation], bool]] = None
@@ -83,34 +80,26 @@ class _Vertexwise(NamedTuple):
 _VERTEXWISE = {
     # oracle: Ext^1 against the simple stalks vanishes, which suffices over
     # the artinian path ring by induction along composition series
-    "injective": _Vertexwise(
-        True, "psi_split_epi", "component_injective", partial(_ext1_vanishes_against_simples, contravariant=False)
-    ),
-    "projective": _Vertexwise(
-        False, "phi_split_mono", "component_projective", partial(_ext1_vanishes_against_simples, contravariant=True)
-    ),
-    "flat": _Vertexwise(False, "phi_pure_mono", "component_flat"),
-    "fp-injective": _Vertexwise(True, "psi_pure_epi", "component_fp_injective"),
+    "injective": _Vertexwise("psi_split_epi", "component_injective", _ext1_vanishes_against_simples),
+    "fp-injective": _Vertexwise("psi_pure_epi", "component_fp_injective"),
     # two-sided over locally target-finite right rooted quivers, which every
     # finite quiver is; oracle: the definitional coresolution check
     "strongly-fp-injective": _Vertexwise(
-        True, "psi_pure_epi", "component_strongly_fp_injective", lambda x: definitional_sfp_check(x)[0]
+        "psi_pure_epi", "component_strongly_fp_injective", lambda x: definitional_sfp_check(x)[0]
     ),
 }
 
 
 def _classify_vertexwise(name: str, x: Representation, with_oracle: bool) -> ClassVerdict:
     row = _VERTEXWISE[name]
-    canonical = psi if row.epi else phi
     evidence = {}
     verdict = True
     for v in x.quiver.vertices:
-        split = splits(canonical(x, v), epi=row.epi)
+        split = splits(psi(x, v))
         comp = is_injective_module(x.vertex_modules[v])
         evidence[v] = {row.map_key: split, row.component_key: comp}
         verdict = verdict and split and comp
-    rooted = is_right_rooted if row.epi else is_left_rooted
-    mode = "full" if rooted(x.quiver) else "necessity-only"
+    mode = "full" if is_right_rooted(x.quiver) else "necessity-only"
     oracle = None
     if with_oracle and row.oracle is not None and not has_directed_cycle(x.quiver):
         oracle = row.oracle(x)
@@ -122,11 +111,17 @@ def classify_injective(x: Representation, with_oracle: bool = False) -> ClassVer
 
 
 def classify_projective(x: Representation, with_oracle: bool = False) -> ClassVerdict:
-    return _classify_vertexwise("projective", x, with_oracle)
+    """X is projective iff its Matlis dual DX is injective over the opposite
+    quiver: D turns phi(X, v) into psi(DX, v) and a split mono into a split
+    epi, Q is left rooted iff its opposite is right rooted, and D swaps
+    Ext^1(X, S) and Ext^1(DS, DX) with DS simple.  The evidence carries the
+    keys of DX's injective row; no output prints it."""
+    return replace(classify_injective(dual_rep(x), with_oracle), class_name="projective")
 
 
 def classify_flat(x: Representation, with_oracle: bool = False) -> ClassVerdict:
-    return _classify_vertexwise("flat", x, with_oracle)
+    """X is flat iff DX is fp-injective, as for `classify_projective`."""
+    return replace(classify_fp_injective(dual_rep(x), with_oracle), class_name="flat")
 
 
 def classify_fp_injective(x: Representation, with_oracle: bool = False) -> ClassVerdict:

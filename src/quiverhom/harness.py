@@ -321,8 +321,9 @@ def nonpure_fixture_ses(modulus: Modulus) -> RepSES:
 
 
 def is_vertexwise_split(ses: RepSES) -> bool:
-    """Whether the module sequence at every vertex of `ses` splits."""
-    return all(splits(ses.vertex_ses(v).f, epi=False) for v in ses.x.quiver.vertices)
+    """Whether the module sequence at every vertex of `ses` splits, read off
+    its epi: an exact sequence splits exactly when its epi does."""
+    return all(splits(ses.vertex_ses(v).g) for v in ses.x.quiver.vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .rep import (
     direct_sum_reps,
     kernel_rep,
     psi,
+    zero_rep,
 )
 from .znmod import (
     FinMod,
@@ -513,7 +514,7 @@ def _injective_rep_structure_check(x: Representation) -> bool:
     for v in x.quiver.vertices:
         if not is_injective_module(x.vertex_modules[v]):
             return False
-        if not splits(psi(x, v), epi=True):
+        if not splits(psi(x, v)):
             return False
     return True
 
@@ -542,7 +543,7 @@ def _left_injective_step(w: Representation):
     kernels = {v: kernel_of_hom(psi(w, v)) for v in q.vertices}
     covers = {v: free_mod(modulus, kernels[v][0].rank) for v in q.vertices}
     singles = {v: coinduced(q, modulus, v, covers[v]) for v in q.vertices}
-    total, injs, projs = direct_sum_reps([singles[v].rep for v in q.vertices])
+    total, injs, projs = direct_sum_reps([singles[v].rep for v in q.vertices]) if q.vertices else (zero_rep(q, modulus), [], [])
     v_index = {v: t for t, v in enumerate(q.vertices)}
     # sinks first: stage by stage of the root sequence, in quiver order within each
     stages = root_sequence(q).stages

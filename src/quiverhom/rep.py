@@ -276,9 +276,9 @@ class RepSES:
 # ---------------------------------------------------------------------------
 
 
-# psi and phi: resolutions and classifications ask for the same
-# (representation, vertex) over and over, and equal representations hash
-# equally; one `verify all` asks for about 340 distinct psi maps
+# resolutions and classifications ask for the same (representation,
+# vertex) over and over, and equal representations hash equally; one
+# `verify all` asks for about 340 distinct psi maps
 @lru_cache(maxsize=512)
 def psi(x: Representation, i: VertexId) -> ModHom:
     """The universal map from X(i) into the product of the targets of the
@@ -286,10 +286,10 @@ def psi(x: Representation, i: VertexId) -> ModHom:
     return map_into_sum(x.vertex_modules[i], [x.map(a.id) for a in out_arrows(x.quiver, i)])
 
 
-@lru_cache(maxsize=512)
 def phi(x: Representation, i: VertexId) -> ModHom:
     """The universal map out of the coproduct of the sources of the arrows
-    entering i, in `in_arrows` order, into X(i)."""
+    entering i, in `in_arrows` order, into X(i): the Matlis dual of psi of
+    the dual representation at i."""
     return map_out_of_sum([x.map(a.id) for a in in_arrows(x.quiver, i)], x.vertex_modules[i])
 
 
@@ -597,7 +597,7 @@ def copresentation_embedding(x: Representation, embeds: Dict[VertexId, ModHom]) 
     if any(embeds[v].domain != x.vertex_modules[v] for v in q.vertices):
         raise ValueError("homs do not compose")
     singles = [coinduced(q, modulus, v, embeds[v].codomain) for v in q.vertices]
-    total = direct_sum_reps([s.rep for s in singles])[0]
+    total = direct_sum_reps([s.rep for s in singles])[0] if singles else zero_rep(q, modulus)
     comps = {}
     for w in q.vertices:
         xw = x.vertex_modules[w]

@@ -701,20 +701,19 @@ def torsion_order(m: FinMod, d: int) -> int:
 
 
 @lru_cache(maxsize=1024)
-def splits(h: ModHom, epi: bool) -> bool:
-    """Whether h is a split epi (epi=True) or a split mono, from orders alone.
+def splits(h: ModHom) -> bool:
+    """Whether h is a split epi, from orders alone.
 
     A sequence of bounded abelian groups is pure iff it splits (Fuchs,
     Infinite Abelian Groups I, 27-28), and by the primary decomposition
     purity is Hom(Z/d, -) exactness for the prime powers d = p^a only; past
     the p-exponent of every factor of dom(h) and cod(h) the test repeats.
-    - Epi g: B -> C: g(B[d]) == C[d].  B[d] is generated by the columns
-      (b_i / gcd(d, b_i)) e_i, so |g(B[d])| = |C| / |C / g(B[d])|.
-    - Mono f: A -> C: f(A) meets dC in d f(A) only, i.e.
-      |C / (f(A) + dC)| |A[d]| == |C[d]|; C / dC is sum Z/gcd(d, c_i).
-    At the largest d for each p, B[d], C[d] and A[d] are the p-parts and dC
-    is the p'-part of C, so the tests also force g onto and f one-to-one:
-    no separate epi or mono check is needed.
+    For h: B -> C the test is h(B[d]) == C[d].  B[d] is generated by the
+    columns (b_i / gcd(d, b_i)) e_i, so |h(B[d])| = |C| / |C / h(B[d])|.
+    At the largest d for each p, B[d] and C[d] are the p-parts, so the test
+    also forces h onto: no separate epi check is needed.  A short exact
+    sequence splits iff its epi does, and a mono is split iff its Matlis
+    dual is a split epi.
     """
     dom, cod = h.domain, h.codomain
     n = h.modulus.n
@@ -722,14 +721,9 @@ def splits(h: ModHom, epi: bool) -> bool:
     for p in h.modulus.prime_factors:
         d = p
         while top % d == 0:
-            if epi:
-                mult = [b // gcd(d, b) for b in dom.factors]
-                gens = [tuple(map(mul, row, mult)) for row in h.matrix]
-                ok = quotient_order(gens, cod.factors, n) * torsion_order(cod, d) == cod.cardinality
-            else:
-                mod_d = [gcd(d, c) for c in cod.factors]
-                ok = quotient_order(h.matrix, mod_d, n) * torsion_order(dom, d) == torsion_order(cod, d)
-            if not ok:
+            mult = [b // gcd(d, b) for b in dom.factors]
+            gens = [tuple(map(mul, row, mult)) for row in h.matrix]
+            if quotient_order(gens, cod.factors, n) * torsion_order(cod, d) != cod.cardinality:
                 return False
             d *= p
     return True

@@ -18,9 +18,10 @@ from quiverhom.io import (
     ses_from_dict,
     ses_to_dict,
 )
+from quiverhom.homology import projective_generator
 from quiverhom.quiver import a2, loop_quiver, make_quiver
-from quiverhom.rep import Representation, stalk
-from quiverhom.znmod import ModHom, Modulus, cyclic
+from quiverhom.rep import Representation, coinduced, stalk
+from quiverhom.znmod import FinMod, ModHom, Modulus, cyclic
 
 Z4 = Modulus(4)
 
@@ -312,6 +313,49 @@ def test_cli_large_reps_output_is_pinned(capsys):
 def test_cli_large_input_output_is_pinned(capsys, name, digest):
     assert main(["classify", str(LARGE_INPUTS / name), "--oracle", "--json"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def doubled_path(length):
+    """1 => 2 => ... => length, two parallel arrows per step."""
+    arrows = [(f"{s}{v}", v, v + 1) for v in range(1, length) for s in "ab"]
+    return make_quiver(list(range(1, length + 1)), arrows)
+
+
+def pinned_classify_inputs():
+    z12, z6 = Modulus(12), Modulus(6)
+    m = FinMod(z6, (2, 6))
+    return {
+        # projective and flat, not injective: P_1 is free on the 15 paths from 1
+        "projective-generator": projective_generator(doubled_path(4), z12, 1),
+        # e^2(Z/6) on 1 -> 2 is P_1 too: every row true
+        "coinduced-injective": coinduced(a2(), z6, 2, cyclic(z6, 6)).rep,
+        # an automorphism around a loop: every verdict true, no row two-sided
+        "loop": Representation(loop_quiver(), z6, {"v": m}, {"alpha": ModHom(m, m, [[1, 0], [3, 5]])}),
+    }
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("projective-generator", "e3e0b736df0b268a9ad68bd113f4c679ad96611a304cece84825dcb7983eec1f"),
+        ("coinduced-injective", "9cdbec782e86f80f0d75bb925afa546cb66ba5da3614cff9a7d0ec62ea36c6ca"),
+        ("loop", "6d92b86773fc23b254a9d5a0d305f9e73acf9506118a1d3539db2947b0f560c7"),
+    ],
+)
+def test_cli_classify_projective_and_necessity_only_outputs_are_pinned(tmp_path, capsys, name, digest):
+    # first recorded while projective and flat still read phi over the quiver itself
+    path = write(tmp_path, "rep.json", rep_to_dict(pinned_classify_inputs()[name]))
+    assert main(["classify", path, "--oracle", "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_cli_classify_on_a_quiver_without_vertices(tmp_path, capsys):
+    # every class holds vacuously; the coresolution starts from the zero representation
+    payload = {"modulus": 4, "quiver": {"vertices": [], "arrows": []}, "modules": {}, "arrows_maps": {}}
+    assert main(["classify", write(tmp_path, "empty.json", payload), "--oracle", "--json"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["class"] for r in records] == list(cli.CLASSIFIERS)
+    assert all(r["verdict"] is True for r in records)
 
 
 def test_cli_ext_degree2_output_is_pinned(capsys):

@@ -5,7 +5,9 @@ and is not checked here.  The package imports nothing but the standard
 library and itself, and no command loads numpy: a matrix is a tuple of
 int rows throughout, and no module but `cli` reads a shape off a first
 row: a matrix with no rows has none, so every count is stated.  No module
-imports weakref: every memo is a bounded lru_cache."""
+imports weakref: every memo is a bounded lru_cache.  The vertexwise
+classification has one route, psi split epi: `classify` reads projective
+and flat on the Matlis dual, never through phi."""
 
 import ast
 import json
@@ -80,6 +82,17 @@ def test_no_module_imports_weakref():
     # every memo is a bounded lru_cache on its function, never a weak map
     found = [f"{file}:{line}" for file, line, name in _absolute_imports() if name.split(".")[0] == "weakref"]
     assert not found, found
+
+
+def test_the_vertexwise_classification_has_one_route():
+    # phi and left rootedness enter `classify` only through the dual
+    tree = ast.parse((SRC / "classify.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"phi", "is_left_rooted"}
+    splits = [node for node in ast.walk(ast.parse((SRC / "znmod.py").read_text())) if isinstance(node, ast.FunctionDef) and node.name == "splits"]
+    assert len(splits) == 1
+    args = splits[0].args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["h"] and not (args.vararg or args.kwarg)
 
 
 def test_no_command_loads_numpy():

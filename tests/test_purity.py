@@ -336,7 +336,7 @@ def test_psi_of_injective_is_split_epi():
         if h.compose(s) == ident:
             sections.append(s)
     assert sections
-    assert is_epi(h) and splits(h, epi=True)
+    assert is_epi(h) and splits(h)
 
 
 def test_purity_criteria_agree_on_random():

@@ -30,8 +30,8 @@ from quiverhom.rep import (
     coinduced,
     copresentation_embedding,
     direct_sum_reps,
+    dual_rep,
     identity_morphism,
-    phi,
     psi,
     restrict,
     stalk,
@@ -105,19 +105,19 @@ def test_one_arrow_entry_or_the_quiver_alone_makes_representations_unequal(s, da
 
 
 # ---------------------------------------------------------------------------
-# the psi/phi memo and the coinduced memo
+# the psi memo and the coinduced memo
 # ---------------------------------------------------------------------------
 
 
 def _record(monkeypatch, memos):
     """Route every call of each memo in `memos` through a recorder and return
-    the (args, keyword items) each was asked for."""
+    the arguments each was asked for."""
     asked = {name: [] for name in memos}
     for name, cached in memos.items():
 
-        def recording(*a, _cached=cached, _args=asked[name], **kw):
-            _args.append((a, tuple(kw.items())))  # splits takes epi by keyword
-            return _cached(*a, **kw)
+        def recording(*a, _cached=cached, _args=asked[name]):
+            _args.append(a)
+            return _cached(*a)
 
         # every module that imported the memo calls it by its own binding
         for mod in _package_modules():
@@ -126,26 +126,25 @@ def _record(monkeypatch, memos):
     return asked
 
 
-def test_memoized_psi_and_phi_equal_a_fresh_computation(monkeypatch):
+def test_memoized_psi_equals_a_fresh_computation(monkeypatch):
     # every (representation, vertex) a `verify all` child asks psi for; the
-    # `classify` files add the phi maps, which no `verify` suite asks for
-    memos = {"psi": psi, "phi": phi}
-    asked = _record(monkeypatch, memos)
+    # `classify` files add psi of their Matlis duals, one dual built apart
+    # for each of the projective and flat rows
+    asked = _record(monkeypatch, {"psi": psi})["psi"]
+    paths = [ROOT / "tests" / "data" / "large_reps" / name for name in ("item0003-classify.json", "item0007-classify.json")]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "all", "--seed", "42000", "--trials", "10", "--json"]) == 0
-        for name in ("item0003-classify.json", "item0007-classify.json"):
-            assert cli.main(["classify", str(ROOT / "tests" / "data" / "large_reps" / name), "--json"]) == 0
-    assert asked["psi"] and asked["phi"]
-    calls = [a for name in memos for a, _ in asked[name]]
-    reps = list({id(x): x for x, _ in calls}.values())
+        for path in paths:
+            assert cli.main(["classify", str(path), "--json"]) == 0
+    reps = list({id(x): x for x, _ in asked}.values())
+    for path in paths:
+        dual = dual_rep(rep_from_dict(json.loads(path.read_text())))
+        assert sum(x == dual for x in reps) == 2
     for x in reps:
         for v in x.quiver.vertices:
-            for cached in memos.values():
-                assert cached(x, v) == cached.__wrapped__(x, v), (x, cached.__name__, v)
+            assert psi(x, v) == psi.__wrapped__(x, v), (x, v)
     # questions repeat, and equal representations built apart share entries
-    assert len(asked["psi"]) > 2 * len(set(asked["psi"]))
-    # classify asks for each phi twice, for the projective and flat rows
-    assert len(asked["phi"]) >= 2 * len(set(asked["phi"]))
+    assert len(asked) > 2 * len(set(asked))
     assert len(set(reps)) < len(reps)
 
 
@@ -159,8 +158,8 @@ def test_memoized_hom_properties_equal_a_fresh_computation(monkeypatch):
     for name, cached in memos.items():
         args = asked[name]
         assert len(args) > 2 * len(set(args)), name
-        for a, kw in set(args):
-            assert cached(*a, **dict(kw)) == cached.__wrapped__(*a, **dict(kw)), (name, a, kw)
+        for a in set(args):
+            assert cached(*a) == cached.__wrapped__(*a), (name, a)
 
 
 def test_memo_entry_goes_with_its_representation():
@@ -247,7 +246,6 @@ def test_every_memo_is_a_bounded_lru_cache():
     assert {
         "quiverhom.rep.coinduced",
         "quiverhom.rep.psi",
-        "quiverhom.rep.phi",
         "quiverhom.quiver.paths_between",
         "quiverhom.purity._cheap_definitional_witness",
         "quiverhom.znmod._kernel_of_hom",

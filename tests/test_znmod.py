@@ -572,13 +572,19 @@ def test_solve_congruences_columns_match_one_column_calls(n):
     assert all(seen.values()), seen
 
 
+def split_mono(f):
+    """Whether f is a split mono: one-to-one with a split cokernel
+    projection, as 0 -> A -> B -> B / f(A) -> 0 splits iff its epi does."""
+    return is_mono(f) and splits(cokernel_of_hom(f)[1])
+
+
 def test_pure_mono_epi_module_maps():
     f = ModHom(cyclic(Z4, 2), cyclic(Z4, 4), [[2]])
-    assert is_mono(f) and not splits(f, epi=False)
+    assert is_mono(f) and not split_mono(f) and retraction_of(f) is None
     ident = identity_hom(cyclic(Z4, 4))
-    assert is_mono(ident) and splits(ident, epi=False) and is_epi(ident) and splits(ident, epi=True)
+    assert is_mono(ident) and split_mono(ident) and is_epi(ident) and splits(ident)
     g = ModHom(cyclic(Z4, 4), cyclic(Z4, 2), [[1]])
-    assert is_epi(g) and not splits(g, epi=True)
+    assert is_epi(g) and not splits(g)
 
 
 def section_of(g):
@@ -602,7 +608,8 @@ SPLITS_MODULI = (2, 4, 6, 8, 9, 12, 16, 18, 36, 72, 144, 288)
 def test_splits_agrees_with_the_solves_and_the_dual_route():
     # epis onto quotients, monos from subgroups, and random homs that are
     # mostly neither; each verdict against a section or retraction solve,
-    # the solve on the Matlis dual, and the purity of the sequence
+    # the solve on the Matlis dual, and the purity of the sequence; a mono
+    # is read off its cokernel projection and off its dual
     rng = random.Random(23)
     # each sequence gives one epi and one mono, split or not alike
     seen = dict.fromkeys(["split", "nonsplit", "neither"], 0)
@@ -616,14 +623,15 @@ def test_splits_agrees_with_the_solves_and_the_dual_route():
             _, incl = subgroup_with_inclusion(b, gens)
             proj = cokernel_of_hom(incl)[1]
             split = is_pure_module_ses(ModSES(incl, proj))[0]
-            assert splits(proj, epi=True) == (section_of(proj) is not None) == split
+            assert splits(proj) == (section_of(proj) is not None) == split
             assert (retraction_of(matlis_dual_hom(proj)) is not None) == split
-            assert splits(incl, epi=False) == (retraction_of(incl) is not None) == split
-            assert (section_of(matlis_dual_hom(incl)) is not None) == split
+            assert split_mono(incl) == (retraction_of(incl) is not None) == split
+            dual = matlis_dual_hom(incl)
+            assert splits(dual) == (section_of(dual) is not None) == split
             seen["split" if split else "nonsplit"] += 1
             h = rand_hom(rng, rand_finmod(rng, modulus, max_rank=3), rand_finmod(rng, modulus, max_rank=3))
-            assert splits(h, epi=True) == (section_of(h) is not None)
-            assert splits(h, epi=False) == (retraction_of(h) is not None)
+            assert splits(h) == (section_of(h) is not None)
+            assert split_mono(h) == splits(matlis_dual_hom(h)) == (retraction_of(h) is not None)
             seen["neither"] += not (is_epi(h) or is_mono(h))
     assert seen["nonsplit"] >= 100 and seen["split"] >= 300 and seen["neither"] >= 120, seen
 
