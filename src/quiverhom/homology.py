@@ -553,20 +553,13 @@ def _left_injective_step(w: Representation):
     pi_comps: Dict[VertexId, ModHom] = {}
     for wv in vertex_order:
         sysm = HomSystem(modulus)
-        var = sysm.add_hom_unknown(total.vertex_modules[wv].factors, w.vertex_modules[wv].factors)
+        var = sysm.add_hom_unknown(total.vertex_modules[wv], w.vertex_modules[wv])
         for a in out_arrows(q, wv):
-            u = a.tgt
-            rhs_h = pi_comps[u].compose(total.map(a.id))
-            sysm.add_matrix_equation(
-                [(var, w.map(a.id).matrix, identity(total.vertex_modules[wv].rank), 1)],
-                rhs_h.matrix,
-                total.vertex_modules[wv].rank,
-                w.vertex_modules[u].factors,
-            )
+            sysm.add_equation([(1, w.map(a.id), var, None)], pi_comps[a.tgt].compose(total.map(a.id)))
         out = sysm.solve()
         if out is None:
             raise LeftResolutionFailure(wv, "no lift against the canonical product map")
-        part = ModHom(total.vertex_modules[wv], w.vertex_modules[wv], sysm.assignment(out[0])[0])
+        part = sysm.assignment(out[0])[0]
         # force the solution to vanish on the kernel-cover factor, then add the
         # cover of ker psi so that the component is surjective
         single = singles[wv]

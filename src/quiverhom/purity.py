@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
 
-from .linalg import identity, transpose
+from .linalg import transpose
 from .quiver import has_directed_cycle, in_arrows, opposite
 from .rep import (
     RepMorphism,
@@ -27,7 +27,6 @@ from .rep import (
 )
 from .znmod import (
     FinMod,
-    ModHom,
     cyclic,
     identity_hom,
     is_pure_module_ses,
@@ -81,15 +80,9 @@ def rep_retraction(f: RepMorphism) -> Optional[RepMorphism]:
     q = src.quiver
     sysm, var = naturality_system(tgt, src)
     for v in q.vertices:
-        side = src.vertex_modules[v]
-        eye = identity(side.rank)
-        sysm.add_matrix_equation([(var[v], eye, f.components[v].matrix, 1)], eye, side.rank, side.factors)
+        sysm.add_equation([(1, None, var[v], f.components[v])], identity_hom(src.vertex_modules[v]))
     out = sysm.solve()
-    if out is None:
-        return None
-    mats = sysm.assignment(out[0])
-    comps = {v: ModHom(tgt.vertex_modules[v], src.vertex_modules[v], m) for v, m in zip(q.vertices, mats)}
-    return RepMorphism(tgt, src, comps)
+    return None if out is None else RepMorphism._closed(tgt, src, dict(zip(q.vertices, sysm.assignment(out[0]))))
 
 
 def is_pure_rep_ses(ses: RepSES) -> PurityVerdict:

@@ -93,11 +93,16 @@ def in_arrows(q: Quiver, v: VertexId) -> List[Arrow]:
 @functools.lru_cache(maxsize=1024)
 def opposite(q: Quiver) -> Quiver:
     """Same vertices, all arrows reversed; applying it twice gives back q.
-    Memoized: every tensor product and dual checks against it, and a
-    quiver is immutable."""
+    An id with an even number of trailing `_op`s gains one and an id with
+    an odd number loses one, so distinct ids stay distinct.  Memoized:
+    every tensor product and dual checks against it, and a quiver is
+    immutable."""
 
     def flip(aid: str) -> str:
-        return aid[: -len(_OP_SUFFIX)] if aid.endswith(_OP_SUFFIX) else aid + _OP_SUFFIX
+        stem = aid
+        while stem.endswith(_OP_SUFFIX):
+            stem = stem.removesuffix(_OP_SUFFIX)
+        return aid.removesuffix(_OP_SUFFIX) if (len(aid) - len(stem)) // len(_OP_SUFFIX) % 2 else aid + _OP_SUFFIX
 
     return Quiver(q.vertices, tuple(Arrow(flip(a.id), a.tgt, a.src) for a in q.arrows))
 

@@ -10,8 +10,8 @@ A hom is a matrix, a tuple of int rows as in `linalg`, whose (j, i) entry
 must satisfy a_ji * d_i == 0 mod e_j, which is checked at
 construction, except on homs that satisfy it by construction: sums,
 negatives, composites, zero and identity homs, subgroup inclusions,
-quotient projections, Matlis duals and the injections and projections of
-direct sums.  Internal computations
+quotient projections, Matlis duals, the injections and projections of
+direct sums and the solutions of hom systems.  Internal computations
 frequently pass through "ambient" factor tuples that are not divisibility
 chains; only FinMod values are required to be canonical.
 """
@@ -27,7 +27,7 @@ from operator import add, mul
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .linalg import Matrix, diag, diagonalize, hstack, identity, kron, matmul, mod_rows, quotient_order, solve_left, transpose
+from .linalg import Matrix, diag, diagonalize, hstack, identity, matmul, mod_rows, quotient_order, solve_left, transpose
 
 # The largest accepted n.  Python ints make every product exact at any n;
 # the cap is kept as a fixed part of the interface (inputs, messages).
@@ -196,8 +196,8 @@ class ModHom:
         """A hom whose int matrix of the right shape is well defined by
         construction (a sum, negative or composite of homs, zero or the
         identity, a subgroup inclusion, a quotient projection, a Matlis
-        dual, a direct-sum injection or projection): reduce it mod the
-        codomain factors and skip the check."""
+        dual, a direct-sum injection or projection, a `HomSystem`
+        solution): reduce it mod the codomain factors and skip the check."""
         h = cls.__new__(cls)
         h.domain = domain
         h.codomain = codomain
@@ -329,52 +329,58 @@ def solve_congruences(
 class HomSystem:
     """Linear system whose unknowns are homs between given modules.
 
-    Each unknown hom U is parameterized entrywise by its generator
+    Each unknown hom U: D -> E is parameterized entrywise by its generator
     multiples, U[j, i] = t_ji * scales[j, i] with t_ji in Z/gcd(d_i, e_j);
     `orders` lists those entry orders for all unknowns, one flat tuple.
-    Equations are sums of terms sign * L @ U @ R with known L, R, added
-    row-major in call order.  Register every unknown before the first
-    equation.
+    Equations are sums of terms sign * L U R with known homs L, R, equal
+    to a known hom, added row-major in call order.  Register every unknown
+    before the first equation.
     """
 
     def __init__(self, modulus: Modulus):
         self.modulus = modulus
         self.orders: Tuple[int, ...] = ()
-        # per unknown: its first flat index, entry scales, codomain factors
-        self._vars: List[Tuple[int, Matrix, Tuple[int, ...]]] = []
+        # per unknown: its first flat index, domain, codomain, entry scales
+        self._vars: List[Tuple[int, FinMod, FinMod, Matrix]] = []
         self._rows: List[List[int]] = []
         self._rhs: List[Tuple[int]] = []
         self._moduli: List[int] = []
 
-    def add_hom_unknown(self, dom_factors: Sequence[int], cod_factors: Sequence[int]) -> int:
+    def add_hom_unknown(self, dom: FinMod, cod: FinMod) -> int:
         if self._rows:
             raise ValueError("unknowns must be registered before the first equation")
-        cod = tuple(cod_factors)
-        scales = hom_entry_scales(tuple(dom_factors), cod)
-        self._vars.append((len(self.orders), scales, cod))
-        self.orders += tuple(e // s for row, e in zip(scales, cod) for s in row)
+        scales = hom_entry_scales(dom.factors, cod.factors)
+        self._vars.append((len(self.orders), dom, cod, scales))
+        self.orders += tuple(e // s for row, e in zip(scales, cod.factors) for s in row)
         return len(self._vars) - 1
 
-    def add_matrix_equation(
-        self,
-        terms: Sequence[Tuple[int, Matrix, Matrix, int]],
-        rhs: Matrix,
-        n_cols: int,
-        row_factors: Sequence[int],
-    ):
-        """Sum of sign * L @ U_var @ R terms equals rhs, rows read mod
-        row_factors; every R and rhs have n_cols columns."""
-        block = [[0] * len(self.orders) for _ in range(len(row_factors) * n_cols)]
-        for var, left, right, sign in terms:
-            start, scales, _ = self._vars[var]
-            flat_scales = [sign * s for row in scales for s in row]
-            # row (a, b), column (j, i): sign * L[a, j] * R[i, b] * scales[j, i]
-            for brow, krow in zip(block, kron(left, transpose(right, n_cols)), strict=True):
-                for c, x in enumerate(map(mul, krow, flat_scales), start):
-                    brow[c] += x
+    def add_equation(self, terms: Sequence[Tuple[int, Optional[ModHom], int, Optional[ModHom]]], rhs: ModHom):
+        """Sum of the terms sign * L U_var R equals rhs: C -> F, where L and
+        R are homs or None for an identity.  Row (a, b) is entry (a, b),
+        read mod f_a; unknown entry (j, i) has coefficient
+        sign * L[a, j] * R[i, b] * scales[j, i], formed only for nonzero
+        L[a, j] and R[i, b]."""
+        cols = rhs.domain.rank
+        block = [[0] * len(self.orders) for _ in range(rhs.codomain.rank * cols)]
+        for sign, left, var, right in terms:
+            start, dom, cod, scales = self._vars[var]
+            left_ends = (left.domain, left.codomain) if left else (cod, cod)
+            right_ends = (right.domain, right.codomain) if right else (dom, dom)
+            if left_ends != (cod, rhs.codomain) or right_ends != (rhs.domain, dom):
+                raise ValueError(f"L U R with U: {dom} -> {cod} does not run from {rhs.domain} to {rhs.codomain}")
+            # the nonzero L[a, j] of each row a and R[i, b] of each column b
+            lead = [[(j, x) for j, x in enumerate(row) if x] for row in left.matrix] if left else [[(a, 1)] for a in range(cod.rank)]
+            trail = [[(i, y) for i, row in enumerate(right.matrix) if (y := row[b])] for b in range(cols)] if right else [[(b, 1)] for b in range(cols)]
+            for a, lrow in enumerate(lead):
+                for b, rcol in enumerate(trail):
+                    brow = block[a * cols + b]
+                    for j, x in lrow:
+                        at, srow = start + j * dom.rank, scales[j]
+                        for i, y in rcol:
+                            brow[at + i] += sign * x * y * srow[i]
         self._rows += block
-        self._rhs += [(x,) for row in rhs for x in row]
-        self._moduli += [e for e in row_factors for _ in range(n_cols)]
+        self._rhs += [(x,) for row in rhs.matrix for x in row]
+        self._moduli += [e for e in rhs.codomain.factors for _ in range(cols)]
 
     def solve(self) -> Optional[Tuple[tuple, Matrix]]:
         """`solve_congruences` on the flat unknowns, one right-hand side:
@@ -382,23 +388,20 @@ class HomSystem:
         out = solve_congruences(self._rows, self._rhs, 1, self._moduli, self.orders, self.modulus)
         return None if out is None else (tuple(row[0] for row in out[0]), out[1])
 
-    def assignment(self, flat) -> List[Matrix]:
-        """The matrix of each unknown hom at a flat vector."""
+    def assignment(self, flat) -> List[ModHom]:
+        """Each unknown hom at a flat vector."""
         return [
-            tuple(
-                tuple(int(flat[at]) * s % e for at, s in enumerate(row, start + j * len(row)))
-                for j, (row, e) in enumerate(zip(scales, cod))
-            )
-            for start, scales, cod in self._vars
+            ModHom._closed(dom, cod, tuple(tuple(int(flat[at]) * s for at, s in enumerate(row, start + j * dom.rank)) for j, row in enumerate(scales)))
+            for start, dom, cod, scales in self._vars
         ]
 
-    def flat_of(self, matrices: Sequence[Matrix]) -> Tuple[int, ...]:
-        """Inverse of `assignment` on well-defined hom matrices: every entry
-        is a multiple of its generator, so the division is exact."""
+    def flat_of(self, homs: Sequence[ModHom]) -> Tuple[int, ...]:
+        """Inverse of `assignment`: every entry of a hom is a multiple of
+        its generator, so the division is exact."""
         return tuple(
-            int(x) // s
-            for m, (_, scales, _) in zip(matrices, self._vars, strict=True)
-            for row, srow in zip(m, scales)
+            x // s
+            for h, (_, _, _, scales) in zip(homs, self._vars, strict=True)
+            for row, srow in zip(h.matrix, scales)
             for x, s in zip(row, srow)
         )
 
@@ -681,12 +684,11 @@ class ModSES:
 
 def retraction_of(f: ModHom) -> Optional[ModHom]:
     """r with r o f == id on dom(f), if one exists."""
-    eye = identity(f.domain.rank)
     sysm = HomSystem(f.modulus)
-    var = sysm.add_hom_unknown(f.codomain.factors, f.domain.factors)
-    sysm.add_matrix_equation([(var, eye, f.matrix, 1)], eye, f.domain.rank, f.domain.factors)
+    var = sysm.add_hom_unknown(f.codomain, f.domain)
+    sysm.add_equation([(1, None, var, f)], identity_hom(f.domain))
     out = sysm.solve()
-    return None if out is None else ModHom(f.codomain, f.domain, sysm.assignment(out[0])[0])
+    return None if out is None else sysm.assignment(out[0])[0]
 
 
 def is_split(s: ModSES) -> Optional[ModHom]:

@@ -247,6 +247,16 @@ def test_cli_rejects_a_non_string_arrow_id(tmp_path, capsys, arrow_id):
         assert f"arrow {json.dumps(arrow_id)} from 1 to 2: id must be a JSON string" in captured.err
 
 
+def test_cli_classify_with_an_arrow_id_ending_in_op_op(tmp_path, capsys):
+    # `opposite` once flipped both a and a_op_op to a_op, so every row that
+    # reads the Matlis dual exited 2 with "duplicate arrow ids"
+    quiver = {"vertices": [1, 2], "arrows": [{"id": "a", "src": 1, "tgt": 2}, {"id": "a_op_op", "src": 1, "tgt": 2}]}
+    payload = {"modulus": 2, "quiver": quiver, "modules": {"1": [2], "2": [2]}, "arrows_maps": {"a": [[1]], "a_op_op": [[0]]}}
+    assert main(["classify", write(tmp_path, "rep.json", payload), "--oracle", "--json"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["class"] for r in records] == list(cli.CLASSIFIERS)
+
+
 def test_cli_fixture_nonpure(capsys):
     code = main(["fixture", "nonpure", "--json"])
     out = capsys.readouterr().out.strip().splitlines()
@@ -274,6 +284,20 @@ def test_cli_verify_all_output_is_pinned(capsys):
     assert main(["verify", "all", "--seed", "42", "--trials", "2", "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == "1858f2ffecba1ce8bcfaf7cee88b604c48ffeb15bb97354e07ea27de07a3e908"
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        ("7", "6b23523ffb618c70e9ef12846b9c4adf4abbbd231fbebba3413161f4bb7e2ffe"),
+        ("42000", "7a3c05a9ffb27457bd75ac8dbb5355b79ca4d1f128a4af9a767808eb6744653b"),
+        ("43001", "b1684723356e8e9033d954d949eebe0c4c4d69143d5bd06ca2d96b88f28eeb52"),
+    ],
+)
+def test_cli_verify_all_ten_trials_output_is_pinned(capsys, seed, digest):
+    # ten trials of every suite, as first recorded at these seeds
+    assert main(["verify", "all", "--seed", seed, "--trials", "10", "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 LARGE_REPS = pathlib.Path(__file__).parent / "data" / "large_reps"

@@ -15,7 +15,6 @@ from quiverhom.harness import (
 )
 from quiverhom.homology import canonical_injective_embedding
 from quiverhom.io import ses_from_dict
-from quiverhom.linalg import identity
 from quiverhom.quiver import a2
 from quiverhom.rep import (
     RepMorphism,
@@ -275,15 +274,11 @@ def reference_dual_section(f):
     src, tgt = g.source, g.target
     sysm, var = naturality_system(tgt, src)
     for v in src.quiver.vertices:
-        side = tgt.vertex_modules[v]
-        eye = identity(side.rank)
-        sysm.add_matrix_equation([(var[v], g.components[v].matrix, eye, 1)], eye, side.rank, side.factors)
+        sysm.add_equation([(1, g.components[v], var[v], None)], identity_hom(tgt.vertex_modules[v]))
     out = sysm.solve()
     if out is None:
         return None
-    mats = sysm.assignment(out[0])
-    comps = {v: ModHom(tgt.vertex_modules[v], src.vertex_modules[v], m) for v, m in zip(src.quiver.vertices, mats)}
-    s = RepMorphism(tgt, src, comps)
+    s = RepMorphism(tgt, src, dict(zip(src.quiver.vertices, sysm.assignment(out[0]))))
     assert _is_identity(g.compose(s))
     return s
 

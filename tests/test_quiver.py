@@ -1,6 +1,8 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quiverhom.quiver import (
     a2,
@@ -77,6 +79,26 @@ def test_opposite_named_examples():
     for _ in range(200):
         q = rand_quiver(rng)
         assert opposite(opposite(q)) == q
+
+
+# an arrow id: a stem, then 0 to 4 copies of the suffix that `opposite` adds
+op_ids = st.builds(lambda stem, k: stem + "_op" * k, st.sampled_from(["", "a", "a_", "_o", "op", "b_opa"]), st.integers(0, 4))
+
+
+@given(ids=st.lists(op_ids, unique=True, max_size=6), data=st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_opposite_is_an_involution_on_ids_with_repeated_op_suffixes(ids, data):
+    vertices = [1, 2, 3]
+    q = make_quiver(vertices, [(aid, data.draw(st.sampled_from(vertices)), data.draw(st.sampled_from(vertices))) for aid in ids])
+    op = opposite(q)
+    assert opposite(op) == q
+    for a, b in zip(q.arrows, op.arrows):
+        # ids with no or one trailing _op keep their opposite names
+        trailing = len(re.search(r"(_op)*$", a.id).group()) // 3
+        if trailing == 0:
+            assert b.id == a.id + "_op"
+        elif trailing == 1:
+            assert b.id == a.id[:-3]
 
 
 def test_out_in_arrows():

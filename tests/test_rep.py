@@ -236,8 +236,10 @@ def test_dual_ses_and_split_preservation():
 
 
 def test_hom_group_near_the_modulus_cap():
-    # HomSystem forms L @ scales @ R unreduced, up to (n - 1)**3, which the
-    # cap keeps below 2**63; at n = 2 * 4294967311 it wrapped
+    # the identity on Z/2 against -1 on Z/n, n near the cap: each component
+    # is t * n/2 with t mod 2, and naturality makes the two t agree, so Hom
+    # has order 2; the naturality rows hold products up to (n - 1) * n/2
+    # before they are reduced
     n = 2 * 1000003
     m = Modulus(n)
     two, big = cyclic(m, 2), cyclic(m, n)

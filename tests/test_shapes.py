@@ -1,9 +1,10 @@
 """Every linear-system entry point takes its shapes from the caller, so a
 system with no equations, no unknowns or no right-hand sides keeps every
 count: `solve_congruences`, `ambient_coords_solve`,
-`HomSystem.add_matrix_equation` and `ExtComputation.cocycle_to_ext_coords`
-agree with the numpy oracle of `linalg_oracle`, which shapes its arrays
-from the counts alone, and their results have the stated shapes."""
+`HomSystem.add_equation` (whose counts are the ends of its homs) and
+`ExtComputation.cocycle_to_ext_coords` agree with the numpy oracle of
+`linalg_oracle`, which shapes its arrays from the counts alone, and their
+results have the stated shapes."""
 
 import random
 from collections import namedtuple
@@ -19,7 +20,7 @@ from quiverhom.harness import Config, random_finmod, random_representation
 from quiverhom.homology import ExtComputation
 from quiverhom.linalg import matmul, mod_rows
 from quiverhom.quiver import a2, kronecker
-from quiverhom.znmod import HomSystem, Modulus, ambient_coords_solve, hom_entry_scales, random_hom, solve_congruences, zero_mod
+from quiverhom.znmod import HomSystem, Modulus, ambient_coords_solve, cyclic, hom_entry_scales, identity_hom, random_hom, solve_congruences, zero_hom, zero_mod
 
 moduli = st.sampled_from([2, 3, 4, 6, 8, 9, 12])
 
@@ -99,30 +100,50 @@ def test_ambient_coords_solve_takes_rank_and_target_count(zero, data):
 @pytest.mark.parametrize("zero", ["drawn", "no equations", "no right-hand sides", "unknown from 0", "unknown into 0"])
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_add_matrix_equation_takes_its_column_count(zero, data):
-    # L @ U @ R == rhs for the unknown U: D -> E, with L: E -> F and R: C -> D;
-    # F gives the equations' row factors and the rank of C the column count
+def test_add_equation_takes_its_column_count_from_rhs(zero, data):
+    # sign * L U R == rhs for the unknown U: D -> E, with L: E -> F, R: C -> D
+    # and rhs: C -> F; F gives the equations' row factors and the rank of C
+    # the column count
     modulus = Modulus(data.draw(moduli))
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     forced = {"no equations": "F", "no right-hand sides": "C", "unknown from 0": "D", "unknown into 0": "E"}.get(zero)
     c, d, e, f = (zero_mod(modulus) if name == forced else random_finmod(rng, modulus, Config()) for name in "CDEF")
-    left, right = random_hom(rng, e, f).matrix, random_hom(rng, c, d).matrix
-    if data.draw(st.booleans()):
-        rhs = mod_rows(matmul(left, matmul(random_hom(rng, d, e).matrix, right, c.rank), c.rank), f.factors)
-    else:
-        rhs = random_hom(rng, c, f).matrix
+    sign, left, right = data.draw(st.sampled_from([1, -1])), random_hom(rng, e, f), random_hom(rng, c, d)
+    rhs = left.compose(random_hom(rng, d, e)).compose(right) if data.draw(st.booleans()) else random_hom(rng, c, f)
     sysm = HomSystem(modulus)
-    var = sysm.add_hom_unknown(d.factors, e.factors)
-    sysm.add_matrix_equation([(var, left, right, 1)], rhs, c.rank, f.factors)
+    var = sysm.add_hom_unknown(d, e)
+    sysm.add_equation([(sign, left, var, right)], rhs)
     got = sysm.solve()
-    # row (a, b), column (j, i): L[a, j] R[i, b] scales[j, i], rows read mod F
+    # row (a, b), column (j, i): sign L[a, j] R[i, b] scales[j, i], rows read mod F
     scales = arr(hom_entry_scales(d.factors, e.factors), d.rank)
-    block = np.einsum("aj,ib,ji->abji", arr(left, e.rank), arr(right, c.rank), scales).reshape(f.rank * c.rank, e.rank * d.rank)
+    block = sign * np.einsum("aj,ib,ji->abji", arr(left.matrix, e.rank), arr(right.matrix, c.rank), scales).reshape(f.rank * c.rank, e.rank * d.rank)
     row_moduli = np.repeat(np.array(f.factors, dtype=np.int64), c.rank)
-    want = oracle.solve_congruences(block, arr(rhs, c.rank).reshape(-1, 1), 1, row_moduli, sysm.orders, modulus.n)
+    want = oracle.solve_congruences(block, arr(rhs.matrix, c.rank).reshape(-1, 1), 1, row_moduli, sysm.orders, modulus.n)
     assert (got is None) == (want is None)
     if got is not None:
         assert got[0] == tuple(want[0][:, 0]) and np.array_equal(arr(got[1], len(sysm.orders)), want[1])
+        u = sysm.assignment(got[0])[0]
+        assert (u.domain, u.codomain) == (d, e) and sysm.flat_of([u]) == got[0]
+        assert left.compose(u).compose(right) == (rhs if sign == 1 else -rhs)
+
+
+def test_add_equation_rejects_a_term_whose_homs_do_not_meet():
+    z4 = Modulus(4)
+    two, four = cyclic(z4, 2), cyclic(z4, 4)
+    sysm = HomSystem(z4)
+    var = sysm.add_hom_unknown(four, two)
+    for term, rhs in (
+        ((1, identity_hom(four), var, None), zero_hom(four, four)),  # L starts off U's codomain
+        ((1, None, var, identity_hom(two)), zero_hom(two, two)),  # R ends off U's domain
+        ((1, None, var, None), zero_hom(four, four)),  # U ends off rhs's codomain
+        ((1, None, var, None), zero_hom(two, two)),  # U starts off rhs's domain
+        ((1, zero_hom(two, four), var, None), zero_hom(four, two)),  # L ends off rhs's codomain
+    ):
+        with pytest.raises(ValueError, match="does not run from"):
+            sysm.add_equation([term], rhs)
+    # nothing was added, and a term that meets is taken
+    sysm.add_equation([(1, None, var, None)], zero_hom(four, two))
+    assert sysm.solve()[0] == (0,)
 
 
 @pytest.mark.parametrize("cols", [0, 1, 3])

@@ -128,9 +128,10 @@ def _record(monkeypatch, memos):
 
 def test_memoized_psi_equals_a_fresh_computation(monkeypatch):
     # every (representation, vertex) a `verify all` child asks psi for; the
-    # `classify` files add psi of their Matlis duals, one dual built apart
-    # for each of the projective and flat rows
-    asked = _record(monkeypatch, {"psi": psi})["psi"]
+    # `classify` files add psi of their Matlis duals, one dual that the
+    # projective and flat rows share
+    recorded = _record(monkeypatch, {"psi": psi, "dual_rep": dual_rep})
+    asked = recorded["psi"]
     paths = [ROOT / "tests" / "data" / "large_reps" / name for name in ("item0003-classify.json", "item0007-classify.json")]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "all", "--seed", "42000", "--trials", "10", "--json"]) == 0
@@ -138,8 +139,11 @@ def test_memoized_psi_equals_a_fresh_computation(monkeypatch):
             assert cli.main(["classify", str(path), "--json"]) == 0
     reps = list({id(x): x for x, _ in asked}.values())
     for path in paths:
-        dual = dual_rep(rep_from_dict(json.loads(path.read_text())))
-        assert sum(x == dual for x in reps) == 2
+        x = rep_from_dict(json.loads(path.read_text()))
+        dual = dual_rep(x)
+        # asked for twice, built once
+        assert sum(y == x for (y,) in recorded["dual_rep"]) == 2
+        assert [id(y) for y in reps if y == dual] == [id(dual)]
     for x in reps:
         for v in x.quiver.vertices:
             assert psi(x, v) == psi.__wrapped__(x, v), (x, v)
@@ -246,6 +250,7 @@ def test_every_memo_is_a_bounded_lru_cache():
     assert {
         "quiverhom.rep.coinduced",
         "quiverhom.rep.psi",
+        "quiverhom.rep.dual_rep",
         "quiverhom.quiver.paths_between",
         "quiverhom.purity._cheap_definitional_witness",
         "quiverhom.znmod._kernel_of_hom",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from linalg_oracle import arr
-from quiverhom.linalg import identity, quotient_order, solve_left, xgcd
+from quiverhom.linalg import quotient_order, solve_left, xgcd
 from quiverhom.znmod import (
     MAX_MODULUS,
     FinMod,
@@ -590,14 +590,13 @@ def test_pure_mono_epi_module_maps():
 def section_of(g):
     """s with g o s == id on cod(g), or None: the solve that decided split
     epis before `splits` read them off orders."""
-    eye = identity(g.codomain.rank)
     sysm = HomSystem(g.modulus)
-    var = sysm.add_hom_unknown(g.codomain.factors, g.domain.factors)
-    sysm.add_matrix_equation([(var, g.matrix, eye, 1)], eye, g.codomain.rank, g.codomain.factors)
+    var = sysm.add_hom_unknown(g.codomain, g.domain)
+    sysm.add_equation([(1, g, var, None)], identity_hom(g.codomain))
     out = sysm.solve()
     if out is None:
         return None
-    s = ModHom(g.codomain, g.domain, sysm.assignment(out[0])[0])
+    s = sysm.assignment(out[0])[0]
     assert g.compose(s) == identity_hom(g.codomain)
     return s
 
