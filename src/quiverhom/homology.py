@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .linalg import Matrix, diag, hstack, identity, kron, matmul, mod_rows, quotient_order, transpose
+from .linalg import Matrix, diag, from_entries, hstack, identity, matmul, mod_rows, quotient_order, transpose
 from .quiver import Quiver, VertexId, has_directed_cycle, out_arrows, paths_between, root_sequence, trivial_path
 from .rep import (
     HomGroupRep,
@@ -75,17 +75,15 @@ def _free_rep(q: Quiver, modulus: Modulus, ranks: Dict[VertexId, int]):
     mods = {w: free_mod(modulus, sum(ranks[v] * len(paths[v, w]) for v in sources)) for w in q.vertices}
     maps = {}
     for a in q.arrows:
-        mat = [[0] * mods[a.src].rank for _ in range(mods[a.tgt].rank)]
+        entries = []
         row = col = 0
         for v in sources:
             src, tgt = paths[v, a.src], paths[v, a.tgt]
             index = {p.arrows: t for t, p in enumerate(tgt)}
-            extended = [index[p.arrows + (a,)] for p in src]
             for _ in range(ranks[v]):
-                for c, t in enumerate(extended):
-                    mat[row + t][col + c] = 1
+                entries += [(row + index[p.arrows + (a,)], col + c, 1) for c, p in enumerate(src)]
                 row, col = row + len(tgt), col + len(src)
-        maps[a.id] = ModHom(mods[a.src], mods[a.tgt], mat)
+        maps[a.id] = ModHom(mods[a.src], mods[a.tgt], from_entries(mods[a.tgt].rank, mods[a.src].rank, entries))
     return Representation(q, modulus, mods, maps), paths
 
 
@@ -232,35 +230,34 @@ class ExtComputation:
         x, y, n = self.x, self.y, self.y.modulus.n
         q, r = x.quiver, self._ranks
         nv = len(q.vertices)
-        cols, rows = _block_slices(self._blocks(m), y), _block_slices(self._blocks(m + 1), y)
-        mat = [[0] * len(self.orders[m]) for _ in self.orders[m + 1]]
+        cols, rows = _block_starts(self._blocks(m), y), _block_starts(self._blocks(m + 1), y)
         d = {v: x.vertex_modules[v].factors for v in q.vertices}
+        entries = []
 
-        def boundary(v: VertexId, k: int, copies: int) -> Matrix:
-            return diag([e if k % 2 else n // e for e in d[v] for _ in range(copies)])
-
-        def add(rows: slice, cols: slice, block: Matrix, sign: int = 1):
-            for i, brow in zip(range(rows.start, rows.stop), block, strict=True):
-                mat[i][cols] = [u + sign * w for u, w in zip(mat[i][cols], brow, strict=True)]
+        def boundary(row: int, col: int, v: VertexId, k: int, copies: int, sign: int):
+            """sign * d_k of X(v), each factor `copies` times, down the diagonal from (row, col)."""
+            diagonal = (e if k % 2 else n // e for e in d[v] for _ in range(copies))
+            entries.extend((row + t, col + t, sign * e) for t, e in enumerate(diagonal))
 
         for t, v in enumerate(q.vertices):
             if r[v] and y.vertex_modules[v].rank:
-                add(rows[t], cols[t], boundary(v, m + 1, y.vertex_modules[v].rank))
+                boundary(rows[t], cols[t], v, m + 1, y.vertex_modules[v].rank, 1)
         index = {v: t for t, v in enumerate(q.vertices)}
         for s, a in enumerate(q.arrows):
             i, j = a.src, a.tgt
-            yj = y.vertex_modules[j].rank
+            yi, yj = y.vertex_modules[i].rank, y.vertex_modules[j].rank
             if not r[i] or not yj:
                 continue
-            row = rows[nv + s]
-            add(row, cols[index[i]], kron(identity(r[i]), y.map(a.id).matrix))
+            row, ci, cj = rows[nv + s], cols[index[i]], cols[index[j]]
+            # Y(a) on each copy of Y(i), and -phi[l][k] from copy l of Y(j) to copy k
+            entries.extend((row + c * yj + p, ci + c * yi + u, w) for c in range(r[i]) for p, yrow in enumerate(y.map(a.id).matrix) for u, w in enumerate(yrow) if w)
             phi = x.map(a.id).matrix
             if m % 2:
                 phi = [[u * di // dj for u, di in zip(prow, d[i])] for prow, dj in zip(phi, d[j])]
-            add(row, cols[index[j]], kron(transpose(phi, r[i]), identity(yj)), -1)
+            entries.extend((row + k * yj + p, cj + l * yj + p, -u) for l, prow in enumerate(phi) for k, u in enumerate(prow) if u for p in range(yj))
             if m:
-                add(row, cols[nv + s], boundary(i, m, yj), -1)
-        return mod_rows(mat, self.orders[m + 1])
+                boundary(row, cols[nv + s], i, m, yj, -1)
+        return mod_rows(from_entries(len(self.orders[m + 1]), len(self.orders[m]), entries), self.orders[m + 1])
 
     def _data(self, m: int) -> Tuple[Matrix, FinMod, Matrix, Matrix]:
         """(gens, quo, proj, sect): the k kernel generators of delta_m as
@@ -333,26 +330,21 @@ def ext_induced_second(comp_src: ExtComputation, comp_tgt: ExtComputation, f: Re
     # with f, project; f o g applies f_v to each column of a block copying
     # Y(v), so the postcomposition is one block-diagonal product
     cocycles = mod_rows(matmul(gens, sect, quo_s.rank), comp_src.orders[m])
-    post = [[0] * len(comp_src.orders[m]) for _ in comp_tgt.orders[m]]
+    entries = []
     r = c = 0
     for v, copies in comp_src._blocks(m):
         fv = f.components[v]
         for _ in range(copies):
-            for i, row in enumerate(fv.matrix):
-                post[r + i][c : c + fv.domain.rank] = row
+            entries += [(r + i, c + j, x) for i, row in enumerate(fv.matrix) for j, x in enumerate(row) if x]
             r, c = r + fv.codomain.rank, c + fv.domain.rank
+    post = from_entries(len(comp_tgt.orders[m]), len(comp_src.orders[m]), entries)
     images = mod_rows(matmul(post, cocycles, quo_s.rank), comp_tgt.orders[m])
     return ModHom(quo_s, comp_tgt.ext(m), comp_tgt.cocycle_to_ext_coords(m, images, quo_s.rank))
 
 
-def _block_slices(blocks: List[Tuple[VertexId, int]], y: Representation) -> List[slice]:
-    """The coordinates of each block of a degree of T."""
-    out, at = [], 0
-    for v, copies in blocks:
-        size = copies * y.vertex_modules[v].rank
-        out.append(slice(at, at + size))
-        at += size
-    return out
+def _block_starts(blocks: List[Tuple[VertexId, int]], y: Representation) -> List[int]:
+    """The first coordinate of each block of a degree of T."""
+    return list(itertools.accumulate((copies * y.vertex_modules[v].rank for v, copies in blocks), initial=0))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ import functools
 import itertools
 from math import gcd, prod
 from operator import index
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Matrix = Tuple[Tuple[int, ...], ...]
 
@@ -124,14 +124,18 @@ def hstack(blocks: Sequence[Matrix], rows: int) -> Matrix:
     return tuple(tuple(itertools.chain.from_iterable(r)) for r in zip(((),) * rows, *blocks, strict=True))
 
 
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """The Kronecker product: row (r, s), column (i, j) is a[r][i] b[s][j]."""
-    return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
+def from_entries(rows: int, cols: int, entries: Iterable[Tuple[int, int, int]]) -> Matrix:
+    """The rows x cols matrix whose (i, j) entry is the sum of x over the
+    triples (i, j, x) of `entries`, with 0 <= i < rows and 0 <= j < cols,
+    unreduced as `matmul`'s entries are."""
+    acc = [[0] * cols for _ in range(rows)]
+    for i, j, x in entries:
+        acc[i][j] += x
+    return tuple(map(tuple, acc))
 
 
 def diag(entries: Sequence[int]) -> Matrix:
-    k = len(entries)
-    return tuple(tuple(x if i == j else 0 for j in range(k)) for i, x in enumerate(entries))
+    return from_entries(len(entries), len(entries), ((i, i, x) for i, x in enumerate(entries)))
 
 
 def identity(k: int) -> Matrix:

@@ -10,13 +10,14 @@ import hashlib
 import itertools
 import random
 from array import array
+from collections import Counter
 from functools import lru_cache
 from math import gcd, prod
 from operator import mul
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .linalg import Matrix, diag, hstack, identity, kron, matmul, mod_rows, quotient_order, transpose
+from .linalg import Matrix, diag, from_entries, hstack, matmul, mod_rows, quotient_order, transpose
 from .quiver import (
     Path,
     Quiver,
@@ -646,18 +647,20 @@ def _tensor_relations(y: Representation, x: Representation) -> Tuple[Tuple[int, 
         start = len(orders)
         orders += [gcd(c, d) for c in y.vertex_modules[v].factors for d in x.vertex_modules[v].factors]
         slices[v] = slice(start, len(orders))
-    rels: List[Tuple[int, ...]] = []  # the relations, as columns
+    rels: List[List[Tuple[int, int]]] = []  # the nonzero relations, as sparse columns
     for a, a_op in zip(x.quiver.arrows, qop.arrows):
         ym, xm = y.map(a_op.id).matrix, x.map(a.id).matrix  # Y(j) -> Y(i), X(i) -> X(j)
-        ys, xs = y.vertex_modules[a.tgt].rank, x.vertex_modules[a.src].rank
-        if not (ys and xs):
-            continue  # no pairs (s, t) at (j, i)
-        rel = [[0] * (ys * xs) for _ in orders]
-        for rows, block, sign in ((slices[a.src], kron(ym, identity(xs)), 1), (slices[a.tgt], kron(identity(ys), xm), -1)):
-            for r, brow in zip(range(rows.start, rows.stop), block, strict=True):
-                rel[r] = [u + sign * w for u, w in zip(rel[r], brow)]
-        rels += [col for col in zip(*mod_rows(rel, orders)) if any(col)]
-    return tuple(orders), slices, transpose(rels, len(orders))
+        xs, xt = x.vertex_modules[a.src].rank, x.vertex_modules[a.tgt].rank
+        # the nonzeros of column s of Y(a^op) at pair (u, 0) of i, and of column t of X(a) at pair (0, u) of j
+        ycols = [[(slices[a.src].start + u * xs, w) for u, row in enumerate(ym) if (w := row[s])] for s in range(y.vertex_modules[a.tgt].rank)]
+        xcols = [[(slices[a.tgt].start + u, w) for u, row in enumerate(xm) if (w := row[t])] for t in range(xs)]
+        for (s, ycol), (t, xcol) in itertools.product(enumerate(ycols), enumerate(xcols)):
+            # the relation of pair (s, t); on a loop its two halves can meet in a cell
+            col = Counter({k + t: w for k, w in ycol})
+            col.subtract({k + s * xt: w for k, w in xcol})
+            if reduced := [(k, v) for k, w in col.items() if (v := w % orders[k])]:
+                rels.append(reduced)
+    return tuple(orders), slices, from_entries(len(orders), len(rels), ((k, c, v) for c, col in enumerate(rels) for k, v in col))
 
 
 class TensorPresentation:
@@ -665,7 +668,7 @@ class TensorPresentation:
     generators are the pairs (s, t) of a generator of Y(v) and one of X(v),
     in Kronecker order s * rank X(v) + t, of order gcd(c_s, d_t); `slices[v]`
     is their range.  The relations are the orders, then for each arrow
-    a : i -> j the block kron(Y(a^op), I) - kron(I, X(a)), one column per
+    a : i -> j the block Y(a^op) (x) I - I (x) X(a), one column per
     pair (s, t) at (j, i), reduced mod the orders, zero columns dropped."""
 
     def __init__(self, y: Representation, x: Representation):
@@ -683,19 +686,21 @@ def tensor_order(y: Representation, x: Representation) -> int:
 
 def tensor_induced(pres_src: TensorPresentation, pres_tgt: TensorPresentation, theta: RepMorphism, f: RepMorphism) -> ModHom:
     """theta tensor f : Y' tensor X -> Y tensor X' for theta : Y' -> Y and
-    f : X -> X', the block kron(theta_v, f_v) at each vertex; pass
+    f : X -> X', the block theta_v (x) f_v at each vertex; pass
     `identity_morphism` for a side that stays fixed."""
     if (theta.source, theta.target, f.source, f.target) != (pres_src.y, pres_tgt.y, pres_src.x, pres_tgt.x):
         raise ValueError("presentations do not match the morphisms")
     src, tgt = pres_src.module, pres_tgt.module
     if not (src.rank and tgt.rank):
         return zero_hom(src, tgt)
-    big = [[0] * len(pres_src.orders) for _ in pres_tgt.orders]
+    entries = []
     for v, rows in pres_tgt.slices.items():
-        block = kron(theta.components[v].matrix, f.components[v].matrix)
-        for r, brow in zip(range(rows.start, rows.stop), block, strict=True):
-            big[r][pres_src.slices[v]] = brow
-    big = mod_rows(big, pres_tgt.orders)
+        # entry ((s, t), (s', t')) is theta_v[s][s'] f_v[t][t'], in Kronecker order
+        fv, at = f.components[v], pres_src.slices[v].start
+        fnz = [(t, u, w) for t, row in enumerate(fv.matrix) for u, w in enumerate(row) if w]
+        tnz = [(s, s2, c) for s, row in enumerate(theta.components[v].matrix) for s2, c in enumerate(row) if c]
+        entries += [(rows.start + s * fv.codomain.rank + t, at + s2 * fv.domain.rank + u, c * w) for s, s2, c in tnz for t, u, w in fnz]
+    big = mod_rows(from_entries(len(pres_tgt.orders), len(pres_src.orders), entries), pres_tgt.orders)
     return ModHom(src, tgt, matmul(matmul(pres_tgt._proj, big, len(pres_src.orders)), pres_src._sect, src.rank))
 
 
@@ -703,13 +708,13 @@ def tensor_functional_coords(pres: TensorPresentation, gs: Sequence[RepMorphism]
     """Dual coordinates of the functionals <g(v)(y), x> on Y tensor X, one
     column per morphism g : Y -> dual(X) over the opposite quiver."""
     n = pres.x.modulus.n
-    lam = [[0] * len(pres.orders) for _ in gs]
+    entries = []
     for v, cols in pres.slices.items():
         scale = [n // d for d in pres.x.vertex_modules[v].factors]
         for k, g in enumerate(gs):
-            # g(v) : Y(v) -> dual X(v); entry (s, t) of its transpose, in Kronecker order
-            gt = transpose(g.components[v].matrix, pres.y.vertex_modules[v].rank)
-            lam[k][cols] = [x * c % n for row in gt for x, c in zip(row, scale)]
+            # g(v) : Y(v) -> dual X(v); its entry (t, s) is at (s, t), in Kronecker order
+            entries += [(k, cols.start + s * len(scale) + t, w) for t, (row, c) in enumerate(zip(g.components[v].matrix, scale)) for s, x in enumerate(row) if (w := x * c % n)]
+    lam = from_entries(len(gs), len(pres.orders), entries)
     factors = pres.module.factors
     vals = [[x % n for x in row] for row in matmul(lam, mod_rows(pres._sect, pres.orders), len(factors))]
     if any(x % (n // f) for row in vals for x, f in zip(row, factors)):

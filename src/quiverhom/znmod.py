@@ -27,7 +27,7 @@ from operator import add, mul
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .linalg import Matrix, diag, diagonalize, hstack, identity, matmul, mod_rows, quotient_order, solve_left, transpose
+from .linalg import Matrix, diag, diagonalize, from_entries, hstack, identity, matmul, mod_rows, quotient_order, solve_left, transpose
 
 # The largest accepted n.  Python ints make every product exact at any n;
 # the cap is kept as a fixed part of the interface (inputs, messages).
@@ -342,7 +342,7 @@ class HomSystem:
         self.orders: Tuple[int, ...] = ()
         # per unknown: its first flat index, domain, codomain, entry scales
         self._vars: List[Tuple[int, FinMod, FinMod, Matrix]] = []
-        self._rows: List[List[int]] = []
+        self._rows: List[Tuple[int, ...]] = []
         self._rhs: List[Tuple[int]] = []
         self._moduli: List[int] = []
 
@@ -361,7 +361,7 @@ class HomSystem:
         sign * L[a, j] * R[i, b] * scales[j, i], formed only for nonzero
         L[a, j] and R[i, b]."""
         cols = rhs.domain.rank
-        block = [[0] * len(self.orders) for _ in range(rhs.codomain.rank * cols)]
+        entries = []
         for sign, left, var, right in terms:
             start, dom, cod, scales = self._vars[var]
             left_ends = (left.domain, left.codomain) if left else (cod, cod)
@@ -373,12 +373,10 @@ class HomSystem:
             trail = [[(i, y) for i, row in enumerate(right.matrix) if (y := row[b])] for b in range(cols)] if right else [[(b, 1)] for b in range(cols)]
             for a, lrow in enumerate(lead):
                 for b, rcol in enumerate(trail):
-                    brow = block[a * cols + b]
                     for j, x in lrow:
                         at, srow = start + j * dom.rank, scales[j]
-                        for i, y in rcol:
-                            brow[at + i] += sign * x * y * srow[i]
-        self._rows += block
+                        entries += [(a * cols + b, at + i, sign * x * y * srow[i]) for i, y in rcol]
+        self._rows += from_entries(rhs.codomain.rank * cols, len(self.orders), entries)
         self._rhs += [(x,) for row in rhs.matrix for x in row]
         self._moduli += [e for e in rhs.codomain.factors for _ in range(cols)]
 

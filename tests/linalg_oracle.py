@@ -14,6 +14,10 @@ stated shapes, through this module's `solve_left`.
 `quotient_order` is the package's former column fold, a second echelon
 algorithm, unchanged: it must give the order the package reads off the
 Howell kernel.  `arr` reads a matrix of the package as an array.
+`kron` is the package's former Kronecker product, unchanged, which the
+references of the block builders in the tests still use, and
+`from_entries` accumulates triples into a dense int64 array, the oracle of
+the package's one block writer.
 """
 
 from __future__ import annotations
@@ -31,6 +35,21 @@ def arr(m, cols: int) -> np.ndarray:
     `cols` columns, for the tests that compare it with numpy (a matrix with
     no rows has no column count of its own); an array as it is."""
     return np.array(m, dtype=np.int64).reshape(len(m), cols)
+
+
+def kron(a, b):
+    """The Kronecker product: row (r, s), column (i, j) is a[r][i] b[s][j]."""
+    return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
+
+
+def from_entries(rows: int, cols: int, entries) -> np.ndarray:
+    """The rows x cols array that adds x into cell (i, j) for each triple
+    (i, j, x) of `entries`, through `np.add.at`."""
+    acc = np.zeros((rows, cols), dtype=np.int64)
+    if entries:
+        i, j, x = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+        np.add.at(acc, (i, j), x)
+    return acc
 
 
 def _reduced(a, n: int) -> np.ndarray:

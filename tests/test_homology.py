@@ -7,7 +7,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from linalg_oracle import arr
+from linalg_oracle import arr, kron
 from quiverhom.quiver import Path, Quiver, a2, has_directed_cycle, kronecker, loop_quiver, make_quiver, paths_between, root_sequence
 from quiverhom.rep import (
     HomGroupRep,
@@ -41,7 +41,7 @@ from quiverhom.homology import (
     strongly_fp_injective_test_family,
     totally_acyclic_injective_complex,
 )
-from quiverhom.linalg import quotient_order
+from quiverhom.linalg import diag, identity, mod_rows, quotient_order, transpose
 from quiverhom.znmod import (
     MAX_MODULUS,
     FinMod,
@@ -988,6 +988,82 @@ def _yoneda_offsets(vertices, ranks, mods):
 
 def _column(factors):
     return np.array(factors, dtype=np.int64).reshape(-1, 1)
+
+
+def _block_slices(blocks, y):
+    """The coordinates of each block of a degree of T."""
+    out, at = [], 0
+    for v, copies in blocks:
+        size = copies * y.vertex_modules[v].rank
+        out.append(slice(at, at + size))
+        at += size
+    return out
+
+
+def kron_delta(comp, m):
+    """`ExtComputation._delta` as it was before its blocks were written from
+    their nonzeros: a dense matrix that each block adds into, the arrow
+    blocks built as Kronecker products."""
+    x, y, n = comp.x, comp.y, comp.y.modulus.n
+    q, r = x.quiver, comp._ranks
+    nv = len(q.vertices)
+    cols, rows = _block_slices(comp._blocks(m), y), _block_slices(comp._blocks(m + 1), y)
+    mat = [[0] * len(comp.orders[m]) for _ in comp.orders[m + 1]]
+    d = {v: x.vertex_modules[v].factors for v in q.vertices}
+
+    def boundary(v, k, copies):
+        return diag([e if k % 2 else n // e for e in d[v] for _ in range(copies)])
+
+    def add(rows, cols, block, sign=1):
+        for i, brow in zip(range(rows.start, rows.stop), block, strict=True):
+            mat[i][cols] = [u + sign * w for u, w in zip(mat[i][cols], brow, strict=True)]
+
+    for t, v in enumerate(q.vertices):
+        if r[v] and y.vertex_modules[v].rank:
+            add(rows[t], cols[t], boundary(v, m + 1, y.vertex_modules[v].rank))
+    index = {v: t for t, v in enumerate(q.vertices)}
+    for s, a in enumerate(q.arrows):
+        i, j = a.src, a.tgt
+        yj = y.vertex_modules[j].rank
+        if not r[i] or not yj:
+            continue
+        row = rows[nv + s]
+        add(row, cols[index[i]], kron(identity(r[i]), y.map(a.id).matrix))
+        phi = x.map(a.id).matrix
+        if m % 2:
+            phi = [[u * di // dj for u, di in zip(prow, d[i])] for prow, dj in zip(phi, d[j])]
+        add(row, cols[index[j]], kron(transpose(phi, r[i]), identity(yj)), -1)
+        if m:
+            add(row, cols[nv + s], boundary(i, m, yj), -1)
+    return mod_rows(mat, comp.orders[m + 1])
+
+
+def _nonzero_diagonal(h):
+    return any(row[t] for t, row in enumerate(h.matrix))
+
+
+def test_coboundaries_match_their_kron_reference():
+    # entry for entry, on loops whose Y(a) and phi terms add in one cell
+    # before the reduction, parallel arrows, zero-rank vertices and moduli
+    # that are not prime powers; cycles are allowed
+    from quiverhom.harness import Config, random_quiver, random_representation
+
+    moduli = (2, 4, 6, 12, 36, 72)
+    cfg = Config(moduli=moduli)
+    rng = random.Random(20)
+    loops = parallel = zero_rank = composite = 0
+    for k in range(150):
+        modulus = Modulus(moduli[k % len(moduli)])
+        q = random_quiver(rng, cfg, max_vertices=3, max_arrows=4)
+        x, y = (random_representation(rng, q, modulus, cfg, max_rank=1 + k % 3) for _ in range(2))
+        comp = ExtComputation(x, y)
+        for m in range(4):
+            assert comp.deltas[m] == kron_delta(comp, m)
+        loops += any(a.src == a.tgt and _nonzero_diagonal(x.map(a.id)) and _nonzero_diagonal(y.map(a.id)) for a in q.arrows)
+        parallel += len({(a.src, a.tgt) for a in q.arrows}) < len(q.arrows)
+        zero_rank += any(r.vertex_modules[v].is_zero for r in (x, y) for v in q.vertices)
+        composite += len(modulus.prime_factors) > 1
+    assert loops >= 20 and parallel >= 20 and zero_rank >= 20 and composite >= 50
 
 
 class ReferenceExtComputation:

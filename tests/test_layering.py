@@ -5,7 +5,10 @@ and is not checked here.  The package imports nothing but the standard
 library and itself, and no command loads numpy: a matrix is a tuple of
 int rows throughout, and no module but `cli` reads a shape off a first
 row: a matrix with no rows has none, so every count is stated.  No module
-imports weakref: every memo is a bounded lru_cache.  The vertexwise
+imports weakref: every memo is a bounded lru_cache.  Every block matrix
+is written by `linalg.from_entries` from the nonzeros of the blocks it
+places: no other module fills a dense list of zeros, and `linalg` has no
+Kronecker product.  The vertexwise
 classification has one route, psi split epi: `classify` reads projective
 and flat on the Matlis dual, never through phi."""
 
@@ -53,6 +56,23 @@ def test_no_module_reads_a_shape_from_a_first_row():
             ):
                 found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert not found, found
+
+
+def _is_zero_list(node):
+    return isinstance(node, ast.List) and [ast.unparse(e) for e in node.elts] == ["0"]
+
+
+def test_only_linalg_fills_zero_lists():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and (_is_zero_list(node.left) or _is_zero_list(node.right)):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not found, found
+    tree = ast.parse((SRC / "linalg.py").read_text())
+    assert "kron" not in {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
 
 
 def _absolute_imports():

@@ -11,6 +11,7 @@ from linalg_oracle import arr
 from quiverhom import linalg, znmod
 from quiverhom.linalg import (
     diagonalize,
+    from_entries,
     howell_form,
     matmul,
     quotient_order,
@@ -281,32 +282,42 @@ def triple_loop(a, b, inner, cols):
 
 @st.composite
 def factors(draw):
-    """(a, b, inner, cols): small factors with some rows and columns counts
-    zero and some rows all zero, or large ones 1-5 % nonzero; entries are
-    negative or unreduced as often as not, since `matmul` is exact over Z."""
-    rng = draw(st.randoms(use_true_random=False))
+    """(seed, rows, inner, cols, density): small factors with some counts
+    zero, or large ones 1-5 % nonzero.  Only these are drawn: the entries
+    come from `random.Random(seed)` in the test, since a large factor drawn
+    entry by entry would exceed hypothesis's entropy budget."""
+    seed = draw(st.integers(0, 2**32 - 1))
     if draw(st.booleans()):
         rows, inner, cols = (draw(st.integers(30, 120)) for _ in range(3))
         density = draw(st.floats(0.01, 0.05))
     else:
         rows, inner, cols = (draw(st.integers(0, 5)) for _ in range(3))
         density = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    return seed, rows, inner, cols, density
+
+
+def random_factors(seed, rows, inner, cols, density):
+    """(a, b): entries negative or unreduced as often as not, since
+    `matmul` is exact over Z, and each factor with an all-zero row half the
+    time."""
+    rng = random.Random(seed)
 
     def entry():
         return rng.choice([rng.randrange(-(2**40), 2**40), rng.randrange(1, 10)]) if rng.random() < density else 0
 
     a = [[entry() for _ in range(inner)] for _ in range(rows)]
     b = [[entry() for _ in range(cols)] for _ in range(inner)]
-    for m in (a, b):
-        if m and draw(st.booleans()):
-            m[rng.randrange(len(m))] = [0] * len(m[0])  # an all-zero row
-    return tuple(map(tuple, a)), tuple(map(tuple, b)), inner, cols
+    for m, width in ((a, inner), (b, cols)):
+        if m and rng.random() < 0.5:
+            m[rng.randrange(len(m))] = [0] * width  # an all-zero row
+    return tuple(map(tuple, a)), tuple(map(tuple, b))
 
 
 @given(factors())
 @settings(max_examples=80, deadline=None)
 def test_matmul_matches_the_triple_loop(args):
-    a, b, inner, cols = args
+    seed, rows, inner, cols, density = args
+    a, b = random_factors(seed, rows, inner, cols, density)
     got = matmul(a, b, cols)
     assert got == triple_loop(a, b, inner, cols)
     assert len(got) == len(a) and all(len(row) == cols for row in got)
@@ -319,6 +330,46 @@ def test_matmul_with_no_rows():
     assert matmul(((), ()), (), 3) == ((0, 0, 0), (0, 0, 0))
     assert matmul(((0, 0),), ((5, -7), (2**70, 1)), 2) == ((0, 0),)
     assert matmul(((-1, 3),), ((5, -7), (2**70, 1)), 2) == ((3 * 2**70 - 5, 10),)
+
+
+# -- the one block writer against a dense accumulation ----------------------
+
+
+@st.composite
+def triples(draw):
+    """(rows, cols, entries): shapes with some counts zero, and triples
+    over few cells, so that many land on one cell and add up; values are
+    small, negative or 40-bit."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    values = st.integers(-3, 3) | st.integers(-(2**40), 2**40)
+    if not (rows and cols):
+        return rows, cols, []
+    cell = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    cells = draw(st.lists(cell, min_size=1, max_size=4))
+    entries = draw(st.lists(st.tuples(st.sampled_from(cells), values), max_size=20))
+    return rows, cols, [(i, j, x) for (i, j), x in entries]
+
+
+@given(triples())
+@settings(max_examples=200, deadline=None)
+def test_from_entries_matches_dense_accumulation(args):
+    rows, cols, entries = args
+    got = from_entries(rows, cols, entries)
+    assert len(got) == rows and all(len(row) == cols for row in got)
+    assert _ints(got)
+    assert np.array_equal(arr(got, cols), oracle.from_entries(rows, cols, entries))
+
+
+def test_from_entries_edge_cases():
+    assert from_entries(0, 3, []) == ()
+    assert from_entries(2, 0, []) == ((), ())
+    assert from_entries(2, 2, []) == ((0, 0), (0, 0))
+    # duplicates add, to zero as well, and stay unreduced
+    assert from_entries(1, 2, [(0, 0, 2**40), (0, 1, 5), (0, 0, 2**40), (0, 1, -5)]) == ((2**41, 0),)
+    assert_read_only(from_entries(2, 2, [(1, 0, -1)]))
+    for i, j in ((2, 0), (0, 2)):
+        with pytest.raises(IndexError):
+            from_entries(2, 2, [(i, j, 1)])
 
 
 # -- the kernels against the numpy oracle -----------------------------------

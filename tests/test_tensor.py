@@ -1,6 +1,8 @@
 """The Kronecker-form tensor product against the entry-by-entry loops it
-replaced, and the order-counting tensor test of purity against the
-present-based test it replaced, both kept here as reference oracles; the
+replaced, its relations and induced maps, written from their nonzeros,
+against the Kronecker-product builders they replaced, entry for entry,
+and the order-counting tensor test of purity against the
+present-based test it replaced, all kept here as reference oracles; the
 vertex-top route of purity's stalk tests is checked against both.  The
 projective and random members that `definitional_purity_check` counts but
 does not build are built here, as the sanity net behind the splitting
@@ -14,8 +16,8 @@ from math import gcd
 import numpy as np
 import pytest
 
-from linalg_oracle import arr
-from quiverhom import purity
+from linalg_oracle import arr, kron
+from quiverhom import purity, rep
 from quiverhom.harness import (
     NONPURE_FIXTURE_MODULI,
     Config,
@@ -26,6 +28,7 @@ from quiverhom.harness import (
 )
 from quiverhom.homology import canonical_injective_embedding, projective_generator
 from quiverhom.io import ses_from_dict
+from quiverhom.linalg import identity, matmul, mod_rows, transpose
 from quiverhom.quiver import has_directed_cycle, opposite
 from quiverhom.rep import (
     HomGroupRep,
@@ -209,6 +212,77 @@ def test_tensor_induced_rejects_mismatched_morphisms():
     pres = TensorPresentation(y, x)
     with pytest.raises(ValueError):
         tensor_induced(pres, pres, identity_morphism(x), identity_morphism(y))
+
+
+def kron_tensor_relations(y, x):
+    """`rep._tensor_relations` as it was before its blocks were written from
+    their nonzeros: a dense block of two Kronecker products per arrow."""
+    qop = opposite(x.quiver)
+    if y.quiver != qop or y.modulus != x.modulus:
+        raise ValueError("tensor needs representations over mutually opposite quivers")
+    orders = []
+    slices = {}
+    for v in x.quiver.vertices:
+        start = len(orders)
+        orders += [gcd(c, d) for c in y.vertex_modules[v].factors for d in x.vertex_modules[v].factors]
+        slices[v] = slice(start, len(orders))
+    rels = []  # the relations, as columns
+    for a, a_op in zip(x.quiver.arrows, qop.arrows):
+        ym, xm = y.map(a_op.id).matrix, x.map(a.id).matrix  # Y(j) -> Y(i), X(i) -> X(j)
+        ys, xs = y.vertex_modules[a.tgt].rank, x.vertex_modules[a.src].rank
+        if not (ys and xs):
+            continue  # no pairs (s, t) at (j, i)
+        rel = [[0] * (ys * xs) for _ in orders]
+        for rows, block, sign in ((slices[a.src], kron(ym, identity(xs)), 1), (slices[a.tgt], kron(identity(ys), xm), -1)):
+            for r, brow in zip(range(rows.start, rows.stop), block, strict=True):
+                rel[r] = [u + sign * w for u, w in zip(rel[r], brow)]
+        rels += [col for col in zip(*mod_rows(rel, orders)) if any(col)]
+    return tuple(orders), slices, transpose(rels, len(orders))
+
+
+def kron_tensor_induced(pres_src, pres_tgt, theta, f):
+    """`rep.tensor_induced` as it was before its blocks were written from
+    their nonzeros: the block kron(theta_v, f_v) at each vertex."""
+    if (theta.source, theta.target, f.source, f.target) != (pres_src.y, pres_tgt.y, pres_src.x, pres_tgt.x):
+        raise ValueError("presentations do not match the morphisms")
+    src, tgt = pres_src.module, pres_tgt.module
+    if not (src.rank and tgt.rank):
+        return zero_hom(src, tgt)
+    big = [[0] * len(pres_src.orders) for _ in pres_tgt.orders]
+    for v, rows in pres_tgt.slices.items():
+        block = kron(theta.components[v].matrix, f.components[v].matrix)
+        for r, brow in zip(range(rows.start, rows.stop), block, strict=True):
+            big[r][pres_src.slices[v]] = brow
+    big = mod_rows(big, pres_tgt.orders)
+    return ModHom(src, tgt, matmul(matmul(pres_tgt._proj, big, len(pres_src.orders)), pres_src._sect, src.rank))
+
+
+def _shares_a_cell(left, right):
+    """Whether a loop's two relation blocks meet in a cell where both are
+    nonzero: a diagonal entry of each map."""
+    return any(row[s] for s, row in enumerate(left)) and any(row[t] for t, row in enumerate(right))
+
+
+def test_block_builders_match_their_kron_references():
+    # entry for entry, on loops whose two blocks add in one cell before the
+    # reduction, parallel arrows, zero-rank vertices and moduli that are
+    # not prime powers
+    loops = parallel = zero_rank = composite = 0
+    for rng, q, modulus, x, y in _pairs(4, 150):
+        assert rep._tensor_relations(y, x) == kron_tensor_relations(y, x)
+        cfg = Config(moduli=MODULI)
+        x2 = random_representation(rng, q, modulus, cfg)
+        y2 = random_representation(rng, opposite(q), modulus, cfg)
+        f = _random_morphism(rng, x, x2)
+        theta = _random_morphism(rng, y2, y)
+        src, tgt = TensorPresentation(y2, x), TensorPresentation(y, x2)
+        assert tensor_induced(src, tgt, theta, f) == kron_tensor_induced(src, tgt, theta, f)
+        flip = dict(zip(q.arrows, opposite(q).arrows))
+        loops += any(a.src == a.tgt and _shares_a_cell(y.map(flip[a].id).matrix, x.map(a.id).matrix) for a in q.arrows)
+        parallel += len({(a.src, a.tgt) for a in q.arrows}) < len(q.arrows)
+        zero_rank += any(r.vertex_modules[v].is_zero for r in (x, y) for v in q.vertices)
+        composite += len(modulus.prime_factors) > 1
+    assert loops >= 20 and parallel >= 20 and zero_rank >= 20 and composite >= 50
 
 
 def reference_tensor_left_exact(s, ses):
