@@ -281,7 +281,9 @@ def random_rep_ses(rng: random.Random, x: Representation) -> RepSES:
 def _coinduced_product(rng: random.Random, q: Quiver, modulus: Modulus, config: Config, sample: Callable[..., FinMod]) -> Representation:
     """The product over the vertices v of e^v(m), m drawn by
     sample(rng, modulus, config, max_rank=1) in vertex order and skipped
-    when zero; the zero representation when every draw is zero."""
+    when zero; the zero representation when every draw is zero.  Built as
+    a sum of the separately built e^v(m), not as `rep.coinduced_product`,
+    whose coordinates differ, so the `_instance` digests stay fixed."""
     pieces = []
     for v in q.vertices:
         m = sample(rng, modulus, config, max_rank=1)

@@ -178,6 +178,34 @@ def paths_between(q: Quiver, i: VertexId, j: VertexId) -> Tuple[Path, ...]:
     return tuple(sorted(out, key=Path.key))
 
 
+# the right adjoints of restriction ask for every path out of each vertex;
+# like `paths_between`, the cache holds only answers
+@functools.lru_cache(maxsize=1024, typed=True)
+def paths_from(q: Quiver, v: VertexId) -> Tuple[Path, ...]:
+    """All paths out of v, trivial path included, sorted by `Path.key`: the
+    paths `paths_between(q, v, w)` lists over every w, in one walk.
+
+    Raises when a directed cycle is reachable from v, which is exactly when
+    some `paths_between(q, v, w)` raises.  The walk follows every path whose
+    vertices are distinct, so it meets each such cycle as an arrow back to a
+    vertex already on its route."""
+    q.check_vertex(v)
+    fwd = {u: [] for u in q.vertices}
+    for a in q.arrows:
+        fwd[a.src].append(a)
+    out: List[Path] = []
+
+    def walk(u, acc: Tuple[Arrow, ...], route: FrozenSet[VertexId]):
+        out.append(Path(v, u, acc))
+        for a in fwd[u]:
+            if a.tgt in route:
+                raise ValueError(f"infinite path set from {v!r}")
+            walk(a.tgt, acc + (a,), route | {a.tgt})
+
+    walk(v, (), frozenset((v,)))
+    return tuple(sorted(out, key=Path.key))
+
+
 @dataclass(frozen=True)
 class RootSequence:
     """The ascending vertex filtration whose fixpoint detects right rootedness."""

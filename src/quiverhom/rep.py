@@ -19,6 +19,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .linalg import Matrix, diag, from_entries, hstack, matmul, mod_rows, quotient_order, transpose
 from .quiver import (
+    Arrow,
     Path,
     Quiver,
     VertexId,
@@ -26,7 +27,7 @@ from .quiver import (
     is_subquiver,
     opposite,
     out_arrows,
-    paths_between,
+    paths_from,
     trivial_path,
 )
 from .znmod import (
@@ -483,25 +484,31 @@ def restrict(qsub: Quiver, x: Representation) -> Representation:
     )
 
 
-def _adjoint_factors(q: Quiver, qsub: Quiver, v: VertexId) -> List[Path]:
-    """Index set of the product defining the right adjoint at vertex v: the
-    paths from v that land in the subquiver and are trivial or end with an
-    arrow outside it, sorted by `Path.key`, so the trivial path comes first."""
-    sub_arrow_ids = {a.id for a in qsub.arrows}
-    return sorted(
-        (p for w in qsub.vertices for p in paths_between(q, v, w) if p.is_trivial or p.arrows[-1].id not in sub_arrow_ids),
-        key=Path.key,
-    )
+def _composites(x: Representation, v: VertexId, paths: Sequence[Path]) -> List[ModHom]:
+    """x along each path from v, each from the composite along its prefix,
+    so no prefix is composed twice; the same composites as `x.along`."""
+    done = {(): identity_hom(x.vertex_modules[v])}
+
+    def along(arrows: Tuple[Arrow, ...]) -> ModHom:
+        if arrows not in done:
+            done[arrows] = x.map(arrows[-1].id).compose(along(arrows[:-1]))
+        return done[arrows]
+
+    return [along(p.arrows) for p in paths]
 
 
 class RightAdjointRep:
     """Right adjoint of restriction along a subquiver inclusion, computed by
-    the explicit product-over-paths formula; requires the big quiver acyclic.
+    the explicit product-over-paths formula; requires the big quiver
+    acyclic, and raises on a directed cycle, whose paths are infinite.
 
     Keeps the factor bookkeeping (factor_keys[v], the paths from v that
     index the factors at v, with their injections and projections) so that
-    units, counits and transposes can be assembled on top.  Every table is
-    read-only, so `coinduced` can share one object among its callers.
+    units, counits and transposes can be assembled on top.  The factors at v
+    are the paths from v that land in the subquiver and are trivial or end
+    with an arrow outside it, in `paths_from` order, so the trivial path
+    comes first.  Every table is read-only, so `coinduced` can share one
+    object among its callers.
     """
 
     def __init__(self, q: Quiver, qsub: Quiver, x: Representation):
@@ -513,7 +520,11 @@ class RightAdjointRep:
         self.q = q
         self.qsub = qsub
         self.inner = x
-        self.factor_keys = MappingProxyType({v: tuple(_adjoint_factors(q, qsub, v)) for v in q.vertices})
+        sub_vertices, sub_arrow_ids = set(qsub.vertices), {a.id for a in qsub.arrows}
+        self.factor_keys = MappingProxyType({
+            v: tuple(p for p in paths_from(q, v) if p.target in sub_vertices and (p.is_trivial or p.arrows[-1].id not in sub_arrow_ids))
+            for v in q.vertices
+        })
         self._pos = MappingProxyType(
             {v: MappingProxyType({p: t for t, p in enumerate(self.factor_keys[v])}) for v in q.vertices}
         )
@@ -521,7 +532,6 @@ class RightAdjointRep:
             v: direct_sum_with_maps([x.vertex_modules[p.target] for p in self.factor_keys[v]], modulus)
             for v in q.vertices
         })
-        sub_arrow_ids = {a.id for a in qsub.arrows}
         mods = {v: self._data[v][0] for v in q.vertices}
         maps = {}
         for b in q.arrows:
@@ -547,10 +557,11 @@ class RightAdjointRep:
         at a path p is h(target p) composed with x along p."""
         if h.target != self.inner or h.source != restrict(self.qsub, x_on_q):
             raise ValueError("morphism does not go from restrict x to the inner representation")
-        comps = {
-            v: map_into_sum(x_on_q.vertex_modules[v], [h.components[p.target].compose(x_on_q.along(p)) for p in self.factor_keys[v]])
-            for v in self.q.vertices
-        }
+        comps = {}
+        for v in self.q.vertices:
+            paths = self.factor_keys[v]
+            alongs = _composites(x_on_q, v, paths)
+            comps[v] = map_into_sum(x_on_q.vertex_modules[v], [h.components[p.target].compose(a) for p, a in zip(paths, alongs)])
         return RepMorphism._closed(x_on_q, self.rep, comps)
 
     def transpose_back(self, x_on_q: Representation, k: RepMorphism) -> RepMorphism:
@@ -577,22 +588,27 @@ def coinduced(q: Quiver, modulus: Modulus, v: VertexId, m: FinMod) -> RightAdjoi
     return RightAdjointRep(q, one, Representation(one, modulus, {v: m}, {}))
 
 
+def coinduced_product(q: Quiver, modulus: Modulus, mods: Mapping[VertexId, FinMod]) -> RightAdjointRep:
+    """prod_v e^v(mods[v]) as one object: the right adjoint of restriction
+    to the arrowless subquiver on every vertex, applied to the modules.
+    Its factors at w are all the paths out of w, the factor at p a copy of
+    mods[target p], and its trivial factor at w is mods[w]."""
+    q0 = Quiver(q.vertices, ())
+    return RightAdjointRep(q, q0, Representation(q0, modulus, mods, {}))
+
+
 def copresentation_embedding(x: Representation, embeds: Dict[VertexId, ModHom]) -> Tuple[Representation, RepMorphism]:
     """Given monos embed_v : X(v) -> M_v, build E = prod_v e^v(M_v) with the
     canonical morphism X -> E whose component into the factor indexed by a
-    path p is embed_{target p} o X(p).  Monomorphism thanks to the trivial
-    factors; this is the first step of the canonical injective copresentation."""
-    q, modulus = x.quiver, x.modulus
+    path p is embed_{target p} o X(p): the transpose of the embeds across
+    restriction to the arrowless subquiver.  Monomorphism thanks to the
+    trivial factors; this is the first step of the canonical injective
+    copresentation."""
+    q = x.quiver
     if any(embeds[v].domain != x.vertex_modules[v] for v in q.vertices):
         raise ValueError("homs do not compose")
-    singles = [coinduced(q, modulus, v, embeds[v].codomain) for v in q.vertices]
-    total = direct_sum_reps([s.rep for s in singles])[0] if singles else zero_rep(q, modulus)
-    comps = {}
-    for w in q.vertices:
-        xw = x.vertex_modules[w]
-        into = [map_into_sum(xw, [embeds[v].compose(x.along(p)) for p in s.factor_keys[w]]) for v, s in zip(q.vertices, singles)]
-        comps[w] = map_into_sum(xw, into)
-    return total, RepMorphism._closed(x, total, comps)
+    adj = coinduced_product(q, x.modulus, {v: embeds[v].codomain for v in q.vertices})
+    return adj.rep, adj.transpose(x, RepMorphism._closed(restrict(adj.qsub, x), adj.inner, {v: embeds[v] for v in q.vertices}))
 
 
 # ---------------------------------------------------------------------------

@@ -196,12 +196,23 @@ class ModHom:
         """A hom whose int matrix of the right shape is well defined by
         construction (a sum, negative or composite of homs, zero or the
         identity, a subgroup inclusion, a quotient projection, a Matlis
-        dual, a direct-sum injection or projection, a `HomSystem`
-        solution): reduce it mod the codomain factors and skip the check."""
+        dual, a `HomSystem` solution): reduce it mod the codomain factors
+        and skip the check."""
         h = cls.__new__(cls)
         h.domain = domain
         h.codomain = codomain
         h.matrix = mod_rows(m, codomain.factors)
+        return h
+
+    @classmethod
+    def _reduced(cls, domain: FinMod, codomain: FinMod, m: Matrix) -> "ModHom":
+        """A `_closed` hom whose matrix is already a tuple of int rows
+        reduced mod the codomain factors (a direct-sum injection or
+        projection, sliced from a reduced presentation): store it as it is."""
+        h = cls.__new__(cls)
+        h.domain = domain
+        h.codomain = codomain
+        h.matrix = m
         return h
 
     @property
@@ -447,15 +458,19 @@ def _sum_presentation(factors: Tuple[int, ...], modulus: Modulus):
 
 @lru_cache(maxsize=1024)
 def _direct_sum(mods: Tuple[FinMod, ...], modulus: Modulus):
-    total, proj, sect = _sum_presentation(tuple(d for m in mods for d in m.factors), modulus)
+    factors = tuple(d for m in mods for d in m.factors)
+    total, proj, sect = _sum_presentation(factors, modulus)
+    # reduced once here, not once per summand: a sum of k summands of rank
+    # one would otherwise reduce k one-column blocks of k rows
+    proj, sect = mod_rows(proj, total.factors), mod_rows(sect, factors)
     injections, projections = [], []
     offset = 0
     for m in mods:
         r = m.rank
         # proj and sect are mutually inverse isomorphisms between the
         # summands' coordinates and the canonical sum, so both are homs
-        injections.append(ModHom._closed(m, total, tuple(row[offset : offset + r] for row in proj)))
-        projections.append(ModHom._closed(total, m, sect[offset : offset + r]))
+        injections.append(ModHom._reduced(m, total, tuple(row[offset : offset + r] for row in proj)))
+        projections.append(ModHom._reduced(total, m, sect[offset : offset + r]))
         offset += r
     return total, tuple(injections), tuple(projections)
 

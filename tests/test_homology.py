@@ -713,6 +713,15 @@ def test_totally_acyclic_left_steps_are_ses():
     assert cert is not None and len(cert.left_steps) == 2
 
 
+def test_left_injective_step_refuses_a_directed_cycle_first():
+    # before building a kernel, cover or product, whose paths are infinite
+    m = cyclic(Z4, 4)
+    x = Representation(loop_quiver(), Z4, {"v": m}, {"alpha": identity_hom(m)})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^quiver has a directed cycle$"):
+            homology._left_injective_step(x)
+
+
 def test_totally_acyclic_certificate_is_read_only():
     x = coinduced(a2(), Z4, 1, cyclic(Z4, 4)).rep
     cert, err = totally_acyclic_injective_complex(x, depth=1)

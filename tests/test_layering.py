@@ -10,7 +10,9 @@ is written by `linalg.from_entries` from the nonzeros of the blocks it
 places: no other module fills a dense list of zeros, and `linalg` has no
 Kronecker product.  The vertexwise
 classification has one route, psi split epi: `classify` reads projective
-and flat on the Matlis dual, never through phi."""
+and flat on the Matlis dual, never through phi.  The canonical
+coresolution steps build prod_v e^v(M_v) as one right adjoint
+(`rep.coinduced_product`), never as a sum of separately built e^v."""
 
 import ast
 import json
@@ -135,3 +137,16 @@ def test_no_command_loads_numpy():
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 0], "numpy": False}
+
+
+def test_coresolution_steps_build_one_product():
+    found = []
+    for file, name in (("rep.py", "copresentation_embedding"), ("homology.py", "_left_injective_step")):
+        tree = ast.parse((SRC / file).read_text())
+        (func,) = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == name]
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call):
+                callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                if callee in ("coinduced", "direct_sum_reps"):
+                    found.append(f"{file}:{node.lineno} {name} calls {callee}")
+    assert not found, found

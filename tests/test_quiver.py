@@ -2,9 +2,11 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quiverhom.quiver import (
+    Path,
+    Quiver,
     a2,
     has_directed_cycle,
     in_arrows,
@@ -17,9 +19,12 @@ from quiverhom.quiver import (
     opposite,
     out_arrows,
     paths_between,
+    paths_from,
     root_sequence,
     trivial_path,
 )
+from quiverhom.rep import RightAdjointRep, zero_rep
+from quiverhom.znmod import Modulus
 
 
 def rand_quiver(rng, max_v=6, max_a=8, acyclic=False):
@@ -67,6 +72,59 @@ def test_paths_between_memo_hands_out_its_tuple_and_raises_again():
     for _ in range(2):
         with pytest.raises(ValueError, match="infinite path set"):
             paths_between(loop_quiver(), "v", "v")
+
+
+@st.composite
+def quivers(draw):
+    """At most 4 vertices and 6 arrows with any ends, so loops, 2-cycles,
+    parallel arrows and vertices with no arrows all occur."""
+    nv = draw(st.integers(1, 4))
+    ends = draw(st.lists(st.tuples(st.integers(1, nv), st.integers(1, nv)), max_size=6))
+    return make_quiver(range(1, nv + 1), [(f"a{k}", s, t) for k, (s, t) in enumerate(ends)])
+
+
+@given(quivers())
+@example(loop_quiver())
+@example(make_quiver([1, 2, 3], [("a", 1, 2), ("b", 2, 1), ("c", 2, 3)]))  # a 2-cycle
+@example(make_quiver([1, 2, 3], [("a", 1, 2), ("l", 3, 3)]))  # a loop no route from 1 meets
+@example(kronecker())
+@example(make_quiver([1, 2, 3], [("a", 1, 2)]))  # 3 has no arrows
+@settings(max_examples=200, deadline=None)
+def test_paths_from_is_the_sorted_union_of_paths_between(q):
+    for v in q.vertices:
+        try:
+            union = tuple(sorted((p for w in q.vertices for p in paths_between(q, v, w)), key=Path.key))
+        except ValueError:
+            with pytest.raises(ValueError, match=f"^infinite path set from {re.escape(repr(v))}$"):
+                paths_from(q, v)
+        else:
+            assert paths_from(q, v) == union and paths_from(q, v)[0] == trivial_path(v)
+
+
+def reference_factor_keys(q, qsub, v):
+    """The factors of the right adjoint at v as first listed, from one
+    `paths_between` per vertex of the subquiver."""
+    sub_arrow_ids = {a.id for a in qsub.arrows}
+    return tuple(sorted(
+        (p for w in qsub.vertices for p in paths_between(q, v, w) if p.is_trivial or p.arrows[-1].id not in sub_arrow_ids),
+        key=Path.key,
+    ))
+
+
+@given(quivers(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_right_adjoint_factor_keys_are_unchanged(q, data):
+    vs = data.draw(st.lists(st.sampled_from(q.vertices), min_size=1, unique=True))
+    inside = [a for a in q.arrows if a.src in vs and a.tgt in vs]
+    chosen = data.draw(st.sets(st.sampled_from(inside))) if inside else set()
+    qsub = Quiver(tuple(vs), tuple(a for a in inside if a in chosen))
+    if has_directed_cycle(q):
+        # every path set out of a vertex on a cycle is infinite
+        with pytest.raises(ValueError, match="^infinite path set from "):
+            RightAdjointRep(q, qsub, zero_rep(qsub, Modulus(2)))
+        return
+    keys = RightAdjointRep(q, qsub, zero_rep(qsub, Modulus(2))).factor_keys
+    assert all(keys[v] == reference_factor_keys(q, qsub, v) for v in q.vertices)
 
 
 def test_opposite_named_examples():

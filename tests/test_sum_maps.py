@@ -5,19 +5,24 @@ must equal the sum of its per-summand composites, folded here by `compose`
 and `+` from the summands' injections and projections: psi, phi, the arrow
 maps of `direct_sum_reps` and of `RightAdjointRep`,
 `RightAdjointRep.transpose` and the components of
-`copresentation_embedding`.  The sums include zero summands, sums with no
-summands and sums whose factors do not concatenate to a divisibility
-chain, whose injections and projections are not 0/1 blocks."""
+`copresentation_embedding`, which an explicit isomorphism also carries
+onto the nested sum of separately built e^v(M_v) it replaced.  The sums
+include zero summands, sums with no summands and sums whose factors do
+not concatenate to a divisibility chain, whose injections and
+projections are not 0/1 blocks."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quiverhom.harness import Config, random_finmod, random_quiver, random_representation
 from quiverhom.quiver import Path, in_arrows, make_quiver, out_arrows, trivial_path
 from quiverhom.rep import (
     HomGroupRep,
+    RepMorphism,
+    Representation,
     RightAdjointRep,
     coinduced,
+    coinduced_product,
     copresentation_embedding,
     direct_sum_reps,
     phi,
@@ -159,19 +164,64 @@ def test_right_adjoint_arrow_maps_and_transposes_are_the_composite_sums(instance
         assert k.components[v] == composite_sum(x.vertex_modules[v], ra.rep.vertex_modules[v], chains)
 
 
-@given(instances())
-@settings(max_examples=60, deadline=None)
-def test_copresentation_embedding_is_the_nested_composite_sum(instance):
-    rng, x = instance
+def nested_copresentation_embedding(x, embeds):
+    """The embedding as it was first built, the reference: a sum over the
+    vertices v of the separately built e^v(M_v), with one product into each
+    e^v(M_v) and then one into their sum.  Returns the embedding, the
+    summands and the sum's projections."""
     q, modulus = x.quiver, x.modulus
-    embeds = {v: random_hom(rng, x.vertex_modules[v], random_finmod(rng, modulus, CONFIG)) for v in q.vertices}
-    total, f = copresentation_embedding(x, embeds)
     singles = [coinduced(q, modulus, v, embeds[v].codomain) for v in q.vertices]
-    _, injs, _ = direct_sum_reps([s.rep for s in singles])
+    total, _, projs = direct_sum_reps([s.rep for s in singles])
+    comps = {}
+    for w in q.vertices:
+        xw = x.vertex_modules[w]
+        into = [map_into_sum(xw, [embeds[v].compose(x.along(p)) for p in s.factor_keys[w]]) for v, s in zip(q.vertices, singles)]
+        comps[w] = map_into_sum(xw, into)
+    return RepMorphism(x, total, comps), singles, projs
+
+
+@st.composite
+def embedding_instances(draw):
+    """(x, embeds): homs out of the vertex modules of a representation, all
+    into one module half the time, so that the homs at two vertices with
+    equal modules can differ only in their entries."""
+    rng, x = draw(instances())
+    shared = random_finmod(rng, x.modulus, CONFIG) if rng.random() < 0.5 else None
+    return x, {v: random_hom(rng, x.vertex_modules[v], shared or random_finmod(rng, x.modulus, CONFIG)) for v in x.quiver.vertices}
+
+
+def _equal_ends():
+    """Z/12 at both ends of one arrow, embedded by 1 and by 7."""
+    m = FinMod(Z12, (12,))
+    x = Representation(make_quiver([1, 2], [("a", 1, 2)]), Z12, {1: m, 2: m}, {"a": ModHom(m, m, [[5]])})
+    return x, {1: ModHom(m, m, [[1]]), 2: ModHom(m, m, [[7]])}
+
+
+@given(embedding_instances())
+@example(_equal_ends())
+@settings(max_examples=60, deadline=None)
+def test_copresentation_embedding_is_the_flat_composite_sum(instance):
+    x, embeds = instance
+    q, modulus = x.quiver, x.modulus
+    total, f = copresentation_embedding(x, embeds)
+    flat = coinduced_product(q, modulus, {v: embeds[v].codomain for v in q.vertices})
+    assert total == flat.rep and f.target is total
+    # entry for entry: the factor at each path p out of w is embed_{target p} o X(p)
+    for w in q.vertices:
+        chains = [(flat.injection(w, p), embeds[p.target], x.along(p)) for p in flat.factor_keys[w]]
+        assert f.components[w] == composite_sum(x.vertex_modules[w], total.vertex_modules[w], chains)
+    # the nested sum carries its embedding onto this one: factor p of
+    # e^v(M_v) goes to factor p of the flat product
+    nested, singles, projs = nested_copresentation_embedding(x, embeds)
+    iso = {}
     for w in q.vertices:
         chains = [
-            (inj.components[w], single.injection(w, p), embeds[v], x.along(p))
-            for v, single, inj in zip(q.vertices, singles, injs)
+            (flat.injection(w, p), single.projection(w, p), proj.components[w])
+            for single, proj in zip(singles, projs)
             for p in single.factor_keys[w]
         ]
-        assert f.components[w] == composite_sum(x.vertex_modules[w], total.vertex_modules[w], chains)
+        iso[w] = composite_sum(nested.target.vertex_modules[w], total.vertex_modules[w], chains)
+    iso = RepMorphism(nested.target, total, iso)  # checks naturality
+    assert iso.is_monomorphism and nested.target.total_cardinality == total.total_cardinality
+    assert iso.compose(nested) == f
+

@@ -2,8 +2,8 @@
 by representations hand out what a fresh computation gives and share it
 between equal keys, the shared coinduced objects are read-only, every memo
 in the package is a bounded lru_cache, and every construction that skips its
-checks (`ModHom._closed`, `RepMorphism._closed`) passes them when they are
-run."""
+checks (`ModHom._closed`, `ModHom._reduced`, `RepMorphism._closed`) passes
+them when they are run."""
 
 import contextlib
 import importlib
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import quiverhom
-from quiverhom import cli, znmod
+from quiverhom import cli, homology, znmod
 from quiverhom.harness import Config, random_quiver, random_representation
 from quiverhom.io import rep_from_dict, rep_to_dict
 from quiverhom.quiver import Quiver, a2, kronecker
@@ -105,7 +105,7 @@ def test_one_arrow_entry_or_the_quiver_alone_makes_representations_unequal(s, da
 
 
 # ---------------------------------------------------------------------------
-# the psi memo and the coinduced memo
+# the psi memo, the coresolution memos and the coinduced memo
 # ---------------------------------------------------------------------------
 
 
@@ -164,6 +164,32 @@ def test_memoized_hom_properties_equal_a_fresh_computation(monkeypatch):
         assert len(args) > 2 * len(set(args)), name
         for a in set(args):
             assert cached(*a) == cached.__wrapped__(*a), (name, a)
+
+
+def _outcome(f, args):
+    """f(*args), or the message of the failure it raises."""
+    try:
+        return f(*args)
+    except homology.LeftResolutionFailure as exc:
+        return str(exc)
+
+
+def test_memoized_coresolution_steps_equal_a_fresh_computation(monkeypatch):
+    # every representation a `verify all` child and the `classify --oracle`
+    # files ask to embed or to cover: the sfp oracle, the Gorenstein oracle
+    # and the Ding classifier share these steps
+    memos = {name: getattr(homology, name) for name in ("canonical_injective_embedding", "_left_injective_step")}
+    asked = _record(monkeypatch, memos)
+    paths = [ROOT / "tests" / "data" / "large_reps" / name for name in ("item0003-classify.json", "item0007-classify.json")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "all", "--seed", "42000", "--trials", "10", "--json"]) == 0
+        for path in paths:
+            assert cli.main(["classify", str(path), "--oracle", "--json"]) == 0
+    for name, cached in memos.items():
+        args = asked[name]
+        assert len(args) > len(set(args)), name
+        for a in set(args):
+            assert _outcome(cached, a) == _outcome(cached.__wrapped__, a), (name, a)
 
 
 def test_memo_entry_goes_with_its_representation():
@@ -249,6 +275,8 @@ def test_every_memo_is_a_bounded_lru_cache():
                 assert obj.cache_info().maxsize is not None, f"{where}.{attr} is an unbounded cache"
     assert {
         "quiverhom.rep.coinduced",
+        "quiverhom.homology.canonical_injective_embedding",
+        "quiverhom.homology._left_injective_step",
         "quiverhom.rep.psi",
         "quiverhom.rep.dual_rep",
         "quiverhom.quiver.paths_between",
@@ -273,8 +301,8 @@ def test_every_memo_is_a_bounded_lru_cache():
 # closed constructions against the checked constructors
 # ---------------------------------------------------------------------------
 
-# Runs `verify all` with `ModHom._closed` and `RepMorphism._closed` replaced
-# by the checked constructors, and `rep.map_into_sum` and `rep.map_out_of_sum`
+# Runs `verify all` with `ModHom._closed`, `ModHom._reduced` and
+# `RepMorphism._closed` replaced by the checked constructors, and `rep.map_into_sum` and `rep.map_out_of_sum`
 # by sums of composites with the summands' injections and projections, built
 # by `compose` and `+`, which check the ends.  A checked hom must also equal
 # the fast one (rows of Python ints, entry for entry).  Prints the JSON lines
@@ -285,7 +313,6 @@ from quiverhom import cli, rep
 from quiverhom.rep import RepMorphism
 from quiverhom.znmod import ModHom, direct_sum_with_maps, zero_hom
 
-closed_hom = ModHom._closed.__func__
 fast_into, fast_out = rep.map_into_sum, rep.map_out_of_sum
 counts = {"homs": 0, "morphisms": 0, "sums": 0}
 errors = []
@@ -300,13 +327,16 @@ def checked(kind, build):
         raise
 
 
-def checked_hom(cls, domain, codomain, m):
-    h = checked("homs", lambda: ModHom(domain, codomain, m))
-    fast = closed_hom(cls, domain, codomain, m)
-    ints = type(fast.matrix) is tuple and all(type(row) is tuple and all(type(x) is int for x in row) for row in fast.matrix)
-    if not ints or fast.matrix != h.matrix:
-        errors.append(f"homs: closed matrix {fast.matrix} != checked {h.matrix}")
-    return h
+def checking(fast_hom):
+    def checked_hom(cls, domain, codomain, m):
+        h = checked("homs", lambda: ModHom(domain, codomain, m))
+        fast = fast_hom(cls, domain, codomain, m)
+        ints = type(fast.matrix) is tuple and all(type(row) is tuple and all(type(x) is int for x in row) for row in fast.matrix)
+        if not ints or fast.matrix != h.matrix:
+            errors.append(f"homs: closed matrix {fast.matrix} != checked {h.matrix}")
+        return h
+
+    return classmethod(checked_hom)
 
 
 def composites_added(dom, cod, composites):
@@ -334,7 +364,7 @@ def checked_out(comps, cod):
     return checked_sum(fast_out(comps, cod), h)
 
 
-ModHom._closed = classmethod(checked_hom)
+ModHom._closed, ModHom._reduced = checking(ModHom._closed.__func__), checking(ModHom._reduced.__func__)
 rep.map_into_sum, rep.map_out_of_sum = checked_into, checked_out
 RepMorphism._closed = classmethod(lambda cls, s, t, c: checked("morphisms", lambda: RepMorphism(s, t, c)))
 for seed in sys.argv[1:]:
