@@ -126,69 +126,19 @@ def has_directed_cycle(q: Quiver) -> bool:
     return any(color[v] == 0 and visit(v) for v in q.vertices)
 
 
-# resolutions and right adjoints ask for the same (quiver, i, j) over and
-# over; a hit means both vertices passed their checks before, and lru_cache
-# keeps no exceptions, so a bad vertex or an infinite pair raises every time
-@functools.lru_cache(maxsize=1024, typed=True)
-def paths_between(q: Quiver, i: VertexId, j: VertexId) -> Tuple[Path, ...]:
-    """All paths from i to j, trivial path included when i == j.
-
-    Raises when a directed cycle is reachable on some i-to-j route, since the
-    path set is then infinite; truncating would silently corrupt the product
-    formula of the right adjoint.
-    """
-    q.check_vertex(i)
-    q.check_vertex(j)
-    fwd = {v: [] for v in q.vertices}
-    back = {v: [] for v in q.vertices}
-    for a in q.arrows:
-        fwd[a.src].append(a)
-        back[a.tgt].append(a.src)
-
-    def reach(start, adj) -> FrozenSet[VertexId]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj(v):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return frozenset(seen)
-
-    from_i = reach(i, lambda v: [a.tgt for a in fwd[v]])
-    to_j = reach(j, lambda v: back[v])
-    middle = from_i & to_j
-    sub_arrows = [a for a in q.arrows if a.src in middle and a.tgt in middle]
-    if has_directed_cycle(Quiver(tuple(middle), tuple(sub_arrows))):
-        raise ValueError(f"infinite path set between {i!r} and {j!r}")
-
-    out: List[Path] = []
-
-    def walk(v, acc: Tuple[Arrow, ...]):
-        if v == j:
-            out.append(Path(i, j, acc))
-        for a in fwd[v]:
-            if a.tgt in middle or a.tgt == j:
-                if a.src in middle:
-                    walk(a.tgt, acc + (a,))
-
-    if i in middle:
-        walk(i, ())
-    return tuple(sorted(out, key=Path.key))
-
-
-# the right adjoints of restriction ask for every path out of each vertex;
-# like `paths_between`, the cache holds only answers
+# the right adjoints of restriction ask for every path out of each vertex,
+# and resolutions for the same (quiver, i, j) over and over; a hit means the
+# vertices passed their checks before, and lru_cache keeps no exceptions, so
+# a bad vertex or an infinite path set raises every time
 @functools.lru_cache(maxsize=1024, typed=True)
 def paths_from(q: Quiver, v: VertexId) -> Tuple[Path, ...]:
-    """All paths out of v, trivial path included, sorted by `Path.key`: the
-    paths `paths_between(q, v, w)` lists over every w, in one walk.
+    """All paths out of v, trivial path included, sorted by `Path.key`.
 
-    Raises when a directed cycle is reachable from v, which is exactly when
-    some `paths_between(q, v, w)` raises.  The walk follows every path whose
-    vertices are distinct, so it meets each such cycle as an arrow back to a
-    vertex already on its route."""
+    Raises when a directed cycle is reachable from v, since the path set is
+    then infinite; truncating would silently corrupt the product formula of
+    the right adjoint.  The walk follows every path whose vertices are
+    distinct, so it meets each such cycle as an arrow back to a vertex
+    already on its route."""
     q.check_vertex(v)
     fwd = {u: [] for u in q.vertices}
     for a in q.arrows:
@@ -204,6 +154,28 @@ def paths_from(q: Quiver, v: VertexId) -> Tuple[Path, ...]:
 
     walk(v, (), frozenset((v,)))
     return tuple(sorted(out, key=Path.key))
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def paths_between(q: Quiver, i: VertexId, j: VertexId) -> Tuple[Path, ...]:
+    """All paths from i to j, trivial path included when i == j, sorted by
+    `Path.key`: those of `paths_from` on the part of q that reaches j (the
+    vertices with a path to j, the arrows into them) that end at j.  Raises
+    when a directed cycle is reachable on some i-to-j route, which is
+    exactly when that part has one reachable from i."""
+    q.check_vertex(i)
+    q.check_vertex(j)
+    reaches = {j}
+    while grown := {a.src for a in q.arrows if a.tgt in reaches} - reaches:
+        reaches |= grown
+    if i not in reaches:
+        return ()
+    part = Quiver(tuple(u for u in q.vertices if u in reaches), tuple(a for a in q.arrows if a.tgt in reaches))
+    try:
+        paths = paths_from(part, i)
+    except ValueError:
+        raise ValueError(f"infinite path set between {i!r} and {j!r}") from None
+    return tuple(p for p in paths if p.target == j)
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,7 @@ from .znmod import (
     present,
     subgroup_present,
     subgroup_with_inclusion,
+    sum_presentation,
     zero_hom,
     zero_mod,
 )
@@ -503,11 +504,13 @@ class RightAdjointRep:
     acyclic, and raises on a directed cycle, whose paths are infinite.
 
     Keeps the factor bookkeeping (factor_keys[v], the paths from v that
-    index the factors at v, with their injections and projections) so that
-    units, counits and transposes can be assembled on top.  The factors at v
-    are the paths from v that land in the subquiver and are trivial or end
-    with an arrow outside it, in `paths_from` order, so the trivial path
-    comes first.  Every table is read-only, so `coinduced` can share one
+    index the factors at v) so that units, counits and transposes can be
+    assembled on top.  The factors at v are the paths from v that land in
+    the subquiver and are trivial or end with an arrow outside it, in
+    `paths_from` order, so the trivial path comes first.  The sum at v is
+    kept as its `sum_presentation` with the coordinates of each factor, and
+    `injection(v, p)` and `projection(v, p)` slice it for the one factor
+    asked for.  Every table is read-only, so `coinduced` can share one
     object among its callers.
     """
 
@@ -525,32 +528,37 @@ class RightAdjointRep:
             v: tuple(p for p in paths_from(q, v) if p.target in sub_vertices and (p.is_trivial or p.arrows[-1].id not in sub_arrow_ids))
             for v in q.vertices
         })
-        self._pos = MappingProxyType(
-            {v: MappingProxyType({p: t for t, p in enumerate(self.factor_keys[v])}) for v in q.vertices}
-        )
-        self._data = MappingProxyType({
-            v: direct_sum_with_maps([x.vertex_modules[p.target] for p in self.factor_keys[v]], modulus)
-            for v in q.vertices
-        })
-        mods = {v: self._data[v][0] for v in q.vertices}
+        coords, presentations = {}, {}
+        for v, keys in self.factor_keys.items():
+            factors = [x.vertex_modules[p.target].factors for p in keys]
+            starts = itertools.accumulate(map(len, factors), initial=0)
+            coords[v] = MappingProxyType({p: slice(s, s + len(f)) for p, f, s in zip(keys, factors, starts)})
+            presentations[v] = sum_presentation(tuple(itertools.chain.from_iterable(factors)), modulus)
+        self._coords, self._presentations = MappingProxyType(coords), MappingProxyType(presentations)
+        mods = {v: self._presentations[v][0] for v in q.vertices}
         maps = {}
         for b in q.arrows:
             # the factor at p of the image of an element is its factor at b p,
-            # or x(b) of its trivial factor when p is trivial and b is in qsub
-            comps = [
-                x.map(b.id).compose(self.projection(b.src, trivial_path(b.src)))
-                if p.is_trivial and b.id in sub_arrow_ids
-                else self.projection(b.src, Path(b.src, p.target, (b,) + p.arrows))
-                for p in self.factor_keys[b.tgt]
-            ]
-            maps[b.id] = map_into_sum(mods[b.src], comps)
+            # or x(b) of its trivial factor when p is trivial and b is in qsub;
+            # those projection rows stay unreduced: the final reduction absorbs them
+            width, sect, at = mods[b.src].rank, self._presentations[b.src][2], self._coords[b.src]
+            rows = []
+            for p in self.factor_keys[b.tgt]:
+                if p.is_trivial and b.id in sub_arrow_ids:
+                    rows += matmul(x.map(b.id).matrix, sect[at[trivial_path(b.src)]], width)
+                else:
+                    rows += sect[at[Path(b.src, p.target, (b,) + p.arrows)]]
+            maps[b.id] = ModHom._closed(mods[b.src], mods[b.tgt], matmul(self._presentations[b.tgt][1], rows, width))
         self.rep = Representation(q, modulus, mods, maps)
 
     def injection(self, v: VertexId, p: Path) -> ModHom:
-        return self._data[v][1][self._pos[v][p]]
+        total, proj, _ = self._presentations[v]
+        cut = self._coords[v][p]
+        return ModHom._closed(self.inner.vertex_modules[p.target], total, tuple(row[cut] for row in proj))
 
     def projection(self, v: VertexId, p: Path) -> ModHom:
-        return self._data[v][2][self._pos[v][p]]
+        total, _, sect = self._presentations[v]
+        return ModHom._closed(total, self.inner.vertex_modules[p.target], sect[self._coords[v][p]])
 
     def transpose(self, x_on_q: Representation, h: RepMorphism) -> RepMorphism:
         """Hom_{Q'}(restrict x, inner) -> Hom_Q(x, rep): the factor component

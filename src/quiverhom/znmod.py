@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
-from operator import add, mul
+from operator import add, index, mul
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -34,6 +34,17 @@ from .linalg import Matrix, diag, diagonalize, from_entries, hstack, identity, m
 MAX_MODULUS = 2**21
 
 
+def _as_ints(values, what: str) -> Tuple[int, ...]:
+    """The values as Python ints, read with `operator.index`: a float or a
+    string raises, named, instead of being truncated or parsed."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        bad = next(x for x in values if not hasattr(type(x), "__index__"))
+        raise TypeError(f"{what} {bad!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class Modulus:
     """The coefficient ring Z/n, for 2 <= n <= MAX_MODULUS."""
@@ -41,6 +52,7 @@ class Modulus:
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _as_ints((self.n,), "modulus")[0])
         if self.n < 2:
             raise ValueError("modulus must be at least 2")
         if self.n > MAX_MODULUS:
@@ -114,6 +126,9 @@ class FinMod:
     factors: Tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.factors) is not tuple:
+            raise TypeError(f"invariant factors must be a tuple, got {self.factors!r}")
+        object.__setattr__(self, "factors", _as_ints(self.factors, "invariant factor"))
         n = self.modulus.n
         prev = 1
         for d in self.factors:
@@ -139,7 +154,7 @@ class FinMod:
         return not self.factors
 
     def reduce(self, vec) -> Tuple[int, ...]:
-        return tuple(int(x) % d for x, d in zip(vec, self.factors, strict=True))
+        return tuple(x % d for x, d in zip(_as_ints(vec, "coordinate"), self.factors, strict=True))
 
     def elements(self) -> Iterable[Tuple[int, ...]]:
         return itertools.product(*[range(d) for d in self.factors])
@@ -177,7 +192,7 @@ class ModHom:
             raise ValueError("modulus mismatch between domain and codomain")
         if len(matrix) != codomain.rank or any(len(row) != domain.rank for row in matrix):
             raise ValueError(f"expected a {codomain.rank}x{domain.rank} matrix, got rows of lengths {[len(row) for row in matrix]}")
-        m = tuple(tuple(int(x) % e for x in row) for row, e in zip(matrix, codomain.factors))
+        m = tuple(tuple(x % e for x in _as_ints(row, "hom entry")) for row, e in zip(matrix, codomain.factors))
         # m_ji * d_i == 0 mod e_j iff the entry is a multiple of the
         # generator e_j / gcd(d_i, e_j) of its entry group
         for j, (row, scales) in enumerate(zip(m, hom_entry_scales(domain.factors, codomain.factors))):
@@ -196,23 +211,12 @@ class ModHom:
         """A hom whose int matrix of the right shape is well defined by
         construction (a sum, negative or composite of homs, zero or the
         identity, a subgroup inclusion, a quotient projection, a Matlis
-        dual, a `HomSystem` solution): reduce it mod the codomain factors
-        and skip the check."""
+        dual, a direct-sum injection or projection, a `HomSystem`
+        solution): reduce it mod the codomain factors and skip the check."""
         h = cls.__new__(cls)
         h.domain = domain
         h.codomain = codomain
         h.matrix = mod_rows(m, codomain.factors)
-        return h
-
-    @classmethod
-    def _reduced(cls, domain: FinMod, codomain: FinMod, m: Matrix) -> "ModHom":
-        """A `_closed` hom whose matrix is already a tuple of int rows
-        reduced mod the codomain factors (a direct-sum injection or
-        projection, sliced from a reduced presentation): store it as it is."""
-        h = cls.__new__(cls)
-        h.domain = domain
-        h.codomain = codomain
-        h.matrix = m
         return h
 
     @property
@@ -437,42 +441,28 @@ def present(relations, modulus: Modulus):
     return FinMod(modulus, factors), proj, sect
 
 
-# a plain function over the memo: callers pass lists, which cannot key an
-# lru_cache, so it builds the tuple key itself
-def direct_sum_with_maps(mods: Sequence[FinMod], modulus: Modulus):
-    """Canonical direct sum with tuples of injections and projections for
-    each summand, memoized per summand tuple and modulus; the homs are
-    read-only, so every caller shares them."""
-    return _direct_sum(tuple(mods), modulus)
-
-
 @lru_cache(maxsize=1024)
-def _sum_presentation(factors: Tuple[int, ...], modulus: Modulus):
+def sum_presentation(factors: Tuple[int, ...], modulus: Modulus):
     """(total, proj, sect) for the summands' factors in order: the canonical
-    sum, its injections side by side and its projections stacked."""
+    sum, its injections side by side and its projections stacked.  The one
+    presentation of a direct sum: every injection, projection and map into
+    or out of a sum is sliced from it or multiplied by it."""
     if all(b % a == 0 for a, b in zip(factors, factors[1:])):
         # already canonical: diag(chain) presents itself with proj = sect = I
         return FinMod(modulus, factors), identity(len(factors)), identity(len(factors))
     return present(diag(factors), modulus)
 
 
-@lru_cache(maxsize=1024)
-def _direct_sum(mods: Tuple[FinMod, ...], modulus: Modulus):
-    factors = tuple(d for m in mods for d in m.factors)
-    total, proj, sect = _sum_presentation(factors, modulus)
-    # reduced once here, not once per summand: a sum of k summands of rank
-    # one would otherwise reduce k one-column blocks of k rows
-    proj, sect = mod_rows(proj, total.factors), mod_rows(sect, factors)
-    injections, projections = [], []
-    offset = 0
-    for m in mods:
-        r = m.rank
-        # proj and sect are mutually inverse isomorphisms between the
-        # summands' coordinates and the canonical sum, so both are homs
-        injections.append(ModHom._reduced(m, total, tuple(row[offset : offset + r] for row in proj)))
-        projections.append(ModHom._reduced(total, m, sect[offset : offset + r]))
-        offset += r
-    return total, tuple(injections), tuple(projections)
+def direct_sum_with_maps(mods: Sequence[FinMod], modulus: Modulus):
+    """Canonical direct sum with tuples of injections and projections for
+    each summand, sliced from `sum_presentation`: proj and sect are mutually
+    inverse isomorphisms between the summands' coordinates and the
+    canonical sum, so every slice is a hom."""
+    total, proj, sect = sum_presentation(tuple(d for m in mods for d in m.factors), modulus)
+    starts = list(itertools.accumulate((m.rank for m in mods), initial=0))
+    injections = tuple(ModHom._closed(m, total, tuple(row[s : s + m.rank] for row in proj)) for m, s in zip(mods, starts))
+    projections = tuple(ModHom._closed(total, m, sect[s : s + m.rank]) for m, s in zip(mods, starts))
+    return total, injections, projections
 
 
 def map_into_sum(dom: FinMod, comps: Sequence[ModHom]) -> ModHom:
@@ -481,7 +471,7 @@ def map_into_sum(dom: FinMod, comps: Sequence[ModHom]) -> ModHom:
     side times the components' matrices stacked."""
     if any(c.domain != dom for c in comps):
         raise ValueError("components do not start at the domain")
-    total, proj, _ = _sum_presentation(tuple(d for c in comps for d in c.codomain.factors), dom.modulus)
+    total, proj, _ = sum_presentation(tuple(d for c in comps for d in c.codomain.factors), dom.modulus)
     return ModHom._closed(dom, total, matmul(proj, tuple(itertools.chain.from_iterable(c.matrix for c in comps)), dom.rank))
 
 
@@ -491,7 +481,7 @@ def map_out_of_sum(comps: Sequence[ModHom], cod: FinMod) -> ModHom:
     side times the sum's projections stacked."""
     if any(c.codomain != cod for c in comps):
         raise ValueError("components do not end at the codomain")
-    total, _, sect = _sum_presentation(tuple(d for c in comps for d in c.domain.factors), cod.modulus)
+    total, _, sect = sum_presentation(tuple(d for c in comps for d in c.domain.factors), cod.modulus)
     return ModHom._closed(total, cod, matmul(hstack([c.matrix for c in comps], cod.rank), sect, total.rank))
 
 

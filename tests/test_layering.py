@@ -12,7 +12,10 @@ Kronecker product.  The vertexwise
 classification has one route, psi split epi: `classify` reads projective
 and flat on the Matlis dual, never through phi.  The canonical
 coresolution steps build prod_v e^v(M_v) as one right adjoint
-(`rep.coinduced_product`), never as a sum of separately built e^v."""
+(`rep.coinduced_product`), never as a sum of separately built e^v.
+`quiver` walks paths in one function, `paths_from`, and a direct sum has
+one presentation, `znmod.sum_presentation`, which every injection,
+projection and arrow map of a right adjoint is sliced or multiplied from."""
 
 import ast
 import json
@@ -150,3 +153,37 @@ def test_coresolution_steps_build_one_product():
                 if callee in ("coinduced", "direct_sum_reps"):
                     found.append(f"{file}:{node.lineno} {name} calls {callee}")
     assert not found, found
+
+
+def _functions(file):
+    """The top-level functions and classes of `file`, by name."""
+    tree = ast.parse((SRC / file).read_text())
+    return {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def _callees(node):
+    return {
+        call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+    }
+
+
+def test_one_path_walk_and_one_sum_presentation():
+    quiver = _functions("quiver.py")
+    # a path walk is a nested function that builds paths; only paths_from has one
+    walkers = sorted(
+        outer.name
+        for outer in quiver.values()
+        if isinstance(outer, ast.FunctionDef)
+        for inner in ast.walk(outer)
+        if inner is not outer and isinstance(inner, ast.FunctionDef) and "Path" in _callees(inner)
+    )
+    assert walkers == ["paths_from"], walkers
+    assert "paths_from" in _callees(quiver["paths_between"])
+    znmod = _functions("znmod.py")
+    assert "_direct_sum" not in znmod and "_sum_presentation" not in znmod
+    assert "_reduced" not in {node.name for node in znmod["ModHom"].body if isinstance(node, ast.FunctionDef)}
+    assert "sum_presentation" in _callees(znmod["direct_sum_with_maps"])
+    init = next(node for node in _functions("rep.py")["RightAdjointRep"].body if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    assert not _callees(init) & {"direct_sum_with_maps", "map_into_sum"}

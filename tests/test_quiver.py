@@ -74,6 +74,47 @@ def test_paths_between_memo_hands_out_its_tuple_and_raises_again():
             paths_between(loop_quiver(), "v", "v")
 
 
+def reference_paths_between(q, i, j):
+    """All paths from i to j as first computed, the oracle: the vertices
+    reachable from i and the vertices that reach j, a cycle check on the
+    part between them, and a walk through that part."""
+    q.check_vertex(i)
+    q.check_vertex(j)
+    fwd = {v: [] for v in q.vertices}
+    back = {v: [] for v in q.vertices}
+    for a in q.arrows:
+        fwd[a.src].append(a)
+        back[a.tgt].append(a.src)
+
+    def reach(start, adj):
+        seen = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in adj(v):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return frozenset(seen)
+
+    middle = reach(i, lambda v: [a.tgt for a in fwd[v]]) & reach(j, lambda v: back[v])
+    sub_arrows = [a for a in q.arrows if a.src in middle and a.tgt in middle]
+    if has_directed_cycle(Quiver(tuple(middle), tuple(sub_arrows))):
+        raise ValueError(f"infinite path set between {i!r} and {j!r}")
+    out = []
+
+    def walk(v, acc):
+        if v == j:
+            out.append(Path(i, j, acc))
+        for a in fwd[v]:
+            if (a.tgt in middle or a.tgt == j) and a.src in middle:
+                walk(a.tgt, acc + (a,))
+
+    if i in middle:
+        walk(i, ())
+    return tuple(sorted(out, key=Path.key))
+
+
 @st.composite
 def quivers(draw):
     """At most 4 vertices and 6 arrows with any ends, so loops, 2-cycles,
@@ -81,6 +122,39 @@ def quivers(draw):
     nv = draw(st.integers(1, 4))
     ends = draw(st.lists(st.tuples(st.integers(1, nv), st.integers(1, nv)), max_size=6))
     return make_quiver(range(1, nv + 1), [(f"a{k}", s, t) for k, (s, t) in enumerate(ends)])
+
+
+@st.composite
+def path_queries(draw):
+    """(q, i, j): a quiver of at most 5 vertices and 7 arrows with any ends,
+    so loops, parallel arrows, vertices with no arrows and 2-cycles on and
+    off the i-to-j routes all occur, and two of its vertices."""
+    nv = draw(st.integers(1, 5))
+    ends = draw(st.lists(st.tuples(st.integers(1, nv), st.integers(1, nv)), max_size=7))
+    q = make_quiver(range(1, nv + 1), [(f"a{k}", s, t) for k, (s, t) in enumerate(ends)])
+    return q, draw(st.integers(1, nv)), draw(st.integers(1, nv))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(path_queries())
+@example((loop_quiver(), "v", "v"))
+@example((make_quiver([1, 2, 3], [("a", 1, 2), ("b", 2, 1), ("c", 2, 3)]), 1, 3))  # a 2-cycle on the route
+@example((make_quiver([1, 2, 3, 4], [("a", 1, 2), ("b", 3, 4), ("c", 4, 3)]), 1, 2))  # a 2-cycle off it
+@example((make_quiver([1, 2, 3, 4], [("a", 1, 2), ("b", 3, 4), ("c", 4, 3), ("d", 4, 2)]), 1, 2))  # reaches j only
+@example((make_quiver([1, 2, 3], [("a", 1, 2), ("b", 1, 3), ("l", 3, 3)]), 1, 2))  # reached from i only
+@example((make_quiver([1, 2, 3], [("a", 1, 2), ("b", 1, 2), ("c", 2, 3), ("d", 2, 3)]), 1, 3))  # parallel arrows
+@example((make_quiver([1, 2, 3], [("a", 1, 2)]), 3, 3))  # 3 has no arrows
+@example((make_quiver([1, 2], [("a", 1, 2)]), 2, 1))  # no route
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_paths_between_is_the_reference(query):
+    q, i, j = query
+    assert _outcome(paths_between, q, i, j) == _outcome(reference_paths_between, q, i, j)
 
 
 @given(quivers())
@@ -93,7 +167,7 @@ def quivers(draw):
 def test_paths_from_is_the_sorted_union_of_paths_between(q):
     for v in q.vertices:
         try:
-            union = tuple(sorted((p for w in q.vertices for p in paths_between(q, v, w)), key=Path.key))
+            union = tuple(sorted((p for w in q.vertices for p in reference_paths_between(q, v, w)), key=Path.key))
         except ValueError:
             with pytest.raises(ValueError, match=f"^infinite path set from {re.escape(repr(v))}$"):
                 paths_from(q, v)
@@ -103,10 +177,10 @@ def test_paths_from_is_the_sorted_union_of_paths_between(q):
 
 def reference_factor_keys(q, qsub, v):
     """The factors of the right adjoint at v as first listed, from one
-    `paths_between` per vertex of the subquiver."""
+    `reference_paths_between` per vertex of the subquiver."""
     sub_arrow_ids = {a.id for a in qsub.arrows}
     return tuple(sorted(
-        (p for w in qsub.vertices for p in paths_between(q, v, w) if p.is_trivial or p.arrows[-1].id not in sub_arrow_ids),
+        (p for w in qsub.vertices for p in reference_paths_between(q, v, w) if p.is_trivial or p.arrows[-1].id not in sub_arrow_ids),
         key=Path.key,
     ))
 

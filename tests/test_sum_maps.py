@@ -9,13 +9,18 @@ maps of `direct_sum_reps` and of `RightAdjointRep`,
 onto the nested sum of separately built e^v(M_v) it replaced.  The sums
 include zero summands, sums with no summands and sums whose factors do
 not concatenate to a divisibility chain, whose injections and
-projections are not 0/1 blocks."""
+projections are not 0/1 blocks.  `RightAdjointRep`, which slices its sums
+from their presentations on demand, is also checked entry for entry
+against its per-summand construction."""
+
+import itertools
+
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quiverhom.harness import Config, random_finmod, random_quiver, random_representation
-from quiverhom.quiver import Path, in_arrows, make_quiver, out_arrows, trivial_path
+from quiverhom.quiver import Path, Quiver, in_arrows, make_quiver, out_arrows, paths_from, trivial_path
 from quiverhom.rep import (
     HomGroupRep,
     RepMorphism,
@@ -34,6 +39,7 @@ from quiverhom.znmod import (
     FinMod,
     ModHom,
     Modulus,
+    canonical_chain,
     direct_sum_with_maps,
     map_into_sum,
     map_out_of_sum,
@@ -162,6 +168,88 @@ def test_right_adjoint_arrow_maps_and_transposes_are_the_composite_sums(instance
     for v in q.vertices:
         chains = [(ra.injection(v, p), h.components[p.target], x.along(p)) for p in ra.factor_keys[v]]
         assert k.components[v] == composite_sum(x.vertex_modules[v], ra.rep.vertex_modules[v], chains)
+
+
+class ReferenceRightAdjoint:
+    """`RightAdjointRep` built summand by summand, the reference: the sum at
+    each vertex from `direct_sum_with_maps`, with every factor's injection
+    and projection, and each arrow map through `map_into_sum` of its
+    per-factor components, x(b) after the trivial projection or the
+    projection onto the factor at b p."""
+
+    def __init__(self, q, qsub, x):
+        sub_vertices, sub_arrow_ids = set(qsub.vertices), {a.id for a in qsub.arrows}
+        self.factor_keys = {
+            v: tuple(p for p in paths_from(q, v) if p.target in sub_vertices and (p.is_trivial or p.arrows[-1].id not in sub_arrow_ids))
+            for v in q.vertices
+        }
+        self.sums = {v: direct_sum_with_maps([x.vertex_modules[p.target] for p in keys], x.modulus) for v, keys in self.factor_keys.items()}
+        maps = {}
+        for b in q.arrows:
+            comps = [
+                x.map(b.id).compose(self.projection(b.src, trivial_path(b.src)))
+                if p.is_trivial and b.id in sub_arrow_ids
+                else self.projection(b.src, Path(b.src, p.target, (b,) + p.arrows))
+                for p in self.factor_keys[b.tgt]
+            ]
+            maps[b.id] = map_into_sum(self.sums[b.src][0], comps)
+        self.rep = Representation(q, x.modulus, {v: total for v, (total, _, _) in self.sums.items()}, maps)
+
+    def injection(self, v, p):
+        return self.sums[v][1][self.factor_keys[v].index(p)]
+
+    def projection(self, v, p):
+        return self.sums[v][2][self.factor_keys[v].index(p)]
+
+
+@st.composite
+def adjoint_instances(draw):
+    """(q, qsub, inner): an acyclic quiver on at most 4 vertices, parallel
+    arrows allowed; a subquiver that keeps some of the arrows between its
+    vertices, so x(b) enters the arrow maps; and a representation of it
+    over Z/12, Z/36 or Z/72 whose modules may be zero, so that the
+    summands' factors often do not concatenate to a chain."""
+    nv = draw(st.integers(1, 4))
+    pairs = list(itertools.combinations(range(1, nv + 1), 2))
+    ends = draw(st.lists(st.sampled_from(pairs), max_size=6)) if pairs else []
+    q = make_quiver(range(1, nv + 1), [(f"a{k}", s, t) for k, (s, t) in enumerate(ends)])
+    vs = draw(st.lists(st.sampled_from(q.vertices), unique=True))
+    inside = [a for a in q.arrows if a.src in vs and a.tgt in vs]
+    kept = draw(st.sets(st.sampled_from(inside))) if inside else set()
+    qsub = Quiver(tuple(vs), tuple(a for a in inside if a in kept))
+    modulus = Modulus(draw(st.sampled_from([12, 36, 72])))
+    orders = st.lists(st.sampled_from(modulus.divisors), max_size=3)
+    mods = {v: FinMod(modulus, canonical_chain(draw(orders), modulus.n)) for v in qsub.vertices}
+    rng = draw(st.randoms(use_true_random=False))
+    maps = {a.id: random_hom(rng, mods[a.src], mods[a.tgt]) for a in qsub.arrows}
+    return q, qsub, Representation(qsub, modulus, mods, maps)
+
+
+def _parallel_arrows_in_the_subquiver():
+    """1 => 2 kept in the subquiver and 1 -> 3 -> 2 outside it, Z/12 at 1
+    and Z/18 at 2 over Z/36: the sum at 1 is Z/12 + Z/18, outside a chain,
+    and x(a) and x(b) act on its trivial factor."""
+    q = make_quiver([1, 2, 3], [("a", 1, 2), ("b", 1, 2), ("e", 1, 3), ("f", 3, 2)])
+    qsub = make_quiver([1, 2], [("a", 1, 2), ("b", 1, 2)])
+    z36 = Modulus(36)
+    m1, m2 = FinMod(z36, (12,)), FinMod(z36, (18,))
+    x = Representation(qsub, z36, {1: m1, 2: m2}, {"a": ModHom(m1, m2, [[3]]), "b": ModHom(m1, m2, [[15]])})
+    return q, qsub, x
+
+
+@given(adjoint_instances())
+@example(_parallel_arrows_in_the_subquiver())
+@settings(max_examples=150, deadline=None)
+def test_right_adjoint_is_its_per_summand_construction(instance):
+    q, qsub, x = instance
+    ra, ref = RightAdjointRep(q, qsub, x), ReferenceRightAdjoint(q, qsub, x)
+    assert dict(ra.factor_keys) == ref.factor_keys
+    assert ra.rep == ref.rep
+    for v, keys in ref.factor_keys.items():
+        for p in keys:
+            for got, want in ((ra.injection(v, p), ref.injection(v, p)), (ra.projection(v, p), ref.projection(v, p))):
+                assert (got.domain, got.codomain, got.matrix) == (want.domain, want.codomain, want.matrix)
+                assert all(type(row) is tuple and all(type(e) is int for e in row) for row in got.matrix)
 
 
 def nested_copresentation_embedding(x, embeds):

@@ -2,8 +2,8 @@
 by representations hand out what a fresh computation gives and share it
 between equal keys, the shared coinduced objects are read-only, every memo
 in the package is a bounded lru_cache, and every construction that skips its
-checks (`ModHom._closed`, `ModHom._reduced`, `RepMorphism._closed`) passes
-them when they are run."""
+checks (`ModHom._closed`, `RepMorphism._closed`) passes them when they are
+run."""
 
 import contextlib
 import importlib
@@ -205,17 +205,22 @@ def test_coinduced_objects_are_shared_and_read_only():
     e = coinduced(q, z4, 2, cyclic(z4, 4))
     assert coinduced(q, z4, 2, cyclic(z4, 4)) is e
     p = e.factor_keys[1][0]
+    total, proj, sect = e._presentations[1]
     for table, key, value in (
         (e.factor_keys, 1, ()),
-        (e._pos, 1, {}),
-        (e._pos[1], p, 0),
-        (e._data, 1, None),
-        (e._data[1], 0, None),
+        (e._coords, 1, {}),
+        (e._coords[1], p, slice(0)),
+        (e._presentations, 1, None),
+        (e._presentations[1], 0, None),
+        (proj, 0, ()),
+        (sect, 0, ()),
         (e.factor_keys[1], 0, p),
     ):
         with pytest.raises(TypeError):
             table[key] = value
     assert [len(e.factor_keys[v]) for v in q.vertices] == [1, 1]
+    # the presentation is the shared memo entry
+    assert e._presentations[1] is znmod.sum_presentation(total.factors, z4)
 
 
 def test_closed_constructions_check_their_ends():
@@ -287,6 +292,7 @@ def test_every_memo_is_a_bounded_lru_cache():
         "quiverhom.quiver.root_sequence",
         "quiverhom.linalg._solve",
         "quiverhom.linalg._diagonalize",
+        "quiverhom.znmod.sum_presentation",
     } <= set(caches)
     # a plain module-level or class-level container that grows while the
     # package works is an unbounded memo
@@ -301,8 +307,8 @@ def test_every_memo_is_a_bounded_lru_cache():
 # closed constructions against the checked constructors
 # ---------------------------------------------------------------------------
 
-# Runs `verify all` with `ModHom._closed`, `ModHom._reduced` and
-# `RepMorphism._closed` replaced by the checked constructors, and `rep.map_into_sum` and `rep.map_out_of_sum`
+# Runs `verify all` with `ModHom._closed` and `RepMorphism._closed` replaced
+# by the checked constructors, and `rep.map_into_sum` and `rep.map_out_of_sum`
 # by sums of composites with the summands' injections and projections, built
 # by `compose` and `+`, which check the ends.  A checked hom must also equal
 # the fast one (rows of Python ints, entry for entry).  Prints the JSON lines
@@ -364,7 +370,7 @@ def checked_out(comps, cod):
     return checked_sum(fast_out(comps, cod), h)
 
 
-ModHom._closed, ModHom._reduced = checking(ModHom._closed.__func__), checking(ModHom._reduced.__func__)
+ModHom._closed = checking(ModHom._closed.__func__)
 rep.map_into_sum, rep.map_out_of_sum = checked_into, checked_out
 RepMorphism._closed = classmethod(lambda cls, s, t, c: checked("morphisms", lambda: RepMorphism(s, t, c)))
 for seed in sys.argv[1:]:

@@ -45,6 +45,7 @@ from quiverhom.znmod import (
     solve_congruences,
     splits,
     subgroup_with_inclusion,
+    sum_presentation,
     verify_gi_certificate,
     zero_hom,
     zero_mod,
@@ -701,7 +702,9 @@ def test_direct_sum_results_are_shared_tuples_of_read_only_homs():
                 h.matrix[0] = ()
             with pytest.raises(TypeError):
                 h.matrix[0][0] = 0
-        assert direct_sum_with_maps(mods, Z4) is out
+        # no memo keeps the homs; the sum itself is the shared presentation's
+        again = direct_sum_with_maps(mods, Z4)
+        assert again == out and again[0] is total is sum_presentation(tuple(d for m in mods for d in m.factors), Z4)[0]
         assert out == presented_sum(mods, Z4)
 
 
@@ -794,6 +797,43 @@ def test_modulus_cap_is_pinned_at_2_to_the_21():
     for n in (2**21 + 1, 4294967311):
         with pytest.raises(ValueError, match=rf"^modulus must be at most MAX_MODULUS = 2\*\*21 = 2097152, got {n}$"):
             Modulus(n)
+
+
+# the value types read their integers with `operator.index`: a float or a
+# string raises, naming the value, instead of being truncated or parsed
+
+
+def test_a_float_modulus_is_rejected():
+    with pytest.raises(TypeError, match=r"^modulus 4\.5 is not an integer$"):
+        Modulus(4.5)
+    # an integer of another type is read as a Python int
+    assert type(Modulus(np.int64(12)).n) is int and Modulus(np.int64(12)) == Modulus(12)
+
+
+def test_a_float_invariant_factor_is_rejected():
+    with pytest.raises(TypeError, match=r"^invariant factor 2\.0 is not an integer$"):
+        FinMod(Z4, (2.0,))
+    assert type(FinMod(Z4, (np.int64(2),)).factors[0]) is int
+
+
+def test_a_list_of_invariant_factors_is_rejected():
+    with pytest.raises(TypeError, match=r"^invariant factors must be a tuple, got \[2, 4\]$"):
+        FinMod(Z4, [2, 4])
+
+
+def test_a_float_or_string_hom_entry_is_rejected():
+    m = cyclic(Z4, 4)
+    with pytest.raises(TypeError, match=r"^hom entry 2\.7 is not an integer$"):
+        ModHom(m, m, [[2.7]])
+    with pytest.raises(TypeError, match=r"^hom entry '3' is not an integer$"):
+        ModHom(m, m, [["3"]])
+    assert ModHom(m, m, [[np.int64(7)]]).matrix == ((3,),)
+
+
+def test_reduce_rejects_a_string_coordinate():
+    with pytest.raises(TypeError, match=r"^coordinate '3' is not an integer$"):
+        cyclic(Z4, 4).reduce(["3"])
+    assert cyclic(Z4, 4).reduce([np.int64(7)]) == (3,)
 
 
 def _rank_mod_p(rows, p):
