@@ -8,7 +8,7 @@ A matrix is a tuple of row tuples of Python ints; a matrix with no rows is
 matrix through `_entries`, which takes any sequence of rows and reduces
 the entries mod N once, on entry; their results are tuples with entries in
 [0, N), so they are read-only and can be shared.  `solve_left` and
-`diagonalize` build their memo keys from the entries.
+`diagonalize` build their memo keys from the entries of one matrix.
 Each operation has one kernel, in Python ints, and the echelon kernel
 `_howell` serves `howell_form`, `solve_left` and `quotient_order` alike.
 The working rows of `_howell` and `diagonalize` are dicts from column to
@@ -23,7 +23,7 @@ over a ring with zero divisors.  It is built in one pass over the columns:
 as each pivot row is fixed, its annihilator multiple (N/d)*row, zero in
 the pivot column, joins the rows still to be reduced, so the later columns
 absorb it and no second pass is needed.  `diagonalize` reduces on both
-sides but returns only the row transform and its inverse.
+sides but returns only the cokernel it presents.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def unit_multiplier(a: int, n: int) -> int:
     return u
 
 
-# Inputs of at most this many cells (all matrices together) are memoized.
+# One matrix of at most this many cells (`a`, for `solve_left`) is memoized.
 # Only small systems repeat in practice; large ones would make a bounded
 # cache hold megabytes per entry for almost no hits.
 _MEMO_MAX_CELLS = 64
@@ -195,19 +195,20 @@ def _combined(ri, rj, s: int, t: int, p: int, q: int, n: int):
 
 # a wrapper rather than a bare lru_cache, for the size gate: see _MEMO_MAX_CELLS
 def _memoized(small):
-    """Memoize the kernel `small(n, dims, flat)` on small inputs.
+    """Memoize the kernel `small(n, m, k, flat)` of one matrix on small
+    inputs.
 
-    `dims` holds each input matrix's (rows, cols) and `flat` their entries,
-    one matrix after another as `_entries` lists them, so the arguments are
-    the key.  Inputs of at most `_MEMO_MAX_CELLS` cells go through an LRU
-    cache of 4096 entries; larger ones call the kernel directly.  Results
-    are tuples, so the cached ones can be shared by every caller.
+    The matrix is m x k and `flat` holds its entries as `_entries` lists
+    them, so the arguments are the key.  Inputs of at most
+    `_MEMO_MAX_CELLS` cells go through an LRU cache of 4096 entries; larger
+    ones call the kernel directly.  Results are tuples, so the cached ones
+    can be shared by every caller.
     """
     cached = functools.lru_cache(maxsize=4096)(small)
 
     @functools.wraps(small)
-    def memoized(n, dims, flat):
-        return (cached if len(flat) <= _MEMO_MAX_CELLS else small)(n, dims, flat)
+    def memoized(n, m, k, flat):
+        return (cached if len(flat) <= _MEMO_MAX_CELLS else small)(n, m, k, flat)
 
     memoized.cache_info = cached.cache_info
     memoized.cache_clear = cached.cache_clear
@@ -279,13 +280,12 @@ def _howell(w: List[Dict[int, int]], k: int, n: int) -> List[Dict[int, int]]:
 
 
 @_memoized
-def _solve(n: int, dims, flat) -> Optional[Tuple[Matrix, Matrix]]:
-    """`solve_left` on `flat`, which lists a (m x k), then b (t x k).
-
-    The Howell form goes through `howell_form` itself, so that every solve
-    is one call of it in the benchmark's counters.
-    """
-    (m, k), (t, _) = dims
+def _echelon(n: int, m: int, k: int, flat):
+    """The Howell form of [a | I], a (m x k) listed by `flat`: its rows
+    pivoting in a as (column, pivot, nonzeros), the (column, entry) pairs,
+    and the I part of the rest, which spans the left kernel.  It goes
+    through `howell_form`, on dense rows, so that every distinct `a` is one
+    call of it in the benchmark's counters."""
     # [a | I] spans the pairs (y a, y); its rows pivoting in a come first
     aug = [list(flat[i * k : (i + 1) * k]) + [int(i == c) for c in range(m)] for i in range(m)]
     h = howell_form(aug, n)
@@ -294,23 +294,8 @@ def _solve(n: int, dims, flat) -> Optional[Tuple[Matrix, Matrix]]:
         j = next(c for c, x in enumerate(row) if x)
         if j >= k:
             break
-        pivots.append((_sparse(row), j, row[j]))
-    sols = []
-    for s in range(m, m + t):
-        # the last m entries of res track -y, so y @ a == b once res[:k] is zero
-        res = list(flat[s * k : (s + 1) * k]) + [0] * m
-        for row, j, d in pivots:
-            v = res[j]
-            if v:
-                if v % d:
-                    return None
-                q = v // d
-                for c, y in row.items():
-                    res[c] = (res[c] - q * y) % n
-        if any(res[:k]):
-            return None
-        sols.append(tuple(-x % n for x in res[k:]))
-    return tuple(sols), tuple(row[k:] for row in h[len(pivots) :])
+        pivots.append((j, row[j], tuple((c, x) for c, x in enumerate(row) if x)))
+    return tuple(pivots), tuple(row[k:] for row in h[len(pivots) :])
 
 
 def solve_left(a, b, cols: int, n: int) -> Optional[Tuple[Matrix, Matrix]]:
@@ -319,12 +304,29 @@ def solve_left(a, b, cols: int, n: int) -> Optional[Tuple[Matrix, Matrix]]:
 
     Returns (Y, K) where Y stacks one particular solution per row of b and
     the rows of K span the left kernel {y : y a == 0}; None if inconsistent.
+    The echelon of [a | I] is memoized by a alone; b is back-substituted.
     """
     m, k, fa = _entries(a, n)
     t, kb, fb = _entries(b, n)
     if k not in (None, cols) or kb not in (None, cols):
         raise ValueError(f"shape mismatch: a is {(m, k)}, b is {(t, kb)}, expected {cols} columns")
-    return _solve(n, ((m, cols), (t, cols)), tuple(fa + fb))
+    pivots, kernel = _echelon(n, m, cols, tuple(fa))
+    sols = []
+    for s in range(t):
+        # the last m entries of res track -y, so y @ a == b once res[:cols] is zero
+        res = fb[s * cols : (s + 1) * cols] + [0] * m
+        for j, d, nonzeros in pivots:
+            v = res[j]
+            if v:
+                if v % d:
+                    return None
+                q = v // d
+                for c, y in nonzeros:
+                    res[c] = (res[c] - q * y) % n
+        if any(res[:cols]):
+            return None
+        sols.append(tuple(-x % n for x in res[cols:]))
+    return tuple(sols), kernel
 
 
 def quotient_order(a, orders: Sequence[int], n: int) -> int:
@@ -347,17 +349,16 @@ def quotient_order(a, orders: Sequence[int], n: int) -> int:
 
 
 @_memoized
-def _diagonalize(n: int, dims, flat):
-    """`diagonalize` on `flat`, the matrix's entries.
+def _diagonalize(n: int, m: int, k: int, flat):
+    """`diagonalize` on `flat`, the m x k matrix's entries.
 
     `d` and `u` are kept as sparse rows, and `uinv` as its sparse columns,
     so every operation on `uinv` is a row operation on `uinv_cols`.  Column
     operations act on `d` alone: no caller reads them.  `U` and `Uinv` are
-    not canonical, and `znmod.present` turns them into generator
+    not canonical, and their kept rows and columns are generator
     coordinates that reach printed output, so the pivot rule and the order
     of the operations below are part of the result.
     """
-    ((m, k),) = dims
     d = [_sparse(flat[i * k : (i + 1) * k]) for i in range(m)]
     u = [{i: 1} for i in range(m)]
     uinv_cols = [{i: 1} for i in range(m)]
@@ -463,16 +464,20 @@ def _diagonalize(n: int, dims, flat):
                 row_scale(p + 1, unit_multiplier(d[p + 1].get(p + 1, 0), n))
                 d[p][p] = gcd(d[p].get(p, 0), n)
                 d[p + 1][p + 1] = gcd(d[p + 1].get(p + 1, 0), n)
-    # diagonal entries equal to n act as zero; fold them into the tail
-    chain = tuple(gcd(d[p].get(p, 0), n) if p < rank else n for p in range(m))
-    return chain, _dense(u, m), transpose(_dense(uinv_cols, m), m)
+    # rows from `rank` on are zero, so their entry reads as gcd(0, n) = n;
+    # the entries 1 present nothing
+    keep = [(p, f) for p in range(m) if (f := gcd(d[p].get(p, 0), n)) > 1]
+    proj = tuple(tuple(u[p].get(j, 0) % f for j in range(m)) for p, f in keep)
+    return tuple(f for _, f in keep), proj, transpose(_dense([uinv_cols[p] for p, _ in keep], m), m)
 
 
 def diagonalize(a, n: int):
-    """Two-sided reduction over Z/n: returns (d, U, Uinv) with U a V ==
-    diag(d) mod n for some invertible V, which is not computed, and d the
-    tuple of the d_i, divisors of n in a divisibility chain (trailing
-    entries may equal n, representing zero diagonal entries).
+    """The cokernel of `a` over Z/n (rows index generators, columns
+    relations) as (factors, proj, sect).  A two-sided reduction
+    U a V == diag(d), V never built, gives divisors d_i of n in a
+    divisibility chain, a zero entry read as n.  `factors` are the d_i
+    above 1, `proj` their rows of U, each reduced mod its factor, and `sect`
+    the matching columns of U^-1, so proj @ sect == identity mod the factors.
     """
     m, k, flat = _entries(a, n)
-    return _diagonalize(n, ((m, k or 0),), tuple(flat))
+    return _diagonalize(n, m, k or 0, tuple(flat))

@@ -84,38 +84,16 @@ class Modulus:
 
 
 def canonical_chain(orders: Iterable[int], n: int) -> Tuple[int, ...]:
-    """Invariant-factor chain of the direct sum of cyclic groups Z/m.
-
-    Regroups prime-power parts so the result is an ascending divisibility
-    chain; trivial factors are dropped.
-    """
-    exps: Dict[int, List[int]] = {}
-    mod = Modulus(n)
+    """Invariant-factor chain of the direct sum of cyclic groups Z/m, each
+    m a positive divisor of n: the factors of its `sum_presentation`, so
+    trivial factors are dropped.  A float or a string raises, named."""
+    modulus, orders = Modulus(n), _as_ints(orders, "order")
     for m in orders:
+        if m < 1:
+            raise ValueError(f"order {m} is not positive")
         if n % m != 0:
             raise ValueError(f"order {m} does not divide modulus {n}")
-        if m == 1:
-            continue
-        for p in mod.prime_factors:
-            e = 0
-            mm = m
-            while mm % p == 0:
-                e += 1
-                mm //= p
-            if e:
-                exps.setdefault(p, []).append(e)
-    if not exps:
-        return ()
-    length = max(len(v) for v in exps.values())
-    chain = []
-    for k in range(length):
-        f = 1
-        for p, v in exps.items():
-            v_sorted = sorted(v, reverse=True)
-            if k < len(v_sorted):
-                f *= p ** v_sorted[k]
-        chain.append(f)
-    return tuple(reversed(chain))
+    return sum_presentation(tuple(sorted(m for m in orders if m > 1)), modulus)[0].factors
 
 
 @dataclass(frozen=True)
@@ -324,14 +302,14 @@ def solve_congruences(
         raise ValueError(f"shape mismatch: {len(r)} equations in {len(om)} unknowns, coefficient rows of lengths {[len(row) for row in a]}")
     a_rows = []
     for rk, row in zip(r, a):
-        row = [int(c) % rk for c in row]
+        row = [c % rk for c in _as_ints(row, "coefficient")]
         for c, m in zip(row, om):
             if c % (rk // gcd(m, rk)):
                 raise ValueError(f"coefficient {c} for unknown of order {m} is not well defined mod {rk}")
         a_rows.append([c * (n // rk) for c in row])
     if len(b) != len(r) or any(len(row) != cols for row in b):
         raise ValueError(f"shape mismatch: {len(r)} equations, {cols} right-hand sides, rows of lengths {[len(row) for row in b]}")
-    b_rows = [[int(c) % rk * (n // rk) for c in row] for rk, row in zip(r, b)]
+    b_rows = [[c % rk * (n // rk) for c in _as_ints(row, "right-hand side")] for rk, row in zip(r, b)]
     # a @ x == b is x^T a^T == b^T: solve_left's operands are the columns,
     # one empty row per unknown and per right-hand side if no equations
     out = solve_left(transpose(a_rows, len(om)), transpose(b_rows, cols), len(r), n)
@@ -402,9 +380,10 @@ class HomSystem:
         return None if out is None else (tuple(row[0] for row in out[0]), out[1])
 
     def assignment(self, flat) -> List[ModHom]:
-        """Each unknown hom at a flat vector."""
+        """Each unknown hom at a flat vector of integers."""
+        flat = _as_ints(flat, "hom coordinate")
         return [
-            ModHom._closed(dom, cod, tuple(tuple(int(flat[at]) * s for at, s in enumerate(row, start + j * dom.rank)) for j, row in enumerate(scales)))
+            ModHom._closed(dom, cod, tuple(tuple(flat[at] * s for at, s in enumerate(row, start + j * dom.rank)) for j, row in enumerate(scales)))
             for start, dom, cod, scales in self._vars
         ]
 
@@ -430,14 +409,9 @@ def present(relations, modulus: Modulus):
     Rows index generators, columns index relations.  Returns
     (module, proj, sect) with proj @ sect == identity mod the invariant
     factors; proj maps old generator coordinates onto canonical coordinates.
+    `linalg.diagonalize` computes all three; the factors are wrapped here.
     """
-    if not len(relations):
-        return zero_mod(modulus), (), ()
-    d, u, uinv = diagonalize(relations, modulus.n)
-    keep = [i for i, di in enumerate(d) if di > 1]
-    factors = tuple(d[i] for i in keep)
-    proj = tuple(tuple(x % f for x in u[i]) for i, f in zip(keep, factors))
-    sect = tuple(tuple(row[i] for i in keep) for row in uinv)
+    factors, proj, sect = diagonalize(relations, modulus.n)
     return FinMod(modulus, factors), proj, sect
 
 
@@ -495,7 +469,7 @@ def subgroup_present(ambient_orders: Sequence[int], gens: Sequence[Sequence[int]
     r = len(gens)
     if r == 0:
         return zero_mod(modulus), ((),) * len(amb)
-    gmat = transpose([tuple(map(int, g)) for g in gens], len(amb))
+    gmat = transpose([_as_ints(g, "generator entry") for g in gens], len(amb))
     out = solve_congruences(gmat, ((),) * len(amb), 0, amb, [modulus.n] * r, modulus)
     assert out is not None
     sub, _, sect = present(transpose(out[1], r), modulus)

@@ -15,7 +15,10 @@ coresolution steps build prod_v e^v(M_v) as one right adjoint
 (`rep.coinduced_product`), never as a sum of separately built e^v.
 `quiver` walks paths in one function, `paths_from`, and a direct sum has
 one presentation, `znmod.sum_presentation`, which every injection,
-projection and arrow map of a right adjoint is sliced or multiplied from."""
+projection and arrow map of a right adjoint is sliced or multiplied from.
+Each exact kernel answers once: a memoized `linalg` kernel takes one
+matrix, `znmod.present` wraps what `diagonalize` returns without cutting
+it down, and `canonical_chain` reads its chain off `sum_presentation`."""
 
 import ast
 import json
@@ -187,3 +190,35 @@ def test_one_path_walk_and_one_sum_presentation():
     assert "sum_presentation" in _callees(znmod["direct_sum_with_maps"])
     init = next(node for node in _functions("rep.py")["RightAdjointRep"].body if isinstance(node, ast.FunctionDef) and node.name == "__init__")
     assert not _callees(init) & {"direct_sum_with_maps", "map_into_sum"}
+
+
+def test_each_kernel_answers_once():
+    linalg = _functions("linalg.py")
+    assert "_solve" not in linalg
+    # a memoized kernel takes one matrix: its shape and its entries
+    memoized = [f for f in linalg.values() if any(ast.unparse(d) == "_memoized" for d in getattr(f, "decorator_list", ()))]
+    assert {f.name for f in memoized} >= {"_echelon", "_diagonalize"}
+    for f in memoized:
+        assert [a.arg for a in f.args.args] == ["n", "m", "k", "flat"], f.name
+    znmod = _functions("znmod.py")
+    # present wraps what diagonalize returns, without cutting it down
+    present = znmod["present"]
+    results = {
+        target.id
+        for node in ast.walk(present)
+        if isinstance(node, ast.Assign) and "diagonalize" in _callees(node.value)
+        for target in ast.walk(node.targets[0])
+        if isinstance(target, ast.Name)
+    }
+    assert results
+    cut = [
+        ast.unparse(node)
+        for node in ast.walk(present)
+        if (isinstance(node, ast.Subscript) and (isinstance(node.value, ast.Name) and node.value.id in results or "diagonalize" in _callees(node.value)))
+        or (isinstance(node, ast.comprehension) and isinstance(node.iter, ast.Name) and node.iter.id in results)
+    ]
+    assert not cut, cut
+    # invariant factors are computed one way: off a sum presentation
+    chain = znmod["canonical_chain"]
+    assert "sum_presentation" in _callees(chain)
+    assert not [node for node in ast.walk(chain) if isinstance(node, ast.Attribute) and node.attr == "prime_factors"]

@@ -1,6 +1,6 @@
 import itertools
 import random
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -186,25 +186,26 @@ def test_diagonalize_random(n):
         m = rng.randrange(1, 5)
         k = rng.randrange(1, 5)
         a = rand_mat(rng, m, k, n)
-        d, u, uinv = diagonalize(a, n)
-        dm = np.zeros((m, k), dtype=np.int64)
-        for i in range(min(m, k)):
-            dm[i, i] = d[i] % n
-        # U a V == diag(d) for some invertible V iff U a and diag(d) have
-        # the same column span
-        u, uinv = arr(u, m), arr(uinv, m)
-        assert howell_form((u.dot(a) % n).T, n) == howell_form(dm.T, n)
-        assert np.array_equal(u.dot(uinv) % n, np.eye(m, dtype=np.int64))
-        assert len(d) == m
-        for i in range(len(d) - 1):
-            assert d[i + 1] % d[i] == 0 or d[i + 1] % n == 0
-        for di in d:
-            assert n % di == 0
+        factors, proj, sect = diagonalize(a, n)
+        r = len(factors)
+        f = np.array(factors, dtype=np.int64).reshape(r, 1)
+        # the kept rows of U a V == diag(d): proj kills every relation, is
+        # split by sect, and the factors have the order of the cokernel, so
+        # proj induces an isomorphism onto Z/f_1 + ... + Z/f_r
+        proj, sect = arr(proj, m), arr(sect, r)
+        assert not (proj.dot(a) % f).any()
+        assert np.array_equal(proj.dot(sect) % f, np.eye(r, dtype=np.int64))
+        assert prod(factors) == quotient_order(a, [n] * m, n)
+        assert proj.shape == (r, m) and sect.shape == (m, r) and r <= m
+        for i in range(r - 1):
+            assert factors[i + 1] % factors[i] == 0
+        for di in factors:
+            assert di > 1 and n % di == 0
 
 
 def test_diagonalize_chain_includes_lcm_case():
-    d, *_ = diagonalize([[2, 0], [0, 3]], 6)
-    assert d == (1, 6)
+    factors, *_ = diagonalize([[2, 0], [0, 3]], 6)
+    assert factors == (6,)
 
 
 def _memo_inputs():
@@ -219,7 +220,7 @@ def _memo_inputs():
 
 def test_memo_matches_uncached_kernel(monkeypatch):
     for n, a, b in _memo_inputs():
-        for kernel, memo, args in ((solve_left, linalg._solve, (a, b, a.shape[1], n)), (diagonalize, linalg._diagonalize, (a, n))):
+        for kernel, memo, args in ((solve_left, linalg._echelon, (a, b, a.shape[1], n)), (diagonalize, linalg._diagonalize, (a, n))):
             first = kernel(*args)
             cached = kernel(*args)
             assert memo.cache_info().hits >= 1
@@ -261,8 +262,9 @@ def test_howell_form_reads_arrays_and_int_rows_and_is_read_only():
 
 def test_memo_skips_inputs_over_64_cells():
     rng = random.Random(3)
+    # the cells of a alone count for solve_left: 9 x 8 is over the limit
     for kernel, memo, args in (
-        (solve_left, linalg._solve, (rand_mat(rng, 8, 8, 6), rand_mat(rng, 1, 8, 6), 8, 6)),
+        (solve_left, linalg._echelon, (rand_mat(rng, 9, 8, 6), rand_mat(rng, 1, 8, 6), 8, 6)),
         (diagonalize, linalg._diagonalize, (rand_mat(rng, 5, 13, 6), 6)),
     ):
         before = memo.cache_info()
@@ -270,6 +272,11 @@ def test_memo_skips_inputs_over_64_cells():
         after = memo.cache_info()
         assert after.currsize == before.currsize
         assert (after.hits, after.misses) == (before.hits, before.misses)
+    # an 8 x 8 a is cached, however many cells b adds
+    before = linalg._echelon.cache_info()
+    solve_left(rand_mat(rng, 8, 8, 6), rand_mat(rng, 3, 8, 6), 8, 6)
+    after = linalg._echelon.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses + 1
 
 
 # -- the zero-skipping product against a plain triple loop -------------------
@@ -402,6 +409,16 @@ def _identical(x, y):
     return _ints(x) and _ints(y) and x == y
 
 
+def oracle_diagonalize(a, n: int):
+    """`oracle.diagonalize`'s (d, U, Uinv), cut down as `diagonalize` cuts
+    it: the d_i above 1, their rows of U, each mod its d_i, and the
+    matching columns of Uinv."""
+    d, u, uinv = oracle.diagonalize(a, n)
+    keep = [i for i, di in enumerate(d) if di > 1]
+    factors = tuple(d[i] for i in keep)
+    return factors, u[keep] % np.array(factors, dtype=np.int64).reshape(-1, 1), uinv[:, keep]
+
+
 def _divisor_scaled(rng, rows, cols, n):
     """Entries that are often zero divisors: each column times a divisor of n."""
     divisors = [d for d in (1, 2, 3, 4, 6, 8, 9, 12, 16, 17, 64, 1024, n // 2, n // 3) if d and n % d == 0]
@@ -419,7 +436,7 @@ def test_int_and_numpy_kernels_agree(n):
             a = _divisor_scaled(rng, m, k, n) if rng.random() < 0.5 else rand_mat(rng, m, k, n)
             # rows of b: none, consistent ones, and (usually) inconsistent ones
             for b in (rand_mat(rng, 0, k, n), rand_mat(rng, 2, m, n).dot(a) % n, rand_mat(rng, 2, k, n)):
-                linalg._solve.cache_clear()
+                linalg._echelon.cache_clear()
                 got = solve_left(a, b, k, n)
                 assert _identical(got, oracle.solve_left(a, b, n))
                 # the same matrices as rows of Python ints
@@ -429,8 +446,8 @@ def test_int_and_numpy_kernels_agree(n):
             raw = a - n * rand_mat(rng, m, k, 3)
             assert _identical(howell_form(raw, n), oracle.howell_form(a, n))
             linalg._diagonalize.cache_clear()
-            assert _identical(diagonalize(raw, n), oracle.diagonalize(a, n))
-            assert _identical(diagonalize(raw.tolist(), n), oracle.diagonalize(a, n))
+            assert _identical(diagonalize(raw, n), oracle_diagonalize(a, n))
+            assert _identical(diagonalize(raw.tolist(), n), oracle_diagonalize(a, n))
     assert inconsistent
 
 
@@ -448,6 +465,24 @@ def test_solve_left_checks_the_shape_of_int_rows():
     assert solve_left([], [[0, 0]], 2, 4)[0] == ((),)
     assert solve_left([], [[1, 0]], 2, 4) is None
     assert solve_left([], [], 3, 4) == ((), ())
+
+
+def test_one_howell_form_per_coefficient_matrix(monkeypatch):
+    """One a against three b's: no rows, consistent rows, and rows that are
+    not, through one Howell form of [a | I]; each answer is the oracle's."""
+    rng, n = random.Random(47), 12
+    a = _divisor_scaled(rng, 4, 5, n)
+    a[:, 4] = 0  # so that a b with a nonzero last column is inconsistent
+    consistent = rand_mat(rng, 2, 4, n).dot(a) % n
+    bs = (rand_mat(rng, 0, 5, n), consistent, consistent + (np.arange(5) == 4))
+    calls = []
+    monkeypatch.setattr(linalg, "howell_form", lambda rows, n: calls.append(rows) or howell_form(rows, n))
+    linalg._echelon.cache_clear()
+    outs = [solve_left(a, b, 5, n) for b in bs]
+    assert len(calls) == 1
+    assert [out is None for out in outs] == [False, False, True]
+    for b, out in zip(bs, outs):
+        assert _identical(out, oracle.solve_left(a, b, n))
 
 
 @pytest.mark.parametrize("n", [2**61 - 1, 2**62])
@@ -472,8 +507,8 @@ def test_kernels_match_the_oracle_across_the_former_cutoff(n):
         (howell_form, oracle.howell_form, (25, 41)),
         (solve_left, oracle.solve_left, (16, 48)),
         (solve_left, oracle.solve_left, (25, 16)),
-        (diagonalize, oracle.diagonalize, (16, 48)),
-        (diagonalize, oracle.diagonalize, (25, 16)),
+        (diagonalize, oracle_diagonalize, (16, 48)),
+        (diagonalize, oracle_diagonalize, (25, 16)),
     ):
         a = _divisor_scaled(rng, m, k, n)
         args = (a, rand_mat(rng, 2, m, n).dot(a) % n) if kernel is solve_left else (a,)
@@ -509,8 +544,8 @@ def test_kernels_match_the_oracle_on_large_sparse_inputs(n):
         off = b[:1] + (np.arange(k) == k - 1)
         for rhs in (b[:2], off, b):
             assert _identical(solve_left(a, rhs, k, n), oracle.solve_left(a, rhs, n)), (m, k)
-        assert _identical(diagonalize(a, n), oracle.diagonalize(a, n)), (m, k)
-        assert _identical(diagonalize(a.T, n), oracle.diagonalize(a.T, n)), (k, m)
+        assert _identical(diagonalize(a, n), oracle_diagonalize(a, n)), (m, k)
+        assert _identical(diagonalize(a.T, n), oracle_diagonalize(a.T, n)), (k, m)
 
 
 @pytest.mark.parametrize("n", MODULI)
@@ -528,7 +563,7 @@ def test_solve_congruences_int_and_numpy_paths_agree(n, monkeypatch):
             # b, then b beside a random column, then no right-hand side
             for cols in (1, 2, 0):
                 rhs = [(c, rng.randrange(n))[:cols] for c in b]
-                linalg._solve.cache_clear()
+                linalg._echelon.cache_clear()
                 got = solve_congruences(a, rhs, cols, r, orders, modulus)
                 assert got is not None or cols == 2
                 with monkeypatch.context() as m:

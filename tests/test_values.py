@@ -290,7 +290,7 @@ def test_every_memo_is_a_bounded_lru_cache():
         "quiverhom.znmod.cokernel_order",
         "quiverhom.znmod.splits",
         "quiverhom.quiver.root_sequence",
-        "quiverhom.linalg._solve",
+        "quiverhom.linalg._echelon",
         "quiverhom.linalg._diagonalize",
         "quiverhom.znmod.sum_presentation",
     } <= set(caches)

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linalg_oracle import arr
 from quiverhom.linalg import quotient_order, solve_left, xgcd
@@ -44,6 +45,7 @@ from quiverhom.znmod import (
     retraction_of,
     solve_congruences,
     splits,
+    subgroup_present,
     subgroup_with_inclusion,
     sum_presentation,
     verify_gi_certificate,
@@ -285,6 +287,93 @@ def test_invariant_factors_decide_injectivity_as_baer_does():
             count += 1
             injective += verdict
     assert count == 8747 and injective == 4781
+
+
+def reference_canonical_chain(orders, n):
+    """The invariant-factor chain by regrouping prime-power parts: the
+    package's former `canonical_chain`, kept as an oracle independent of
+    `linalg.diagonalize`."""
+    exps = {}
+    mod = Modulus(n)
+    for m in orders:
+        if n % m != 0:
+            raise ValueError(f"order {m} does not divide modulus {n}")
+        if m == 1:
+            continue
+        for p in mod.prime_factors:
+            e = 0
+            mm = m
+            while mm % p == 0:
+                e += 1
+                mm //= p
+            if e:
+                exps.setdefault(p, []).append(e)
+    if not exps:
+        return ()
+    length = max(len(v) for v in exps.values())
+    chain = []
+    for k in range(length):
+        f = 1
+        for p, v in exps.items():
+            v_sorted = sorted(v, reverse=True)
+            if k < len(v_sorted):
+                f *= p ** v_sorted[k]
+        chain.append(f)
+    return tuple(reversed(chain))
+
+
+@st.composite
+def orders_over(draw):
+    """A modulus and an unsorted list of orders: divisors of n, 1 and
+    repeats among them, now and then a non-divisor."""
+    n = draw(st.sampled_from((2, 4, 6, 12, 36, 72, 2**21)))
+    # one draw in eight is any integer from 1 to 100
+    order = st.tuples(st.integers(0, 7), st.sampled_from(Modulus(n).divisors), st.integers(1, 100))
+    return n, [x if pick else y for pick, x, y in draw(st.lists(order, max_size=7))]
+
+
+@given(orders_over())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_canonical_chain_matches_the_prime_power_reference(args):
+    n, orders = args
+    try:
+        want = reference_canonical_chain(orders, n)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            canonical_chain(orders, n)
+        assert str(got.value) == str(err)
+        return
+    assert canonical_chain(orders, n) == want
+
+
+@pytest.mark.parametrize(
+    "order, error, message",
+    [(0, ValueError, "order 0 is not positive"), (-2, ValueError, "order -2 is not positive"), (2.0, TypeError, "order 2.0 is not an integer")],
+)
+def test_canonical_chain_names_a_bad_order(order, error, message):
+    with pytest.raises(error) as got:
+        canonical_chain([2, order], 4)
+    assert str(got.value) == message
+
+
+def test_solve_congruences_rejects_non_integer_entries():
+    with pytest.raises(TypeError, match=r"^coefficient 1\.5 is not an integer$"):
+        solve_congruences([[1.5]], [[0]], 1, [4], [4], Z4)
+    with pytest.raises(TypeError, match=r"^right-hand side '2' is not an integer$"):
+        solve_congruences([[1]], [["2"]], 1, [4], [4], Z4)
+
+
+def test_subgroup_present_rejects_a_float_generator():
+    with pytest.raises(TypeError, match=r"^generator entry 2\.5 is not an integer$"):
+        subgroup_present([4], [[2.5]], Z4)
+
+
+def test_hom_system_assignment_rejects_a_float_coordinate():
+    sysm = HomSystem(Z4)
+    sysm.add_hom_unknown(cyclic(Z4, 4), cyclic(Z4, 4))
+    assert sysm.assignment([3])[0].matrix == ((3,),)
+    with pytest.raises(TypeError, match=r"^hom coordinate 1\.5 is not an integer$"):
+        sysm.assignment([1.5])
 
 
 def test_injective_matches_brute_force_baer():
