@@ -183,12 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--class", dest="cls", default="all", choices=["all"] + list(CLASSIFIERS))
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("purity", help="purity of a short exact sequence")
     p.add_argument("file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_purity)
 
     p = sub.add_parser("ext", help="Ext group between two representations in a reps file")
@@ -196,12 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_ext)
 
     p = sub.add_parser("rooted", help="rootedness of a quiver")
     p.add_argument("file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_rooted)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -210,14 +206,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--modulus-list", type=int, nargs="+", default=None)
     p.add_argument("--config", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("fixture", help="replay a named fixture")
     p.add_argument("name")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_fixture)
 
+    # added after each subcommand's own options, so --help lists it last
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 

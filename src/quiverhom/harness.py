@@ -167,7 +167,6 @@ class TrialReport:
     instance: str
     verdicts: Dict[str, object]
     ok: bool
-    ms: int = 0  # deterministic placeholder: wall time would break replayability
     harness_error: bool = False  # the trial body raised; not in the JSON line
 
     def to_json(self) -> str:
@@ -179,7 +178,7 @@ class TrialReport:
                 "instance": self.instance,
                 "verdicts": self.verdicts,
                 "pass": self.ok,
-                "ms": self.ms,
+                "ms": 0,  # a deterministic placeholder: wall time would break replayability
             },
             sort_keys=True,
             separators=(",", ":"),
@@ -204,7 +203,6 @@ def random_quiver(
     rng: random.Random,
     config: Config,
     right_rooted: Optional[bool] = None,
-    acyclic: Optional[bool] = None,
     *,
     max_vertices: int,
     max_arrows: Optional[int] = None,
@@ -220,8 +218,6 @@ def random_quiver(
             arrows.append((f"a{k}", s, t))
         q = make_quiver(vertices, arrows)
         if right_rooted is not None and is_right_rooted(q) != right_rooted:
-            continue
-        if acyclic is not None and has_directed_cycle(q) == acyclic:
             continue
         return q
     raise RejectionBudgetExceeded("could not generate a quiver under the constraints")
@@ -305,6 +301,12 @@ def random_gorenstein_rep(rng: random.Random, q: Quiver, modulus: Modulus, confi
     epis by construction, so the result is Gorenstein strongly fp-injective
     over Z/n without usually being injective."""
     return _coinduced_product(rng, q, modulus, config, random_finmod)
+
+
+def _special_or_random_rep(rng: random.Random, p: float, special: Callable[..., Representation], q: Quiver, modulus: Modulus, config: Config) -> Representation:
+    """special(rng, q, modulus, config) with probability p, else a random
+    representation."""
+    return (special if rng.random() < p else random_representation)(rng, q, modulus, config)
 
 
 # the moduli n of the fixture trials, with I = Z/n
@@ -427,10 +429,7 @@ def _classification(config: Config, rng: random.Random, t: int) -> Dict[str, obj
     """Injective classification vs the simple-object Ext oracle; strongly
     fp-injective vs the definitional coresolution; the noetherian collapse."""
     modulus, q = _modulus_and_small_quiver(rng, config)
-    if rng.random() < 0.3:
-        x = random_injective_rep(rng, q, modulus, config)
-    else:
-        x = random_representation(rng, q, modulus, config)
+    x = _special_or_random_rep(rng, 0.3, random_injective_rep, q, modulus, config)
     inj = classify_injective(x, with_oracle=True)
     sfp = classify_strongly_fp_injective(x, with_oracle=True)
     fp = classify_fp_injective(x)
@@ -461,10 +460,8 @@ def _gorenstein(config: Config, rng: random.Random, t: int) -> Dict[str, object]
         modulus = Modulus(4)
         m2 = cyclic(modulus, 2)
         x = Representation(q, modulus, {1: m2, 2: m2}, {"a": identity_hom(m2)})
-    elif rng.random() < 0.45:
-        x = random_gorenstein_rep(rng, q, modulus, config)
     else:
-        x = random_representation(rng, q, modulus, config)
+        x = _special_or_random_rep(rng, 0.45, random_gorenstein_rep, q, modulus, config)
     full = t % 10 == 0
     cv = classify_gorenstein_sfp(x, with_oracle=True, oracle_full=full)
     psi_member = membership_psi_class(x, is_gi_certified)
@@ -486,17 +483,10 @@ def _gorenstein(config: Config, rng: random.Random, t: int) -> Dict[str, object]
 def _twisted_sum_ses(rng: random.Random, j1: Representation, j2: Representation) -> RepSES:
     """0 -> j1 -> j1 + j2 -> j2 -> 0 with the embedding twisted by a random
     hom j1 -> j2, so the inclusion is not coordinate-aligned."""
-    total, injs, projs = direct_sum_reps([j1, j2])
+    _, injs, projs = direct_sum_reps([j1, j2])
     homs = HomGroupRep(j1, j2)
-    if homs.group.rank:
-        theta = homs.from_coords([rng.randrange(d) for d in homs.group.factors])
-    else:
-        theta = None
-    if theta is None:
-        return RepSES(injs[0], projs[1])
-    f = injs[0] + injs[1].compose(theta)
-    g = projs[1] - theta.compose(projs[0])
-    return RepSES(f, g)
+    theta = homs.from_coords([rng.randrange(d) for d in homs.group.factors])
+    return RepSES(injs[0] + injs[1].compose(theta), projs[1] - theta.compose(projs[0]))
 
 
 def _closure(config: Config, rng: random.Random, t: int) -> Dict[str, object]:
@@ -510,13 +500,9 @@ def _closure(config: Config, rng: random.Random, t: int) -> Dict[str, object]:
     # extension of two strongly fp-injectives
     verdicts["extension"] = classify_strongly_fp_injective(ses.y).verdict
     # direct sum and summands
-    total = ses.y
-    if classify_strongly_fp_injective(total).verdict:
-        verdicts["summands"] = (
-            classify_strongly_fp_injective(j1).verdict and classify_strongly_fp_injective(j2).verdict
-        )
-    else:
-        verdicts["summands"] = False
+    verdicts["summands"] = (
+        verdicts["extension"] and classify_strongly_fp_injective(j1).verdict and classify_strongly_fp_injective(j2).verdict
+    )
     # cokernel of the twisted mono between strongly fp-injectives
     coker, _ = cokernel_rep(ses.f)
     verdicts["cokernel_of_mono"] = classify_strongly_fp_injective(coker).verdict
@@ -526,7 +512,7 @@ def _closure(config: Config, rng: random.Random, t: int) -> Dict[str, object]:
     verdicts["pure_kernel"] = purity.pure and classify_strongly_fp_injective(ses.x).verdict
     ok = all(verdicts.values())
     verdicts["_ok"] = ok
-    verdicts["_instance"] = rep_digest(total)
+    verdicts["_instance"] = rep_digest(ses.y)
     return verdicts
 
 
@@ -550,10 +536,7 @@ def _stability(config: Config, rng: random.Random, t: int) -> Dict[str, object]:
             "_ok": True,
         }
     modulus, q = _modulus_and_small_quiver(rng, config)
-    if rng.random() < 0.6:
-        x = random_injective_rep(rng, q, modulus, config)
-    else:
-        x = random_representation(rng, q, modulus, config)
+    x = _special_or_random_rep(rng, 0.6, random_injective_rep, q, modulus, config)
     is_sfp = classify_strongly_fp_injective(x).verdict
     j = random_injective_rep(rng, q, modulus, config)
     total, injs, projs = direct_sum_reps([x, j])
@@ -725,11 +708,7 @@ def _collapse(config: Config, rng: random.Random, t: int) -> Dict[str, object]:
         tampered = ModComplex(cx.components, {**cx.diffs, 1: zero_hom(cx.components[1], cx.components[0])})
         detected = not verify_gi_certificate(m, tampered, wit)
         return {"_instance": "corrupted-certificate", "corruption_detected": detected, "_ok": detected}
-    x = (
-        random_injective_rep(rng, q, modulus, config)
-        if rng.random() < 0.3
-        else random_representation(rng, q, modulus, config)
-    )
+    x = _special_or_random_rep(rng, 0.3, random_injective_rep, q, modulus, config)
     inj = classify_injective(x).verdict
     fp = classify_fp_injective(x).verdict
     sfp = classify_strongly_fp_injective(x).verdict
@@ -867,7 +846,6 @@ def _orthogonality(config: Config, rng: random.Random, t: int) -> Dict[str, obje
     report = ext_orthogonality_sample(left, right, trials=3, seed=rng.randrange(2**30))
     # the wider pair: arbitrary psi-epi targets against projective-component sources
     def left_w(r):
-        k = random_representation(r, q, modulus, config)
         mods = {v: random_injective_finmod(r, modulus, config) for v in q.vertices}
         maps = {a.id: random_hom(r, mods[a.src], mods[a.tgt]) for a in q.arrows}
         kk = Representation(q, modulus, mods, maps)

@@ -341,6 +341,9 @@ def quotient_order(a, orders: Sequence[int], n: int) -> int:
     r, c, flat = _entries(a, n)
     if r != len(orders):
         raise ValueError(f"expected one row per order: {r} rows, {len(orders)} orders")
+    for m in orders:
+        if m < 1 or n % m:
+            raise ValueError(f"order {m} must divide {n}")
     c = c or 0
     w = [{i: m % n} for i, m in enumerate(orders) if m % n]
     w += [{i: x for i in range(r) if (x := flat[i * c + j])} for j in range(c)]

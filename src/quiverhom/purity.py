@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
 
-from .linalg import transpose
+from .linalg import diag, hstack
 from .quiver import has_directed_cycle, in_arrows, opposite
 from .rep import (
     RepMorphism,
@@ -30,7 +30,7 @@ from .znmod import (
     cyclic,
     identity_hom,
     is_pure_module_ses,
-    quotient_with_projection,
+    present,
     torsion_order,
 )
 
@@ -107,14 +107,15 @@ def is_pure_rep_ses(ses: RepSES) -> PurityVerdict:
 
 
 def _vertex_top(x: Representation, v) -> FinMod:
-    """top_v(X): X(v) modulo the images of the arrows into v, loops included.
+    """top_v(X) = coker phi_v: X(v) modulo the images of the arrows into v,
+    loops included, presented as [diag(X(v)) | X(a) for each a into v].
 
     For the stalk S of Z/d at v on the opposite quiver, S (x) X is
     Z/d (x) top_v(X), of order `torsion_order(top_v(X), d)`: every relation
     of S (x) X comes from an arrow a into v, where S(a^op) is zero and X(a)
     leaves its image."""
-    gens = [col for a in in_arrows(x.quiver, v) for col in transpose(x.map(a.id).matrix, x.vertex_modules[a.src].rank)]
-    return quotient_with_projection(x.vertex_modules[v].factors, gens, x.modulus)[0]
+    xv = x.vertex_modules[v]
+    return present(hstack([diag(xv.factors)] + [x.map(a.id).matrix for a in in_arrows(x.quiver, v)], xv.rank), x.modulus)[0]
 
 
 def _stalk_witness(ses: RepSES) -> Optional[dict]:

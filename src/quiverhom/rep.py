@@ -715,8 +715,6 @@ def tensor_induced(pres_src: TensorPresentation, pres_tgt: TensorPresentation, t
     if (theta.source, theta.target, f.source, f.target) != (pres_src.y, pres_tgt.y, pres_src.x, pres_tgt.x):
         raise ValueError("presentations do not match the morphisms")
     src, tgt = pres_src.module, pres_tgt.module
-    if not (src.rank and tgt.rank):
-        return zero_hom(src, tgt)
     entries = []
     for v, rows in pres_tgt.slices.items():
         # entry ((s, t), (s', t')) is theta_v[s][s'] f_v[t][t'], in Kronecker order

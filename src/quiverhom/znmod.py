@@ -489,16 +489,6 @@ def subgroup_with_inclusion(ambient: FinMod, gens: Sequence[Sequence[int]]):
     return sub, ModHom._closed(sub, ambient, incl)
 
 
-def quotient_with_projection(ambient_orders: Sequence[int], gens: Sequence[Sequence[int]], modulus: Modulus):
-    """Quotient of prod Z/m_c by the subgroup generated by gens.
-
-    Returns (module, proj, sect): proj is a hom on ambient coordinates and
-    sect lifts canonical coordinates to ambient representatives.
-    """
-    g = len(ambient_orders)
-    return present(hstack([diag(ambient_orders), transpose(gens, g)], g), modulus)
-
-
 # a plain function over the memo, unlike `cokernel_order` and `splits`:
 # the benchmark counts kernel_of_hom calls, and its tracer wraps only functions
 def kernel_of_hom(f: ModHom):
@@ -521,8 +511,9 @@ def image_of_hom(f: ModHom):
 
 def cokernel_of_hom(f: ModHom):
     """(C, proj, sect) with proj: cod(f) -> C the canonical projection and
-    sect lifting canonical coordinates of C to cod(f)."""
-    quo, proj, sect = quotient_with_projection(f.codomain.factors, transpose(f.matrix, f.domain.rank), f.modulus)
+    sect lifting canonical coordinates of C to cod(f): [diag(cod) | f]
+    presented, the columns of f beside the orders."""
+    quo, proj, sect = present(hstack([diag(f.codomain.factors), f.matrix], f.codomain.rank), f.modulus)
     return quo, ModHom._closed(f.codomain, quo, proj), sect
 
 

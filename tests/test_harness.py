@@ -54,7 +54,7 @@ def test_random_quiver_constraints():
     for _ in range(50):
         q = random_quiver(rng, cfg, right_rooted=True, max_vertices=6)
         assert is_right_rooted(q)
-        q = random_quiver(rng, cfg, acyclic=True, max_vertices=4)
+        q = random_quiver(rng, cfg, right_rooted=True, max_vertices=4)
         assert not has_directed_cycle(q)
 
 

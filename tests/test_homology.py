@@ -41,7 +41,7 @@ from quiverhom.homology import (
     strongly_fp_injective_test_family,
     totally_acyclic_injective_complex,
 )
-from quiverhom.linalg import diag, identity, mod_rows, quotient_order, transpose
+from quiverhom.linalg import diag, hstack, identity, mod_rows, quotient_order, transpose
 from quiverhom.znmod import (
     MAX_MODULUS,
     FinMod,
@@ -60,7 +60,6 @@ from quiverhom.znmod import (
     kernel_of_hom,
     kernel_order,
     present,
-    quotient_with_projection,
     retraction_of,
     solve_congruences,
     zero_hom,
@@ -154,7 +153,7 @@ def test_projective_generator_matches_path_by_path_reference():
 
     cfg = Config()
     rng = random.Random(5)
-    quivers = [kronecker()] + [random_quiver(rng, cfg, acyclic=True, max_vertices=4, max_arrows=5) for _ in range(40)]
+    quivers = [kronecker()] + [random_quiver(rng, cfg, right_rooted=True, max_vertices=4, max_arrows=5) for _ in range(40)]
     checked = 0
     for q in quivers:
         for n in (2, 6):
@@ -202,7 +201,7 @@ def _cover_cases():
     for n in (2, 4, 6, 9, 12, 36):
         modulus = Modulus(n)
         for _ in range(12):
-            q = random_quiver(rng, cfg, acyclic=True, max_vertices=4, max_arrows=5)
+            q = random_quiver(rng, cfg, right_rooted=True, max_vertices=4, max_arrows=5)
             yield random_representation(rng, q, modulus, cfg)
             yield random_gorenstein_rep(rng, q, modulus, cfg)
             yield random_injective_rep(rng, q, modulus, cfg)
@@ -1101,7 +1100,7 @@ class ReferenceExtComputation:
                 assert coords is not None
                 coords = arr(coords, prev.domain.rank)
                 im_gens = [ker.reduce(coords[:, c]) for c in range(prev.domain.rank)]
-            quo, proj, _ = quotient_with_projection(ker.factors, im_gens, self.y.modulus)
+            quo, proj, _ = present(hstack([diag(ker.factors), transpose(im_gens, ker.rank)], ker.rank), self.y.modulus)
             self._ext_data[m] = (ker, quo, incl, proj)
         return self._ext_data[m]
 

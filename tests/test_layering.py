@@ -18,7 +18,11 @@ one presentation, `znmod.sum_presentation`, which every injection,
 projection and arrow map of a right adjoint is sliced or multiplied from.
 Each exact kernel answers once: a memoized `linalg` kernel takes one
 matrix, `znmod.present` wraps what `diagonalize` returns without cutting
-it down, and `canonical_chain` reads its chain off `sum_presentation`."""
+it down, and `canonical_chain` reads its chain off `sum_presentation`.
+One route per question: quotients are presented from the maps' own
+columns, with no `quotient_with_projection` to transpose them back, and
+no zero-rank fork, duplicate `random_quiver` knob, `ms` field or repeated
+`--json` registration stands beside the general path."""
 
 import ast
 import json
@@ -222,3 +226,26 @@ def test_each_kernel_answers_once():
     chain = znmod["canonical_chain"]
     assert "sum_presentation" in _callees(chain)
     assert not [node for node in ast.walk(chain) if isinstance(node, ast.Attribute) and node.attr == "prime_factors"]
+
+
+def test_one_route_per_question():
+    znmod = _functions("znmod.py")
+    assert "quotient_with_projection" not in znmod
+    purity = ast.parse((SRC / "purity.py").read_text())
+    imported = {alias.name for node in ast.walk(purity) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "transpose" not in imported
+    harness = _functions("harness.py")
+    params = harness["random_quiver"].args
+    assert "acyclic" not in {a.arg for a in params.args + params.kwonlyargs}
+    # the zero-rank case takes the general path: the one return ends the body
+    induced = _functions("rep.py")["tensor_induced"]
+    returns = [node for node in ast.walk(induced) if isinstance(node, ast.Return)]
+    assert returns == [induced.body[-1]], [ast.unparse(r) for r in returns]
+    fields = {node.target.id for node in harness["TrialReport"].body if isinstance(node, ast.AnnAssign)}
+    assert "ms" not in fields
+    json_flags = [
+        call
+        for call in ast.walk(_functions("cli.py")["build_parser"])
+        if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "add_argument" and [ast.unparse(a) for a in call.args] == ["'--json'"]
+    ]
+    assert len(json_flags) == 1, len(json_flags)

@@ -135,6 +135,14 @@ def test_quotient_order_needs_one_row_per_order():
     assert quotient_order([], [], 4) == 1
 
 
+def test_quotient_order_rejects_orders_that_do_not_divide_n():
+    # Z/3 is not a Z/4-module; 8, 0 and -2 were read as 4, 4 and 2
+    for order in (3, 8, 0, -2):
+        with pytest.raises(ValueError, match=rf"^order {order} must divide 4$"):
+            quotient_order([[0]], [order], 4)
+    assert quotient_order([[0]], [4], 4) == 4
+
+
 def _old_rule_accepts(mat, dom, cod):
     """The former check: every (m_ji * d_i) % e_j is zero, in Python ints."""
     return all(

@@ -68,7 +68,7 @@ def instances(draw):
     give summands whose factors do not concatenate to a chain."""
     rng = draw(st.randoms(use_true_random=False))
     modulus = Modulus(draw(st.sampled_from([2, 4, 6, 12, 36])))
-    q = random_quiver(rng, CONFIG, acyclic=True, max_vertices=4, max_arrows=5)
+    q = random_quiver(rng, CONFIG, right_rooted=True, max_vertices=4, max_arrows=5)
     return rng, random_representation(rng, q, modulus, CONFIG)
 
 

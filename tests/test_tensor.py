@@ -28,7 +28,7 @@ from quiverhom.harness import (
 )
 from quiverhom.homology import canonical_injective_embedding, projective_generator
 from quiverhom.io import ses_from_dict
-from quiverhom.linalg import identity, matmul, mod_rows, transpose
+from quiverhom.linalg import diag, hstack, identity, matmul, mod_rows, transpose
 from quiverhom.quiver import has_directed_cycle, opposite
 from quiverhom.rep import (
     HomGroupRep,
@@ -50,7 +50,7 @@ from quiverhom.znmod import (
     canonical_chain,
     is_mono,
     matlis_dual,
-    quotient_with_projection,
+    present,
     random_hom,
     torsion_order,
     zero_hom,
@@ -96,7 +96,8 @@ class LoopTensorPresentation:
                         rel[p] = (rel[p] - int(z[r])) % self.orders[p]
                     if rel.any():
                         relations.append(rel)
-        self.module, self._proj, self._sect = quotient_with_projection(self.orders, relations, x.modulus)
+        g = len(self.orders)
+        self.module, self._proj, self._sect = present(hstack([diag(self.orders), transpose(relations, g)], g), x.modulus)
 
     def lift(self, coords):
         c = self.module.reduce(coords)

@@ -40,7 +40,6 @@ from quiverhom.znmod import (
     matlis_dual,
     matlis_dual_hom,
     present,
-    quotient_with_projection,
     random_hom,
     retraction_of,
     solve_congruences,
