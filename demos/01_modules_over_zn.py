@@ -7,8 +7,6 @@ shows the module layer that the representation theory is built on.
 
 from math import gcd
 
-import numpy as np
-
 from quiverhom import FinMod, ModHom, Modulus, cyclic, hom_group, present
 from quiverhom.znmod import (
     is_injective_module,

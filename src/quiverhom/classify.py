@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .quiver import Quiver, VertexId, has_directed_cycle, is_right_rooted
+from .quiver import Quiver, VertexId, is_right_rooted
 from .homology import (
     ExtComputation,
     canonical_injective_embedding,
@@ -21,7 +21,6 @@ from .homology import (
 )
 from .purity import is_pure_rep_ses
 from .rep import (
-    HomGroupRep,
     RepSES,
     Representation,
     cokernel_rep,
@@ -99,11 +98,11 @@ def _classify_vertexwise(name: str, x: Representation, with_oracle: bool) -> Cla
         comp = is_injective_module(x.vertex_modules[v])
         evidence[v] = {row.map_key: split, row.component_key: comp}
         verdict = verdict and split and comp
-    mode = "full" if is_right_rooted(x.quiver) else "necessity-only"
+    rooted = is_right_rooted(x.quiver)
     oracle = None
-    if with_oracle and row.oracle is not None and not has_directed_cycle(x.quiver):
+    if with_oracle and row.oracle is not None and rooted:
         oracle = row.oracle(x)
-    return ClassVerdict(name, verdict, evidence, mode, oracle)
+    return ClassVerdict(name, verdict, evidence, "full" if rooted else "necessity-only", oracle)
 
 
 def classify_injective(x: Representation, with_oracle: bool = False) -> ClassVerdict:
@@ -132,53 +131,34 @@ def classify_strongly_fp_injective(x: Representation, with_oracle: bool = False)
     return _classify_vertexwise("strongly-fp-injective", x, with_oracle)
 
 
-class DepthExhausted(Exception):
-    """The canonical coresolution neither failed purity nor became periodic
-    within the allowed depth; the verdict is reported as unresolved rather
-    than guessed."""
-
-
-# the largest hom group `reps_isomorphic` enumerates, and the most pure
-# steps `definitional_sfp_check` takes before it gives up
-_ISO_SEARCH_CAP, _SFP_CHECK_DEPTH = 4096, 6
-
-
-def reps_isomorphic(a: Representation, b: Representation) -> Optional[bool]:
-    """Search for an isomorphism; None when the hom group has more than
-    `_ISO_SEARCH_CAP` elements."""
-    if a.quiver != b.quiver or a.modulus != b.modulus:
-        return False
-    for v in a.quiver.vertices:
-        if a.vertex_modules[v].factors != b.vertex_modules[v].factors:
-            return False
-    homs = HomGroupRep(a, b)
-    if homs.cardinality > _ISO_SEARCH_CAP:
-        return None
-    return any(f.is_monomorphism for f in homs.elements())
-
-
 def definitional_sfp_check(x: Representation) -> Tuple[bool, dict]:
     """Build the canonical injective coresolution step by step and test each
-    step for purity; any impure step is definitive for False, a vanishing or
-    repeating syzygy is definitive for True."""
+    step for purity; an impure step is definitive for False, a vanishing
+    syzygy for True.
+
+    Over an acyclic quiver the coresolution ends within one step per vertex.
+    Finite representations over Z/n are pure-injective, so a pure first step
+    splits and x is injective.  The support of an injective is closed under
+    predecessors, each later step is onto at the sinks of that support, and
+    the next syzygy is injective on the support minus those sinks.  So the
+    syzygy vanishes by the degree of the longest path and never repeats; a
+    nonzero syzygy after one pure step per vertex (one more for the quiver
+    with no vertices) means that argument is broken, not that x is
+    undecided.  On a cyclic quiver the first embedding raises ValueError."""
     info: Dict = {"steps": []}
-    syzygies = [x]
-    for k in range(_SFP_CHECK_DEPTH):
-        _, mono = canonical_injective_embedding(syzygies[-1])
-        coker, proj = cokernel_rep(mono)
+    y = x
+    for k in range(len(x.quiver.vertices) + 1):
+        _, mono = canonical_injective_embedding(y)
+        y, proj = cokernel_rep(mono)
         verdict = is_pure_rep_ses(RepSES(mono, proj))
         info["steps"].append({"degree": k, "pure": verdict.pure})
         if not verdict.pure:
             info["failure"] = {"degree": k, "witness": verdict.witness}
             return False, info
-        if coker.is_zero:
+        if y.is_zero:
             info["terminated"] = {"degree": k, "reason": "syzygy vanished"}
             return True, info
-        if any(reps_isomorphic(prev, coker) for prev in syzygies):
-            info["terminated"] = {"degree": k, "reason": "syzygy periodicity"}
-            return True, info
-        syzygies.append(coker)
-    raise DepthExhausted(f"no verdict after {_SFP_CHECK_DEPTH} pure steps")
+    raise AssertionError(f"a syzygy is nonzero after {k + 1} pure steps over {len(x.quiver.vertices)} vertices")
 
 
 def classify_gorenstein_sfp(x: Representation, with_oracle: bool = False, oracle_full: bool = False) -> ClassVerdict:
@@ -197,12 +177,12 @@ def classify_gorenstein_sfp(x: Representation, with_oracle: bool = False, oracle
             ker_cert = is_gi_certified(ker_psi(x, v)[0])
         evidence[v] = {"psi_epi": epi, "component_gorenstein": comp_cert, "kernel_gorenstein": ker_cert}
         verdict = verdict and epi and comp_cert and ker_cert
-    mode = "full" if is_right_rooted(x.quiver) else "necessity-only"
+    rooted = is_right_rooted(x.quiver)
     oracle = None
-    if with_oracle and not has_directed_cycle(x.quiver):
+    if with_oracle and rooted:
         cert, _ = totally_acyclic_injective_complex(x, full=oracle_full)
         oracle = cert is not None
-    return ClassVerdict("gorenstein-strongly-fp-injective", verdict, evidence, mode, oracle)
+    return ClassVerdict("gorenstein-strongly-fp-injective", verdict, evidence, "full" if rooted else "necessity-only", oracle)
 
 
 def classify_ding_injective(x: Representation, depth: int = 2) -> ClassVerdict:

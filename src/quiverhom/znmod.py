@@ -756,19 +756,20 @@ class ModComplex:
         return ModComplex(comps, diffs)
 
 
-def gi_module_certificate(m: FinMod, window: int = 3) -> Tuple[ModComplex, ModHom]:
+def gi_module_certificate(m: FinMod) -> Tuple[ModComplex, ModHom]:
     """A totally acyclic complex of free modules with M as its degree-0 cycle.
 
     Built per invariant factor by splicing the 2-periodic complexes with
     differentials alternating multiplication by d and by n/d; over the
-    quasi-Frobenius ring Z/n this always succeeds.  Returns the complex and
-    the iso from M onto ker(d_0).
+    quasi-Frobenius ring Z/n this always succeeds.  Degrees -2..2 are the
+    shortest window whose interior, and its dual's, holds both parities.
+    Returns the complex and the iso from M onto ker(d_0).
     """
     n = m.modulus.n
     free = free_mod(m.modulus, m.rank)
-    comps = {k: free for k in range(-window, window + 1)}
+    comps = {k: free for k in range(-2, 3)}
     diffs = {}
-    for k in range(-window + 1, window + 1):
+    for k in range(-1, 3):
         diffs[k] = ModHom(free, free, diag([d if k % 2 == 0 else n // d for d in m.factors]))
     cx = ModComplex(comps, diffs)
     witness = ModHom(m, free, diag([n // d for d in m.factors]))

@@ -3,10 +3,10 @@ import random
 import numpy as np
 import pytest
 
-from quiverhom.quiver import a2, loop_quiver, make_quiver
+from quiverhom.harness import Config, random_gorenstein_rep, random_injective_rep, random_quiver, random_representation
+from quiverhom.quiver import a2, loop_quiver, make_quiver, paths_from
 from quiverhom.rep import Representation, direct_sum_reps, stalk
 from quiverhom.classify import (
-    DepthExhausted,
     classify_ding_injective,
     classify_flat,
     classify_fp_injective,
@@ -18,9 +18,9 @@ from quiverhom.classify import (
     ext_orthogonality_sample,
     find_orthogonality_violation,
     membership_psi_class,
-    reps_isomorphic,
     simple_stalks,
 )
+from quiverhom import classify
 from quiverhom.homology import projective_generator
 from quiverhom.rep import coinduced
 from quiverhom.znmod import (
@@ -107,6 +107,45 @@ def test_definitional_sfp_check_details():
     s2 = stalk(q, Z4, 2, m)
     ok, info = definitional_sfp_check(s2)
     assert not ok and info["failure"]["degree"] == 0
+
+
+def test_definitional_sfp_check_ends_at_the_longest_path_of_a_line():
+    # e^L(Z/4) is Z/4 at every vertex of 1 -> ... -> L; each step is onto at
+    # the sink of the syzygy's support, so the syzygy vanishes at degree L - 1
+    for length in range(2, 8):
+        q = make_quiver(range(1, length + 1), [(f"a{i}", i, i + 1) for i in range(1, length)])
+        ok, info = definitional_sfp_check(coinduced(q, Z4, length, cyclic(Z4, 4)).rep)
+        assert ok and info["terminated"] == {"degree": length - 1, "reason": "syzygy vanished"}, length
+
+
+def test_definitional_sfp_check_raises_past_one_step_per_vertex(monkeypatch):
+    # a syzygy that never vanishes breaks the support argument: a harness
+    # error naming the vertex count, not a verdict
+    x = coinduced(a2(), Z4, 2, cyclic(Z4, 4)).rep
+    real = classify.cokernel_rep
+    monkeypatch.setattr(classify, "cokernel_rep", lambda mono: (x, real(mono)[1]))
+    with pytest.raises(AssertionError, match="after 3 pure steps over 2 vertices"):
+        definitional_sfp_check(x)
+
+
+def test_definitional_sfp_check_follows_the_support_argument():
+    # a pure first step splits, so False is decided at degree 0 and True means
+    # injective; a True coresolution vanishes by the longest path's degree
+    config = Config(moduli=(2, 4, 6, 8, 9, 12))
+    rng = random.Random(49)
+    generators = (random_representation, random_injective_rep, random_gorenstein_rep)
+    degrees = {True: [], False: []}
+    for t in range(300):
+        modulus = Modulus(rng.choice(config.moduli))
+        q = random_quiver(rng, config, right_rooted=True, max_vertices=5, max_arrows=5)
+        x = generators[t % 3](rng, q, modulus, config)
+        ok, info = definitional_sfp_check(x)
+        longest = max(p.length for v in q.vertices for p in paths_from(q, v))
+        degree = info["terminated" if ok else "failure"]["degree"]
+        assert (degree <= longest) if ok else (degree == 0), (t, info)
+        assert ok == classify_injective(x).verdict, t
+        degrees[ok].append(degree)
+    assert degrees[False] and max(degrees[True]) >= 2
 
 
 def test_classify_gorenstein_named_examples():
@@ -248,13 +287,3 @@ def test_ext_orthogonality_sampling():
     bad_j = stalk(q, Z2, 2, cyclic(Z2, 2))
     cands = simple_stalks(q, Z2)
     assert find_orthogonality_violation(bad_j, cands) is not None
-
-
-def test_reps_isomorphic():
-    q = a2()
-    m = cyclic(Z4, 4)
-    x = Representation(q, Z4, {1: m, 2: m}, {"a": identity_hom(m)})
-    y = Representation(q, Z4, {1: m, 2: m}, {"a": ModHom(m, m, [[3]])})
-    assert reps_isomorphic(x, y)
-    z = Representation(q, Z4, {1: m, 2: m}, {"a": ModHom(m, m, [[2]])})
-    assert not reps_isomorphic(x, z)

@@ -382,6 +382,23 @@ def test_cli_classify_on_a_quiver_without_vertices(tmp_path, capsys):
     assert all(r["verdict"] is True for r in records)
 
 
+def test_cli_classify_oracle_on_e7_over_the_seven_vertex_line(tmp_path, capsys):
+    # the coresolution takes seven pure steps, one per vertex, before the
+    # syzygy vanishes; a fixed cap of six once crashed here with exit code 2
+    q = make_quiver(range(1, 8), [(f"a{i}", i, i + 1) for i in range(1, 7)])
+    path = write(tmp_path, "e7.json", rep_to_dict(coinduced(q, Z4, 7, cyclic(Z4, 4)).rep))
+    assert main(["classify", path, "--oracle", "--json"]) == 0
+    oracles = {r["class"]: r["oracle"] for r in map(json.loads, capsys.readouterr().out.splitlines())}
+    assert oracles == {
+        "injective": True,
+        "projective": True,
+        "flat": None,
+        "fp-injective": None,
+        "strongly-fp-injective": True,
+        "gorenstein": True,
+    }
+
+
 def test_cli_ext_degree2_output_is_pinned(capsys):
     # Ext^2 reads the coboundary D_2, which the degree-1 `ext` items of
     # `large_reps` never build

@@ -22,7 +22,10 @@ it down, and `canonical_chain` reads its chain off `sum_presentation`.
 One route per question: quotients are presented from the maps' own
 columns, with no `quotient_with_projection` to transpose them back, and
 no zero-rank fork, duplicate `random_quiver` knob, `ms` field or repeated
-`--json` registration stands beside the general path."""
+`--json` registration stands beside the general path.  The oracles take
+their bounds from the theory: the sfp coresolution takes at most one step
+per vertex with no periodicity search, and the Gorenstein module
+certificate is one fixed window long."""
 
 import ast
 import json
@@ -249,3 +252,19 @@ def test_one_route_per_question():
         if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "add_argument" and [ast.unparse(a) for a in call.args] == ["'--json'"]
     ]
     assert len(json_flags) == 1, len(json_flags)
+
+
+def test_the_oracles_take_their_bounds_from_the_theory():
+    tree = ast.parse((SRC / "classify.py").read_text())
+    classify = _functions("classify.py")
+    defined = set(classify) | {
+        name.id for node in tree.body if isinstance(node, ast.Assign) for target in node.targets for name in ast.walk(target) if isinstance(name, ast.Name)
+    }
+    assert not defined & {"reps_isomorphic", "DepthExhausted", "_SFP_CHECK_DEPTH", "_ISO_SEARCH_CAP"}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "has_directed_cycle" not in imported
+    loops = [node for node in ast.walk(classify["definitional_sfp_check"]) if isinstance(node, ast.For)]
+    assert len(loops) == 1 and "x.quiver.vertices" in ast.unparse(loops[0].iter)
+    params = _functions("znmod.py")["gi_module_certificate"].args
+    assert [a.arg for a in params.posonlyargs + params.args + params.kwonlyargs] == ["m"]
+    assert params.vararg is None and params.kwarg is None

@@ -214,7 +214,7 @@ def test_mod_complex_exactness_matches_presentations():
     for n in (4, 6, 8, 9, 12, 36):
         modulus = Modulus(n)
         for m in _modules(modulus):
-            cx, _ = gi_module_certificate(m, window=2)
+            cx, _ = gi_module_certificate(m)
             scaled = [cx]
             for k in cx.diffs:
                 c = rng.choice(modulus.divisors[:-1])
