@@ -36,8 +36,8 @@ show("s_2(Z/4) = (0->Z/4)", stalk(q, Z4, 2, m))
 m2 = cyclic(Z4, 2)
 show("(Z/2 --id--> Z/2)", Representation(q, Z4, {1: m2, 2: m2}, {"a": identity_hom(m2)}))
 
-# the definitional check builds the canonical injective copresentation and
-# tests every step for purity; for the sink stalk the very first step is the
-# non-pure fixture, so it fails immediately
+# the definitional check builds the first step of the canonical injective
+# coresolution and tests it for purity: a pure step splits, so the input is
+# injective; for the sink stalk that step is the non-pure fixture
 ok, info = definitional_sfp_check(stalk(q, Z4, 2, m))
 print("definitional check on s_2(Z/4):", ok, "| failed at degree", info["failure"]["degree"])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from .quiver import Quiver, VertexId, is_right_rooted
 from .homology import (
@@ -19,7 +19,7 @@ from .homology import (
     ext,
     totally_acyclic_injective_complex,
 )
-from .purity import is_pure_rep_ses
+from .purity import split_verdict
 from .rep import (
     RepSES,
     Representation,
@@ -50,9 +50,10 @@ class ClassVerdict:
     oracle: Optional[bool] = None
 
 
-def simple_stalks(q: Quiver, modulus: Modulus) -> List[Representation]:
-    """The simple representations: a residue field stalk at each vertex."""
-    return [stalk(q, modulus, v, cyclic(modulus, p)) for v in q.vertices for p in modulus.prime_factors]
+def simple_stalks(q: Quiver, modulus: Modulus) -> Iterator[Representation]:
+    """The simple representations: a residue field stalk at each vertex,
+    each built when it is reached."""
+    return (stalk(q, modulus, v, cyclic(modulus, p)) for v in q.vertices for p in modulus.prime_factors)
 
 
 def _ext1_is_zero(x: Representation, y: Representation) -> bool:
@@ -82,7 +83,7 @@ _VERTEXWISE = {
     "injective": _Vertexwise("psi_split_epi", "component_injective", _ext1_vanishes_against_simples),
     "fp-injective": _Vertexwise("psi_pure_epi", "component_fp_injective"),
     # two-sided over locally target-finite right rooted quivers, which every
-    # finite quiver is; oracle: the definitional coresolution check
+    # finite quiver is; oracle: the first definitional coresolution step
     "strongly-fp-injective": _Vertexwise(
         "psi_pure_epi", "component_strongly_fp_injective", lambda x: definitional_sfp_check(x)[0]
     ),
@@ -132,33 +133,20 @@ def classify_strongly_fp_injective(x: Representation, with_oracle: bool = False)
 
 
 def definitional_sfp_check(x: Representation) -> Tuple[bool, dict]:
-    """Build the canonical injective coresolution step by step and test each
-    step for purity; an impure step is definitive for False, a vanishing
-    syzygy for True.
+    """x has a pure acyclic injective resolution iff the first step of its
+    canonical injective coresolution is pure.
 
-    Over an acyclic quiver the coresolution ends within one step per vertex.
-    Finite representations over Z/n are pure-injective, so a pure first step
-    splits and x is injective.  The support of an injective is closed under
-    predecessors, each later step is onto at the sinks of that support, and
-    the next syzygy is injective on the support minus those sinks.  So the
-    syzygy vanishes by the degree of the longest path and never repeats; a
-    nonzero syzygy after one pure step per vertex (one more for the quiver
-    with no vertices) means that argument is broken, not that x is
-    undecided.  On a cyclic quiver the first embedding raises ValueError."""
-    info: Dict = {"steps": []}
-    y = x
-    for k in range(len(x.quiver.vertices) + 1):
-        _, mono = canonical_injective_embedding(y)
-        y, proj = cokernel_rep(mono)
-        verdict = is_pure_rep_ses(RepSES(mono, proj))
-        info["steps"].append({"degree": k, "pure": verdict.pure})
-        if not verdict.pure:
-            info["failure"] = {"degree": k, "witness": verdict.witness}
-            return False, info
-        if y.is_zero:
-            info["terminated"] = {"degree": k, "reason": "syzygy vanished"}
-            return True, info
-    raise AssertionError(f"a syzygy is nonzero after {k + 1} pure steps over {len(x.quiver.vertices)} vertices")
+    Finite representations over Z/n are pure-injective, so a pure first
+    step splits, x is a summand of an injective and so injective, and
+    0 -> x -> x -> 0 is already the resolution.  An impure first step means
+    x is not injective, since every mono out of an injective splits, and
+    then no pure mono into an injective exists.  So one embedding and one
+    splitting test (`split_verdict`) decide, and no later step or impurity
+    witness is built.  On a cyclic quiver the embedding raises ValueError."""
+    _, mono = canonical_injective_embedding(x)
+    if split_verdict(RepSES(mono, cokernel_rep(mono)[1])).pure:
+        return True, {"terminated": {"degree": 0, "reason": "first step split"}}
+    return False, {"failure": {"degree": 0}}
 
 
 def classify_gorenstein_sfp(x: Representation, with_oracle: bool = False, oracle_full: bool = False) -> ClassVerdict:
@@ -239,7 +227,7 @@ def ext_orthogonality_sample(
     return {"trials": trials, "checked": checked, "failures": failures, "all_orthogonal": not failures}
 
 
-def find_orthogonality_violation(j: Representation, candidates: List[Representation]) -> Optional[Representation]:
+def find_orthogonality_violation(j: Representation, candidates: Iterable[Representation]) -> Optional[Representation]:
     """A test object with nonzero Ext^1 against j, if one exists among the
     candidates; used as the negative control for the orthogonality suites."""
     for k in candidates:

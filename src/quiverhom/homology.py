@@ -143,9 +143,9 @@ def injective_hull(m: FinMod) -> Tuple[FinMod, ModHom]:
     return hull, embed
 
 
-# the sfp oracle, the Gorenstein oracle's right half and the Ding
-# classifier walk the same coresolutions, and equal representations hash
-# equally; in `verify all --trials 10` a repeat comes at most 39 other
+# the sfp oracle's one step, the Gorenstein oracle's right half and the
+# Ding classifier build the same steps, and equal representations hash
+# equally; in `verify all --trials 10` a repeat comes at most 38 other
 # inputs after its last call
 @functools.lru_cache(maxsize=64)
 def canonical_injective_embedding(x: Representation) -> Tuple[Representation, RepMorphism]:

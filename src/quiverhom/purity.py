@@ -85,25 +85,30 @@ def rep_retraction(f: RepMorphism) -> Optional[RepMorphism]:
     return None if out is None else RepMorphism._closed(tgt, src, dict(zip(q.vertices, sysm.assignment(out[0]))))
 
 
-def is_pure_rep_ses(ses: RepSES) -> PurityVerdict:
-    """Purity by the splitting criterion: the sequence is pure iff it splits.
-
-    A vertexwise module-purity prefilter (`is_pure_module_ses`, decided
-    from torsion orders) catches most impure sequences cheaply; the
-    decisive test is one linear solve for a natural retraction of the
-    sub-term map.  When that fails, the witness is the first cheap test
-    object the sequence fails (`_cheap_definitional_witness`): a stalk,
-    found from vertex tops, or the dual of the sub term.
-    """
+def split_verdict(ses: RepSES) -> PurityVerdict:
+    """The splitting verdict alone: a vertexwise module-purity prefilter
+    (`is_pure_module_ses`, decided from torsion orders) catches most impure
+    sequences cheaply, then one linear solve for a natural retraction of
+    the sub-term map decides.  An impure verdict carries the prefilter's
+    witness, or none when the solve found no retraction."""
     for v in ses.f.source.quiver.vertices:
         ok, divisor = is_pure_module_ses(ses.vertex_ses(v))
         if not ok:
             return PurityVerdict(False, None, {"kind": "vertex-module", "vertex": v, "divisor": divisor})
     r = rep_retraction(ses.f)
-    if r is None:
-        witness = _cheap_definitional_witness(ses)
-        return PurityVerdict(False, None, witness or {"kind": "dual-not-split"})
-    return PurityVerdict(True, r, None)
+    return PurityVerdict(r is not None, r, None)
+
+
+def is_pure_rep_ses(ses: RepSES) -> PurityVerdict:
+    """Purity by the splitting criterion: the sequence is pure iff it
+    splits (`split_verdict`).  When the retraction solve fails, the witness
+    is the first cheap test object the sequence fails
+    (`_cheap_definitional_witness`): a stalk, found from vertex tops, or
+    the dual of the sub term."""
+    verdict = split_verdict(ses)
+    if verdict.pure or verdict.witness is not None:
+        return verdict
+    return PurityVerdict(False, None, _cheap_definitional_witness(ses) or {"kind": "dual-not-split"})
 
 
 def _vertex_top(x: Representation, v) -> FinMod:
@@ -138,7 +143,7 @@ def _tensor_left_exact(s: Representation, ses: RepSES) -> bool:
 
 # `is_pure_rep_ses` and `definitional_purity_check` both ask for the
 # witness of a sequence, which hashes by identity; one `verify all` asks
-# about some 15 sequences
+# about some 13 sequences
 @lru_cache(maxsize=64)
 def _cheap_definitional_witness(ses: RepSES) -> Optional[dict]:
     """The first cheap test object the sequence fails, or None: the stalks

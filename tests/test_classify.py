@@ -21,8 +21,9 @@ from quiverhom.classify import (
     simple_stalks,
 )
 from quiverhom import classify
-from quiverhom.homology import projective_generator
-from quiverhom.rep import coinduced
+from quiverhom.homology import canonical_injective_embedding, projective_generator
+from quiverhom.purity import is_pure_rep_ses
+from quiverhom.rep import RepSES, coinduced
 from quiverhom.znmod import (
     ModHom,
     Modulus,
@@ -109,28 +110,86 @@ def test_definitional_sfp_check_details():
     assert not ok and info["failure"]["degree"] == 0
 
 
+def reference_coresolution_walk(x):
+    """The whole canonical injective coresolution, each step tested for
+    purity: an impure step is definitive for False, a vanishing syzygy for
+    True.  The support of an injective is closed under predecessors, each
+    step after a pure first one is onto at the sinks of that support, and
+    the next syzygy is injective on the support minus those sinks, so the
+    syzygy vanishes by the degree of the longest path; a nonzero syzygy
+    after one pure step per vertex (one more for the quiver with no
+    vertices) means that argument is broken."""
+    info = {"steps": []}
+    y = x
+    for k in range(len(x.quiver.vertices) + 1):
+        _, mono = canonical_injective_embedding(y)
+        y, proj = classify.cokernel_rep(mono)
+        verdict = is_pure_rep_ses(RepSES(mono, proj))
+        info["steps"].append({"degree": k, "pure": verdict.pure})
+        if not verdict.pure:
+            info["failure"] = {"degree": k, "witness": verdict.witness}
+            return False, info
+        if y.is_zero:
+            info["terminated"] = {"degree": k, "reason": "syzygy vanished"}
+            return True, info
+    raise AssertionError(f"a syzygy is nonzero after {k + 1} pure steps over {len(x.quiver.vertices)} vertices")
+
+
+def _line(length):
+    return make_quiver(range(1, length + 1), [(f"a{i}", i, i + 1) for i in range(1, length)])
+
+
+def one_coresolution_step(monkeypatch):
+    """Let `classify` build one cokernel per `calls.clear()`; a second one
+    raises, so a walk past the first step fails at once instead of
+    building the later, larger steps."""
+    real = classify.cokernel_rep
+    calls = []
+
+    def once(mono):
+        calls.append(mono)
+        if len(calls) > 1:
+            raise AssertionError("a second coresolution step")
+        return real(mono)
+
+    monkeypatch.setattr(classify, "cokernel_rep", once)
+    return calls
+
+
 def test_definitional_sfp_check_ends_at_the_longest_path_of_a_line():
-    # e^L(Z/4) is Z/4 at every vertex of 1 -> ... -> L; each step is onto at
-    # the sink of the syzygy's support, so the syzygy vanishes at degree L - 1
+    # e^L(Z/4) is Z/4 at every vertex of 1 -> ... -> L: the oracle stops at
+    # its split first step, while the reference walk is onto at the sink of
+    # the syzygy's support at each step and vanishes at degree L - 1
     for length in range(2, 8):
-        q = make_quiver(range(1, length + 1), [(f"a{i}", i, i + 1) for i in range(1, length)])
-        ok, info = definitional_sfp_check(coinduced(q, Z4, length, cyclic(Z4, 4)).rep)
+        x = coinduced(_line(length), Z4, length, cyclic(Z4, 4)).rep
+        ok, info = definitional_sfp_check(x)
+        assert ok and info["terminated"] == {"degree": 0, "reason": "first step split"}, length
+        ok, info = reference_coresolution_walk(x)
         assert ok and info["terminated"] == {"degree": length - 1, "reason": "syzygy vanished"}, length
 
 
+def test_definitional_sfp_check_stops_at_the_first_step_on_the_nine_vertex_line(monkeypatch):
+    calls = one_coresolution_step(monkeypatch)
+    for length in range(2, 10):
+        calls.clear()
+        ok, info = definitional_sfp_check(coinduced(_line(length), Z4, length, cyclic(Z4, 4)).rep)
+        assert ok and info["terminated"]["degree"] == 0 and len(calls) == 1, length
+
+
 def test_definitional_sfp_check_raises_past_one_step_per_vertex(monkeypatch):
-    # a syzygy that never vanishes breaks the support argument: a harness
-    # error naming the vertex count, not a verdict
+    # a syzygy that never vanishes breaks the support argument of the
+    # reference walk: a harness error naming the vertex count, not a verdict
     x = coinduced(a2(), Z4, 2, cyclic(Z4, 4)).rep
     real = classify.cokernel_rep
     monkeypatch.setattr(classify, "cokernel_rep", lambda mono: (x, real(mono)[1]))
     with pytest.raises(AssertionError, match="after 3 pure steps over 2 vertices"):
-        definitional_sfp_check(x)
+        reference_coresolution_walk(x)
 
 
 def test_definitional_sfp_check_follows_the_support_argument():
-    # a pure first step splits, so False is decided at degree 0 and True means
-    # injective; a True coresolution vanishes by the longest path's degree
+    # a pure first step splits, so the reference decides False at degree 0,
+    # True means injective, and a True coresolution vanishes by the longest
+    # path's degree; the oracle's one step gives the same verdict
     config = Config(moduli=(2, 4, 6, 8, 9, 12))
     rng = random.Random(49)
     generators = (random_representation, random_injective_rep, random_gorenstein_rep)
@@ -139,13 +198,24 @@ def test_definitional_sfp_check_follows_the_support_argument():
         modulus = Modulus(rng.choice(config.moduli))
         q = random_quiver(rng, config, right_rooted=True, max_vertices=5, max_arrows=5)
         x = generators[t % 3](rng, q, modulus, config)
-        ok, info = definitional_sfp_check(x)
+        ok, info = reference_coresolution_walk(x)
         longest = max(p.length for v in q.vertices for p in paths_from(q, v))
         degree = info["terminated" if ok else "failure"]["degree"]
         assert (degree <= longest) if ok else (degree == 0), (t, info)
-        assert ok == classify_injective(x).verdict, t
+        assert ok == definitional_sfp_check(x)[0] == classify_injective(x).verdict, t
         degrees[ok].append(degree)
     assert degrees[False] and max(degrees[True]) >= 2
+
+
+def test_the_injective_oracle_builds_simple_stalks_as_it_tests_them(monkeypatch):
+    # Ext^1(S_1(Z/2), x) holds Ext^1_{Z/4}(Z/2, Z/2) != 0, so the first
+    # simple already decides and no other is built
+    x = stalk(a2(), Z4, 1, cyclic(Z4, 2))
+    built = []
+    real = classify.stalk
+    monkeypatch.setattr(classify, "stalk", lambda *args: built.append(args) or real(*args))
+    assert classify_injective(x, with_oracle=True).oracle is False
+    assert len(built) == 1
 
 
 def test_classify_gorenstein_named_examples():

@@ -22,6 +22,7 @@ from quiverhom.homology import projective_generator
 from quiverhom.quiver import a2, loop_quiver, make_quiver
 from quiverhom.rep import Representation, coinduced, stalk
 from quiverhom.znmod import FinMod, ModHom, Modulus, cyclic
+from test_classify import one_coresolution_step
 
 Z4 = Modulus(4)
 
@@ -383,8 +384,8 @@ def test_cli_classify_on_a_quiver_without_vertices(tmp_path, capsys):
 
 
 def test_cli_classify_oracle_on_e7_over_the_seven_vertex_line(tmp_path, capsys):
-    # the coresolution takes seven pure steps, one per vertex, before the
-    # syzygy vanishes; a fixed cap of six once crashed here with exit code 2
+    # the whole coresolution takes seven pure steps, one per vertex, before
+    # the syzygy vanishes; a fixed cap of six once crashed here with exit code 2
     q = make_quiver(range(1, 8), [(f"a{i}", i, i + 1) for i in range(1, 7)])
     path = write(tmp_path, "e7.json", rep_to_dict(coinduced(q, Z4, 7, cyclic(Z4, 4)).rep))
     assert main(["classify", path, "--oracle", "--json"]) == 0
@@ -397,6 +398,25 @@ def test_cli_classify_oracle_on_e7_over_the_seven_vertex_line(tmp_path, capsys):
         "strongly-fp-injective": True,
         "gorenstein": True,
     }
+
+
+def test_cli_classify_oracle_on_e9_over_the_nine_vertex_line(tmp_path, capsys, monkeypatch):
+    # the sfp oracle stops at the split first step; walking the later steps
+    # ran out of a 2 GB address space here, so a second step raises at once
+    calls = one_coresolution_step(monkeypatch)
+    q = make_quiver(range(1, 10), [(f"a{i}", i, i + 1) for i in range(1, 9)])
+    path = write(tmp_path, "e9.json", rep_to_dict(coinduced(q, Z4, 9, cyclic(Z4, 4)).rep))
+    assert main(["classify", path, "--oracle", "--json"]) == 0
+    oracles = {r["class"]: r["oracle"] for r in map(json.loads, capsys.readouterr().out.splitlines())}
+    assert oracles == {
+        "injective": True,
+        "projective": True,
+        "flat": None,
+        "fp-injective": None,
+        "strongly-fp-injective": True,
+        "gorenstein": True,
+    }
+    assert len(calls) == 1
 
 
 def test_cli_ext_degree2_output_is_pinned(capsys):
@@ -427,7 +447,7 @@ def test_cli_ext_degrees_0_to_3_output_is_pinned(capsys):
         # collapse trial 0 is the tampered-certificate control
         ("collapse", "10", "2ec61f4aa778bd92311cf883d53ec53a1ddb55f82fe6525ff4205da8a565add8"),
         # both reach the tensor test of purity: through definitional_purity_check,
-        # and through is_pure_rep_ses on impure coresolution steps
+        # and through is_pure_rep_ses on impure sequences
         ("purity_bridge", "40", "4b5066600a4e58086b838ef4cb91b640b2477115f2a8337426ba73cdfff45e12"),
         ("classification", "20", "e7f984415a40f04b448a90fba98a6ddaa11a003eecfa43ee128a4bb8b356bee8"),
         # the long-exact-sequence trials read ext_induced_second at degrees 0, 1 and 3

@@ -23,9 +23,9 @@ One route per question: quotients are presented from the maps' own
 columns, with no `quotient_with_projection` to transpose them back, and
 no zero-rank fork, duplicate `random_quiver` knob, `ms` field or repeated
 `--json` registration stands beside the general path.  The oracles take
-their bounds from the theory: the sfp coresolution takes at most one step
-per vertex with no periodicity search, and the Gorenstein module
-certificate is one fixed window long."""
+their bounds from the theory: the sfp oracle builds one coresolution step
+and decides on its splitting, with no loop and no witness, and the
+Gorenstein module certificate is one fixed window long."""
 
 import ast
 import json
@@ -263,8 +263,29 @@ def test_the_oracles_take_their_bounds_from_the_theory():
     assert not defined & {"reps_isomorphic", "DepthExhausted", "_SFP_CHECK_DEPTH", "_ISO_SEARCH_CAP"}
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "has_directed_cycle" not in imported
-    loops = [node for node in ast.walk(classify["definitional_sfp_check"]) if isinstance(node, ast.For)]
-    assert len(loops) == 1 and "x.quiver.vertices" in ast.unparse(loops[0].iter)
+    # the sfp oracle builds one coresolution step and no witness: no loop,
+    # no bound to raise past, and no purity call that looks for a witness
+    sfp = classify["definitional_sfp_check"]
+    loops = [node for node in ast.walk(sfp) if isinstance(node, (ast.For, ast.AsyncFor, ast.While, ast.comprehension))]
+    assert not loops, [ast.unparse(node) for node in loops]
+    raises = [node for node in ast.walk(sfp) if isinstance(node, ast.Assert) or (isinstance(node, ast.Raise) and "AssertionError" in ast.unparse(node))]
+    assert not raises, [ast.unparse(node) for node in raises]
+    assert not _callees(sfp) & {"is_pure_rep_ses", "_cheap_definitional_witness"}
+    # one verdict helper behind both the oracle and is_pure_rep_ses, with no
+    # parameter anywhere in purity that chooses whether a witness is sought
+    purity_tree = ast.parse((SRC / "purity.py").read_text())
+    assert "split_verdict" in _callees(sfp) & _callees(_functions("purity.py")["is_pure_rep_ses"])
+    selectors = [
+        node.name
+        for node in ast.walk(purity_tree)
+        if isinstance(node, ast.FunctionDef)
+        and (
+            node.args.defaults
+            or any(node.args.kw_defaults)
+            or any("witness" in a.arg or "bool" in ast.unparse(a.annotation or ast.Constant(None)) for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs)
+        )
+    ]
+    assert not selectors, selectors
     params = _functions("znmod.py")["gi_module_certificate"].args
     assert [a.arg for a in params.posonlyargs + params.args + params.kwonlyargs] == ["m"]
     assert params.vararg is None and params.kwarg is None
