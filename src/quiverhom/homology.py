@@ -3,6 +3,10 @@ step, Ext groups in the category of quiver representations, a
 brute-force extension-counting oracle, and totally acyclic complexes of
 injective representations.
 
+The projectives are Matlis duals of right adjoints over the opposite
+quiver (P_v = D e^v(Z/n)), so this module builds no path product and walks
+no paths of its own.
+
 Ext resolves nothing: `ExtComputation` reads Ext^m(X, Y) off the cochain
 complex that Hom(-, Y) makes of the standard resolution of X, lifted to the
 2-periodic free resolutions of its vertex modules over Z/n.  That complex
@@ -22,18 +26,22 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .linalg import Matrix, diag, from_entries, hstack, identity, matmul, mod_rows, quotient_order, transpose
-from .quiver import Quiver, VertexId, has_directed_cycle, out_arrows, paths_between, root_sequence, trivial_path
+from .quiver import Quiver, VertexId, has_directed_cycle, opposite, out_arrows, root_sequence, trivial_path
 from .rep import (
     HomGroupRep,
     RepMorphism,
     RepSES,
     Representation,
+    RightAdjointRep,
     coinduced,
     coinduced_product,
     cokernel_rep,
     copresentation_embedding,
+    dual_rep,
+    dual_rep_morphism,
     kernel_rep,
     psi,
+    restrict,
 )
 from .znmod import (
     FinMod,
@@ -50,6 +58,7 @@ from .znmod import (
     is_mono,
     kernel_of_hom,
     kernel_order,
+    matlis_dual_hom,
     present,
     solve_congruences,
     splits,
@@ -61,65 +70,36 @@ from .znmod import (
 # ---------------------------------------------------------------------------
 
 
-def _free_rep(q: Quiver, modulus: Modulus, ranks: Dict[VertexId, int]):
-    """The direct sum of ranks[v] copies of P_v over the vertices v, and its
-    path table {(v, w): paths from v to w} for every v with ranks[v] > 0.
-
-    At w it is free on the triples (v, i, p), with i < ranks[v] and p a path
-    from v to w, ordered by v, then i, then p in `paths_between` order.
-    Arrow maps extend paths, block by block.  Requires every path set from
-    a vertex of positive rank to be finite."""
-    sources = [v for v in q.vertices if ranks[v]]
-    paths = {(v, w): paths_between(q, v, w) for v in sources for w in q.vertices}
-    mods = {w: free_mod(modulus, sum(ranks[v] * len(paths[v, w]) for v in sources)) for w in q.vertices}
-    maps = {}
-    for a in q.arrows:
-        entries = []
-        row = col = 0
-        for v in sources:
-            src, tgt = paths[v, a.src], paths[v, a.tgt]
-            index = {p.arrows: t for t, p in enumerate(tgt)}
-            for _ in range(ranks[v]):
-                entries += [(row + index[p.arrows + (a,)], col + c, 1) for c, p in enumerate(src)]
-                row, col = row + len(tgt), col + len(src)
-        maps[a.id] = ModHom(mods[a.src], mods[a.tgt], from_entries(mods[a.tgt].rank, mods[a.src].rank, entries))
-    return Representation(q, modulus, mods, maps), paths
-
-
 def projective_generator(q: Quiver, modulus: Modulus, v: VertexId) -> Representation:
-    """P_v: the free module on the paths from v at each vertex, with arrows
-    acting by path extension.  Requires the paths from v to be finite."""
+    """P_v = D e^v(Z/n) over the opposite quiver: free at w on the paths
+    from v to w, listed as the factor keys of that e^v (their opposites, in
+    `Path.key` order), with arrows acting by path extension.  Requires the
+    paths from v to be finite."""
     q.check_vertex(v)
-    return _free_rep(q, modulus, {w: int(w == v) for w in q.vertices})[0]
+    return dual_rep(coinduced(opposite(q), modulus, v, free_mod(modulus, 1)).rep)
 
 
 def projective_cover_onto(x: Representation) -> Tuple[Representation, RepMorphism]:
     """An epi from a finite direct sum of the P_v onto x (one copy of P_v per
     canonical generator of x(v)); not minimal.
 
-    The cover is `_free_rep` on `_vertex_ranks(x)`, so at w it is free on
-    the triples (v, i, p) with i a canonical generator of x(v); (v, i, p)
-    maps to column i of x.along(p).
+    The Matlis dual of one embedding of D x into an injective over the
+    opposite quiver: the right adjoint of restriction to the arrowless
+    subquiver on the vertices where x(v) != 0, applied to the free modules
+    (Z/n)^{rank x(v)}, receives D x by the transpose of the duals of the
+    canonical epis (Z/n)^{rank x(v)} -> x(v).  At w the cover is free on
+    the pairs (p, i) of a path p from such a v to w and a generator i of
+    x(v), ordered by the factor key of p, then by i; (p, i) maps to column
+    i of x along p.  Requires the paths from those v to be finite.
     """
-    q = x.quiver
-    ranks = _vertex_ranks(x)
-    total, paths = _free_rep(q, x.modulus, ranks)
-    comps = {}
-    for w in q.vertices:
-        xw = x.vertex_modules[w]
-        blocks = []
-        for v in q.vertices:
-            if ranks[v] and paths[v, w]:
-                # row r holds entry (r, i) of x along each path, ordered by
-                # generator i, then by path
-                mats = [x.along(p).matrix for p in paths[v, w]]
-                blocks.append(tuple(tuple(itertools.chain.from_iterable(zip(*rows))) for rows in zip(*mats)))
-        comps[w] = ModHom(total.vertex_modules[w], xw, hstack(blocks, xw.rank))
-    return total, RepMorphism(total, x, comps)
-
-
-def _vertex_ranks(x: Representation) -> Dict[VertexId, int]:
-    return {v: x.vertex_modules[v].rank for v in x.quiver.vertices}
+    q, modulus = x.quiver, x.modulus
+    support = Quiver(tuple(v for v in q.vertices if x.vertex_modules[v].rank), ())
+    frees = {v: free_mod(modulus, x.vertex_modules[v].rank) for v in support.vertices}
+    adj = RightAdjointRep(opposite(q), support, Representation(support, modulus, frees, {}))
+    dx = dual_rep(x)
+    duals = {v: matlis_dual_hom(ModHom._closed(frees[v], x.vertex_modules[v], identity(frees[v].rank))) for v in support.vertices}
+    mono = adj.transpose(dx, RepMorphism._closed(restrict(support, dx), adj.inner, duals))
+    return dual_rep(adj.rep), dual_rep_morphism(mono)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +193,7 @@ class ExtComputation:
     def __init__(self, x: Representation, y: Representation):
         self.x = x
         self.y = y
-        self._ranks = _vertex_ranks(x)
+        self._ranks = {v: x.vertex_modules[v].rank for v in x.quiver.vertices}
         self.orders = _ByDegree(
             lambda m: tuple(d for v, copies in self._blocks(m) for _ in range(copies) for d in y.vertex_modules[v].factors), 1
         )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
 
 VertexId = Union[str, int]
 
@@ -156,21 +156,27 @@ def paths_from(q: Quiver, v: VertexId) -> Tuple[Path, ...]:
     return tuple(sorted(out, key=Path.key))
 
 
+def part_reaching(q: Quiver, targets: Iterable[VertexId]) -> Quiver:
+    """The part of q that reaches `targets`: the vertices with a path to one
+    of them, the targets included, and the arrows into those vertices.
+    Every path of q that ends at a target is a path of this part."""
+    reaches = set(targets)
+    while grown := {a.src for a in q.arrows if a.tgt in reaches} - reaches:
+        reaches |= grown
+    return Quiver(tuple(u for u in q.vertices if u in reaches), tuple(a for a in q.arrows if a.tgt in reaches))
+
+
 @functools.lru_cache(maxsize=1024, typed=True)
 def paths_between(q: Quiver, i: VertexId, j: VertexId) -> Tuple[Path, ...]:
     """All paths from i to j, trivial path included when i == j, sorted by
-    `Path.key`: those of `paths_from` on the part of q that reaches j (the
-    vertices with a path to j, the arrows into them) that end at j.  Raises
-    when a directed cycle is reachable on some i-to-j route, which is
-    exactly when that part has one reachable from i."""
+    `Path.key`: those of `paths_from` on `part_reaching(q, (j,))` that end
+    at j.  Raises when a directed cycle is reachable on some i-to-j route,
+    which is exactly when that part has one reachable from i."""
     q.check_vertex(i)
     q.check_vertex(j)
-    reaches = {j}
-    while grown := {a.src for a in q.arrows if a.tgt in reaches} - reaches:
-        reaches |= grown
-    if i not in reaches:
+    part = part_reaching(q, (j,))
+    if i not in part.vertices:
         return ()
-    part = Quiver(tuple(u for u in q.vertices if u in reaches), tuple(a for a in q.arrows if a.tgt in reaches))
     try:
         paths = paths_from(part, i)
     except ValueError:

@@ -27,6 +27,7 @@ from .quiver import (
     is_subquiver,
     opposite,
     out_arrows,
+    part_reaching,
     paths_from,
     trivial_path,
 )
@@ -500,14 +501,18 @@ def _composites(x: Representation, v: VertexId, paths: Sequence[Path]) -> List[M
 
 class RightAdjointRep:
     """Right adjoint of restriction along a subquiver inclusion, computed by
-    the explicit product-over-paths formula; requires the big quiver
-    acyclic, and raises on a directed cycle, whose paths are infinite.
+    the explicit product-over-paths formula.  Only the part of the big
+    quiver that reaches the subquiver (`quiver.part_reaching`) is walked,
+    since every factor path lies in it; raises when that part has a
+    directed cycle, that is when a cycle lies on a path into the
+    subquiver, since the paths into it are then infinite.
 
     Keeps the factor bookkeeping (factor_keys[v], the paths from v that
     index the factors at v) so that units, counits and transposes can be
     assembled on top.  The factors at v are the paths from v that land in
     the subquiver and are trivial or end with an arrow outside it, in
-    `paths_from` order, so the trivial path comes first.  The sum at v is
+    `paths_from` order, so the trivial path comes first; a vertex with no
+    path into the subquiver has none.  The sum at v is
     kept as its `sum_presentation` with the coordinates of each factor, and
     `injection(v, p)` and `projection(v, p)` slice it for the one factor
     asked for.  Every table is read-only, so `coinduced` can share one
@@ -524,8 +529,10 @@ class RightAdjointRep:
         self.qsub = qsub
         self.inner = x
         sub_vertices, sub_arrow_ids = set(qsub.vertices), {a.id for a in qsub.arrows}
+        part = part_reaching(q, qsub.vertices)
+        walks = {v: paths_from(part, v) for v in part.vertices}
         self.factor_keys = MappingProxyType({
-            v: tuple(p for p in paths_from(q, v) if p.target in sub_vertices and (p.is_trivial or p.arrows[-1].id not in sub_arrow_ids))
+            v: tuple(p for p in walks.get(v, ()) if p.target in sub_vertices and (p.is_trivial or p.arrows[-1].id not in sub_arrow_ids))
             for v in q.vertices
         })
         coords, presentations = {}, {}

@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from quiverhom.harness import Config, random_gorenstein_rep, random_injective_rep, random_quiver, random_representation

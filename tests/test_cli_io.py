@@ -2,9 +2,9 @@ import hashlib
 import json
 import pathlib
 
-import numpy as np
 import pytest
 
+from projective_reference import free_rep
 from quiverhom import cli, harness
 from quiverhom.cli import main
 from quiverhom.harness import RejectionBudgetExceeded, derive_seed, nonpure_fixture_ses
@@ -350,8 +350,9 @@ def pinned_classify_inputs():
     z12, z6 = Modulus(12), Modulus(6)
     m = FinMod(z6, (2, 6))
     return {
-        # projective and flat, not injective: P_1 is free on the 15 paths from 1
-        "projective-generator": projective_generator(doubled_path(4), z12, 1),
+        # projective and flat, not injective: P_1 is free on the 15 paths
+        # from 1, in the path-by-path layout it was pinned in
+        "projective-generator": free_rep(doubled_path(4), z12, {v: int(v == 1) for v in range(1, 5)})[0],
         # e^2(Z/6) on 1 -> 2 is P_1 too: every row true
         "coinduced-injective": coinduced(a2(), z6, 2, cyclic(z6, 6)).rep,
         # an automorphism around a loop: every verdict true, no row two-sided
@@ -372,6 +373,16 @@ def test_cli_classify_projective_and_necessity_only_outputs_are_pinned(tmp_path,
     path = write(tmp_path, "rep.json", rep_to_dict(pinned_classify_inputs()[name]))
     assert main(["classify", path, "--oracle", "--json"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_cli_classify_reads_the_pinned_records_off_the_dual_built_projective(tmp_path, capsys):
+    # projective_generator lists the paths of Q^op in key order, so only the
+    # instance digest moves
+    def records(x):
+        assert main(["classify", write(tmp_path, "rep.json", rep_to_dict(x)), "--oracle", "--json"]) == 0
+        return [{k: v for k, v in json.loads(line).items() if k != "instance"} for line in capsys.readouterr().out.splitlines()]
+
+    assert records(projective_generator(doubled_path(4), Modulus(12), 1)) == records(pinned_classify_inputs()["projective-generator"])
 
 
 def test_cli_classify_on_a_quiver_without_vertices(tmp_path, capsys):

@@ -2,7 +2,6 @@ import dataclasses
 import json
 import random
 
-import numpy as np
 import pytest
 
 from quiverhom import harness

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from linalg_oracle import arr, kron
-from quiverhom.quiver import Path, Quiver, a2, has_directed_cycle, kronecker, loop_quiver, make_quiver, paths_between, root_sequence
+from projective_reference import free_cover_onto, free_rep
+from quiverhom.quiver import Path, Quiver, a2, has_directed_cycle, kronecker, loop_quiver, make_quiver, opposite, paths_between, root_sequence
 from quiverhom.rep import (
     HomGroupRep,
     RepMorphism,
@@ -30,7 +31,6 @@ from quiverhom.rep import (
 from quiverhom import classify, harness, homology
 from quiverhom.homology import (
     ExtComputation,
-    _free_rep,
     canonical_injective_embedding,
     ext,
     ext1_extension_count,
@@ -148,6 +148,36 @@ def _rep_bytes(x):
     )
 
 
+def _dual_order(q, ranks, w):
+    """The basis at w of the Matlis-dual builders, as positions in the
+    reference layout at w (the triples (v, i, p) ordered by v, then i, then
+    p in `paths_between` order, for i < ranks[v]): the pairs (p, i) ordered
+    by the `Path.key` of the opposite of p, a path of Q^op and a factor key
+    of the right adjoint there, then by i."""
+    op_arrow = dict(zip(q.arrows, opposite(q).arrows))
+    pairs, start = [], 0
+    for v in q.vertices:
+        paths = paths_between(q, v, w) if ranks[v] else ()
+        for t, p in enumerate(paths):
+            key = Path(w, v, tuple(op_arrow[a] for a in reversed(p.arrows))).key()
+            pairs += [(key, i, start + i * len(paths) + t) for i in range(ranks[v])]
+        start += ranks[v] * len(paths)
+    return [position for *_, position in sorted(pairs)]
+
+
+def _in_dual_order(x, ranks, epi=None):
+    """`_cover_bytes` (or `_rep_bytes` without an epi) of a representation in
+    the reference layout, with the basis at every vertex permuted into the
+    order of the Matlis-dual builders."""
+    q = x.quiver
+    order = {w: _dual_order(q, ranks, w) for w in q.vertices}
+    mods = [tuple(x.vertex_modules[w].factors[t] for t in order[w]) for w in q.vertices]
+    maps = [tuple(tuple(x.map(a.id).matrix[s][t] for t in order[a.src]) for s in order[a.tgt]) for a in q.arrows]
+    if epi is None:
+        return mods, maps
+    return mods, maps, [tuple(tuple(row[t] for t in order[w]) for row in epi.components[w].matrix) for w in q.vertices]
+
+
 def test_projective_generator_matches_path_by_path_reference():
     from quiverhom.harness import Config, random_quiver
 
@@ -158,8 +188,10 @@ def test_projective_generator_matches_path_by_path_reference():
     for q in quivers:
         for n in (2, 6):
             for v in q.vertices:
-                new = projective_generator(q, Modulus(n), v)
-                assert _rep_bytes(new) == _rep_bytes(reference_projective_generator(q, Modulus(n), v))
+                ref = reference_projective_generator(q, Modulus(n), v)
+                ranks = {w: int(w == v) for w in q.vertices}
+                assert _rep_bytes(projective_generator(q, Modulus(n), v)) == _in_dual_order(ref, ranks)
+                assert _rep_bytes(free_rep(q, Modulus(n), ranks)[0]) == _rep_bytes(ref)
                 checked += 1
     assert checked >= 150
 
@@ -219,10 +251,39 @@ def test_projective_cover_matches_direct_sum_of_yoneda_maps():
     checked = 0
     for x in _cover_cases():
         new = projective_cover_onto(x)
-        assert _cover_bytes(*new) == _cover_bytes(*reference_projective_cover_onto(x))
+        ref = reference_projective_cover_onto(x)
+        ranks = {v: x.vertex_modules[v].rank for v in x.quiver.vertices}
+        assert _cover_bytes(*new) == _in_dual_order(ref[0], ranks, ref[1])
+        assert _cover_bytes(*free_cover_onto(x)) == _cover_bytes(*ref)
         assert new[1].is_epimorphism
         checked += 1
     assert checked >= 150
+
+
+def test_projectives_build_exactly_where_the_paths_from_their_vertices_are_finite():
+    quivers = [
+        # 1 -> 2 and 3 -> 1 with a loop at 3: the loop lies on no path out of 1 or 2
+        make_quiver([1, 2, 3], [("a", 1, 2), ("b", 3, 1), ("l", 3, 3)]),
+        make_quiver([1, 2, 3], [("a", 1, 2), ("b", 2, 1), ("c", 2, 3)]),  # a 2-cycle into 3
+        make_quiver([1, 2], [("a", 1, 2), ("b", 1, 2), ("l", 1, 1)]),  # parallel arrows out of a loop
+        loop_quiver(),
+    ]
+    built = []
+    for q in quivers:
+        for v in q.vertices:
+            ranks = {w: int(w == v) for w in q.vertices}
+            x = stalk(q, Z4, v, cyclic(Z4, 2))
+            try:
+                ref, ref_cover = free_rep(q, Z4, ranks)[0], free_cover_onto(x)
+            except ValueError:
+                for build in (lambda: projective_generator(q, Z4, v), lambda: projective_cover_onto(x)):
+                    with pytest.raises(ValueError, match="infinite path set"):
+                        build()
+                continue
+            assert _rep_bytes(projective_generator(q, Z4, v)) == _in_dual_order(ref, ranks)
+            assert _cover_bytes(*projective_cover_onto(x)) == _in_dual_order(ref_cover[0], ranks, ref_cover[1])
+            built.append((quivers.index(q), v))
+    assert built == [(0, 1), (0, 2), (1, 3), (2, 2)]
 
 
 Resolution = namedtuple("Resolution", "terms diffs augmentation")
@@ -230,13 +291,14 @@ Resolution = namedtuple("Resolution", "terms diffs augmentation")
 
 def reference_projective_resolution(x, length):
     """P_{L-1} -> ... -> P_1 -> P_0 -> x -> 0 with exactly `length` terms,
-    by iterated covers: terms[k + 1] covers the kernel of the map out of
-    terms[k], and diffs[k] maps terms[k + 1] to terms[k]."""
-    cover, augmentation = projective_cover_onto(x)
+    by iterated covers in the layout of `free_rep`: terms[k + 1] covers
+    the kernel of the map out of terms[k], and diffs[k] maps terms[k + 1]
+    to terms[k]."""
+    cover, augmentation = free_cover_onto(x)
     terms, diffs, last = [cover], [], augmentation
     while len(terms) < length:
         syz, incl = kernel_rep(last)
-        cover, epi = projective_cover_onto(syz)
+        cover, epi = free_cover_onto(syz)
         last = incl.compose(epi)
         terms.append(cover)
         diffs.append(last)
@@ -830,7 +892,7 @@ def test_test_family_members_are_injective():
 
 
 def _term_ranks(term):
-    """The ranks that `_free_rep` builds a resolution term from: at each
+    """The ranks that `free_rep` builds a resolution term from: at each
     vertex, taken predecessors first, its rank less the paths into it from
     the generators before it."""
     q = term.quiver
@@ -1125,16 +1187,16 @@ def reference_ext_induced_second(comp_src, comp_tgt, f, m):
 
 def _generator_positions(term, ranks, v):
     """The columns of the trivial-path generators (v, i) in term(v), for a
-    term `_free_rep(ranks)` of a resolution over an acyclic quiver."""
+    term `free_rep(ranks)` of a resolution over an acyclic quiver."""
     q = term.quiver
     start = sum(ranks[w] * len(paths_between(q, w, v)) for w in q.vertices[: q.vertices.index(v)] if ranks[w])
     return range(start, start + ranks[v])
 
 
 def _summand_projection(term, ranks, u, i):
-    """The projection of `_free_rep(ranks)` onto its summand (u, i), a P_u."""
+    """The projection of `free_rep(ranks)` onto its summand (u, i), a P_u."""
     q = term.quiver
-    p_u = projective_generator(q, term.modulus, u)
+    p_u = reference_projective_generator(q, term.modulus, u)
     comps = {}
     for w in q.vertices:
         start = sum(ranks[s] * len(paths_between(q, s, w)) for s in q.vertices[: q.vertices.index(u)] if ranks[s])
@@ -1146,7 +1208,7 @@ def _summand_projection(term, ranks, u, i):
 
 
 def _yoneda_coords(h, ranks):
-    """The Yoneda coordinates of h : `_free_rep(ranks)` -> Y: the image of
+    """The Yoneda coordinates of h : `free_rep(ranks)` -> Y: the image of
     each trivial-path generator, in generator order."""
     q = h.source.quiver
     parts = [np.zeros(0, dtype=np.int64)]
@@ -1157,14 +1219,14 @@ def _yoneda_coords(h, ranks):
 
 
 def _from_yoneda_coords(term, ranks, y, coords):
-    """The morphism `_free_rep(ranks)` -> Y with the given Yoneda
+    """The morphism `free_rep(ranks)` -> Y with the given Yoneda
     coordinates: a sum of Yoneda morphisms out of the summands."""
     q = term.quiver
     h = zero_morphism(term, y)
     at = 0
     for u in q.vertices:
         rank = y.vertex_modules[u].rank
-        p_u = projective_generator(q, term.modulus, u)
+        p_u = reference_projective_generator(q, term.modulus, u)
         for i in range(ranks[u]):
             element = coords[at : at + rank]
             at += rank
@@ -1224,7 +1286,7 @@ def test_yoneda_delta_is_precomposition_with_the_differential():
     for x, y in _yoneda_cases():
         comp = YonedaExtComputation(reference_projective_resolution(x, 4), y)
         for k in range(3):
-            assert _rep_bytes(comp.resolution.terms[k]) == _rep_bytes(_free_rep(x.quiver, x.modulus, comp.ranks[k])[0])
+            assert _rep_bytes(comp.resolution.terms[k]) == _rep_bytes(free_rep(x.quiver, x.modulus, comp.ranks[k])[0])
             assert comp.deltas[k].shape == (len(comp.orders[k + 1]), len(comp.orders[k]))  # the reference's own array
             assert np.array_equal(comp.deltas[k], _yoneda_delta_oracle(comp, k))
             checked += np.count_nonzero(comp.deltas[k])

@@ -13,9 +13,14 @@ classification has one route, psi split epi: `classify` reads projective
 and flat on the Matlis dual, never through phi.  The canonical
 coresolution steps build prod_v e^v(M_v) as one right adjoint
 (`rep.coinduced_product`), never as a sum of separately built e^v.
-`quiver` walks paths in one function, `paths_from`, and a direct sum has
-one presentation, `znmod.sum_presentation`, which every injection,
+`quiver` walks paths in one function, `paths_from`, and restricts a walk
+to the part of a quiver that reaches its targets in one function, which
+`paths_between` and `RightAdjointRep` share.  A direct sum has one
+presentation, `znmod.sum_presentation`, which every injection,
 projection and arrow map of a right adjoint is sliced or multiplied from.
+The right adjoint is the one path-product builder: `homology` builds P_v
+and the projective cover as Matlis duals of right adjoints over the
+opposite quiver, with no builder or path walk of its own.
 Each exact kernel answers once: a memoized `linalg` kernel takes one
 matrix, `znmod.present` wraps what `diagonalize` returns without cutting
 it down, and `canonical_chain` reads its chain off `sum_presentation`.
@@ -191,12 +196,31 @@ def test_one_path_walk_and_one_sum_presentation():
     )
     assert walkers == ["paths_from"], walkers
     assert "paths_from" in _callees(quiver["paths_between"])
+    # the reach loop, a while loop that grows a vertex set along arrows,
+    # sits in one function, which both restricted walks call
+    (reach,) = [
+        f.name
+        for f in quiver.values()
+        if isinstance(f, ast.FunctionDef)
+        for node in ast.walk(f)
+        if isinstance(node, ast.While) and {"src", "tgt"} <= {a.attr for a in ast.walk(node.test) if isinstance(a, ast.Attribute)}
+    ]
+    init = next(node for node in _functions("rep.py")["RightAdjointRep"].body if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    assert reach in _callees(quiver["paths_between"]) & _callees(init), reach
     znmod = _functions("znmod.py")
     assert "_direct_sum" not in znmod and "_sum_presentation" not in znmod
     assert "_reduced" not in {node.name for node in znmod["ModHom"].body if isinstance(node, ast.FunctionDef)}
     assert "sum_presentation" in _callees(znmod["direct_sum_with_maps"])
-    init = next(node for node in _functions("rep.py")["RightAdjointRep"].body if isinstance(node, ast.FunctionDef) and node.name == "__init__")
     assert not _callees(init) & {"direct_sum_with_maps", "map_into_sum"}
+
+
+def test_projectives_are_duals_of_right_adjoints():
+    homology = _functions("homology.py")
+    assert "_free_rep" not in homology
+    assert not _callees(ast.parse((SRC / "homology.py").read_text())) & {"paths_between", "paths_from"}
+    for name in ("projective_generator", "projective_cover_onto"):
+        callees = _callees(homology[name])
+        assert "dual_rep" in callees and callees & {"coinduced", "RightAdjointRep"}, name
 
 
 def test_each_kernel_answers_once():

@@ -23,8 +23,8 @@ from quiverhom.quiver import (
     root_sequence,
     trivial_path,
 )
-from quiverhom.rep import RightAdjointRep, zero_rep
-from quiverhom.znmod import Modulus
+from quiverhom.rep import RightAdjointRep, coinduced, zero_rep
+from quiverhom.znmod import Modulus, cyclic
 
 
 def rand_quiver(rng, max_v=6, max_a=8, acyclic=False):
@@ -192,13 +192,26 @@ def test_right_adjoint_factor_keys_are_unchanged(q, data):
     inside = [a for a in q.arrows if a.src in vs and a.tgt in vs]
     chosen = data.draw(st.sets(st.sampled_from(inside))) if inside else set()
     qsub = Quiver(tuple(vs), tuple(a for a in inside if a in chosen))
-    if has_directed_cycle(q):
-        # every path set out of a vertex on a cycle is infinite
+    try:
+        want = {v: reference_factor_keys(q, qsub, v) for v in q.vertices}
+    except ValueError:
+        # a cycle lies on a path into the subquiver
         with pytest.raises(ValueError, match="^infinite path set from "):
             RightAdjointRep(q, qsub, zero_rep(qsub, Modulus(2)))
         return
-    keys = RightAdjointRep(q, qsub, zero_rep(qsub, Modulus(2))).factor_keys
-    assert all(keys[v] == reference_factor_keys(q, qsub, v) for v in q.vertices)
+    assert dict(RightAdjointRep(q, qsub, zero_rep(qsub, Modulus(2))).factor_keys) == want
+
+
+def test_right_adjoint_walks_only_the_part_that_reaches_the_subquiver():
+    # 1 -> 2 and 3 -> 1 with a loop at 3: over the opposite quiver the loop
+    # lies on no path into 1, so e^1 there is finite
+    q = make_quiver([1, 2, 3], [("a", 1, 2), ("b", 3, 1), ("l", 3, 3)])
+    z4 = Modulus(4)
+    adj = coinduced(opposite(q), z4, 1, cyclic(z4, 4))
+    assert {v: [tuple(a.id for a in p.arrows) for p in ps] for v, ps in adj.factor_keys.items()} == {1: [()], 2: [("a_op",)], 3: []}
+    assert [m.factors for m in adj.rep.vertex_modules.values()] == [(4,), (4,), ()]
+    with pytest.raises(ValueError, match="^infinite path set from "):
+        coinduced(q, z4, 1, cyclic(z4, 4))
 
 
 def test_opposite_named_examples():
