@@ -19,11 +19,9 @@ from .homology import (
     ext,
     totally_acyclic_injective_complex,
 )
-from .purity import split_verdict
+from .purity import is_pure_mono_rep
 from .rep import (
-    RepSES,
     Representation,
-    cokernel_rep,
     dual_rep,
     ker_psi,
     psi,
@@ -140,11 +138,12 @@ def definitional_sfp_check(x: Representation) -> Tuple[bool, dict]:
     step splits, x is a summand of an injective and so injective, and
     0 -> x -> x -> 0 is already the resolution.  An impure first step means
     x is not injective, since every mono out of an injective splits, and
-    then no pure mono into an injective exists.  So one embedding and one
-    splitting test (`split_verdict`) decide, and no later step or impurity
-    witness is built.  On a cyclic quiver the embedding raises ValueError."""
+    then no pure mono into an injective exists.  So the canonical
+    embedding x -> I^0 alone decides, as a pure, that is split, mono
+    (`is_pure_mono_rep`): no cokernel, later step or impurity witness is
+    built.  On a cyclic quiver the embedding raises ValueError."""
     _, mono = canonical_injective_embedding(x)
-    if split_verdict(RepSES(mono, cokernel_rep(mono)[1])).pure:
+    if is_pure_mono_rep(mono) is not None:
         return True, {"terminated": {"degree": 0, "reason": "first step split"}}
     return False, {"failure": {"degree": 0}}
 

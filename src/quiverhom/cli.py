@@ -40,7 +40,7 @@ from .harness import NONPURE_FIXTURE_MODULI, Config, UsageError, is_vertexwise_s
 from .homology import ext as ext_group
 from .io import FormatError, load_json, quiver_from_dict, rep_from_dict, reps_file_from_dict, ses_from_dict
 from .purity import definitional_purity_check, is_pure_rep_ses
-from .quiver import has_directed_cycle, is_left_rooted, is_right_rooted, root_sequence
+from .quiver import is_left_rooted, is_right_rooted, root_sequence
 from .rep import rep_digest
 from .znmod import Modulus
 
@@ -104,7 +104,7 @@ def cmd_ext(args) -> int:
     for name in (args.x, args.y):
         if name not in reps:
             raise UsageError(f"representation {name!r} not found in file")
-    if has_directed_cycle(q):
+    if not is_right_rooted(q):
         raise UsageError("ext needs an acyclic quiver")
     value = ext_group(reps[args.x], reps[args.y], args.n)
     record = {"degree": args.n, "ext": str(value), "cardinality": value.cardinality}

@@ -26,7 +26,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .linalg import Matrix, diag, from_entries, hstack, identity, matmul, mod_rows, quotient_order, transpose
-from .quiver import Quiver, VertexId, has_directed_cycle, opposite, out_arrows, root_sequence, trivial_path
+from .quiver import Quiver, VertexId, is_right_rooted, opposite, out_arrows, root_sequence, trivial_path
 from .rep import (
     HomGroupRep,
     RepMorphism,
@@ -299,7 +299,7 @@ def ext(x: Representation, y: Representation, degree: int) -> FinMod:
     quiver (refusing the others is this function's contract, not a limit of
     `ExtComputation`)."""
     _check_degree(degree)
-    if has_directed_cycle(x.quiver):
+    if not is_right_rooted(x.quiver):
         raise ValueError("ext needs an acyclic quiver")
     return ExtComputation(x, y).ext(degree)
 
@@ -573,7 +573,7 @@ def totally_acyclic_injective_complex(
     """
     if depth < 0:
         raise ValueError("depth must be at least 0")
-    if has_directed_cycle(x.quiver):
+    if not is_right_rooted(x.quiver):
         return None, "quiver is not right rooted"
     components: Dict[int, Representation] = {}
     diffs: Dict[int, RepMorphism] = {}

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 from .linalg import diag, hstack
-from .quiver import has_directed_cycle, in_arrows, opposite
+from .quiver import in_arrows, is_right_rooted, opposite
 from .rep import (
     RepMorphism,
     RepSES,
@@ -30,7 +30,9 @@ from .znmod import (
     cyclic,
     identity_hom,
     is_pure_module_ses,
+    matlis_dual_hom,
     present,
+    splits,
     torsion_order,
 )
 
@@ -85,29 +87,21 @@ def rep_retraction(f: RepMorphism) -> Optional[RepMorphism]:
     return None if out is None else RepMorphism._closed(tgt, src, dict(zip(q.vertices, sysm.assignment(out[0]))))
 
 
-def split_verdict(ses: RepSES) -> PurityVerdict:
-    """The splitting verdict alone: a vertexwise module-purity prefilter
-    (`is_pure_module_ses`, decided from torsion orders) catches most impure
-    sequences cheaply, then one linear solve for a natural retraction of
-    the sub-term map decides.  An impure verdict carries the prefilter's
-    witness, or none when the solve found no retraction."""
+def is_pure_rep_ses(ses: RepSES) -> PurityVerdict:
+    """Purity by the splitting criterion: the sequence is pure iff it
+    splits.  A vertexwise module-purity prefilter (`is_pure_module_ses`,
+    decided from torsion orders) catches most impure sequences cheaply and
+    names the vertex; then one linear solve looks for a natural retraction
+    of the sub-term map.  When that solve fails, the witness is the first
+    cheap test object the sequence fails (`_cheap_definitional_witness`):
+    a stalk, found from vertex tops, or the dual of the sub term."""
     for v in ses.f.source.quiver.vertices:
         ok, divisor = is_pure_module_ses(ses.vertex_ses(v))
         if not ok:
             return PurityVerdict(False, None, {"kind": "vertex-module", "vertex": v, "divisor": divisor})
     r = rep_retraction(ses.f)
-    return PurityVerdict(r is not None, r, None)
-
-
-def is_pure_rep_ses(ses: RepSES) -> PurityVerdict:
-    """Purity by the splitting criterion: the sequence is pure iff it
-    splits (`split_verdict`).  When the retraction solve fails, the witness
-    is the first cheap test object the sequence fails
-    (`_cheap_definitional_witness`): a stalk, found from vertex tops, or
-    the dual of the sub term."""
-    verdict = split_verdict(ses)
-    if verdict.pure or verdict.witness is not None:
-        return verdict
+    if r is not None:
+        return PurityVerdict(True, r, None)
     return PurityVerdict(False, None, _cheap_definitional_witness(ses) or {"kind": "dual-not-split"})
 
 
@@ -178,13 +172,17 @@ def definitional_purity_check(ses: RepSES) -> Tuple[bool, int, Optional[dict]]:
     qop = opposite(ses.f.source.quiver)
     witness = _cheap_definitional_witness(ses)
     count = len(qop.vertices) * (len(ses.f.source.modulus.divisors) - 1) + 1
-    count += (0 if has_directed_cycle(qop) else len(qop.vertices)) + RANDOM_TEST_MEMBERS
+    count += (len(qop.vertices) if is_right_rooted(qop) else 0) + RANDOM_TEST_MEMBERS
     return witness is None, count, witness
 
 
 def is_pure_mono_rep(f: RepMorphism) -> Optional[RepMorphism]:
     """A mono f is pure iff it is a split mono; returns a natural
-    retraction r with r o f = id as certificate, or None."""
+    retraction r with r o f = id as certificate, or None.  A component that
+    is not a split mono, that is whose Matlis dual is not a split epi
+    (`znmod.splits`), decides None before the retraction solve."""
     if not f.is_monomorphism:
         raise ValueError("map is not a monomorphism")
+    if not all(splits(matlis_dual_hom(h)) for h in f.components.values()):
+        return None
     return rep_retraction(f)

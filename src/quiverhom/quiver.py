@@ -126,10 +126,11 @@ def has_directed_cycle(q: Quiver) -> bool:
     return any(color[v] == 0 and visit(v) for v in q.vertices)
 
 
-# the right adjoints of restriction ask for every path out of each vertex,
-# and resolutions for the same (quiver, i, j) over and over; a hit means the
-# vertices passed their checks before, and lru_cache keeps no exceptions, so
-# a bad vertex or an infinite path set raises every time
+# every right adjoint of restriction asks for the paths out of each vertex
+# of the part of its quiver that reaches its subquiver, and the right
+# adjoints over one quiver ask again; a hit means the vertex passed its
+# check before, and lru_cache keeps no exceptions, so a bad vertex or an
+# infinite path set raises every time
 @functools.lru_cache(maxsize=1024, typed=True)
 def paths_from(q: Quiver, v: VertexId) -> Tuple[Path, ...]:
     """All paths out of v, trivial path included, sorted by `Path.key`.
@@ -166,7 +167,6 @@ def part_reaching(q: Quiver, targets: Iterable[VertexId]) -> Quiver:
     return Quiver(tuple(u for u in q.vertices if u in reaches), tuple(a for a in q.arrows if a.tgt in reaches))
 
 
-@functools.lru_cache(maxsize=1024, typed=True)
 def paths_between(q: Quiver, i: VertexId, j: VertexId) -> Tuple[Path, ...]:
     """All paths from i to j, trivial path included when i == j, sorted by
     `Path.key`: those of `paths_from` on `part_reaching(q, (j,))` that end

@@ -22,7 +22,7 @@ from quiverhom.classify import (
 from quiverhom import classify
 from quiverhom.homology import canonical_injective_embedding, projective_generator
 from quiverhom.purity import is_pure_rep_ses
-from quiverhom.rep import RepSES, coinduced
+from quiverhom.rep import RepSES, cokernel_rep, coinduced
 from quiverhom.znmod import (
     ModHom,
     Modulus,
@@ -122,7 +122,7 @@ def reference_coresolution_walk(x):
     y = x
     for k in range(len(x.quiver.vertices) + 1):
         _, mono = canonical_injective_embedding(y)
-        y, proj = classify.cokernel_rep(mono)
+        y, proj = cokernel_rep(mono)
         verdict = is_pure_rep_ses(RepSES(mono, proj))
         info["steps"].append({"degree": k, "pure": verdict.pure})
         if not verdict.pure:
@@ -139,19 +139,19 @@ def _line(length):
 
 
 def one_coresolution_step(monkeypatch):
-    """Let `classify` build one cokernel per `calls.clear()`; a second one
-    raises, so a walk past the first step fails at once instead of
-    building the later, larger steps."""
-    real = classify.cokernel_rep
+    """Let `classify` build one injective embedding per `calls.clear()`; a
+    second one raises, so a walk past the first step fails at once instead
+    of building the later, larger steps."""
+    real = classify.canonical_injective_embedding
     calls = []
 
-    def once(mono):
-        calls.append(mono)
+    def once(x):
+        calls.append(x)
         if len(calls) > 1:
             raise AssertionError("a second coresolution step")
-        return real(mono)
+        return real(x)
 
-    monkeypatch.setattr(classify, "cokernel_rep", once)
+    monkeypatch.setattr(classify, "canonical_injective_embedding", once)
     return calls
 
 
@@ -179,8 +179,8 @@ def test_definitional_sfp_check_raises_past_one_step_per_vertex(monkeypatch):
     # a syzygy that never vanishes breaks the support argument of the
     # reference walk: a harness error naming the vertex count, not a verdict
     x = coinduced(a2(), Z4, 2, cyclic(Z4, 4)).rep
-    real = classify.cokernel_rep
-    monkeypatch.setattr(classify, "cokernel_rep", lambda mono: (x, real(mono)[1]))
+    real = cokernel_rep
+    monkeypatch.setitem(globals(), "cokernel_rep", lambda mono: (x, real(mono)[1]))
     with pytest.raises(AssertionError, match="after 3 pure steps over 2 vertices"):
         reference_coresolution_walk(x)
 

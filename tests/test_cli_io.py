@@ -119,6 +119,17 @@ def test_cli_ext_rejects_negative_degree(tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith("error:")
 
 
+def test_cli_ext_over_a_line_longer_than_the_recursion_limit(tmp_path, capsys):
+    # the acyclicity check once searched for a cycle recursively and ended
+    # in a RecursionError on this line; right rootedness is iterative
+    q = make_quiver(range(1, 1201), [(f"a{i}", i, i + 1) for i in range(1, 1200)])
+    x = stalk(q, Modulus(2), 1, cyclic(Modulus(2), 2))
+    payload = {"modulus": 2, "quiver": quiver_to_dict(q), "reps": {"x": rep_block_to_dict(x), "y": rep_block_to_dict(x)}}
+    path = write(tmp_path, "line.json", payload)
+    assert main(["ext", path, "--x", "x", "--y", "y", "--n", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"cardinality": 1, "degree": 1, "ext": "0"}
+
+
 def _reps_file() -> dict:
     x = doubling_rep()
     return {"modulus": 4, "quiver": quiver_to_dict(x.quiver), "reps": {"x": rep_block_to_dict(x), "y": rep_block_to_dict(x)}}

@@ -28,9 +28,10 @@ One route per question: quotients are presented from the maps' own
 columns, with no `quotient_with_projection` to transpose them back, and
 no zero-rank fork, duplicate `random_quiver` knob, `ms` field or repeated
 `--json` registration stands beside the general path.  The oracles take
-their bounds from the theory: the sfp oracle builds one coresolution step
-and decides on its splitting, with no loop and no witness, and the
-Gorenstein module certificate is one fixed window long."""
+their bounds from the theory: the sfp oracle asks whether the first
+embedding of the coresolution is a split mono, with no cokernel, loop or
+witness, and the Gorenstein module certificate is one fixed window long.
+Acyclicity is read as right rootedness everywhere but in the harness."""
 
 import ast
 import json
@@ -294,11 +295,17 @@ def test_the_oracles_take_their_bounds_from_the_theory():
     assert not loops, [ast.unparse(node) for node in loops]
     raises = [node for node in ast.walk(sfp) if isinstance(node, ast.Assert) or (isinstance(node, ast.Raise) and "AssertionError" in ast.unparse(node))]
     assert not raises, [ast.unparse(node) for node in raises]
-    assert not _callees(sfp) & {"is_pure_rep_ses", "_cheap_definitional_witness"}
-    # one verdict helper behind both the oracle and is_pure_rep_ses, with no
-    # parameter anywhere in purity that chooses whether a witness is sought
+    # the oracle asks whether its one embedding is a split mono: no
+    # cokernel, no sequence and no sequence verdict
+    assert "is_pure_mono_rep" in _callees(sfp)
+    assert not _callees(sfp) & {"cokernel_rep", "RepSES", "is_pure_rep_ses", "split_verdict", "_cheap_definitional_witness"}
+    # a pure mono is decided vertexwise first, by the Matlis dual of each
+    # component, and no sequence verdict stands apart from is_pure_rep_ses;
+    # no parameter anywhere in purity chooses whether a witness is sought
+    purity = _functions("purity.py")
+    assert "split_verdict" not in purity
+    assert {"splits", "matlis_dual_hom"} <= _callees(purity["is_pure_mono_rep"])
     purity_tree = ast.parse((SRC / "purity.py").read_text())
-    assert "split_verdict" in _callees(sfp) & _callees(_functions("purity.py")["is_pure_rep_ses"])
     selectors = [
         node.name
         for node in ast.walk(purity_tree)
@@ -313,3 +320,13 @@ def test_the_oracles_take_their_bounds_from_the_theory():
     params = _functions("znmod.py")["gi_module_certificate"].args
     assert [a.arg for a in params.posonlyargs + params.args + params.kwonlyargs] == ["m"]
     assert params.vararg is None and params.kwarg is None
+    # acyclicity is read as right rootedness, which is iterative and
+    # memoized; the recursive cycle search is only the harness's
+    # independent check of it
+    importers = sorted(
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and any(alias.name == "has_directed_cycle" for alias in node.names)
+    )
+    assert importers == ["harness.py"], importers

@@ -9,6 +9,7 @@ from quiverhom.harness import (
     NONPURE_FIXTURE_MODULI,
     Config,
     nonpure_fixture_ses,
+    random_gorenstein_rep,
     random_injective_rep,
     random_quiver,
     random_representation,
@@ -16,7 +17,9 @@ from quiverhom.harness import (
 from quiverhom.homology import canonical_injective_embedding
 from quiverhom.io import ses_from_dict
 from quiverhom.quiver import a2
+from quiverhom import purity
 from quiverhom.rep import (
+    HomGroupRep,
     RepMorphism,
     RepSES,
     Representation,
@@ -310,6 +313,44 @@ def test_pure_mono_is_a_split_mono_as_the_dual_section_decides():
             assert _is_identity(r.compose(f))
             split += 1
     assert split >= 10 and impure >= 10
+
+
+def _monos_of_every_kind():
+    """The canonical embeddings of representations from the three harness
+    generators, plain and twisted injections into a direct sum, and the
+    embeddings of the nonpure fixtures."""
+    moduli = (2, 4, 6, 9, 12)
+    cfg = Config(moduli=moduli)
+    generators = (random_representation, random_injective_rep, random_gorenstein_rep)
+    for k in range(45):
+        rng = random.Random(7919 * k + 5)
+        modulus = Modulus(moduli[k % len(moduli)])
+        q = random_quiver(rng, cfg, right_rooted=True, max_vertices=3, max_arrows=3)
+        x = generators[k % 3](rng, q, modulus, cfg)
+        yield canonical_injective_embedding(x)[1]
+        y = random_representation(rng, q, modulus, cfg)
+        _, injs, _ = direct_sum_reps([x, y])
+        homs = HomGroupRep(x, y)
+        yield injs[0]
+        yield injs[0] + injs[1].compose(homs.from_coords([rng.randrange(d) for d in homs.group.factors]))
+    for n in NONPURE_FIXTURE_MODULI:
+        yield nonpure_fixture_ses(Modulus(n)).f
+
+
+def test_the_vertexwise_prefilter_never_flips_a_pure_mono_verdict(monkeypatch):
+    # a component whose Matlis dual is no split epi decides None before the
+    # retraction solve; the solve alone must give the same verdict
+    real = purity.rep_retraction
+    solved = []
+    monkeypatch.setattr(purity, "rep_retraction", lambda f: solved.append(f) or real(f))
+    outcomes = {(True, True): 0, (False, True): 0, (False, False): 0}
+    for f in _monos_of_every_kind():
+        solved.clear()
+        pure = is_pure_mono_rep(f) is not None
+        assert pure == (real(f) is not None)
+        outcomes[pure, bool(solved)] += 1
+    # pure, impure by the prefilter, and impure by the solve all occur
+    assert all(outcomes.values()), outcomes
 
 
 def test_psi_of_injective_is_split_epi():

@@ -284,7 +284,6 @@ def test_every_memo_is_a_bounded_lru_cache():
         "quiverhom.homology._left_injective_step",
         "quiverhom.rep.psi",
         "quiverhom.rep.dual_rep",
-        "quiverhom.quiver.paths_between",
         "quiverhom.purity._cheap_definitional_witness",
         "quiverhom.znmod._kernel_of_hom",
         "quiverhom.znmod.cokernel_order",
